@@ -10,7 +10,8 @@
 # regress silently — plus a metadata audit of the committed benchmark
 # baseline (Release tree + burst-transport stamp), a fig08/fig10 sweep
 # byte-compare across 1/2/8 threads (the timing-wheel swap-safety gate),
-# a fig08/fig10 byte-compare between the burst and per-bit PHY
+# a fig06-12 + throughput/coexistence/backoff byte-compare between the
+# burst and per-bit PHY
 # transports (the burst swap-safety gate; kernel_* telemetry excluded —
 # fewer timer events is the optimisation being gated), and a
 # forked-vs-cold byte-compare over every Monte-Carlo study (the
@@ -158,8 +159,8 @@ cmake --build build-asan -j "$jobs" --target \
       sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
       sim_test_shard core_test_shard_coexistence \
-      baseband_test_framing_word phy_test_burst_transport \
-      phy_test_noise_mask \
+      baseband_test_framing_word baseband_test_receiver_word \
+      phy_test_burst_transport phy_test_noise_mask \
       integration_test_burst_equivalence \
       integration_test_link integration_test_multislave integration_test_noise_stress \
       runner_test_sweep runner_test_determinism \
@@ -181,6 +182,10 @@ cmake --build build-asan -j "$jobs" --target \
 # and the burst transport (lazy receiver catch-up, run fallback, the
 # burst-vs-per-bit VCD byte-compare and the zero-allocation round trip)
 # with the debug asserts armed under the sanitizers.
+# baseband_test_receiver_word is the receiver's word-vs-bit differential
+# suite (every packet type, whitening, noise, all-'Z' sources, every
+# consume split point); with asserts armed consume_quiet() also replays
+# each span through the per-bit step and compares machines.
 # sim_test_snapshot / core_test_checkpoint / runner_test_checkpoint_sweep
 # cover the checkpoint subsystem: the tagged-stream codecs and their
 # malformed-input rejection paths, whole-system save/restore round trips
@@ -217,8 +222,8 @@ cmake --build build-asan -j "$jobs" --target \
 for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          sim_test_shard core_test_shard_coexistence \
-         baseband_test_framing_word phy_test_burst_transport \
-         phy_test_noise_mask \
+         baseband_test_framing_word baseband_test_receiver_word \
+         phy_test_burst_transport phy_test_noise_mask \
          integration_test_burst_equivalence \
          integration_test_link integration_test_multislave integration_test_noise_stress \
          runner_test_sweep runner_test_determinism \
@@ -284,7 +289,7 @@ for fig in 8 10; do
   echo "fig$fig sweep byte-identical at 1/2/8 threads"
 done
 
-echo "=== burst-transport gate: fig06-fig12 byte-compare, batched vs per-bit ==="
+echo "=== burst-transport gate: fig06-fig12 + extension studies, batched vs per-bit ==="
 # The word-packed burst transport must never change simulation results
 # either: with --no-burst the same sweeps run on the one-event-per-bit
 # reference path and must produce identical rows/notes at every thread
@@ -326,6 +331,27 @@ for fig in 6 7 8 10 11 12; do
     fi
   done
   echo "fig$fig sweep results identical with burst transport on/off ($threads_list thread(s))"
+done
+# The extension studies decode the most payload (throughput: every DM/DH
+# type under noise; backoff: inquiry storms) and carry the only
+# contending transmitters (coexistence: collided samples, per-bit
+# fallbacks, same-instant collision draws across receivers), so they
+# are compared burst-on vs per-bit too.
+for id in throughput coexistence backoff; do
+  ref="$gate_dir/${id}_burst.json"
+  out="$gate_dir/${id}_noburst.json"
+  ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 2 --threads 1 \
+      --out "$ref" >/dev/null
+  ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 2 --threads 1 \
+      --no-burst --out "$out" >/dev/null
+  if ! cmp -s <(strip_kernel_meta "$ref") <(strip_kernel_meta "$out"); then
+    echo "error: $id sweep results differ between burst and per-bit" >&2
+    echo "       transport (PHY/receiver equivalence broken; see" >&2
+    echo "       docs/ARCHITECTURE.md, 'Word-packed bit transport &" >&2
+    echo "       burst delivery')" >&2
+    exit 1
+  fi
+  echo "$id sweep results identical with burst transport on/off"
 done
 
 echo "=== checkpoint-fork gate: forked vs cold staged sweeps, all studies ==="

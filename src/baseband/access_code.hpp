@@ -71,6 +71,8 @@ class Correlator {
 
   void reset();
 
+  friend bool operator==(const Correlator&, const Correlator&) = default;
+
   // ---- checkpointing (raw register access; see sim/snapshot.hpp) ----
   std::uint64_t expected_word() const { return expected_; }
   std::uint64_t window_word() const { return window_; }

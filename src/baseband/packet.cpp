@@ -35,26 +35,6 @@ const char* to_string(PacketType t) {
   return "?";
 }
 
-bool has_payload(PacketType t) {
-  return t != PacketType::kNull && t != PacketType::kPoll;
-}
-
-bool is_fec23(PacketType t) {
-  switch (t) {
-    case PacketType::kFhs:
-    case PacketType::kDm1:
-    case PacketType::kDm3:
-    case PacketType::kDm5:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool has_crc(PacketType t) {
-  return has_payload(t) && t != PacketType::kAux1;
-}
-
 int slots_occupied(PacketType t) {
   switch (t) {
     case PacketType::kDm3:
@@ -65,22 +45,6 @@ int slots_occupied(PacketType t) {
       return 5;
     default:
       return 1;
-  }
-}
-
-std::size_t payload_header_bytes(PacketType t) {
-  switch (t) {
-    case PacketType::kDm1:
-    case PacketType::kDh1:
-    case PacketType::kAux1:
-      return 1;
-    case PacketType::kDm3:
-    case PacketType::kDh3:
-    case PacketType::kDm5:
-    case PacketType::kDh5:
-      return 2;
-    default:
-      return 0;  // NULL/POLL/FHS
   }
 }
 

@@ -40,16 +40,53 @@ enum class PacketType : std::uint8_t {
 
 const char* to_string(PacketType t);
 
+// The framing predicates are inline: the receiver's decode loop asks
+// them for every packet it assembles.
+
 /// True for types that carry a payload section.
-bool has_payload(PacketType t);
+constexpr bool has_payload(PacketType t) {
+  return t != PacketType::kNull && t != PacketType::kPoll;
+}
+
 /// True for types whose payload is FEC 2/3 coded (DM family + FHS).
-bool is_fec23(PacketType t);
-/// True for types protected by a payload CRC (everything with a payload).
-bool has_crc(PacketType t);
+constexpr bool is_fec23(PacketType t) {
+  switch (t) {
+    case PacketType::kFhs:
+    case PacketType::kDm1:
+    case PacketType::kDm3:
+    case PacketType::kDm5:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// True for types protected by a payload CRC (everything with a payload
+/// except AUX1).
+constexpr bool has_crc(PacketType t) {
+  return has_payload(t) && t != PacketType::kAux1;
+}
+
 /// Number of slots the packet occupies (1, 3 or 5).
 int slots_occupied(PacketType t);
+
 /// Payload header size in bytes (1 single-slot, 2 multi-slot); 0 for FHS.
-std::size_t payload_header_bytes(PacketType t);
+constexpr std::size_t payload_header_bytes(PacketType t) {
+  switch (t) {
+    case PacketType::kDm1:
+    case PacketType::kDh1:
+    case PacketType::kAux1:
+      return 1;
+    case PacketType::kDm3:
+    case PacketType::kDh3:
+    case PacketType::kDm5:
+    case PacketType::kDh5:
+      return 2;
+    default:
+      return 0;  // NULL/POLL/FHS
+  }
+}
+
 /// Maximum user payload in bytes (0 for NULL/POLL/FHS).
 std::size_t max_user_bytes(PacketType t);
 

@@ -16,6 +16,21 @@ namespace {
 /// +0.5 us for odd-half-slot ones -- well inside all window margins).
 constexpr sim::SimTime kSyncEndOffset = sim::SimTime::ns(67'250);
 
+/// Trailer after the sync word, and the FEC-1/3 coded header.
+constexpr std::size_t kTrailerBits = 4;
+constexpr std::size_t kHeaderCodedBits = 54;
+
+/// Appends samples [pos, pos+n) of a burst source to `dst`; a null
+/// source is an all-'Z' run, which the demodulator slices as zeros.
+void append_samples(sim::BitVector& dst, const sim::BitVector* bits,
+                    std::size_t pos, std::size_t n) {
+  if (bits != nullptr) {
+    dst.append_range(*bits, pos, n);
+  } else {
+    dst.append_zeros(n);
+  }
+}
+
 }  // namespace
 
 Receiver::Receiver(sim::Environment& env, std::string name)
@@ -66,25 +81,32 @@ void Receiver::reset() {
 Receiver::Effect Receiver::payload_step(Machine& m) {
   if (is_fec23(m.header.type)) {
     if (m.collected.size() % kFec23BlockBits == 0) {
-      const auto air = static_cast<std::uint16_t>(m.collected.extract_word(
-          m.collected.size() - kFec23BlockBits, kFec23BlockBits));
-      const Fec23Block block = fec23_decode_block15(air);
-      if (block.failed) {
-        m.payload_fec_failed = true;
-        ++m.fec_failures;
-      }
-      std::uint16_t data10 = block.data10;
-      if (m.have_whitener) {
-        data10 ^= static_cast<std::uint16_t>(
-            m.whitener.keystream(kFec23DataBits));
-      }
-      m.payload_data_bits.append_uint(data10, kFec23DataBits);
+      decode_block(m, static_cast<std::uint16_t>(m.collected.extract_word(
+                          m.collected.size() - kFec23BlockBits,
+                          kFec23BlockBits)));
     }
   } else {
     bool data_bit = m.collected[m.collected.size() - 1];
     if (m.have_whitener && m.whitener.next()) data_bit = !data_bit;
     m.payload_data_bits.push_back(data_bit);
   }
+  return payload_progress(m);
+}
+
+void Receiver::decode_block(Machine& m, std::uint16_t air15) {
+  const Fec23Block block = fec23_decode_block15(air15);
+  if (block.failed) {
+    m.payload_fec_failed = true;
+    ++m.fec_failures;
+  }
+  std::uint16_t data10 = block.data10;
+  if (m.have_whitener) {
+    data10 ^= static_cast<std::uint16_t>(m.whitener.keystream(kFec23DataBits));
+  }
+  m.payload_data_bits.append_uint(data10, kFec23DataBits);
+}
+
+Receiver::Effect Receiver::payload_progress(Machine& m) {
   // Resolve the total length once the payload header is decodable.
   if (m.payload_total_coded_bits == 0) {
     const std::size_t need = 8 * payload_header_bytes(m.header.type);
@@ -126,19 +148,40 @@ Receiver::Effect Receiver::step(Machine& m, bool bit) {
       return m.correlator.push(bit) ? Effect::kSync : Effect::kNone;
     case Phase::kTrailer:
       m.collected.push_back(bit);
-      if (m.collected.size() == 4) {
+      if (m.collected.size() == kTrailerBits) {
         m.collected.clear();
         m.phase = Phase::kHeader;
       }
       return Effect::kNone;
     case Phase::kHeader:
       m.collected.push_back(bit);
-      return m.collected.size() == 54 ? Effect::kHeaderDone : Effect::kNone;
+      return m.collected.size() == kHeaderCodedBits ? Effect::kHeaderDone
+                                                    : Effect::kNone;
     case Phase::kPayload:
       m.collected.push_back(bit);
       return payload_step(m);
   }
   return Effect::kNone;
+}
+
+std::size_t Receiver::effect_index(const Machine& m) {
+  const std::size_t got = m.collected.size();
+  switch (m.phase) {
+    case Phase::kSearch:
+      return kUnknown;  // depends on the bits
+    case Phase::kTrailer:
+      // The rest of the trailer, then the 54th header bit.
+      return (kTrailerBits - got) + (kHeaderCodedBits - 1);
+    case Phase::kHeader:
+      return kHeaderCodedBits - 1 - got;
+    case Phase::kPayload:
+      // Once the length is known, only completion is left: block
+      // failures after that point just mark the result.
+      return m.payload_total_coded_bits != 0
+                 ? m.payload_total_coded_bits - got - 1
+                 : kUnknown;
+  }
+  return kUnknown;
 }
 
 void Receiver::execute(Effect e) {
@@ -206,17 +249,26 @@ std::size_t Receiver::quiet_prefix(const sim::BitVector* bits,
       }
       return count;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-      if (c.push((*bits)[first + i])) return i;
+    for (std::size_t i = 0; i < count; i += 64) {
+      const auto chunk = static_cast<unsigned>(count - i < 64 ? count - i : 64);
+      const std::uint64_t w = bits->extract_word(first + i, chunk);
+      for (unsigned b = 0; b < chunk; ++b) {
+        if (c.push((w >> b) & 1u)) return i + b;
+      }
     }
     return count;
   }
-  // Assembly phases: dry-run a scratch copy of the whole machine (the
-  // copy-assign reuses the scratch buffers' capacity -- no steady-state
-  // allocation). Real packet framings complete within a few thousand
-  // bits, but a corrupted header that passed HEC can name a reserved
-  // type whose payload length never resolves -- the per-bit path just
-  // accumulates one bit per microsecond there, so the probe must not
+  // Assembly phases: the framing fixes where trailer, header and a
+  // length-resolved payload end, whatever the bits.
+  if (const std::size_t at = effect_index(machine_); at != kUnknown) {
+    return at < count ? at : count;
+  }
+  // Payload length not resolved yet: dry-run the few bits up to the
+  // payload header on a scratch copy (the copy-assign reuses the scratch
+  // buffers' capacity -- no steady-state allocation), then answer
+  // analytically. A corrupted header that passed HEC can name a reserved
+  // type whose length never resolves -- the per-bit path just
+  // accumulates one bit per microsecond there, so the dry run must not
   // chase the full horizon. Capping the answer is always sound: the
   // caller treats the capped position as a barrier and runs that one
   // sample through the exact per-sample path, then re-probes.
@@ -226,6 +278,9 @@ std::size_t Receiver::quiet_prefix(const sim::BitVector* bits,
   for (std::size_t i = 0; i < limit; ++i) {
     const bool bit = bits != nullptr && (*bits)[first + i];
     if (step(scratch_, bit) != Effect::kNone) return i;
+    if (const std::size_t at = effect_index(scratch_); at != kUnknown) {
+      return at < count - i - 1 ? i + 1 + at : count;
+    }
   }
   return limit;
 }
@@ -234,11 +289,11 @@ void Receiver::consume_quiet(const sim::BitVector* bits, std::size_t first,
                              std::size_t count) {
   if (!configured_ || count == 0) return;
   if (bits != nullptr) carrier_samples_ += count;
-  std::size_t i = 0;
-  while (i < count) {
-    if (machine_.phase == Phase::kSearch) {
-      // Word path: shift up to 64 known-quiet bits into the correlator
-      // at once (a prior probe certified no position fires).
+  if (machine_.phase == Phase::kSearch) {
+    // Shift up to 64 known-quiet bits into the correlator at once (a
+    // prior probe certified no position fires). Leaving the search is
+    // always an effect, so the whole span stays here.
+    for (std::size_t i = 0; i < count;) {
       const auto chunk =
           static_cast<unsigned>(count - i < 64 ? count - i : 64);
       const std::uint64_t w =
@@ -254,12 +309,77 @@ void Receiver::consume_quiet(const sim::BitVector* bits, std::size_t first,
 #endif
       machine_.correlator.advance(w, chunk);
       i += chunk;
-      continue;
     }
-    const bool bit = bits != nullptr && (*bits)[first + i];
-    [[maybe_unused]] const Effect e = step(machine_, bit);
+    return;
+  }
+#ifndef NDEBUG
+  // Per-bit oracle: the same span stepped bit by bit on the scratch copy
+  // must stay quiet and land on the state the word path reaches.
+  scratch_ = machine_;
+  for (std::size_t i = 0; i < count; ++i) {
+    [[maybe_unused]] const Effect e =
+        step(scratch_, bits != nullptr && (*bits)[first + i]);
     assert(e == Effect::kNone && "consume_quiet crossed a side effect");
-    ++i;
+  }
+#endif
+  std::size_t i = 0;
+  if (machine_.phase == Phase::kTrailer) {
+    const std::size_t left = kTrailerBits - machine_.collected.size();
+    const std::size_t take = count < left ? count : left;
+    append_samples(machine_.collected, bits, first, take);
+    i = take;
+    if (take == left) {
+      machine_.collected.clear();
+      machine_.phase = Phase::kHeader;
+    }
+  }
+  if (i < count && machine_.phase == Phase::kHeader) {
+    // Quiet: the 54th header bit is an effect, so the span ends short.
+    assert(machine_.collected.size() + (count - i) < kHeaderCodedBits);
+    append_samples(machine_.collected, bits, first + i, count - i);
+    i = count;
+  }
+  if (i < count) consume_payload(bits, first + i, count - i);
+  assert(scratch_ == machine_ && "word consume diverged from per-bit step");
+}
+
+void Receiver::consume_payload(const sim::BitVector* bits, std::size_t pos,
+                               std::size_t n) {
+  Machine& m = machine_;
+  assert(m.phase == Phase::kPayload);
+  if (!is_fec23(m.header.type)) {
+    // Unprotected payload: every coded bit is a data bit, de-whitened a
+    // keystream word at a time. The length resolves from the first data
+    // bits alone, so one check after the span equals the per-bit ones.
+    const std::size_t start = m.collected.size();
+    append_samples(m.collected, bits, pos, n);
+    for (std::size_t done = 0; done < n;) {
+      const auto chunk = static_cast<unsigned>(n - done < 64 ? n - done : 64);
+      std::uint64_t w = m.collected.extract_word(start + done, chunk);
+      if (m.have_whitener) w ^= m.whitener.keystream(chunk);
+      m.payload_data_bits.append_uint(w, chunk);
+      done += chunk;
+    }
+    [[maybe_unused]] const Effect e = payload_progress(m);
+    assert(e == Effect::kNone && "consume_quiet crossed a payload effect");
+    return;
+  }
+  // FEC 2/3: fill and decode one 15-bit block at a time. The length
+  // check runs after every block, so a block failure before the payload
+  // header resolves is seen exactly where the per-bit path sees it.
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t into = m.collected.size() % kFec23BlockBits;
+    const std::size_t left = kFec23BlockBits - into;
+    const std::size_t take = n - done < left ? n - done : left;
+    append_samples(m.collected, bits, pos + done, take);
+    done += take;
+    if (take == left) {
+      decode_block(m, static_cast<std::uint16_t>(m.collected.extract_word(
+                          m.collected.size() - kFec23BlockBits,
+                          kFec23BlockBits)));
+      [[maybe_unused]] const Effect e = payload_progress(m);
+      assert(e == Effect::kNone && "consume_quiet crossed a payload effect");
+    }
   }
 }
 

@@ -15,10 +15,16 @@
 // Burst transport: the receiver also implements phy::BurstRxSink. The
 // decode state machine is factored into a small copyable `Machine` whose
 // step() reports, instead of performing, every externally visible effect
-// (handler/hook invocation, RNG draw). quiet_prefix() dry-runs a scratch
-// copy of the machine to locate the next effect, consume_quiet() then
-// advances the real machine in bulk -- whole 64-bit words through the
-// correlator while searching -- and on_sample()/on_bit() executes effect
+// (handler/hook invocation, RNG draw); step() is the per-bit reference
+// that on_bit() runs. quiet_prefix() locates the next effect: while
+// searching by scanning the correlator over word reads, while assembling
+// analytically from the framing (trailer and header lengths, the
+// payload's coded length once its header resolves) -- only the few bits
+// before a payload length resolves are dry-run on a scratch copy.
+// consume_quiet() then advances the real machine a word at a time --
+// correlator shifts, trailer/header/payload bits appended in words,
+// DH payloads de-whitened by keystream words, DM/FHS payloads decoded
+// one FEC block at a time -- and on_sample()/on_bit() executes effect
 // samples through the classic path at exactly their own instants.
 #pragma once
 
@@ -159,10 +165,27 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
     /// Cumulative uncorrectable-block count (lives here so quiet block
     /// decodes can bump it and probes on copies stay side-effect-free).
     std::uint64_t fec_failures = 0;
+
+    friend bool operator==(const Machine&, const Machine&) = default;
   };
+
+  /// effect_index() answer when the framing does not fix it yet.
+  static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
 
   static Effect step(Machine& m, bool bit);
   static Effect payload_step(Machine& m);
+  /// Decodes one 15-bit FEC 2/3 block (air order) into the data bits.
+  static void decode_block(Machine& m, std::uint16_t air15);
+  /// Payload length resolution and completion check, run after every
+  /// data-bit update.
+  static Effect payload_progress(Machine& m);
+  /// Offset, from the next sample, of the sample carrying an assembling
+  /// machine's next effect when the framing alone fixes it; kUnknown
+  /// while searching or before a payload length resolves.
+  static std::size_t effect_index(const Machine& m);
+  /// Word-level quiet consumption of payload samples [pos, pos+n).
+  void consume_payload(const sim::BitVector* bits, std::size_t pos,
+                       std::size_t n);
   /// Runs the effectful part of a sample whose step() reported `e`.
   void execute(Effect e);
 
@@ -189,7 +212,9 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   Result& fresh_result();
 
   Machine machine_;
-  mutable Machine scratch_;  // probe dry-run state (capacity reused)
+  /// Probe dry-run state, and the per-bit oracle of consume_quiet()'s
+  /// debug cross-check (capacity reused: no steady-state allocation).
+  mutable Machine scratch_;
   Result result_;            // reused delivery record
   sim::SimTime sync_done_time_;
 

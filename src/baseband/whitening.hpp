@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 
+#include "baseband/bit_reverse.hpp"
 #include "sim/bitvector.hpp"
 
 namespace btsc::baseband {
@@ -41,16 +42,21 @@ class Whitener {
 
   /// Returns the next `nbits` (<= 64) of the keystream, LSB-first (bit i
   /// of the result whitens the i-th upcoming air bit), advancing the
-  /// register by `nbits` steps.
+  /// register by `nbits` steps. O(1): the register after n steps is
+  /// read back from output bits n..n+6 of the 64-step table entry.
   std::uint64_t keystream(unsigned nbits) {
     const Step& s = steps()[reg_];
     if (nbits == 64) {
       reg_ = s.next;
       return s.stream;
     }
-    const std::uint64_t out = s.stream & ((1ull << nbits) - 1);
-    for (unsigned i = 0; i < nbits; ++i) next();
-    return out;
+    if (nbits <= kMaxReadBack) {
+      reg_ = register_at(s.stream, nbits);
+    } else {
+      const std::uint8_t mid = register_at(s.stream, kMaxReadBack);
+      reg_ = register_at(steps()[mid].stream, nbits - kMaxReadBack);
+    }
+    return s.stream & ((1ull << nbits) - 1);
   }
 
   /// XORs the stream onto `bits` in place, starting from the current
@@ -68,11 +74,22 @@ class Whitener {
 
   std::uint8_t state() const { return reg_; }
 
+  friend bool operator==(const Whitener&, const Whitener&) = default;
+
  private:
   struct Step {
     std::uint64_t stream = 0;  // 64 output bits, LSB first
     std::uint8_t next = 0;     // register state 64 steps later
   };
+
+  /// The register's bit 6 is the next output bit and each step shifts
+  /// it up by one, so after n steps it holds output bits n..n+6 in
+  /// reverse order -- readable from a 64-bit stream for n <= 57.
+  static constexpr unsigned kMaxReadBack = 64 - 7;
+  static std::uint8_t register_at(std::uint64_t stream, unsigned n) {
+    return static_cast<std::uint8_t>(
+        kRev8[static_cast<std::uint8_t>((stream >> n) & 0x7Fu)] >> 1);
+  }
 
   /// state -> (64 keystream bits, state after 64 steps); built once from
   /// the single-step definition above.

@@ -268,6 +268,40 @@ Logic4 NoisyChannel::sense(int freq) const {
   return acc;
 }
 
+void NoisyChannel::requeue_rx_chains_after(PortId port) {
+  const std::optional<RxChain> self =
+      ports_[static_cast<std::size_t>(port)].listener->rx_chain();
+  assert(self.has_value());
+  auto before = [](const RxChain& a, PortId pa, const RxChain& b,
+                   PortId pb) {
+    return a.anchor < b.anchor || (a.anchor == b.anchor && pa < pb);
+  };
+  // Selection by ascending key without a scratch list: a handful of
+  // ports, and this runs only when a chain restarts.
+  RxChain last = *self;
+  PortId last_port = port;
+  for (;;) {
+    PortId best_port = -1;
+    RxChain best{};
+    for (std::size_t i = 0; i < ports_.size(); ++i) {
+      const auto p = static_cast<PortId>(i);
+      Listener* l = ports_[i].listener;
+      if (p == port || l == nullptr) continue;
+      const std::optional<RxChain> c = l->rx_chain();
+      if (!c || c->next != self->next) continue;
+      if (!before(last, last_port, *c, p)) continue;
+      if (best_port < 0 || before(*c, p, best, best_port)) {
+        best = *c;
+        best_port = p;
+      }
+    }
+    if (best_port < 0) return;
+    ports_[static_cast<std::size_t>(best_port)].listener->rx_requeue_chain();
+    last = best;
+    last_port = best_port;
+  }
+}
+
 bool NoisyChannel::busy() const {
   if (run_.active) return true;
   return defined_ports_ > 0;

@@ -44,6 +44,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,15 @@ class NoisyChannel final : public sim::Module,
                            public sim::RearmHandler,
                            public sim::CrossShardEndpoint {
  public:
+  /// A listener's pending per-bit sample event: `anchor` is the first
+  /// sample instant of its current enable (the reference sampling order,
+  /// see requeue_rx_chains_after()) and `next` the instant the event
+  /// fires at.
+  struct RxChain {
+    sim::SimTime anchor;
+    sim::SimTime next;
+  };
+
   /// Burst-transport callbacks implemented by the Radio that owns a
   /// port. Every medium transition is delivered in two phases so lazy
   /// consumers can materialise pending samples against the *old* medium
@@ -105,6 +115,11 @@ class NoisyChannel final : public sim::Module,
     /// already on the air (the channel holds the last one); the owner
     /// must schedule the remainder as per-bit drives.
     virtual void tx_burst_fallback(std::size_t driven) = 0;
+    /// The listener's pending per-bit sample event, if it has one.
+    virtual std::optional<RxChain> rx_chain() const = 0;
+    /// Cancels and re-schedules that pending event at the same instant,
+    /// which moves it behind every event already queued there.
+    virtual void rx_requeue_chain() = 0;
 
    protected:
     ~Listener() = default;
@@ -190,6 +205,18 @@ class NoisyChannel final : public sim::Module,
 
   /// Resolved value seen by a receiver tuned to `freq`.
   Logic4 sense(int freq) const;
+
+  /// Same-instant sampling order. Receivers sample on one shared grid,
+  /// and the kernel runs same-instant events in schedule order. The
+  /// per-bit reference keeps one unbroken sample chain per enabled
+  /// receiver, so at every shared instant receivers sample in the order
+  /// they were enabled -- which decides, e.g., which receiver's
+  /// collision draw comes first. The burst transport restarts a chain
+  /// whenever a receiver leaves a lazy mode, queueing it last; the
+  /// restarting listener of `port` calls this to move every
+  /// same-instant chain the reference orders after it (later anchor;
+  /// equal anchors in port order) behind it again, in that order.
+  void requeue_rx_chains_after(PortId port);
 
   /// True if any port is currently driving a defined value (any freq).
   bool busy() const;

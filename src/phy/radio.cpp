@@ -276,10 +276,12 @@ void Radio::rx_evaluate() {
     // not at the next sample; replace it.
     if (old != RxMode::kPerBit) cancel_rx_timer();
     if (!env().pending(rx_timer_)) {
-      const sim::SimTime next = sample_time(rx_consumed_);
-      assert(next > env().now());
-      rx_timer_ = env().schedule_tagged(next - env().now(), kRxSample, 0,
-                                        [this] { rx_sample(); }, this);
+      schedule_rx_sample();
+      // Leaving a lazy mode restarts the chain, which the per-bit
+      // reference never does: restore its same-instant sampling order.
+      if (old == RxMode::kSkip || old == RxMode::kRun) {
+        channel_.requeue_rx_chains_after(port_);
+      }
     }
     return;
   }
@@ -317,6 +319,25 @@ void Radio::rx_evaluate() {
         sample_time(rx_barrier_index_) - env().now(), kRxBarrier, 0,
         [this] { rx_barrier(); }, this);
   }
+}
+
+void Radio::schedule_rx_sample() {
+  const sim::SimTime next = sample_time(rx_consumed_);
+  assert(next > env().now());
+  rx_timer_ = env().schedule_tagged(next - env().now(), kRxSample, 0,
+                                    [this] { rx_sample(); }, this);
+}
+
+std::optional<NoisyChannel::RxChain> Radio::rx_chain() const {
+  if (rx_mode_ != RxMode::kPerBit || !env().pending(rx_timer_)) {
+    return std::nullopt;
+  }
+  return NoisyChannel::RxChain{rx_anchor_, sample_time(rx_consumed_)};
+}
+
+void Radio::rx_requeue_chain() {
+  cancel_rx_timer();
+  schedule_rx_sample();
 }
 
 void Radio::rx_sample() {

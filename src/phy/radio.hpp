@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "phy/channel.hpp"
@@ -162,6 +163,8 @@ class Radio final : public sim::Module,
   void rx_sync() override;
   void rx_reevaluate() override;
   void tx_burst_fallback(std::size_t driven) override;
+  std::optional<NoisyChannel::RxChain> rx_chain() const override;
+  void rx_requeue_chain() override;
 
   // ---- checkpointing ----
 
@@ -202,6 +205,8 @@ class Radio final : public sim::Module,
   void rx_sample();
   void rx_barrier();
   void rx_evaluate();
+  /// Schedules the per-bit sample event of sample index rx_consumed_.
+  void schedule_rx_sample();
   void cancel_rx_timer();
   /// Pending lazy sample count at or before now().
   std::uint64_t rx_pending() const;

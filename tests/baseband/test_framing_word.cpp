@@ -68,6 +68,25 @@ TEST(FramingWordTest, WhitenerKeystreamAdvancesLikeNext) {
   }
 }
 
+TEST(FramingWordTest, WhitenerKeystreamExhaustiveAgainstNext) {
+  // Every register state and every length: the O(1) register read-back
+  // (and the two-lookup path for n > 57) must land on the state n single
+  // steps reach, with the same output bits.
+  for (unsigned init = 0; init < 128; ++init) {
+    for (unsigned nbits = 0; nbits <= 64; ++nbits) {
+      Whitener a(static_cast<std::uint8_t>(init));
+      Whitener b(static_cast<std::uint8_t>(init));
+      const std::uint64_t ks = a.keystream(nbits);
+      std::uint64_t ref = 0;
+      for (unsigned i = 0; i < nbits; ++i) {
+        ref |= static_cast<std::uint64_t>(b.next()) << i;
+      }
+      ASSERT_EQ(ks, ref) << "init=" << init << " nbits=" << nbits;
+      ASSERT_EQ(a.state(), b.state()) << "init=" << init << " nbits=" << nbits;
+    }
+  }
+}
+
 TEST(FramingWordTest, WhiteningIsAnInvolution) {
   Rng rng(7);
   for (int trial = 0; trial < 8; ++trial) {
