@@ -1,6 +1,7 @@
 // btsc-sweep — unified CLI over the scenario registry: reproduce any
-// Monte-Carlo figure of the paper from one binary, sharded across a
-// thread pool with bitwise-deterministic results at any thread count.
+// Monte-Carlo figure of the paper from one binary, replications spread
+// across a thread pool with bitwise-deterministic results at any thread
+// count.
 //
 //   btsc-sweep --list
 //   btsc-sweep --fig 8 --threads 8 --out fig08.json

@@ -5,7 +5,7 @@
 // built for (Section 2): unprotected DH packets maximise goodput on a
 // clean channel, while FEC-protected DM packets win once the BER rises;
 // longer packets amplify both effects. The full type x BER matrix is one
-// sweep, so every cell shards across the thread pool at once.
+// sweep, so every cell spreads across the thread pool at once.
 //
 // Thin wrapper over the "throughput" scenario; `btsc-sweep --scenario
 // throughput` runs the same sweep with the same flags.

@@ -17,12 +17,10 @@
 # forked-vs-cold byte-compare over every Monte-Carlo study (the
 # checkpoint-fork swap-safety gate: --checkpoint-warmup must be a pure
 # wall-clock optimisation), a ThreadSanitizer build (build-tsan) running
-# the shard-kernel and threaded sweep suites, a --shards 1/2/4
-# byte-compare over every study (the shard swap-safety gate: the
-# partition planner fuses every rf_delay=0 scenario to one shard), and a
-# crash-injection gate (SIGKILL a journaled fig08/fig10 sweep mid-flight,
-# resume it, byte-compare against the uninterrupted run at 1/2/8
-# threads — the durability gate for --journal/--resume), plus the
+# the threaded sweep and sweep-service suites, and a crash-injection
+# gate (SIGKILL a journaled fig08/fig10 sweep mid-flight, resume it,
+# byte-compare against the uninterrupted run at 1/2/8 threads — the
+# durability gate for --journal/--resume), plus the
 # btsc-sweepd service kill-point matrix (SIGKILL at job-accept /
 # mid-replication / mid-append, restart, byte-compare every job
 # artifact — the crash-only recovery gate for the sweep service).
@@ -158,7 +156,6 @@ cmake -B build-asan -S . -DBTSC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$jobs" --target \
       sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
-      sim_test_shard core_test_shard_coexistence \
       baseband_test_framing_word baseband_test_receiver_word \
       phy_test_burst_transport phy_test_noise_mask \
       integration_test_burst_equivalence \
@@ -173,7 +170,7 @@ cmake --build build-asan -j "$jobs" --target \
 # instant removal, the wheel-vs-heap VCD byte-compare) with the kernel
 # asserts armed and the sanitizers watching; sim_test_unique_function
 # covers the allocation-free callback type (inline/heap storage, move
-# lifetimes, capture destruction). runner_test_determinism shards real
+# lifetimes, capture destruction). runner_test_determinism spreads real
 # simulations across 8 threads under the sanitizers: the bitwise-
 # equality assertions double as a data-race smoke for the whole
 # sim -> phy -> baseband -> core stack.
@@ -189,7 +186,8 @@ cmake --build build-asan -j "$jobs" --target \
 # sim_test_snapshot / core_test_checkpoint / runner_test_checkpoint_sweep
 # cover the checkpoint subsystem: the tagged-stream codecs and their
 # malformed-input rejection paths, whole-system save/restore round trips
-# (including a mid-flight half-slot snapshot), and the forked-vs-cold
+# (including a mid-flight half-slot snapshot and a coexistence snapshot
+# holding a pending rf_delay apply timer), and the forked-vs-cold
 # sweep equivalence -- serialisation code is exactly where stale
 # pointers and uninitialised reads hide, so it runs sanitized.
 # sim_test_snapshot_fuzz drives the truncation/bit-flip corpus over both
@@ -200,11 +198,6 @@ cmake --build build-asan -j "$jobs" --target \
 # backfill byte-compares, mid-burst checkpoint) -- the word-granularity
 # mask XOR and the backfill buffer are fresh word-packed code, so they
 # run sanitized from day one.
-# sim_test_shard / core_test_shard_coexistence cover the conservative
-# shard kernel (barrier generations, cross-shard inbox merge order,
-# worker-lane execution) and the sharded two-piconet scenario -- lane
-# threads plus per-shard heaps are exactly where lifetime bugs would
-# hide, so they run sanitized from day one.
 # sim_test_checkpoint_store / runner_test_journal drive the durability
 # layer's adversarial corpora (torn files, bit flips, stale recipes,
 # truncated journals) over real file descriptors, and
@@ -221,7 +214,6 @@ cmake --build build-asan -j "$jobs" --target \
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
 for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
-         sim_test_shard core_test_shard_coexistence \
          baseband_test_framing_word baseband_test_receiver_word \
          phy_test_burst_transport phy_test_noise_mask \
          integration_test_burst_equivalence \
@@ -234,14 +226,14 @@ for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
   "./build-asan/tests/$t"
 done
 
-echo "=== TSan: shard kernel + threaded sweep suites ==="
-# ThreadSanitizer build (build-tsan, the `tsan` CMake preset): the shard
-# group runs simulation windows on worker lanes with hand-rolled barrier
-# synchronisation, and the sweep engine shards replications across
-# std::thread workers. ASan cannot see data races; TSan exists for
-# exactly these four suites. The barrier mutex must provide every
-# happens-before edge the exchange relies on -- any missing edge is a
-# hard error here, not a flaky sweep somewhere downstream.
+echo "=== TSan: threaded sweep + sweep service suites ==="
+# ThreadSanitizer build (build-tsan, the `tsan` CMake preset): the sweep
+# engine spreads replications across std::thread workers. ASan cannot
+# see data races; TSan exists for exactly these suites.
+# runner_test_sweep / runner_test_determinism run real simulations on
+# the worker pool and fold their samples after the join -- any missing
+# happens-before edge is a hard error here, not a flaky sweep somewhere
+# downstream.
 # runner_test_supervision joins the list: the supervisor publishes
 # results through a commit fence shared with detached (abandoned)
 # workers and journal appends happen from every worker thread — the
@@ -255,11 +247,9 @@ cmake -B build-tsan -S . -DBTSC_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
       -DBTSC_BUILD_BENCHES=OFF -DBTSC_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs" --target \
-      sim_test_shard core_test_shard_coexistence \
       runner_test_sweep runner_test_determinism runner_test_supervision \
       service_test_sweepd
-for t in sim_test_shard core_test_shard_coexistence \
-         runner_test_sweep runner_test_determinism \
+for t in runner_test_sweep runner_test_determinism \
          runner_test_supervision service_test_sweepd; do
   "./build-tsan/tests/$t"
 done
@@ -384,34 +374,6 @@ for id in fig06 fig07 fig08 fig10 fig11 fig12 throughput coexistence backoff; do
     fi
   done
   echo "$id forked == cold staged ($threads_list thread(s))"
-done
-
-echo "=== shard gate: --shards 1/2/4 byte-compare, all studies ==="
-# The partitioning step must never change simulation results: every
-# paper study runs rf_delay = 0, so any --shards request fuses back to
-# the single-Environment execution (zero conservative lookahead -- see
-# docs/ARCHITECTURE.md, 'Sharded conservative kernel') and the JSON must
-# be byte-identical at any requested count, kernel_* telemetry included
-# (the fused plan runs the identical kernel). --shards 1 is additionally
-# compared against the no-flag run full-byte: requesting the default
-# explicitly must be a no-op.
-for id in fig06 fig07 fig08 fig10 fig11 fig12 throughput coexistence backoff; do
-  ref="$gate_dir/${id}_noshard.json"
-  ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 4 --max-points 4 \
-      --threads 1 --out "$ref" >/dev/null
-  for shards in 1 2 4; do
-    out="$gate_dir/${id}_s${shards}.json"
-    ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 4 --max-points 4 \
-        --threads 1 --shards "$shards" --out "$out" >/dev/null
-    if ! cmp -s "$ref" "$out"; then
-      echo "error: $id sweep output differs with --shards $shards (the" >&2
-      echo "       partition planner must fuse rf_delay=0 scenarios to one" >&2
-      echo "       shard; see docs/ARCHITECTURE.md, 'Sharded conservative" >&2
-      echo "       kernel')" >&2
-      exit 1
-    fi
-  done
-  echo "$id sweep byte-identical at --shards 1/2/4"
 done
 
 echo "=== durability gate: kill+resume byte-compare, fig08/fig10 ==="

@@ -1,7 +1,6 @@
 #include "core/coexistence.hpp"
 
 #include <optional>
-#include <stdexcept>
 
 #include "baseband/bt_clock.hpp"
 #include "sim/snapshot.hpp"
@@ -48,58 +47,11 @@ DeviceConfig device_config(const CoexistenceConfig& config, int i,
 }  // namespace
 
 TwoPiconets::TwoPiconets(const CoexistenceConfig& config)
-    : plan_(plan_shards(config.shards, 2, config.rf_delay)) {
-  const phy::ChannelConfig ch = channel_config(config);
-  if (plan_.num_shards <= 1) {
-    // The legacy single-Environment construction, byte-for-byte: one
-    // kernel seeded with the scenario seed, clock draws in device
-    // order from its root stream.
-    envs_.push_back(std::make_unique<sim::Environment>(config.seed));
-    channels_.push_back(
-        std::make_unique<phy::NoisyChannel>(*envs_[0], "channel", ch));
-    for (int i = 0; i < 4; ++i) {
-      devices_.push_back(
-          std::make_unique<Device>(*envs_[0], kNames[i],
-                                   device_config(config, i, *envs_[0]),
-                                   *channels_[0]));
-    }
-  } else {
-    // One Environment + medium replica per shard; root seeds derived
-    // per shard so the streams are independent of lane scheduling.
-    group_ = std::make_unique<sim::ShardGroup>(plan_.lookahead);
-    for (int s = 0; s < plan_.num_shards; ++s) {
-      envs_.push_back(std::make_unique<sim::Environment>(
-          sim::Rng::derive_stream_seed(config.seed, kShardSeedStream,
-                                       static_cast<std::uint64_t>(s))));
-      group_->add_shard(*envs_.back());
-      channels_.push_back(
-          std::make_unique<phy::NoisyChannel>(*envs_.back(), "channel", ch));
-    }
-    // Local devices first (their radios take the low port ids on their
-    // home channel), in global device order; clock draws come from the
-    // owning shard's stream.
-    for (int i = 0; i < 4; ++i) {
-      const int s = plan_.piconet_shard[static_cast<std::size_t>(i / 2)];
-      sim::Environment& env = *envs_[static_cast<std::size_t>(s)];
-      devices_.push_back(std::make_unique<Device>(
-          env, kNames[i], device_config(config, i, env),
-          *channels_[static_cast<std::size_t>(s)]));
-    }
-    // Then a ghost port per remote transmitter on every replica, and
-    // the coupling itself (domain 0: the one shared medium).
-    for (int s = 0; s < plan_.num_shards; ++s) {
-      for (int i = 0; i < 4; ++i) {
-        const int home = plan_.piconet_shard[static_cast<std::size_t>(i / 2)];
-        if (home == s) continue;
-        channels_[static_cast<std::size_t>(s)]->attach_remote(
-            kNames[i], static_cast<std::uint32_t>(home),
-            devices_[static_cast<std::size_t>(i)]->radio().port());
-      }
-    }
-    for (int s = 0; s < plan_.num_shards; ++s) {
-      channels_[static_cast<std::size_t>(s)]->bind_shard(*group_, 0);
-    }
-    group_->set_lanes(config.lanes > 0 ? config.lanes : plan_.num_shards);
+    : env_(config.seed), channel_(env_, "channel", channel_config(config)) {
+  // Clock draws come from the root stream in device order.
+  for (int i = 0; i < 4; ++i) {
+    devices_.push_back(std::make_unique<Device>(
+        env_, kNames[i], device_config(config, i, env_), channel_));
   }
   for (auto& d : devices_) {
     lms_.push_back(std::make_unique<lm::LinkManager>(*d));
@@ -121,31 +73,9 @@ lm::LinkManager& TwoPiconets::slave_lm(int piconet) {
   return *lms_.at(static_cast<std::size_t>(2 * piconet + 1));
 }
 
-void TwoPiconets::run(sim::SimTime duration) {
-  if (group_ != nullptr) {
-    group_->run(duration);
-  } else {
-    envs_.front()->run(duration);
-  }
-}
-
-std::uint64_t TwoPiconets::collision_samples() const {
-  std::uint64_t total = 0;
-  for (const auto& ch : channels_) total += ch->collision_samples();
-  return total;
-}
-
-sim::Environment::SchedulerStats TwoPiconets::scheduler_stats() const {
-  if (group_ != nullptr) return group_->scheduler_stats();
-  return envs_.front()->scheduler_stats();
-}
-
 std::vector<std::uint8_t> TwoPiconets::save_snapshot() {
   sim::SnapshotWriter w;
-  w.begin_section(sim::snapshot_tag("COEX"));
-  w.u32(static_cast<std::uint32_t>(envs_.size()));
-  w.end_section();
-  for (auto& ch : channels_) ch->save_state(w);
+  channel_.save_state(w);
   for (auto& dev : devices_) {
     dev->clock().save_state(w);
     dev->radio().save_state(w);
@@ -153,18 +83,13 @@ std::vector<std::uint8_t> TwoPiconets::save_snapshot() {
     dev->lc().save_state(w);
   }
   for (auto& lm : lms_) lm->save_state(w);
-  for (auto& env : envs_) env->save_state(w);
+  env_.save_state(w);
   return w.take();
 }
 
 void TwoPiconets::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   sim::SnapshotReader r(bytes);
-  r.enter_section(sim::snapshot_tag("COEX"));
-  if (r.u32() != envs_.size()) {
-    throw sim::SnapshotError("coexistence snapshot: shard count mismatch");
-  }
-  r.leave_section();
-  for (auto& ch : channels_) ch->restore_state(r);
+  channel_.restore_state(r);
   for (auto& dev : devices_) {
     dev->clock().restore_state(r);
     dev->radio().restore_state(r);
@@ -172,8 +97,7 @@ void TwoPiconets::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
     dev->lc().restore_state(r);
   }
   for (auto& lm : lms_) lm->restore_state(r);
-  for (auto& env : envs_) env->restore_state(r);
-  if (group_ != nullptr) group_->align_now();
+  env_.restore_state(r);
   if (!r.at_end()) {
     throw sim::SnapshotError("coexistence snapshot: trailing bytes");
   }
@@ -187,8 +111,8 @@ bool TwoPiconets::create(int piconet, int max_attempts) {
     master_lm(piconet).set_events(std::move(ev));
     slave(piconet).lc().enable_inquiry_scan();
     master(piconet).lc().enable_inquiry();
-    const SimTime inquiry_deadline = now() + 25_sec;
-    while (!inquiry_done && now() < inquiry_deadline) run(5_ms);
+    const SimTime inquiry_deadline = env_.now() + 25_sec;
+    while (!inquiry_done && env_.now() < inquiry_deadline) run(5_ms);
     if (!inquiry_done.value_or(false)) continue;
 
     const auto& found = master(piconet).lc().discovered();
@@ -199,8 +123,8 @@ bool TwoPiconets::create(int piconet, int max_attempts) {
     master_lm(piconet).set_events(std::move(pev));
     slave(piconet).lc().enable_page_scan();
     master(piconet).lc().enable_page(found[0].addr, found[0].clkn_offset);
-    const SimTime page_deadline = now() + 12_sec;
-    while (!page_done && now() < page_deadline) run(5_ms);
+    const SimTime page_deadline = env_.now() + 12_sec;
+    while (!page_done && env_.now() < page_deadline) run(5_ms);
     if (page_done.value_or(false)) return true;
   }
   return false;

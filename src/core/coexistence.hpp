@@ -8,19 +8,6 @@
 // collided symbols resolve to 'X' and are garbled at the receivers.
 // This scenario quantifies the resulting goodput loss (the subject of
 // the paper's references [3]-[5]).
-//
-// Sharded execution
-// -----------------
-// TwoPiconets is also the first scenario that can run as conservative
-// parallel shards (sim/shard.hpp): with rf_delay > 0 and shards > 1,
-// each piconet gets its own Environment + medium replica, coupled
-// through cross-shard drive events with rf_delay as the lookahead.
-// With rf_delay == 0 (the paper's configuration) the partition planner
-// (core/partition.hpp) fuses the request back to the single-
-// Environment construction below, byte-identical to every release so
-// far. The single-shard construction order (one env seeded with
-// config.seed, clock draws in device order from that env's RNG) is
-// load-bearing for that byte-compatibility and must not change.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +15,9 @@
 #include <vector>
 
 #include "baseband/device.hpp"
-#include "core/partition.hpp"
 #include "lm/link_manager.hpp"
 #include "phy/channel.hpp"
 #include "sim/environment.hpp"
-#include "sim/shard.hpp"
 
 namespace btsc::core {
 
@@ -44,83 +29,46 @@ struct CoexistenceConfig {
   /// ACL packet type used by both links.
   baseband::PacketType data_packet_type = baseband::PacketType::kDm1;
   /// Modulator/demodulator latency of the medium. Zero (the paper's
-  /// value) keeps TX/RX bit grids aligned -- and forces any shard
-  /// request to fuse (zero conservative lookahead).
+  /// value) keeps TX/RX bit grids aligned.
   sim::SimTime rf_delay = sim::SimTime::zero();
-  /// Shard request; <= 0 uses the process-wide default (`--shards`).
-  /// The effective count comes from plan_shards() (clamped to the two
-  /// piconets, fused when rf_delay is zero).
-  int shards = 0;
-  /// Worker-lane count for a sharded run (0: one lane per shard).
-  /// Results are lane-count invariant.
-  int lanes = 0;
 };
 
-/// Two master+slave pairs sharing one (possibly replicated) medium.
-/// Piconet 0 and 1 are created sequentially (the second forms while
-/// the first is live, so its creation already experiences
-/// interference).
+/// Two master+slave pairs sharing one NoisyChannel. Piconet 0 and 1 are
+/// created sequentially (the second forms while the first is live, so
+/// its creation already experiences interference).
 class TwoPiconets {
  public:
   explicit TwoPiconets(const CoexistenceConfig& config);
   ~TwoPiconets();
 
-  /// Shard 0's environment (the only one in a fused run). Scenario
-  /// code that reseeds the measurement stream uses this; in a sharded
-  /// run the other shards' streams are derived per shard.
-  sim::Environment& env() { return *envs_.front(); }
-  sim::Environment& shard_env(int shard) { return *envs_.at(shard); }
-  /// Shard 0's medium replica (the only one in a fused run).
-  phy::NoisyChannel& channel() { return *channels_.front(); }
-  phy::NoisyChannel& shard_channel(int shard) { return *channels_.at(shard); }
+  sim::Environment& env() { return env_; }
+  phy::NoisyChannel& channel() { return channel_; }
   baseband::Device& master(int piconet);
   baseband::Device& slave(int piconet);
   lm::LinkManager& master_lm(int piconet);
   lm::LinkManager& slave_lm(int piconet);
 
-  /// The plan the constructor executed (fused_reason records a reduced
-  /// request).
-  const ShardPlan& shard_plan() const { return plan_; }
-  int num_shards() const { return static_cast<int>(envs_.size()); }
-
   /// Creates piconet `p` (inquiry + page with generous timeouts).
-  /// Retries until success or `max_attempts` is exhausted. In a
-  /// sharded run the other shard keeps executing in lockstep.
+  /// Retries until success or `max_attempts` is exhausted.
   bool create(int piconet, int max_attempts = 4);
 
-  sim::SimTime now() const { return envs_.front()->now(); }
-  void run(sim::SimTime duration);
-
-  /// Collision samples summed over the medium replicas in shard order
-  /// (equals channel().collision_samples() in a fused run).
-  std::uint64_t collision_samples() const;
-
-  /// Kernel counters aggregated across shards in fixed shard order --
-  /// shard- and lane-count invariant for a fixed plan.
-  sim::Environment::SchedulerStats scheduler_stats() const;
+  void run(sim::SimTime duration) { env_.run(duration); }
 
   // ---- checkpoint / fork ----
 
-  /// Serializes all mutable state (per shard: channel, devices, link
-  /// managers; kernels last) at a settled instant; see BluetoothSystem.
-  /// A sharded system checkpoints at a rendezvous boundary (any point
-  /// between run() calls).
+  /// Serializes all mutable state (channel, devices, link managers,
+  /// kernel last) at a settled instant; see BluetoothSystem.
   std::vector<std::uint8_t> save_snapshot();
 
   /// Restores into an identically constructed twin (same
-  /// CoexistenceConfig, including the seed and shard plan).
+  /// CoexistenceConfig, including the seed).
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);
 
  private:
-  ShardPlan plan_;
-  // Destruction order matters: group_ first (parks lane threads), then
-  // lms/devices/channels (whose destructors deregister from their
-  // environments), envs last.
-  std::vector<std::unique_ptr<sim::Environment>> envs_;
-  std::vector<std::unique_ptr<phy::NoisyChannel>> channels_;
+  sim::Environment env_;
+  phy::NoisyChannel channel_;
   std::vector<std::unique_ptr<baseband::Device>> devices_;  // m0 s0 m1 s1
   std::vector<std::unique_ptr<lm::LinkManager>> lms_;
-  std::unique_ptr<sim::ShardGroup> group_;
 };
 
 }  // namespace btsc::core

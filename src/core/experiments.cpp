@@ -257,7 +257,7 @@ CoexistenceRow measure_coexistence(TwoPiconets& net,
         net.master(1), 1, neighbour_period_slots, cfg.payload_bytes);
   }
   const auto retx0 = net.master(0).lc().stats().retransmissions;
-  const auto coll0 = net.collision_samples();
+  const auto coll0 = net.channel().collision_samples();
   const sim::SimTime window = kSlotDuration * cfg.measure_slots;
   net.run(window);
 
@@ -267,7 +267,7 @@ CoexistenceRow measure_coexistence(TwoPiconets& net,
       static_cast<double>(victim_bytes * 8) / window.as_sec() / 1000.0;
   row.retransmissions =
       net.master(0).lc().stats().retransmissions - retx0;
-  row.collision_samples = net.collision_samples() - coll0;
+  row.collision_samples = net.channel().collision_samples() - coll0;
   return row;
 }
 

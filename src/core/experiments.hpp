@@ -4,7 +4,7 @@
 // Three levels of API:
 //  * run_*_replication / run_* — ONE independent simulation from ONE
 //    seed. These are the bodies handed to runner::SweepRunner, which
-//    shards them across threads; they must derive all randomness from
+//    spreads them across threads; they must derive all randomness from
 //    the seed they are given and touch no shared state.
 //  * run_* point/row functions — serial convenience wrappers aggregating
 //    a default replication count, used by the unit tests.

@@ -226,10 +226,10 @@ class Report {
 
 /// Shared command-line knobs for the figure benches and btsc-sweep:
 /// --seeds/--replications N, --quick, --csv, --json, --threads N,
-/// --out FILE, --base-seed S, --max-points N, --shards N,
-/// --checkpoint-warmup, --cold-warmup, --checkpoint-dir DIR,
-/// --journal FILE, --resume, --rep-timeout S, --max-retries N,
-/// --keep-going, --quarantine-out FILE. Unknown arguments are ignored
+/// --out FILE, --base-seed S, --max-points N, --checkpoint-warmup,
+/// --cold-warmup, --checkpoint-dir DIR, --journal FILE, --resume,
+/// --rep-timeout S, --max-retries N, --keep-going,
+/// --quarantine-out FILE. Unknown arguments are ignored
 /// (each main may parse extras of its own).
 struct BenchArgs {
   /// Replications per point; 0 = scenario/bench default.
@@ -262,12 +262,6 @@ struct BenchArgs {
   /// (runner::WarmupMode::kCold) -- the reference semantics of, and the
   /// escape hatch from, --checkpoint-warmup.
   bool cold_warmup = false;
-  /// Shard request for every scenario system built by this process
-  /// (core::set_shard_request_default); 0 = leave the default (1).
-  /// The partition planner clamps/fuses per scenario, so the output is
-  /// byte-identical at any value -- genuine parallelism needs a
-  /// scenario with rf_delay > 0.
-  int shards = 0;
   /// Append-only results journal file (--journal); empty = none. Every
   /// completed replication is fsync'd there, enabling --resume.
   std::string journal;
@@ -363,8 +357,6 @@ struct BenchArgs {
         }
       } else if (arg == "--max-points" && i + 1 < argc) {
         a.max_points = parse_int(arg, argv[++i], a.max_points);
-      } else if (arg == "--shards" && i + 1 < argc) {
-        a.shards = parse_int(arg, argv[++i], a.shards);
       } else if (arg == "--journal" && i + 1 < argc) {
         a.journal = argv[++i];
       } else if (arg == "--resume") {

@@ -32,8 +32,7 @@ BdAddr device_address(int index) {
 }  // namespace
 
 BluetoothSystem::BluetoothSystem(const SystemConfig& config)
-    : plan_(plan_shards(config.shards, /*num_piconets=*/1, config.rf_delay)),
-      env_(config.seed),
+    : env_(config.seed),
       tracer_(config.vcd_path
                   ? std::make_unique<sim::VcdTracer>(env_, *config.vcd_path)
                   : nullptr),

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "baseband/device.hpp"
-#include "core/partition.hpp"
 #include "lm/link_manager.hpp"
 #include "phy/channel.hpp"
 #include "sim/environment.hpp"
@@ -35,11 +34,6 @@ struct SystemConfig {
   std::optional<std::string> vcd_path;
   /// Modulator/demodulator latency of the RF blocks.
   sim::SimTime rf_delay = sim::SimTime::zero();
-  /// Shard request (<= 0: the process-wide `--shards` default). A
-  /// BluetoothSystem is one piconet -- the partitioning unit -- so the
-  /// plan always resolves to a single shard; the request is recorded
-  /// in shard_plan() and the construction is unchanged at any value.
-  int shards = 0;
 };
 
 /// Outcome of one creation phase (inquiry or page).
@@ -68,10 +62,6 @@ class BluetoothSystem {
     return *lms_.at(static_cast<std::size_t>(i + 1));
   }
   int num_slaves() const { return static_cast<int>(devices_.size()) - 1; }
-
-  /// The partitioning step's decision for this system (one piconet =>
-  /// one shard, with the reduction reason when more were requested).
-  const ShardPlan& shard_plan() const { return plan_; }
 
   /// Master inquires while every not-yet-connected slave scans. Returns
   /// when the configured number of responses arrived or on timeout.
@@ -114,7 +104,6 @@ class BluetoothSystem {
   void randomize_slave_clocks();
 
  private:
-  ShardPlan plan_;
   sim::Environment env_;
   std::unique_ptr<sim::VcdTracer> tracer_;
   phy::NoisyChannel channel_;

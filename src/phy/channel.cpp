@@ -6,7 +6,6 @@
 
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
-#include "sim/shard.hpp"
 #include "sim/tracer.hpp"
 
 namespace btsc::phy {
@@ -48,9 +47,9 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
   }
   if (config_.rf_delay != sim::SimTime::zero()) {
     // rf_delay apply timers are scheduled through the tagged descriptor
-    // path so a checkpoint can carry them (kTimerApply/kTimerRemoteApply,
-    // replayed by rearm_timer). Dispatch semantics are identical to a
-    // plain schedule().
+    // path so a checkpoint can carry them (kTimerApply, replayed by
+    // rearm_timer). Dispatch semantics are identical to a plain
+    // schedule().
     env.register_rearm(this->name() + ".rf", this, this);
     rearm_registered_ = true;
   }
@@ -87,28 +86,14 @@ void NoisyChannel::drive(PortId port, int freq, Logic4 value) {
   if (port < 0 || port >= num_ports()) {
     throw std::out_of_range("NoisyChannel::drive: bad port");
   }
-  if (ports_[static_cast<std::size_t>(port)].remote) {
-    throw std::logic_error("NoisyChannel::drive: ghost ports are driven by "
-                           "cross-shard delivery, not locally");
-  }
   if (value != Logic4::kZ &&
       (freq < 0 || freq >= config_.num_channels)) {
     throw std::out_of_range("NoisyChannel::drive: bad frequency");
   }
-  if (cross_shard_coupled()) {
-    // Publish the clean (pre-noise) value: each shard's medium replica
-    // corrupts the bits it carries with its own noise process. The
-    // application instant source-now + rf_delay is >= the end of the
-    // current window because rf_delay covers the group lookahead.
-    group_->publish(domain_, shard_, env().now() + config_.rf_delay,
-                    kTimerRemoteApply, static_cast<std::uint32_t>(port),
-                    static_cast<std::int16_t>(freq),
-                    static_cast<std::uint8_t>(value));
-  }
   if (config_.rf_delay == sim::SimTime::zero()) {
     apply(port, freq, value);
   } else {
-    schedule_apply(kTimerApply, pack_apply(port, freq, value),
+    schedule_apply(pack_apply(port, freq, value),
                    env().now() + config_.rf_delay);
   }
 }
@@ -121,81 +106,25 @@ std::uint64_t NoisyChannel::pack_apply(PortId port, int freq, Logic4 value) {
          static_cast<std::uint64_t>(static_cast<std::uint8_t>(value));
 }
 
-void NoisyChannel::schedule_apply(std::uint16_t kind, std::uint64_t payload,
-                                  sim::SimTime when) {
+void NoisyChannel::schedule_apply(std::uint64_t payload, sim::SimTime when) {
   const auto port = static_cast<PortId>(
       static_cast<std::uint32_t>(payload >> 32));
   const int freq = static_cast<int>((payload >> 8) & 0xFFFF) - 1;
   const auto value = static_cast<Logic4>(payload & 0xFF);
-  if (kind == kTimerApply) {
-    env().schedule_tagged(when - env().now(), kind, payload,
-                          [this, port, freq, value] {
-                            apply(port, freq, value);
-                          },
-                          this);
-  } else {
-    env().schedule_tagged(when - env().now(), kind, payload,
-                          [this, port, freq, value] {
-                            apply_remote(port, freq, value);
-                          },
-                          this);
-  }
+  env().schedule_tagged(when - env().now(), kTimerApply, payload,
+                        [this, port, freq, value] {
+                          apply(port, freq, value);
+                        },
+                        this);
 }
 
 void NoisyChannel::rearm_timer(std::uint16_t kind, std::uint64_t payload,
                                sim::SimTime when) {
-  if (kind != kTimerApply && kind != kTimerRemoteApply) {
+  if (kind != kTimerApply) {
     throw sim::SnapshotError("NoisyChannel: bad timer kind " +
                              std::to_string(kind));
   }
-  schedule_apply(kind, payload, when);
-}
-
-PortId NoisyChannel::attach_remote(const std::string& device_name,
-                                   std::uint32_t src_shard, PortId src_port) {
-  Port p{device_name, -1, Logic4::kZ, nullptr, -1, true, src_shard, src_port};
-  ports_.push_back(std::move(p));
-  return static_cast<PortId>(ports_.size() - 1);
-}
-
-void NoisyChannel::bind_shard(sim::ShardGroup& group, std::uint32_t domain) {
-  if (group_ != nullptr) {
-    throw std::logic_error("NoisyChannel: already bound to a shard group");
-  }
-  if (group.lookahead() == sim::SimTime::zero() ||
-      config_.rf_delay < group.lookahead()) {
-    // The conservative window is only sound if nothing this channel
-    // publishes can take effect before the next rendezvous.
-    throw std::invalid_argument(
-        "NoisyChannel: rf_delay must cover the shard group lookahead");
-  }
-  group_ = &group;
-  domain_ = domain;
-  shard_ = env().shard_id();
-  group.bind_endpoint(domain, shard_, this);
-}
-
-bool NoisyChannel::cross_shard_coupled() const {
-  return group_ != nullptr && group_->coupled(domain_, shard_);
-}
-
-void NoisyChannel::deliver_cross_shard(const sim::CrossShardEvent& ev) {
-  if (ev.kind != kTimerRemoteApply) {
-    throw std::logic_error("NoisyChannel: unknown cross-shard event kind");
-  }
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    const Port& p = ports_[i];
-    if (p.remote && p.src_shard == ev.src_shard &&
-        p.src_port == static_cast<PortId>(ev.port)) {
-      schedule_apply(kTimerRemoteApply,
-                     pack_apply(static_cast<PortId>(i), ev.freq,
-                                static_cast<Logic4>(ev.value)),
-                     ev.when);
-      return;
-    }
-  }
-  throw std::logic_error("NoisyChannel: cross-shard event for an unknown "
-                         "remote transmitter (missing attach_remote)");
+  schedule_apply(payload, when);
 }
 
 void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
@@ -214,30 +143,6 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
       ++bits_flipped_;
     }
   }
-  commit_port(port, freq, v);
-}
-
-void NoisyChannel::apply_remote(PortId port, int freq, Logic4 value) {
-  assert(ports_[static_cast<std::size_t>(port)].remote);
-  // A ghost drive is a second transmitter by definition; coupled
-  // channels never accept burst runs (rf_delay >= lookahead > 0), but
-  // keep the degrade path for symmetry with apply().
-  if (run_.active && is_defined(value)) fallback_run();
-
-  Logic4 v = value;
-  if (is_defined(v)) {
-    ++remote_bits_;
-    // This replica's own noise process corrupts the bits it carries;
-    // the publishing shard sent the clean value.
-    if (config_.ber > 0.0 && env().draw_bernoulli(config_.ber)) {
-      v = invert(v);
-      ++remote_flips_;
-    }
-  }
-  commit_port(port, freq, v);
-}
-
-void NoisyChannel::commit_port(PortId port, int freq, Logic4 v) {
   Port& p = ports_[static_cast<std::size_t>(port)];
   const bool was_defined = is_defined(p.value);
   const bool now_defined = is_defined(v);
@@ -351,10 +256,7 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   if (!config_.burst_transport || bits.empty() ||
       config_.rf_delay != sim::SimTime::zero() ||
       (tracer != nullptr && !tracer->supports_backfill()) ||
-      run_.active || defined_ports_ > 0 || cross_shard_coupled()) {
-    // The cross-shard refusal is implied by the rf_delay gate (coupling
-    // requires rf_delay >= lookahead > 0) but spelled out: a remote
-    // packet always travels the exact per-bit chain.
+      run_.active || defined_ports_ > 0) {
     return false;
   }
   notify_sync();
@@ -615,8 +517,6 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
   w.u64(collision_samples_);
   w.u64(bits_burst_);
   w.u64(burst_fallbacks_);
-  w.u64(remote_bits_);
-  w.u64(remote_flips_);
   w.b(bus_trace_ != nullptr);
   if (bus_trace_ != nullptr) {
     w.u8(static_cast<std::uint8_t>(bus_trace_->read()));
@@ -669,8 +569,6 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
   collision_samples_ = r.u64();
   bits_burst_ = r.u64();
   burst_fallbacks_ = r.u64();
-  remote_bits_ = r.u64();
-  remote_flips_ = r.u64();
   const bool had_trace = r.b();
   if (had_trace != (bus_trace_ != nullptr)) {
     throw sim::SnapshotError("NoisyChannel: bus-trace presence mismatch");

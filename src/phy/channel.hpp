@@ -50,16 +50,11 @@
 
 #include "phy/logic4.hpp"
 #include "sim/bitvector.hpp"
-#include "sim/cross_shard.hpp"
 #include "sim/environment.hpp"
 #include "sim/module.hpp"
 #include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
-
-namespace btsc::sim {
-class ShardGroup;
-}  // namespace btsc::sim
 
 namespace btsc::phy {
 
@@ -87,8 +82,7 @@ using PortId = int;
 class NoisyChannel final : public sim::Module,
                            public sim::Snapshotable,
                            public sim::RngGuard,
-                           public sim::RearmHandler,
-                           public sim::CrossShardEndpoint {
+                           public sim::RearmHandler {
  public:
   /// A listener's pending per-bit sample event: `anchor` is the first
   /// sample instant of its current enable (the reference sampling order,
@@ -151,41 +145,8 @@ class NoisyChannel final : public sim::Module,
   PortId attach(const std::string& device_name);
   int num_ports() const { return static_cast<int>(ports_.size()); }
 
-  // ---- cross-shard coupling (sim/shard.hpp) ----
-  //
-  // A sharded scenario replicates the medium per shard: every shard's
-  // channel holds a local port per local device plus a *ghost* port per
-  // remote transmitter. Local drives are published into the coupling
-  // domain as portable CrossShardEvents (applied remotely after
-  // rf_delay, the group's lookahead); incoming events land on the
-  // matching ghost port through a tagged local timer, so ghost drives
-  // resolve, collide and trace exactly like local ones. Each replica
-  // draws its own noise for the bits it carries (the noise processes
-  // of the replicas are independent by construction); local-side
-  // accounting (bits_driven, flips) never counts ghost traffic.
-
-  /// Registers a ghost port mirroring remote transmitter `src_port` of
-  /// shard `src_shard`. Ghost ports are never listening and must not
-  /// be driven locally.
-  PortId attach_remote(const std::string& device_name, std::uint32_t src_shard,
-                       PortId src_port);
-
-  /// Couples this channel into `domain` of `group`. Requires a positive
-  /// group lookahead covered by this channel's rf_delay (the physical
-  /// justification of the conservative window). Must be called after
-  /// every local port is attached and before the first run.
-  void bind_shard(sim::ShardGroup& group, std::uint32_t domain);
-
-  /// True when at least one other shard's channel shares the domain --
-  /// i.e. local drives actually cross a boundary.
-  bool cross_shard_coupled() const;
-
-  /// CrossShardEndpoint: re-materialises a routed event as a tagged
-  /// local timer on the ghost port (fires at ev.when).
-  void deliver_cross_shard(const sim::CrossShardEvent& ev) override;
-
-  /// RearmHandler: rebuilds pending (local or ghost) rf_delay apply
-  /// timers from their descriptors after a snapshot restore.
+  /// RearmHandler: rebuilds pending rf_delay apply timers from their
+  /// descriptors after a snapshot restore.
   void rearm_timer(std::uint16_t kind, std::uint64_t payload,
                    sim::SimTime when) override;
 
@@ -321,10 +282,6 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t bits_burst() const { return bits_burst_; }
   /// Runs degraded to per-bit by contention/abort/reconfiguration.
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
-  /// Ghost-port bits applied from other shards (kept out of
-  /// bits_driven/bits_flipped: those count local transmissions only).
-  std::uint64_t remote_bits() const { return remote_bits_; }
-  std::uint64_t remote_flips() const { return remote_flips_; }
 
  private:
   struct Run {
@@ -347,18 +304,13 @@ class NoisyChannel final : public sim::Module,
     sim::SimTime period;
   };
 
-  // Descriptor kinds of the tagged rf_delay apply timers (snapshots
+  // Descriptor kind of the tagged rf_delay apply timers (snapshots
   // carry them; see rearm_timer).
-  static constexpr std::uint16_t kTimerApply = 1;        // local drive
-  static constexpr std::uint16_t kTimerRemoteApply = 2;  // ghost drive
+  static constexpr std::uint16_t kTimerApply = 1;
 
   static std::uint64_t pack_apply(PortId port, int freq, Logic4 value);
-  void schedule_apply(std::uint16_t kind, std::uint64_t payload, sim::SimTime when);
+  void schedule_apply(std::uint64_t payload, sim::SimTime when);
   void apply(PortId port, int freq, Logic4 value);
-  void apply_remote(PortId port, int freq, Logic4 value);
-  /// Shared tail of apply()/apply_remote(): commits the port value,
-  /// maintains defined_ports_ and fires the two-phase notifications.
-  void commit_port(PortId port, int freq, Logic4 value);
   void refresh_trace();
 
   /// Draws the run's error mask (saving the pre-fill RNG state first),
@@ -408,15 +360,8 @@ class NoisyChannel final : public sim::Module,
     Logic4 value = Logic4::kZ;
     Listener* listener = nullptr;
     int rx_freq = -1;  // -1: not listening
-    bool remote = false;  // ghost port mirroring a remote transmitter
-    std::uint32_t src_shard = 0;  // (remote only) publishing shard
-    PortId src_port = -1;         // (remote only) port id on that shard
   };
   std::vector<Port> ports_;
-  // Cross-shard coupling (null/zero for a standalone channel).
-  sim::ShardGroup* group_ = nullptr;
-  std::uint32_t domain_ = 0;
-  std::uint32_t shard_ = 0;
   bool rearm_registered_ = false;
   Run run_;
   // Masked-run machinery (meaningful only while run_.masked). The
@@ -435,8 +380,6 @@ class NoisyChannel final : public sim::Module,
   mutable std::uint64_t collision_samples_ = 0;
   std::uint64_t bits_burst_ = 0;
   std::uint64_t burst_fallbacks_ = 0;
-  std::uint64_t remote_bits_ = 0;
-  std::uint64_t remote_flips_ = 0;
   // Traced view of the fully-resolved wire (all frequencies), matching the
   // "channel" net of the paper's figure.
   std::unique_ptr<sim::Signal<Logic4>> bus_trace_;

@@ -16,7 +16,6 @@
 #include "phy/channel.hpp"
 #include "core/coexistence.hpp"
 #include "core/experiments.hpp"
-#include "core/partition.hpp"
 #include "core/report.hpp"
 #include "core/system.hpp"
 #include "runner/sweep.hpp"
@@ -601,7 +600,7 @@ SweepResult run_throughput_scenario(const ScenarioInfo& info,
   const double bers[] = {0.0,       1.0 / 5000, 1.0 / 1000,
                          1.0 / 500, 1.0 / 200,  1.0 / 100};
   // Flatten the matrix so every (type, BER) cell is its own sweep point:
-  // the whole matrix shards across the pool at once.
+  // the whole matrix spreads across the pool at once.
   std::vector<ThroughputPoint> points;
   for (double ber : bers) {
     for (PacketType t : types) points.push_back({t, ber});
@@ -866,18 +865,6 @@ SweepResult run_scenario(const std::string& id_or_figure,
                          const ScenarioRequest& request) {
   const ScenarioEntry* e = find_entry(id_or_figure);
   if (!e) throw std::invalid_argument("unknown scenario: " + id_or_figure);
-  if (request.shards > 0) {
-    // Scoped override of the process-wide shard request: every system a
-    // replication builds consults the default at construction. Restored
-    // on every exit path so concurrent-in-sequence scenario runs in one
-    // process (tests) cannot leak a request into each other.
-    struct ShardDefaultScope {
-      int saved = core::shard_request_default();
-      ~ShardDefaultScope() { core::set_shard_request_default(saved); }
-    } scope;
-    core::set_shard_request_default(request.shards);
-    return e->run(e->info, request);
-  }
   return e->run(e->info, request);
 }
 
@@ -974,6 +961,11 @@ std::unique_ptr<core::Reporter> make_reporter(const core::BenchArgs& args,
 
 int run_scenario_main(const std::string& id, int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
+  if (args.seeds < 0 || args.max_points < 0 || args.max_retries < 0) {
+    std::cerr << "btsc-sweep: negative counts are invalid (--seeds/"
+                 "--replications, --max-points, --max-retries)\n";
+    return 2;
+  }
   // Swap-safety escape hatch: force the per-bit reference transport for
   // every channel this process builds. Results are bit-identical either
   // way (ci.sh gates on it); only the kernel telemetry changes.
@@ -984,7 +976,6 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
   req.quick = args.quick;
   req.base_seed = args.base_seed;
   req.max_points = args.max_points;
-  req.shards = args.shards;
   // --checkpoint-warmup forks replications from per-point snapshots;
   // --cold-warmup is its re-run-everything reference (and escape hatch).
   // Both flags given = cold wins: it is the semantics fork must match.

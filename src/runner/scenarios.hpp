@@ -53,11 +53,6 @@ struct ScenarioRequest {
   /// sample streams; kCold/kFork share a per-point warm-up seed and are
   /// bitwise equivalent to each other, not to kLegacy.
   WarmupMode warmup = WarmupMode::kLegacy;
-  /// Shard request applied (as the process-wide default, restored
-  /// afterwards) while this scenario runs; 0 = leave the current
-  /// default. The partition planner fuses/clamps per scenario, so the
-  /// result bytes are invariant to this value -- gated in ci.sh.
-  int shards = 0;
   /// Append-only results journal (--journal): every completed
   /// replication is fsync'd to this file; empty = no journal. The
   /// journal is bookkeeping, never result-defining: journaled and plain
@@ -198,8 +193,9 @@ const std::vector<ScenarioInfo>& scenarios();
 /// nullptr when unknown.
 const ScenarioInfo* find_scenario(const std::string& id_or_figure);
 
-/// Runs one scenario end to end (sharded via SweepRunner) and returns its
-/// table. Throws std::invalid_argument for an unknown id.
+/// Runs one scenario end to end (replications spread across SweepRunner
+/// threads) and returns its table. Throws std::invalid_argument for an
+/// unknown id.
 SweepResult run_scenario(const std::string& id_or_figure,
                          const ScenarioRequest& request);
 

@@ -3,7 +3,7 @@
 // Every figure of the paper is the same computation: for each parameter
 // point (a BER, a duty cycle, a Tsniff...) run N independent replications
 // of a simulation and aggregate their samples. SweepRunner factors that
-// pattern out once: it shards the (point, replication) task grid across a
+// pattern out once: it spreads the (point, replication) task grid across a
 // std::thread pool and folds the per-replication samples back into one
 // aggregate per point.
 //
@@ -237,7 +237,7 @@ concept JournalableSample =
 
 }  // namespace detail
 
-/// Shards a sweep's replication grid across a thread pool.
+/// Spreads a sweep's replication grid across a thread pool.
 ///
 /// `Sample` is whatever one replication produces — a struct of
 /// stats::Accumulator / stats::RatioCounter partials, a plain row of
@@ -286,14 +286,15 @@ class SweepRunner {
     }
     const std::size_t total = points.size() * reps;
 
-    auto make_rep = [this, reps](std::size_t i) {
+    // Captures the options by value, not `this`: run_supervised hands a
+    // copy to workers that a deadline may abandon past this call.
+    auto make_rep = [reps, base_seed = options_.base_seed,
+                     crn = options_.common_random_numbers](std::size_t i) {
       Replication rep;
       rep.point_index = i / reps;
       rep.replication_index = i % reps;
       rep.seed = sim::Rng::derive_stream_seed(
-          options_.base_seed,
-          options_.common_random_numbers ? 0 : rep.point_index,
-          rep.replication_index);
+          base_seed, crn ? 0 : rep.point_index, rep.replication_index);
       return rep;
     };
 

@@ -156,32 +156,6 @@ void Environment::run_until(SimTime until) {
 }
 
 // ---------------------------------------------------------------------------
-// Conservative parallel shards
-// ---------------------------------------------------------------------------
-
-void Environment::deliver_cross_shard() {
-  if (cross_inbox_.empty()) return;
-  // Merge order: (when, src_shard, seq). Within one source shard the
-  // seq order is the shard's own publication order; across shards the
-  // shard id breaks same-instant ties. stable_sort keeps the routing
-  // order as a final (never reached) tiebreak -- (src_shard, seq) is
-  // already unique.
-  std::stable_sort(cross_inbox_.begin(), cross_inbox_.end(),
-                   [](const CrossInboxEntry& a, const CrossInboxEntry& b) {
-                     if (a.ev.when != b.ev.when) return a.ev.when < b.ev.when;
-                     if (a.ev.src_shard != b.ev.src_shard)
-                       return a.ev.src_shard < b.ev.src_shard;
-                     return a.ev.seq < b.ev.seq;
-                   });
-  // Endpoints schedule timers, never run model code, so draining with
-  // a plain loop (no reentrancy guard) is safe: post_cross_shard is
-  // only called by the group between windows.
-  std::vector<CrossInboxEntry> inbox;
-  inbox.swap(cross_inbox_);
-  for (const CrossInboxEntry& e : inbox) e.endpoint->deliver_cross_shard(e.ev);
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint / fork
 // ---------------------------------------------------------------------------
 
@@ -224,10 +198,6 @@ void Environment::unregister_rearm(const void* owner) {
 
 void Environment::save_state(SnapshotWriter& w) const {
   require_settled("checkpoint");
-  if (!cross_inbox_.empty()) {
-    throw SnapshotError(
-        "environment: undelivered cross-shard events at checkpoint");
-  }
   struct Desc {
     const std::string* name;
     std::uint16_t kind;

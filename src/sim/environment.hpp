@@ -48,7 +48,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/cross_shard.hpp"
 #include "sim/event.hpp"
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
@@ -218,29 +217,6 @@ class Environment {
   /// on this distinction.
   bool dispatching() const { return dispatching_; }
 
-  // ---- conservative parallel shards (sim/shard.hpp) ----
-
-  /// Shard id within a ShardGroup (0 for a standalone environment).
-  /// Stamped by ShardGroup::add_shard; carried in every CrossShardEvent
-  /// this shard publishes, and the second key of the inbox merge order.
-  std::uint32_t shard_id() const { return shard_id_; }
-  void set_shard_id(std::uint32_t id) { shard_id_ = id; }
-
-  /// Appends a cross-shard event (with the endpoint that will
-  /// re-materialise it) to this shard's inbox. Called by the group's
-  /// single-threaded exchange at a rendezvous barrier.
-  void post_cross_shard(const CrossShardEvent& ev, CrossShardEndpoint* ep) {
-    cross_inbox_.push_back(CrossInboxEntry{ev, ep});
-  }
-
-  /// Drains the inbox in (when, src_shard, seq) merge order, handing
-  /// each event to its endpoint -- which schedules a local tagged
-  /// timer at ev.when. Delivery happens between windows (outside
-  /// dispatch), so dispatch order of the re-materialised timers is the
-  /// kernel's usual (when, seq) total order with the merge order as
-  /// the tiebreak -- a pure function of the configuration.
-  void deliver_cross_shard();
-
   // ---- checkpoint / fork ----
 
   /// Registers `owner` as a re-armable timer source under a stable
@@ -325,14 +301,7 @@ class Environment {
   const RearmEntry* find_rearm(const void* owner) const;
   const RearmEntry* find_rearm(const std::string& name) const;
 
-  struct CrossInboxEntry {
-    CrossShardEvent ev;
-    CrossShardEndpoint* endpoint;
-  };
-
   SimTime now_ = SimTime::zero();
-  std::uint32_t shard_id_ = 0;
-  std::vector<CrossInboxEntry> cross_inbox_;
   std::vector<Process*> runnable_;
   std::vector<Process*> next_runnable_;
   std::vector<SignalBase*> update_queue_;

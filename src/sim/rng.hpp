@@ -72,8 +72,8 @@ class Rng {
   /// (stream, index) pair under `base` — e.g. (point index, replication
   /// index) in a Monte-Carlo sweep. Pure function of its arguments: the
   /// result never depends on how many other streams exist or on the order
-  /// they are derived in, which is what makes sharded sweeps bitwise
-  /// reproducible at any thread count.
+  /// they are derived in, which is what makes sweeps bitwise reproducible
+  /// at any thread count.
   static std::uint64_t derive_stream_seed(std::uint64_t base,
                                           std::uint64_t stream,
                                           std::uint64_t index);
