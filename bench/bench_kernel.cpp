@@ -296,7 +296,7 @@ BENCHMARK(BM_SchedulerChurnGridAligned)->Unit(benchmark::kMillisecond);
 /// Checkpoint primitives on the image the Fig. 8 fork caches: the
 /// four-device creation system at its settled t = 0 boundary. Reports
 /// the serialisation rate and the image size -- the per-replication
-/// cost --checkpoint-warmup pays instead of re-running the warm-up.
+/// cost a sweep pays instead of re-running the warm-up.
 void BM_SnapshotSave(benchmark::State& state) {
   const auto sys = core::make_creation_system(
       /*ber=*/0.01, /*timeout_slots=*/2048, /*seed=*/7);

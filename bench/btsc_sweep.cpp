@@ -36,13 +36,9 @@ void print_usage() {
       "  --out FILE           write to FILE (.json/.csv picks the format)\n"
       "  --no-burst           per-bit PHY reference transport (bit-identical\n"
       "                       results; swap-safety escape hatch)\n"
-      "  --checkpoint-warmup  fork each replication from a per-point warm-up\n"
-      "                       snapshot (bitwise equal to --cold-warmup)\n"
-      "  --cold-warmup        staged replications, warm-up re-run every time\n"
-      "                       (reference semantics of --checkpoint-warmup)\n"
       "  --checkpoint-dir DIR spill/load the per-point warm-up snapshots as\n"
-      "                       durable checkpoint files (with\n"
-      "                       --checkpoint-warmup)\n"
+      "                       durable checkpoint files, so a later run\n"
+      "                       skips the warm-ups this one paid for\n"
       "  --journal FILE       fsync each completed replication to an\n"
       "                       append-only journal (crash-safe progress)\n"
       "  --resume             skip replications already in --journal FILE;\n"

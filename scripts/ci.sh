@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verify (Release build + full ctest suite), the
+# CI entry point: tier-1 verify (Release build + full ctest suite, which
+# holds the fork == cold staged-sweep gate over every study), the
 # API docs build when Doxygen is available, an ASan+UBSan build running
 # the kernel timing-wheel/scheduler/UniqueFunction/tracer suites
 # (timer-cancellation churn, wheel/heap boundary, callback lifetimes),
@@ -13,10 +14,8 @@
 # a fig06-12 + throughput/coexistence/backoff byte-compare between the
 # burst and per-bit PHY
 # transports (the burst swap-safety gate; kernel_* telemetry excluded —
-# fewer timer events is the optimisation being gated), and a
-# forked-vs-cold byte-compare over every Monte-Carlo study (the
-# checkpoint-fork swap-safety gate: --checkpoint-warmup must be a pure
-# wall-clock optimisation), a ThreadSanitizer build (build-tsan) running
+# fewer timer events is the optimisation being gated), a
+# ThreadSanitizer build (build-tsan) running
 # the threaded sweep and sweep-service suites, and a crash-injection
 # gate (SIGKILL a journaled fig08/fig10 sweep mid-flight, resume it,
 # byte-compare against the uninterrupted run at 1/2/8 threads — the
@@ -342,38 +341,6 @@ for id in throughput coexistence backoff; do
     exit 1
   fi
   echo "$id sweep results identical with burst transport on/off"
-done
-
-echo "=== checkpoint-fork gate: forked vs cold staged sweeps, all studies ==="
-# --checkpoint-warmup must be a pure wall-clock optimisation: forking
-# every replication from its point's in-memory warm-up snapshot must
-# produce byte-identical JSON to --cold-warmup, the staged reference
-# that re-runs the warm-up for every replication. Only the kernel_*
-# telemetry may differ (the fork schedules fewer timers — that is the
-# optimisation being gated), so it is stripped exactly as in the burst
-# gate; see docs/ARCHITECTURE.md, "Checkpoint/fork & re-armable timers".
-# Every Monte-Carlo study is compared (figures and the extension
-# studies); fig08/fig10 additionally cross thread counts — the fork
-# shares one snapshot image across worker threads, which is precisely
-# where a mutable-cache bug would show up.
-for id in fig06 fig07 fig08 fig10 fig11 fig12 throughput coexistence backoff; do
-  cold="$gate_dir/${id}_cold.json"
-  ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 4 --max-points 4 \
-      --threads 1 --cold-warmup --out "$cold" >/dev/null
-  threads_list="1"
-  if [[ "$id" == "fig08" || "$id" == "fig10" ]]; then threads_list="1 2 8"; fi
-  for threads in $threads_list; do
-    out="$gate_dir/${id}_fork_${threads}t.json"
-    ./build/bench/btsc-sweep --scenario "$id" --quick --seeds 4 --max-points 4 \
-        --threads "$threads" --checkpoint-warmup --out "$out" >/dev/null
-    if ! cmp -s <(strip_kernel_meta "$cold") <(strip_kernel_meta "$out"); then
-      echo "error: $id forked sweep differs from the cold staged sweep at" >&2
-      echo "       $threads thread(s) (checkpoint/fork equivalence broken; see" >&2
-      echo "       docs/ARCHITECTURE.md, 'Checkpoint/fork & re-armable timers')" >&2
-      exit 1
-    fi
-  done
-  echo "$id forked == cold staged ($threads_list thread(s))"
 done
 
 echo "=== durability gate: kill+resume byte-compare, fig08/fig10 ==="

@@ -25,35 +25,31 @@ baseband::LcConfig reliable_lc() {
   return lc;
 }
 
-/// A connected system plus the seed whose construction path produced it
-/// (creation retries perturb the seed; a snapshot scaffold must replay
-/// the successful construction, not the first attempt's).
-struct BuiltConnected {
-  std::unique_ptr<BluetoothSystem> system;
-  std::uint64_t seed = 0;
-};
-
-/// Builds a connected 2-device system or throws (seed is perturbed until
-/// creation succeeds; noiseless creation with long timeouts practically
-/// always succeeds on the first try).
-BuiltConnected connected_system_seeded(SystemConfig cfg,
-                                       int max_attempts = 5) {
+/// Builds a connected 2-device system or throws, settled at the warm-up
+/// boundary. The seed is perturbed until creation succeeds (noiseless
+/// creation with long timeouts practically always succeeds on the first
+/// try), so the result carries the seed whose construction path produced
+/// it: a snapshot scaffold must replay that one, not the first attempt's.
+ConnectedWarmup connected_warmup(SystemConfig cfg, int max_attempts = 5) {
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     auto sys = std::make_unique<BluetoothSystem>(cfg);
-    if (sys->create_piconet()) return {std::move(sys), cfg.seed};
+    if (sys->create_piconet()) {
+      sys->env().settle();
+      return {std::move(sys), cfg.seed};
+    }
     cfg.seed += 7919;
   }
-  throw std::runtime_error("connected_system: piconet creation failed");
+  throw std::runtime_error("connected warm-up: piconet creation failed");
 }
 
-std::unique_ptr<BluetoothSystem> connected_system(SystemConfig cfg,
-                                                  int max_attempts = 5) {
-  return connected_system_seeded(cfg, max_attempts).system;
+std::unique_ptr<BluetoothSystem> connected_scaffold(SystemConfig cfg) {
+  auto sys = std::make_unique<BluetoothSystem>(cfg);
+  sys->env().settle();  // restore requires a settled kernel
+  return sys;
 }
 
-// ---- per-family system configurations (shared by the legacy one-shot
-//      runners and the staged warm-up/scaffold pair, so both construct
-//      byte-identical systems) ----
+// ---- per-family system configurations (shared by each warm-up and its
+//      scaffold, so both construct byte-identical systems) ----
 
 SystemConfig creation_config(double ber, std::uint32_t timeout_slots,
                              std::uint64_t seed) {
@@ -119,158 +115,6 @@ SystemConfig throughput_system_config(baseband::PacketType type,
   return sc;
 }
 
-// ---- measure stages (everything after the warm-up boundary; shared by
-//      the legacy runners, which call them without reseeding, and the
-//      staged run_*_from entry points, which reseed first) ----
-
-CreationSample measure_creation(BluetoothSystem& sys) {
-  CreationSample out;
-  const PhaseResult inquiry = sys.run_inquiry();
-  out.inquiry_success = inquiry.success;
-  out.inquiry_slots = inquiry.slots;
-  if (!inquiry.success) return out;
-
-  out.page_attempted = true;
-  const PhaseResult page = sys.run_page(0);
-  out.page_success = page.success;
-  out.page_slots = page.slots;
-  return out;
-}
-
-MasterActivityRow measure_master_activity(BluetoothSystem& sys, double duty,
-                                          const MasterActivityConfig& cfg) {
-  MasterActivityRow row;
-  row.duty = duty;
-  // duty = used TX slots / available TX slots (one per even slot).
-  const auto period_slots = static_cast<std::uint32_t>(
-      std::max(2.0, std::round(2.0 / std::max(duty, 1e-6))));
-  std::optional<PeriodicTrafficSource> source;
-  if (duty > 0.0) {
-    source.emplace(sys.master(), sys.lt_addr_of(0), period_slots,
-                   cfg.payload_bytes);
-  }
-  sys.run(kSlotDuration * 64);  // settle
-  ActivityProbe probe(sys.master().radio());
-  sys.run(kSlotDuration * cfg.measure_slots);
-  row.master = probe.measure();
-  if (source) row.messages = source->messages_sent();
-  return row;
-}
-
-SlaveActivityRow measure_sniff_activity(BluetoothSystem& sys,
-                                        std::optional<std::uint32_t> tsniff,
-                                        const SniffActivityConfig& cfg) {
-  const std::uint8_t lt = sys.lt_addr_of(0);
-  if (tsniff) {
-    sys.master().lc().master_set_sniff(lt, *tsniff, 0, 1);
-    sys.slave(0).lc().slave_set_sniff(*tsniff, 0, 1);
-  }
-  PeriodicTrafficSource source(sys.master(), lt, cfg.data_period_slots,
-                               cfg.payload_bytes);
-  sys.run(kSlotDuration * 256);  // settle into the sniff schedule
-  ActivityProbe probe(sys.slave(0).radio());
-  sys.run(kSlotDuration * cfg.measure_slots);
-
-  SlaveActivityRow row;
-  row.mode_parameter = tsniff;
-  row.slave = probe.measure();
-  return row;
-}
-
-SlaveActivityRow measure_hold_activity(BluetoothSystem& sys,
-                                       std::optional<std::uint32_t> thold,
-                                       const HoldActivityConfig& cfg) {
-  const std::uint8_t lt = sys.lt_addr_of(0);
-  sys.run(kSlotDuration * 64);
-
-  SlaveActivityRow row;
-  row.mode_parameter = thold;
-
-  if (!thold) {
-    ActivityProbe probe(sys.slave(0).radio());
-    sys.run(kSlotDuration * cfg.min_measure_slots);
-    row.slave = probe.measure();
-    return row;
-  }
-
-  const std::uint32_t cycle = *thold + cfg.inter_hold_gap_slots;
-  const std::uint32_t cycles = std::max<std::uint32_t>(
-      6, (cfg.min_measure_slots + cycle - 1) / cycle);
-  ActivityProbe probe(sys.slave(0).radio());
-  for (std::uint32_t c = 0; c < cycles; ++c) {
-    sys.master().lc().master_set_hold(lt, *thold);
-    sys.slave(0).lc().slave_set_hold(*thold);
-    sys.run(kSlotDuration * cycle);
-  }
-  row.slave = probe.measure();
-  return row;
-}
-
-ThroughputRow measure_throughput(BluetoothSystem& sys,
-                                 baseband::PacketType type, double ber,
-                                 const ThroughputConfig& cfg) {
-  sys.channel().set_ber(ber);
-
-  const std::uint8_t lt = sys.lt_addr_of(0);
-  const std::size_t payload = baseband::max_user_bytes(type);
-  std::uint64_t delivered_bytes = 0;
-  std::uint64_t delivered_msgs = 0;
-  lm::LinkManager::Events ev;
-  ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t> d) {
-    delivered_bytes += d.size();
-    ++delivered_msgs;
-  };
-  sys.slave_lm(0).set_events(std::move(ev));
-
-  SaturatingTrafficSource source(sys.master(), lt, payload);
-  const std::uint64_t retx_before = sys.master().lc().stats().retransmissions;
-  sys.run(kSlotDuration * 64);
-  const SimTime window = kSlotDuration * cfg.measure_slots;
-  const std::uint64_t bytes_before = delivered_bytes;
-  sys.run(window);
-
-  ThroughputRow row;
-  row.type = type;
-  row.ber = ber;
-  row.delivered_messages = delivered_msgs;
-  row.retransmissions =
-      sys.master().lc().stats().retransmissions - retx_before;
-  row.goodput_kbps = static_cast<double>((delivered_bytes - bytes_before) * 8) /
-                     window.as_sec() / 1000.0;
-  return row;
-}
-
-CoexistenceRow measure_coexistence(TwoPiconets& net,
-                                   std::uint32_t neighbour_period_slots,
-                                   const CoexistenceRunConfig& cfg) {
-  std::uint64_t victim_bytes = 0;
-  lm::LinkManager::Events ev;
-  ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t> d) {
-    victim_bytes += d.size();
-  };
-  net.slave_lm(0).set_events(std::move(ev));
-
-  SaturatingTrafficSource victim(net.master(0), 1, cfg.payload_bytes);
-  std::unique_ptr<PeriodicTrafficSource> neighbour;
-  if (neighbour_period_slots > 0) {
-    neighbour = std::make_unique<PeriodicTrafficSource>(
-        net.master(1), 1, neighbour_period_slots, cfg.payload_bytes);
-  }
-  const auto retx0 = net.master(0).lc().stats().retransmissions;
-  const auto coll0 = net.channel().collision_samples();
-  const sim::SimTime window = kSlotDuration * cfg.measure_slots;
-  net.run(window);
-
-  CoexistenceRow row;
-  row.neighbour_period_slots = neighbour_period_slots;
-  row.goodput_kbps =
-      static_cast<double>(victim_bytes * 8) / window.as_sec() / 1000.0;
-  row.retransmissions =
-      net.master(0).lc().stats().retransmissions - retx0;
-  row.collision_samples = net.channel().collision_samples() - coll0;
-  return row;
-}
-
 }  // namespace
 
 void CreationPoint::add(const CreationSample& s) {
@@ -309,69 +153,6 @@ void CreationPoint::restore_state(sim::SnapshotReader& r) {
   page_ok.restore_state(r);
 }
 
-CreationSample run_creation_replication(double ber, std::uint64_t seed,
-                                        std::uint32_t timeout_slots) {
-  BluetoothSystem sys(creation_config(ber, timeout_slots, seed));
-  return measure_creation(sys);
-}
-
-CreationPoint run_creation_point(double ber, const CreationConfig& cfg) {
-  CreationPoint point;
-  point.ber = ber;
-  for (int s = 0; s < cfg.seeds; ++s) {
-    point.add(run_creation_replication(
-        ber, cfg.base_seed + static_cast<std::uint64_t>(s),
-        cfg.timeout_slots));
-  }
-  return point;
-}
-
-BackoffSample run_backoff_replication(std::uint32_t backoff_max_slots,
-                                      std::uint64_t seed) {
-  BluetoothSystem sys(backoff_config(backoff_max_slots, seed));
-  const PhaseResult r = sys.run_inquiry();
-  return BackoffSample{r.success, r.slots};
-}
-
-MasterActivityRow run_master_activity(double duty,
-                                      const MasterActivityConfig& cfg) {
-  auto sys = connected_system(master_activity_config(cfg.seed));
-  return measure_master_activity(*sys, duty, cfg);
-}
-
-SlaveActivityRow run_sniff_activity(std::optional<std::uint32_t> tsniff,
-                                    const SniffActivityConfig& cfg) {
-  auto sys = connected_system(sniff_activity_config(cfg.seed));
-  return measure_sniff_activity(*sys, tsniff, cfg);
-}
-
-SlaveActivityRow run_hold_activity(std::optional<std::uint32_t> thold,
-                                   const HoldActivityConfig& cfg) {
-  auto sys = connected_system(hold_activity_config(cfg.seed));
-  return measure_hold_activity(*sys, thold, cfg);
-}
-
-ThroughputRow run_throughput(baseband::PacketType type, double ber,
-                             const ThroughputConfig& cfg) {
-  auto sys = connected_system(throughput_system_config(type, cfg.seed));
-  return measure_throughput(*sys, type, ber, cfg);
-}
-
-CoexistenceRow run_coexistence(std::uint32_t neighbour_period_slots,
-                               const CoexistenceRunConfig& cfg) {
-  CoexistenceConfig cc;
-  cc.seed = cfg.seed;
-  TwoPiconets net(cc);
-  if (!net.create(0) || !net.create(1)) {
-    throw std::runtime_error("run_coexistence: piconet creation failed");
-  }
-  return measure_coexistence(net, neighbour_period_slots, cfg);
-}
-
-// ---------------------------------------------------------------------------
-// Staged (checkpoint/fork) variants
-// ---------------------------------------------------------------------------
-
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed) {
   auto sys = std::make_unique<BluetoothSystem>(
@@ -384,7 +165,17 @@ CreationSample run_creation_from(BluetoothSystem& sys,
                                  std::uint64_t replication_seed) {
   sys.env().rng().reseed(replication_seed);
   sys.randomize_slave_clocks();
-  return measure_creation(sys);
+  CreationSample out;
+  const PhaseResult inquiry = sys.run_inquiry();
+  out.inquiry_success = inquiry.success;
+  out.inquiry_slots = inquiry.slots;
+  if (!inquiry.success) return out;
+
+  out.page_attempted = true;
+  const PhaseResult page = sys.run_page(0);
+  out.page_success = page.success;
+  out.page_slots = page.slots;
+  return out;
 }
 
 std::unique_ptr<BluetoothSystem> make_backoff_system(
@@ -403,23 +194,6 @@ BackoffSample run_backoff_from(BluetoothSystem& sys,
   return BackoffSample{r.success, r.slots};
 }
 
-namespace {
-
-/// Shared shape of the connected-phase warm-ups/scaffolds.
-ConnectedWarmup connected_warmup(SystemConfig cfg) {
-  auto built = connected_system_seeded(std::move(cfg));
-  built.system->env().settle();
-  return {std::move(built.system), built.seed};
-}
-
-std::unique_ptr<BluetoothSystem> connected_scaffold(SystemConfig cfg) {
-  auto sys = std::make_unique<BluetoothSystem>(cfg);
-  sys->env().settle();  // restore requires a settled kernel
-  return sys;
-}
-
-}  // namespace
-
 ConnectedWarmup master_activity_warmup(std::uint64_t warm_seed) {
   return connected_warmup(master_activity_config(warm_seed));
 }
@@ -432,7 +206,22 @@ std::unique_ptr<BluetoothSystem> master_activity_scaffold(
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
                                            const MasterActivityConfig& cfg) {
   sys.env().rng().reseed(cfg.seed);
-  return measure_master_activity(sys, duty, cfg);
+  MasterActivityRow row;
+  row.duty = duty;
+  // duty = used TX slots / available TX slots (one per even slot).
+  const auto period_slots = static_cast<std::uint32_t>(
+      std::max(2.0, std::round(2.0 / std::max(duty, 1e-6))));
+  std::optional<PeriodicTrafficSource> source;
+  if (duty > 0.0) {
+    source.emplace(sys.master(), sys.lt_addr_of(0), period_slots,
+                   cfg.payload_bytes);
+  }
+  sys.run(kSlotDuration * 64);  // settle
+  ActivityProbe probe(sys.master().radio());
+  sys.run(kSlotDuration * cfg.measure_slots);
+  row.master = probe.measure();
+  if (source) row.messages = source->messages_sent();
+  return row;
 }
 
 ConnectedWarmup sniff_activity_warmup(std::uint64_t warm_seed) {
@@ -448,7 +237,21 @@ SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
                                          std::optional<std::uint32_t> tsniff,
                                          const SniffActivityConfig& cfg) {
   sys.env().rng().reseed(cfg.seed);
-  return measure_sniff_activity(sys, tsniff, cfg);
+  const std::uint8_t lt = sys.lt_addr_of(0);
+  if (tsniff) {
+    sys.master().lc().master_set_sniff(lt, *tsniff, 0, 1);
+    sys.slave(0).lc().slave_set_sniff(*tsniff, 0, 1);
+  }
+  PeriodicTrafficSource source(sys.master(), lt, cfg.data_period_slots,
+                               cfg.payload_bytes);
+  sys.run(kSlotDuration * 256);  // settle into the sniff schedule
+  ActivityProbe probe(sys.slave(0).radio());
+  sys.run(kSlotDuration * cfg.measure_slots);
+
+  SlaveActivityRow row;
+  row.mode_parameter = tsniff;
+  row.slave = probe.measure();
+  return row;
 }
 
 ConnectedWarmup hold_activity_warmup(std::uint64_t warm_seed) {
@@ -464,7 +267,30 @@ SlaveActivityRow run_hold_activity_from(BluetoothSystem& sys,
                                         std::optional<std::uint32_t> thold,
                                         const HoldActivityConfig& cfg) {
   sys.env().rng().reseed(cfg.seed);
-  return measure_hold_activity(sys, thold, cfg);
+  const std::uint8_t lt = sys.lt_addr_of(0);
+  sys.run(kSlotDuration * 64);
+
+  SlaveActivityRow row;
+  row.mode_parameter = thold;
+
+  if (!thold) {
+    ActivityProbe probe(sys.slave(0).radio());
+    sys.run(kSlotDuration * cfg.min_measure_slots);
+    row.slave = probe.measure();
+    return row;
+  }
+
+  const std::uint32_t cycle = *thold + cfg.inter_hold_gap_slots;
+  const std::uint32_t cycles = std::max<std::uint32_t>(
+      6, (cfg.min_measure_slots + cycle - 1) / cycle);
+  ActivityProbe probe(sys.slave(0).radio());
+  for (std::uint32_t c = 0; c < cycles; ++c) {
+    sys.master().lc().master_set_hold(lt, *thold);
+    sys.slave(0).lc().slave_set_hold(*thold);
+    sys.run(kSlotDuration * cycle);
+  }
+  row.slave = probe.measure();
+  return row;
 }
 
 ConnectedWarmup throughput_warmup(baseband::PacketType type,
@@ -481,7 +307,35 @@ ThroughputRow run_throughput_from(BluetoothSystem& sys,
                                   baseband::PacketType type, double ber,
                                   const ThroughputConfig& cfg) {
   sys.env().rng().reseed(cfg.seed);
-  return measure_throughput(sys, type, ber, cfg);
+  sys.channel().set_ber(ber);
+
+  const std::uint8_t lt = sys.lt_addr_of(0);
+  const std::size_t payload = baseband::max_user_bytes(type);
+  std::uint64_t delivered_bytes = 0;
+  std::uint64_t delivered_msgs = 0;
+  lm::LinkManager::Events ev;
+  ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t> d) {
+    delivered_bytes += d.size();
+    ++delivered_msgs;
+  };
+  sys.slave_lm(0).set_events(std::move(ev));
+
+  SaturatingTrafficSource source(sys.master(), lt, payload);
+  const std::uint64_t retx_before = sys.master().lc().stats().retransmissions;
+  sys.run(kSlotDuration * 64);
+  const SimTime window = kSlotDuration * cfg.measure_slots;
+  const std::uint64_t bytes_before = delivered_bytes;
+  sys.run(window);
+
+  ThroughputRow row;
+  row.type = type;
+  row.ber = ber;
+  row.delivered_messages = delivered_msgs;
+  row.retransmissions =
+      sys.master().lc().stats().retransmissions - retx_before;
+  row.goodput_kbps = static_cast<double>((delivered_bytes - bytes_before) * 8) /
+                     window.as_sec() / 1000.0;
+  return row;
 }
 
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed) {
@@ -504,7 +358,32 @@ CoexistenceRow run_coexistence_from(TwoPiconets& net,
                                     std::uint32_t neighbour_period_slots,
                                     const CoexistenceRunConfig& cfg) {
   net.env().rng().reseed(cfg.seed);
-  return measure_coexistence(net, neighbour_period_slots, cfg);
+  std::uint64_t victim_bytes = 0;
+  lm::LinkManager::Events ev;
+  ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t> d) {
+    victim_bytes += d.size();
+  };
+  net.slave_lm(0).set_events(std::move(ev));
+
+  SaturatingTrafficSource victim(net.master(0), 1, cfg.payload_bytes);
+  std::unique_ptr<PeriodicTrafficSource> neighbour;
+  if (neighbour_period_slots > 0) {
+    neighbour = std::make_unique<PeriodicTrafficSource>(
+        net.master(1), 1, neighbour_period_slots, cfg.payload_bytes);
+  }
+  const auto retx0 = net.master(0).lc().stats().retransmissions;
+  const auto coll0 = net.channel().collision_samples();
+  const sim::SimTime window = kSlotDuration * cfg.measure_slots;
+  net.run(window);
+
+  CoexistenceRow row;
+  row.neighbour_period_slots = neighbour_period_slots;
+  row.goodput_kbps =
+      static_cast<double>(victim_bytes * 8) / window.as_sec() / 1000.0;
+  row.retransmissions =
+      net.master(0).lc().stats().retransmissions - retx0;
+  row.collision_samples = net.channel().collision_samples() - coll0;
+  return row;
 }
 
 }  // namespace btsc::core

@@ -1,21 +1,22 @@
 // Experiment runners: one function per figure of the paper, plus the
 // packet-type throughput analysis the paper names as a goal of the model.
 //
-// Three levels of API:
-//  * run_*_replication / run_* — ONE independent simulation from ONE
-//    seed. These are the bodies handed to runner::SweepRunner, which
-//    spreads them across threads; they must derive all randomness from
-//    the seed they are given and touch no shared state.
-//  * run_* point/row functions — serial convenience wrappers aggregating
-//    a default replication count, used by the unit tests.
-//  * staged (checkpoint/fork) variants — the same replication split into
-//    an explicit warm-up stage (driven by a dedicated warm-up seed,
-//    shared by every replication of a point) and a measure stage (driven
-//    by the replication seed, applied by reseeding the environment RNG
-//    at the stage boundary). A cold staged replication re-runs the
-//    warm-up; a forked one restores it from a snapshot -- both produce
-//    bitwise-identical samples, which the runner's forked-vs-cold gates
-//    assert.
+// Every study is staged: one replication is a warm-up stage followed by
+// a measure stage. Two levels of API:
+//  * warm-up / scaffold (make_*_system, *_warmup, *_scaffold) — build a
+//    study's system from a dedicated warm-up seed, shared by every
+//    replication of a parameter point, and simulate the
+//    replication-independent prefix up to a settled, snapshotable
+//    instant; the scaffold is the structural twin a snapshot restores
+//    into.
+//  * run_*_from — the measure stage: reseeds the environment RNG with
+//    the replication seed and simulates the measured window. It must
+//    derive all randomness from that seed and touch no shared state, so
+//    runner::SweepRunner can spread replications across threads.
+//
+// The runner forks every replication from a per-point snapshot of the
+// warm-up; re-running the warm-up cold instead produces bitwise-identical
+// samples, which the runner's fork == cold gate asserts.
 //
 // Benches print the rows; tests run reduced configurations.
 #pragma once
@@ -41,16 +42,6 @@ inline constexpr std::uint64_t kWarmupReplicationIndex =
     0xFFFFFFFFFFFFFFFFull;
 
 // ---- Figs. 6-8: piconet creation vs BER ----
-
-/// Knobs of the creation experiment (Figs. 6-8).
-struct CreationConfig {
-  /// Independent replications per BER point.
-  int seeds = 20;
-  /// Inquiry and page timeout, in slots. Paper: both 1.28 s (2048 slots).
-  std::uint32_t timeout_slots = 2048;
-  /// First replication seed; replication s runs with base_seed + s.
-  std::uint64_t base_seed = 1000;
-};
 
 /// Outcome of ONE 2-device creation attempt (one replication).
 struct CreationSample {
@@ -91,14 +82,6 @@ struct CreationPoint {
   void restore_state(sim::SnapshotReader& r);
 };
 
-/// Runs ONE 2-device creation (inquiry, then page if the inquiry
-/// succeeded) at the given BER from the given seed.
-CreationSample run_creation_replication(double ber, std::uint64_t seed,
-                                        std::uint32_t timeout_slots);
-
-/// Simulates `cfg.seeds` independent 2-device creations at the given BER.
-CreationPoint run_creation_point(double ber, const CreationConfig& cfg);
-
 // ---- Ablation: inquiry backoff ceiling ----
 
 /// One noiseless inquiry run with a non-default random-backoff ceiling
@@ -108,9 +91,6 @@ struct BackoffSample {
   bool success = false;
   std::uint64_t slots = 0;
 };
-
-BackoffSample run_backoff_replication(std::uint32_t backoff_max_slots,
-                                      std::uint64_t seed);
 
 // ---- Fig. 10: master RF activity vs channel duty cycle ----
 
@@ -124,16 +104,13 @@ struct MasterActivityRow {
 };
 
 struct MasterActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed: the measure stage reseeds the environment with it.
   std::uint64_t seed = 1;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 20000;
   /// Payload per message; 1-byte DM1 packets, as in the paper.
   std::size_t payload_bytes = 1;
 };
-
-MasterActivityRow run_master_activity(double duty,
-                                      const MasterActivityConfig& cfg);
 
 // ---- Fig. 11: slave RF activity, active vs sniff ----
 
@@ -145,7 +122,7 @@ struct SlaveActivityRow {
 };
 
 struct SniffActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed: the measure stage reseeds the environment with it.
   std::uint64_t seed = 1;
   /// Master sends data to the slave with this fixed period (paper: 100).
   std::uint32_t data_period_slots = 100;
@@ -155,25 +132,16 @@ struct SniffActivityConfig {
   std::size_t payload_bytes = 17;
 };
 
-/// tsniff == nullopt measures the active-mode baseline.
-SlaveActivityRow run_sniff_activity(std::optional<std::uint32_t> tsniff,
-                                    const SniffActivityConfig& cfg);
-
 // ---- Fig. 12: slave RF activity, active vs hold ----
 
 struct HoldActivityConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed: the measure stage reseeds the environment with it.
   std::uint64_t seed = 1;
   /// Gap between consecutive hold cycles (covers resynchronisation).
   std::uint32_t inter_hold_gap_slots = 8;
   /// Measure at least this many slots (and >= 6 hold cycles).
   std::uint32_t min_measure_slots = 20000;
 };
-
-/// thold == nullopt measures the idle active-mode baseline (the paper's
-/// flat 2.6% line).
-SlaveActivityRow run_hold_activity(std::optional<std::uint32_t> thold,
-                                   const HoldActivityConfig& cfg);
 
 // ---- Extension: packet type vs throughput under noise (paper section 2
 //      lists this analysis as a design goal of the model) ----
@@ -192,14 +160,11 @@ struct ThroughputRow {
 };
 
 struct ThroughputConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed: the measure stage reseeds the environment with it.
   std::uint64_t seed = 1;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 8000;
 };
-
-ThroughputRow run_throughput(baseband::PacketType type, double ber,
-                             const ThroughputConfig& cfg);
 
 // ---- Extension: coexistence of two piconets on one 79-channel medium ----
 
@@ -215,7 +180,7 @@ struct CoexistenceRow {
 };
 
 struct CoexistenceRunConfig {
-  /// Simulation seed (sweeps derive one per replication).
+  /// Replication seed: the measure stage reseeds the environment with it.
   std::uint64_t seed = 2030;
   /// Length of the measurement window, in slots.
   std::uint32_t measure_slots = 24000;
@@ -223,36 +188,20 @@ struct CoexistenceRunConfig {
   std::size_t payload_bytes = 17;
 };
 
-/// Builds two coexisting piconets, saturates the victim link and ramps
-/// the neighbour's offered load; one call = one replication.
-CoexistenceRow run_coexistence(std::uint32_t neighbour_period_slots,
-                               const CoexistenceRunConfig& cfg);
-
-// ---- staged (checkpoint/fork) variants ----
+// ---- warm-up, scaffold and measure stages ----
 //
-// Every family splits into:
-//   warm-up  — builds the system with the warm-up seed and simulates the
-//              replication-independent prefix (for the creation family
-//              that is construction only; for the connected-phase
-//              studies it is piconet creation). Ends at a settled,
-//              snapshotable instant.
-//   scaffold — re-runs ONLY the construction path of the warm-up (the
-//              structural twin a snapshot restores into).
-//   run_*_from — the measure stage: reseeds the environment RNG with the
-//              replication seed and simulates the measured window.
-//
-// Cold fork:  measure(warmup(point, warm_seed), rep_seed)
-// Warm fork:  bytes = warmup(...).save_snapshot()  [once per point]
-//             sys = scaffold(...); sys.restore_snapshot(bytes);
-//             measure(sys, rep_seed)
-// Both paths reach the boundary in the identical state, so the samples
-// are bitwise equal.
+// Cold:  measure(warmup(point, warm_seed), rep_seed)
+// Fork:  bytes = warmup(point, warm_seed).save_snapshot()  [once per point]
+//        sys = scaffold(point, construction_seed); sys.restore_snapshot(bytes);
+//        measure(sys, rep_seed)
+// Both reach the boundary in the identical state, so the samples are
+// bitwise equal.
 
 /// Creation family (Figs. 6-8): the warm-up is construction at t = 0.
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed);
-/// Reseeds with `replication_seed`, re-randomises the slave clocks (the
-/// per-replication randomness the legacy path drew at construction) and
+/// Reseeds with `replication_seed`, re-randomises the slave clocks (so
+/// each replication draws its own clock phases, not the warm-up's) and
 /// runs inquiry + page.
 CreationSample run_creation_from(BluetoothSystem& sys,
                                  std::uint64_t replication_seed);
@@ -274,7 +223,6 @@ struct ConnectedWarmup {
 ConnectedWarmup master_activity_warmup(std::uint64_t warm_seed);
 std::unique_ptr<BluetoothSystem> master_activity_scaffold(
     std::uint64_t construction_seed);
-/// cfg.seed is the replication seed here (reseeds at the boundary).
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
                                            const MasterActivityConfig& cfg);
 

@@ -226,8 +226,8 @@ class Report {
 
 /// Shared command-line knobs for the figure benches and btsc-sweep:
 /// --seeds/--replications N, --quick, --csv, --json, --threads N,
-/// --out FILE, --base-seed S, --max-points N, --checkpoint-warmup,
-/// --cold-warmup, --checkpoint-dir DIR, --journal FILE, --resume,
+/// --out FILE, --base-seed S, --max-points N, --no-burst,
+/// --checkpoint-dir DIR, --journal FILE, --resume,
 /// --rep-timeout S, --max-retries N, --keep-going,
 /// --quarantine-out FILE. Unknown arguments are ignored
 /// (each main may parse extras of its own).
@@ -253,23 +253,15 @@ struct BenchArgs {
   /// simulation results are bit-identical either way -- this is the
   /// swap-safety escape hatch, not a modelling knob.
   bool no_burst = false;
-  /// Fork every replication from a per-point warm-up snapshot instead of
-  /// re-running the warm-up (runner::WarmupMode::kFork). Changes the
-  /// sample streams relative to the default single-stage replication,
-  /// but is bitwise equivalent to --cold-warmup.
-  bool checkpoint_warmup = false;
-  /// Staged replications with the warm-up re-run cold every time
-  /// (runner::WarmupMode::kCold) -- the reference semantics of, and the
-  /// escape hatch from, --checkpoint-warmup.
-  bool cold_warmup = false;
   /// Append-only results journal file (--journal); empty = none. Every
   /// completed replication is fsync'd there, enabling --resume.
   std::string journal;
   /// Resume from an existing journal instead of refusing to overwrite
   /// it (--resume; requires --journal).
   bool resume = false;
-  /// Durable warm-up checkpoint directory (--checkpoint-dir); empty =
-  /// in-memory warm-up cache only. Applies to --checkpoint-warmup runs.
+  /// Durable warm-up checkpoint directory (--checkpoint-dir): the
+  /// per-point warm-up snapshots spill here and load from here; empty =
+  /// in-memory warm-up cache only.
   std::string checkpoint_dir;
   /// Per-replication deadline in seconds (--rep-timeout); <= 0 = none.
   /// Enables the sweep supervisor: overrunning replications are
@@ -324,10 +316,6 @@ struct BenchArgs {
         a.quick = true;
       } else if (arg == "--no-burst") {
         a.no_burst = true;
-      } else if (arg == "--checkpoint-warmup") {
-        a.checkpoint_warmup = true;
-      } else if (arg == "--cold-warmup") {
-        a.cold_warmup = true;
       } else if (arg == "--csv") {
         a.csv = true;
       } else if (arg == "--json") {

@@ -58,6 +58,8 @@ struct JournalConfig {
   bool quick = false;
   std::int32_t max_points = 0;
   bool common_random_numbers = false;
+  /// Every sweep writes true. Journals written by earlier single-stage
+  /// builds carry false, so resuming one is refused as a config mismatch.
   bool staged_warmup = false;
 
   bool operator==(const JournalConfig&) const = default;

@@ -110,12 +110,9 @@ struct BackoffPoint {
   }
 };
 
-// ---- checkpoint/fork staging -----------------------------------------------
+// ---- the staged replication ----------------------------------------------
 
-/// Little-endian construction-parameter blobs for checkpoint recipes:
-/// the point parameters the warm-up construction depends on, compared
-/// verbatim on load so a checkpoint from an edited point list is a cache
-/// miss, never a wrong restore.
+/// Little-endian construction-parameter blobs for checkpoint recipes.
 void blob_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
   const auto at = b.size();
   b.resize(at + 4);
@@ -132,9 +129,7 @@ void blob_f64(std::vector<std::uint8_t>& b, double v) {
 /// directory on first use.
 std::shared_ptr<const WarmupStore> make_warmup_store(
     const ScenarioInfo& info, const ScenarioRequest& req) {
-  if (req.checkpoint_dir.empty() || req.warmup != WarmupMode::kFork) {
-    return nullptr;
-  }
+  if (req.checkpoint_dir.empty() || req.cold_warmup) return nullptr;
   std::error_code ec;
   std::filesystem::create_directories(req.checkpoint_dir, ec);
   if (ec) {
@@ -185,8 +180,7 @@ class WarmupCache {
   std::shared_ptr<const WarmupStore> store_;
 };
 
-/// The base seed the sweep will actually run with (mirrors the
-/// resolution rule in sweep_points).
+/// The base seed the sweep runs with.
 std::uint64_t resolved_base_seed(const ScenarioInfo& info,
                                  const ScenarioRequest& req) {
   return req.base_seed != 0 ? req.base_seed : info.default_base_seed;
@@ -217,7 +211,7 @@ std::vector<Sample> sweep_points(
                          ? req.replications
                          : (req.quick ? info.quick_replications
                                       : info.default_replications);
-  opt.base_seed = req.base_seed != 0 ? req.base_seed : info.default_base_seed;
+  opt.base_seed = resolved_base_seed(info, req);
   opt.common_random_numbers = info.common_random_numbers;
   opt.rep_timeout_s = req.rep_timeout_s;
   opt.max_retries = req.max_retries;
@@ -233,7 +227,6 @@ std::vector<Sample> sweep_points(
   out.base_seed = opt.base_seed;
   out.quick = req.quick;
   out.max_points = req.max_points;
-  out.staged_warmup = req.warmup != WarmupMode::kLegacy;
   out.supervised = opt.supervised();
 
   // The journal binds every result-defining knob of this grid; resuming
@@ -249,7 +242,9 @@ std::vector<Sample> sweep_points(
     jc.quick = req.quick;
     jc.max_points = req.max_points;
     jc.common_random_numbers = opt.common_random_numbers;
-    jc.staged_warmup = out.staged_warmup;
+    // Always staged: a journal of an earlier single-stage run says
+    // false, so resuming it is refused instead of merging its samples.
+    jc.staged_warmup = true;
     journal =
         std::make_unique<SweepJournal>(req.journal_path, jc, req.resume);
     if (req.on_commit) journal->set_observer(req.on_commit);
@@ -280,11 +275,90 @@ std::vector<Sample> sweep_points(
   return merged;
 }
 
+/// A warmed-up system plus the seed its scaffold is constructed from
+/// (the connected-phase warm-ups retry creation with perturbed seeds).
+template <class System>
+struct Warmed {
+  std::unique_ptr<System> system;
+  std::uint64_t construction_seed = 0;
+};
+
+Warmed<core::BluetoothSystem> warmed(core::ConnectedWarmup w) {
+  return {std::move(w.system), w.construction_seed};
+}
+
+/// One study, described once. Every replication of a point is
+///   img = snapshot of warmup(point, warm_seed)     [once per point]
+///   measure(restore(scaffold(point, img.construction_seed), img),
+///           point, rep_seed, quick)
+template <class Point, class System, class Sample>
+struct StagedStudy {
+  /// The point parameters the warm-up depends on, as a little-endian
+  /// blob compared verbatim on checkpoint load, so a checkpoint from an
+  /// edited point list is a cache miss, never a wrong restore. Null =
+  /// the warm-up depends on the seed alone.
+  std::function<std::vector<std::uint8_t>(const Point&)> recipe;
+  /// Builds the system and simulates the replication-independent prefix.
+  std::function<Warmed<System>(const Point&, std::uint64_t warm_seed)> warmup;
+  /// Re-runs only the warm-up's construction: the twin a snapshot
+  /// restores into.
+  std::function<std::unique_ptr<System>(const Point&,
+                                        std::uint64_t construction_seed)>
+      scaffold;
+  /// The measure stage, reseeded with the replication seed.
+  std::function<Sample(System&, const Point&, std::uint64_t rep_seed,
+                       bool quick)>
+      measure;
+};
+
+/// The one replication body of every study. The first replication of a
+/// point builds (or loads) the point's warm-up image; every replication
+/// restores it into a scaffold and measures. ScenarioRequest::cold_warmup
+/// re-runs the warm-up instead: the reference the fork must match bit for
+/// bit. The body owns what it captures, because a deadline-abandoned
+/// worker may outlive the sweep.
+template <class Point, class System, class Sample>
+std::vector<Sample> run_staged(const ScenarioInfo& info,
+                               const ScenarioRequest& req,
+                               std::vector<Point>& points, SweepResult& out,
+                               StagedStudy<Point, System, Sample> study) {
+  const std::uint64_t base = resolved_base_seed(info, req);
+  const bool crn = info.common_random_numbers;
+  const bool quick = req.quick;
+  const bool cold = req.cold_warmup;
+  auto cache = std::make_shared<WarmupCache>(points.size(),
+                                             make_warmup_store(info, req));
+  return sweep_points<Point, Sample>(
+      info, req, points, out,
+      [study = std::move(study), base, crn, quick, cold, cache](
+          const Point& p, const Replication& rep) {
+        const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
+        if (cold) {
+          auto w = study.warmup(p, warm);
+          return study.measure(*w.system, p, rep.seed, quick);
+        }
+        const SystemImage& img = cache->get(
+            rep.point_index, warm,
+            study.recipe ? study.recipe(p) : std::vector<std::uint8_t>{},
+            [&] {
+              auto w = study.warmup(p, warm);
+              return SystemImage{w.system->save_snapshot(),
+                                 w.construction_seed};
+            });
+        auto sys = study.scaffold(p, img.construction_seed);
+        sys->restore_snapshot(img.bytes);
+        return study.measure(*sys, p, rep.seed, quick);
+      });
+}
+
 // ---- Figs. 6-8: creation vs BER ----
 
 const double kCreationBers[] = {0.0,      1.0 / 100, 1.0 / 90,
                                 1.0 / 80, 1.0 / 70,  1.0 / 60,
                                 1.0 / 50, 1.0 / 40,  1.0 / 30};
+
+/// Inquiry and page timeout: the paper's 1.28 s.
+constexpr std::uint32_t kCreationTimeoutSlots = 2048;
 
 std::vector<double> creation_points(bool include_noiseless) {
   std::vector<double> bers;
@@ -295,45 +369,38 @@ std::vector<double> creation_points(bool include_noiseless) {
   return bers;
 }
 
-SweepRunner<double, core::CreationPoint>::Body creation_body(
-    const ScenarioInfo& info, const ScenarioRequest& req,
-    std::size_t n_points) {
-  if (req.warmup == WarmupMode::kLegacy) {
-    return [](const double& ber, const Replication& rep) {
-      core::CreationPoint p;
-      p.ber = ber;
-      p.add(core::run_creation_replication(ber, rep.seed, 2048));
-      return p;
-    };
-  }
-  // Staged: construction (the warm-up) runs on the point's warm-up seed;
-  // the replication seed drives only the measurement stage, applied at
-  // the boundary by reseed + slave clock re-randomisation.
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const bool fork = req.warmup == WarmupMode::kFork;
-  auto cache =
-      std::make_shared<WarmupCache>(n_points, make_warmup_store(info, req));
-  return [base, crn, fork, cache](const double& ber, const Replication& rep) {
-    const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-    std::unique_ptr<core::BluetoothSystem> sys;
-    if (fork) {
-      std::vector<std::uint8_t> recipe;
-      blob_f64(recipe, ber);
-      blob_u32(recipe, 2048);
-      const SystemImage& img = cache->get(rep.point_index, warm, recipe, [&] {
-        auto warm_sys = core::make_creation_system(ber, 2048, warm);
-        return SystemImage{warm_sys->save_snapshot(), warm};
-      });
-      sys = core::make_creation_system(ber, 2048, img.construction_seed);
-      sys->restore_snapshot(img.bytes);
-    } else {
-      sys = core::make_creation_system(ber, 2048, warm);
-    }
-    core::CreationPoint p;
-    p.ber = ber;
-    p.add(core::run_creation_from(*sys, rep.seed));
-    return p;
+/// Shared by Figs. 6-8. The warm-up is construction alone: the
+/// replication seed reseeds the environment and re-randomises the slave
+/// clocks at the boundary, then drives inquiry and page.
+StagedStudy<double, core::BluetoothSystem, core::CreationPoint>
+creation_study() {
+  return {
+      .recipe =
+          [](const double& ber) {
+            std::vector<std::uint8_t> b;
+            blob_f64(b, ber);
+            blob_u32(b, kCreationTimeoutSlots);
+            return b;
+          },
+      .warmup =
+          [](const double& ber, std::uint64_t seed) {
+            return Warmed<core::BluetoothSystem>{
+                core::make_creation_system(ber, kCreationTimeoutSlots, seed),
+                seed};
+          },
+      .scaffold =
+          [](const double& ber, std::uint64_t seed) {
+            return core::make_creation_system(ber, kCreationTimeoutSlots,
+                                              seed);
+          },
+      .measure =
+          [](core::BluetoothSystem& sys, const double& ber,
+             std::uint64_t rep_seed, bool) {
+            core::CreationPoint p;
+            p.ber = ber;
+            p.add(core::run_creation_from(sys, rep_seed));
+            return p;
+          },
   };
 }
 
@@ -344,8 +411,7 @@ SweepResult run_fig06(const ScenarioInfo& info, const ScenarioRequest& req) {
       "noise, ~1800 @ 1/30; successful runs, 1.28 s timeout)";
   out.columns = {"1/BER", "mean_TS", "ci95_TS", "runs_ok", "runs"};
   auto points = creation_points(true);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = run_staged(info, req, points, out, creation_study());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     out.rows.push_back({points[i] > 0 ? 1.0 / points[i] : 0.0,
@@ -365,8 +431,7 @@ SweepResult run_fig07(const ScenarioInfo& info, const ScenarioRequest& req) {
       "impossible beyond ~1/30)";
   out.columns = {"1/BER", "mean_TS", "ci95_TS", "runs_ok", "attempted"};
   auto points = creation_points(true);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = run_staged(info, req, points, out, creation_study());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     out.rows.push_back({points[i] > 0 ? 1.0 / points[i] : 0.0,
@@ -386,8 +451,7 @@ SweepResult run_fig08(const ScenarioInfo& info, const ScenarioRequest& req) {
   out.columns = {"1/BER",     "inq_fail", "inq_lo", "inq_hi",
                  "page_fail", "page_lo",  "page_hi"};
   auto points = creation_points(false);
-  const auto merged = sweep_points<double, core::CreationPoint>(
-      info, req, points, out, creation_body(info, req, points.size()));
+  const auto merged = run_staged(info, req, points, out, creation_study());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
     const auto [ilo, ihi] = p.inquiry_ok.wilson95();
@@ -412,43 +476,31 @@ SweepResult run_fig10(const ScenarioInfo& info, const ScenarioRequest& req) {
   out.columns = {"duty_%", "tx_%", "rx_%", "total_%", "messages"};
   std::vector<double> points = {0.0,    0.0025, 0.005, 0.0075, 0.01,
                                 0.0125, 0.015,  0.0175, 0.02};
-  const std::uint32_t measure_slots = req.quick ? 8000 : 40000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<double, ActivitySample>(
+  const auto merged = run_staged(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const double& duty,
-                                              const Replication& rep) {
-        core::MasterActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::MasterActivityRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_master_activity(duty, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto w = core::master_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          row = core::run_master_activity_from(*w.system, duty, cfg);
-        } else {
-          const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-          // The warm-up is duty-independent, so the recipe is the seed alone.
-          const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-            auto w = core::master_activity_warmup(warm);
-            return SystemImage{w.system->save_snapshot(),
-                               w.construction_seed};
-          });
-          auto sys = core::master_activity_scaffold(img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          row = core::run_master_activity_from(*sys, duty, cfg);
-        }
-        ActivitySample s;
-        s.tx.add(row.master.tx_fraction);
-        s.rx.add(row.master.rx_fraction);
-        s.messages.add(static_cast<double>(row.messages));
-        return s;
+      StagedStudy<double, core::BluetoothSystem, ActivitySample>{
+          .recipe = nullptr,  // the warm-up is duty-independent
+          .warmup =
+              [](const double&, std::uint64_t seed) {
+                return warmed(core::master_activity_warmup(seed));
+              },
+          .scaffold =
+              [](const double&, std::uint64_t seed) {
+                return core::master_activity_scaffold(seed);
+              },
+          .measure =
+              [](core::BluetoothSystem& sys, const double& duty,
+                 std::uint64_t rep_seed, bool quick) {
+                core::MasterActivityConfig cfg;
+                cfg.seed = rep_seed;
+                cfg.measure_slots = quick ? 8000 : 40000;
+                const auto row = core::run_master_activity_from(sys, duty, cfg);
+                ActivitySample s;
+                s.tx.add(row.master.tx_fraction);
+                s.rx.add(row.master.rx_fraction);
+                s.messages.add(static_cast<double>(row.messages));
+                return s;
+              },
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& s = merged[i];
@@ -465,32 +517,33 @@ SweepResult run_fig10(const ScenarioInfo& info, const ScenarioRequest& req) {
 
 // ---- Figs. 11-12: slave activity in sniff / hold ----
 
+/// Sniff/hold parameter in slots; nullopt = the active-mode baseline.
+using ModePoint = std::optional<std::uint32_t>;
+using ModeStudy = StagedStudy<ModePoint, core::BluetoothSystem, ScalarSample>;
+
+ScalarSample scalar(double v) {
+  ScalarSample s;
+  s.value.add(v);
+  return s;
+}
+
 /// Shared shape of the two slave low-power figures: point 0 is the
 /// active-mode baseline (nullopt), later points sweep the mode
 /// parameter, and every data row pairs its value with the baseline
 /// column. The baseline rides along for free, so --max-points N means
 /// N *data* rows (baseline excluded).
-SweepResult run_baseline_vs_mode(
-    const ScenarioInfo& info, const ScenarioRequest& req, std::string title,
-    std::vector<std::string> columns,
-    std::vector<std::optional<std::uint32_t>> points, std::string note,
-    const std::function<double(const std::optional<std::uint32_t>&,
-                               const Replication& rep, bool quick)>& measure) {
+SweepResult run_baseline_vs_mode(const ScenarioInfo& info,
+                                 const ScenarioRequest& req, std::string title,
+                                 std::vector<std::string> columns,
+                                 std::vector<ModePoint> points,
+                                 std::string note, ModeStudy study) {
   SweepResult out;
   out.title = std::move(title);
   out.columns = std::move(columns);
   ScenarioRequest with_baseline = req;
   if (with_baseline.max_points > 0) ++with_baseline.max_points;
-  const bool quick = req.quick;
   const auto merged =
-      sweep_points<std::optional<std::uint32_t>, ScalarSample>(
-          info, with_baseline, points, out,
-          [&measure, quick](const std::optional<std::uint32_t>& mode,
-                            const Replication& rep) {
-            ScalarSample s;
-            s.value.add(measure(mode, rep, quick));
-            return s;
-          });
+      run_staged(info, with_baseline, points, out, std::move(study));
   out.max_points = req.max_points;  // report the user's value, not the bump
   const double active = merged[0].value.mean();
   for (std::size_t i = 1; i < points.size(); ++i) {
@@ -502,11 +555,6 @@ SweepResult run_baseline_vs_mode(
 }
 
 SweepResult run_fig11(const ScenarioInfo& info, const ScenarioRequest& req) {
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(
-      9, make_warmup_store(info, req));  // baseline + 8 Tsniff
   return run_baseline_vs_mode(
       info, req,
       "Fig. 11: slave RF activity vs Tsniff, active vs sniff (master data "
@@ -515,38 +563,27 @@ SweepResult run_fig11(const ScenarioInfo& info, const ScenarioRequest& req) {
       {std::nullopt, 10u, 20u, 30u, 40u, 50u, 60u, 80u, 100u},
       "active slave: slot-start carrier sensing + data reception + ACKs + "
       "poll traffic",
-      [base, crn, mode, cache](const std::optional<std::uint32_t>& tsniff,
-                               const Replication& rep, bool quick) {
-        core::SniffActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = quick ? 8000 : 30000;
-        if (mode == WarmupMode::kLegacy) {
-          return core::run_sniff_activity(tsniff, cfg).slave.total();
-        }
-        if (mode == WarmupMode::kCold) {
-          auto w = core::sniff_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          return core::run_sniff_activity_from(*w.system, tsniff, cfg)
-              .slave.total();
-        }
-        const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-        const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-          auto w = core::sniff_activity_warmup(warm);
-          return SystemImage{w.system->save_snapshot(), w.construction_seed};
-        });
-        auto sys = core::sniff_activity_scaffold(img.construction_seed);
-        sys->restore_snapshot(img.bytes);
-        return core::run_sniff_activity_from(*sys, tsniff, cfg)
-            .slave.total();
-      });
+      {.recipe = nullptr,  // the warm-up is mode-independent
+       .warmup =
+           [](const ModePoint&, std::uint64_t seed) {
+             return warmed(core::sniff_activity_warmup(seed));
+           },
+       .scaffold =
+           [](const ModePoint&, std::uint64_t seed) {
+             return core::sniff_activity_scaffold(seed);
+           },
+       .measure =
+           [](core::BluetoothSystem& sys, const ModePoint& tsniff,
+              std::uint64_t rep_seed, bool quick) {
+             core::SniffActivityConfig cfg;
+             cfg.seed = rep_seed;
+             cfg.measure_slots = quick ? 8000 : 30000;
+             return scalar(
+                 core::run_sniff_activity_from(sys, tsniff, cfg).slave.total());
+           }});
 }
 
 SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(
-      10, make_warmup_store(info, req));  // baseline + 9 Thold
   return run_baseline_vs_mode(
       info, req,
       "Fig. 12: slave RF activity vs Thold, hold vs active (paper: active "
@@ -555,29 +592,24 @@ SweepResult run_fig12(const ScenarioInfo& info, const ScenarioRequest& req) {
       {std::nullopt, 40u, 80u, 120u, 160u, 200u, 400u, 600u, 800u, 1000u},
       "hold cycles repeat back to back with an 8-slot gap; the resync cost "
       "is ~2.5 slots of full listening per cycle",
-      [base, crn, mode, cache](const std::optional<std::uint32_t>& thold,
-                               const Replication& rep, bool quick) {
-        core::HoldActivityConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.min_measure_slots = quick ? 8000 : 30000;
-        if (mode == WarmupMode::kLegacy) {
-          return core::run_hold_activity(thold, cfg).slave.total();
-        }
-        if (mode == WarmupMode::kCold) {
-          auto w = core::hold_activity_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          return core::run_hold_activity_from(*w.system, thold, cfg)
-              .slave.total();
-        }
-        const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-        const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-          auto w = core::hold_activity_warmup(warm);
-          return SystemImage{w.system->save_snapshot(), w.construction_seed};
-        });
-        auto sys = core::hold_activity_scaffold(img.construction_seed);
-        sys->restore_snapshot(img.bytes);
-        return core::run_hold_activity_from(*sys, thold, cfg).slave.total();
-      });
+      {.recipe = nullptr,  // the warm-up is mode-independent
+       .warmup =
+           [](const ModePoint&, std::uint64_t seed) {
+             return warmed(core::hold_activity_warmup(seed));
+           },
+       .scaffold =
+           [](const ModePoint&, std::uint64_t seed) {
+             return core::hold_activity_scaffold(seed);
+           },
+       .measure =
+           [](core::BluetoothSystem& sys, const ModePoint& thold,
+              std::uint64_t rep_seed, bool quick) {
+             core::HoldActivityConfig cfg;
+             cfg.seed = rep_seed;
+             cfg.min_measure_slots = quick ? 8000 : 30000;
+             return scalar(
+                 core::run_hold_activity_from(sys, thold, cfg).slave.total());
+           }});
 }
 
 // ---- Extension: packet type x BER throughput matrix ----
@@ -605,45 +637,35 @@ SweepResult run_throughput_scenario(const ScenarioInfo& info,
   for (double ber : bers) {
     for (PacketType t : types) points.push_back({t, ber});
   }
-  const std::uint32_t measure_slots = req.quick ? 3000 : 8000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
   // Images are keyed per (type, BER) cell: even under common random
   // numbers the warm-up system differs by packet type.
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<ThroughputPoint, ScalarSample>(
+  const auto merged = run_staged(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const ThroughputPoint& p,
-                                              const Replication& rep) {
-        core::ThroughputConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::ThroughputRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_throughput(p.type, p.ber, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto w = core::throughput_warmup(
-              p.type, warm_seed_for(base, crn, rep.point_index));
-          row = core::run_throughput_from(*w.system, p.type, p.ber, cfg);
-        } else {
-          const std::uint64_t warm = warm_seed_for(base, crn, rep.point_index);
-          std::vector<std::uint8_t> recipe;
-          blob_u32(recipe, static_cast<std::uint32_t>(p.type));
-          const SystemImage& img =
-              cache->get(rep.point_index, warm, recipe, [&] {
-                auto w = core::throughput_warmup(p.type, warm);
-                return SystemImage{w.system->save_snapshot(),
-                                   w.construction_seed};
-              });
-          auto sys = core::throughput_scaffold(p.type, img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          row = core::run_throughput_from(*sys, p.type, p.ber, cfg);
-        }
-        ScalarSample s;
-        s.value.add(row.goodput_kbps);
-        return s;
+      StagedStudy<ThroughputPoint, core::BluetoothSystem, ScalarSample>{
+          .recipe =
+              [](const ThroughputPoint& p) {
+                std::vector<std::uint8_t> b;
+                blob_u32(b, static_cast<std::uint32_t>(p.type));
+                return b;
+              },
+          .warmup =
+              [](const ThroughputPoint& p, std::uint64_t seed) {
+                return warmed(core::throughput_warmup(p.type, seed));
+              },
+          .scaffold =
+              [](const ThroughputPoint& p, std::uint64_t seed) {
+                return core::throughput_scaffold(p.type, seed);
+              },
+          .measure =
+              [](core::BluetoothSystem& sys, const ThroughputPoint& p,
+                 std::uint64_t rep_seed, bool quick) {
+                core::ThroughputConfig cfg;
+                cfg.seed = rep_seed;
+                cfg.measure_slots = quick ? 3000 : 8000;
+                return scalar(
+                    core::run_throughput_from(sys, p.type, p.ber, cfg)
+                        .goodput_kbps);
+              },
       });
   // A --max-points cut can land mid-row; rows must keep the declared
   // column arity, so only complete BER rows are emitted and the cut is
@@ -679,45 +701,35 @@ SweepResult run_coexistence_scenario(const ScenarioInfo& info,
       "traffic; independent hop sequences overlap on ~1/79 of slots)";
   out.columns = {"nbr_period", "goodput_kbps", "retx", "collisions"};
   std::vector<std::uint32_t> points = {0, 64, 16, 8, 4, 2};
-  const std::uint32_t measure_slots = req.quick ? 8000 : 24000;
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<std::uint32_t, CoexSample>(
+  const auto merged = run_staged(
       info, req, points, out,
-      [measure_slots, base, crn, mode, cache](const std::uint32_t& period,
-                                              const Replication& rep) {
-        core::CoexistenceRunConfig cfg;
-        cfg.seed = rep.seed;
-        cfg.measure_slots = measure_slots;
-        core::CoexistenceRow row;
-        if (mode == WarmupMode::kLegacy) {
-          row = core::run_coexistence(period, cfg);
-        } else if (mode == WarmupMode::kCold) {
-          auto net = core::coexistence_warmup(
-              warm_seed_for(base, crn, rep.point_index));
-          row = core::run_coexistence_from(*net, period, cfg);
-        } else {
-          const std::uint64_t warm =
-              warm_seed_for(base, crn, rep.point_index);
-          const SystemImage& img = cache->get(rep.point_index, warm, {}, [&] {
-            // Both piconets connect via the environment RNG, so the
-            // construction seed is the warm-up seed itself (no retry
-            // reconstruction as in the single-piconet scenarios).
-            return SystemImage{core::coexistence_warmup(warm)->save_snapshot(),
-                               warm};
-          });
-          auto net = core::coexistence_scaffold(img.construction_seed);
-          net->restore_snapshot(img.bytes);
-          row = core::run_coexistence_from(*net, period, cfg);
-        }
-        CoexSample s;
-        s.goodput.add(row.goodput_kbps);
-        s.retx.add(static_cast<double>(row.retransmissions));
-        s.collisions.add(static_cast<double>(row.collision_samples));
-        return s;
+      StagedStudy<std::uint32_t, core::TwoPiconets, CoexSample>{
+          .recipe = nullptr,  // the warm-up is load-independent
+          // Both piconets connect via the environment RNG, so the
+          // construction seed is the warm-up seed itself (no retry
+          // reconstruction as in the single-piconet studies).
+          .warmup =
+              [](const std::uint32_t&, std::uint64_t seed) {
+                return Warmed<core::TwoPiconets>{
+                    core::coexistence_warmup(seed), seed};
+              },
+          .scaffold =
+              [](const std::uint32_t&, std::uint64_t seed) {
+                return core::coexistence_scaffold(seed);
+              },
+          .measure =
+              [](core::TwoPiconets& net, const std::uint32_t& period,
+                 std::uint64_t rep_seed, bool quick) {
+                core::CoexistenceRunConfig cfg;
+                cfg.seed = rep_seed;
+                cfg.measure_slots = quick ? 8000 : 24000;
+                const auto row = core::run_coexistence_from(net, period, cfg);
+                CoexSample s;
+                s.goodput.add(row.goodput_kbps);
+                s.retx.add(static_cast<double>(row.retransmissions));
+                s.collisions.add(static_cast<double>(row.collision_samples));
+                return s;
+              },
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& s = merged[i];
@@ -740,41 +752,34 @@ SweepResult run_backoff_scenario(const ScenarioInfo& info,
       "probability (noiseless, 1.28 s timeout; spec ceiling is 1023)";
   out.columns = {"backoff_max", "mean_TS", "ok", "runs"};
   std::vector<std::uint32_t> points = {0u, 127u, 255u, 511u, 1023u, 2047u};
-  const std::uint64_t base = resolved_base_seed(info, req);
-  const bool crn = info.common_random_numbers;
-  const WarmupMode mode = req.warmup;
-  auto cache = std::make_shared<WarmupCache>(points.size(),
-                                             make_warmup_store(info, req));
-  const auto merged = sweep_points<std::uint32_t, BackoffPoint>(
+  const auto merged = run_staged(
       info, req, points, out,
-      [base, crn, mode, cache](const std::uint32_t& backoff,
-                               const Replication& rep) {
-        core::BackoffSample r;
-        if (mode == WarmupMode::kLegacy) {
-          r = core::run_backoff_replication(backoff, rep.seed);
-        } else if (mode == WarmupMode::kCold) {
-          auto sys = core::make_backoff_system(
-              backoff, warm_seed_for(base, crn, rep.point_index));
-          r = core::run_backoff_from(*sys, rep.seed);
-        } else {
-          const std::uint64_t warm =
-              warm_seed_for(base, crn, rep.point_index);
-          std::vector<std::uint8_t> recipe;
-          blob_u32(recipe, backoff);
-          const SystemImage& img = cache->get(rep.point_index, warm, recipe,
-                                              [&] {
-            return SystemImage{
-                core::make_backoff_system(backoff, warm)->save_snapshot(),
-                warm};
-          });
-          auto sys = core::make_backoff_system(backoff, img.construction_seed);
-          sys->restore_snapshot(img.bytes);
-          r = core::run_backoff_from(*sys, rep.seed);
-        }
-        BackoffPoint p;
-        p.ok.add(r.success);
-        if (r.success) p.slots.add(static_cast<double>(r.slots));
-        return p;
+      StagedStudy<std::uint32_t, core::BluetoothSystem, BackoffPoint>{
+          .recipe =
+              [](const std::uint32_t& backoff) {
+                std::vector<std::uint8_t> b;
+                blob_u32(b, backoff);
+                return b;
+              },
+          .warmup =
+              [](const std::uint32_t& backoff, std::uint64_t seed) {
+                return Warmed<core::BluetoothSystem>{
+                    core::make_backoff_system(backoff, seed), seed};
+              },
+          .scaffold =
+              [](const std::uint32_t& backoff, std::uint64_t seed) {
+                return core::make_backoff_system(backoff, seed);
+              },
+          .measure =
+              [](core::BluetoothSystem& sys, const std::uint32_t&,
+                 std::uint64_t rep_seed, bool) {
+                const core::BackoffSample r =
+                    core::run_backoff_from(sys, rep_seed);
+                BackoffPoint p;
+                p.ok.add(r.success);
+                if (r.success) p.slots.add(static_cast<double>(r.slots));
+                return p;
+              },
       });
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = merged[i];
@@ -878,9 +883,6 @@ void write_result(const SweepResult& result, core::Reporter& reporter) {
   reporter.meta("base_seed", std::to_string(result.base_seed));
   reporter.meta("quick", result.quick ? "1" : "0");
   reporter.meta("max_points", std::to_string(result.max_points));
-  // "staged" covers both cold and forked runs: the two are bitwise
-  // equivalent by contract, so their artifacts must not differ here.
-  reporter.meta("warmup", result.staged_warmup ? "staged" : "legacy");
   // Kernel timed-queue diagnostics: sums/maxima of per-replication
   // deterministic counters, so they are thread-count invariant too.
   reporter.meta("kernel_timers_scheduled",
@@ -961,9 +963,10 @@ std::unique_ptr<core::Reporter> make_reporter(const core::BenchArgs& args,
 
 int run_scenario_main(const std::string& id, int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
-  if (args.seeds < 0 || args.max_points < 0 || args.max_retries < 0) {
-    std::cerr << "btsc-sweep: negative counts are invalid (--seeds/"
-                 "--replications, --max-points, --max-retries)\n";
+  if (args.threads < 0 || args.seeds < 0 || args.max_points < 0 ||
+      args.max_retries < 0) {
+    std::cerr << "btsc-sweep: negative counts are invalid (--threads, "
+                 "--seeds/--replications, --max-points, --max-retries)\n";
     return 2;
   }
   // Swap-safety escape hatch: force the per-bit reference transport for
@@ -976,14 +979,6 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
   req.quick = args.quick;
   req.base_seed = args.base_seed;
   req.max_points = args.max_points;
-  // --checkpoint-warmup forks replications from per-point snapshots;
-  // --cold-warmup is its re-run-everything reference (and escape hatch).
-  // Both flags given = cold wins: it is the semantics fork must match.
-  if (args.cold_warmup) {
-    req.warmup = WarmupMode::kCold;
-  } else if (args.checkpoint_warmup) {
-    req.warmup = WarmupMode::kFork;
-  }
   req.journal_path = args.journal;
   req.resume = args.resume;
   req.checkpoint_dir = args.checkpoint_dir;
@@ -992,12 +987,6 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
   req.keep_going = args.keep_going;
   if (req.resume && req.journal_path.empty()) {
     std::cerr << "btsc-sweep: --resume requires --journal FILE\n";
-    return 2;
-  }
-  if (!req.checkpoint_dir.empty() && req.warmup != WarmupMode::kFork) {
-    std::cerr << "btsc-sweep: --checkpoint-dir only applies with "
-                 "--checkpoint-warmup (the durable store spills the "
-                 "per-point fork snapshots)\n";
     return 2;
   }
 

@@ -1,9 +1,13 @@
 // Scenario registry: every Monte-Carlo figure of the paper (and the
 // extension studies) as a named, parameterised sweep over SweepRunner.
 //
-// A scenario maps a paper figure to (points, replication body, output
-// columns). The registry is what the unified `btsc-sweep` CLI and the
-// per-figure bench wrappers run; docs/SCENARIOS.md documents each entry.
+// A scenario maps a paper figure to (points, staged study, output
+// columns). Every replication is a warm-up stage followed by a measure
+// stage: the warm-up runs once per point on a dedicated warm-up seed,
+// and each replication restores its snapshot and measures on its own
+// replication seed. The registry is what the unified `btsc-sweep` CLI
+// and the per-figure bench wrappers run; docs/SCENARIOS.md documents
+// each entry.
 #pragma once
 
 #include <atomic>
@@ -20,20 +24,6 @@ class Reporter;
 
 namespace btsc::runner {
 
-/// How each replication reaches its measurement boundary.
-///
-///  * kLegacy — the historical single-stage replication: construction
-///    and measurement draw from one stream seeded by the replication
-///    seed. Default; byte-identical to every pre-checkpoint artifact.
-///  * kCold — the staged split: a warm-up stage driven by a dedicated
-///    per-point warm-up seed is re-run for every replication, then the
-///    environment RNG is reseeded with the replication seed at the
-///    boundary. The reference semantics of kFork.
-///  * kFork — the warm-up runs ONCE per point; every replication
-///    restores its in-memory snapshot and reseeds. Produces samples
-///    bitwise identical to kCold (the forked-vs-cold CI gate).
-enum class WarmupMode { kLegacy, kCold, kFork };
-
 /// Caller-side knobs of one scenario run. Zero-valued fields mean "use
 /// the scenario's default".
 struct ScenarioRequest {
@@ -49,10 +39,11 @@ struct ScenarioRequest {
   /// Keep only the first N parameter points (reduced sweeps for tests
   /// and CI); 0 = all points.
   int max_points = 0;
-  /// Replication staging (see WarmupMode). kLegacy keeps the historical
-  /// sample streams; kCold/kFork share a per-point warm-up seed and are
-  /// bitwise equivalent to each other, not to kLegacy.
-  WarmupMode warmup = WarmupMode::kLegacy;
+  /// Test hook: re-run every replication's warm-up cold instead of
+  /// forking it from the point's snapshot (no cache, no --checkpoint-dir).
+  /// The reference semantics of the fork, which must match it bit for
+  /// bit; deliberately not reachable from the CLI or the job protocol.
+  bool cold_warmup = false;
   /// Append-only results journal (--journal): every completed
   /// replication is fsync'd to this file; empty = no journal. The
   /// journal is bookkeeping, never result-defining: journaled and plain
@@ -63,9 +54,9 @@ struct ScenarioRequest {
   /// journal_path.
   bool resume = false;
   /// Durable warm-up checkpoint directory (--checkpoint-dir): the
-  /// per-point warm-up snapshot cache of kFork runs spills to / loads
-  /// from CheckpointFiles here, so a fresh process skips warm-ups a
-  /// previous one already paid for. Empty = in-memory cache only.
+  /// per-point warm-up snapshot cache spills to / loads from
+  /// CheckpointFiles here, so a fresh process skips warm-ups a previous
+  /// one already paid for. Empty = in-memory cache only.
   std::string checkpoint_dir;
   /// Per-replication deadline in seconds (--rep-timeout); overrunning
   /// replications are quarantined as timeouts. <= 0 = no deadline.
@@ -114,12 +105,6 @@ struct SweepResult {
   /// recorded in metadata so a truncated artifact is distinguishable
   /// from a complete run.
   int max_points = 0;
-  /// Whether the replications were staged (kCold or kFork): staged runs
-  /// draw from different sample streams than legacy ones, so this is
-  /// result-defining and recorded in metadata. Cold vs fork is NOT
-  /// recorded -- the two are bitwise equivalent by contract, so their
-  /// artifacts must stay byte-identical (like the thread count).
-  bool staged_warmup = false;
   /// Wall-clock duration of the sweep (excludes reporting).
   double wall_seconds = 0.0;
   /// Whether the supervisor ran (any of rep_timeout_s / max_retries /
@@ -208,9 +193,11 @@ std::string quarantine_report(const SweepResult& result);
 
 /// Complete main() body for a figure bench: parses the shared BenchArgs
 /// flags (--seeds/--replications, --quick, --threads, --csv/--json,
-/// --out, --base-seed, --max-points, --checkpoint-warmup, --cold-warmup),
+/// --out, --base-seed, --max-points, --checkpoint-dir, --journal...),
 /// runs `id`, and writes the result to stdout or the requested file.
-/// Returns the process exit code.
+/// Returns the process exit code: 2 for a usage error (negative counts,
+/// --resume without --journal), 1 for a failed run or write, 3 when a
+/// supervised run quarantined replications.
 int run_scenario_main(const std::string& id, int argc, char** argv);
 
 }  // namespace btsc::runner

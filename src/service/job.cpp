@@ -264,8 +264,6 @@ JobSpec job_from_json(const JsonObject& obj, const std::string& allow_extra) {
       spec.base_seed = val.as_u64(key);
     } else if (key == "max_points") {
       spec.max_points = val.as_int(key);
-    } else if (key == "warmup") {
-      spec.warmup = val.as_string(key);
     } else if (key == "rep_timeout_s") {
       spec.rep_timeout_s = val.as_double(key);
     } else if (key == "max_retries") {
@@ -287,11 +285,6 @@ JobSpec job_from_json(const JsonObject& obj, const std::string& allow_extra) {
   if (!have_scenario || spec.scenario.empty()) {
     fail("job '" + spec.id + "' is missing a 'scenario'");
   }
-  if (spec.warmup != "legacy" && spec.warmup != "cold" &&
-      spec.warmup != "fork") {
-    fail("job '" + spec.id + "': warmup must be legacy/cold/fork, got '" +
-         spec.warmup + "'");
-  }
   if (spec.threads < 0 || spec.replications < 0 || spec.max_points < 0 ||
       spec.max_retries < 0) {
     fail("job '" + spec.id + "': negative counts are invalid");
@@ -310,9 +303,8 @@ std::string format_job_line(const JobSpec& spec) {
       << ", \"replications\": " << spec.replications << ", \"quick\": "
       << (spec.quick ? "true" : "false")
       << ", \"base_seed\": " << spec.base_seed
-      << ", \"max_points\": " << spec.max_points << ", \"warmup\": \""
-      << json_escape(spec.warmup)
-      << "\", \"rep_timeout_s\": " << spec.rep_timeout_s
+      << ", \"max_points\": " << spec.max_points
+      << ", \"rep_timeout_s\": " << spec.rep_timeout_s
       << ", \"max_retries\": " << spec.max_retries << ", \"keep_going\": "
       << (spec.keep_going ? "true" : "false") << "}";
   return out.str();

@@ -60,9 +60,6 @@ struct JobSpec {
   bool quick = false;
   std::uint64_t base_seed = 0;  // 0 = scenario default
   int max_points = 0;           // 0 = all points
-  // Warm-up staging: "legacy", "cold" or "fork". Jobs default to fork so
-  // they share the service's durable warm-up cache.
-  std::string warmup = "fork";
   double rep_timeout_s = 0.0;
   int max_retries = 0;
   bool keep_going = false;

@@ -50,7 +50,7 @@ namespace btsc::service {
 struct ServiceConfig {
   /// Job state directory (created if missing). Required.
   std::string jobs_dir;
-  /// Durable warm-up checkpoint cache shared by all fork-warmup jobs.
+  /// Durable warm-up checkpoint cache shared by all jobs.
   /// Empty = <jobs_dir>/checkpoints.
   std::string checkpoint_dir;
   /// Concurrent jobs (each job additionally runs its own sweep threads).

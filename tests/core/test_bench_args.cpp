@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "runner/scenarios.hpp"
+
 namespace btsc::core {
 namespace {
 
@@ -124,6 +126,19 @@ TEST(BenchArgsTest, MalformedTimeoutKeepsDefault) {
   const auto a = parse({"--rep-timeout", "fast", "--max-retries", "2x"});
   EXPECT_EQ(a.rep_timeout, 0.0);
   EXPECT_EQ(a.max_retries, 0);
+}
+
+TEST(ScenarioMainTest, NegativeCountsExitWithUsageError) {
+  // Rejected before any sweep runs: exit 2 like every usage error, never
+  // 1 (a failed run) through an exception thrown further down.
+  for (const char* flag :
+       {"--threads", "--seeds", "--max-points", "--max-retries"}) {
+    std::array<char*, 4> argv = {const_cast<char*>("btsc-sweep"),
+                                 const_cast<char*>("--quick"),
+                                 const_cast<char*>(flag),
+                                 const_cast<char*>("-1")};
+    EXPECT_EQ(runner::run_scenario_main("fig08", 4, argv.data()), 2) << flag;
+  }
 }
 
 }  // namespace

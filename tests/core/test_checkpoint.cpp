@@ -10,8 +10,7 @@
 //    so equal state streams stand in for equal waveforms);
 //  * forked-vs-cold -- every staged experiment family must produce
 //    bitwise-identical samples whether the warm-up is re-run or restored
-//    from its snapshot, the contract behind `btsc-sweep
-//    --checkpoint-warmup`.
+//    from its snapshot, the contract behind every forked sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>

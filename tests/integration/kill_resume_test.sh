@@ -22,10 +22,13 @@ strip_kernel_meta() {
 }
 
 # Shared sweep arguments: quick but big enough that a mid-flight kill has
-# replications both behind and ahead of it.
+# replications both behind and ahead of it. Ten replications per point
+# (fig08's --quick default): at one replication per point, fig10's nine
+# equally long forked replications finish in a single wave on 8 threads,
+# leaving no instant between two journal records for the kill to land.
 sweep_args() {
   local threads=$1
-  echo "--scenario $SCENARIO --quick --threads $threads --json"
+  echo "--scenario $SCENARIO --quick --seeds 10 --threads $threads --json"
 }
 
 journal_size() {

@@ -43,10 +43,10 @@ journal_bytes() {
 make_refs() {
   local threads=$1
   "$SWEEP" --scenario fig08 --quick --threads "$threads" \
-    --replications "$F8_REPS" --checkpoint-warmup --json \
+    --replications "$F8_REPS" --json \
     --out "$WORKDIR/ref-f8-t$threads.json" > /dev/null || return 1
   "$SWEEP" --scenario fig10 --quick --threads "$threads" \
-    --replications "$F10_REPS" --checkpoint-warmup --json \
+    --replications "$F10_REPS" --json \
     --out "$WORKDIR/ref-f10-t$threads.json" > /dev/null || return 1
 }
 

@@ -18,6 +18,7 @@
 #include "baseband/hec.hpp"
 #include "baseband/packet.hpp"
 #include "baseband/receiver.hpp"
+#include "core/coexistence.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "phy/channel.hpp"
@@ -104,6 +105,25 @@ class BurstDefaultGuard {
   bool saved_;
 };
 
+/// One staged replication of each family: warm up on `seed`, then
+/// measure on the same seed.
+CreationSample creation_replication(double ber, std::uint64_t seed) {
+  auto sys = make_creation_system(ber, 2048, seed);
+  return run_creation_from(*sys, seed);
+}
+
+ThroughputRow throughput(baseband::PacketType type, double ber,
+                         const ThroughputConfig& cfg) {
+  auto w = throughput_warmup(type, cfg.seed);
+  return run_throughput_from(*w.system, type, ber, cfg);
+}
+
+CoexistenceRow coexistence(std::uint32_t neighbour_period_slots,
+                           const CoexistenceRunConfig& cfg) {
+  auto net = coexistence_warmup(cfg.seed);
+  return run_coexistence_from(*net, neighbour_period_slots, cfg);
+}
+
 TEST(BurstEquivalenceTest, CreationReplicationsIdenticalAcrossTransports) {
   // Same seeds, BERs spanning clean and noisy channels: the replication
   // outcomes (the raw material of figs. 6-8) must match field by field.
@@ -112,11 +132,11 @@ TEST(BurstEquivalenceTest, CreationReplicationsIdenticalAcrossTransports) {
       CreationSample on, off;
       {
         BurstDefaultGuard g(true);
-        on = run_creation_replication(ber, seed, 2048);
+        on = creation_replication(ber, seed);
       }
       {
         BurstDefaultGuard g(false);
-        off = run_creation_replication(ber, seed, 2048);
+        off = creation_replication(ber, seed);
       }
       EXPECT_EQ(on.inquiry_success, off.inquiry_success)
           << "ber=" << ber << " seed=" << seed;
@@ -137,11 +157,11 @@ TEST(BurstEquivalenceTest, ThroughputRowIdenticalAcrossTransports) {
   ThroughputRow on, off;
   {
     BurstDefaultGuard g(true);
-    on = run_throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
+    on = throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
   }
   {
     BurstDefaultGuard g(false);
-    off = run_throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
+    off = throughput(baseband::PacketType::kDm1, 1.0 / 300, cfg);
   }
   EXPECT_EQ(on.goodput_kbps, off.goodput_kbps);
   EXPECT_EQ(on.delivered_messages, off.delivered_messages);
@@ -152,21 +172,23 @@ TEST(BurstEquivalenceTest, CoexistenceRowIdenticalAcrossTransports) {
   // Two piconets on one medium: receivers of both share the sampling
   // grid, so at a shared instant the order in which they sample decides
   // whose collision draw comes first. Receivers leaving a lazy mode must
-  // rejoin the per-bit reference's order. These seeds diverged when
-  // they did not (seed 26: 236 vs 1096 collided samples, and a victim
-  // goodput of 28 instead of 107 kbit/s).
-  for (std::uint64_t seed : {26ull, 57ull}) {
+  // rejoin the per-bit reference's order. These seeds (warm-up and
+  // measure on the same seed) diverge when they do not, i.e. with
+  // NoisyChannel::requeue_rx_chains_after() made a no-op: seed 30 counts
+  // 828 vs 873 collided samples; seed 57 counts 1380 vs 1535, with 18 vs
+  // 19 retransmissions and a victim goodput of 106.189 vs 106.044 kbit/s.
+  for (std::uint64_t seed : {30ull, 57ull}) {
     CoexistenceRunConfig cfg;
     cfg.seed = seed;
     cfg.measure_slots = 1500;
     CoexistenceRow on, off;
     {
       BurstDefaultGuard g(true);
-      on = run_coexistence(2, cfg);
+      on = coexistence(2, cfg);
     }
     {
       BurstDefaultGuard g(false);
-      off = run_coexistence(2, cfg);
+      off = coexistence(2, cfg);
     }
     EXPECT_EQ(on.collision_samples, off.collision_samples) << "seed=" << seed;
     EXPECT_EQ(on.retransmissions, off.retransmissions) << "seed=" << seed;

@@ -1,9 +1,9 @@
-// The checkpoint-warmup sweep contract: a forked sweep (every
-// replication restored from its point's warm-up snapshot) must be
-// bitwise identical to the cold staged sweep (warm-up re-run per
+// The staged sweep contract: a default sweep (every replication forked
+// from its point's warm-up snapshot) must be bitwise identical to the
+// cold reference (ScenarioRequest::cold_warmup: the warm-up re-run per
 // replication), row for row and byte for byte in the JSON artifact --
-// and must stay thread-count invariant like every other sweep. The
-// legacy single-stage mode must remain the default.
+// for every registered study, so a new one is gated automatically -- and
+// must stay thread-count invariant like every other sweep.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,13 +18,13 @@
 namespace btsc::runner {
 namespace {
 
-ScenarioRequest staged_request(WarmupMode mode, int threads = 1) {
+ScenarioRequest gate_request(const std::string& id, int threads = 1) {
   ScenarioRequest req;
   req.threads = threads;
   req.quick = true;
-  req.replications = 3;
-  req.max_points = 2;
-  req.warmup = mode;
+  req.replications = 4;
+  // A throughput row needs all six packet-type cells of one BER.
+  req.max_points = id == "throughput" ? 6 : 4;
   return req;
 }
 
@@ -32,7 +32,7 @@ ScenarioRequest staged_request(WarmupMode mode, int threads = 1) {
 /// how many timers the process schedules (snapshot scaffolds replace
 /// re-run warm-ups), so the timed-queue counters legitimately differ --
 /// the byte-identity contract covers the results and the result-defining
-/// metadata, exactly what the ci.sh gate compares.
+/// metadata.
 std::string to_json_sans_kernel_meta(const SweepResult& result) {
   std::ostringstream os;
   core::JsonReporter reporter(os);
@@ -60,69 +60,46 @@ void expect_rows_bitwise_equal(const SweepResult& a, const SweepResult& b) {
   }
 }
 
-TEST(CheckpointSweep, LegacyModeIsTheDefault) {
-  const ScenarioRequest req;
-  EXPECT_EQ(req.warmup, WarmupMode::kLegacy);
-  // And a default run reports itself as legacy (the result-defining
-  // staging flag in the artifact metadata).
-  ScenarioRequest quick;
-  quick.quick = true;
-  quick.replications = 1;
-  quick.max_points = 1;
-  EXPECT_FALSE(run_scenario("fig08", quick).staged_warmup);
+std::vector<std::string> study_ids() {
+  std::vector<std::string> ids;
+  for (const auto& s : scenarios()) ids.push_back(s.id);
+  return ids;
 }
 
-TEST(CheckpointSweep, Fig08ForkMatchesColdByteForByte) {
-  const SweepResult cold =
-      run_scenario("fig08", staged_request(WarmupMode::kCold));
-  const SweepResult fork =
-      run_scenario("fig08", staged_request(WarmupMode::kFork));
-  ASSERT_EQ(cold.rows.size(), 2u);
-  expect_rows_bitwise_equal(cold, fork);
-  EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
-}
+class ForkMatchesCold : public ::testing::TestWithParam<std::string> {};
 
-TEST(CheckpointSweep, Fig10ForkMatchesCold) {
-  const SweepResult cold =
-      run_scenario("fig10", staged_request(WarmupMode::kCold));
-  const SweepResult fork =
-      run_scenario("fig10", staged_request(WarmupMode::kFork));
-  expect_rows_bitwise_equal(cold, fork);
-  EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
-}
-
-TEST(CheckpointSweep, CoexistenceForkMatchesCold) {
-  ScenarioRequest req = staged_request(WarmupMode::kCold);
-  req.replications = 2;
-  const SweepResult cold = run_scenario("coexistence", req);
-  req.warmup = WarmupMode::kFork;
-  const SweepResult fork = run_scenario("coexistence", req);
-  expect_rows_bitwise_equal(cold, fork);
-  EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
-}
-
-TEST(CheckpointSweep, ForkedSweepThreadCountInvariant) {
-  const SweepResult serial =
-      run_scenario("fig08", staged_request(WarmupMode::kFork, 1));
-  for (int threads : {2, 8}) {
-    const SweepResult pooled =
-        run_scenario("fig08", staged_request(WarmupMode::kFork, threads));
-    expect_rows_bitwise_equal(serial, pooled);
-    EXPECT_EQ(to_json_sans_kernel_meta(serial), to_json_sans_kernel_meta(pooled));
+TEST_P(ForkMatchesCold, DefaultRunEqualsColdWarmup) {
+  const std::string& id = GetParam();
+  ScenarioRequest cold_req = gate_request(id);
+  cold_req.cold_warmup = true;
+  const SweepResult cold = run_scenario(id, cold_req);
+  ASSERT_FALSE(cold.rows.empty()) << "the gate would compare no samples";
+  // The fork shares one snapshot image across worker threads, which is
+  // exactly where a mutable-cache bug would show: two studies also cross
+  // thread counts.
+  std::vector<int> thread_counts = {1};
+  if (id == "fig08" || id == "fig10") thread_counts = {1, 2, 8};
+  for (int threads : thread_counts) {
+    SCOPED_TRACE(id + " at " + std::to_string(threads) + " thread(s)");
+    const SweepResult fork = run_scenario(id, gate_request(id, threads));
+    expect_rows_bitwise_equal(cold, fork);
+    EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
   }
 }
 
-TEST(CheckpointSweep, StagedStreamsDifferFromLegacy) {
-  // The staged split changes which stream drives construction, so staged
-  // samples are NOT expected to reproduce legacy ones -- the metadata
-  // must make the difference visible.
-  const SweepResult legacy =
-      run_scenario("fig08", staged_request(WarmupMode::kLegacy));
-  const SweepResult cold =
-      run_scenario("fig08", staged_request(WarmupMode::kCold));
-  EXPECT_FALSE(legacy.staged_warmup);
-  EXPECT_TRUE(cold.staged_warmup);
-  EXPECT_NE(to_json_sans_kernel_meta(legacy), to_json_sans_kernel_meta(cold));
+INSTANTIATE_TEST_SUITE_P(AllStudies, ForkMatchesCold,
+                         ::testing::ValuesIn(study_ids()),
+                         [](const auto& info) { return info.param; });
+
+TEST(CheckpointSweep, ForkedSweepThreadCountInvariant) {
+  const SweepResult serial = run_scenario("fig08", gate_request("fig08"));
+  for (int threads : {2, 8}) {
+    const SweepResult pooled =
+        run_scenario("fig08", gate_request("fig08", threads));
+    expect_rows_bitwise_equal(serial, pooled);
+    EXPECT_EQ(to_json_sans_kernel_meta(serial),
+              to_json_sans_kernel_meta(pooled));
+  }
 }
 
 }  // namespace

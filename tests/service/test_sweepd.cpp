@@ -49,7 +49,6 @@ TEST(JobCodecTest, FormatParseRoundTrip) {
   spec.quick = true;
   spec.base_seed = 0xFFFFFFFFFFFFFFFFull;  // must survive without a double
   spec.max_points = 3;
-  spec.warmup = "cold";
   spec.rep_timeout_s = 2.5;
   spec.max_retries = 2;
   spec.keep_going = true;
@@ -64,7 +63,6 @@ TEST(JobCodecTest, MinimalLineGetsDefaults) {
   EXPECT_EQ(spec.threads, 1);
   EXPECT_EQ(spec.replications, 0);
   EXPECT_FALSE(spec.quick);
-  EXPECT_EQ(spec.warmup, "fork");
   EXPECT_FALSE(spec.keep_going);
 }
 
@@ -78,7 +76,7 @@ TEST(JobCodecTest, RejectsBadLines) {
       R"({"id": "a", "scenario": "fig08", "threads": {"n": 1}})",  // nested
       R"({"id": "a", "id": "b", "scenario": "fig08"})",  // duplicate key
       R"({"id": "a", "scenario": "fig08"} trailing)",    // trailing bytes
-      R"({"id": "a", "scenario": "fig08", "warmup": "warm"})",  // bad mode
+      R"({"id": "a", "scenario": "fig08", "warmup": "warm"})",  // unknown key
       R"({"id": "a", "scenario": "fig08", "threads": -1})",     // negative
       R"(not json at all)",
       R"([])",
@@ -148,7 +146,6 @@ TEST(SweepServiceTest, JobArtifactMatchesDirectScenarioRun) {
   req.threads = 1;
   req.quick = true;
   req.max_points = 1;
-  req.warmup = runner::WarmupMode::kFork;
   std::ostringstream expect;
   core::JsonReporter reporter(expect);
   runner::write_result(runner::run_scenario("fig08", req), reporter);
