@@ -155,6 +155,7 @@ cmake -B build-asan -S . -DBTSC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$jobs" --target \
       sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
+      baseband_test_bt_clock \
       baseband_test_framing_word baseband_test_receiver_word \
       phy_test_burst_transport phy_test_noise_mask \
       integration_test_burst_equivalence \
@@ -173,6 +174,11 @@ cmake --build build-asan -j "$jobs" --target \
 # simulations across 8 threads under the sanitizers: the bitwise-
 # equality assertions double as a data-race smoke for the whole
 # sim -> phy -> baseband -> core stack.
+# baseband_test_bt_clock holds the analytic-clock differential suite
+# (computed CLKN vs a timer-ticked reference across the 28-bit wrap,
+# phase resets, tick-instant reads and mid-half-slot save/restore): the
+# clock's wake timer is cancelled and re-armed on every state change,
+# so it runs with the kernel asserts armed.
 # baseband_test_framing_word / phy_test_burst_transport /
 # integration_test_burst_equivalence cover the word-packed framing stack
 # and the burst transport (lazy receiver catch-up, run fallback, the
@@ -213,6 +219,7 @@ cmake --build build-asan -j "$jobs" --target \
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
 for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
+         baseband_test_bt_clock \
          baseband_test_framing_word baseband_test_receiver_word \
          phy_test_burst_transport phy_test_noise_mask \
          integration_test_burst_equivalence \

@@ -1,60 +1,83 @@
 #include "baseband/bt_clock.hpp"
 
+#include <cassert>
+
 namespace btsc::baseband {
 
 NativeClock::NativeClock(sim::Environment& env, std::string name,
                          std::uint32_t initial,
                          sim::SimTime first_tick_delay)
     : Module(env, std::move(name)),
-      clkn_(initial & kClockMask),
+      start_(initial & kClockMask),
+      first_tick_(env.now() + first_tick_delay),
       tick_(env, child_name("tick")) {
   env.register_rearm(this->name(), this, this);
-  schedule_tick(first_tick_delay);
+  schedule_wake(1);
 }
 
 NativeClock::~NativeClock() { env().unregister_rearm(this); }
 
-void NativeClock::schedule_tick(sim::SimTime delay) {
-  env().schedule_tagged(delay, kTick, 0, [this] { tick(); }, this);
+void NativeClock::wake(std::uint64_t first, std::uint32_t stride) {
+  assert(first >= 1 && stride >= 1 && tick_time(first) >= env().now());
+  if (first == next_wake_ && stride == stride_ && env().pending(wake_timer_)) {
+    return;
+  }
+  env().cancel(wake_timer_);
+  stride_ = stride;
+  schedule_wake(first);
 }
 
-void NativeClock::tick() {
-  clkn_ = (clkn_ + 1u) & kClockMask;
-  last_tick_ = env().now();
-  ++tick_count_;
-  tick_.notify_delta();
-  schedule_tick(kTickPeriod);
+void NativeClock::sleep() {
+  env().cancel(wake_timer_);
+  wake_timer_ = sim::kInvalidTimer;
+}
+
+void NativeClock::schedule_wake(std::uint64_t tick) {
+  next_wake_ = tick;
+  wake_timer_ = env().schedule_tagged(
+      tick_time(tick) - env().now(), kWake, stride_,
+      [this] {
+        tick_.notify_delta();
+        schedule_wake(next_wake_ + stride_);
+      },
+      this);
 }
 
 void NativeClock::reset_phase(std::uint32_t initial,
                               sim::SimTime first_tick_delay) {
-  env().cancel_owned(this);
-  clkn_ = initial & kClockMask;
-  last_tick_ = sim::SimTime::zero();
-  tick_count_ = 0;
-  schedule_tick(first_tick_delay);
+  const bool waking = env().pending(wake_timer_);
+  sleep();
+  start_ = initial & kClockMask;
+  first_tick_ = env().now() + first_tick_delay;
+  if (waking) {
+    stride_ = 1;
+    schedule_wake(1);
+  }
 }
 
 void NativeClock::save_state(sim::SnapshotWriter& w) const {
   w.begin_section(sim::snapshot_tag("CLKN"));
-  w.u32(clkn_);
-  w.time(last_tick_);
-  w.u64(tick_count_);
+  w.u32(start_);
+  w.time(first_tick_);
   w.end_section();
 }
 
 void NativeClock::restore_state(sim::SnapshotReader& r) {
   r.enter_section(sim::snapshot_tag("CLKN"));
-  clkn_ = r.u32();
-  last_tick_ = r.time();
-  tick_count_ = r.u64();
+  start_ = r.u32();
+  first_tick_ = r.time();
   r.leave_section();
 }
 
-void NativeClock::rearm_timer(std::uint16_t kind, std::uint64_t /*payload*/,
+void NativeClock::rearm_timer(std::uint16_t kind, std::uint64_t payload,
                               sim::SimTime when) {
-  if (kind != kTick) throw sim::SnapshotError("NativeClock: unknown timer");
-  schedule_tick(when - env().now());
+  if (kind != kWake || payload == 0 || payload > kClockMask ||
+      when < first_tick_ ||
+      (when - first_tick_) % kTickPeriod != sim::SimTime::zero()) {
+    throw sim::SnapshotError("NativeClock: bad wake timer");
+  }
+  stride_ = static_cast<std::uint32_t>(payload);
+  schedule_wake((when - first_tick_) / kTickPeriod + 1);
 }
 
 }  // namespace btsc::baseband

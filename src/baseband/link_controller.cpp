@@ -115,6 +115,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
     return true;
   });
   env.register_rearm(this->name(), this, this);
+  arm_tick();  // standby: no ticks
 }
 
 LinkController::~LinkController() { env().unregister_rearm(this); }
@@ -166,6 +167,7 @@ void LinkController::enable_page(const BdAddr& target,
   page_clkn_offset_ = clkn_offset_estimate & kClockMask;
   response_retries_ = 0;
   enter_state(LcState::kPage);
+  page_start_tick_ = state_entry_tick_;
   arm_receiver(target.lap(), target.uap(), std::nullopt,
                Receiver::Expect::kIdOnly);
 }
@@ -184,7 +186,8 @@ void LinkController::enable_page_scan() {
 
 void LinkController::enter_state(LcState s) {
   state_ = s;
-  ticks_in_state_ = 0;
+  state_entry_tick_ = ticks_seen();
+  arm_tick();
 }
 
 void LinkController::cancel_timers() {
@@ -215,6 +218,7 @@ sim::UniqueFunction LinkController::make_action(Kind kind,
     case kBackoffEnd:
       return [this] {
         in_backoff_ = false;  // next tick resumes the scan
+        arm_tick();
       };
     case kSendInquiryFhs:
       return [this, payload] {
@@ -297,6 +301,10 @@ void LinkController::rearm_timer(std::uint16_t kind, std::uint64_t payload,
     throw sim::SnapshotError("link controller: bad timer kind " +
                              std::to_string(kind));
   }
+  if (kind == kSlaveSlot) {
+    schedule_slave_slot(when);
+    return;
+  }
   defer(when - env().now(), static_cast<Kind>(kind), payload);
 }
 
@@ -371,8 +379,67 @@ std::uint32_t LinkController::piconet_clock() const {
 // Tick dispatch
 // ---------------------------------------------------------------------------
 
+std::uint64_t LinkController::ticks_seen() const {
+  const std::uint64_t ticks = clock_.ticks();
+  // Inside dispatch, a tick at this very instant still reaches on_tick
+  // (in the delta after the timed callbacks) unless on_tick ran at it.
+  const SimTime now = env().now();
+  if (env().dispatching() && ticks > 0 && clock_.last_tick_time() == now &&
+      last_tick_at_ != now) {
+    return ticks - 1;
+  }
+  return ticks;
+}
+
+void LinkController::arm_tick() {
+  const std::uint64_t next = ticks_seen() + 1;  // first tick still to come
+  switch (state_) {
+    case LcState::kInquiry:
+    case LcState::kPage:
+    case LcState::kPageScan:
+      clock_.wake(next, 1);
+      return;
+    case LcState::kInquiryScan:
+    case LcState::kInquiryResponse:
+      if (in_backoff_) {
+        clock_.sleep();  // kBackoffEnd re-arms
+      } else {
+        clock_.wake(next + scan_sleep_ticks(next), 1);
+      }
+      return;
+    case LcState::kMasterResponse:
+    case LcState::kConnectionMaster:
+      // Both act at even-slot boundaries only (CLKN1:0 == 00).
+      clock_.wake(next + ((0u - clock_.clkn_at_tick(next)) & 3u), 4);
+      return;
+    case LcState::kStandby:
+    case LcState::kSlaveResponse:
+    case LcState::kConnectionSlave:
+      clock_.sleep();
+      return;
+  }
+}
+
+std::uint64_t LinkController::scan_sleep_ticks(std::uint64_t next) const {
+  if (config_.inquiry_scan_window_slots == 0 || backoff_armed_ ||
+      radio_.rx_enabled()) {
+    return 0;
+  }
+  const std::uint32_t interval_ticks = 2 * config_.inquiry_scan_interval_slots;
+  const std::uint32_t window_ticks = 2 * config_.inquiry_scan_window_slots;
+  const std::uint32_t scanned =
+      config_.interlaced_inquiry_scan ? 2 * window_ticks : window_ticks;
+  const std::uint32_t clkn = clock_.clkn_at_tick(next);
+  const std::uint32_t pos = clkn % interval_ticks;
+  if (pos < scanned) return 0;
+  // The window reopens where pos returns to 0: at the next interval
+  // boundary, or earlier where CLKN itself wraps.
+  return std::min<std::uint64_t>(interval_ticks - pos,
+                                 std::uint64_t{kClockMask - clkn} + 1);
+}
+
 void LinkController::on_tick() {
-  ++ticks_in_state_;
+  last_tick_at_ = env().now();
   switch (state_) {
     case LcState::kInquiry:
       inquiry_tick();
@@ -402,6 +469,7 @@ void LinkController::on_tick() {
     case LcState::kStandby:
       break;
   }
+  arm_tick();
 }
 
 // ---------------------------------------------------------------------------
@@ -419,8 +487,8 @@ void LinkController::inquiry_tick() {
   const std::uint32_t clkn = clock_.clkn();
   // Train A first; switch every train_repeats passes (32 ticks per pass).
   const int koffset =
-      (ticks_in_state_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                : kTrainB;
+      (ticks_in_state() / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
+                                                                 : kTrainB;
   const int half = static_cast<int>(clkn & 1u);
   if (((clkn >> 1) & 1u) == 0) {
     // TX half slot: send an ID on the inquiry train (skip if the previous
@@ -570,7 +638,7 @@ void LinkController::send_inquiry_fhs(SimTime /*now*/, int hit_freq) {
 // ---------------------------------------------------------------------------
 
 void LinkController::page_tick() {
-  if (slots_in_state() >= config_.page_timeout_slots) {
+  if ((clock_.ticks() - page_start_tick_) / 2 >= config_.page_timeout_slots) {
     radio_.disable_rx();
     enter_state(LcState::kStandby);
     if (callbacks_.page_complete) callbacks_.page_complete(false);
@@ -578,8 +646,8 @@ void LinkController::page_tick() {
   }
   const std::uint32_t clke = (clock_.clkn() + page_clkn_offset_) & kClockMask;
   const int koffset =
-      (ticks_in_state_ / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                : kTrainB;
+      (ticks_in_state() / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
+                                                                 : kTrainB;
   const int half = static_cast<int>(clke & 1u);
   if (((clke >> 1) & 1u) == 0) {
     if (receiver_.assembling() || radio_.tx_busy()) return;
@@ -649,7 +717,7 @@ void LinkController::master_response_tick() {
       return;
     }
     // Spec-like behaviour: resume paging (the page timeout keeps
-    // counting from the original enable_page call).
+    // counting from the original enable_page call, page_start_tick_).
     enter_state(LcState::kPage);
     arm_receiver(page_target_.lap(), page_target_.uap(), std::nullopt,
                  Receiver::Expect::kIdOnly);
@@ -914,17 +982,93 @@ void LinkController::master_on_packet(const Receiver::Result& r) {
 // ---------------------------------------------------------------------------
 
 void LinkController::schedule_slave_slot(SimTime at) {
-  const SimTime delay = at > env().now() ? at - env().now() : SimTime::zero();
-  defer(delay, kSlaveSlot);
+  slave_slot_at_ = at;
+  slave_slot_timer_ = defer(at - env().now(), kSlaveSlot);
+}
+
+std::uint64_t LinkController::steps_to_listen(std::uint32_t clk,
+                                             std::uint64_t limit) const {
+  std::uint64_t steps = 0;
+  for (; steps < limit && !slave_listens(clk); ++steps) {
+    clk = (clk + 4u) & kClockMask;
+  }
+  return steps;
+}
+
+void LinkController::schedule_next_slave_slot(std::uint32_t clk) {
+  // Sleep through the even slots whose action would only re-arm this
+  // timer. The cap bounds the scan for a mode that never listens; an
+  // action that wakes at it just scans on.
+  constexpr std::uint64_t kMaxSleepSteps = 1u << 16;
+  const std::uint64_t steps =
+      1 + steps_to_listen((clk + 4u) & kClockMask, kMaxSleepSteps - 1);
+  schedule_slave_slot(env().now() + kSlotDuration * (2 * steps));
+}
+
+void LinkController::rearm_slave_slot() {
+  if (state_ != LcState::kConnectionSlave ||
+      !env().pending(slave_slot_timer_)) {
+    return;
+  }
+  // The first master even slot after now that the new mode listens on,
+  // if it comes before the pending action, becomes the next action.
+  const std::uint64_t next_even =
+      ((env().now() - grid_anchor_) / kHalfSlot / 4 + 1) * 4;
+  const SimTime at = grid_anchor_ + kHalfSlot * next_even;
+  if (at >= slave_slot_at_) return;
+  const std::uint64_t limit = (slave_slot_at_ - at) / (kSlotDuration * 2);
+  const std::uint64_t steps = steps_to_listen(
+      (clk_at_anchor_ + static_cast<std::uint32_t>(next_even)) & kClockMask,
+      limit);
+  if (steps < limit) {
+    env().cancel(slave_slot_timer_);
+    schedule_slave_slot(at + kSlotDuration * (2 * steps));
+  }
+}
+
+bool LinkController::sniff_attempt_slot(std::uint32_t clk) const {
+  const std::uint32_t slot = clk / 2;
+  const std::uint32_t phase =
+      (slot + my_sniff_interval_ - my_sniff_offset_ % my_sniff_interval_) %
+      my_sniff_interval_;
+  return phase < static_cast<std::uint32_t>(my_sniff_attempt_);
+}
+
+bool LinkController::hold_expired(std::uint32_t clk) const {
+  // Wake a couple of slots early: a real slave must re-open its
+  // receiver ahead of the nominal instant to absorb the clock
+  // uncertainty accumulated while sleeping. This constant sets the
+  // resynchronisation cost that positions the hold-vs-active
+  // crossover of the paper's Fig. 12 (~120 slots).
+  return ((clk + 2 * config_.hold_wake_early_slots - my_hold_until_clk_) &
+          kClockMask) < (1u << 20);
+}
+
+bool LinkController::beacon_slot(std::uint32_t clk) const {
+  return (clk / 2) % config_.beacon_interval_slots == 0;
+}
+
+bool LinkController::slave_listens(std::uint32_t clk) const {
+  if (resyncing_) return true;
+  switch (my_mode_) {
+    case LinkMode::kActive:
+      return true;
+    case LinkMode::kSniff:
+      return sniff_attempt_slot(clk);
+    case LinkMode::kHold:
+      return hold_expired(clk);
+    case LinkMode::kPark:
+      return beacon_slot(clk);
+  }
+  return true;
 }
 
 void LinkController::slave_slot_action() {
   if (state_ != LcState::kConnectionSlave) return;
   const std::uint32_t clk = piconet_clock();
-  const SimTime next = env().now() + kSlotDuration * 2;
 
   if (radio_.tx_busy() || receiver_.assembling()) {
-    schedule_slave_slot(next);
+    schedule_next_slave_slot(clk);
     return;
   }
 
@@ -934,38 +1078,23 @@ void LinkController::slave_slot_action() {
     case LinkMode::kActive:
       listen = true;
       break;
-    case LinkMode::kSniff: {
-      const std::uint32_t slot = clk / 2;
-      const std::uint32_t phase =
-          (slot + my_sniff_interval_ - my_sniff_offset_ % my_sniff_interval_) %
-          my_sniff_interval_;
-      if (phase < static_cast<std::uint32_t>(my_sniff_attempt_)) {
+    case LinkMode::kSniff:
+      if (sniff_attempt_slot(clk)) {
         listen = true;
         // A sniff attempt keeps the receiver open for the full slot.
         sense = kSlotDuration;
       }
       break;
-    }
     case LinkMode::kHold:
-      // Wake a couple of slots early: a real slave must re-open its
-      // receiver ahead of the nominal instant to absorb the clock
-      // uncertainty accumulated while sleeping. This constant sets the
-      // resynchronisation cost that positions the hold-vs-active
-      // crossover of the paper's Fig. 12 (~120 slots).
-      if (((clk + 2 * config_.hold_wake_early_slots - my_hold_until_clk_) &
-           kClockMask) < (1u << 20)) {
+      if (hold_expired(clk)) {
         my_mode_ = LinkMode::kActive;
         resyncing_ = true;
         listen = true;
       }
       break;
-    case LinkMode::kPark: {
-      const std::uint32_t slot = clk / 2;
-      if (slot % config_.beacon_interval_slots == 0) {
-        listen = true;  // beacon window
-      }
+    case LinkMode::kPark:
+      listen = beacon_slot(clk);  // beacon window
       break;
-    }
   }
   if (resyncing_) {
     listen = true;
@@ -977,7 +1106,7 @@ void LinkController::slave_slot_action() {
                  connection_whiten(clk), Receiver::Expect::kFull);
     open_rx_window(connection_freq(clk), sense);
   }
-  schedule_slave_slot(next);
+  schedule_next_slave_slot(clk);
 }
 
 void LinkController::slave_on_packet(const Receiver::Result& r) {
@@ -1154,25 +1283,32 @@ void LinkController::slave_set_sniff(std::uint32_t interval_slots,
   my_sniff_interval_ = std::max(2u, interval_slots + (interval_slots & 1u));
   my_sniff_offset_ = quantize_even(offset_slots);
   my_sniff_attempt_ = attempt_slots;
+  rearm_slave_slot();
 }
 
-void LinkController::slave_clear_sniff() { my_mode_ = LinkMode::kActive; }
+void LinkController::slave_clear_sniff() {
+  my_mode_ = LinkMode::kActive;
+  rearm_slave_slot();
+}
 
 void LinkController::slave_set_hold(std::uint32_t hold_slots) {
   my_mode_ = LinkMode::kHold;
   my_hold_until_clk_ = (piconet_clock() + 2 * hold_slots) & kClockMask;
   radio_.disable_rx();
+  rearm_slave_slot();
 }
 
 void LinkController::slave_set_park(std::uint8_t pm_addr) {
   my_mode_ = LinkMode::kPark;
   my_pm_addr_ = pm_addr;
   radio_.disable_rx();
+  rearm_slave_slot();
 }
 
 void LinkController::slave_unpark(std::uint8_t lt_addr) {
   own_lt_addr_ = lt_addr;
   my_mode_ = LinkMode::kActive;
+  rearm_slave_slot();
 }
 
 // ---------------------------------------------------------------------------
@@ -1242,7 +1378,7 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   w.u32(config_.hold_wake_early_slots);
   // State machine.
   w.u8(static_cast<std::uint8_t>(state_));
-  w.u32(ticks_in_state_);
+  w.u64(state_entry_tick_);
   // Master context: piconet membership and per-link state.
   sim::save_seq(w, piconet_.slaves().size(), [&](std::size_t i) {
     const SlaveLink& l = piconet_.slaves()[i];
@@ -1305,6 +1441,7 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   // Page context.
   w.u64(page_target_.raw());
   w.u32(page_clkn_offset_);
+  w.u64(page_start_tick_);
   w.u32(static_cast<std::uint32_t>(page_hit_freq_));
   w.u32(static_cast<std::uint32_t>(response_n_));
   w.u32(static_cast<std::uint32_t>(response_retries_));
@@ -1343,7 +1480,7 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   config_.beacon_interval_slots = r.u32();
   config_.hold_wake_early_slots = r.u32();
   state_ = static_cast<LcState>(r.u8());
-  ticks_in_state_ = r.u32();
+  state_entry_tick_ = r.u64();
   piconet_.slaves().clear();
   sim::restore_seq(r, [&](std::size_t) {
     SlaveLink l;
@@ -1408,6 +1545,7 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   inquiry_first_hit_freq_ = static_cast<int>(r.u32());
   page_target_ = BdAddr::from_raw(r.u64());
   page_clkn_offset_ = r.u32();
+  page_start_tick_ = r.u64();
   page_hit_freq_ = static_cast<int>(r.u32());
   response_n_ = static_cast<int>(r.u32());
   response_retries_ = static_cast<int>(r.u32());

@@ -8,12 +8,24 @@
 //
 // Timing model
 // ------------
-// Pre-connection states run on the device's own CLKN half-slot ticks.
-// A connected slave instead anchors a 625 us action timer to the master's
-// slot grid, whose phase it learns from the page-response FHS packet
-// arrival time (the FHS is transmitted at a master even-slot boundary,
-// see DESIGN.md). Clocks are drift-free in this model, so the anchor
-// stays valid for the life of the connection.
+// Pre-connection states and the master run on the device's own CLKN
+// half-slot ticks, and the controller asks its clock for exactly the
+// ticks its current state acts on (NativeClock::wake):
+//   inquiry, page, page scan     every tick
+//   inquiry scan / response      every tick, except that a windowed
+//                                scanner sleeps between scan windows
+//                                and through its random backoff
+//   master response, connection  ticks with CLKN1:0 == 00 (even-slot
+//   master                       boundaries)
+//   standby, slave response,     none
+//   connection slave
+// A connected slave instead anchors a 1250 us action timer to the
+// master's slot grid, whose phase it learns from the page-response FHS
+// packet arrival time (the FHS is transmitted at a master even-slot
+// boundary, see DESIGN.md). Clocks are drift-free in this model, so the
+// anchor stays valid for the life of the connection. In sniff, hold and
+// park the timer sleeps from one listening slot to the next and is
+// re-armed when the mode changes.
 //
 // Response-frequency convention
 // -----------------------------
@@ -242,6 +254,15 @@ class LinkController final : public sim::Module,
   };
   // ---- per-tick dispatch (own CLKN grid) ----
   void on_tick();
+  /// Requests from the clock the ticks the current state acts on.
+  void arm_tick();
+  /// Ticks the windowed inquiry scanner may sleep from tick `next` on:
+  /// out of its scan window with the receiver off, every tick until the
+  /// window reopens is a no-op.
+  std::uint64_t scan_sleep_ticks(std::uint64_t next) const;
+  /// Clock ticks this controller has seen: a tick at the current instant
+  /// is still to come while on_tick may yet run at it.
+  std::uint64_t ticks_seen() const;
   void inquiry_tick();
   void inquiry_scan_tick();
   void page_tick();
@@ -258,6 +279,20 @@ class LinkController final : public sim::Module,
   // ---- connection: slave (master-grid timers) ----
   void slave_slot_action();
   void schedule_slave_slot(sim::SimTime at);
+  /// Schedules the next slot action after the one at `clk`, sleeping
+  /// through the even slots the current mode does not listen on.
+  void schedule_next_slave_slot(std::uint32_t clk);
+  /// Brings the pending slot action forward when a mode change makes
+  /// the slave listen earlier.
+  void rearm_slave_slot();
+  /// True when the slot action at master even slot `clk` listens.
+  bool slave_listens(std::uint32_t clk) const;
+  /// Even slots from the one at `clk` to the first the slave listens on,
+  /// at most `limit`.
+  std::uint64_t steps_to_listen(std::uint32_t clk, std::uint64_t limit) const;
+  bool sniff_attempt_slot(std::uint32_t clk) const;
+  bool hold_expired(std::uint32_t clk) const;
+  bool beacon_slot(std::uint32_t clk) const;
   void slave_on_packet(const Receiver::Result& r);
   void slave_respond(std::uint32_t master_clk_even);
 
@@ -301,7 +336,10 @@ class LinkController final : public sim::Module,
                      std::uint64_t payload = 0);
   /// The closure for one descriptor (capture = this + payload).
   sim::UniqueFunction make_action(Kind kind, std::uint64_t payload);
-  std::uint32_t slots_in_state() const { return ticks_in_state_ / 2; }
+  std::uint64_t ticks_in_state() const {
+    return clock_.ticks() - state_entry_tick_;
+  }
+  std::uint64_t slots_in_state() const { return ticks_in_state() / 2; }
 
   // ---- identity & wiring ----
   BdAddr addr_;
@@ -312,7 +350,10 @@ class LinkController final : public sim::Module,
   Callbacks callbacks_;
 
   LcState state_ = LcState::kStandby;
-  std::uint32_t ticks_in_state_ = 0;
+  /// ticks_seen() at the last state entry.
+  std::uint64_t state_entry_tick_ = 0;
+  /// Instant of the last on_tick.
+  sim::SimTime last_tick_at_ = sim::SimTime::max();
 
   // ---- master context ----
   Piconet piconet_;
@@ -336,6 +377,9 @@ class LinkController final : public sim::Module,
   /// Master slot-grid anchor (learned from the page FHS arrival).
   sim::SimTime grid_anchor_ = sim::SimTime::zero();
   std::uint32_t clk_at_anchor_ = 0;
+  /// The pending slot action and its instant.
+  sim::TimerId slave_slot_timer_ = sim::kInvalidTimer;
+  sim::SimTime slave_slot_at_ = sim::SimTime::zero();
   // Slave-side ARQ / queue.
   PacketBuffer my_tx_queue_;
   bool my_seqn_out_ = false;
@@ -362,6 +406,9 @@ class LinkController final : public sim::Module,
   // ---- page context ----
   BdAddr page_target_;
   std::uint32_t page_clkn_offset_ = 0;
+  /// ticks_seen() at enable_page: the page timeout counts from here,
+  /// across collapsed response dialogues.
+  std::uint64_t page_start_tick_ = 0;
   int page_hit_freq_ = -1;
   int response_n_ = 0;
   int response_retries_ = 0;

@@ -215,6 +215,23 @@ TEST(CoexistenceCheckpoint, PendingRfApplyRoundTrip) {
   EXPECT_EQ(coexistence_signature(twin), coexistence_signature(net));
 }
 
+// ---- format version ----------------------------------------------------------
+
+// The digest of one canonical image is pinned next to the format version,
+// so a layout change that does not bump kSnapshotVersion fails here. On a
+// deliberate layout change, bump the version and re-record the digest; a
+// model change that only moves the warm-up's state re-records the digest
+// alone.
+TEST(SnapshotFormat, CanonicalImagePinnedToVersion) {
+  const auto warm = sniff_activity_warmup(1);
+  const std::vector<std::uint8_t> image = warm.system->save_snapshot();
+  const std::uint64_t digest =
+      sim::snapshot_checksum(image.data(), image.size());
+  EXPECT_EQ(std::make_pair(sim::kSnapshotVersion, digest),
+            std::make_pair(std::uint32_t{4}, std::uint64_t{0x95f4ac0eb59ac807}))
+      << std::hex << "digest 0x" << digest;
+}
+
 // ---- per-module goldens ------------------------------------------------------
 
 TEST(ModuleCheckpoint, AccumulatorRoundTripGolden) {

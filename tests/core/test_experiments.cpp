@@ -159,6 +159,33 @@ TEST(HoldExperiment, ActivityDecreasesWithThold) {
   EXPECT_GT(h400.slave.total(), h1000.slave.total());
 }
 
+// The clock wakes a link controller only on the ticks it acts on: a
+// connected slave on none (its slot timer runs on the master's grid and
+// sleeps through hold), a connected master on one per even slot.
+TEST(HoldExperiment, HeldLinkEventBudget) {
+  auto w = hold_activity_warmup(1);
+  BluetoothSystem& sys = *w.system;
+  sys.run(baseband::kSlotDuration * 64);
+  std::uint64_t slave_ticks = 0;
+  auto& watch =
+      sys.env().register_process("slave_tick_watch", [&] { ++slave_ticks; });
+  sys.slave(0).clock().tick_event().add_sensitive(watch);
+
+  constexpr std::uint32_t kHoldSlots = 400;
+  sys.master().lc().master_set_hold(sys.lt_addr_of(0), kHoldSlots);
+  sys.slave(0).lc().slave_set_hold(kHoldSlots);
+  const std::uint64_t activations = sys.env().process_activations();
+  const std::uint64_t fired = sys.env().scheduler_stats().fired;
+  sys.run(baseband::kSlotDuration * kHoldSlots);
+
+  EXPECT_EQ(slave_ticks, 0u);
+  // Every activation left is the master's tick process.
+  EXPECT_LE(sys.env().process_activations() - activations, kHoldSlots / 2);
+  // The master's wake-ups, plus a handful of slave slot actions and the
+  // resynchronising exchange as the hold ends.
+  EXPECT_LE(sys.env().scheduler_stats().fired - fired, kHoldSlots / 2 + 8);
+}
+
 TEST(ThroughputExperiment, Dh5BestOnCleanChannel) {
   ThroughputConfig cfg;
   cfg.measure_slots = 4000;

@@ -47,6 +47,27 @@ TEST(BluetoothSystemTest, InquiryThenPageConnects) {
   EXPECT_EQ(sys.lt_addr_of(0), 1);
 }
 
+// With abort_page_on_dialogue_failure off, a collapsed page response
+// dialogue resumes the ID train, and the page timeout keeps counting
+// from enable_page: the attempt fails within a slot of the timeout.
+TEST(BluetoothSystemTest, PageTimeoutSpansResumedDialogues) {
+  for (const std::uint64_t seed : {3, 4, 5}) {
+    SCOPED_TRACE(seed);
+    SystemConfig sc = reliable(1, seed);
+    sc.lc.page_timeout_slots = 512;
+    sc.lc.max_response_retries = 0;  // every response dialogue collapses
+    sc.lc.abort_page_on_dialogue_failure = false;
+    BluetoothSystem sys(sc);
+    ASSERT_TRUE(sys.run_inquiry().success);
+    const PhaseResult page = sys.run_page(0);
+    EXPECT_FALSE(page.success);
+    EXPECT_GE(sys.master().lc().stats().id_rx, 1u);  // a dialogue began
+    EXPECT_GE(page.slots, 511u);
+    EXPECT_LE(page.slots, 513u);
+    EXPECT_EQ(sys.master().lc().state(), baseband::LcState::kStandby);
+  }
+}
+
 TEST(BluetoothSystemTest, PageWithoutDiscoveryFails) {
   BluetoothSystem sys(reliable());
   const PhaseResult page = sys.run_page(0);  // no inquiry ran

@@ -301,6 +301,54 @@ TEST(LinkIntegration, ParkAndUnpark) {
   ASSERT_EQ(got.size(), 1u);
 }
 
+// A slave's slot timer sleeps through a sniff interval, and a mode
+// change brings it forward: leaving sniff mid-interval, the slave listens
+// again from the next master even slot, not from its next sniff anchor.
+TEST(LinkIntegration, LeavingSniffListensFromTheNextSlot) {
+  Testbed tb;
+  ASSERT_TRUE(tb.create_piconet());
+  tb.env.run(100_ms);
+  tb.master->lc().master_set_sniff(1, 1000, 0, 1);
+  tb.slave->lc().slave_set_sniff(1000, 0, 1);
+  while ((tb.slave->lc().piconet_clock() / 2) % 1000 != 500) {
+    tb.env.run(kSlotDuration);
+  }
+  tb.master->lc().master_clear_sniff(1);
+  tb.slave->lc().slave_clear_sniff();
+  tb.slave->radio().reset_activity();
+  tb.env.run(kSlotDuration * 3);
+  EXPECT_GT(tb.slave->radio().rx_on_time(), SimTime::zero());
+}
+
+// A command issued from a timed callback at one of the device's own tick
+// instants acts on that tick, after the instant's timed callbacks -- as
+// when every tick woke the controller -- even though the standby
+// controller was not waking on ticks.
+TEST(LinkIntegration, CommandAtTickInstantActsOnThatTick) {
+  Testbed tb;
+  tb.env.run(5_ms);
+  const SimTime tick = tb.slave->clock().last_tick_time() + kTickPeriod * 4;
+  tb.env.schedule(tick - tb.env.now(),
+                  [&] { tb.slave->lc().enable_page_scan(); });
+  tb.env.run_until(tick);
+  EXPECT_TRUE(tb.slave->radio().rx_enabled());
+}
+
+// A windowed inquiry scanner sleeps between its scan windows: over one
+// scan interval its controller wakes on the ticks of its two (interlaced)
+// windows, plus the tick after each that turns the receiver off.
+TEST(LinkIntegration, WindowedInquiryScannerSleepsBetweenWindows) {
+  Testbed tb;
+  tb.slave->lc().enable_inquiry_scan();
+  std::uint64_t wakes = 0;
+  auto& watch = tb.env.register_process("watch", [&] { ++wakes; });
+  tb.slave->clock().tick_event().add_sensitive(watch);
+  const LcConfig& c = tb.slave->lc().config();
+  tb.env.run(kSlotDuration * c.inquiry_scan_interval_slots);
+  EXPECT_GE(wakes, 2 * 2 * c.inquiry_scan_window_slots);
+  EXPECT_LE(wakes, 2 * 2 * c.inquiry_scan_window_slots + 2);
+}
+
 TEST(LinkIntegration, DetachResetReturnsToStandby) {
   Testbed tb;
   ASSERT_TRUE(tb.create_piconet());
