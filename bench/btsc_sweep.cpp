@@ -43,7 +43,7 @@ void print_usage() {
       "                       append-only journal (crash-safe progress)\n"
       "  --resume             skip replications already in --journal FILE;\n"
       "                       output is byte-identical to an uninterrupted\n"
-      "                       run (kernel telemetry aside)\n"
+      "                       run\n"
       "  --rep-timeout S      per-replication deadline in seconds; overruns\n"
       "                       are quarantined, the sweep completes\n"
       "  --max-retries N      retry a throwing replication N times (with\n"

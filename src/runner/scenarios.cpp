@@ -254,24 +254,13 @@ std::vector<Sample> sweep_points(
   ex.stop = req.stop;
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto k0 = sim::Environment::global_scheduler_stats();
   auto merged = SweepRunner<Point, Sample>(opt).run(points, body, ex);
-  const auto k1 = sim::Environment::global_scheduler_stats();
   out.quarantined = std::move(ex.quarantined);
   out.journal_skipped = ex.journal_skipped;
   out.interrupted = ex.stopped;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  // Every replication's environment is destroyed inside the grid run, so
-  // the counter delta is exactly this sweep's kernel traffic.
-  out.kernel.timers_scheduled = k1.scheduled - k0.scheduled;
-  out.kernel.timers_fired = k1.fired - k0.fired;
-  out.kernel.timers_canceled = k1.canceled - k0.canceled;
-  out.kernel.cancels_after_fire = k1.cancels_after_fire - k0.cancels_after_fire;
-  out.kernel.live_at_exit = k1.live - k0.live;
-  out.kernel.peak_heap = k1.peak_live;
-  out.kernel.peak_depth = k1.peak_depth;
   return merged;
 }
 
@@ -883,21 +872,6 @@ void write_result(const SweepResult& result, core::Reporter& reporter) {
   reporter.meta("base_seed", std::to_string(result.base_seed));
   reporter.meta("quick", result.quick ? "1" : "0");
   reporter.meta("max_points", std::to_string(result.max_points));
-  // Kernel timed-queue diagnostics: sums/maxima of per-replication
-  // deterministic counters, so they are thread-count invariant too.
-  reporter.meta("kernel_timers_scheduled",
-                std::to_string(result.kernel.timers_scheduled));
-  reporter.meta("kernel_timers_fired",
-                std::to_string(result.kernel.timers_fired));
-  reporter.meta("kernel_timers_canceled",
-                std::to_string(result.kernel.timers_canceled));
-  reporter.meta("kernel_cancels_after_fire",
-                std::to_string(result.kernel.cancels_after_fire));
-  reporter.meta("kernel_live_at_exit",
-                std::to_string(result.kernel.live_at_exit));
-  reporter.meta("kernel_peak_heap", std::to_string(result.kernel.peak_heap));
-  reporter.meta("kernel_peak_depth",
-                std::to_string(result.kernel.peak_depth));
   // Quarantine outcome, emitted ONLY for supervised runs so legacy
   // artifacts stay byte-identical to every pre-supervision run.
   if (result.supervised) {
@@ -970,8 +944,8 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
     return 2;
   }
   // Swap-safety escape hatch: force the per-bit reference transport for
-  // every channel this process builds. Results are bit-identical either
-  // way (ci.sh gates on it); only the kernel telemetry changes.
+  // every channel this process builds. Artifacts are byte-identical
+  // either way (ci.sh gates on it); only the run time changes.
   phy::NoisyChannel::set_burst_transport_default(!args.no_burst);
   ScenarioRequest req;
   req.threads = args.threads;

@@ -5,9 +5,8 @@
 // columns). Every replication is a warm-up stage followed by a measure
 // stage: the warm-up runs once per point on a dedicated warm-up seed,
 // and each replication restores its snapshot and measures on its own
-// replication seed. The registry is what the unified `btsc-sweep` CLI
-// and the per-figure bench wrappers run; docs/SCENARIOS.md documents
-// each entry.
+// replication seed. The registry is what the `btsc-sweep` CLI and the
+// `btsc-sweepd` service run; docs/SCENARIOS.md documents each entry.
 #pragma once
 
 #include <atomic>
@@ -123,31 +122,6 @@ struct SweepResult {
   /// rows are partial and the caller must NOT write a final artifact —
   /// the journal holds the committed prefix for a later resume.
   bool interrupted = false;
-
-  /// Timed-queue health of the simulation kernels this sweep ran:
-  /// sim::Environment scheduler counters summed over every replication
-  /// (peak_heap/peak_depth are process-lifetime high-water maxima).
-  /// Every value is a sum or maximum of per-replication deterministic
-  /// quantities, so the block is identical at any thread count and safe
-  /// for byte-compared reports.
-  struct KernelDiag {
-    /// Timed entries pushed (one-shot callbacks + event notifications).
-    std::uint64_t timers_scheduled = 0;
-    /// Entries dispatched at their instant.
-    std::uint64_t timers_fired = 0;
-    /// Live entries physically removed by cancellation (the population
-    /// that would have rotted in the queue as dead entries before the
-    /// true-cancel heap).
-    std::uint64_t timers_canceled = 0;
-    /// cancel() no-ops on already-fired/stale handles.
-    std::uint64_t cancels_after_fire = 0;
-    /// Entries still pending when their environment was destroyed.
-    std::uint64_t live_at_exit = 0;
-    /// High-water timed-queue size across all environments so far.
-    std::uint64_t peak_heap = 0;
-    /// 4-ary heap levels at that high-water mark.
-    std::uint64_t peak_depth = 0;
-  } kernel;
 };
 
 /// Registry metadata of one scenario.
@@ -191,7 +165,7 @@ void write_result(const SweepResult& result, core::Reporter& reporter);
 /// sweep service) to retry or exclude the quarantined replications.
 std::string quarantine_report(const SweepResult& result);
 
-/// Complete main() body for a figure bench: parses the shared BenchArgs
+/// Complete main() body of `btsc-sweep`: parses the shared BenchArgs
 /// flags (--seeds/--replications, --quick, --threads, --csv/--json,
 /// --out, --base-seed, --max-points, --checkpoint-dir, --journal...),
 /// runs `id`, and writes the result to stdout or the requested file.

@@ -1,7 +1,6 @@
 #include "sim/environment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "sim/signal.hpp"
@@ -9,53 +8,7 @@
 
 namespace btsc::sim {
 
-namespace {
-
-/// Process-wide scheduler counters, folded in by ~Environment. The sweep
-/// engine destroys every replication's environment on a worker thread,
-/// hence atomics; sums and maxima of per-environment values are
-/// independent of the thread interleaving, so the aggregate stays
-/// deterministic at any thread count.
-struct GlobalStats {
-  std::atomic<std::uint64_t> scheduled{0};
-  std::atomic<std::uint64_t> fired{0};
-  std::atomic<std::uint64_t> canceled{0};
-  std::atomic<std::uint64_t> cancels_after_fire{0};
-  std::atomic<std::uint64_t> wheel_hits{0};
-  std::atomic<std::uint64_t> heap_overflow{0};
-  std::atomic<std::uint64_t> live_at_exit{0};
-  std::atomic<std::uint64_t> peak_live{0};
-};
-
-GlobalStats& global_stats() {
-  static GlobalStats g;
-  return g;
-}
-
-void atomic_max(std::atomic<std::uint64_t>& a, std::uint64_t v) {
-  std::uint64_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 Environment::Environment(std::uint64_t seed) : rng_(seed) {}
-
-Environment::~Environment() {
-  const TimerWheel::Stats w = wheel_.stats();
-  GlobalStats& g = global_stats();
-  g.scheduled.fetch_add(w.scheduled, std::memory_order_relaxed);
-  g.fired.fetch_add(w.fired, std::memory_order_relaxed);
-  g.canceled.fetch_add(w.canceled, std::memory_order_relaxed);
-  g.cancels_after_fire.fetch_add(w.cancels_after_fire,
-                                 std::memory_order_relaxed);
-  g.wheel_hits.fetch_add(w.wheel_hits, std::memory_order_relaxed);
-  g.heap_overflow.fetch_add(w.heap_overflow, std::memory_order_relaxed);
-  g.live_at_exit.fetch_add(w.live, std::memory_order_relaxed);
-  atomic_max(g.peak_live, w.peak_live);
-}
 
 void Environment::make_runnable(Process& p) {
   if (p.queued_) return;
@@ -305,21 +258,6 @@ Environment::SchedulerStats Environment::scheduler_stats() const {
   s.live = w.live;
   s.peak_live = w.peak_live;
   s.peak_depth = heap_depth(w.peak_live);
-  return s;
-}
-
-Environment::SchedulerStats Environment::global_scheduler_stats() {
-  const GlobalStats& g = global_stats();
-  SchedulerStats s;
-  s.scheduled = g.scheduled.load(std::memory_order_relaxed);
-  s.fired = g.fired.load(std::memory_order_relaxed);
-  s.canceled = g.canceled.load(std::memory_order_relaxed);
-  s.cancels_after_fire = g.cancels_after_fire.load(std::memory_order_relaxed);
-  s.wheel_hits = g.wheel_hits.load(std::memory_order_relaxed);
-  s.heap_overflow = g.heap_overflow.load(std::memory_order_relaxed);
-  s.live = g.live_at_exit.load(std::memory_order_relaxed);
-  s.peak_live = g.peak_live.load(std::memory_order_relaxed);
-  s.peak_depth = heap_depth(s.peak_live);
   return s;
 }
 

@@ -80,7 +80,6 @@ class RngGuard {
 class Environment {
  public:
   explicit Environment(std::uint64_t seed = 1);
-  ~Environment();
 
   Environment(const Environment&) = delete;
   Environment& operator=(const Environment&) = delete;
@@ -270,8 +269,7 @@ class Environment {
     /// Inserts that overflowed to the 4-ary heap (off-grid instant or
     /// beyond the 2.56 s horizon).
     std::uint64_t heap_overflow = 0;
-    /// Current live timed entries (for the global aggregate: entries
-    /// still live when their environment was destroyed).
+    /// Current live timed entries.
     std::uint64_t live = 0;
     /// High-water live-entry count.
     std::uint64_t peak_live = 0;
@@ -280,11 +278,6 @@ class Environment {
     std::uint64_t peak_depth = 0;
   };
   SchedulerStats scheduler_stats() const;
-
-  /// Process-wide aggregate over all destroyed environments (counters are
-  /// summed, peak_live is the maximum). Thread-safe; used by the sweep
-  /// reporter to surface kernel health across a whole Monte-Carlo grid.
-  static SchedulerStats global_scheduler_stats();
 
  private:
   void run_delta();

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Kill-and-resume gate for the crash-safe sweep journal.
 #
-# For each thread count: run a reference sweep, start the same sweep with
-# --journal in the background, SIGKILL it once the journal holds at least
-# one record past the header, resume with --resume, and require the
-# resumed artifact to be byte-identical to the reference (modulo the
-# kernel_* telemetry meta keys, which count actually-executed
-# replications and therefore legitimately shrink on a resumed run).
+# For each thread count: run a reference sweep, require an uninterrupted
+# fresh --journal run to write the same bytes (journaling is invisible
+# in the artifact), then start the same sweep with --journal in the
+# background, SIGKILL it once the journal holds at least one record past
+# the header, resume with --resume, and require the resumed artifact to
+# be byte-identical to the reference.
 #
 # usage: kill_resume_test.sh BTSC_SWEEP_BINARY WORKDIR [SCENARIO]
 set -u
@@ -16,10 +16,6 @@ WORKDIR=${2:?usage: kill_resume_test.sh BTSC_SWEEP_BINARY WORKDIR [SCENARIO]}
 SCENARIO=${3:-fig08}
 
 mkdir -p "$WORKDIR"
-
-strip_kernel_meta() {
-  sed -E 's/, "kernel_[a-z_]+": "[0-9]+"//g' "$1"
-}
 
 # Shared sweep arguments: quick but big enough that a mid-flight kill has
 # replications both behind and ahead of it. Ten replications per point
@@ -48,6 +44,20 @@ run_one() {
     echo "error: reference run failed ($SCENARIO, $threads threads)" >&2
     return 1
   }
+
+  rm -f "$journal" "$out"
+  # shellcheck disable=SC2086
+  "$BIN" $(sweep_args "$threads") --journal "$journal" \
+    --out "$out" > /dev/null || {
+    echo "error: journaled run failed ($SCENARIO, $threads threads)" >&2
+    return 1
+  }
+  if ! cmp -s "$ref" "$out"; then
+    echo "error: $SCENARIO journaled sweep differs from the plain run at" >&2
+    echo "       $threads thread(s) (journaling changed the artifact; see" >&2
+    echo "       docs/ARCHITECTURE.md, 'Durability & supervised sweeps')" >&2
+    return 1
+  fi
 
   # A successful crash injection needs the victim killed strictly
   # mid-flight: after at least one record was journaled, before the run
@@ -101,7 +111,7 @@ run_one() {
       continue  # killed before anything committed: retry
     fi
 
-    if ! cmp -s <(strip_kernel_meta "$ref") <(strip_kernel_meta "$out"); then
+    if ! cmp -s "$ref" "$out"; then
       echo "error: $SCENARIO resumed sweep differs from the uninterrupted" >&2
       echo "       run at $threads thread(s) (journal/resume broken; see" >&2
       echo "       docs/ARCHITECTURE.md, 'Durability & supervised sweeps')" >&2

@@ -4,12 +4,11 @@
 # A two-job batch (fig08 + fig10, quick, inflated replications) is
 # SIGKILLed at three points — right after job accept, mid-replication
 # (some journal grew past its header), and mid-run after several journal
-# appends — then restarted with the same jobs directory and job file.
-# The restart must report resumed jobs, exit 0, and produce final
-# artifacts byte-identical to uninterrupted `btsc-sweep` runs (modulo
-# the kernel_* telemetry meta keys, which count actually-executed
-# replications and therefore legitimately shrink on a resumed run).
-# The whole matrix runs at 1, 2 and 8 sweep threads.
+# appends — and, as a fourth case, drained by SIGTERM mid-replication,
+# which must exit 0. Each case then restarts with the same jobs
+# directory and job file. The restart must report resumed jobs, exit 0,
+# and produce final artifacts byte-identical to uninterrupted
+# `btsc-sweep` runs. The whole matrix runs at 1, 2 and 8 sweep threads.
 #
 # usage: service_kill_resume_test.sh BTSC_SWEEPD BTSC_SWEEP WORKDIR
 set -u
@@ -25,10 +24,6 @@ mkdir -p "$WORKDIR"
 # of it.
 F8_REPS=60
 F10_REPS=40
-
-strip_kernel_meta() {
-  sed -E 's/, "kernel_[a-z_]+": "[0-9]+"//g' "$1"
-}
 
 journal_bytes() {
   # Combined size of every job journal in a jobs dir (0 when none).
@@ -108,6 +103,13 @@ run_case() {
   local job_file="$WORKDIR/jobs-$tag.jsonl"
   local resume_log="$WORKDIR/resume-$tag.log"
   write_job_file "$threads" "$job_file"
+  # The drain case stops the service at the mid-replication point with
+  # SIGTERM instead of SIGKILL.
+  local trigger=$mode signal=KILL
+  if [ "$mode" = drain ]; then
+    trigger=rep
+    signal=TERM
+  fi
 
   local attempt
   for attempt in 1 2 3 4 5 6 7 8; do
@@ -116,15 +118,22 @@ run_case() {
       > /dev/null 2>&1 &
     local pid=$!
 
-    if ! await_kill_point "$mode" "$pid" "$jobs_dir"; then
+    if ! await_kill_point "$trigger" "$pid" "$jobs_dir"; then
       wait "$pid" 2> /dev/null
       continue  # finished before the kill condition: retry
     fi
-    if ! kill -KILL "$pid" 2> /dev/null; then
+    if ! kill -"$signal" "$pid" 2> /dev/null; then
       wait "$pid" 2> /dev/null
       continue
     fi
-    wait "$pid" 2> /dev/null
+    local victim_rc=0
+    wait "$pid" 2> /dev/null || victim_rc=$?
+    if [ "$signal" = TERM ] && [ "$victim_rc" -ne 0 ]; then
+      echo "error: $tag: btsc-sweepd exited $victim_rc after SIGTERM" >&2
+      echo "       (a drain must exit 0; see docs/SCENARIOS.md, 'Drain" >&2
+      echo "       semantics')" >&2
+      return 1
+    fi
 
     # Restart with the same jobs dir + job file: recovery re-enqueues
     # every incomplete job (duplicate-id rejections of the batch lines
@@ -149,8 +158,7 @@ run_case() {
         cat "$resume_log" >&2
         return 1
       fi
-      if ! cmp -s <(strip_kernel_meta "$ref") \
-        <(strip_kernel_meta "$jobs_dir/$id.json"); then
+      if ! cmp -s "$ref" "$jobs_dir/$id.json"; then
         echo "error: $tag artifact for $id differs from the" >&2
         echo "       uninterrupted run (service resume broken; see" >&2
         echo "       docs/ARCHITECTURE.md, 'Sweep service')" >&2
@@ -173,7 +181,7 @@ for threads in 1 2 8; do
     echo "error: reference runs failed at $threads thread(s)" >&2
     exit 1
   }
-  for mode in accept rep append; do
+  for mode in accept rep append drain; do
     run_case "$threads" "$mode" || rc=1
   done
 done

@@ -28,24 +28,12 @@ ScenarioRequest gate_request(const std::string& id, int threads = 1) {
   return req;
 }
 
-/// JSON artifact with the kernel_* telemetry removed: forking changes
-/// how many timers the process schedules (snapshot scaffolds replace
-/// re-run warm-ups), so the timed-queue counters legitimately differ --
-/// the byte-identity contract covers the results and the result-defining
-/// metadata.
-std::string to_json_sans_kernel_meta(const SweepResult& result) {
+/// The JSON artifact, as btsc-sweep writes it.
+std::string to_json(const SweepResult& result) {
   std::ostringstream os;
   core::JsonReporter reporter(os);
   write_result(result, reporter);
-  std::string s = os.str();
-  std::size_t pos;
-  while ((pos = s.find("\"kernel_")) != std::string::npos) {
-    const std::size_t start = s.rfind(", ", pos);         // preceding comma
-    const std::size_t colon = s.find(": \"", pos);        // value opener
-    const std::size_t end = s.find('"', colon + 3);       // value closer
-    s.erase(start, end + 1 - start);
-  }
-  return s;
+  return os.str();
 }
 
 void expect_rows_bitwise_equal(const SweepResult& a, const SweepResult& b) {
@@ -83,7 +71,7 @@ TEST_P(ForkMatchesCold, DefaultRunEqualsColdWarmup) {
     SCOPED_TRACE(id + " at " + std::to_string(threads) + " thread(s)");
     const SweepResult fork = run_scenario(id, gate_request(id, threads));
     expect_rows_bitwise_equal(cold, fork);
-    EXPECT_EQ(to_json_sans_kernel_meta(cold), to_json_sans_kernel_meta(fork));
+    EXPECT_EQ(to_json(cold), to_json(fork));
   }
 }
 
@@ -97,8 +85,7 @@ TEST(CheckpointSweep, ForkedSweepThreadCountInvariant) {
     const SweepResult pooled =
         run_scenario("fig08", gate_request("fig08", threads));
     expect_rows_bitwise_equal(serial, pooled);
-    EXPECT_EQ(to_json_sans_kernel_meta(serial),
-              to_json_sans_kernel_meta(pooled));
+    EXPECT_EQ(to_json(serial), to_json(pooled));
   }
 }
 

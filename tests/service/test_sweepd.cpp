@@ -1,8 +1,8 @@
 // Sweep service: the line-JSON job codec (reject-with-reason protocol),
 // in-process SweepService lifecycle — submit/run/status, backpressure,
 // drain, directory-scan recovery — and the Unix-socket front end. The
-// load-bearing assertion: a service job's artifact is byte-identical
-// (kernel_* telemetry aside) to running the scenario directly.
+// load-bearing assertion: a service job's artifact is byte-identical to
+// running the scenario directly, also when jobs run concurrently.
 #include "service/sweepd.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -118,12 +117,17 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-// Same normalization as the integration gates: kernel_* telemetry counts
-// actually-executed replications, so it legitimately differs between
-// otherwise byte-identical runs.
-std::string strip_kernel_meta(const std::string& text) {
-  static const std::regex re(", \"kernel_[a-z_]+\": \"[0-9]+\"");
-  return std::regex_replace(text, re, "");
+// Reference artifact: the same sweep through the plain scenario path (no
+// journal, no service) and the same JSON reporter.
+std::string direct_artifact(const JobSpec& spec) {
+  runner::ScenarioRequest req;
+  req.threads = spec.threads;
+  req.quick = spec.quick;
+  req.max_points = spec.max_points;
+  std::ostringstream out;
+  core::JsonReporter reporter(out);
+  runner::write_result(runner::run_scenario(spec.scenario, req), reporter);
+  return out.str();
 }
 
 TEST(SweepServiceTest, JobArtifactMatchesDirectScenarioRun) {
@@ -140,18 +144,30 @@ TEST(SweepServiceTest, JobArtifactMatchesDirectScenarioRun) {
   EXPECT_EQ(statuses[0].state, JobState::kDone);
   EXPECT_GT(statuses[0].committed, 0u);
 
-  // Reference: the same sweep through the plain scenario path (no
-  // journal, no service) and the same JSON reporter.
-  runner::ScenarioRequest req;
-  req.threads = 1;
-  req.quick = true;
-  req.max_points = 1;
-  std::ostringstream expect;
-  core::JsonReporter reporter(expect);
-  runner::write_result(runner::run_scenario("fig08", req), reporter);
+  EXPECT_EQ(read_file(svc.artifact_path("match")),
+            direct_artifact(quick_job("match")));
+}
 
-  EXPECT_EQ(strip_kernel_meta(read_file(svc.artifact_path("match"))),
-            strip_kernel_meta(expect.str()));
+// Two identical jobs on two workers run their sweeps in one process at
+// the same time; neither artifact may depend on the other job's
+// simulations.
+TEST(SweepServiceTest, ConcurrentJobsMatchDirectScenarioRun) {
+  const std::string expect = direct_artifact(quick_job("ref"));
+  TempDir dir("sweepd-concurrent");
+  ServiceConfig cfg;
+  cfg.jobs_dir = dir.path;
+  cfg.workers = 2;
+  SweepService svc(cfg);
+  EXPECT_EQ(svc.submit(quick_job("twin-a")), "");
+  EXPECT_EQ(svc.submit(quick_job("twin-b")), "");
+  svc.start();
+  svc.wait_idle();
+
+  for (const auto& st : svc.status()) {
+    EXPECT_EQ(st.state, JobState::kDone) << st.spec.id;
+  }
+  EXPECT_EQ(read_file(svc.artifact_path("twin-a")), expect);
+  EXPECT_EQ(read_file(svc.artifact_path("twin-b")), expect);
 }
 
 TEST(SweepServiceTest, DuplicateAndUnknownScenarioRejections) {
