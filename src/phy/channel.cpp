@@ -1,5 +1,6 @@
 #include "phy/channel.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -41,6 +42,9 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
   }
   config_.burst_transport =
       config_.burst_transport && burst_transport_default();
+  freqs_.resize(config_.per_frequency
+                    ? static_cast<std::size_t>(config_.num_channels)
+                    : 1);
   if (env.tracer() != nullptr) {
     bus_trace_ = std::make_unique<sim::Signal<Logic4>>(
         env, child_name("bus"), Logic4::kZ);
@@ -60,17 +64,17 @@ NoisyChannel::~NoisyChannel() {
 }
 
 void NoisyChannel::set_ber(double ber) {
-  if (run_.active) fallback_run();
+  fallback_all_runs();
   config_.ber = ber;
 }
 
 void NoisyChannel::set_burst_transport_enabled(bool enabled) {
-  if (!enabled && run_.active) fallback_run();
+  if (!enabled) fallback_all_runs();
   config_.burst_transport = enabled;
 }
 
 PortId NoisyChannel::attach(const std::string& device_name) {
-  ports_.push_back(Port{device_name, -1, Logic4::kZ, nullptr, -1});
+  ports_.emplace_back().name = device_name;
   return static_cast<PortId>(ports_.size() - 1);
 }
 
@@ -128,12 +132,19 @@ void NoisyChannel::rearm_timer(std::uint16_t kind, std::uint64_t payload,
 }
 
 void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
-  assert(!(run_.active && port == run_.port) &&
-         "per-bit drive from the port that owns the burst run");
-  // A second transmitter while a burst run is in flight: the
-  // single-transmitter premise broke, so the run degrades to exact
-  // per-bit scheduling before this drive lands.
-  if (run_.active && is_defined(value)) fallback_run();
+  assert(!run_of(port).active &&
+         "per-bit drive from the port that owns a burst run");
+  // A second transmitter on the frequency of a run in flight (on any
+  // frequency, when exclusive): the single-transmitter premise broke,
+  // so the run degrades to exact per-bit scheduling before this drive
+  // lands.
+  if (live_runs_ > 0 && is_defined(value)) {
+    if (exclusive()) {
+      fallback_all_runs();
+    } else if (const PortId owner = freqs_[slot(freq)].run; owner >= 0) {
+      fallback_run(owner);
+    }
+  }
 
   Logic4 v = value;
   if (is_defined(v)) {
@@ -146,10 +157,11 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
   Port& p = ports_[static_cast<std::size_t>(port)];
   const bool was_defined = is_defined(p.value);
   const bool now_defined = is_defined(v);
+  if (was_defined) count_defined(p.freq, -1);
+  if (now_defined) count_defined(freq, +1);
   p.freq = freq;
   p.value = v;
   if (was_defined != now_defined) {
-    defined_ports_ += now_defined ? 1 : -1;
     // The medium at this frequency appeared or vanished: let lazy
     // receivers materialise their pending samples against the old state
     // and re-pick their sampling mode.
@@ -159,11 +171,14 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
   refresh_trace();
 }
 
+void NoisyChannel::count_defined(int freq, int delta) {
+  defined_ports_ += delta;
+  freqs_[slot(freq)].defined += delta;
+}
+
 Logic4 NoisyChannel::sense(int freq) const {
   Logic4 acc = Logic4::kZ;
-  if (run_.active && (!config_.per_frequency || freq == run_.freq)) {
-    acc = run_value_now();
-  }
+  if (const Run* run = run_at(freq)) acc = run_value_now(*run);
   for (const Port& p : ports_) {
     if (p.value == Logic4::kZ) continue;
     if (config_.per_frequency && p.freq != freq) continue;
@@ -208,26 +223,16 @@ void NoisyChannel::requeue_rx_chains_after(PortId port) {
 }
 
 bool NoisyChannel::busy() const {
-  if (run_.active) return true;
-  return defined_ports_ > 0;
-}
-
-bool NoisyChannel::live_at(int freq) const {
-  if (defined_ports_ == 0) return false;
-  if (!config_.per_frequency) return true;
-  for (const Port& p : ports_) {
-    if (is_defined(p.value) && p.freq == freq) return true;
-  }
-  return false;
+  return live_runs_ > 0 || defined_ports_ > 0;
 }
 
 NoisyChannel::RxMedium NoisyChannel::rx_medium(int freq) const {
   RxMedium m;
   m.live = live_at(freq);
-  if (run_.active && (!config_.per_frequency || freq == run_.freq)) {
-    m.run_bits = run_.bits;
-    m.run_start = run_.start;
-    m.run_period = run_.period;
+  if (const Run* run = run_at(freq)) {
+    m.run_bits = run->bits;
+    m.run_start = run->start;
+    m.run_period = run->period;
   }
   return m;
 }
@@ -248,32 +253,39 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   // Equivalence gate: a run is accepted only when the batched loop is
   // provably identical to per-bit drives -- aligned drive instants (no
   // RF delay), a tracer able to take the backfilled bus waveform, and
-  // nobody else on the air. BER > 0 is no longer refused: noise is
-  // pre-applied as an error mask drawn in exact per-bit order
-  // (arm_masked_run), guarded against foreign draws reordering the
-  // stream.
+  // nobody else on the air at this frequency (anywhere, when
+  // exclusive). BER > 0 is not refused: noise is pre-applied as an
+  // error mask drawn in exact per-bit order (arm_masked_run), guarded
+  // against foreign draws reordering the stream.
   sim::Tracer* tracer = env().tracer();
   if (!config_.burst_transport || bits.empty() ||
       config_.rf_delay != sim::SimTime::zero() ||
-      (tracer != nullptr && !tracer->supports_backfill()) ||
-      run_.active || defined_ports_ > 0) {
+      (tracer != nullptr && !tracer->supports_backfill())) {
     return false;
   }
+  Freq& f = freqs_[slot(freq)];
+  if (exclusive() ? live_runs_ > 0 || defined_ports_ > 0
+                  : f.run >= 0 || f.defined > 0) {
+    return false;
+  }
+  assert(!run_of(port).active);
   notify_sync();
-  run_.active = true;
-  run_.port = port;
-  run_.freq = freq;
-  run_.bits = &bits;
-  run_.clean = &bits;
-  run_.start = env().now();
-  run_.period = period;
-  if (config_.ber > 0.0) arm_masked_run(bits);
+  Run& run = run_of(port);
+  run.active = true;
+  run.freq = freq;
+  run.bits = &bits;
+  run.clean = &bits;
+  run.start = env().now();
+  run.period = period;
+  f.run = port;
+  ++live_runs_;
+  if (config_.ber > 0.0) arm_masked_run(port, bits);
   if (tracer != nullptr && bus_trace_ != nullptr && bus_trace_->traced()) {
     // Bus transitions for the run's bits are reconstructed after the
     // fact (backfill_to); the hold keeps the tracer from streaming out
     // anything inside the run's window until they have landed.
     tracer->begin_hold();
-    trace_hold_ = true;
+    traced_ = port;
     backfilled_ = 0;
   }
   ports_[static_cast<std::size_t>(port)].freq = freq;
@@ -281,7 +293,7 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   return true;
 }
 
-void NoisyChannel::arm_masked_run(const sim::BitVector& bits) {
+void NoisyChannel::arm_masked_run(PortId port, const sim::BitVector& bits) {
   // Our bulk mask fill is a foreign draw for any other masked run in
   // flight on this environment (coexistence setups share one RNG):
   // make its guard stand down before we capture the stream position.
@@ -289,15 +301,15 @@ void NoisyChannel::arm_masked_run(const sim::BitVector& bits) {
   sim::Rng& rng = env().rng();
   mask_base_ = rng.state();
   build_masked_buffers(bits, rng);
-  run_.bits = &noisy_;
-  run_.masked = true;
+  run_of(port).bits = &noisy_;
+  masked_ = port;
   if (sim::Rng::bernoulli_draws_per_bit(config_.ber) > 0) {
-    run_.mask_synced = false;
+    mask_synced_ = false;
     env().set_rng_guard(this);
   } else {
     // BER >= 1 consumes no draws, so the stream position matches the
     // per-bit reference at every bit; no guard needed.
-    run_.mask_synced = true;
+    mask_synced_ = true;
   }
 }
 
@@ -317,7 +329,7 @@ void NoisyChannel::build_masked_buffers(const sim::BitVector& bits,
 }
 
 std::size_t NoisyChannel::mask_flips_before(std::size_t k) const {
-  assert(run_.masked && k <= mask_.size());
+  assert(masked_ >= 0 && k <= mask_.size());
   std::size_t flips = 0;
   const std::uint64_t* mw = mask_.words();
   for (std::size_t w = 0; k > 0; ++w) {
@@ -329,12 +341,13 @@ std::size_t NoisyChannel::mask_flips_before(std::size_t k) const {
 }
 
 void NoisyChannel::rng_external_draw() {
-  assert(run_.active && run_.masked && !run_.mask_synced);
-  if (run_bits_elapsed() >= run_.bits->size()) {
+  assert(masked_ >= 0 && !mask_synced_);
+  const Run& run = run_of(masked_);
+  if (run_bits_elapsed(run) >= run.bits->size()) {
     // Every bit of the run is already on the air, so the upfront fill
     // consumed exactly the draws the per-bit reference would have by
     // now: the stream position already matches. Stand down.
-    run_.mask_synced = true;
+    mask_synced_ = true;
     env().set_rng_guard(nullptr);
     return;
   }
@@ -342,13 +355,13 @@ void NoisyChannel::rng_external_draw() {
   // the elapsed bits' draws and the remaining ones. settle_run() (via
   // fallback_run) rewinds the stream to the elapsed position; the rest
   // of the packet degrades to per-bit drives with fresh draws.
-  fallback_run();
+  fallback_run(masked_);
 }
 
-std::size_t NoisyChannel::run_bits_elapsed() const {
-  assert(run_.active);
-  const std::uint64_t d = env().now().as_ns() - run_.start.as_ns();
-  const std::uint64_t p = run_.period.as_ns();
+std::size_t NoisyChannel::run_bits_elapsed(const Run& run) const {
+  assert(run.active);
+  const std::uint64_t d = env().now().as_ns() - run.start.as_ns();
+  const std::uint64_t p = run.period.as_ns();
   // Bits with a drive instant strictly before now have fired in any
   // event order; a bit exactly at now has fired only when the kernel is
   // not mid-dispatch (its virtual drive event would be ordered after
@@ -356,27 +369,28 @@ std::size_t NoisyChannel::run_bits_elapsed() const {
   // begin_burst, so at least one bit is always on the air.
   std::uint64_t n = env().dispatching() ? (d + p - 1) / p : d / p + 1;
   if (n == 0) n = 1;
-  const std::size_t len = run_.bits->size();
+  const std::size_t len = run.bits->size();
   return n < len ? static_cast<std::size_t>(n) : len;
 }
 
-Logic4 NoisyChannel::run_value_now() const {
-  return from_bit((*run_.bits)[run_bits_elapsed() - 1]);
+Logic4 NoisyChannel::run_value_now(const Run& run) const {
+  return from_bit((*run.bits)[run_bits_elapsed(run) - 1]);
 }
 
 void NoisyChannel::backfill_to(std::size_t k) {
-  assert(trace_hold_ && run_.active && k >= 1);
+  assert(traced_ >= 0 && k >= 1);
   sim::Tracer* tracer = env().tracer();
   if (tracer == nullptr) return;  // detached mid-run; nowhere to write
-  const sim::BitVector& bits = *run_.bits;
+  const Run& run = run_of(traced_);
+  const sim::BitVector& bits = *run.bits;
   const sim::TraceId id = bus_trace_->trace_id();
   // Emit only net transitions at their per-bit instants -- exactly the
   // changes the Signal commit path would have produced bit by bit
   // (bus_trace_ still holds the pre-run value while backfilled_ == 0).
   Logic4 prev = backfilled_ == 0 ? bus_trace_->read()
                                  : from_bit(bits[backfilled_ - 1]);
-  const std::uint64_t start_ns = run_.start.as_ns();
-  const std::uint64_t period_ns = run_.period.as_ns();
+  const std::uint64_t start_ns = run.start.as_ns();
+  const std::uint64_t period_ns = run.period.as_ns();
   for (std::size_t i = backfilled_; i < k; ++i) {
     const Logic4 v = from_bit(bits[i]);
     if (v != prev) {
@@ -389,14 +403,16 @@ void NoisyChannel::backfill_to(std::size_t k) {
 }
 
 void NoisyChannel::flush_trace_backfill() {
-  if (!trace_hold_) return;
-  backfill_to(run_bits_elapsed());
+  if (traced_ < 0) return;
+  backfill_to(run_bits_elapsed(run_of(traced_)));
 }
 
-std::size_t NoisyChannel::settle_run(std::size_t driven, Logic4 last) {
+std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
+                                     Logic4 last) {
   assert(driven >= 1);
-  if (run_.masked) {
-    if (!run_.mask_synced && driven < run_.bits->size()) {
+  Run& run = run_of(port);
+  if (port == masked_) {
+    if (!mask_synced_ && driven < run.bits->size()) {
       // The per-bit reference would have consumed exactly `driven`
       // noise draws by now: rewind the upfront fill to that position so
       // every subsequent draw sees the stream the reference path would.
@@ -406,32 +422,35 @@ std::size_t NoisyChannel::settle_run(std::size_t driven, Logic4 last) {
     }
     if (env().rng_guard() == this) env().set_rng_guard(nullptr);
     bits_flipped_ += mask_flips_before(driven);
+    masked_ = -1;
   }
-  if (trace_hold_) {
+  if (port == traced_) {
     backfill_to(driven);
     // Leave the bus signal holding the value the per-bit path would
     // hold after bit driven-1, so the settle-time refresh_trace()
     // emits (or suppresses) exactly the same change.
-    bus_trace_->restore_value(from_bit((*run_.bits)[driven - 1]));
+    bus_trace_->restore_value(from_bit((*run.bits)[driven - 1]));
     if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
-    trace_hold_ = false;
+    traced_ = -1;
   }
   bits_driven_ += driven;
   bits_burst_ += driven;
-  Port& p = ports_[static_cast<std::size_t>(run_.port)];
+  Port& p = ports_[static_cast<std::size_t>(port)];
   assert(p.value == Logic4::kZ);
   p.value = last;
-  p.freq = run_.freq;
-  if (is_defined(last)) ++defined_ports_;
-  run_ = Run{};
+  p.freq = run.freq;
+  if (is_defined(last)) count_defined(run.freq, +1);
+  freqs_[slot(run.freq)].run = -1;
+  --live_runs_;
+  run = Run{};
   return driven;
 }
 
 std::size_t NoisyChannel::finish_burst(PortId port) {
   assert(burst_active(port));
-  (void)port;
   notify_sync();
-  const std::size_t driven = settle_run(run_.bits->size(), Logic4::kZ);
+  const std::size_t driven =
+      settle_run(port, run_of(port).bits->size(), Logic4::kZ);
   notify_reevaluate();
   refresh_trace();
   return driven;
@@ -439,22 +458,29 @@ std::size_t NoisyChannel::finish_burst(PortId port) {
 
 std::size_t NoisyChannel::abort_burst(PortId port) {
   assert(burst_active(port));
-  (void)port;
   notify_sync();
-  const std::size_t driven = settle_run(run_bits_elapsed(), Logic4::kZ);
+  const std::size_t driven =
+      settle_run(port, run_bits_elapsed(run_of(port)), Logic4::kZ);
   notify_reevaluate();
   refresh_trace();
   return driven;
 }
 
-void NoisyChannel::fallback_run() {
-  assert(run_.active);
+void NoisyChannel::fallback_all_runs() {
+  for (std::size_t i = 0; live_runs_ > 0 && i < ports_.size(); ++i) {
+    if (ports_[i].run.active) fallback_run(static_cast<PortId>(i));
+  }
+}
+
+void NoisyChannel::fallback_run(PortId port) {
+  const Run& run = run_of(port);
+  assert(run.active);
   ++burst_fallbacks_;
-  Listener* owner = ports_[static_cast<std::size_t>(run_.port)].listener;
+  Listener* owner = ports_[static_cast<std::size_t>(port)].listener;
   notify_sync();
-  const std::size_t driven = run_bits_elapsed();
-  const Logic4 last = from_bit((*run_.bits)[driven - 1]);
-  settle_run(driven, last);
+  const std::size_t driven = run_bits_elapsed(run);
+  const Logic4 last = from_bit((*run.bits)[driven - 1]);
+  settle_run(port, driven, last);
   // The owner reschedules the remaining bits as exact per-bit drives
   // before receivers re-pick their modes (they will see a live medium).
   assert(owner != nullptr);
@@ -483,7 +509,7 @@ void NoisyChannel::notify_reevaluate() {
 // ---------------------------------------------------------------------------
 
 void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
-  if (trace_hold_) {
+  if (traced_ >= 0) {
     throw sim::SnapshotError(
         "NoisyChannel: cannot checkpoint while a traced burst run holds "
         "the tracer (combine --trace with checkpoints only under "
@@ -498,17 +524,21 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
     w.u8(static_cast<std::uint8_t>(p.value));
     w.u32(static_cast<std::uint32_t>(p.rx_freq));
   });
-  w.b(run_.active);
-  if (run_.active) {
-    w.u32(static_cast<std::uint32_t>(run_.port));
-    w.u32(static_cast<std::uint32_t>(run_.freq));
-    w.time(run_.start);
-    w.time(run_.period);
+  // The active runs, in port order.
+  w.u32(static_cast<std::uint32_t>(live_runs_));
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    const Run& run = ports_[i].run;
+    if (!run.active) continue;
+    const auto port = static_cast<PortId>(i);
+    w.u32(static_cast<std::uint32_t>(port));
+    w.u32(static_cast<std::uint32_t>(run.freq));
+    w.time(run.start);
+    w.time(run.period);
     // A masked run stores only the pre-fill RNG state: the mask is a
     // pure function of (state, BER, length) and is rebuilt on restore.
-    w.b(run_.masked);
-    if (run_.masked) {
-      w.b(run_.mask_synced);
+    w.b(port == masked_);
+    if (port == masked_) {
+      w.b(mask_synced_);
       for (std::uint64_t v : mask_base_) w.u64(v);
     }
   }
@@ -528,42 +558,65 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
   // In-place restore hygiene: stand down any live masked-run guard or
   // tracer hold belonging to the state being overwritten.
   if (env().rng_guard() == this) env().set_rng_guard(nullptr);
-  if (trace_hold_) {
+  if (traced_ >= 0) {
     if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
-    trace_hold_ = false;
+    traced_ = -1;
   }
   r.enter_section(sim::snapshot_tag("CHAN"));
   config_.ber = r.f64();
   config_.burst_transport = r.b();
   std::size_t idx = 0;
   defined_ports_ = 0;
+  std::fill(freqs_.begin(), freqs_.end(), Freq{});
   sim::restore_seq(r, [&](std::size_t) {
     if (idx >= ports_.size()) {
       throw sim::SnapshotError("NoisyChannel: port count mismatch");
     }
     Port& p = ports_[idx++];
+    p.run = Run{};
     p.freq = static_cast<int>(r.u32());
     p.value = static_cast<Logic4>(r.u8());
     p.rx_freq = static_cast<int>(r.u32());
-    if (is_defined(p.value)) ++defined_ports_;
+    if (is_defined(p.value)) {
+      if (p.freq < 0 || p.freq >= config_.num_channels) {
+        throw sim::SnapshotError("NoisyChannel: drive frequency out of range");
+      }
+      count_defined(p.freq, +1);
+    }
   });
   if (idx != ports_.size()) {
     throw sim::SnapshotError("NoisyChannel: port count mismatch");
   }
-  run_ = Run{};
-  if (r.b()) {
-    run_.active = true;
-    run_.port = static_cast<PortId>(r.u32());
-    run_.freq = static_cast<int>(r.u32());
-    run_.start = r.time();
-    run_.period = r.time();
-    run_.masked = r.b();
-    if (run_.masked) {
-      run_.mask_synced = r.b();
+  live_runs_ = 0;
+  masked_ = -1;
+  sim::restore_seq(r, [&](std::size_t) {
+    const auto port = static_cast<PortId>(r.u32());
+    const auto freq = static_cast<int>(r.u32());
+    if (port < 0 || port >= num_ports() || run_of(port).active) {
+      throw sim::SnapshotError("NoisyChannel: run port out of range or taken");
+    }
+    if (freq < 0 || freq >= config_.num_channels ||
+        freqs_[slot(freq)].run >= 0) {
+      throw sim::SnapshotError(
+          "NoisyChannel: run frequency out of range or taken");
+    }
+    Run& run = run_of(port);
+    run.active = true;
+    run.freq = freq;
+    run.start = r.time();
+    run.period = r.time();
+    freqs_[slot(freq)].run = port;
+    ++live_runs_;
+    if (r.b()) {
+      if (masked_ >= 0) {
+        throw sim::SnapshotError("NoisyChannel: two masked runs");
+      }
+      masked_ = port;
+      mask_synced_ = r.b();
       for (std::uint64_t& v : mask_base_) v = r.u64();
     }
-    // run_.bits/clean stay null until the owning radio rebinds them.
-  }
+    // run.bits/clean stay null until the owning radio rebinds them.
+  });
   bits_driven_ = r.u64();
   bits_flipped_ = r.u64();
   collision_samples_ = r.u64();
@@ -578,21 +631,20 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
 }
 
 void NoisyChannel::rebind_run_bits(PortId port, const sim::BitVector* bits) {
-  assert(run_.active && run_.port == port && run_.clean == nullptr &&
-         run_.bits == nullptr);
-  (void)port;
-  run_.clean = bits;
-  if (run_.masked) {
+  Run& run = run_of(port);
+  assert(run.active && run.clean == nullptr && run.bits == nullptr);
+  run.clean = bits;
+  if (port == masked_) {
     // Regenerate the error mask on a scratch stream from the saved
     // pre-fill state -- it is a pure function of (state, BER, length),
     // so the restored medium is bit-identical to the saved one.
     sim::Rng fill;
     fill.set_state(mask_base_);
     build_masked_buffers(*bits, fill);
-    run_.bits = &noisy_;
-    if (!run_.mask_synced) env().set_rng_guard(this);
+    run.bits = &noisy_;
+    if (!mask_synced_) env().set_rng_guard(this);
   } else {
-    run_.bits = bits;
+    run.bits = bits;
   }
 }
 

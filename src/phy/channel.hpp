@@ -17,16 +17,27 @@
 // Burst transport
 // ---------------
 // The per-bit drive()/sense() contract stays the reference semantics,
-// but an uncontended single-transmitter packet can be registered as one
-// *burst run* (begin_burst): the channel then answers sense() from the
-// packed bit vector and run geometry instead of taking one drive event
-// per microsecond, and notifies registered Listeners (the radios) when
-// the medium changes so idle receivers can stop sampling entirely.
-// A run is only accepted when it is provably equivalent to the per-bit
-// path -- no RF delay, a silent medium, and (when tracing) a tracer
-// that accepts backfill -- and it falls back to per-bit scheduling the
-// moment a second transmitter drives, the BER changes, or the
-// transmitter aborts.
+// but a packet can be registered as one *burst run* (begin_burst): the
+// channel then answers sense() from the packed bit vector and run
+// geometry instead of taking one drive event per microsecond, and
+// notifies registered Listeners (the radios) when the medium changes so
+// idle receivers can stop sampling entirely. Each transmitting port has
+// its own run slot. A run is only accepted when it is provably
+// equivalent to the per-bit path -- no RF delay, a tracer that accepts
+// backfill when tracing, and a medium silent at its frequency (no other
+// run, no per-bit defined drive there) -- and it falls back to per-bit
+// scheduling the moment a second transmitter drives its frequency, the
+// BER changes, or the transmitter aborts.
+// Runs on different frequencies never interact, so two piconets
+// hopping independently keep both packets batched; collisions still
+// happen only on the per-bit path.
+//
+// The channel is *exclusive* -- a silent medium on every frequency, at
+// most one run, and any second defined drive degrades it -- when
+// BER > 0 (a masked run draws the shared RNG in per-bit order), when
+// per_frequency is off (the paper's single wire), or while a tracer is
+// attached (the bus trace resolves every port into one wire, and the
+// backfill follows one run).
 //
 // BER > 0 runs draw the whole packet's noise flips up front as an XOR
 // error mask (sim::Rng::fill_error_mask consumes the stream in exactly
@@ -125,7 +136,7 @@ class NoisyChannel final : public sim::Module,
 
   const ChannelConfig& config() const { return config_; }
 
-  /// Changing the BER mid-run degrades an active burst run to per-bit
+  /// Changing the BER mid-run degrades every active burst run to per-bit
   /// first: the remaining bits need per-instant noise draws.
   void set_ber(double ber);
 
@@ -137,7 +148,7 @@ class NoisyChannel final : public sim::Module,
   static void set_burst_transport_default(bool enabled);
   static bool burst_transport_default();
 
-  /// Per-instance switch. Disabling degrades an active run to per-bit.
+  /// Per-instance switch. Disabling degrades every active run to per-bit.
   void set_burst_transport_enabled(bool enabled);
   bool burst_transport_enabled() const { return config_.burst_transport; }
 
@@ -187,8 +198,9 @@ class NoisyChannel final : public sim::Module,
   /// Registers the whole of `bits` as one uncontended run from `port` on
   /// `freq`, one bit per `period` starting now. Returns false -- and
   /// changes nothing -- when the run cannot be batched (burst transport
-  /// off, RF delay, a tracer without backfill support, or a non-silent
-  /// medium); the caller must then drive per-bit. `bits` must stay alive
+  /// off, RF delay, a tracer without backfill support, or a medium not
+  /// silent at `freq`, or anywhere when exclusive); the caller must then
+  /// drive per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
   /// the medium immediately (as a per-bit drive would be). BER > 0 runs
   /// pre-apply noise as an error mask drawn in per-bit order; receivers
@@ -196,16 +208,15 @@ class NoisyChannel final : public sim::Module,
   bool begin_burst(PortId port, int freq, const sim::BitVector& bits,
                    sim::SimTime period);
 
-  /// True while `port` owns the active burst run.
+  /// True while `port` has an active burst run.
   bool burst_active(PortId port) const {
-    return run_.active && run_.port == port;
+    return port >= 0 && port < num_ports() && run_of(port).active;
   }
 
   /// Bits of `port`'s active run already on the air (event-order exact).
   std::size_t burst_elapsed(PortId port) const {
     assert(burst_active(port));
-    (void)port;
-    return run_bits_elapsed();
+    return run_bits_elapsed(run_of(port));
   }
 
   /// Completes `port`'s run at its natural end (caller's end-of-packet
@@ -225,7 +236,7 @@ class NoisyChannel final : public sim::Module,
     /// through per-bit drives (collisions and noisy transmissions live
     /// here) -- the receiver must sample per bit.
     bool live = false;
-    /// Active burst run visible at this frequency (nullptr when none).
+    /// The burst run visible at this frequency (nullptr when none).
     const sim::BitVector* run_bits = nullptr;
     sim::SimTime run_start;
     sim::SimTime run_period;
@@ -235,21 +246,22 @@ class NoisyChannel final : public sim::Module,
   // ---- checkpointing ----
 
   /// Saves/restores the mutable channel state: BER and burst switch,
-  /// per-port drive/listening state, the active run's geometry and the
-  /// noise/collision counters. The run's packed bits are NOT part of the
-  /// stream -- they live in the transmitting Radio's tx buffer, and that
-  /// radio re-links them via rebind_run_bits() during its own restore
+  /// per-port drive/listening state, every active run's geometry and the
+  /// noise/collision counters. The runs' packed bits are NOT part of the
+  /// stream -- they live in the transmitting Radios' tx buffers, and each
+  /// radio re-links its run via rebind_run_bits() during its own restore
   /// (the restore order guarantees it runs after the channel's). A
   /// masked run stores only the pre-fill RNG state: the error mask is a
   /// pure function of (state, BER, length) and is regenerated on
   /// restore. Throws sim::SnapshotError while a traced run holds the
-  /// tracer -- the waveform buffer is not snapshotable.
+  /// tracer -- the waveform buffer is not snapshotable -- and on restore
+  /// for a run whose port or frequency is out of range or taken.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
-  /// Re-links the active run's bit storage (the transmitter's clean
-  /// bits) after a restore; rebuilds the error mask for masked runs.
-  /// Only valid while `port` owns the restored run.
+  /// Re-links the bit storage of `port`'s run (the transmitter's clean
+  /// bits) after a restore; rebuilds the error mask for a masked run.
+  /// Only valid while `port` has a restored run.
   void rebind_run_bits(PortId port, const sim::BitVector* bits);
 
   // ---- tracing (called by the owning system) ----
@@ -274,7 +286,9 @@ class NoisyChannel final : public sim::Module,
     std::uint64_t flips = bits_flipped_;
     // Flips of an in-flight masked run are accounted lazily: only the
     // elapsed prefix of the mask has "happened" yet.
-    if (run_.active && run_.masked) flips += mask_flips_before(run_bits_elapsed());
+    if (masked_ >= 0) {
+      flips += mask_flips_before(run_bits_elapsed(run_of(masked_)));
+    }
     return flips;
   }
   std::uint64_t collision_samples() const { return collision_samples_; }
@@ -284,18 +298,11 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
 
  private:
+  /// One port's burst run slot.
   struct Run {
     bool active = false;
-    /// BER > 0: noise flips pre-applied via mask_, bits points at the
-    /// channel-owned corrupted copy (noisy_).
-    bool masked = false;
-    /// The per-bit RNG draw order has fully caught up with the upfront
-    /// mask fill (all bits elapsed when a foreign draw arrived); no
-    /// rewind is needed at settle time.
-    bool mask_synced = false;
-    PortId port = -1;
     int freq = 0;
-    /// What the medium shows (noisy_ for masked runs).
+    /// What the medium shows (noisy_ for the masked run).
     const sim::BitVector* bits = nullptr;
     /// The transmitter's storage, as passed to begin_burst (equal to
     /// `bits` for unmasked runs). Needed for snapshot rebinding.
@@ -313,9 +320,35 @@ class NoisyChannel final : public sim::Module,
   void apply(PortId port, int freq, Logic4 value);
   void refresh_trace();
 
-  /// Draws the run's error mask (saving the pre-fill RNG state first),
+  const Run& run_of(PortId port) const {
+    return ports_[static_cast<std::size_t>(port)].run;
+  }
+  Run& run_of(PortId port) {
+    return ports_[static_cast<std::size_t>(port)].run;
+  }
+
+  /// Index into freqs_: the frequency itself, or 0 for every frequency
+  /// on the paper's single wire.
+  std::size_t slot(int freq) const {
+    return config_.per_frequency ? static_cast<std::size_t>(freq) : 0;
+  }
+
+  /// True when the medium admits at most one run and any second defined
+  /// drive degrades it (see the header comment).
+  bool exclusive() const {
+    return config_.ber > 0.0 || !config_.per_frequency ||
+           env().tracer() != nullptr;
+  }
+
+  /// The run visible at `freq`, or nullptr.
+  const Run* run_at(int freq) const {
+    const PortId p = freqs_[slot(freq)].run;
+    return p < 0 ? nullptr : &run_of(p);
+  }
+
+  /// Draws `port`'s error mask (saving the pre-fill RNG state first),
   /// builds the corrupted copy and registers the RNG guard.
-  void arm_masked_run(const sim::BitVector& bits);
+  void arm_masked_run(PortId port, const sim::BitVector& bits);
 
   /// Rebuilds mask_/noisy_ for `bits` from mask_base_ (shared by
   /// arm_masked_run and the snapshot rebind path).
@@ -324,34 +357,41 @@ class NoisyChannel final : public sim::Module,
   /// Number of set bits in the first `k` mask positions.
   std::size_t mask_flips_before(std::size_t k) const;
 
-  /// Emits the net bus transitions of run bits [backfilled_, k) at their
-  /// per-bit instants (Tracer::change_at under the open hold).
+  /// Emits the net bus transitions of the traced run's bits
+  /// [backfilled_, k) at their per-bit instants (Tracer::change_at under
+  /// the open hold).
   void backfill_to(std::size_t k);
 
-  /// Bits of the active run already on the air, honouring the event
-  /// tiebreak: a bit whose drive instant equals now() counts only when
-  /// the kernel is not mid-dispatch (outside dispatch every same-instant
-  /// event has fired; inside, the virtual drive event is ordered after
-  /// the currently running one).
-  std::size_t run_bits_elapsed() const;
+  /// Bits of `run` already on the air, honouring the event tiebreak: a
+  /// bit whose drive instant equals now() counts only when the kernel is
+  /// not mid-dispatch (outside dispatch every same-instant event has
+  /// fired; inside, the virtual drive event is ordered after the
+  /// currently running one).
+  std::size_t run_bits_elapsed(const Run& run) const;
 
-  /// Current run bit visible to a same-instant observer (sense()).
-  Logic4 run_value_now() const;
+  /// Current bit of `run` visible to a same-instant observer (sense()).
+  Logic4 run_value_now(const Run& run) const;
 
-  /// Degrades the active run to per-bit scheduling (two-phase listener
+  /// Degrades `port`'s run to per-bit scheduling (two-phase listener
   /// notification + tx_burst_fallback on the owner).
-  void fallback_run();
+  void fallback_run(PortId port);
 
-  /// Tears the run down after consuming listeners; `driven` bits are
-  /// accounted and the port is left driving `last` (kZ to release).
-  std::size_t settle_run(std::size_t driven, Logic4 last);
+  /// Degrades every active run, in port order.
+  void fallback_all_runs();
+
+  /// Tears `port`'s run down after consuming listeners; `driven` bits
+  /// are accounted and the port is left driving `last` (kZ to release).
+  std::size_t settle_run(PortId port, std::size_t driven, Logic4 last);
+
+  /// Per-bit defined-drive bookkeeping of one port changing value.
+  void count_defined(int freq, int delta);
 
   void notify_sync();
   void notify_reevaluate();
 
   /// True when any port drives a defined value visible at `freq` via
-  /// per-bit drives (the run does not count).
-  bool live_at(int freq) const;
+  /// per-bit drives (runs do not count).
+  bool live_at(int freq) const { return freqs_[slot(freq)].defined > 0; }
 
   ChannelConfig config_;
   struct Port {
@@ -360,18 +400,34 @@ class NoisyChannel final : public sim::Module,
     Logic4 value = Logic4::kZ;
     Listener* listener = nullptr;
     int rx_freq = -1;  // -1: not listening
+    Run run;           // this port's burst run slot
   };
   std::vector<Port> ports_;
+  /// What one frequency (see slot()) carries, so every lookup on the
+  /// transport path is O(1): the port of its run (-1: none) and the
+  /// number of per-bit defined drives.
+  struct Freq {
+    PortId run = -1;
+    int defined = 0;
+  };
+  std::vector<Freq> freqs_;
+  int live_runs_ = 0;
   bool rearm_registered_ = false;
-  Run run_;
-  // Masked-run machinery (meaningful only while run_.masked). The
-  // buffers keep their capacity across runs, so steady-state masked
-  // bursts allocate nothing.
-  sim::BitVector mask_;   // XOR error mask of the active masked run
-  sim::BitVector noisy_;  // run_.clean ^ mask_, what the medium shows
+  // Masked-run machinery. Masked runs only exist under BER > 0, which is
+  // exclusive, so at most one is in flight: masked_ is its port (-1:
+  // none). The buffers keep their capacity across runs, so steady-state
+  // masked bursts allocate nothing.
+  PortId masked_ = -1;
+  /// The per-bit RNG draw order has fully caught up with the upfront
+  /// mask fill (all bits elapsed when a foreign draw arrived); no rewind
+  /// is needed at settle time.
+  bool mask_synced_ = false;
+  sim::BitVector mask_;   // XOR error mask of the masked run
+  sim::BitVector noisy_;  // clean ^ mask_, what the medium shows
   std::array<std::uint64_t, 4> mask_base_{};  // RNG state before the fill
-  // Traced-run backfill (meaningful only while a hold is open).
-  bool trace_hold_ = false;
+  // Traced-run backfill: traced_ is the port of the run holding the
+  // tracer (-1: no hold open); tracing is exclusive, so there is one.
+  PortId traced_ = -1;
   std::size_t backfilled_ = 0;  // run bits already backfilled
   int defined_ports_ = 0;  // ports currently driving a defined value
   bool notifying_ = false;

@@ -228,7 +228,7 @@ TEST(SnapshotFormat, CanonicalImagePinnedToVersion) {
   const std::uint64_t digest =
       sim::snapshot_checksum(image.data(), image.size());
   EXPECT_EQ(std::make_pair(sim::kSnapshotVersion, digest),
-            std::make_pair(std::uint32_t{4}, std::uint64_t{0x95f4ac0eb59ac807}))
+            std::make_pair(std::uint32_t{5}, std::uint64_t{0x0e1a975796d69e5b}))
       << std::hex << "digest 0x" << digest;
 }
 
