@@ -37,15 +37,14 @@ BENCHMARK(BM_HopSelection);
 void BM_SyncWordGeneration(benchmark::State& state) {
   std::uint32_t lap = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sync_word(lap));
+    benchmark::DoNotOptimize(sync_bits(lap));
     lap = (lap + 0x1057) & 0xFFFFFF;
   }
 }
 BENCHMARK(BM_SyncWordGeneration);
 
 void BM_CorrelatorPush(benchmark::State& state) {
-  const auto sw = sync_word(kGiacLap);
-  Correlator corr(sw);
+  Correlator corr(sync_bits(kGiacLap));
   sim::Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(corr.push(rng.bernoulli(0.5)));

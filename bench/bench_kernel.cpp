@@ -134,7 +134,7 @@ void BM_PacketDecode(benchmark::State& state) {
   for (auto _ : state) {
     sim::BitVector bits = access_code(lap, /*with_trailer=*/true);
     bits.append(compose_after_access_code(h, body, params));
-    rec.configure(sync_word(lap), uap, params.whiten_init,
+    rec.configure(sync_bits(lap), uap, params.whiten_init,
                   Receiver::Expect::kFull);
     // Deliver the packet the way a burst run does: quiet spans in bulk,
     // effect samples through the per-sample entry.

@@ -138,7 +138,7 @@ cmake -B build-asan -S . -DBTSC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$jobs" --target \
       sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
-      baseband_test_bt_clock \
+      baseband_test_bt_clock baseband_test_access_code \
       baseband_test_framing_word baseband_test_receiver_word \
       phy_test_burst_transport phy_test_noise_mask \
       integration_test_burst_equivalence \
@@ -170,7 +170,12 @@ cmake --build build-asan -j "$jobs" --target \
 # baseband_test_receiver_word is the receiver's word-vs-bit differential
 # suite (every packet type, whitening, noise, all-'Z' sources, every
 # consume split point); with asserts armed consume_quiet() also replays
-# each span through the per-bit step and compares machines.
+# each span through the per-bit step and compares machines. Its
+# SilentProbeMatchesPushReference case consumes every span the silent
+# probe (the correlator weight bound) certifies, so consume_quiet's
+# per-bit oracle asserts ("consume_quiet crossed a sync fire") run
+# against that bound here. baseband_test_access_code pins the sync word
+# (the word form against a bit-serial reference) and the correlator.
 # sim_test_snapshot / core_test_checkpoint / runner_test_checkpoint_sweep
 # cover the checkpoint subsystem: the tagged-stream codecs and their
 # malformed-input rejection paths, whole-system save/restore round trips
@@ -202,7 +207,7 @@ cmake --build build-asan -j "$jobs" --target \
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
 for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
-         baseband_test_bt_clock \
+         baseband_test_bt_clock baseband_test_access_code \
          baseband_test_framing_word baseband_test_receiver_word \
          phy_test_burst_transport phy_test_noise_mask \
          integration_test_burst_equivalence \

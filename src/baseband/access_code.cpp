@@ -22,7 +22,7 @@ constexpr std::uint32_t barker_for(std::uint32_t lap) {
 
 }  // namespace
 
-sim::BitVector sync_word(std::uint32_t lap) {
+std::uint64_t sync_bits(std::uint32_t lap) {
   lap &= 0xFFFFFFu;
   // 30 information bits: LAP (bits 0..23) then Barker extension (24..29).
   const std::uint64_t info =
@@ -40,32 +40,24 @@ sim::BitVector sync_word(std::uint32_t lap) {
   const std::uint64_t parity = reg;  // degree < 34
   const std::uint64_t codeword = (info_tilde << 34) | parity;
   // Unscramble the whole word with the PN sequence.
-  const std::uint64_t word = codeword ^ kPnSequence;
-  sim::BitVector out;
-  out.append_uint(word, 64);
-  return out;
+  return codeword ^ kPnSequence;
 }
 
 sim::BitVector access_code(std::uint32_t lap, bool with_trailer) {
-  const sim::BitVector sync = sync_word(lap);
+  const std::uint64_t sync = sync_bits(lap);
   sim::BitVector out;
   out.reserve(4 + kSyncWordBits + (with_trailer ? 4 : 0));
-  // Preamble 0101/1010: alternating pattern ending opposite to the first
-  // sync bit, so the edge keeps alternating into the sync word.
-  const bool first = sync[0];
-  for (int i = 0; i < 4; ++i) out.push_back(first ? !(i % 2) : (i % 2));
-  out.append(sync);
+  // Preamble 0101/1010 (air order, first bit in the LSB): alternating
+  // pattern ending opposite to the first sync bit, so the edge keeps
+  // alternating into the sync word.
+  out.append_uint((sync & 1u) ? 0b0101u : 0b1010u, 4);
+  out.append_uint(sync, kSyncWordBits);
   if (with_trailer) {
     // Trailer extends the alternation after the last sync bit.
-    const bool last = sync[kSyncWordBits - 1];
-    for (int i = 0; i < 4; ++i) out.push_back(last ? (i % 2 == 0 ? 0 : 1)
-                                                   : (i % 2 == 0 ? 1 : 0));
+    out.append_uint((sync >> 63) ? 0b1010u : 0b0101u, 4);
   }
   return out;
 }
-
-Correlator::Correlator(const sim::BitVector& sync)
-    : expected_(sync.extract_word(0, kSyncWordBits)) {}
 
 bool Correlator::push(bool bit) {
   // window_ bit 63 holds the newest bit; air bit i of the candidate sync
@@ -73,6 +65,26 @@ bool Correlator::push(bool bit) {
   window_ = (window_ >> 1) | (static_cast<std::uint64_t>(bit) << 63);
   ++bits_seen_;
   return bits_seen_ >= kSyncWordBits && matches(window_);
+}
+
+std::size_t Correlator::silent_prefix(std::size_t count) const {
+  // Shifting zeros in never raises the window's weight, and a window of
+  // weight w differs from the sync word in at least popcount(sync) - w
+  // positions. Past the tolerated 64 - threshold errors, no window of
+  // this silence can fire.
+  if (std::popcount(expected_) - std::popcount(window_) >
+      64 - kSyncCorrelationThreshold) {
+    return count;
+  }
+  // Otherwise dry-run a copy: after 64 zero shifts the window is stable,
+  // so either a fire happens within the first 65 pushes or never (a
+  // degenerate sync word of weight <= 10 does correlate with silence).
+  Correlator c = *this;
+  const std::size_t limit = count < 65 ? count : 65;
+  for (std::size_t i = 0; i < limit; ++i) {
+    if (c.push(false)) return i;
+  }
+  return count;
 }
 
 void Correlator::reset() {

@@ -37,8 +37,8 @@ inline constexpr std::size_t kIdPacketBits = 68;     // preamble + sync
 inline constexpr std::size_t kAccessCodeBits = 72;   // + trailer
 
 /// 64-bit sync word for a LAP ((64,30) BCH codeword XOR PN sequence).
-/// Bit 0 of the result is the first bit on air.
-sim::BitVector sync_word(std::uint32_t lap);
+/// Bit i of the result is air bit i (bit 0 is the first bit on air).
+std::uint64_t sync_bits(std::uint32_t lap);
 
 /// Full access code: preamble + sync word, plus trailer when
 /// `with_trailer` (packets that carry a header).
@@ -51,11 +51,17 @@ sim::BitVector access_code(std::uint32_t lap, bool with_trailer);
 class Correlator {
  public:
   Correlator() = default;
-  explicit Correlator(const sim::BitVector& sync);
+  /// Correlates against `sync` (a sync_bits() word).
+  explicit Correlator(std::uint64_t sync) : expected_(sync) {}
 
   /// Shifts one received bit in; returns true when the window correlates
   /// above threshold (sync detected at this bit position).
   bool push(bool bit);
+
+  /// Number of zero bits, of at most `count`, that shift in before the
+  /// first that fires, or `count` when none does: the probe of a silent
+  /// medium (all 'Z', sliced as zeros).
+  std::size_t silent_prefix(std::size_t count) const;
 
   /// Shifts `n` (1..64) bits in at once, LSB of `bits` first, WITHOUT
   /// fire checks: the caller must know (e.g. from a prior probe on a

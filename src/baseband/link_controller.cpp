@@ -315,7 +315,7 @@ int LinkController::respmap(int freq, int n) {
 void LinkController::arm_receiver(std::uint32_t lap, std::uint8_t check_init,
                                   std::optional<std::uint8_t> whiten,
                                   Receiver::Expect expect) {
-  receiver_.configure(sync_word(lap), check_init, whiten, expect);
+  receiver_.configure(sync_bits(lap), check_init, whiten, expect);
 }
 
 void LinkController::open_rx_window(int freq, SimTime sense_window) {

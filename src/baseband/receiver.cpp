@@ -36,8 +36,7 @@ void append_samples(sim::BitVector& dst, const sim::BitVector* bits,
 Receiver::Receiver(sim::Environment& env, std::string name)
     : env_(env), name_(std::move(name)) {}
 
-void Receiver::configure(const sim::BitVector& sync_word,
-                         std::uint8_t check_init,
+void Receiver::configure(std::uint64_t sync_word, std::uint8_t check_init,
                          std::optional<std::uint8_t> whiten_init,
                          Expect expect) {
   // Materialise any lazily pending samples into the OLD machine first:
@@ -237,18 +236,10 @@ std::size_t Receiver::quiet_prefix(const sim::BitVector* bits,
                                    std::size_t count) const {
   if (!configured_) return count;  // unconfigured: samples are dropped
   if (machine_.phase == Phase::kSearch) {
-    // Search only touches the correlator: dry-run a register copy.
+    // Search only touches the correlator. An all-'Z' future is answered
+    // from the register's weight; real bits dry-run a register copy.
+    if (bits == nullptr) return machine_.correlator.silent_prefix(count);
     Correlator c = machine_.correlator;
-    if (bits == nullptr) {
-      // All-'Z' future: after 64 zero shifts the window is stable, so
-      // either a fire happens within the first 65 pushes or never (even
-      // for a degenerate sync word that correlates with silence).
-      const std::size_t limit = count < 65 ? count : 65;
-      for (std::size_t i = 0; i < limit; ++i) {
-        if (c.push(false)) return i;
-      }
-      return count;
-    }
     for (std::size_t i = 0; i < count; i += 64) {
       const auto chunk = static_cast<unsigned>(count - i < 64 ? count - i : 64);
       const std::uint64_t w = bits->extract_word(first + i, chunk);

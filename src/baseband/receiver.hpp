@@ -17,7 +17,8 @@
 // step() reports, instead of performing, every externally visible effect
 // (handler/hook invocation, RNG draw); step() is the per-bit reference
 // that on_bit() runs. quiet_prefix() locates the next effect: while
-// searching by scanning the correlator over word reads, while assembling
+// searching by scanning the correlator over word reads (a silent medium
+// is answered from the correlator's weight), while assembling
 // analytically from the framing (trailer and header lengths, the
 // payload's coded length once its header resolves) -- only the few bits
 // before a payload length resolves are dry-run on a scratch copy.
@@ -76,8 +77,9 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
 
   Receiver(sim::Environment& env, std::string name);
 
-  /// Arms the receiver for a sync word / link context. Resets assembly.
-  void configure(const sim::BitVector& sync_word, std::uint8_t check_init,
+  /// Arms the receiver for a sync word (a sync_bits() word) and link
+  /// context. Resets assembly.
+  void configure(std::uint64_t sync_word, std::uint8_t check_init,
                  std::optional<std::uint8_t> whiten_init, Expect expect);
 
   void set_handler(Handler h) { handler_ = std::move(h); }

@@ -1,5 +1,7 @@
 #include "sim/rng.hpp"
 
+#include <cmath>
+
 namespace btsc::sim {
 namespace {
 
@@ -63,6 +65,12 @@ void Rng::fill_error_mask(std::uint64_t* words, std::size_t nbits, double p) {
     const std::uint64_t fill = p >= 1.0 && nbits > 0 ? ~0ull : 0ull;
     for (std::size_t w = 0; w < nwords; ++w) words[w] = fill;
   } else {
+    // bernoulli(p) tests uniform01() < p, i.e. x * 2^-53 < p for the
+    // 53-bit draw x. Both the draw and the power-of-two scalings are
+    // exact, so that is x < p * 2^53, and for an integer x exactly
+    // x < ceil(p * 2^53) (at most 2^53 for p < 1).
+    const auto threshold =
+        static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
     for (std::size_t w = 0; w < nwords; ++w) {
       const std::size_t base = w * 64;
       const unsigned n =
@@ -70,7 +78,7 @@ void Rng::fill_error_mask(std::uint64_t* words, std::size_t nbits, double p) {
       std::uint64_t m = 0;
       for (unsigned j = 0; j < n; ++j) {
         // Exactly bernoulli(p)'s draw, in per-bit order (bit 0 first).
-        if (uniform01() < p) m |= 1ull << j;
+        m |= static_cast<std::uint64_t>((next() >> 11) < threshold) << j;
       }
       words[w] = m;
     }

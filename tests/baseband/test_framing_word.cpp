@@ -224,21 +224,21 @@ TEST(FramingWordTest, Fec23BlockHelperAgreesWithVectorDecoder) {
 // ---- correlator ----
 
 TEST(FramingWordTest, CorrelatorHammingThresholdBoundary) {
-  const BitVector sync = sync_word(0x9E8B33);
+  const std::uint64_t sync = sync_bits(0x9E8B33);
   // 64 - threshold errors must still fire; one more must not.
   const int max_errors = 64 - kSyncCorrelationThreshold;
   for (int errors : {0, 1, max_errors, max_errors + 1}) {
-    BitVector noisy = sync;
-    for (int e = 0; e < errors; ++e) noisy.flip(static_cast<std::size_t>(e) * 5);
+    std::uint64_t noisy = sync;
+    for (int e = 0; e < errors; ++e) noisy ^= 1ull << (e * 5);
     Correlator c(sync);
     bool fired = false;
-    for (std::size_t i = 0; i < 64; ++i) fired = c.push(noisy[i]);
+    for (int i = 0; i < 64; ++i) fired = c.push((noisy >> i) & 1u);
     EXPECT_EQ(fired, errors <= max_errors) << "errors=" << errors;
   }
 }
 
 TEST(FramingWordTest, CorrelatorAdvanceMatchesPushOnQuietStreams) {
-  const BitVector sync = sync_word(0x123456);
+  const std::uint64_t sync = sync_bits(0x123456);
   Rng rng(2718);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t len = 1 + rng.uniform(0, 200);

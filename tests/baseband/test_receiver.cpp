@@ -61,7 +61,7 @@ struct Loop {
 
 TEST(ReceiverTest, DetectsIdPacket) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kIdOnly);
   loop.rx_radio.enable_rx(0);
   loop.tx.transmit(0, access_code(kLap, false));
@@ -72,7 +72,7 @@ TEST(ReceiverTest, DetectsIdPacket) {
 
 TEST(ReceiverTest, IdPacketStartReconstruction) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kIdOnly);
   loop.rx_radio.enable_rx(0);
   loop.env.run(100_us);  // transmit at t=100us exactly
@@ -84,7 +84,7 @@ TEST(ReceiverTest, IdPacketStartReconstruction) {
 
 TEST(ReceiverTest, PollPacketRoundTrip) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   PacketHeader h;
   h.lt_addr = 3;
@@ -102,7 +102,7 @@ TEST(ReceiverTest, PollPacketRoundTrip) {
 
 TEST(ReceiverTest, FhsRoundTrip) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   FhsPayload fhs;
   fhs.addr = BdAddr(0xABCDEF, 0x12, 0x3456);
@@ -132,7 +132,7 @@ TEST_P(ReceiverAclRoundTrip, DeliversUserBytes) {
   LinkParams params;
   params.check_init = kUap;
   if (whiten) params.whiten_init = 0x5D;
-  loop.rx.configure(sync_word(kLap), kUap, params.whiten_init,
+  loop.rx.configure(sync_bits(kLap), kUap, params.whiten_init,
                     Receiver::Expect::kFull);
   std::vector<std::uint8_t> user(max_user_bytes(type));
   for (std::size_t i = 0; i < user.size(); ++i) {
@@ -168,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ReceiverTest, WrongLapNotReceived) {
   Loop loop;
-  loop.rx.configure(sync_word(0x111111), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(0x111111), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   PacketHeader h;
   h.type = PacketType::kPoll;
@@ -181,7 +181,7 @@ TEST(ReceiverTest, WrongLapNotReceived) {
 
 TEST(ReceiverTest, WrongUapFailsHec) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), static_cast<std::uint8_t>(kUap + 1),
+  loop.rx.configure(sync_bits(kLap), static_cast<std::uint8_t>(kUap + 1),
                     std::nullopt, Receiver::Expect::kFull);
   PacketHeader h;
   h.type = PacketType::kPoll;
@@ -195,7 +195,7 @@ TEST(ReceiverTest, WrongUapFailsHec) {
 
 TEST(ReceiverTest, HeaderHookAbortsForeignPacket) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   loop.rx.set_header_hook(
       [](const PacketHeader& h) { return h.lt_addr == 2; });
@@ -218,7 +218,7 @@ TEST(ReceiverTest, DmPacketSurvivesModerateNoise) {
     Loop loop(1.0 / 100.0, seed);
     LinkParams params;
     params.check_init = kUap;
-    loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+    loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                       Receiver::Expect::kFull);
     PacketHeader h;
     h.type = PacketType::kDm1;
@@ -238,7 +238,7 @@ TEST(ReceiverTest, DhPacketDiesUnderHeavyNoise) {
     Loop loop(1.0 / 30.0, seed);
     LinkParams params;
     params.check_init = kUap;
-    loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+    loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                       Receiver::Expect::kFull);
     PacketHeader h;
     h.type = PacketType::kDh1;
@@ -258,7 +258,7 @@ TEST(ReceiverTest, CollisionGarblesPacket) {
   rxr.set_rx_sink([&](phy::Logic4 v) { rx.on_bit(v); });
   std::vector<Receiver::Result> results;
   rx.set_handler([&](const Receiver::Result& r) { results.push_back(r); });
-  rx.configure(sync_word(kLap), kUap, std::nullopt, Receiver::Expect::kFull);
+  rx.configure(sync_bits(kLap), kUap, std::nullopt, Receiver::Expect::kFull);
 
   PacketHeader h;
   h.type = PacketType::kPoll;
@@ -276,7 +276,7 @@ TEST(ReceiverTest, CollisionGarblesPacket) {
 
 TEST(ReceiverTest, ResetAbandonsAssembly) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   PacketHeader h;
   h.type = PacketType::kDh1;
@@ -298,7 +298,7 @@ TEST(ReceiverTest, ResetAbandonsAssembly) {
 
 TEST(ReceiverTest, CarrierSamplesTrackSignalPresence) {
   Loop loop;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kIdOnly);
   loop.rx_radio.enable_rx(5);
   loop.env.run(100_us);
@@ -312,7 +312,7 @@ TEST(ReceiverTest, BackToBackPackets) {
   Loop loop;
   LinkParams params;
   params.check_init = kUap;
-  loop.rx.configure(sync_word(kLap), kUap, std::nullopt,
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kFull);
   PacketHeader h;
   h.type = PacketType::kPoll;

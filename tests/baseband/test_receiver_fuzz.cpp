@@ -24,7 +24,7 @@ constexpr std::uint8_t kUap = 0x2B;
 
 struct Fuzzer {
   explicit Fuzzer(std::uint64_t seed) : env(seed) {
-    rx.configure(sync_word(kLap), kUap, 0x5A, Receiver::Expect::kFull);
+    rx.configure(sync_bits(kLap), kUap, 0x5A, Receiver::Expect::kFull);
     rx.set_handler([this](const Receiver::Result& r) { results.push_back(r); });
   }
 
@@ -158,7 +158,7 @@ TEST(ReceiverFuzz, ReconfigureMidPacketResets) {
   auto bits = f.make_packet(PacketType::kDh3, 100);
   f.feed(bits.slice(0, 400));
   EXPECT_TRUE(f.rx.assembling());
-  f.rx.configure(sync_word(0x123456), 0x00, std::nullopt,
+  f.rx.configure(sync_bits(0x123456), 0x00, std::nullopt,
                  Receiver::Expect::kIdOnly);
   EXPECT_FALSE(f.rx.assembling());
   // The old packet's continuation must not trigger anything.

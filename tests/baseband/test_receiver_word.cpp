@@ -7,6 +7,7 @@
 // wherever a consume is split.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -62,7 +63,7 @@ void restore(Receiver& rx, const std::vector<std::uint8_t>& bytes) {
 /// A receiver under test plus the log of every effect it produced.
 struct Rig {
   explicit Rig(sim::Environment& env, bool whiten) : rx(env, "rx") {
-    rx.configure(sync_word(kLap), kUap,
+    rx.configure(sync_bits(kLap), kUap,
                  whiten ? std::optional<std::uint8_t>(kWhiten) : std::nullopt,
                  Receiver::Expect::kFull);
     rx.set_handler([this](const Receiver::Result& r) {
@@ -372,6 +373,125 @@ TEST(ReceiverWordTest, LengthAboveMaximumIsBadWhereItResolves) {
       EXPECT_EQ(d.at, kPayloadStart + resolves - 1) << to_string(t);
     }
   }
+}
+
+/// Puts `rx` in the sync search with the given correlator registers,
+/// through the RECV snapshot section (the receiver's only register-level
+/// entry point). The fields follow Receiver::save_state; the round trip
+/// check below catches any drift from that layout.
+void set_search_registers(Receiver& rx, std::uint64_t expected,
+                          std::uint64_t window, std::uint64_t bits_seen) {
+  sim::SnapshotWriter w;
+  w.begin_section(sim::snapshot_tag("RECV"));
+  w.b(true);   // configured
+  w.u8(kUap);  // check_init
+  w.b(false);  // no whitening
+  w.u8(0);
+  w.u8(static_cast<std::uint8_t>(Receiver::Expect::kFull));
+  w.u8(0);  // phase: search
+  w.u64(expected);
+  w.u64(window);
+  w.u64(bits_seen);
+  sim::save_bitvector(w, BitVector{});  // collected
+  w.u16(0);                             // header
+  w.b(false);                           // have_whitener
+  w.u8(0);                              // whitener register
+  w.u64(0);                             // payload_total_coded_bits
+  w.u64(0);                             // payload_body_bytes
+  sim::save_bitvector(w, BitVector{});  // payload_data_bits
+  w.b(false);                           // payload_fec_failed
+  w.u64(0);                             // fec_failures
+  w.time(sim::SimTime{});               // sync_done_time
+  for (int i = 0; i < 4; ++i) w.u64(0);  // carrier, syncs, HEC, CRC counts
+  w.end_section();
+  const std::vector<std::uint8_t> bytes = w.take();
+  restore(rx, bytes);
+  ASSERT_EQ(snapshot(rx), bytes) << "RECV layout drifted";
+}
+
+/// A random word with exactly `weight` set bits.
+std::uint64_t word_of_weight(sim::Rng& rng, int weight) {
+  std::uint64_t w = 0;
+  while (std::popcount(w) < weight) w |= 1ull << rng.uniform(0, 63);
+  return w;
+}
+
+TEST(ReceiverWordTest, SilentProbeMatchesPushReference) {
+  // The all-'Z' probe of a searching receiver (quiet_prefix with a null
+  // source) answers from the correlator's weight when that excludes any
+  // fire, and dry-runs zero pushes otherwise. Both must equal the
+  // reference: the first of `count` zero pushes that fires.
+  constexpr int kTolerated = 64 - kSyncCorrelationThreshold;
+  sim::Rng rng(1919);
+  sim::Environment env;
+  Rig rig(env, false);
+  auto pick = [&rng](int lo, int hi) {
+    return static_cast<int>(rng.uniform(lo, hi));
+  };
+  int bound_cases = 0, pushed_cases = 0, fired_cases = 0, pushed_quiet = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    std::uint64_t expected = 0, window = 0;
+    switch (trial % 3) {
+      case 0:  // low-weight window next to a typical sync word
+        expected = sync_bits(static_cast<std::uint32_t>(pick(0, 0xFFFFFF)));
+        window = pick(0, 3) == 0 ? 0 : word_of_weight(rng, pick(1, 12));
+        break;
+      case 1: {  // sync word within the tolerance of the window's weight
+        window = rng.next();
+        const int shift = pick(0, 64);
+        expected = shift == 64 ? 0 : window >> shift;
+        const int flips = pick(0, 12);
+        for (int f = 0; f < flips; ++f) expected ^= 1ull << pick(0, 63);
+        break;
+      }
+      default:  // degenerate sync word that fires on silence
+        expected = word_of_weight(rng, pick(0, kTolerated));
+        window = word_of_weight(rng, pick(0, 20));
+        break;
+    }
+    const std::uint64_t bits_seen = rng.uniform(0, 1) ? rng.uniform(0, 63)
+                                                      : rng.uniform(64, 5000);
+    const std::size_t count = rng.uniform(0, 200);
+
+    Correlator ref;
+    ref.restore_registers(expected, window, bits_seen);
+    std::size_t want = count;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (ref.push(false)) {
+        want = i;
+        break;
+      }
+    }
+    const bool bounded = std::popcount(expected) - std::popcount(window) >
+                         kTolerated;
+    bound_cases += bounded;
+    pushed_cases += !bounded;
+    fired_cases += want < count;
+    pushed_quiet += !bounded && want == count;
+
+    Correlator c;
+    c.restore_registers(expected, window, bits_seen);
+    ASSERT_EQ(c.silent_prefix(count), want) << "trial " << trial;
+
+    set_search_registers(rig.rx, expected, window, bits_seen);
+    const std::size_t q = rig.rx.quiet_prefix(nullptr, 0, count);
+    ASSERT_EQ(q, want) << "trial " << trial << std::hex << " expected "
+                       << expected << " window " << window;
+    // Consume the quiet span (assert-armed builds replay it per bit
+    // through the correlator), then the effect sample must sync.
+    const std::uint64_t syncs = rig.rx.syncs_detected();
+    rig.rx.consume_quiet(nullptr, 0, q);
+    if (q < count) {
+      rig.rx.on_sample(phy::Logic4::kZ);
+      ASSERT_EQ(rig.rx.syncs_detected(), syncs + 1) << "trial " << trial;
+    }
+  }
+  // Every branch ran: the weight bound, the push fallback with and
+  // without a fire.
+  EXPECT_GT(bound_cases, 1000);
+  EXPECT_GT(pushed_cases, 1000);
+  EXPECT_GT(fired_cases, 500);
+  EXPECT_GT(pushed_quiet, 100);
 }
 
 }  // namespace

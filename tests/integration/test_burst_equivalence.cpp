@@ -217,12 +217,12 @@ TEST(BurstEquivalenceTest, MidRunReconfigureMatchesPerBitReference) {
     rx.set_burst_rx_sink(&rec);
     rec.set_transport_hooks([&] { rx.rx_catch_up(); },
                             [&] { rx.rx_state_changed(); });
-    rec.configure(sync_word(lap), kDefaultCheckInit, std::nullopt,
+    rec.configure(sync_bits(lap), kDefaultCheckInit, std::nullopt,
                   Receiver::Expect::kIdOnly);
     rx.enable_rx(3);
     tx.transmit(3, access_code(lap, /*with_trailer=*/false));
     env.run(30_us);
-    rec.configure(sync_word(lap), kDefaultCheckInit, std::nullopt,
+    rec.configure(sync_bits(lap), kDefaultCheckInit, std::nullopt,
                   Receiver::Expect::kIdOnly);  // re-arm mid-packet
     env.run(200_us);
     rx.disable_rx();
@@ -244,7 +244,7 @@ TEST(BurstEquivalenceTest, ReservedTypeHeaderKeepsSilenceProbeBounded) {
   sim::Environment env;
   Receiver rec(env, "rec");
   const std::uint32_t lap = 0x2A613C;
-  rec.configure(sync_word(lap), kDefaultCheckInit, std::nullopt,
+  rec.configure(sync_bits(lap), kDefaultCheckInit, std::nullopt,
                 Receiver::Expect::kFull);
   PacketHeader h;
   h.type = static_cast<PacketType>(0b0101);  // reserved code
@@ -284,7 +284,7 @@ TEST(BurstEquivalenceTest, BurstPacketRoundTripPerformsZeroAllocations) {
 
   const std::uint32_t lap = 0x2A613C;
   const std::uint8_t uap = 0x47;
-  rec.configure(sync_word(lap), uap, std::uint8_t{0x55},
+  rec.configure(sync_bits(lap), uap, std::uint8_t{0x55},
                 Receiver::Expect::kFull);
 
   int delivered = 0;

@@ -10,10 +10,13 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -55,7 +58,21 @@ BitVector random_payload(std::size_t n, std::uint64_t seed) {
 // ---- RNG layer: the fill must be draw-for-draw the per-bit order ----
 
 TEST(NoiseMaskTest, FillMatchesPerBitDrawOrderAndFinalState) {
-  for (double ber : kBerGrid) {
+  // The grid, the edges of the fill's integer threshold ceil(p * 2^53):
+  // p * 2^53 an exact integer, the largest BERs below 1 and 0.5, and
+  // BERs whose threshold is 1 -- then seeded random BERs, uniform and
+  // log-uniform down to 1e-12.
+  std::vector<double> bers(std::begin(kBerGrid), std::end(kBerGrid));
+  for (double edge : {0.25, std::nextafter(1.0, 0.0),
+                      std::nextafter(0.5, 0.0), 0x1.0p-60, 1e-300}) {
+    bers.push_back(edge);
+  }
+  Rng pick(2019);
+  for (int i = 0; i < 32; ++i) {
+    bers.push_back(i % 2 == 0 ? pick.uniform01()
+                              : std::pow(10.0, -12.0 * pick.uniform01()));
+  }
+  for (double ber : bers) {
     for (std::size_t n : kPacketLengths) {
       Rng filled(42), stepped(42);
       std::vector<std::uint64_t> words((n + 63) / 64, ~0ull);
@@ -72,6 +89,46 @@ TEST(NoiseMaskTest, FillMatchesPerBitDrawOrderAndFinalState) {
       // Tail bits of the last word must be cleared (BitVector invariant).
       if (n % 64 != 0) {
         EXPECT_EQ(words.back() >> (n % 64), 0u) << "len " << n;
+      }
+    }
+  }
+}
+
+/// A generator whose next raw draw is `value`: the xoshiro256** output
+/// rotl(s[1] * 5, 7) * 9 depends on s[1] alone, and 5 and 9 are odd, so
+/// s[1] follows from the inverses mod 2^64.
+Rng rng_drawing(std::uint64_t value) {
+  auto inverse = [](std::uint64_t a) {
+    std::uint64_t x = a;  // Newton: correct to 3, 6, 12, ... bits
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+  };
+  const std::uint64_t s1 = std::rotr(value * inverse(9), 7) * inverse(5);
+  Rng rng;
+  rng.set_state({0x243F6A8885A308D3ull, s1, 0x13198A2E03707344ull,
+                 0xA4093822299F31D0ull});
+  return rng;
+}
+
+TEST(NoiseMaskTest, FillMatchesBernoulliAtThresholdBoundary) {
+  // Random draws almost never land next to the threshold, so draw the
+  // 53-bit values x = t - 1, t, t + 1 around t = ceil(p * 2^53) on
+  // purpose, with the 11 discarded low bits clear and set.
+  for (double ber : {0.25, std::nextafter(1.0, 0.0), std::nextafter(0.5, 0.0),
+                     0x1.0p-60, 1e-300, 1e-5, 0.1, 1.0 / 60}) {
+    const auto t = static_cast<std::uint64_t>(std::ceil(ber * 0x1.0p53));
+    for (std::uint64_t x : {t - 1, t, t + 1}) {
+      if (x >= (1ull << 53)) continue;
+      for (std::uint64_t low : {0x000ull, 0x7FFull}) {
+        const std::uint64_t draw = x << 11 | low;
+        Rng filled = rng_drawing(draw);
+        Rng stepped = rng_drawing(draw);
+        ASSERT_EQ(Rng(filled).next(), draw);
+        std::uint64_t word = 0;
+        filled.fill_error_mask(&word, 1, ber);
+        EXPECT_EQ(word != 0, stepped.bernoulli(ber))
+            << "ber " << ber << " x " << x;
+        EXPECT_EQ(filled.state(), stepped.state());
       }
     }
   }
