@@ -199,15 +199,13 @@ void BM_SchedulerChurn(benchmark::State& state) {
       (kStandingTimers + kTicks * (kGuardsPerTick + 1)) +  // schedules
       (kTicks - 1) * kGuardsPerTick +                      // cancels
       (kTicks + kGuardsPerTick);                           // fires
-  double wheel_hit_ratio = 0.0;
   for (auto _ : state) {
     sim::Environment env;
     std::uint64_t fired = 0;
     std::vector<sim::TimerId> guards;
     guards.reserve(kGuardsPerTick);
     // Standing timeouts that outlive the measurement window: they keep
-    // the overflow heap populated so the mixed storm exercises both
-    // containers (2..65 s is mostly past the 2.56 s wheel horizon).
+    // the heap deep for the whole storm.
     for (int i = 0; i < kStandingTimers; ++i) {
       env.schedule(sim::SimTime::sec(2 + i), [] {});
     }
@@ -228,70 +226,13 @@ void BM_SchedulerChurn(benchmark::State& state) {
     env.schedule(sim::SimTime::zero(), half_slot);
     env.run_until(sim::SimTime::sec(1));
     benchmark::DoNotOptimize(fired);
-    const auto ks = env.scheduler_stats();
-    wheel_hit_ratio = static_cast<double>(ks.wheel_hits) /
-                      static_cast<double>(ks.scheduled);
   }
   state.counters["events_per_s"] = benchmark::Counter(
       static_cast<double>(kOpsPerIter) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["wheel_hit_ratio"] = wheel_hit_ratio;
 }
 BENCHMARK(BM_SchedulerChurn)->Unit(benchmark::kMillisecond);
-
-/// The common case the wheel is built for: the same churn storm with
-/// every timer on the Bluetooth native grid -- guards at whole-slot
-/// multiples of the 312.5 us half-slot tick, standing timeouts at
-/// superframe scale inside the 2.56 s wheel horizon -- so every kernel
-/// operation is an O(1) ring-bucket insert/unlink instead of a heap
-/// sift. wheel_hit_ratio reports the measured (not assumed) fraction of
-/// schedules that took the O(1) path: it must be 1.0 here.
-void BM_SchedulerChurnGridAligned(benchmark::State& state) {
-  constexpr int kTicks = 1536;       // 480 ms of 312.5 us half-slots
-  constexpr int kGuardsPerTick = 8;  // armed 2..9 half-slots out
-  constexpr int kStandingTimers = 64;
-  constexpr std::uint64_t kOpsPerIter =
-      (kStandingTimers + kTicks * (kGuardsPerTick + 1)) +  // schedules
-      (kTicks - 1) * kGuardsPerTick +                      // cancels
-      (kTicks + kGuardsPerTick);                           // fires
-  double wheel_hit_ratio = 0.0;
-  for (auto _ : state) {
-    sim::Environment env;
-    std::uint64_t fired = 0;
-    std::vector<sim::TimerId> guards;
-    guards.reserve(kGuardsPerTick);
-    // Standing timeouts on the even-slot grid (inquiry/page timeout
-    // scale): level-2 wheel territory, 1.25..2.5 s out.
-    for (int i = 0; i < kStandingTimers; ++i) {
-      env.schedule(baseband::kSlotDuration * (2000 + 32 * i), [] {});
-    }
-    int tick = 0;
-    std::function<void()> half_slot = [&] {
-      for (sim::TimerId id : guards) env.cancel(id);
-      guards.clear();
-      for (int g = 0; g < kGuardsPerTick; ++g) {
-        guards.push_back(env.schedule(baseband::kTickPeriod * (2 + g),
-                                      [&fired] { ++fired; }));
-      }
-      if (++tick < kTicks) {
-        env.schedule(baseband::kTickPeriod, half_slot);
-      }
-    };
-    env.schedule(sim::SimTime::zero(), half_slot);
-    env.run_until(sim::SimTime::sec(1));
-    benchmark::DoNotOptimize(fired);
-    const auto ks = env.scheduler_stats();
-    wheel_hit_ratio = static_cast<double>(ks.wheel_hits) /
-                      static_cast<double>(ks.scheduled);
-  }
-  state.counters["events_per_s"] = benchmark::Counter(
-      static_cast<double>(kOpsPerIter) *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  state.counters["wheel_hit_ratio"] = wheel_hit_ratio;
-}
-BENCHMARK(BM_SchedulerChurnGridAligned)->Unit(benchmark::kMillisecond);
 
 /// Checkpoint primitives on the image the Fig. 8 fork caches: the
 /// four-device creation system at its settled t = 0 boundary. Reports

@@ -13,6 +13,7 @@
 // yet in the piconet keep their receiver always active (solid strip);
 // once joined, the receiver opens only at slot starts (sparse strip).
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,12 @@ class ActivityStrip {
 
 int main(int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
-  core::Report report(
+  core::TextReporter text(std::cout);
+  core::CsvReporter csv(std::cout);
+  core::Reporter& report = args.csv ? static_cast<core::Reporter&>(csv) : text;
+  report.begin(
       "Fig. 5: piconet creation waveforms (master + 3 slaves); '='=RX on, "
-      "'#'=TX, '.'=RF off; one column = 10 ms",
-      args.csv);
+      "'#'=TX, '.'=RF off; one column = 10 ms");
 
   core::SystemConfig sc;
   sc.num_slaves = 3;
@@ -105,6 +108,7 @@ int main(int argc, char** argv) {
         100.0 * r.tx_on_time().as_sec() / dur);
   }
   sys.finish_trace();
+  report.end();
   std::printf("# waveform written to fig05.vcd\n");
   return 0;
 }

@@ -2,15 +2,15 @@
 # CI entry point: tier-1 verify (Release build + full ctest suite, which
 # holds the fork == cold staged-sweep gate over every study), the
 # API docs build when Doxygen is available, an ASan+UBSan build running
-# the kernel timing-wheel/scheduler/UniqueFunction/tracer suites
-# (timer-cancellation churn, wheel/heap boundary, callback lifetimes),
+# the kernel timed-queue/scheduler/UniqueFunction/tracer suites
+# (timer-cancellation churn, set-reference ordering, callback lifetimes),
 # the word-packed framing / burst-transport suites (quiet-prefix
 # receiver catch-up, run fallback, VCD byte-compare, zero-allocation
 # round trip), the integration tests and the threaded sweep-determinism
 # test — so memory/UB bugs and data races in the end-to-end paths cannot
 # regress silently — plus a metadata audit of the committed benchmark
 # baseline (Release tree + burst-transport stamp), a fig08/fig10 sweep
-# byte-compare across 1/2/8 threads (the timing-wheel swap-safety gate),
+# byte-compare across 1/2/8 threads (the dispatch-order gate),
 # a fig06-12 + throughput/coexistence/backoff byte-compare between the
 # burst and per-bit PHY transports (the burst swap-safety gate), a
 # ThreadSanitizer build (build-tsan) running
@@ -136,7 +136,7 @@ cmake -B build-asan -S . -DBTSC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
       -DBTSC_BUILD_BENCHES=OFF -DBTSC_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs" --target \
-      sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
+      sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
       baseband_test_bt_clock baseband_test_access_code \
       baseband_test_framing_word baseband_test_receiver_word \
@@ -147,13 +147,12 @@ cmake --build build-asan -j "$jobs" --target \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
       io_test_fault_plan runner_test_warmup_store service_test_sweepd
-# sim_test_scheduler/sim_test_timer_wheel/sim_test_tracer exercise the
-# timing-wheel timed queue's dispatch and cancellation paths (bucket
-# unlink, wheel/heap boundary, schedule/cancel churn, slot reuse, mid-
-# instant removal, the wheel-vs-heap VCD byte-compare) with the kernel
-# asserts armed and the sanitizers watching; sim_test_unique_function
-# covers the allocation-free callback type (inline/heap storage, move
-# lifetimes, capture destruction). runner_test_determinism spreads real
+# sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
+# timed queue's dispatch and cancellation paths (heap removal, the
+# seeded std::set reference storm, schedule/cancel churn, slot reuse,
+# mid-instant removal) with the kernel asserts armed and the sanitizers
+# watching; sim_test_unique_function covers the allocation-free callback
+# type (inline/heap storage, move lifetimes, capture destruction). runner_test_determinism spreads real
 # simulations across 8 threads under the sanitizers: the bitwise-
 # equality assertions double as a data-race smoke for the whole
 # sim -> phy -> baseband -> core stack.
@@ -205,7 +204,7 @@ cmake --build build-asan -j "$jobs" --target \
 # whole sweep service in-process — job codec, worker pool, recovery
 # scan, Unix-socket front end — with real jobs and real sockets, which
 # is exactly the kind of fd/thread lifecycle code sanitizers exist for.
-for t in sim_test_scheduler sim_test_timer_wheel sim_test_unique_function \
+for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_bt_clock baseband_test_access_code \
          baseband_test_framing_word baseband_test_receiver_word \
@@ -248,11 +247,11 @@ for t in runner_test_sweep runner_test_determinism \
   "./build-tsan/tests/$t"
 done
 
-echo "=== swap-safety gate: fig08/fig10 sweep byte-compare at 1/2/8 threads ==="
-# The timing-wheel swap must never change simulation results: the same
+echo "=== dispatch-order gate: fig08/fig10 sweep byte-compare at 1/2/8 threads ==="
+# Kernel dispatch order must not depend on the thread count: the same
 # Monte-Carlo sweeps must produce byte-identical JSON (%.17g doubles)
-# at any thread count. A divergence here means
-# the kernel dispatch order (the (when, seq) contract) broke.
+# at 1, 2 and 8 threads. A divergence here means the kernel dispatch
+# order (the (when, seq) contract) broke.
 # Start empty: a reference left by an earlier run of an older tree would
 # be compared instead of this tree's output.
 gate_dir=build/swap-gate

@@ -28,7 +28,7 @@
 #include "sim/module.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 
 namespace btsc::baseband {
 

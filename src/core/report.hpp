@@ -1,13 +1,10 @@
 // Result reporting for the figure benches and the btsc-sweep CLI.
 //
-// Two layers:
-//  * Reporter — an output backend interface with text (fixed-width
-//    table), CSV and JSON implementations writing to any std::ostream.
-//    JSON prints doubles with %.17g, so two runs producing bitwise-equal
-//    doubles serialise to byte-identical files (the determinism test's
-//    comparison key).
-//  * Report — the legacy stdout convenience wrapper the waveform benches
-//    still use; kept for compatibility.
+// Reporter is an output backend interface with text (fixed-width table),
+// CSV and JSON implementations writing to any std::ostream. JSON prints
+// doubles with %.17g, so two runs producing bitwise-equal doubles
+// serialise to byte-identical files (the determinism test's comparison
+// key). BenchArgs parses the command-line knobs the benches share.
 #pragma once
 
 #include <cerrno>
@@ -15,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <climits>
-#include <iostream>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -195,33 +191,6 @@ class JsonReporter : public Reporter {
   std::vector<std::string> names_;
   std::vector<std::vector<double>> rows_;
   std::vector<std::string> notes_;
-};
-
-/// Legacy stdout table writer used by the waveform benches (Figs. 5/9):
-/// a thin shell over TextReporter/CsvReporter on std::cout, so all table
-/// formatting has one source of truth. New code should use a Reporter
-/// backend directly.
-class Report {
- public:
-  explicit Report(std::string title, bool csv = false)
-      : text_(std::cout),
-        csv_(std::cout),
-        active_(csv ? static_cast<Reporter*>(&csv_) : &text_) {
-    active_->begin(title);
-  }
-  ~Report() { active_->end(); }
-
-  void columns(const std::vector<std::string>& names) {
-    active_->columns(names);
-  }
-  void row(const std::vector<double>& values) { active_->row(values); }
-  /// Free-form annotation line (ignored by CSV parsers).
-  void note(const std::string& text) { active_->note(text); }
-
- private:
-  TextReporter text_;
-  CsvReporter csv_;
-  Reporter* active_;
 };
 
 /// Shared command-line knobs for the figure benches and btsc-sweep:

@@ -142,9 +142,9 @@ class NoisyChannel final : public sim::Module,
 
   // ---- burst transport switches ----
 
-  /// Process-wide default for newly constructed channels (the
-  /// "Environment-style" escape hatch; mirrors
-  /// Environment::set_timer_wheel_enabled). Thread-safe.
+  /// Process-wide default for newly constructed channels; false makes
+  /// every new channel use the per-bit reference path (the `--no-burst`
+  /// flag of btsc-sweep). Thread-safe.
   static void set_burst_transport_default(bool enabled);
   static bool burst_transport_default();
 

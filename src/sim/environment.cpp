@@ -20,7 +20,7 @@ void Environment::request_update(SignalBase& s) { update_queue_.push_back(&s); }
 
 // ---------------------------------------------------------------------------
 // Processes, events, delta cycles (the timed queue itself is
-// sim::TimerWheel; its hot path is inline in the headers)
+// sim::TimerQueue; its hot path is inline in the headers)
 // ---------------------------------------------------------------------------
 
 Process& Environment::register_process(std::string name, UniqueFunction fn) {
@@ -70,26 +70,25 @@ void Environment::settle() {
 }
 
 bool Environment::idle() const {
-  return next_runnable_.empty() && update_queue_.empty() && wheel_.empty();
+  return next_runnable_.empty() && update_queue_.empty() && queue_.empty();
 }
 
 void Environment::run_until(SimTime until) {
   settle();
-  while (!wheel_.empty()) {
-    const SimTime t = wheel_.next_time(now_);
+  while (!queue_.empty()) {
+    const SimTime t = queue_.next_time();
     if (t > until) break;
     now_ = t;
     // Pop-and-dispatch every entry due at this instant in (when, seq)
     // order. Callbacks may schedule more work at the same instant (their
     // seqs are larger than every live one, so they pop last) and may
-    // cancel same-instant siblings (a canceled entry leaves its
-    // container before its turn). pop_due moves the payload out and
-    // releases the slot before dispatch: the callback may schedule more
-    // timers, and its slot must be reusable (and its id stale) while it
-    // runs.
+    // cancel same-instant siblings (a canceled entry leaves the heap
+    // before its turn). pop_due moves the payload out and releases the
+    // slot before dispatch: the callback may schedule more timers, and
+    // its slot must be reusable (and its id stale) while it runs.
     Event* ev = nullptr;
     UniqueFunction fn;
-    while (wheel_.pop_due(t, ev, fn)) {
+    while (queue_.pop_due(t, ev, fn)) {
       if (ev != nullptr) {
         trigger(*ev);
       } else {
@@ -159,8 +158,8 @@ void Environment::save_state(SnapshotWriter& w) const {
     std::uint64_t seq;
   };
   std::vector<Desc> descs;
-  descs.reserve(wheel_.live());
-  wheel_.for_each_live([&](const void* owner, std::uint16_t kind,
+  descs.reserve(queue_.live());
+  queue_.for_each_live([&](const void* owner, std::uint16_t kind,
                            std::uint64_t payload, SimTime when,
                            std::uint64_t seq, bool is_event) {
     if (is_event) {
@@ -191,7 +190,7 @@ void Environment::save_state(SnapshotWriter& w) const {
     w.time(d.when);
     w.u64(d.seq);
   }
-  w.u64(wheel_.next_seq());
+  w.u64(queue_.next_seq());
   w.end_section();
 }
 
@@ -205,7 +204,7 @@ void Environment::restore_state(SnapshotReader& r) {
   // Construction-time timers of the fresh scaffold are superseded by the
   // saved descriptors; replaying each at its saved seq reproduces the
   // checkpointed (when, seq) dispatch total order exactly.
-  wheel_.clear();
+  queue_.clear();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::string name = r.str();
@@ -219,16 +218,16 @@ void Environment::restore_state(SnapshotReader& r) {
       throw SnapshotError("environment: no rearm registration for \"" + name +
                           "\" in the restored scenario");
     }
-    wheel_.set_next_seq(seq);
+    queue_.set_next_seq(seq);
     e->handler->rearm_timer(kind, payload, when);
-    if (wheel_.next_seq() != seq + 1) {
+    if (queue_.next_seq() != seq + 1) {
       throw SnapshotError(
           "environment: rearm handler for \"" + name +
           "\" did not schedule exactly one timer (kind " +
           std::to_string(kind) + ")");
     }
   }
-  wheel_.set_next_seq(r.u64());
+  queue_.set_next_seq(r.u64());
   r.leave_section();
 }
 
@@ -240,21 +239,19 @@ std::uint64_t Environment::heap_depth(std::uint64_t n) {
   std::uint64_t depth = 0, capacity = 0, level = 1;
   while (capacity < n) {
     capacity += level;
-    level *= 4;  // the overflow heap's arity
+    level *= 4;  // the heap's arity
     ++depth;
   }
   return depth;
 }
 
 Environment::SchedulerStats Environment::scheduler_stats() const {
-  const TimerWheel::Stats w = wheel_.stats();
+  const TimerQueue::Stats w = queue_.stats();
   SchedulerStats s;
   s.scheduled = w.scheduled;
   s.fired = w.fired;
   s.canceled = w.canceled;
   s.cancels_after_fire = w.cancels_after_fire;
-  s.wheel_hits = w.wheel_hits;
-  s.heap_overflow = w.heap_overflow;
   s.live = w.live;
   s.peak_live = w.peak_live;
   s.peak_depth = heap_depth(w.peak_live);

@@ -1,4 +1,4 @@
-// The simulation environment: scheduler, timing wheel and kernel services.
+// The simulation environment: scheduler, timed queue and kernel services.
 //
 // Scheduling follows the SystemC evaluate/update delta-cycle contract:
 //
@@ -15,12 +15,9 @@
 // Timed queue
 // -----------
 // All timed work (one-shot callbacks and timed event notifications) lives
-// in a sim::TimerWheel (sim/timer_wheel.hpp): a three-level slot-grid
-// timing wheel whose ring buckets give O(1) schedule/cancel for timers on
-// the Bluetooth native grid (bit period, 312.5 us half-slot, 625 us
-// slot), backed by the slot/generation 4-ary min-heap for off-grid and
-// far-horizon timers. Dispatch preserves the exact (when, seq) total
-// order of the heap-only kernel -- seq is a global schedule counter, so
+// in a sim::TimerQueue (sim/timer_queue.hpp): an index-tracked 4-ary
+// min-heap over a generation-checked slab. Dispatch follows the exact
+// (when, seq) total order -- seq is a global schedule counter, so
 // same-time entries fire in FIFO order, the determinism tiebreak every
 // model relies on. Cancellation is true removal: a canceled timer leaves
 // no dead entry behind, so idle() is exact, run_until() never visits the
@@ -52,7 +49,7 @@
 #include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/timer_queue.hpp"
 #include "sim/unique_function.hpp"
 
 namespace btsc::sim {
@@ -107,7 +104,7 @@ class Environment {
   void request_update(SignalBase& s);
   void notify_timed(Event& ev, SimTime abs_time) {
     assert(abs_time >= now_);
-    wheel_.schedule_event(now_, abs_time, ev);
+    queue_.schedule_event(abs_time, ev);
   }
 
   /// Schedules a one-shot callback at now()+delay (evaluate phase).
@@ -118,8 +115,7 @@ class Environment {
   /// are stored inline, so scheduling performs no heap allocation.
   template <typename F>
   TimerId schedule(SimTime delay, F&& fn, const void* owner = nullptr) {
-    return wheel_.schedule_callback(now_, now_ + delay, std::forward<F>(fn),
-                                    owner);
+    return queue_.schedule_callback(now_ + delay, std::forward<F>(fn), owner);
   }
 
   /// Schedules a re-armable one-shot callback at now()+delay. Identical
@@ -136,24 +132,23 @@ class Environment {
                           std::uint64_t payload, F&& fn, const void* owner) {
     assert(owner != nullptr);
     assert(kind != 0);
-    return wheel_.schedule_callback(now_, now_ + delay, std::forward<F>(fn),
-                                    owner, kind, payload);
+    return queue_.schedule_callback(now_ + delay, std::forward<F>(fn), owner,
+                                    kind, payload);
   }
 
   /// Cancels a previously scheduled callback: removes its queue entry in
-  /// O(1) (wheel bucket) or O(log n) (overflow heap). Safe (and a no-op)
-  /// after the callback fired or for kInvalidTimer -- slot generations
-  /// make stale handles inert even when the slot has been reused by a
-  /// later timer.
-  void cancel(TimerId id) { wheel_.cancel(id); }
+  /// O(log n). Safe (and a no-op) after the callback fired or for
+  /// kInvalidTimer -- slot generations make stale handles inert even
+  /// when the slot has been reused by a later timer.
+  void cancel(TimerId id) { queue_.cancel(id); }
 
   /// Cancels every live timer scheduled with this owner tag. O(n) scan of
-  /// the timer slab plus O(1)/O(log n) per removal; nullptr is a no-op.
-  void cancel_owned(const void* owner) { wheel_.cancel_owned(owner); }
+  /// the timer slab plus O(log n) per removal; nullptr is a no-op.
+  void cancel_owned(const void* owner) { queue_.cancel_owned(owner); }
 
   /// True while the timer is scheduled and has neither fired nor been
   /// canceled.
-  bool pending(TimerId id) const { return wheel_.pending(id); }
+  bool pending(TimerId id) const { return queue_.pending(id); }
 
   /// Registers a process owned by the caller's module; the environment
   /// stores it so sensitivity lists can reference stable addresses. The
@@ -198,14 +193,6 @@ class Environment {
   /// own the tracer; it must outlive the simulation.
   void set_tracer(Tracer* t) { tracer_ = t; }
   Tracer* tracer() const { return tracer_; }
-
-  /// Diagnostics switch for the wheel/heap equivalence suites: when
-  /// disabled, every *future* schedule bypasses the wheel's ring buckets
-  /// and uses the overflow heap alone (the pre-wheel kernel). Dispatch
-  /// order is identical either way; only the cost model changes.
-  void set_timer_wheel_enabled(bool enabled) {
-    wheel_.set_wheel_enabled(enabled);
-  }
 
   /// True while the kernel is executing a timed callback or a process
   /// (i.e. inside event dispatch). Model code uses this to decide
@@ -255,7 +242,7 @@ class Environment {
   /// `canceled` counts the entries that would have rotted there).
   struct SchedulerStats {
     /// Timed-queue inserts: one-shot callbacks plus timed event
-    /// notifications (wheel_hits + heap_overflow == scheduled).
+    /// notifications.
     std::uint64_t scheduled = 0;
     /// Entries popped and dispatched at their instant.
     std::uint64_t fired = 0;
@@ -263,18 +250,15 @@ class Environment {
     std::uint64_t canceled = 0;
     /// cancel() calls that found nothing (already fired / stale handle).
     std::uint64_t cancels_after_fire = 0;
-    /// Inserts that landed in an O(1) wheel bucket (timer on the slot
-    /// grid, within a wheel horizon) -- the measured grid assumption.
+    /// Always 0. The timed queue is one heap; the field stays only
+    /// because perfbench still reads it into `sim.wheel_hit_frac`, and
+    /// goes with that metric at the next benchmark change.
     std::uint64_t wheel_hits = 0;
-    /// Inserts that overflowed to the 4-ary heap (off-grid instant or
-    /// beyond the 2.56 s horizon).
-    std::uint64_t heap_overflow = 0;
     /// Current live timed entries.
     std::uint64_t live = 0;
     /// High-water live-entry count.
     std::uint64_t peak_live = 0;
-    /// Levels a 4-ary heap of peak_live entries would span (the
-    /// comparison cost the wheel's O(1) buckets avoid).
+    /// Levels the 4-ary heap spans at peak_live entries.
     std::uint64_t peak_depth = 0;
   };
   SchedulerStats scheduler_stats() const;
@@ -298,7 +282,7 @@ class Environment {
   std::vector<Process*> runnable_;
   std::vector<Process*> next_runnable_;
   std::vector<SignalBase*> update_queue_;
-  TimerWheel wheel_;
+  TimerQueue queue_;
   std::vector<RearmEntry> rearm_entries_;
   std::vector<std::unique_ptr<Process>> processes_;
   Rng rng_;

@@ -1,32 +1,22 @@
-// Cold paths of the timing-wheel timed queue: construction, the 4-ary
-// overflow heap's sift machinery (only off-grid / far-horizon timers pay
-// it), bulk owner cancellation and the stats snapshot. The per-event hot
-// path is inline in timer_wheel.hpp.
-#include "sim/timer_wheel.hpp"
+// Cold paths of the timed queue: the 4-ary heap's sift machinery, bulk
+// owner cancellation and the stats snapshot. The per-event hot path is
+// inline in timer_queue.hpp.
+#include "sim/timer_queue.hpp"
 
 #include <algorithm>
 
 namespace btsc::sim {
 
-TimerWheel::TimerWheel() {
-  for (int l = 0; l < kLevels; ++l) {
-    levels_[l].heads.assign(kBuckets[l], kNil);
-    levels_[l].words.assign(kBuckets[l] >> 6, 0);
-  }
-}
-
-TimerWheel::~TimerWheel() = default;
-
 // ---------------------------------------------------------------------------
-// Overflow heap (identical mechanics to the pre-wheel kernel)
+// 4-ary heap
 // ---------------------------------------------------------------------------
 
-void TimerWheel::heap_place(std::size_t pos, const HeapEntry& e) {
+void TimerQueue::heap_place(std::size_t pos, const HeapEntry& e) {
   heap_[pos] = e;
   hot_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
-void TimerWheel::sift_up(std::size_t pos) {
+void TimerQueue::sift_up(std::size_t pos) {
   const HeapEntry moving = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kHeapArity;
@@ -37,7 +27,7 @@ void TimerWheel::sift_up(std::size_t pos) {
   heap_place(pos, moving);
 }
 
-void TimerWheel::sift_down(std::size_t pos) {
+void TimerQueue::sift_down(std::size_t pos) {
   const HeapEntry moving = heap_[pos];
   const std::size_t n = heap_.size();
   for (;;) {
@@ -55,16 +45,7 @@ void TimerWheel::sift_down(std::size_t pos) {
   heap_place(pos, moving);
 }
 
-void TimerWheel::heap_push(SimTime when, std::uint64_t seq,
-                           std::uint32_t slot) {
-  heap_.push_back({when, seq, slot});
-  Hot& n = hot_[slot];
-  n.where = kWhereHeap;
-  n.pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-}
-
-void TimerWheel::heap_remove_at(std::size_t pos) {
+void TimerQueue::heap_remove_at(std::size_t pos) {
   assert(pos < heap_.size());
   const std::size_t last = heap_.size() - 1;
   if (pos == last) {
@@ -86,47 +67,34 @@ void TimerWheel::heap_remove_at(std::size_t pos) {
 // Bulk cancellation & diagnostics
 // ---------------------------------------------------------------------------
 
-void TimerWheel::cancel_owned(const void* owner) {
+void TimerQueue::cancel_owned(const void* owner) {
   if (owner == nullptr) return;
   cancel_scratch_.clear();
   for (std::uint32_t s = 0; s < hot_.size(); ++s) {
     const Hot& n = hot_[s];
-    if (n.where != kWhereFree && n.owner == owner) {
-      cancel_scratch_.push_back(s);
-    }
+    if (n.live && n.owner == owner) cancel_scratch_.push_back(s);
   }
   for (const std::uint32_t s : cancel_scratch_) {
-    remove_from_container(hot_[s]);
+    heap_remove_at(hot_[s].pos);
     release_slot(s);
     ++canceled_;
   }
 }
 
-void TimerWheel::clear() {
-  for (auto& lv : levels_) {
-    std::fill(lv.heads.begin(), lv.heads.end(), kNil);
-    std::fill(lv.words.begin(), lv.words.end(), 0);
-    lv.summary = 0;
-    lv.live = 0;
-  }
+void TimerQueue::clear() {
   heap_.clear();
   hot_.clear();
   payload_.clear();
   free_head_ = kNil;
-  live_ = 0;
-  due_.tns = ~std::uint64_t{0};
-  cached_now_ns_ = ~std::uint64_t{0};
 }
 
-TimerWheel::Stats TimerWheel::stats() const {
+TimerQueue::Stats TimerQueue::stats() const {
   Stats s;
-  s.scheduled = wheel_hits_ + heap_overflow_;
+  s.scheduled = scheduled_;
   s.fired = fired_;
   s.canceled = canceled_;
   s.cancels_after_fire = cancels_after_fire_;
-  s.wheel_hits = wheel_hits_;
-  s.heap_overflow = heap_overflow_;
-  s.live = live_;
+  s.live = heap_.size();
   s.peak_live = peak_live_;
   return s;
 }
