@@ -24,7 +24,6 @@
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "phy/channel.hpp"
-#include "sim/clock.hpp"
 #include "sim/environment.hpp"
 
 namespace {
@@ -270,23 +269,6 @@ void BM_SnapshotRestore(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
-
-/// Signal-driven process chain (delta-cycle throughput).
-void BM_ClockedProcess(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Environment env;
-    sim::Clock clk(env, "clk", 1_us);
-    std::uint64_t ticks = 0;
-    auto& p = env.register_process("count", [&] { ++ticks; });
-    clk.posedge_event().add_sensitive(p);
-    env.run_until(sim::SimTime::ms(100));
-    benchmark::DoNotOptimize(ticks);
-  }
-  state.counters["posedges_per_s"] = benchmark::Counter(
-      1e5 * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ClockedProcess)->Unit(benchmark::kMillisecond);
 
 /// Build type of the btsc library this bench links: "release" only when
 /// compiled with NDEBUG from a Release tree. Anything else taints the

@@ -21,7 +21,9 @@
 # btsc-sweepd service kill-point matrix (SIGKILL at job-accept /
 # mid-replication / mid-append and a SIGTERM drain, restart,
 # byte-compare every job artifact — the crash-only recovery gate for
-# the sweep service). Every byte gate compares whole artifact files:
+# the sweep service), and last the caller gate (scripts/coverage.sh:
+# every src/ function that no entry point calls must be allowlisted
+# with a role). Every byte gate compares whole artifact files:
 # artifacts hold results only.
 #
 #   scripts/ci.sh              # full gate suite
@@ -381,5 +383,8 @@ echo "=== service durability gate: btsc-sweepd kill-point matrix ==="
 bash tests/integration/service_kill_resume_test.sh \
     ./build/bench/btsc-sweepd ./build/bench/btsc-sweep \
     "$gate_dir/service-kill-resume"
+
+echo "=== caller gate: no src/ code without a caller ==="
+bash scripts/coverage.sh
 
 echo "=== CI OK ==="

@@ -37,32 +37,6 @@ PacketType fit_packet_type(PacketType preferred, std::size_t n) {
 
 }  // namespace
 
-const char* to_string(LcState s) {
-  switch (s) {
-    case LcState::kStandby:
-      return "standby";
-    case LcState::kInquiry:
-      return "inquiry";
-    case LcState::kInquiryScan:
-      return "inquiry_scan";
-    case LcState::kInquiryResponse:
-      return "inquiry_response";
-    case LcState::kPage:
-      return "page";
-    case LcState::kPageScan:
-      return "page_scan";
-    case LcState::kMasterResponse:
-      return "master_response";
-    case LcState::kSlaveResponse:
-      return "slave_response";
-    case LcState::kConnectionMaster:
-      return "connection_master";
-    case LcState::kConnectionSlave:
-      return "connection_slave";
-  }
-  return "?";
-}
-
 LinkController::LinkController(sim::Environment& env, std::string name,
                                const BdAddr& addr, NativeClock& clock,
                                phy::Radio& radio, Receiver& receiver,

@@ -70,8 +70,6 @@ enum class LcState : std::uint8_t {
   kConnectionSlave,
 };
 
-const char* to_string(LcState s);
-
 struct LcConfig {
   /// Inquiry timeout (paper: 1.28 s = 2048 slots for both phases).
   std::uint32_t inquiry_timeout_slots = 2048;
@@ -210,7 +208,6 @@ class LinkController final : public sim::Module,
   LinkMode slave_mode() const { return my_mode_; }
   const BdAddr& address() const { return addr_; }
   Piconet& piconet() { return piconet_; }
-  const Piconet& piconet() const { return piconet_; }
   const std::vector<DiscoveredDevice>& discovered() const {
     return discovered_;
   }

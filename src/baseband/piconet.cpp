@@ -54,13 +54,6 @@ SlaveLink* Piconet::find(std::uint8_t lt_addr) {
   return it == slaves_.end() ? nullptr : &*it;
 }
 
-const SlaveLink* Piconet::find(std::uint8_t lt_addr) const {
-  auto it = std::find_if(slaves_.begin(), slaves_.end(), [lt_addr](auto& s) {
-    return s.lt_addr == lt_addr;
-  });
-  return it == slaves_.end() ? nullptr : &*it;
-}
-
 SlaveLink* Piconet::find(const BdAddr& addr) {
   auto it = std::find_if(slaves_.begin(), slaves_.end(),
                          [&addr](auto& s) { return s.addr == addr; });
@@ -71,13 +64,6 @@ bool Piconet::has_parked() const {
   return std::any_of(slaves_.begin(), slaves_.end(), [](const SlaveLink& s) {
     return s.mode == LinkMode::kPark;
   });
-}
-
-std::size_t Piconet::active_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(slaves_.begin(), slaves_.end(), [](const SlaveLink& s) {
-        return s.mode != LinkMode::kPark;
-      }));
 }
 
 }  // namespace btsc::baseband

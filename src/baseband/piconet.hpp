@@ -78,12 +78,10 @@ class Piconet {
   void remove_slave(std::uint8_t lt_addr);
 
   SlaveLink* find(std::uint8_t lt_addr);
-  const SlaveLink* find(std::uint8_t lt_addr) const;
   SlaveLink* find(const BdAddr& addr);
 
   std::vector<SlaveLink>& slaves() { return slaves_; }
   const std::vector<SlaveLink>& slaves() const { return slaves_; }
-  std::size_t active_count() const;
   bool has_parked() const;
   bool empty() const { return slaves_.empty(); }
 

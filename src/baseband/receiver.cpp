@@ -64,14 +64,6 @@ void Receiver::reset_machine() {
   machine_.have_whitener = false;
 }
 
-void Receiver::reset() {
-  // Same ordering contract as configure(): pending samples belong to
-  // the state being abandoned.
-  if (catch_up_) catch_up_();
-  reset_machine();
-  if (state_changed_) state_changed_();
-}
-
 // ---------------------------------------------------------------------------
 // The decode machine. step() makes every quiet state change and reports
 // the first externally visible effect instead of performing it.

@@ -105,9 +105,6 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
                      std::size_t count) override;
   void on_sample(phy::Logic4 v) override { on_bit(v); }
 
-  /// Abandons any in-progress assembly and restarts the sync search.
-  void reset();
-
   /// True once a sync word has been found and the packet is assembling.
   /// Lazy-safe: search->assembly transitions only happen inside effect
   /// samples, which always execute at their own instants.

@@ -37,11 +37,7 @@ void LinkManager::send_pdu(std::uint8_t lt, const LmpPdu& pdu) {
 void LinkManager::on_acl(std::uint8_t lt, std::uint8_t llid,
                          std::vector<std::uint8_t> data) {
   if (llid != kLlidLmp) {
-    if (user_data_override_) {
-      user_data_override_(lt, llid, std::move(data));
-    } else if (events_.user_data) {
-      events_.user_data(lt, std::move(data));
-    }
+    if (events_.user_data) events_.user_data(lt, std::move(data));
     return;
   }
   const auto pdu = LmpPdu::decode(data);

@@ -49,16 +49,6 @@ class LinkManager : public sim::Snapshotable, public sim::RearmHandler {
 
   void set_events(Events ev) { events_ = std::move(ev); }
 
-  /// Dedicated non-LMP ACL handler taking precedence over
-  /// Events::user_data; survives set_events() calls (used by the L2CAP
-  /// mux so scenario orchestration can keep swapping Events freely).
-  void set_user_data_handler(
-      std::function<void(std::uint8_t lt, std::uint8_t llid,
-                         std::vector<std::uint8_t>)>
-          h) {
-    user_data_override_ = std::move(h);
-  }
-
   baseband::Device& device() { return device_; }
 
   // ---- procedures (either role may initiate; `lt` identifies the link:
@@ -119,8 +109,6 @@ class LinkManager : public sim::Snapshotable, public sim::RearmHandler {
 
   baseband::Device& device_;
   Events events_;
-  std::function<void(std::uint8_t, std::uint8_t, std::vector<std::uint8_t>)>
-      user_data_override_;
   /// Outstanding request per link, applied when LMP_accepted arrives.
   std::map<std::uint8_t, LmpPdu> pending_;
   std::map<std::uint8_t, bool> setup_done_;

@@ -19,30 +19,6 @@ std::uint32_t get32(const std::vector<std::uint8_t>& b, std::size_t pos) {
 
 }  // namespace
 
-const char* to_string(LmpOpcode op) {
-  switch (op) {
-    case LmpOpcode::kAccepted:
-      return "LMP_accepted";
-    case LmpOpcode::kNotAccepted:
-      return "LMP_not_accepted";
-    case LmpOpcode::kDetach:
-      return "LMP_detach";
-    case LmpOpcode::kHoldReq:
-      return "LMP_hold_req";
-    case LmpOpcode::kSniffReq:
-      return "LMP_sniff_req";
-    case LmpOpcode::kUnsniffReq:
-      return "LMP_unsniff_req";
-    case LmpOpcode::kParkReq:
-      return "LMP_park_req";
-    case LmpOpcode::kUnparkReq:
-      return "LMP_unpark_req";
-    case LmpOpcode::kSetupComplete:
-      return "LMP_setup_complete";
-  }
-  return "LMP_unknown";
-}
-
 std::vector<std::uint8_t> LmpPdu::encode() const {
   std::vector<std::uint8_t> out;
   out.push_back(static_cast<std::uint8_t>(

@@ -26,8 +26,6 @@ enum class LmpOpcode : std::uint8_t {
   kSetupComplete = 49,
 };
 
-const char* to_string(LmpOpcode op);
-
 /// Decoded LMP PDU. Fields beyond `opcode` are meaningful per opcode:
 ///   kSniffReq           : interval, offset, attempt
 ///   kHoldReq            : interval (duration), instant (start CLK/2)

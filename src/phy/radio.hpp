@@ -140,8 +140,8 @@ class Radio final : public sim::Module,
   void rx_state_changed();
 
   // ---- RF enable lines (traced; the paper's waveform signals) ----
-  sim::BoolSignal& enable_tx_rf() { return enable_tx_; }
-  sim::BoolSignal& enable_rx_rf() { return enable_rx_; }
+  sim::Signal<bool>& enable_tx_rf() { return enable_tx_; }
+  sim::Signal<bool>& enable_rx_rf() { return enable_rx_; }
 
   // ---- activity accounting (Figs. 10-12) ----
 
@@ -251,8 +251,8 @@ class Radio final : public sim::Module,
   std::uint64_t rx_barrier_index_ = 0;
 
   // Enable lines (traced)
-  sim::BoolSignal enable_tx_;
-  sim::BoolSignal enable_rx_;
+  sim::Signal<bool> enable_tx_;
+  sim::Signal<bool> enable_rx_;
 
   // Activity accounting
   sim::SimTime tx_accum_ = sim::SimTime::zero();

@@ -29,16 +29,8 @@ Process& Environment::register_process(std::string name, UniqueFunction fn) {
   return *processes_.back();
 }
 
-void Environment::trigger(Event& ev) {
-  for (Process* p : ev.waiters_) make_runnable(*p);
-}
-
 void Event::notify_delta() {
   for (Process* p : waiters_) env_->make_runnable(*p);
-}
-
-void Event::notify(SimTime delay) {
-  env_->notify_timed(*this, env_->now() + delay);
 }
 
 void Environment::run_delta() {
@@ -86,17 +78,12 @@ void Environment::run_until(SimTime until) {
     // before its turn). pop_due moves the payload out and releases the
     // slot before dispatch: the callback may schedule more timers, and
     // its slot must be reusable (and its id stale) while it runs.
-    Event* ev = nullptr;
     UniqueFunction fn;
-    while (queue_.pop_due(t, ev, fn)) {
-      if (ev != nullptr) {
-        trigger(*ev);
-      } else {
-        dispatching_ = true;
-        fn();
-        dispatching_ = false;
-        fn.reset();
-      }
+    while (queue_.pop_due(t, fn)) {
+      dispatching_ = true;
+      fn();
+      dispatching_ = false;
+      fn.reset();
     }
     // The timed callbacks above form the evaluate phase of the first delta
     // at this instant; commit their signal writes before any process woken
@@ -161,11 +148,7 @@ void Environment::save_state(SnapshotWriter& w) const {
   descs.reserve(queue_.live());
   queue_.for_each_live([&](const void* owner, std::uint16_t kind,
                            std::uint64_t payload, SimTime when,
-                           std::uint64_t seq, bool is_event) {
-    if (is_event) {
-      throw SnapshotError(
-          "environment: timed event notification live at checkpoint");
-    }
+                           std::uint64_t seq) {
     if (kind == 0) {
       throw SnapshotError(
           "environment: opaque (untagged) timer live at checkpoint");

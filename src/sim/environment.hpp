@@ -14,9 +14,9 @@
 //
 // Timed queue
 // -----------
-// All timed work (one-shot callbacks and timed event notifications) lives
-// in a sim::TimerQueue (sim/timer_queue.hpp): an index-tracked 4-ary
-// min-heap over a generation-checked slab. Dispatch follows the exact
+// All timed work is a one-shot callback in a sim::TimerQueue
+// (sim/timer_queue.hpp): an index-tracked 4-ary min-heap over a
+// generation-checked slab. Dispatch follows the exact
 // (when, seq) total order -- seq is a global schedule counter, so
 // same-time entries fire in FIFO order, the determinism tiebreak every
 // model relies on. Cancellation is true removal: a canceled timer leaves
@@ -102,10 +102,6 @@ class Environment {
   // ---- process / event plumbing (used by Event, Signal, Module) ----
   void make_runnable(Process& p);
   void request_update(SignalBase& s);
-  void notify_timed(Event& ev, SimTime abs_time) {
-    assert(abs_time >= now_);
-    queue_.schedule_event(abs_time, ev);
-  }
 
   /// Schedules a one-shot callback at now()+delay (evaluate phase).
   /// Returns a TimerId that can be passed to cancel(). `owner` is an
@@ -219,9 +215,8 @@ class Environment {
   /// pending timer as a re-armable (owner-name, kind, payload, when,
   /// seq) descriptor, in seq order, plus the seq allocator. Must be
   /// called at a settled instant (between run() calls); throws
-  /// SnapshotError if delta work is pending, or if any live timer is an
-  /// event notification, is untagged (kind 0), or has no registered
-  /// owner.
+  /// SnapshotError if delta work is pending, or if any live timer is
+  /// untagged (kind 0) or has no registered owner.
   void save_state(SnapshotWriter& w) const;
 
   /// Counterpart of save_state() into a freshly constructed twin:
@@ -241,8 +236,7 @@ class Environment {
   /// work (the old kernel's dead-entry population is structurally zero;
   /// `canceled` counts the entries that would have rotted there).
   struct SchedulerStats {
-    /// Timed-queue inserts: one-shot callbacks plus timed event
-    /// notifications.
+    /// Timed-queue inserts (one-shot callbacks).
     std::uint64_t scheduled = 0;
     /// Entries popped and dispatched at their instant.
     std::uint64_t fired = 0;
@@ -266,7 +260,6 @@ class Environment {
  private:
   void run_delta();
   void commit_updates();
-  void trigger(Event& ev);
   static std::uint64_t heap_depth(std::uint64_t n);
   void require_settled(const char* verb) const;
 

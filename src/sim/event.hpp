@@ -2,9 +2,10 @@
 //
 // Processes are statically sensitive to events; notifying an event makes
 // all sensitive processes runnable in the *next* delta cycle (delta
-// notification) or at a future time (timed notification). Immediate
-// notification is intentionally not supported: it makes results depend on
-// process execution order and is discouraged even in SystemC.
+// notification). Timed work is a scheduled callback instead
+// (Environment::schedule). Immediate notification is intentionally not
+// supported: it makes results depend on process execution order and is
+// discouraged even in SystemC.
 #pragma once
 
 #include <string>
@@ -33,11 +34,7 @@ class Event {
   /// Makes all sensitive processes runnable in the next delta cycle.
   void notify_delta();
 
-  /// Makes all sensitive processes runnable `delay` after the current time.
-  void notify(SimTime delay);
-
  private:
-  friend class Environment;
   Environment* env_;
   std::string name_;
   std::vector<Process*> waiters_;

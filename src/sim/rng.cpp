@@ -108,14 +108,4 @@ void Rng::set_state(const std::array<std::uint64_t, 4>& s) {
   }
 }
 
-Rng Rng::split() {
-  Rng child;
-  child.s_ = {next(), next(), next(), next()};
-  // Guard against the (astronomically unlikely) all-zero state.
-  if ((child.s_[0] | child.s_[1] | child.s_[2] | child.s_[3]) == 0) {
-    child.reseed(0xDEADBEEFull);
-  }
-  return child;
-}
-
 }  // namespace btsc::sim

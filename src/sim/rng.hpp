@@ -64,10 +64,6 @@ class Rng {
     for (std::uint64_t i = 0; i < n; ++i) next();
   }
 
-  /// Derives an independent child stream; used to give each device its own
-  /// stream so adding a device never perturbs another device's randomness.
-  Rng split();
-
   /// Derives the seed of an independent stream addressed by a
   /// (stream, index) pair under `base` — e.g. (point index, replication
   /// index) in a Monte-Carlo sweep. Pure function of its arguments: the

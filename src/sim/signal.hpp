@@ -125,46 +125,18 @@ class Signal : public SignalBase {
   void commit() final {
     update_pending_ = false;
     if (next_ == cur_) return;
-    const T old = cur_;
     cur_ = next_;
     if (traced_) {
       env_->tracer()->change(trace_id_, TraceEncoder<T>::encode(cur_));
     }
     changed_.notify_delta();
-    on_change(old, cur_);
   }
-
- protected:
-  /// Extension point for edge events (see BoolSignal).
-  virtual void on_change(const T& /*old_value*/, const T& /*new_value*/) {}
 
  private:
   T cur_;
   T next_;
   TraceId trace_id_ = 0;
   bool traced_ = false;
-};
-
-/// Boolean signal with dedicated edge events, the idiom for clocks and
-/// enable lines (e.g. the enable_rx_RF waveforms of the paper).
-class BoolSignal final : public Signal<bool> {
- public:
-  BoolSignal(Environment& env, std::string name, bool init = false)
-      : Signal<bool>(env, std::move(name), init),
-        posedge_(env, this->name() + ".posedge"),
-        negedge_(env, this->name() + ".negedge") {}
-
-  Event& posedge_event() { return posedge_; }
-  Event& negedge_event() { return negedge_; }
-
- protected:
-  void on_change(const bool&, const bool& now_value) override {
-    (now_value ? posedge_ : negedge_).notify_delta();
-  }
-
- private:
-  Event posedge_;
-  Event negedge_;
 };
 
 }  // namespace btsc::sim

@@ -19,9 +19,9 @@
 // Node storage is split structure-of-arrays: the fields heap sifts and
 // owner sweeps touch (generation, heap index, owner, descriptor kind)
 // live in a dense `Hot` array, while the payload -- the type-erased
-// UniqueFunction callback (48-byte SBO), the event pointer and the
-// descriptor payload word -- lives in a parallel `Payload` array touched
-// only when a timer is created, fired or released.
+// UniqueFunction callback (48-byte SBO) and the descriptor payload
+// word -- lives in a parallel `Payload` array touched only when a timer
+// is created, fired or released.
 //
 // Checkpointing: timers scheduled through the tagged path carry a
 // (kind, payload) descriptor; for_each_live() exposes every live
@@ -41,8 +41,6 @@
 #include "sim/unique_function.hpp"
 
 namespace btsc::sim {
-
-class Event;
 
 /// Handle for a scheduled one-shot callback, usable to cancel it.
 /// Opaque encoding of (slab slot, generation); never 0 for a live timer.
@@ -78,17 +76,12 @@ class TimerQueue {
     n.owner = owner;
     n.kind = kind;
     Payload& p = payload_[slot];
-    p.event = nullptr;
     p.payload = payload;
     p.fn.emplace(std::forward<F>(fn));
     const TimerId id = make_id(slot, n.gen);
     place(slot, when);
     return id;
   }
-
-  /// Schedules a timed notification of `ev` (no TimerId is minted;
-  /// event notifications are not individually cancelable).
-  inline void schedule_event(SimTime when, Event& ev);
 
   /// Removes the entry in O(log n). Returns false -- and counts a
   /// cancel-after-fire -- for stale handles.
@@ -111,11 +104,11 @@ class TimerQueue {
   }
 
   /// Removes the minimum-seq entry due exactly at `t` and moves its
-  /// payload out (exactly one of `ev`/`fn` is set), releasing its slot
-  /// before the caller dispatches -- the callback may reschedule into
-  /// the freed slot and its id goes stale while it runs. Returns false
-  /// when nothing (remains) due at `t`.
-  inline bool pop_due(SimTime t, Event*& ev, UniqueFunction& fn);
+  /// callback into `fn`, releasing its slot before the caller
+  /// dispatches -- the callback may reschedule into the freed slot and
+  /// its id goes stale while it runs. Returns false when nothing
+  /// (remains) due at `t`.
+  inline bool pop_due(SimTime t, UniqueFunction& fn);
 
   // ---- checkpoint support ----
 
@@ -126,15 +119,13 @@ class TimerQueue {
   std::uint64_t next_seq() const { return next_seq_; }
   void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
 
-  /// Visits every live entry as
-  ///   f(owner, kind, payload, when, seq, is_event)
-  /// in heap order (callers sort by seq for a canonical ordering).
+  /// Visits every live entry as f(owner, kind, payload, when, seq) in
+  /// heap order (callers sort by seq for a canonical ordering).
   template <typename F>
   void for_each_live(F&& f) const {
     for (const HeapEntry& e : heap_) {
-      const Payload& p = payload_[e.slot];
-      f(hot_[e.slot].owner, hot_[e.slot].kind, p.payload, e.when, e.seq,
-        p.event != nullptr);
+      f(hot_[e.slot].owner, hot_[e.slot].kind, payload_[e.slot].payload,
+        e.when, e.seq);
     }
   }
 
@@ -172,11 +163,10 @@ class TimerQueue {
     const void* owner = nullptr;
   };
 
-  /// Cold half, parallel to `Hot`: the dispatch payload (exactly one of
-  /// event/fn is set) and the re-arm descriptor payload word. Touched
-  /// only at schedule, fire and release.
+  /// Cold half, parallel to `Hot`: the callback and the re-arm
+  /// descriptor payload word. Touched only at schedule, fire and
+  /// release.
   struct Payload {
-    Event* event = nullptr;
     UniqueFunction fn;
     std::uint64_t payload = 0;
   };
@@ -242,11 +232,9 @@ inline void TimerQueue::release_slot(std::uint32_t slot) {
   Hot& n = hot_[slot];
   ++n.gen;  // retire every outstanding TimerId for this slot
   n.live = false;
-  Payload& p = payload_[slot];
-  p.fn.reset();  // destroy the captured state now, not at slot reuse
-  p.event = nullptr;
-  // owner/kind/payload are garbage while free -- both schedule paths
-  // overwrite every field they rely on.
+  payload_[slot].fn.reset();  // destroy the captured state now, not at reuse
+  // owner/kind/payload are garbage while free -- schedule_callback
+  // overwrites every field it relies on.
   n.next_free = free_head_;
   free_head_ = slot;
 }
@@ -259,7 +247,6 @@ inline const TimerQueue::Hot* TimerQueue::find_live(TimerId id) const {
   const Hot& n = hot_[slot];
   if (n.gen != static_cast<std::uint32_t>(id >> 32)) return nullptr;
   assert(n.live);  // live generation => in the heap
-  assert(payload_[slot].event == nullptr);  // ids only minted for callbacks
   return &n;
 }
 
@@ -269,15 +256,6 @@ inline void TimerQueue::place(std::uint32_t slot, SimTime when) {
   heap_.push_back({when, next_seq_++, slot});
   if (heap_.size() > peak_live_) peak_live_ = heap_.size();
   sift_up(heap_.size() - 1);
-}
-
-inline void TimerQueue::schedule_event(SimTime when, Event& ev) {
-  const std::uint32_t slot = acquire_slot();
-  hot_[slot].owner = nullptr;
-  hot_[slot].kind = 0;
-  payload_[slot].event = &ev;
-  payload_[slot].payload = 0;
-  place(slot, when);
 }
 
 inline bool TimerQueue::cancel(TimerId id) {
@@ -294,12 +272,11 @@ inline bool TimerQueue::cancel(TimerId id) {
   return true;
 }
 
-inline bool TimerQueue::pop_due(SimTime t, Event*& ev, UniqueFunction& fn) {
+inline bool TimerQueue::pop_due(SimTime t, UniqueFunction& fn) {
   if (heap_.empty() || heap_[0].when != t) return false;
   const std::uint32_t slot = heap_[0].slot;
   heap_remove_at(0);
-  ev = payload_[slot].event;
-  if (ev == nullptr) fn = std::move(payload_[slot].fn);
+  fn = std::move(payload_[slot].fn);
   release_slot(slot);
   ++fired_;
   return true;

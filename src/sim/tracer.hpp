@@ -35,11 +35,10 @@ class Environment;
 using TraceId = std::uint32_t;
 
 /// Abstract trace sink. SignalBase calls declare() once and change() on
-/// every committed value change.
+/// every committed value change. Owners hold the concrete tracer, so it
+/// is never destroyed through this interface.
 class Tracer {
  public:
-  virtual ~Tracer() = default;
-
   /// Declares a signal. `width` is the bit width (1 => VCD scalar);
   /// `initial` (may be empty) is dumped as the time-zero value.
   /// Hierarchical names use '.' separators (e.g. "master.enable_rx_RF").
@@ -73,6 +72,9 @@ class Tracer {
   /// time-stamped inside an open hold window until the hold ends.
   virtual void begin_hold() {}
   virtual void end_hold() {}
+
+ protected:
+  ~Tracer() = default;
 };
 
 /// VCD file writer. Declarations must all happen before the first change
@@ -88,7 +90,7 @@ class VcdTracer final : public Tracer {
   /// `env` provides timestamps; `path` is the output file. Throws
   /// std::runtime_error if the file cannot be opened.
   VcdTracer(Environment& env, const std::string& path);
-  ~VcdTracer() override;
+  ~VcdTracer();
 
   TraceId declare(const std::string& name, unsigned width,
                   const std::string& initial = std::string()) override;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace btsc::stats {
 
@@ -43,56 +41,6 @@ void Accumulator::merge(const Accumulator& other) {
   n_ += other.n_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t idx;
-  if (x < lo_) {
-    idx = 0;
-  } else if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::quantile(double p) const {
-  if (total_ == 0) return lo_;
-  const double target = p * static_cast<double>(total_);
-  double running = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    running += static_cast<double>(counts_[i]);
-    if (running >= target) return bin_low(i);
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string(std::size_t max_width) const {
-  std::size_t peak = 0;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * max_width / peak;
-    os << '[' << bin_low(i) << ", " << bin_high(i) << ") "
-       << std::string(bar, '#') << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 std::pair<double, double> RatioCounter::wilson95() const {

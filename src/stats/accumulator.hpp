@@ -1,16 +1,14 @@
 // Streaming statistics used by the experiment harness.
 //
 // Accumulator implements Welford's online algorithm, which is numerically
-// stable for long Monte-Carlo runs; Histogram provides fixed-width bins
-// for distribution plots (e.g. inquiry completion time spread).
+// stable for long Monte-Carlo runs; RatioCounter carries a success
+// probability with its Wilson interval.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/snapshot.hpp"
 
@@ -62,31 +60,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width binned histogram over [lo, hi); out-of-range samples are
-/// counted in saturating edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const { return bin_low(i + 1); }
-  /// p in [0,1]; returns the lower edge of the bin containing quantile p.
-  double quantile(double p) const;
-
-  std::string to_string(std::size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Ratio counter for success probabilities with a Wilson 95% interval,

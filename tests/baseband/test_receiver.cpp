@@ -290,7 +290,10 @@ TEST(ReceiverTest, ResetAbandonsAssembly) {
   loop.tx.transmit(11, std::move(bits));
   loop.env.run(100_us);  // mid-packet
   EXPECT_TRUE(loop.rx.assembling());
-  loop.rx.reset();
+  // Reconfiguring mid-packet (what the link controller does on every
+  // state change) abandons the assembly and restarts the sync search.
+  loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
+                    Receiver::Expect::kFull);
   EXPECT_FALSE(loop.rx.assembling());
   loop.env.run(1_ms);
   EXPECT_TRUE(loop.results.empty());

@@ -118,11 +118,5 @@ TEST(LmpPduTest, TidBitPreserved) {
   EXPECT_EQ(pdu.encode()[0] & 1u, 0u);
 }
 
-TEST(LmpOpcodeTest, ToString) {
-  EXPECT_STREQ(to_string(LmpOpcode::kSniffReq), "LMP_sniff_req");
-  EXPECT_STREQ(to_string(LmpOpcode::kHoldReq), "LMP_hold_req");
-  EXPECT_STREQ(to_string(static_cast<LmpOpcode>(99)), "LMP_unknown");
-}
-
 }  // namespace
 }  // namespace btsc::lm

@@ -87,21 +87,6 @@ TEST(RngTest, BernoulliRateMatchesP) {
   EXPECT_NEAR(rate, p, 3.0 * std::sqrt(p * (1 - p) / n));
 }
 
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng parent(11);
-  Rng child = parent.split();
-  // Child stream should differ from the parent's continued stream.
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (parent.next() == child.next());
-  EXPECT_LT(same, 2);
-}
-
-TEST(RngTest, SplitIsDeterministic) {
-  Rng p1(12), p2(12);
-  Rng c1 = p1.split(), c2 = p2.split();
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(c1.next(), c2.next());
-}
-
 // Property sweep: uniform() respects arbitrary [lo, hi] windows.
 class RngUniformRange
     : public ::testing::TestWithParam<std::pair<std::uint64_t, std::uint64_t>> {

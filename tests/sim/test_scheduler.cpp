@@ -124,17 +124,6 @@ TEST(SchedulerTest, IdleReflectsPendingWork) {
   EXPECT_TRUE(env.idle());
 }
 
-TEST(SchedulerTest, TimedEventNotifiesSensitiveProcess) {
-  Environment env;
-  Event ev(env, "ev");
-  int fired = 0;
-  Process& p = env.register_process("p", [&] { fired++; });
-  ev.add_sensitive(p);
-  ev.notify(100_us);
-  env.run_until(1_ms);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(SchedulerTest, DeltaNotifyRunsProcessWithoutTimeAdvance) {
   Environment env;
   Event ev(env, "ev");

@@ -83,22 +83,6 @@ TEST(SignalTest, ChainOfDependentProcessesSettles) {
   EXPECT_EQ(c.read(), 12);
 }
 
-TEST(BoolSignalTest, PosedgeAndNegedgeEvents) {
-  Environment env;
-  BoolSignal s(env, "s", false);
-  int pos = 0, neg = 0;
-  Process& pp = env.register_process("pos", [&] { pos++; });
-  Process& pn = env.register_process("neg", [&] { neg++; });
-  s.posedge_event().add_sensitive(pp);
-  s.negedge_event().add_sensitive(pn);
-  env.schedule(1_us, [&] { s.write(true); });
-  env.schedule(2_us, [&] { s.write(true); });  // no edge
-  env.schedule(3_us, [&] { s.write(false); });
-  env.run_until(1_ms);
-  EXPECT_EQ(pos, 1);
-  EXPECT_EQ(neg, 1);
-}
-
 TEST(SignalTest, EnumSignalsWork) {
   enum class Color : std::uint8_t { kRed, kGreen, kBlue };
   Environment env;

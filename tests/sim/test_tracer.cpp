@@ -39,7 +39,7 @@ TEST_F(VcdTracerTest, WritesWellFormedHeaderAndChanges) {
   {
     VcdTracer tracer(env, path_);
     env.set_tracer(&tracer);
-    BoolSignal s(env, "dev.enable_rx_RF", false);
+    Signal<bool> s(env, "dev.enable_rx_RF", false);
     env.schedule(625_us, [&] { s.write(true); });
     env.schedule(1250_us, [&] { s.write(false); });
     env.run_until(2_ms);
@@ -109,7 +109,7 @@ TEST_F(VcdTracerTest, CanceledTimersDoNotPerturbWaveform) {
                 bool with_canceled_storm) {
     VcdTracer tracer(env, path);
     env.set_tracer(&tracer);
-    BoolSignal s(env, "dev.enable_rx_RF", false);
+    Signal<bool> s(env, "dev.enable_rx_RF", false);
     std::vector<TimerId> dead;
     if (with_canceled_storm) {
       for (int i = 0; i < 16; ++i) {

@@ -138,61 +138,6 @@ TEST(AccumulatorTest, Ci95HalfWidthScale) {
   EXPECT_NEAR(a.ci95_half_width(), 1.96 * a.sem(), 1e-3);
 }
 
-TEST(HistogramTest, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-}
-
-TEST(HistogramTest, CountsFallIntoRightBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.99);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-}
-
-TEST(HistogramTest, QuantileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  btsc::sim::Rng r(3);
-  for (int i = 0; i < 10000; ++i) h.add(r.uniform01() * 100.0);
-  const double q25 = h.quantile(0.25);
-  const double q50 = h.quantile(0.50);
-  const double q75 = h.quantile(0.75);
-  EXPECT_LE(q25, q50);
-  EXPECT_LE(q50, q75);
-  EXPECT_NEAR(q50, 50.0, 5.0);
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), std::invalid_argument);
-}
-
-TEST(HistogramTest, ToStringContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string s = h.to_string(10);
-  EXPECT_NE(s.find('#'), std::string::npos);
-  EXPECT_NE(s.find("[0, 1)"), std::string::npos);
-}
-
 TEST(RatioCounterTest, BasicRatio) {
   RatioCounter rc;
   for (int i = 0; i < 10; ++i) rc.add(i < 7);
