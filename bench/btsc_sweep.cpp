@@ -18,40 +18,7 @@
 
 namespace {
 
-void print_usage() {
-  std::printf(
-      "usage: btsc-sweep (--list | --fig N | --scenario ID) [options]\n"
-      "\n"
-      "options:\n"
-      "  --list               list registered scenarios and exit\n"
-      "  --fig N              run the scenario reproducing paper figure N\n"
-      "  --scenario ID        run a scenario by id (see --list)\n"
-      "  --threads N          worker threads (default 1; 0 = hardware)\n"
-      "  --seeds N            replications per point (0 = scenario default)\n"
-      "  --replications N     alias for --seeds\n"
-      "  --quick              reduced replications and windows\n"
-      "  --base-seed S        root of the deterministic seed derivation\n"
-      "  --max-points N       keep only the first N sweep points\n"
-      "  --csv | --json       output format (default: text table)\n"
-      "  --out FILE           write to FILE (.json/.csv picks the format)\n"
-      "  --no-burst           per-bit PHY reference transport (bit-identical\n"
-      "                       results; swap-safety escape hatch)\n"
-      "  --checkpoint-dir DIR spill/load the per-point warm-up snapshots as\n"
-      "                       durable checkpoint files, so a later run\n"
-      "                       skips the warm-ups this one paid for\n"
-      "  --journal FILE       fsync each completed replication to an\n"
-      "                       append-only journal (crash-safe progress)\n"
-      "  --resume             skip replications already in --journal FILE;\n"
-      "                       output is byte-identical to an uninterrupted\n"
-      "                       run\n"
-      "  --rep-timeout S      per-replication deadline in seconds; overruns\n"
-      "                       are quarantined, the sweep completes\n"
-      "  --max-retries N      retry a throwing replication N times (with\n"
-      "                       backoff) before quarantining it\n"
-      "  --keep-going         quarantine failing replications instead of\n"
-      "                       aborting the sweep (exit code 3 if any)\n"
-      "  --quarantine-out F   write the JSON quarantine report to F\n");
-}
+void print_usage() { std::fputs(btsc::runner::sweep_usage(), stdout); }
 
 void print_list() {
   std::printf("%-12s %-5s %s\n", "id", "fig", "summary");

@@ -180,8 +180,8 @@ cmake --build build-asan -j "$jobs" --target \
 # sim_test_snapshot / core_test_checkpoint / runner_test_checkpoint_sweep
 # cover the checkpoint subsystem: the tagged-stream codecs and their
 # malformed-input rejection paths, whole-system save/restore round trips
-# (including a mid-flight half-slot snapshot and a coexistence snapshot
-# holding a pending rf_delay apply timer), and the forked-vs-cold
+# (including a mid-flight half-slot snapshot and a connected coexistence
+# snapshot), and the forked-vs-cold
 # sweep equivalence -- serialisation code is exactly where stale
 # pointers and uninitialised reads hide, so it runs sanitized.
 # sim_test_snapshot_fuzz drives the truncation/bit-flip corpus over both

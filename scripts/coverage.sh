@@ -12,9 +12,9 @@
 #   scripts/coverage.sh                       # build + run + gate
 #   BTSC_COV_DIR=/tmp/cov scripts/coverage.sh # other build directory
 #
-# Entry points run: the nine studies (--quick, burst and --no-burst,
-# text/CSV/JSON output, a 2-thread pool, --journal + --resume +
-# --checkpoint-dir, and the supervised grid via --keep-going
+# Entry points run: --list and --help, the nine studies (--quick, burst
+# and --no-burst, text/CSV/JSON output, a 2-thread pool, --journal +
+# --resume + --checkpoint-dir, and the supervised grid via --keep-going
 # --rep-timeout), the fig05/fig09 waveform harnesses, the four examples,
 # a btsc-sweepd --job-file batch and a btsc-sweepd --socket session
 # (ping, submit, status, drain).
@@ -57,6 +57,7 @@ for id in "${studies[@]}"; do
   "$sweep" --scenario "$id" --quick --threads 1 --no-burst >/dev/null
 done
 "$sweep" --list >/dev/null
+"$sweep" --help >/dev/null
 "$sweep" --fig 8 --quick --threads 2 --csv >/dev/null
 "$sweep" --fig 8 --quick --threads 1 --out "$run/fig08.csv" >/dev/null
 "$sweep" --fig 10 --quick --threads 1 --json >/dev/null
@@ -131,8 +132,7 @@ import json, os, sys
 
 root, build, run, allow_path = sys.argv[1:]
 roles = {"oracle", "test-fake", "test-only", "fault-hook", "lmp-procedure",
-         "restore-path", "error-path", "model-option", "bench-caller",
-         "perfbench-reader"}
+         "restore-path", "error-path", "bench-caller", "perfbench-reader"}
 src = os.path.join(root, "src") + os.sep
 
 

@@ -60,11 +60,6 @@ class PacketBuffer {
     return msg;
   }
 
-  void clear() {
-    control_.clear();
-    data_.clear();
-  }
-
   // ---- checkpointing ----
   void save_state(sim::SnapshotWriter& w) const {
     w.u64(capacity_);

@@ -28,9 +28,11 @@
 
 #include <cstdint>
 
+#include "phy/channel.hpp"
+
 namespace btsc::baseband {
 
-inline constexpr int kNumRfChannels = 79;
+inline constexpr int kNumRfChannels = phy::kNumRfChannels;
 
 enum class HopMode : std::uint8_t {
   kConnection,

@@ -106,7 +106,7 @@ void LinkController::enable_detach_reset() {
   discovered_.clear();
   own_lt_addr_ = 0;
   my_mode_ = LinkMode::kActive;
-  my_tx_queue_.clear();
+  my_tx_queue_ = PacketBuffer();
   my_in_flight_.reset();
   my_last_seqn_in_.reset();
   my_seqn_out_ = my_arqn_out_ = false;
@@ -141,7 +141,6 @@ void LinkController::enable_page(const BdAddr& target,
   page_clkn_offset_ = clkn_offset_estimate & kClockMask;
   response_retries_ = 0;
   enter_state(LcState::kPage);
-  page_start_tick_ = state_entry_tick_;
   arm_receiver(target.lap(), target.uap(), std::nullopt,
                Receiver::Expect::kIdOnly);
 }
@@ -255,8 +254,7 @@ sim::UniqueFunction LinkController::make_action(Kind kind,
         if (state_ != LcState::kConnectionMaster) return;
         arm_receiver(addr_.lap(), addr_.uap(), connection_whiten(clk_resp),
                      Receiver::Expect::kFull);
-        open_rx_window(connection_freq(clk_resp),
-                       config_.carrier_sense_window);
+        open_rx_window(connection_freq(clk_resp), kCarrierSenseWindow);
       };
     case kSlaveSlot:
       return [this] { slave_slot_action(); };
@@ -326,9 +324,7 @@ void LinkController::transmit_packet(const PacketHeader& header,
   radio_.transmit(freq, std::move(bits));
 }
 
-std::optional<std::uint8_t> LinkController::connection_whiten(
-    std::uint32_t clk) const {
-  if (!config_.whitening) return std::nullopt;
+std::uint8_t LinkController::connection_whiten(std::uint32_t clk) const {
   return Whitener::from_clock(clk).state();
 }
 
@@ -395,17 +391,12 @@ void LinkController::arm_tick() {
 }
 
 std::uint64_t LinkController::scan_sleep_ticks(std::uint64_t next) const {
-  if (config_.inquiry_scan_window_slots == 0 || backoff_armed_ ||
-      radio_.rx_enabled()) {
-    return 0;
-  }
-  const std::uint32_t interval_ticks = 2 * config_.inquiry_scan_interval_slots;
-  const std::uint32_t window_ticks = 2 * config_.inquiry_scan_window_slots;
-  const std::uint32_t scanned =
-      config_.interlaced_inquiry_scan ? 2 * window_ticks : window_ticks;
+  if (backoff_armed_ || radio_.rx_enabled()) return 0;
+  constexpr std::uint32_t interval_ticks = 2 * kInquiryScanIntervalSlots;
+  constexpr std::uint32_t window_ticks = 2 * kInquiryScanWindowSlots;
   const std::uint32_t clkn = clock_.clkn_at_tick(next);
   const std::uint32_t pos = clkn % interval_ticks;
-  if (pos < scanned) return 0;
+  if (pos < 2 * window_ticks) return 0;  // normal or interlaced window
   // The window reopens where pos returns to 0: at the next interval
   // boundary, or earlier where CLKN itself wraps.
   return std::min<std::uint64_t>(interval_ticks - pos,
@@ -459,10 +450,9 @@ void LinkController::inquiry_tick() {
     return;
   }
   const std::uint32_t clkn = clock_.clkn();
-  // Train A first; switch every train_repeats passes (32 ticks per pass).
+  // Train A first; switch every kTrainRepeats passes (32 ticks per pass).
   const int koffset =
-      (ticks_in_state() / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                 : kTrainB;
+      (ticks_in_state() / (32 * kTrainRepeats)) % 2 == 0 ? kTrainA : kTrainB;
   const int half = static_cast<int>(clkn & 1u);
   if (((clkn >> 1) & 1u) == 0) {
     // TX half slot: send an ID on the inquiry train (skip if the previous
@@ -524,24 +514,18 @@ void LinkController::inquiry_on_result(const Receiver::Result& r) {
 void LinkController::inquiry_scan_tick() {
   if (in_backoff_ || radio_.tx_busy()) return;
   const std::uint32_t clkn = clock_.clkn();
-  // Windowed scan per the spec (continuous when the window is 0, or when
-  // re-listening for the second ID after the backoff). With interlaced
-  // scanning a second window on the complementary train frequency
-  // follows the first.
+  // Windowed scan per the spec (continuous when re-listening for the
+  // second ID after the backoff). The interlaced window on the
+  // complementary train frequency follows the normal one.
   int x_offset = 0;
-  if (config_.inquiry_scan_window_slots > 0 && !backoff_armed_) {
-    const std::uint32_t interval_ticks =
-        2 * config_.inquiry_scan_interval_slots;
-    const std::uint32_t window_ticks = 2 * config_.inquiry_scan_window_slots;
-    const std::uint32_t pos = clkn % interval_ticks;
-    if (pos < window_ticks) {
-      x_offset = 0;
-    } else if (config_.interlaced_inquiry_scan && pos < 2 * window_ticks) {
-      x_offset = 16;
-    } else {
+  if (!backoff_armed_) {
+    constexpr std::uint32_t window_ticks = 2 * kInquiryScanWindowSlots;
+    const std::uint32_t pos = clkn % (2 * kInquiryScanIntervalSlots);
+    if (pos >= 2 * window_ticks) {
       if (!receiver_.assembling()) radio_.disable_rx();
       return;
     }
+    x_offset = pos < window_ticks ? 0 : 16;
   }
   int f;
   if (backoff_armed_ && inquiry_first_hit_freq_ >= 0) {
@@ -612,7 +596,7 @@ void LinkController::send_inquiry_fhs(SimTime /*now*/, int hit_freq) {
 // ---------------------------------------------------------------------------
 
 void LinkController::page_tick() {
-  if ((clock_.ticks() - page_start_tick_) / 2 >= config_.page_timeout_slots) {
+  if (slots_in_state() >= config_.page_timeout_slots) {
     radio_.disable_rx();
     enter_state(LcState::kStandby);
     if (callbacks_.page_complete) callbacks_.page_complete(false);
@@ -620,8 +604,7 @@ void LinkController::page_tick() {
   }
   const std::uint32_t clke = (clock_.clkn() + page_clkn_offset_) & kClockMask;
   const int koffset =
-      (ticks_in_state() / (32 * config_.train_repeats)) % 2 == 0 ? kTrainA
-                                                                 : kTrainB;
+      (ticks_in_state() / (32 * kTrainRepeats)) % 2 == 0 ? kTrainA : kTrainB;
   const int half = static_cast<int>(clke & 1u);
   if (((clke >> 1) & 1u) == 0) {
     if (receiver_.assembling() || radio_.tx_busy()) return;
@@ -677,24 +660,16 @@ void LinkController::master_response_tick() {
   const std::uint32_t clkn = clock_.clkn();
   if ((clkn & 3u) != 0) return;  // wait for an even-slot boundary
   if (radio_.tx_busy() || receiver_.assembling()) return;
-  if (response_retries_ >= config_.max_response_retries) {
-    if (config_.abort_page_on_dialogue_failure) {
-      // The paper's model treats a collapsed response dialogue as fatal:
-      // the page phase ends unsuccessfully (this is what makes paging
-      // "impossible" at high BER in Fig. 8).
-      radio_.disable_rx();
-      piconet_.remove_slave(piconet_.find(page_target_) != nullptr
-                                ? piconet_.find(page_target_)->lt_addr
-                                : 0);
-      enter_state(LcState::kStandby);
-      if (callbacks_.page_complete) callbacks_.page_complete(false);
-      return;
-    }
-    // Spec-like behaviour: resume paging (the page timeout keeps
-    // counting from the original enable_page call, page_start_tick_).
-    enter_state(LcState::kPage);
-    arm_receiver(page_target_.lap(), page_target_.uap(), std::nullopt,
-                 Receiver::Expect::kIdOnly);
+  if (response_retries_ >= kMaxResponseRetries) {
+    // The paper's model treats a collapsed response dialogue as fatal:
+    // the page phase ends unsuccessfully (this is what makes paging
+    // "impossible" at high BER in Fig. 8).
+    radio_.disable_rx();
+    piconet_.remove_slave(piconet_.find(page_target_) != nullptr
+                              ? piconet_.find(page_target_)->lt_addr
+                              : 0);
+    enter_state(LcState::kStandby);
+    if (callbacks_.page_complete) callbacks_.page_complete(false);
     return;
   }
   ++response_retries_;
@@ -762,7 +737,7 @@ void LinkController::page_scan_on_result(const Receiver::Result& r) {
         reply_at > env().now() ? reply_at - env().now() : SimTime::zero();
     defer(delay, kSlaveIdReply);
     // Abort the dialogue if the master goes silent.
-    defer(kSlotDuration * (4u * (config_.max_response_retries + 2u)),
+    defer(kSlotDuration * (4u * (kMaxResponseRetries + 2u)),
           kSlaveDialogueTimeout);
     return;
   }
@@ -810,7 +785,7 @@ void LinkController::master_tick() {
   // flush any queued broadcast traffic, e.g. an unpark announcement that
   // must go out even after the master's own link state changed).
   if ((piconet_.has_parked() || !broadcast_queue_.empty()) &&
-      (clk / 2) % config_.beacon_interval_slots == 0) {
+      (clk / 2) % kBeaconIntervalSlots == 0) {
     master_send_beacon(clk);
     return;
   }
@@ -1014,12 +989,12 @@ bool LinkController::hold_expired(std::uint32_t clk) const {
   // uncertainty accumulated while sleeping. This constant sets the
   // resynchronisation cost that positions the hold-vs-active
   // crossover of the paper's Fig. 12 (~120 slots).
-  return ((clk + 2 * config_.hold_wake_early_slots - my_hold_until_clk_) &
+  return ((clk + 2 * kHoldWakeEarlySlots - my_hold_until_clk_) &
           kClockMask) < (1u << 20);
 }
 
 bool LinkController::beacon_slot(std::uint32_t clk) const {
-  return (clk / 2) % config_.beacon_interval_slots == 0;
+  return (clk / 2) % kBeaconIntervalSlots == 0;
 }
 
 bool LinkController::slave_listens(std::uint32_t clk) const {
@@ -1047,7 +1022,7 @@ void LinkController::slave_slot_action() {
   }
 
   bool listen = false;
-  SimTime sense = config_.carrier_sense_window;
+  SimTime sense = kCarrierSenseWindow;
   switch (my_mode_) {
     case LinkMode::kActive:
       listen = true;
@@ -1336,20 +1311,10 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   // Config (mutable via config(); experiments may tweak it mid-setup).
   w.u32(config_.inquiry_timeout_slots);
   w.u32(config_.page_timeout_slots);
-  w.time(config_.carrier_sense_window);
   w.u32(config_.inquiry_backoff_max_slots);
-  w.u32(config_.inquiry_scan_window_slots);
-  w.u32(config_.inquiry_scan_interval_slots);
-  w.b(config_.interlaced_inquiry_scan);
   w.u32(config_.t_poll_slots);
-  w.u32(config_.train_repeats);
-  w.u32(static_cast<std::uint32_t>(config_.max_response_retries));
-  w.b(config_.abort_page_on_dialogue_failure);
-  w.b(config_.whitening);
   w.u8(static_cast<std::uint8_t>(config_.data_packet_type));
   w.u64(config_.inquiry_target_responses);
-  w.u32(config_.beacon_interval_slots);
-  w.u32(config_.hold_wake_early_slots);
   // State machine.
   w.u8(static_cast<std::uint8_t>(state_));
   w.u64(state_entry_tick_);
@@ -1415,7 +1380,6 @@ void LinkController::save_state(sim::SnapshotWriter& w) const {
   // Page context.
   w.u64(page_target_.raw());
   w.u32(page_clkn_offset_);
-  w.u64(page_start_tick_);
   w.u32(static_cast<std::uint32_t>(page_hit_freq_));
   w.u32(static_cast<std::uint32_t>(response_n_));
   w.u32(static_cast<std::uint32_t>(response_retries_));
@@ -1439,20 +1403,10 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   r.enter_section(kLcTag);
   config_.inquiry_timeout_slots = r.u32();
   config_.page_timeout_slots = r.u32();
-  config_.carrier_sense_window = r.time();
   config_.inquiry_backoff_max_slots = r.u32();
-  config_.inquiry_scan_window_slots = r.u32();
-  config_.inquiry_scan_interval_slots = r.u32();
-  config_.interlaced_inquiry_scan = r.b();
   config_.t_poll_slots = r.u32();
-  config_.train_repeats = r.u32();
-  config_.max_response_retries = static_cast<int>(r.u32());
-  config_.abort_page_on_dialogue_failure = r.b();
-  config_.whitening = r.b();
   config_.data_packet_type = static_cast<PacketType>(r.u8());
   config_.inquiry_target_responses = static_cast<std::size_t>(r.u64());
-  config_.beacon_interval_slots = r.u32();
-  config_.hold_wake_early_slots = r.u32();
   state_ = static_cast<LcState>(r.u8());
   state_entry_tick_ = r.u64();
   piconet_.slaves().clear();
@@ -1519,7 +1473,6 @@ void LinkController::restore_state(sim::SnapshotReader& r) {
   inquiry_first_hit_freq_ = static_cast<int>(r.u32());
   page_target_ = BdAddr::from_raw(r.u64());
   page_clkn_offset_ = r.u32();
-  page_start_tick_ = r.u64();
   page_hit_freq_ = static_cast<int>(r.u32());
   response_n_ = static_cast<int>(r.u32());
   response_retries_ = static_cast<int>(r.u32());

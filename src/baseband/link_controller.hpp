@@ -70,54 +70,48 @@ enum class LcState : std::uint8_t {
   kConnectionSlave,
 };
 
+/// Carrier-sense window: an idle listen closes after this time when only
+/// 'Z' was sampled. 32.5 us / 1250 us = the paper's 2.6% slave activity
+/// baseline.
+inline constexpr sim::SimTime kCarrierSenseWindow = sim::SimTime::ns(32'500);
+/// Inquiry scan window and interval (slots). The spec default (11.25 ms
+/// window every 1.28 s) is what makes the paper's noiseless inquiry take
+/// ~1556 slots on average and fail a quarter of the time against the
+/// 1.28 s timeout. The scan is interlaced (spec 1.2): immediately after
+/// the normal window a second one opens on the complementary train
+/// frequency (X + 16), so discovery does not depend on which train the
+/// inquirer happens to sweep.
+inline constexpr std::uint32_t kInquiryScanWindowSlots = 18;
+inline constexpr std::uint32_t kInquiryScanIntervalSlots = 2048;
+/// Train switch period: each page/inquiry train is repeated this many
+/// times (spec Npage/Ninquiry = 128/256; one train pass is 10 ms).
+inline constexpr std::uint32_t kTrainRepeats = 256;
+/// FHS transmissions in the page response dialogue before the page
+/// attempt fails. A single shot reproduces the paper's steep page failure
+/// curve (Fig. 8): the FHS payload (16 FEC blocks + CRC) is the most
+/// noise-sensitive packet of the handshake.
+inline constexpr int kMaxResponseRetries = 1;
+/// Beacon period for parked slaves (slots).
+inline constexpr std::uint32_t kBeaconIntervalSlots = 64;
+/// Slots a held slave wakes early to reacquire the channel, modelling the
+/// clock uncertainty accumulated while the radio slept. Together with the
+/// master's next-slot resynchronisation poll this costs ~3 slots of full
+/// listening per hold, placing the hold-vs-active crossover of Fig. 12
+/// near the paper's ~120 slots.
+inline constexpr std::uint32_t kHoldWakeEarlySlots = 1;
+
 struct LcConfig {
   /// Inquiry timeout (paper: 1.28 s = 2048 slots for both phases).
   std::uint32_t inquiry_timeout_slots = 2048;
   std::uint32_t page_timeout_slots = 2048;
-  /// Carrier-sense window: an idle listen closes after this time when
-  /// only 'Z' was sampled. 32.5 us / 1250 us = the paper's 2.6% slave
-  /// activity baseline.
-  sim::SimTime carrier_sense_window = sim::SimTime::ns(32'500);
   /// Random backoff ceiling between the two inquiry IDs (spec: 0..1023).
   std::uint32_t inquiry_backoff_max_slots = 1023;
-  /// Inquiry scan window (slots) per scan interval; 0 = scan
-  /// continuously. The spec default (11.25 ms window every 1.28 s) is
-  /// what makes the paper's noiseless inquiry take ~1556 slots on
-  /// average and fail a quarter of the time against the 1.28 s timeout.
-  std::uint32_t inquiry_scan_window_slots = 18;
-  std::uint32_t inquiry_scan_interval_slots = 2048;
-  /// Interlaced scan (spec 1.2 feature): immediately after the normal
-  /// window, open a second one on the complementary train frequency
-  /// (X + 16), so discovery does not depend on which train the inquirer
-  /// happens to sweep.
-  bool interlaced_inquiry_scan = true;
   /// Poll interval guarantee for active slaves.
   std::uint32_t t_poll_slots = kDefaultTPollSlots;
-  /// Train switch period: each page/inquiry train is repeated this many
-  /// times (spec Npage/Ninquiry = 128/256; one train pass is 10 ms).
-  std::uint32_t train_repeats = 256;
-  /// FHS transmissions in the page response dialogue before giving up.
-  /// The default of 1 (single shot) reproduces the paper's steep page
-  /// failure curve: the FHS payload (16 FEC blocks + CRC) is the most
-  /// noise-sensitive packet of the handshake.
-  int max_response_retries = 1;
-  /// When true (paper behaviour), a collapsed page response dialogue
-  /// aborts the whole page attempt instead of resuming the ID train.
-  bool abort_page_on_dialogue_failure = true;
-  /// Whitening on connection-state packets.
-  bool whitening = true;
   /// Preferred ACL packet type for user data.
   PacketType data_packet_type = PacketType::kDm1;
   /// Number of FHS responses to collect before inquiry completes.
   std::size_t inquiry_target_responses = 1;
-  /// Beacon period for parked slaves (slots).
-  std::uint32_t beacon_interval_slots = 64;
-  /// Slots a held slave wakes early to reacquire the channel, modelling
-  /// the clock uncertainty accumulated while the radio slept. Together
-  /// with the master's next-slot resynchronisation poll this costs ~3
-  /// slots of full listening per hold, placing the hold-vs-active
-  /// crossover of Fig. 12 near the paper's ~120 slots.
-  std::uint32_t hold_wake_early_slots = 1;
 };
 
 /// A device found during inquiry, with the clock estimate for paging.
@@ -316,7 +310,7 @@ class LinkController final : public sim::Module,
                        const std::vector<std::uint8_t>& body,
                        std::uint32_t lap, std::uint8_t check_init,
                        std::optional<std::uint8_t> whiten, int freq);
-  std::optional<std::uint8_t> connection_whiten(std::uint32_t clk) const;
+  std::uint8_t connection_whiten(std::uint32_t clk) const;
   int connection_freq(std::uint32_t clk) const;
   static int respmap(int freq, int n);
   /// Drops every pending deferred action of this controller (true kernel
@@ -403,9 +397,6 @@ class LinkController final : public sim::Module,
   // ---- page context ----
   BdAddr page_target_;
   std::uint32_t page_clkn_offset_ = 0;
-  /// ticks_seen() at enable_page: the page timeout counts from here,
-  /// across collapsed response dialogues.
-  std::uint64_t page_start_tick_ = 0;
   int page_hit_freq_ = -1;
   int response_n_ = 0;
   int response_retries_ = 0;

@@ -16,13 +16,6 @@ using sim::SimTime;
 
 namespace {
 
-phy::ChannelConfig channel_config(const CoexistenceConfig& cfg) {
-  phy::ChannelConfig ch;
-  ch.ber = cfg.ber;
-  ch.rf_delay = cfg.rf_delay;
-  return ch;
-}
-
 constexpr const char* kNames[4] = {"m0", "s0", "m1", "s1"};
 
 // Well-separated addresses -> uncorrelated hop sequences.
@@ -30,13 +23,11 @@ const BdAddr kAddrs[4] = {
     BdAddr(0x3A11C5, 0x51, 0xA000), BdAddr(0x7E24D9, 0x62, 0xA001),
     BdAddr(0xB3590E, 0x73, 0xB000), BdAddr(0xC87A63, 0x84, 0xB001)};
 
-DeviceConfig device_config(const CoexistenceConfig& config, int i,
-                           sim::Environment& env) {
+DeviceConfig device_config(int i, sim::Environment& env) {
   DeviceConfig dc;
   dc.addr = kAddrs[i];
   dc.lc.inquiry_timeout_slots = 32768;
   dc.lc.page_timeout_slots = 16384;
-  dc.lc.data_packet_type = config.data_packet_type;
   dc.clkn_init =
       i == 0 ? 0
              : static_cast<std::uint32_t>(env.rng().uniform(0, kClockMask));
@@ -46,12 +37,12 @@ DeviceConfig device_config(const CoexistenceConfig& config, int i,
 
 }  // namespace
 
-TwoPiconets::TwoPiconets(const CoexistenceConfig& config)
-    : env_(config.seed), channel_(env_, "channel", channel_config(config)) {
+TwoPiconets::TwoPiconets(std::uint64_t seed)
+    : env_(seed), channel_(env_, "channel") {
   // Clock draws come from the root stream in device order.
   for (int i = 0; i < 4; ++i) {
     devices_.push_back(std::make_unique<Device>(
-        env_, kNames[i], device_config(config, i, env_), channel_));
+        env_, kNames[i], device_config(i, env_), channel_));
   }
   for (auto& d : devices_) {
     lms_.push_back(std::make_unique<lm::LinkManager>(*d));

@@ -21,24 +21,14 @@
 
 namespace btsc::core {
 
-struct CoexistenceConfig {
-  /// Root seed of the two-piconet system.
-  std::uint64_t seed = 1;
-  /// Channel bit error rate on the shared medium.
-  double ber = 0.0;
-  /// ACL packet type used by both links.
-  baseband::PacketType data_packet_type = baseband::PacketType::kDm1;
-  /// Modulator/demodulator latency of the medium. Zero (the paper's
-  /// value) keeps TX/RX bit grids aligned.
-  sim::SimTime rf_delay = sim::SimTime::zero();
-};
-
-/// Two master+slave pairs sharing one NoisyChannel. Piconet 0 and 1 are
-/// created sequentially (the second forms while the first is live, so
-/// its creation already experiences interference).
+/// Two master+slave pairs sharing one noiseless NoisyChannel, sending
+/// DM1 packets. Piconet 0 and 1 are created sequentially (the second
+/// forms while the first is live, so its creation already experiences
+/// interference).
 class TwoPiconets {
  public:
-  explicit TwoPiconets(const CoexistenceConfig& config);
+  /// `seed` is the root seed of the two-piconet system.
+  explicit TwoPiconets(std::uint64_t seed);
   ~TwoPiconets();
 
   sim::Environment& env() { return env_; }
@@ -60,8 +50,7 @@ class TwoPiconets {
   /// kernel last) at a settled instant; see BluetoothSystem.
   std::vector<std::uint8_t> save_snapshot();
 
-  /// Restores into an identically constructed twin (same
-  /// CoexistenceConfig, including the seed).
+  /// Restores into an identically constructed twin (same seed).
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);
 
  private:

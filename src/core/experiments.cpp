@@ -339,9 +339,7 @@ ThroughputRow run_throughput_from(BluetoothSystem& sys,
 }
 
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed) {
-  CoexistenceConfig cc;
-  cc.seed = seed;
-  auto net = std::make_unique<TwoPiconets>(cc);
+  auto net = std::make_unique<TwoPiconets>(seed);
   net->env().settle();
   return net;
 }

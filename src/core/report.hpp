@@ -198,8 +198,9 @@ class JsonReporter : public Reporter {
 /// --out FILE, --base-seed S, --max-points N, --no-burst,
 /// --checkpoint-dir DIR, --journal FILE, --resume,
 /// --rep-timeout S, --max-retries N, --keep-going,
-/// --quarantine-out FILE. Unknown arguments are ignored
-/// (each main may parse extras of its own).
+/// --quarantine-out FILE. btsc-sweep's scenario selectors (--fig N,
+/// --scenario ID) are skipped; the first other argument parse does not
+/// recognise, or a flag missing its value, lands in `unknown`.
 struct BenchArgs {
   /// Replications per point; 0 = scenario/bench default.
   int seeds = 0;
@@ -245,6 +246,8 @@ struct BenchArgs {
   /// Write the machine-readable quarantine report here
   /// (--quarantine-out); empty = stderr when non-empty quarantine.
   std::string quarantine_out;
+  /// First unrecognised argument; empty = none. btsc-sweep rejects it.
+  std::string unknown;
 
   static BenchArgs parse(int argc, char** argv) {
     // Malformed numeric values keep the previous value and warn, rather
@@ -328,6 +331,10 @@ struct BenchArgs {
         a.keep_going = true;
       } else if (arg == "--quarantine-out" && i + 1 < argc) {
         a.quarantine_out = argv[++i];
+      } else if ((arg == "--fig" || arg == "--scenario") && i + 1 < argc) {
+        ++i;
+      } else if (a.unknown.empty()) {
+        a.unknown = arg;
       }
     }
     return a;

@@ -16,13 +16,6 @@ using sim::SimTime;
 
 namespace {
 
-phy::ChannelConfig make_channel_config(const SystemConfig& cfg) {
-  phy::ChannelConfig ch;
-  ch.ber = cfg.ber;
-  ch.rf_delay = cfg.rf_delay;
-  return ch;
-}
-
 BdAddr device_address(int index) {
   // Distinct LAP/UAP per device; NAP identifies this simulation.
   return BdAddr(0x200000u + static_cast<std::uint32_t>(index) * 0x01057Bu,
@@ -37,7 +30,7 @@ BluetoothSystem::BluetoothSystem(const SystemConfig& config)
                   ? std::make_unique<sim::VcdTracer>(env_, *config.vcd_path)
                   : nullptr),
       channel_((env_.set_tracer(tracer_.get()), env_), "channel",
-               make_channel_config(config)) {
+               phy::ChannelConfig{.ber = config.ber}) {
   if (config.num_slaves < 1 || config.num_slaves > 7) {
     throw std::invalid_argument("BluetoothSystem: 1..7 slaves");
   }

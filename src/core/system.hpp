@@ -32,8 +32,6 @@ struct SystemConfig {
   baseband::LcConfig lc;
   /// When set, a VCD waveform is written here (construct-before-run).
   std::optional<std::string> vcd_path;
-  /// Modulator/demodulator latency of the RF blocks.
-  sim::SimTime rf_delay = sim::SimTime::zero();
 };
 
 /// Outcome of one creation phase (inquiry or page).

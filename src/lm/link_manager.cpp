@@ -106,9 +106,8 @@ void LinkManager::request_unpark(std::uint8_t pm_addr, std::uint8_t new_lt) {
   // the beacon schedule before the announcement is transmitted).
   send_pdu(0, pdu);
   send_pdu(0, pdu);
-  const auto beacon =
-      device_.lc().config().beacon_interval_slots;
-  schedule_action(kSlotDuration * (2 * beacon + 4), kUnparkCommit, pm_addr);
+  schedule_action(kSlotDuration * (2 * baseband::kBeaconIntervalSlots + 4),
+                  kUnparkCommit, pm_addr);
 }
 
 void LinkManager::detach(std::uint8_t lt, std::uint8_t reason) {

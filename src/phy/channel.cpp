@@ -37,30 +37,12 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
   if (config_.ber < 0.0 || config_.ber > 1.0) {
     throw std::invalid_argument("NoisyChannel: BER outside [0,1]");
   }
-  if (config_.num_channels <= 0) {
-    throw std::invalid_argument("NoisyChannel: need at least one RF channel");
-  }
   config_.burst_transport =
       config_.burst_transport && burst_transport_default();
-  freqs_.resize(config_.per_frequency
-                    ? static_cast<std::size_t>(config_.num_channels)
-                    : 1);
   if (env.tracer() != nullptr) {
     bus_trace_ = std::make_unique<sim::Signal<Logic4>>(
         env, child_name("bus"), Logic4::kZ);
   }
-  if (config_.rf_delay != sim::SimTime::zero()) {
-    // rf_delay apply timers are scheduled through the tagged descriptor
-    // path so a checkpoint can carry them (kTimerApply, replayed by
-    // rearm_timer). Dispatch semantics are identical to a plain
-    // schedule().
-    env.register_rearm(this->name() + ".rf", this, this);
-    rearm_registered_ = true;
-  }
-}
-
-NoisyChannel::~NoisyChannel() {
-  if (rearm_registered_) env().unregister_rearm(this);
 }
 
 void NoisyChannel::set_ber(double ber) {
@@ -90,48 +72,9 @@ void NoisyChannel::drive(PortId port, int freq, Logic4 value) {
   if (port < 0 || port >= num_ports()) {
     throw std::out_of_range("NoisyChannel::drive: bad port");
   }
-  if (value != Logic4::kZ &&
-      (freq < 0 || freq >= config_.num_channels)) {
+  if (value != Logic4::kZ && (freq < 0 || freq >= kNumRfChannels)) {
     throw std::out_of_range("NoisyChannel::drive: bad frequency");
   }
-  if (config_.rf_delay == sim::SimTime::zero()) {
-    apply(port, freq, value);
-  } else {
-    schedule_apply(pack_apply(port, freq, value),
-                   env().now() + config_.rf_delay);
-  }
-}
-
-std::uint64_t NoisyChannel::pack_apply(PortId port, int freq, Logic4 value) {
-  // [port:32][freq+1:16][value:8]; freq = -1 (release) maps to 0.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(port)) << 32) |
-         (static_cast<std::uint64_t>(static_cast<std::uint16_t>(freq + 1))
-          << 8) |
-         static_cast<std::uint64_t>(static_cast<std::uint8_t>(value));
-}
-
-void NoisyChannel::schedule_apply(std::uint64_t payload, sim::SimTime when) {
-  const auto port = static_cast<PortId>(
-      static_cast<std::uint32_t>(payload >> 32));
-  const int freq = static_cast<int>((payload >> 8) & 0xFFFF) - 1;
-  const auto value = static_cast<Logic4>(payload & 0xFF);
-  env().schedule_tagged(when - env().now(), kTimerApply, payload,
-                        [this, port, freq, value] {
-                          apply(port, freq, value);
-                        },
-                        this);
-}
-
-void NoisyChannel::rearm_timer(std::uint16_t kind, std::uint64_t payload,
-                               sim::SimTime when) {
-  if (kind != kTimerApply) {
-    throw sim::SnapshotError("NoisyChannel: bad timer kind " +
-                             std::to_string(kind));
-  }
-  schedule_apply(payload, when);
-}
-
-void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
   assert(!run_of(port).active &&
          "per-bit drive from the port that owns a burst run");
   // A second transmitter on the frequency of a run in flight (on any
@@ -141,7 +84,8 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
   if (live_runs_ > 0 && is_defined(value)) {
     if (exclusive()) {
       fallback_all_runs();
-    } else if (const PortId owner = freqs_[slot(freq)].run; owner >= 0) {
+    } else if (const PortId owner = freqs_[static_cast<std::size_t>(freq)].run;
+               owner >= 0) {
       fallback_run(owner);
     }
   }
@@ -173,15 +117,14 @@ void NoisyChannel::apply(PortId port, int freq, Logic4 value) {
 
 void NoisyChannel::count_defined(int freq, int delta) {
   defined_ports_ += delta;
-  freqs_[slot(freq)].defined += delta;
+  freqs_[static_cast<std::size_t>(freq)].defined += delta;
 }
 
 Logic4 NoisyChannel::sense(int freq) const {
   Logic4 acc = Logic4::kZ;
   if (const Run* run = run_at(freq)) acc = run_value_now(*run);
   for (const Port& p : ports_) {
-    if (p.value == Logic4::kZ) continue;
-    if (config_.per_frequency && p.freq != freq) continue;
+    if (p.value == Logic4::kZ || p.freq != freq) continue;
     acc = resolve(acc, p.value);
   }
   if (acc == Logic4::kX) ++collision_samples_;
@@ -247,23 +190,22 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   if (port < 0 || port >= num_ports()) {
     throw std::out_of_range("NoisyChannel::begin_burst: bad port");
   }
-  if (freq < 0 || freq >= config_.num_channels) {
+  if (freq < 0 || freq >= kNumRfChannels) {
     throw std::out_of_range("NoisyChannel::begin_burst: bad frequency");
   }
   // Equivalence gate: a run is accepted only when the batched loop is
-  // provably identical to per-bit drives -- aligned drive instants (no
-  // RF delay), a tracer able to take the backfilled bus waveform, and
-  // nobody else on the air at this frequency (anywhere, when
-  // exclusive). BER > 0 is not refused: noise is pre-applied as an
-  // error mask drawn in exact per-bit order (arm_masked_run), guarded
-  // against foreign draws reordering the stream.
+  // provably identical to per-bit drives -- a tracer able to take the
+  // backfilled bus waveform, and nobody else on the air at this
+  // frequency (anywhere, when exclusive). BER > 0 is not refused: noise
+  // is pre-applied as an error mask drawn in exact per-bit order
+  // (arm_masked_run), guarded against foreign draws reordering the
+  // stream.
   sim::Tracer* tracer = env().tracer();
   if (!config_.burst_transport || bits.empty() ||
-      config_.rf_delay != sim::SimTime::zero() ||
       (tracer != nullptr && !tracer->supports_backfill())) {
     return false;
   }
-  Freq& f = freqs_[slot(freq)];
+  Freq& f = freqs_[static_cast<std::size_t>(freq)];
   if (exclusive() ? live_runs_ > 0 || defined_ports_ > 0
                   : f.run >= 0 || f.defined > 0) {
     return false;
@@ -440,7 +382,7 @@ std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
   p.value = last;
   p.freq = run.freq;
   if (is_defined(last)) count_defined(run.freq, +1);
-  freqs_[slot(run.freq)].run = -1;
+  freqs_[static_cast<std::size_t>(run.freq)].run = -1;
   --live_runs_;
   run = Run{};
   return driven;
@@ -578,7 +520,7 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     p.value = static_cast<Logic4>(r.u8());
     p.rx_freq = static_cast<int>(r.u32());
     if (is_defined(p.value)) {
-      if (p.freq < 0 || p.freq >= config_.num_channels) {
+      if (p.freq < 0 || p.freq >= kNumRfChannels) {
         throw sim::SnapshotError("NoisyChannel: drive frequency out of range");
       }
       count_defined(p.freq, +1);
@@ -595,8 +537,8 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     if (port < 0 || port >= num_ports() || run_of(port).active) {
       throw sim::SnapshotError("NoisyChannel: run port out of range or taken");
     }
-    if (freq < 0 || freq >= config_.num_channels ||
-        freqs_[slot(freq)].run >= 0) {
+    if (freq < 0 || freq >= kNumRfChannels ||
+        freqs_[static_cast<std::size_t>(freq)].run >= 0) {
       throw sim::SnapshotError(
           "NoisyChannel: run frequency out of range or taken");
     }
@@ -605,7 +547,7 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     run.freq = freq;
     run.start = r.time();
     run.period = r.time();
-    freqs_[slot(freq)].run = port;
+    freqs_[static_cast<std::size_t>(freq)].run = port;
     ++live_runs_;
     if (r.b()) {
       if (masked_ >= 0) {

@@ -5,14 +5,14 @@
 //   - two or more simultaneous transmitters on the same RF channel produce
 //     the undefined value 'X' (collision);
 //   - channel noise inverts defined bits with probability BER, controlled
-//     by the simulation's random number generator;
-//   - the modulator/demodulator delay of the RF blocks is modelled as a
-//     fixed latency between drive() and the value appearing on the medium.
+//     by the simulation's random number generator.
 //
-// Unlike the paper's single-wire model, resolution is per RF channel
-// (frequency 0..78): transmissions on different hop frequencies do not
-// collide. Setting ChannelConfig::per_frequency = false restores the
-// paper's stricter single-wire behaviour.
+// Two fixed model choices deviate from the paper (docs/ARCHITECTURE.md,
+// "Fixed model choices"). Resolution is per RF channel (frequency
+// 0..kNumRfChannels-1): transmissions on different hop frequencies do not
+// collide, where the paper's figure resolves one shared wire. And a drive
+// reaches the medium at once: the RF blocks' modulator/demodulator delay
+// is zero, so TX and RX bit grids stay aligned.
 //
 // Burst transport
 // ---------------
@@ -23,9 +23,9 @@
 // notifies registered Listeners (the radios) when the medium changes so
 // idle receivers can stop sampling entirely. Each transmitting port has
 // its own run slot. A run is only accepted when it is provably
-// equivalent to the per-bit path -- no RF delay, a tracer that accepts
-// backfill when tracing, and a medium silent at its frequency (no other
-// run, no per-bit defined drive there) -- and it falls back to per-bit
+// equivalent to the per-bit path -- a tracer that accepts backfill when
+// tracing, and a medium silent at its frequency (no other run, no
+// per-bit defined drive there) -- and it falls back to per-bit
 // scheduling the moment a second transmitter drives its frequency, the
 // BER changes, or the transmitter aborts.
 // Runs on different frequencies never interact, so two piconets
@@ -34,10 +34,9 @@
 //
 // The channel is *exclusive* -- a silent medium on every frequency, at
 // most one run, and any second defined drive degrades it -- when
-// BER > 0 (a masked run draws the shared RNG in per-bit order), when
-// per_frequency is off (the paper's single wire), or while a tracer is
-// attached (the bus trace resolves every port into one wire, and the
-// backfill follows one run).
+// BER > 0 (a masked run draws the shared RNG in per-bit order) or while
+// a tracer is attached (the bus trace resolves every port into one
+// wire, and the backfill follows one run).
 //
 // BER > 0 runs draw the whole packet's noise flips up front as an XOR
 // error mask (sim::Rng::fill_error_mask consumes the stream in exactly
@@ -69,17 +68,12 @@
 
 namespace btsc::phy {
 
+/// Number of RF channels (79 in the 2.4 GHz ISM band).
+inline constexpr int kNumRfChannels = 79;
+
 struct ChannelConfig {
   /// Probability that a defined bit on the medium is inverted.
   double ber = 0.0;
-  /// Modulator + demodulator latency (paper: "the delay of the modulator
-  /// and demodulator RF blocks"). Zero keeps TX and RX bit grids aligned.
-  sim::SimTime rf_delay = sim::SimTime::zero();
-  /// Resolve collisions per RF channel (true) or on one shared wire as in
-  /// the paper's figure (false).
-  bool per_frequency = true;
-  /// Number of RF channels (79 in the 2.4 GHz ISM band).
-  int num_channels = 79;
   /// Enables the burst fast path (word-packed runs + idle-receiver
   /// skipping). Defaults to the process-wide switch; per-instance
   /// override via NoisyChannel::set_burst_transport_enabled(). Purely a
@@ -92,8 +86,7 @@ using PortId = int;
 
 class NoisyChannel final : public sim::Module,
                            public sim::Snapshotable,
-                           public sim::RngGuard,
-                           public sim::RearmHandler {
+                           public sim::RngGuard {
  public:
   /// A listener's pending per-bit sample event: `anchor` is the first
   /// sample instant of its current enable (the reference sampling order,
@@ -132,7 +125,6 @@ class NoisyChannel final : public sim::Module,
 
   NoisyChannel(sim::Environment& env, std::string name,
                ChannelConfig config = {});
-  ~NoisyChannel() override;
 
   const ChannelConfig& config() const { return config_; }
 
@@ -156,11 +148,6 @@ class NoisyChannel final : public sim::Module,
   PortId attach(const std::string& device_name);
   int num_ports() const { return static_cast<int>(ports_.size()); }
 
-  /// RearmHandler: rebuilds pending rf_delay apply timers from their
-  /// descriptors after a snapshot restore.
-  void rearm_timer(std::uint16_t kind, std::uint64_t payload,
-                   sim::SimTime when) override;
-
   /// Wires the burst-transport listener of `port` (done by the Radio).
   void set_listener(PortId port, Listener* listener);
 
@@ -170,9 +157,8 @@ class NoisyChannel final : public sim::Module,
   void set_listening(PortId port, int freq);
 
   /// Drives a value from `port` on RF channel `freq`. kZ releases the
-  /// medium. Takes effect after the configured rf_delay. Noise is applied
-  /// once per driven bit, matching the paper's "inversion of the bit in
-  /// the channel".
+  /// medium. Takes effect at once. Noise is applied once per driven bit,
+  /// matching the paper's "inversion of the bit in the channel".
   void drive(PortId port, int freq, Logic4 value);
 
   /// Resolved value seen by a receiver tuned to `freq`.
@@ -198,7 +184,7 @@ class NoisyChannel final : public sim::Module,
   /// Registers the whole of `bits` as one uncontended run from `port` on
   /// `freq`, one bit per `period` starting now. Returns false -- and
   /// changes nothing -- when the run cannot be batched (burst transport
-  /// off, RF delay, a tracer without backfill support, or a medium not
+  /// off, a tracer without backfill support, or a medium not
   /// silent at `freq`, or anywhere when exclusive); the caller must then
   /// drive per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
@@ -311,13 +297,6 @@ class NoisyChannel final : public sim::Module,
     sim::SimTime period;
   };
 
-  // Descriptor kind of the tagged rf_delay apply timers (snapshots
-  // carry them; see rearm_timer).
-  static constexpr std::uint16_t kTimerApply = 1;
-
-  static std::uint64_t pack_apply(PortId port, int freq, Logic4 value);
-  void schedule_apply(std::uint64_t payload, sim::SimTime when);
-  void apply(PortId port, int freq, Logic4 value);
   void refresh_trace();
 
   const Run& run_of(PortId port) const {
@@ -327,22 +306,15 @@ class NoisyChannel final : public sim::Module,
     return ports_[static_cast<std::size_t>(port)].run;
   }
 
-  /// Index into freqs_: the frequency itself, or 0 for every frequency
-  /// on the paper's single wire.
-  std::size_t slot(int freq) const {
-    return config_.per_frequency ? static_cast<std::size_t>(freq) : 0;
-  }
-
   /// True when the medium admits at most one run and any second defined
   /// drive degrades it (see the header comment).
   bool exclusive() const {
-    return config_.ber > 0.0 || !config_.per_frequency ||
-           env().tracer() != nullptr;
+    return config_.ber > 0.0 || env().tracer() != nullptr;
   }
 
   /// The run visible at `freq`, or nullptr.
   const Run* run_at(int freq) const {
-    const PortId p = freqs_[slot(freq)].run;
+    const PortId p = freqs_[static_cast<std::size_t>(freq)].run;
     return p < 0 ? nullptr : &run_of(p);
   }
 
@@ -391,7 +363,9 @@ class NoisyChannel final : public sim::Module,
 
   /// True when any port drives a defined value visible at `freq` via
   /// per-bit drives (runs do not count).
-  bool live_at(int freq) const { return freqs_[slot(freq)].defined > 0; }
+  bool live_at(int freq) const {
+    return freqs_[static_cast<std::size_t>(freq)].defined > 0;
+  }
 
   ChannelConfig config_;
   struct Port {
@@ -403,16 +377,15 @@ class NoisyChannel final : public sim::Module,
     Run run;           // this port's burst run slot
   };
   std::vector<Port> ports_;
-  /// What one frequency (see slot()) carries, so every lookup on the
-  /// transport path is O(1): the port of its run (-1: none) and the
-  /// number of per-bit defined drives.
+  /// What one frequency carries, so every lookup on the transport path
+  /// is O(1): the port of its run (-1: none) and the number of per-bit
+  /// defined drives.
   struct Freq {
     PortId run = -1;
     int defined = 0;
   };
-  std::vector<Freq> freqs_;
+  std::array<Freq, kNumRfChannels> freqs_{};
   int live_runs_ = 0;
-  bool rearm_registered_ = false;
   // Masked-run machinery. Masked runs only exist under BER > 0, which is
   // exclusive, so at most one is in flight: masked_ is its port (-1:
   // none). The buffers keep their capacity across runs, so steady-state

@@ -139,8 +139,7 @@ std::uint64_t Radio::bits_sent() const {
 // ---------------------------------------------------------------------------
 
 bool Radio::burst_capable() const {
-  return burst_sink_ != nullptr && channel_.burst_transport_enabled() &&
-         channel_.config().rf_delay == sim::SimTime::zero();
+  return burst_sink_ != nullptr && channel_.burst_transport_enabled();
 }
 
 void Radio::enable_rx(int freq) {

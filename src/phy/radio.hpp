@@ -21,8 +21,8 @@
 //    single end-of-packet timer. Noise is pre-drawn as a word-packed
 //    error mask and tracing is reconstructed by time-stamped backfill,
 //    so neither forces per-bit; the per-bit timer chain only runs as
-//    the fallback (contention, mid-run reconfiguration, RF delay, or a
-//    tracer without backfill support).
+//    the fallback (contention, mid-run reconfiguration, or a tracer
+//    without backfill support).
 //  * RX: a receiver that implements BurstRxSink is driven lazily. While
 //    the medium at its frequency is silent it takes NO sampling events:
 //    pending all-'Z' samples are materialised in bulk when something

@@ -165,13 +165,17 @@ void write_result(const SweepResult& result, core::Reporter& reporter);
 /// sweep service) to retry or exclude the quarantined replications.
 std::string quarantine_report(const SweepResult& result);
 
+/// Usage text of `btsc-sweep`.
+const char* sweep_usage();
+
 /// Complete main() body of `btsc-sweep`: parses the shared BenchArgs
 /// flags (--seeds/--replications, --quick, --threads, --csv/--json,
 /// --out, --base-seed, --max-points, --checkpoint-dir, --journal...),
 /// runs `id`, and writes the result to stdout or the requested file.
-/// Returns the process exit code: 2 for a usage error (negative counts,
-/// --resume without --journal), 1 for a failed run or write, 3 when a
-/// supervised run quarantined replications.
+/// Returns the process exit code: 2 for a usage error (an unknown
+/// option or one missing its value, negative counts, --resume without
+/// --journal), 1 for a failed run or write, 3 when a supervised run
+/// quarantined replications.
 int run_scenario_main(const std::string& id, int argc, char** argv);
 
 }  // namespace btsc::runner

@@ -3,7 +3,7 @@
 // An in-memory snapshot (PR 6) dies with the process. A CheckpointFile
 // wraps one snapshot image together with its *construction recipe* — the
 // scenario id, point index, warm-up seed, construction seed and a
-// free-form config blob (SystemConfig / CoexistenceConfig parameters) —
+// free-form config blob (the system's construction parameters) —
 // so a FRESH process can rebuild the scaffold through the ordinary
 // deterministic construction path and restore the image into it. The
 // recipe is the part a restore cannot derive from the bytes alone.

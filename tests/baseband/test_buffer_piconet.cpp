@@ -39,14 +39,6 @@ TEST(PacketBufferTest, FrontAndPopOnEmptyThrow) {
   EXPECT_THROW(buf.pop(), std::logic_error);
 }
 
-TEST(PacketBufferTest, ClearEmpties) {
-  PacketBuffer buf;
-  buf.push({kLlidStart, {1}});
-  buf.push({kLlidLmp, {2}});
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
-}
-
 TEST(PiconetTest, AssignsSequentialLtAddrs) {
   Piconet p;
   EXPECT_EQ(p.add_slave(BdAddr(1, 0, 0)), 1);

@@ -53,10 +53,13 @@ TEST(BenchArgsTest, AllFlagsTogetherInAnyOrder) {
   EXPECT_EQ(a.seeds, 8);
 }
 
-TEST(BenchArgsTest, UnknownArgumentsAreIgnored) {
+TEST(BenchArgsTest, UnknownArgumentIsRecorded) {
   const auto a = parse({"--frobnicate", "7", "--quick"});
+  EXPECT_EQ(a.unknown, "--frobnicate");
   EXPECT_TRUE(a.quick);
-  EXPECT_EQ(a.seeds, 0);
+  EXPECT_EQ(parse({"--quick", "--threads"}).unknown, "--threads");
+  // btsc-sweep's scenario selectors and their values are not unknown.
+  EXPECT_EQ(parse({"--fig", "8", "--scenario", "fig08"}).unknown, "");
 }
 
 TEST(BenchArgsTest, LastSeedsWins) {
@@ -139,6 +142,16 @@ TEST(ScenarioMainTest, NegativeCountsExitWithUsageError) {
                                  const_cast<char*>("-1")};
     EXPECT_EQ(runner::run_scenario_main("fig08", 4, argv.data()), 2) << flag;
   }
+}
+
+TEST(ScenarioMainTest, UnknownOptionExitsWithUsageError) {
+  // A misspelled flag must not run a sweep under silently different
+  // settings.
+  std::array<char*, 6> argv = {
+      const_cast<char*>("btsc-sweep"), const_cast<char*>("--fig"),
+      const_cast<char*>("8"),          const_cast<char*>("--quick"),
+      const_cast<char*>("--treads"),   const_cast<char*>("4")};
+  EXPECT_EQ(runner::run_scenario_main("fig08", 6, argv.data()), 2);
 }
 
 }  // namespace

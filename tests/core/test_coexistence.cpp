@@ -14,7 +14,7 @@ namespace {
 using namespace btsc::sim::literals;
 
 TEST(CoexistenceTest, BothPiconetsForm) {
-  TwoPiconets net(CoexistenceConfig{.seed = 3});
+  TwoPiconets net(3);
   ASSERT_TRUE(net.create(0));
   ASSERT_TRUE(net.create(1));  // forms while piconet 0 is live
   EXPECT_TRUE(net.master(0).lc().is_master());
@@ -24,7 +24,7 @@ TEST(CoexistenceTest, BothPiconetsForm) {
 }
 
 TEST(CoexistenceTest, BothLinksCarryDataSimultaneously) {
-  TwoPiconets net(CoexistenceConfig{.seed = 5});
+  TwoPiconets net(5);
   ASSERT_TRUE(net.create(0));
   ASSERT_TRUE(net.create(1));
   int got0 = 0, got1 = 0;
@@ -42,7 +42,7 @@ TEST(CoexistenceTest, BothLinksCarryDataSimultaneously) {
 }
 
 TEST(CoexistenceTest, CollisionsObservedOnSharedMedium) {
-  TwoPiconets net(CoexistenceConfig{.seed = 7});
+  TwoPiconets net(7);
   ASSERT_TRUE(net.create(0));
   ASSERT_TRUE(net.create(1));
   PeriodicTrafficSource t0(net.master(0), 1, 4, 17);  // heavy traffic
@@ -57,7 +57,7 @@ TEST(CoexistenceTest, CollisionsObservedOnSharedMedium) {
 TEST(CoexistenceTest, InterferenceCostsRetransmissions) {
   // Identical traffic on link 0, with and without a live neighbour.
   auto run_case = [](bool with_neighbour) {
-    TwoPiconets net(CoexistenceConfig{.seed = 11});
+    TwoPiconets net(11);
     if (!net.create(0)) return std::uint64_t{0};
     if (with_neighbour && !net.create(1)) return std::uint64_t{0};
     PeriodicTrafficSource t0(net.master(0), 1, 4, 17);

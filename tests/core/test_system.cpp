@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace btsc::core {
@@ -47,23 +48,39 @@ TEST(BluetoothSystemTest, InquiryThenPageConnects) {
   EXPECT_EQ(sys.lt_addr_of(0), 1);
 }
 
-// With abort_page_on_dialogue_failure off, a collapsed page response
-// dialogue resumes the ID train, and the page timeout keeps counting
-// from enable_page: the attempt fails within a slot of the timeout.
-TEST(BluetoothSystemTest, PageTimeoutSpansResumedDialogues) {
+// A page nobody answers fails within a slot of the page timeout, counted
+// from enable_page. The discovered slave stays in inquiry scan, which
+// never answers a page ID train.
+TEST(BluetoothSystemTest, PageTimesOutWhenNothingAnswers) {
   for (const std::uint64_t seed : {3, 4, 5}) {
     SCOPED_TRACE(seed);
     SystemConfig sc = reliable(1, seed);
     sc.lc.page_timeout_slots = 512;
-    sc.lc.max_response_retries = 0;  // every response dialogue collapses
-    sc.lc.abort_page_on_dialogue_failure = false;
     BluetoothSystem sys(sc);
     ASSERT_TRUE(sys.run_inquiry().success);
-    const PhaseResult page = sys.run_page(0);
-    EXPECT_FALSE(page.success);
-    EXPECT_GE(sys.master().lc().stats().id_rx, 1u);  // a dialogue began
-    EXPECT_GE(page.slots, 511u);
-    EXPECT_LE(page.slots, 513u);
+    ASSERT_EQ(sys.slave(0).lc().state(), baseband::LcState::kInquiryScan);
+    const baseband::DiscoveredDevice found =
+        sys.master().lc().discovered().at(0);
+    sys.run(3_ms);  // page from a different tick phase than the inquiry end
+
+    std::optional<bool> done;
+    sim::SimTime done_at;
+    lm::LinkManager::Events ev;
+    ev.page_complete = [&](bool ok) {
+      done = ok;
+      done_at = sys.env().now();
+    };
+    sys.master_lm().set_events(std::move(ev));
+    const sim::SimTime start = sys.env().now();
+    sys.master().lc().enable_page(found.addr, found.clkn_offset);
+    sys.run(baseband::kSlotDuration * 600);
+
+    ASSERT_TRUE(done.has_value());
+    EXPECT_FALSE(*done);
+    const std::uint64_t slots = (done_at - start) / baseband::kSlotDuration;
+    EXPECT_GE(slots, 511u);
+    EXPECT_LE(slots, 513u);
+    EXPECT_EQ(sys.master().lc().stats().id_rx, 0u);  // no dialogue began
     EXPECT_EQ(sys.master().lc().state(), baseband::LcState::kStandby);
   }
 }

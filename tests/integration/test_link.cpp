@@ -343,10 +343,9 @@ TEST(LinkIntegration, WindowedInquiryScannerSleepsBetweenWindows) {
   std::uint64_t wakes = 0;
   auto& watch = tb.env.register_process("watch", [&] { ++wakes; });
   tb.slave->clock().tick_event().add_sensitive(watch);
-  const LcConfig& c = tb.slave->lc().config();
-  tb.env.run(kSlotDuration * c.inquiry_scan_interval_slots);
-  EXPECT_GE(wakes, 2 * 2 * c.inquiry_scan_window_slots);
-  EXPECT_LE(wakes, 2 * 2 * c.inquiry_scan_window_slots + 2);
+  tb.env.run(kSlotDuration * kInquiryScanIntervalSlots);
+  EXPECT_GE(wakes, 2 * 2 * kInquiryScanWindowSlots);
+  EXPECT_LE(wakes, 2 * 2 * kInquiryScanWindowSlots + 2);
 }
 
 TEST(LinkIntegration, DetachResetReturnsToStandby) {

@@ -1,7 +1,7 @@
 // Noise and failure-injection stress on a live link: the ARQ invariants
 // (no loss, no duplication, no reordering) must hold at any BER where
 // packets still occasionally get through, and links must survive abrupt
-// channel-quality swings and RF modulator delay.
+// channel-quality swings.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,15 +14,12 @@ namespace {
 
 using namespace btsc::sim::literals;
 
-std::unique_ptr<BluetoothSystem> connected(std::uint64_t seed,
-                                           sim::SimTime rf_delay =
-                                               sim::SimTime::zero()) {
+std::unique_ptr<BluetoothSystem> connected(std::uint64_t seed) {
   SystemConfig sc;
   sc.num_slaves = 1;
   sc.seed = seed;
   sc.lc.inquiry_timeout_slots = 32768;
   sc.lc.page_timeout_slots = 16384;
-  sc.rf_delay = rf_delay;
   auto sys = std::make_unique<BluetoothSystem>(sc);
   return sys->create_piconet() ? std::move(sys) : nullptr;
 }
@@ -86,33 +83,6 @@ TEST(NoiseStress, LinkSurvivesBerBursts) {
   EXPECT_GT(delivered, before + 100);
   EXPECT_TRUE(sys->master().lc().is_master());
   EXPECT_TRUE(sys->slave(0).lc().is_connected_slave());
-}
-
-TEST(NoiseStress, RfDelayWithinGuardStillConnects) {
-  // The paper: "the synchronization of the piconet may be lost for a
-  // high value of this delay". A small modulator delay must be harmless.
-  auto sys = connected(81, sim::SimTime::us(2));
-  ASSERT_NE(sys, nullptr);
-  bool got = false;
-  lm::LinkManager::Events ev;
-  ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t>) { got = true; };
-  sys->slave_lm(0).set_events(std::move(ev));
-  sys->master().lc().send_acl(1, baseband::kLlidStart, {1});
-  sys->run(1_sec);
-  EXPECT_TRUE(got);
-}
-
-TEST(NoiseStress, LargeRfDelayBreaksCreation) {
-  // ...while a delay comparable to the response timing alignment makes
-  // the handshake miss its windows: the paper's desynchronisation case.
-  SystemConfig sc;
-  sc.num_slaves = 1;
-  sc.seed = 91;
-  sc.lc.inquiry_timeout_slots = 8192;
-  sc.lc.page_timeout_slots = 4096;
-  sc.rf_delay = sim::SimTime::us(120);  // > correlator + window slack
-  BluetoothSystem sys(sc);
-  EXPECT_FALSE(sys.create_piconet());
 }
 
 TEST(NoiseStress, SniffedLinkKeepsArqGuarantees) {

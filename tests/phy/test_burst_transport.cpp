@@ -137,25 +137,13 @@ TEST(BurstTransportTest, NoisyPacketsBurstViaErrorMask) {
 }
 
 TEST(BurstTransportTest, RefusedWhenDelayedOrDisabled) {
-  {
-    Environment env;
-    ChannelConfig cfg;
-    cfg.rf_delay = 2_us;
-    NoisyChannel ch(env, "ch", cfg);
-    Radio tx(env, "tx", ch);
-    tx.transmit(0, BitVector(10, true));
-    env.run(20_us);
-    EXPECT_EQ(ch.bits_burst(), 0u);
-  }
-  {
-    Environment env;
-    NoisyChannel ch(env, "ch");
-    ch.set_burst_transport_enabled(false);
-    Radio tx(env, "tx", ch);
-    tx.transmit(0, BitVector(10, true));
-    env.run(20_us);
-    EXPECT_EQ(ch.bits_burst(), 0u);
-  }
+  Environment env;
+  NoisyChannel ch(env, "ch");
+  ch.set_burst_transport_enabled(false);
+  Radio tx(env, "tx", ch);
+  tx.transmit(0, BitVector(10, true));
+  env.run(20_us);
+  EXPECT_EQ(ch.bits_burst(), 0u);
 }
 
 TEST(BurstTransportTest, QuietSinkSeesExactPerBitStream) {
@@ -271,24 +259,21 @@ TEST(BurstTransportTest, CrossFrequencyRunsStayBurst) {
 }
 
 TEST(BurstTransportTest, CrossFrequencyContentionDegradesWhenExclusive) {
-  // Under BER > 0, on the paper's single wire, or with a tracer
-  // attached, the channel admits one run on a silent medium: a second
-  // transmitter on another frequency still degrades it.
+  // Under BER > 0 or with a tracer attached, the channel admits one run
+  // on a silent medium: a second transmitter on another frequency still
+  // degrades it.
   const std::string vcd = ::testing::TempDir() + "btsc_burst_exclusive_" +
                           std::to_string(::getpid()) + ".vcd";
-  for (int variant = 0; variant < 3; ++variant) {
-    SCOPED_TRACE(variant == 0   ? "ber > 0"
-                 : variant == 1 ? "single wire"
-                                : "tracer attached");
+  for (int variant = 0; variant < 2; ++variant) {
+    SCOPED_TRACE(variant == 0 ? "ber > 0" : "tracer attached");
     Environment env(7);
     std::unique_ptr<sim::VcdTracer> tracer;
-    if (variant == 2) {
+    if (variant == 1) {
       tracer = std::make_unique<sim::VcdTracer>(env, vcd);
       env.set_tracer(tracer.get());
     }
     ChannelConfig cfg;
     if (variant == 0) cfg.ber = 0.01;
-    if (variant == 1) cfg.per_frequency = false;
     NoisyChannel ch(env, "ch", cfg);
     Radio a(env, "a", ch), b(env, "b", ch);
     a.transmit(10, BitVector(50, true));
