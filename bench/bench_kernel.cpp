@@ -68,12 +68,11 @@ BENCHMARK(BM_PaperScenario480msPerBit)->Unit(benchmark::kMillisecond);
 
 /// The same creation scenario on a noisy channel (BER 1/60, mid-range
 /// on the paper's Fig. 6-8 sweeps). On the burst side every packet
-/// rides a masked run: the whole error pattern is pre-drawn with
-/// Rng::fill_error_mask and XORed in at word granularity. The per-bit
-/// side draws one Bernoulli per transmitted bit. The pair measures
-/// exactly what the batched error-mask path buys on noisy scenarios --
-/// before it existed, BER > 0 forced every packet onto the per-bit
-/// chain.
+/// rides a noisy run: the port's noise stream draws the gap to each
+/// flipped bit (one draw per flip, phy::NoiseStream::advance) and XORs
+/// the flips into the run's copy of the packet. The per-bit side
+/// consumes the same gaps one driven bit at a time. The pair measures
+/// what batching buys on noisy scenarios.
 void noisy_scenario(benchmark::State& state, bool burst) {
   for (auto _ : state) {
     core::SystemConfig sc;

@@ -163,7 +163,7 @@ std::unique_ptr<BluetoothSystem> make_creation_system(
 
 CreationSample run_creation_from(BluetoothSystem& sys,
                                  std::uint64_t replication_seed) {
-  sys.env().rng().reseed(replication_seed);
+  sys.env().reseed(replication_seed);
   sys.randomize_slave_clocks();
   CreationSample out;
   const PhaseResult inquiry = sys.run_inquiry();
@@ -188,7 +188,7 @@ std::unique_ptr<BluetoothSystem> make_backoff_system(
 
 BackoffSample run_backoff_from(BluetoothSystem& sys,
                                std::uint64_t replication_seed) {
-  sys.env().rng().reseed(replication_seed);
+  sys.env().reseed(replication_seed);
   sys.randomize_slave_clocks();
   const PhaseResult r = sys.run_inquiry();
   return BackoffSample{r.success, r.slots};
@@ -205,7 +205,7 @@ std::unique_ptr<BluetoothSystem> master_activity_scaffold(
 
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
                                            const MasterActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.env().reseed(cfg.seed);
   MasterActivityRow row;
   row.duty = duty;
   // duty = used TX slots / available TX slots (one per even slot).
@@ -236,7 +236,7 @@ std::unique_ptr<BluetoothSystem> sniff_activity_scaffold(
 SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
                                          std::optional<std::uint32_t> tsniff,
                                          const SniffActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.env().reseed(cfg.seed);
   const std::uint8_t lt = sys.lt_addr_of(0);
   if (tsniff) {
     sys.master().lc().master_set_sniff(lt, *tsniff, 0, 1);
@@ -266,7 +266,7 @@ std::unique_ptr<BluetoothSystem> hold_activity_scaffold(
 SlaveActivityRow run_hold_activity_from(BluetoothSystem& sys,
                                         std::optional<std::uint32_t> thold,
                                         const HoldActivityConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.env().reseed(cfg.seed);
   const std::uint8_t lt = sys.lt_addr_of(0);
   sys.run(kSlotDuration * 64);
 
@@ -306,7 +306,7 @@ std::unique_ptr<BluetoothSystem> throughput_scaffold(
 ThroughputRow run_throughput_from(BluetoothSystem& sys,
                                   baseband::PacketType type, double ber,
                                   const ThroughputConfig& cfg) {
-  sys.env().rng().reseed(cfg.seed);
+  sys.env().reseed(cfg.seed);
   sys.channel().set_ber(ber);
 
   const std::uint8_t lt = sys.lt_addr_of(0);
@@ -355,7 +355,7 @@ std::unique_ptr<TwoPiconets> coexistence_warmup(std::uint64_t warm_seed) {
 CoexistenceRow run_coexistence_from(TwoPiconets& net,
                                     std::uint32_t neighbour_period_slots,
                                     const CoexistenceRunConfig& cfg) {
-  net.env().rng().reseed(cfg.seed);
+  net.env().reseed(cfg.seed);
   std::uint64_t victim_bytes = 0;
   lm::LinkManager::Events ev;
   ev.user_data = [&](std::uint8_t, std::vector<std::uint8_t> d) {

@@ -9,10 +9,12 @@
 //    replication-independent prefix up to a settled, snapshotable
 //    instant; the scaffold is the structural twin a snapshot restores
 //    into.
-//  * run_*_from — the measure stage: reseeds the environment RNG with
-//    the replication seed and simulates the measured window. It must
-//    derive all randomness from that seed and touch no shared state, so
-//    runner::SweepRunner can spread replications across threads.
+//  * run_*_from — the measure stage: reseeds the environment (its root
+//    stream and the channel's per-port noise streams, via
+//    sim::Environment::reseed) with the replication seed and simulates
+//    the measured window. It must derive all randomness from that seed
+//    and touch no shared state, so runner::SweepRunner can spread
+//    replications across threads.
 //
 // The runner forks every replication from a per-point snapshot of the
 // warm-up; re-running the warm-up cold instead produces bitwise-identical

@@ -200,7 +200,8 @@ class JsonReporter : public Reporter {
 /// --rep-timeout S, --max-retries N, --keep-going,
 /// --quarantine-out FILE. btsc-sweep's scenario selectors (--fig N,
 /// --scenario ID) are skipped; the first other argument parse does not
-/// recognise, or a flag missing its value, lands in `unknown`.
+/// recognise, or a flag missing its value, lands in `unknown`, and the
+/// first malformed or out-of-range numeric value in `invalid`.
 struct BenchArgs {
   /// Replications per point; 0 = scenario/bench default.
   int seeds = 0;
@@ -248,40 +249,40 @@ struct BenchArgs {
   std::string quarantine_out;
   /// First unrecognised argument; empty = none. btsc-sweep rejects it.
   std::string unknown;
+  /// First malformed or out-of-range numeric value, as "FLAG VALUE";
+  /// empty = none. Its field keeps the default; btsc-sweep rejects it.
+  std::string invalid;
 
   static BenchArgs parse(int argc, char** argv) {
-    // Malformed numeric values keep the previous value and warn, rather
-    // than being atoi-coerced to a silently different configuration.
-    auto parse_int = [](const std::string& flag, const char* text,
-                        int fallback) {
+    // A malformed value is never atoi-coerced into a silently different
+    // configuration: the field keeps its value and `invalid` records it.
+    BenchArgs a;
+    auto reject = [&a](const std::string& flag, const char* text) {
+      if (a.invalid.empty()) a.invalid = flag + " " + text;
+    };
+    auto parse_int = [&](const std::string& flag, const char* text,
+                         int fallback) {
       char* end = nullptr;
       errno = 0;
       const long v = std::strtol(text, &end, 10);
       if (end == text || *end != '\0' || errno == ERANGE ||
           v < INT_MIN || v > INT_MAX) {
-        std::fprintf(stderr,
-                     "warning: ignoring malformed or out-of-range %s "
-                     "value: %s\n",
-                     flag.c_str(), text);
+        reject(flag, text);
         return fallback;
       }
       return static_cast<int>(v);
     };
-    auto parse_double = [](const std::string& flag, const char* text,
-                           double fallback) {
+    auto parse_double = [&](const std::string& flag, const char* text,
+                            double fallback) {
       char* end = nullptr;
       errno = 0;
       const double v = std::strtod(text, &end);
       if (end == text || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr,
-                     "warning: ignoring malformed or out-of-range %s "
-                     "value: %s\n",
-                     flag.c_str(), text);
+        reject(flag, text);
         return fallback;
       }
       return v;
     };
-    BenchArgs a;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
@@ -308,10 +309,7 @@ struct BenchArgs {
         // silently land in a different reproducibility universe.
         if (end == text || *end != '\0' || errno == ERANGE ||
             text[0] == '-') {
-          std::fprintf(stderr,
-                       "warning: ignoring malformed or out-of-range "
-                       "--base-seed value: %s\n",
-                       text);
+          reject(arg, text);
         } else {
           a.base_seed = v;
         }

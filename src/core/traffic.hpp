@@ -35,7 +35,12 @@ class PeriodicTrafficSource : public sim::Snapshotable,
     schedule_next(period_);
   }
 
-  ~PeriodicTrafficSource() override { device_.env().unregister_rearm(this); }
+  // The self-rescheduling timer captures `this`: it must not outlive the
+  // source (nor leave an unregistered owner in a later snapshot).
+  ~PeriodicTrafficSource() override {
+    device_.env().cancel_owned(this);
+    device_.env().unregister_rearm(this);
+  }
 
   void stop() { running_ = false; }
   std::uint64_t messages_sent() const { return sent_; }
@@ -104,7 +109,12 @@ class SaturatingTrafficSource : public sim::Snapshotable,
     refill();
   }
 
-  ~SaturatingTrafficSource() override { device_.env().unregister_rearm(this); }
+  // The self-rescheduling timer captures `this`: it must not outlive the
+  // source (nor leave an unregistered owner in a later snapshot).
+  ~SaturatingTrafficSource() override {
+    device_.env().cancel_owned(this);
+    device_.env().unregister_rearm(this);
+  }
 
   void stop() { running_ = false; }
   std::uint64_t messages_sent() const { return sent_; }

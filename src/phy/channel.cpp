@@ -1,7 +1,6 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -33,7 +32,7 @@ bool NoisyChannel::burst_transport_default() {
 
 NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
                            ChannelConfig config)
-    : Module(env, std::move(name)), config_(config) {
+    : Module(env, std::move(name)), config_(config), rate_(config.ber) {
   if (config_.ber < 0.0 || config_.ber > 1.0) {
     throw std::invalid_argument("NoisyChannel: BER outside [0,1]");
   }
@@ -43,11 +42,26 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
     bus_trace_ = std::make_unique<sim::Signal<Logic4>>(
         env, child_name("bus"), Logic4::kZ);
   }
+  env.set_seeded_streams(this);
 }
+
+NoisyChannel::~NoisyChannel() { env().set_seeded_streams(nullptr); }
 
 void NoisyChannel::set_ber(double ber) {
   fallback_all_runs();
   config_.ber = ber;
+  rate_ = FlipRate(ber);
+  for (Port& p : ports_) p.noise.redraw(rate_);
+}
+
+void NoisyChannel::reseed_streams(std::uint64_t seed) {
+  // A run's noisy copy came from the old stream; the rest of its packet
+  // must draw from the new one, as per-bit drives would.
+  fallback_all_runs();
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    ports_[i].noise.reseed(
+        sim::Rng::derive_stream_seed(seed, kNoiseStreamRole, i), rate_);
+  }
 }
 
 void NoisyChannel::set_burst_transport_enabled(bool enabled) {
@@ -56,8 +70,16 @@ void NoisyChannel::set_burst_transport_enabled(bool enabled) {
 }
 
 PortId NoisyChannel::attach(const std::string& device_name) {
-  ports_.emplace_back().name = device_name;
-  return static_cast<PortId>(ports_.size() - 1);
+  if (live_runs_ > 0) {
+    throw std::logic_error("NoisyChannel::attach: burst run in flight");
+  }
+  const std::size_t port = ports_.size();
+  Port& p = ports_.emplace_back();
+  p.name = device_name;
+  p.noise.reseed(
+      sim::Rng::derive_stream_seed(env().seed(), kNoiseStreamRole, port),
+      rate_);
+  return static_cast<PortId>(port);
 }
 
 void NoisyChannel::set_listener(PortId port, Listener* listener) {
@@ -91,14 +113,14 @@ void NoisyChannel::drive(PortId port, int freq, Logic4 value) {
   }
 
   Logic4 v = value;
+  Port& p = ports_[static_cast<std::size_t>(port)];
   if (is_defined(v)) {
     ++bits_driven_;
-    if (config_.ber > 0.0 && env().draw_bernoulli(config_.ber)) {
+    if (config_.ber > 0.0 && p.noise.flip(rate_)) {
       v = invert(v);
       ++bits_flipped_;
     }
   }
-  Port& p = ports_[static_cast<std::size_t>(port)];
   const bool was_defined = is_defined(p.value);
   const bool now_defined = is_defined(v);
   if (was_defined) count_defined(p.freq, -1);
@@ -196,10 +218,9 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   // Equivalence gate: a run is accepted only when the batched loop is
   // provably identical to per-bit drives -- a tracer able to take the
   // backfilled bus waveform, and nobody else on the air at this
-  // frequency (anywhere, when exclusive). BER > 0 is not refused: noise
-  // is pre-applied as an error mask drawn in exact per-bit order
-  // (arm_masked_run), guarded against foreign draws reordering the
-  // stream.
+  // frequency (anywhere, when exclusive). BER > 0 is not refused: the
+  // run draws its flips from the port's own stream into a noisy copy
+  // (draw_noisy_copy), the gaps per-bit drives would consume.
   sim::Tracer* tracer = env().tracer();
   if (!config_.burst_transport || bits.empty() ||
       (tracer != nullptr && !tracer->supports_backfill())) {
@@ -221,7 +242,12 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   run.period = period;
   f.run = port;
   ++live_runs_;
-  if (config_.ber > 0.0) arm_masked_run(port, bits);
+  if (config_.ber > 0.0) {
+    Port& p = ports_[static_cast<std::size_t>(port)];
+    run.noisy = true;
+    run.base = p.noise;
+    draw_noisy_copy(p, p.noise, bits);
+  }
   if (tracer != nullptr && bus_trace_ != nullptr && bus_trace_->traced()) {
     // Bus transitions for the run's bits are reconstructed after the
     // fact (backfill_to); the hold keeps the tracer from streaming out
@@ -235,69 +261,12 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   return true;
 }
 
-void NoisyChannel::arm_masked_run(PortId port, const sim::BitVector& bits) {
-  // Our bulk mask fill is a foreign draw for any other masked run in
-  // flight on this environment (coexistence setups share one RNG):
-  // make its guard stand down before we capture the stream position.
-  env().notify_rng_draw();
-  sim::Rng& rng = env().rng();
-  mask_base_ = rng.state();
-  build_masked_buffers(bits, rng);
-  run_of(port).bits = &noisy_;
-  masked_ = port;
-  if (sim::Rng::bernoulli_draws_per_bit(config_.ber) > 0) {
-    mask_synced_ = false;
-    env().set_rng_guard(this);
-  } else {
-    // BER >= 1 consumes no draws, so the stream position matches the
-    // per-bit reference at every bit; no guard needed.
-    mask_synced_ = true;
-  }
-}
-
-void NoisyChannel::build_masked_buffers(const sim::BitVector& bits,
-                                        sim::Rng& rng) {
-  const std::size_t n = bits.size();
-  mask_.clear();
-  mask_.append_zeros(n);
-  rng.fill_error_mask(mask_.words_mut(), n, config_.ber);
-  noisy_.clear();
-  noisy_.append(bits);
-  // Both vectors keep their tail bits zero, so whole-word XOR preserves
-  // the invariant on the noisy copy.
-  std::uint64_t* nw = noisy_.words_mut();
-  const std::uint64_t* mw = mask_.words();
-  for (std::size_t w = 0; w < noisy_.num_words(); ++w) nw[w] ^= mw[w];
-}
-
-std::size_t NoisyChannel::mask_flips_before(std::size_t k) const {
-  assert(masked_ >= 0 && k <= mask_.size());
-  std::size_t flips = 0;
-  const std::uint64_t* mw = mask_.words();
-  for (std::size_t w = 0; k > 0; ++w) {
-    const std::uint64_t word = k >= 64 ? mw[w] : (mw[w] & ((1ull << k) - 1));
-    flips += static_cast<std::size_t>(std::popcount(word));
-    k -= k >= 64 ? 64 : k;
-  }
-  return flips;
-}
-
-void NoisyChannel::rng_external_draw() {
-  assert(masked_ >= 0 && !mask_synced_);
-  const Run& run = run_of(masked_);
-  if (run_bits_elapsed(run) >= run.bits->size()) {
-    // Every bit of the run is already on the air, so the upfront fill
-    // consumed exactly the draws the per-bit reference would have by
-    // now: the stream position already matches. Stand down.
-    mask_synced_ = true;
-    env().set_rng_guard(nullptr);
-    return;
-  }
-  // A foreign draw landed mid-run: in per-bit order it belongs between
-  // the elapsed bits' draws and the remaining ones. settle_run() (via
-  // fallback_run) rewinds the stream to the elapsed position; the rest
-  // of the packet degrades to per-bit drives with fresh draws.
-  fallback_run(masked_);
+void NoisyChannel::draw_noisy_copy(Port& p, NoiseStream& stream,
+                                   const sim::BitVector& clean) {
+  p.noisy.clear();
+  p.noisy.append(clean);
+  p.run.flips = stream.advance(clean.size(), p.noisy.words_mut(), rate_);
+  p.run.bits = &p.noisy;
 }
 
 std::size_t NoisyChannel::run_bits_elapsed(const Run& run) const {
@@ -352,19 +321,18 @@ void NoisyChannel::flush_trace_backfill() {
 std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
                                      Logic4 last) {
   assert(driven >= 1);
-  Run& run = run_of(port);
-  if (port == masked_) {
-    if (!mask_synced_ && driven < run.bits->size()) {
-      // The per-bit reference would have consumed exactly `driven`
-      // noise draws by now: rewind the upfront fill to that position so
-      // every subsequent draw sees the stream the reference path would.
-      sim::Rng& rng = env().rng();
-      rng.set_state(mask_base_);
-      rng.discard(driven * sim::Rng::bernoulli_draws_per_bit(config_.ber));
+  Port& p = ports_[static_cast<std::size_t>(port)];
+  Run& run = p.run;
+  if (run.noisy) {
+    if (driven < run.bits->size()) {
+      // Per-bit drives would have consumed only `driven` bits of the
+      // port's stream: rewind to the run's base and replay them, so the
+      // per-bit remainder draws exactly the reference's flips.
+      p.noise = run.base;
+      bits_flipped_ += p.noise.advance(driven, nullptr, rate_);
+    } else {
+      bits_flipped_ += run.flips;
     }
-    if (env().rng_guard() == this) env().set_rng_guard(nullptr);
-    bits_flipped_ += mask_flips_before(driven);
-    masked_ = -1;
   }
   if (port == traced_) {
     backfill_to(driven);
@@ -377,7 +345,6 @@ std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
   }
   bits_driven_ += driven;
   bits_burst_ += driven;
-  Port& p = ports_[static_cast<std::size_t>(port)];
   assert(p.value == Logic4::kZ);
   p.value = last;
   p.freq = run.freq;
@@ -465,6 +432,7 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(p.freq));
     w.u8(static_cast<std::uint8_t>(p.value));
     w.u32(static_cast<std::uint32_t>(p.rx_freq));
+    p.noise.save_state(w);
   });
   // The active runs, in port order.
   w.u32(static_cast<std::uint32_t>(live_runs_));
@@ -476,13 +444,10 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(run.freq));
     w.time(run.start);
     w.time(run.period);
-    // A masked run stores only the pre-fill RNG state: the mask is a
-    // pure function of (state, BER, length) and is rebuilt on restore.
-    w.b(port == masked_);
-    if (port == masked_) {
-      w.b(mask_synced_);
-      for (std::uint64_t v : mask_base_) w.u64(v);
-    }
+    // A noisy run stores only its base stream: the noisy copy is a
+    // pure function of (base, BER, clean bits) and is rebuilt on rebind.
+    w.b(run.noisy);
+    if (run.noisy) run.base.save_state(w);
   }
   w.u64(bits_driven_);
   w.u64(bits_flipped_);
@@ -497,15 +462,15 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
 }
 
 void NoisyChannel::restore_state(sim::SnapshotReader& r) {
-  // In-place restore hygiene: stand down any live masked-run guard or
-  // tracer hold belonging to the state being overwritten.
-  if (env().rng_guard() == this) env().set_rng_guard(nullptr);
+  // In-place restore hygiene: close any tracer hold belonging to the
+  // state being overwritten.
   if (traced_ >= 0) {
     if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
     traced_ = -1;
   }
   r.enter_section(sim::snapshot_tag("CHAN"));
   config_.ber = r.f64();
+  rate_ = FlipRate(config_.ber);
   config_.burst_transport = r.b();
   std::size_t idx = 0;
   defined_ports_ = 0;
@@ -519,6 +484,7 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     p.freq = static_cast<int>(r.u32());
     p.value = static_cast<Logic4>(r.u8());
     p.rx_freq = static_cast<int>(r.u32());
+    p.noise.restore_state(r);
     if (is_defined(p.value)) {
       if (p.freq < 0 || p.freq >= kNumRfChannels) {
         throw sim::SnapshotError("NoisyChannel: drive frequency out of range");
@@ -530,7 +496,6 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     throw sim::SnapshotError("NoisyChannel: port count mismatch");
   }
   live_runs_ = 0;
-  masked_ = -1;
   sim::restore_seq(r, [&](std::size_t) {
     const auto port = static_cast<PortId>(r.u32());
     const auto freq = static_cast<int>(r.u32());
@@ -549,14 +514,8 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     run.period = r.time();
     freqs_[static_cast<std::size_t>(freq)].run = port;
     ++live_runs_;
-    if (r.b()) {
-      if (masked_ >= 0) {
-        throw sim::SnapshotError("NoisyChannel: two masked runs");
-      }
-      masked_ = port;
-      mask_synced_ = r.b();
-      for (std::uint64_t& v : mask_base_) v = r.u64();
-    }
+    run.noisy = r.b();
+    if (run.noisy) run.base.restore_state(r);
     // run.bits/clean stay null until the owning radio rebinds them.
   });
   bits_driven_ = r.u64();
@@ -573,18 +532,15 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
 }
 
 void NoisyChannel::rebind_run_bits(PortId port, const sim::BitVector* bits) {
-  Run& run = run_of(port);
+  Port& p = ports_[static_cast<std::size_t>(port)];
+  Run& run = p.run;
   assert(run.active && run.clean == nullptr && run.bits == nullptr);
   run.clean = bits;
-  if (port == masked_) {
-    // Regenerate the error mask on a scratch stream from the saved
-    // pre-fill state -- it is a pure function of (state, BER, length),
-    // so the restored medium is bit-identical to the saved one.
-    sim::Rng fill;
-    fill.set_state(mask_base_);
-    build_masked_buffers(*bits, fill);
-    run.bits = &noisy_;
-    if (!mask_synced_) env().set_rng_guard(this);
+  if (run.noisy) {
+    // Redraw the copy from a scratch copy of the base: the port's own
+    // stream was restored already, past the run's flips.
+    NoiseStream replay = run.base;
+    draw_noisy_copy(p, replay, *bits);
   } else {
     run.bits = bits;
   }

@@ -14,6 +14,14 @@
 // reaches the medium at once: the RF blocks' modulator/demodulator delay
 // is zero, so TX and RX bit grids stay aligned.
 //
+// Noise streams
+// -------------
+// Each port owns its noise: a NoiseStream (phy/noise.hpp) seeded as
+// Rng::derive_stream_seed(seed, kNoiseStreamRole, port) from the
+// environment seed at attach() and at every Environment::reseed(). The
+// stream holds the gap to the port's next flipped bit, so noise costs one
+// draw per flip, and no other consumer ever draws from it.
+//
 // Burst transport
 // ---------------
 // The per-bit drive()/sense() contract stays the reference semantics,
@@ -27,26 +35,27 @@
 // tracing, and a medium silent at its frequency (no other run, no
 // per-bit defined drive there) -- and it falls back to per-bit
 // scheduling the moment a second transmitter drives its frequency, the
-// BER changes, or the transmitter aborts.
+// BER or the seed changes, or the transmitter aborts.
 // Runs on different frequencies never interact, so two piconets
-// hopping independently keep both packets batched; collisions still
-// happen only on the per-bit path.
+// hopping independently keep both packets batched, noisy or not;
+// collisions still happen only on the per-bit path.
+//
+// A BER > 0 run draws the whole packet's flips from its port's stream up
+// front into its own noisy copy of the packet, which is what receivers
+// see. Per-bit drives would have consumed the same gaps in the same
+// order, so the copy is exactly what per-bit transport puts on the air.
+// A run that ends at bit k < n (fallback or abort) rewinds the port's
+// stream to the run's saved base and replays k bits, O(flips); the
+// per-bit remainder then draws what the reference would.
 //
 // The channel is *exclusive* -- a silent medium on every frequency, at
-// most one run, and any second defined drive degrades it -- when
-// BER > 0 (a masked run draws the shared RNG in per-bit order) or while
-// a tracer is attached (the bus trace resolves every port into one
-// wire, and the backfill follows one run).
-//
-// BER > 0 runs draw the whole packet's noise flips up front as an XOR
-// error mask (sim::Rng::fill_error_mask consumes the stream in exactly
-// the per-bit order) and expose the corrupted copy as the run's bits; a
-// registered sim::RngGuard rewinds/replays the stream if any foreign
-// RNG draw lands mid-run, so every seed reproduces the per-bit path
-// bit for bit. Traced runs reconstruct the bus waveform afterwards via
-// the tracer's time-stamped backfill. docs/ARCHITECTURE.md ("Word-packed
-// bit transport & burst delivery" and "Batched error masks") carries
-// the full equivalence argument.
+// most one run, and any second defined drive degrades it -- only while
+// a tracer is attached (the bus trace resolves every port into one wire,
+// and the backfill follows one run); traced runs reconstruct the bus
+// waveform afterwards via the tracer's time-stamped backfill.
+// docs/ARCHITECTURE.md ("Word-packed bit transport & burst delivery" and
+// "Per-port noise streams & traced burst backfill") carries the full
+// equivalence argument.
 #pragma once
 
 #include <array>
@@ -59,6 +68,7 @@
 #include <vector>
 
 #include "phy/logic4.hpp"
+#include "phy/noise.hpp"
 #include "sim/bitvector.hpp"
 #include "sim/environment.hpp"
 #include "sim/module.hpp"
@@ -70,6 +80,9 @@ namespace btsc::phy {
 
 /// Number of RF channels (79 in the 2.4 GHz ISM band).
 inline constexpr int kNumRfChannels = 79;
+
+/// Stream role of the per-port noise streams under the environment seed.
+inline constexpr std::uint64_t kNoiseStreamRole = 0x4E4F495345ull;  // "NOISE"
 
 struct ChannelConfig {
   /// Probability that a defined bit on the medium is inverted.
@@ -86,7 +99,7 @@ using PortId = int;
 
 class NoisyChannel final : public sim::Module,
                            public sim::Snapshotable,
-                           public sim::RngGuard {
+                           public sim::SeededStreams {
  public:
   /// A listener's pending per-bit sample event: `anchor` is the first
   /// sample instant of its current enable (the reference sampling order,
@@ -125,12 +138,21 @@ class NoisyChannel final : public sim::Module,
 
   NoisyChannel(sim::Environment& env, std::string name,
                ChannelConfig config = {});
+  ~NoisyChannel();
+
+  NoisyChannel(const NoisyChannel&) = delete;
+  NoisyChannel& operator=(const NoisyChannel&) = delete;
 
   const ChannelConfig& config() const { return config_; }
 
   /// Changing the BER mid-run degrades every active burst run to per-bit
-  /// first: the remaining bits need per-instant noise draws.
+  /// first (their noisy copies were drawn under the old BER); then every
+  /// port draws a fresh gap under the new one.
   void set_ber(double ber);
+
+  /// Re-derives every port's noise stream from `seed` (called by
+  /// Environment::reseed); active runs degrade to per-bit first.
+  void reseed_streams(std::uint64_t seed) override;
 
   // ---- burst transport switches ----
 
@@ -145,6 +167,9 @@ class NoisyChannel final : public sim::Module,
   bool burst_transport_enabled() const { return config_.burst_transport; }
 
   /// Registers a device; `device_name` is used for tracing/diagnostics.
+  /// The port's noise stream derives from the environment seed. Throws
+  /// while a burst run is active (receivers hold pointers into the
+  /// ports' run storage).
   PortId attach(const std::string& device_name);
   int num_ports() const { return static_cast<int>(ports_.size()); }
 
@@ -157,8 +182,9 @@ class NoisyChannel final : public sim::Module,
   void set_listening(PortId port, int freq);
 
   /// Drives a value from `port` on RF channel `freq`. kZ releases the
-  /// medium. Takes effect at once. Noise is applied once per driven bit,
-  /// matching the paper's "inversion of the bit in the channel".
+  /// medium. Takes effect at once. Noise is applied once per driven
+  /// defined bit from the port's stream, matching the paper's "inversion
+  /// of the bit in the channel".
   void drive(PortId port, int freq, Logic4 value);
 
   /// Resolved value seen by a receiver tuned to `freq`.
@@ -188,9 +214,9 @@ class NoisyChannel final : public sim::Module,
   /// silent at `freq`, or anywhere when exclusive); the caller must then
   /// drive per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
-  /// the medium immediately (as a per-bit drive would be). BER > 0 runs
-  /// pre-apply noise as an error mask drawn in per-bit order; receivers
-  /// see the corrupted copy through rx_medium()/sense().
+  /// the medium immediately (as a per-bit drive would be). A BER > 0 run
+  /// draws its flips from the port's stream into its own noisy copy;
+  /// receivers see that copy through rx_medium()/sense().
   bool begin_burst(PortId port, int freq, const sim::BitVector& bits,
                    sim::SimTime period);
 
@@ -236,17 +262,18 @@ class NoisyChannel final : public sim::Module,
   /// noise/collision counters. The runs' packed bits are NOT part of the
   /// stream -- they live in the transmitting Radios' tx buffers, and each
   /// radio re-links its run via rebind_run_bits() during its own restore
-  /// (the restore order guarantees it runs after the channel's). A
-  /// masked run stores only the pre-fill RNG state: the error mask is a
-  /// pure function of (state, BER, length) and is regenerated on
-  /// restore. Throws sim::SnapshotError while a traced run holds the
-  /// tracer -- the waveform buffer is not snapshotable -- and on restore
-  /// for a run whose port or frequency is out of range or taken.
+  /// (the restore order guarantees it runs after the channel's). Each
+  /// port's noise stream is saved; a noisy run stores only its base
+  /// stream, since its copy is a pure function of (base, BER, clean
+  /// bits) and is rebuilt on rebind. Throws sim::SnapshotError while a
+  /// traced run holds the tracer -- the waveform buffer is not
+  /// snapshotable -- and on restore for a run whose port or frequency is
+  /// out of range or taken.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
   /// Re-links the bit storage of `port`'s run (the transmitter's clean
-  /// bits) after a restore; rebuilds the error mask for a masked run.
+  /// bits) after a restore; rebuilds the noisy copy of a noisy run.
   /// Only valid while `port` has a restored run.
   void rebind_run_bits(PortId port, const sim::BitVector* bits);
 
@@ -257,23 +284,22 @@ class NoisyChannel final : public sim::Module,
   /// or detached, or the run's waveform tail is lost.
   void flush_trace_backfill();
 
-  // ---- RngGuard ----
-
-  /// A foreign RNG draw landed while a masked run was in flight: rewind
-  /// the upfront mask fill to the per-bit draw position and degrade the
-  /// remainder of the run to per-bit scheduling (or, if every bit has
-  /// already elapsed, simply stand down -- the stream position matches
-  /// the per-bit reference exactly).
-  void rng_external_draw() override;
-
   // ---- diagnostics ----
-  std::uint64_t bits_driven() const { return bits_driven_; }
+  // Both count what the per-bit reference has driven by now: an
+  // in-flight run contributes its elapsed bits and their flips.
+  std::uint64_t bits_driven() const {
+    std::uint64_t bits = bits_driven_;
+    for (const Port& p : ports_) {
+      if (p.run.active) bits += run_bits_elapsed(p.run);
+    }
+    return bits;
+  }
   std::uint64_t bits_flipped() const {
     std::uint64_t flips = bits_flipped_;
-    // Flips of an in-flight masked run are accounted lazily: only the
-    // elapsed prefix of the mask has "happened" yet.
-    if (masked_ >= 0) {
-      flips += mask_flips_before(run_bits_elapsed(run_of(masked_)));
+    for (const Port& p : ports_) {
+      if (!p.run.active || !p.run.noisy) continue;
+      NoiseStream replay = p.run.base;
+      flips += replay.advance(run_bits_elapsed(p.run), nullptr, rate_);
     }
     return flips;
   }
@@ -284,17 +310,24 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
 
  private:
+  struct Port;
+
   /// One port's burst run slot.
   struct Run {
     bool active = false;
     int freq = 0;
-    /// What the medium shows (noisy_ for the masked run).
+    /// What the medium shows (the port's noisy copy for a noisy run).
     const sim::BitVector* bits = nullptr;
     /// The transmitter's storage, as passed to begin_burst (equal to
-    /// `bits` for unmasked runs). Needed for snapshot rebinding.
+    /// `bits` for a clean run). Needed for snapshot rebinding.
     const sim::BitVector* clean = nullptr;
     sim::SimTime start;
     sim::SimTime period;
+    /// BER > 0: the port's stream before the run's flips were drawn,
+    /// and their count.
+    bool noisy = false;
+    NoiseStream base;
+    std::uint64_t flips = 0;
   };
 
   void refresh_trace();
@@ -308,9 +341,7 @@ class NoisyChannel final : public sim::Module,
 
   /// True when the medium admits at most one run and any second defined
   /// drive degrades it (see the header comment).
-  bool exclusive() const {
-    return config_.ber > 0.0 || env().tracer() != nullptr;
-  }
+  bool exclusive() const { return env().tracer() != nullptr; }
 
   /// The run visible at `freq`, or nullptr.
   const Run* run_at(int freq) const {
@@ -318,16 +349,12 @@ class NoisyChannel final : public sim::Module,
     return p < 0 ? nullptr : &run_of(p);
   }
 
-  /// Draws `port`'s error mask (saving the pre-fill RNG state first),
-  /// builds the corrupted copy and registers the RNG guard.
-  void arm_masked_run(PortId port, const sim::BitVector& bits);
-
-  /// Rebuilds mask_/noisy_ for `bits` from mask_base_ (shared by
-  /// arm_masked_run and the snapshot rebind path).
-  void build_masked_buffers(const sim::BitVector& bits, sim::Rng& rng);
-
-  /// Number of set bits in the first `k` mask positions.
-  std::size_t mask_flips_before(std::size_t k) const;
+  /// Draws the flips of `p`'s run from `stream` into the port's noisy
+  /// copy of `clean` and shows that copy on the medium (begin_burst
+  /// advances the port's own stream; rebind_run_bits a scratch copy of
+  /// the base).
+  void draw_noisy_copy(Port& p, NoiseStream& stream,
+                       const sim::BitVector& clean);
 
   /// Emits the net bus transitions of the traced run's bits
   /// [backfilled_, k) at their per-bit instants (Tracer::change_at under
@@ -368,13 +395,18 @@ class NoisyChannel final : public sim::Module,
   }
 
   ChannelConfig config_;
+  FlipRate rate_;  // config_.ber with its gap-sampler table
   struct Port {
     std::string name;
     int freq = -1;
     Logic4 value = Logic4::kZ;
     Listener* listener = nullptr;
     int rx_freq = -1;  // -1: not listening
-    Run run;           // this port's burst run slot
+    NoiseStream noise;  // this port's noise stream
+    /// Clean bits ^ flips of the port's noisy run; keeps its capacity
+    /// across runs, so steady-state noisy bursts allocate nothing.
+    sim::BitVector noisy;
+    Run run;  // this port's burst run slot
   };
   std::vector<Port> ports_;
   /// What one frequency carries, so every lookup on the transport path
@@ -386,18 +418,6 @@ class NoisyChannel final : public sim::Module,
   };
   std::array<Freq, kNumRfChannels> freqs_{};
   int live_runs_ = 0;
-  // Masked-run machinery. Masked runs only exist under BER > 0, which is
-  // exclusive, so at most one is in flight: masked_ is its port (-1:
-  // none). The buffers keep their capacity across runs, so steady-state
-  // masked bursts allocate nothing.
-  PortId masked_ = -1;
-  /// The per-bit RNG draw order has fully caught up with the upfront
-  /// mask fill (all bits elapsed when a foreign draw arrived); no rewind
-  /// is needed at settle time.
-  bool mask_synced_ = false;
-  sim::BitVector mask_;   // XOR error mask of the masked run
-  sim::BitVector noisy_;  // clean ^ mask_, what the medium shows
-  std::array<std::uint64_t, 4> mask_base_{};  // RNG state before the fill
   // Traced-run backfill: traced_ is the port of the run holding the
   // tracer (-1: no hold open); tracing is exclusive, so there is one.
   PortId traced_ = -1;

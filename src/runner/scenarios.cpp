@@ -977,6 +977,12 @@ int run_scenario_main(const std::string& id, int argc, char** argv) {
               << sweep_usage();
     return 2;
   }
+  if (!args.invalid.empty()) {
+    std::cerr << "btsc-sweep: malformed or out-of-range value: "
+              << args.invalid << "\n"
+              << sweep_usage();
+    return 2;
+  }
   if (args.threads < 0 || args.seeds < 0 || args.max_points < 0 ||
       args.max_retries < 0) {
     std::cerr << "btsc-sweep: negative counts are invalid (--threads, "

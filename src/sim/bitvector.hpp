@@ -108,7 +108,7 @@ class BitVector {
   std::size_t num_words() const { return words_.size(); }
   const std::uint64_t* words() const { return words_.data(); }
 
-  /// Mutable word storage for bulk writers (e.g. Rng::fill_error_mask).
+  /// Mutable word storage for bulk writers (e.g. NoiseStream::advance).
   /// The caller must keep the unused high bits of the last word zero.
   std::uint64_t* words_mut() { return words_.data(); }
 

@@ -2,13 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 
 namespace btsc::sim {
 
-Environment::Environment(std::uint64_t seed) : rng_(seed) {}
+Environment::Environment(std::uint64_t seed) : rng_(seed), seed_(seed) {}
+
+void Environment::reseed(std::uint64_t seed) {
+  seed_ = seed;
+  rng_.reseed(seed);
+  if (seeded_ != nullptr) seeded_->reseed_streams(seed);
+}
+
+void Environment::set_seeded_streams(SeededStreams* s) {
+  if (s != nullptr && seeded_ != nullptr) {
+    throw std::logic_error("Environment: second SeededStreams registration");
+  }
+  seeded_ = s;
+}
 
 void Environment::make_runnable(Process& p) {
   if (p.queued_) return;

@@ -35,8 +35,9 @@
 // state machines drop all their pending deferred actions on a state
 // change without epoch-counter workarounds.
 //
-// The environment also owns the tracer (optional VCD output) and the root
-// random stream, so a whole simulation is reproducible from one seed.
+// The environment also owns the tracer (optional VCD output), the root
+// random stream and the seed that streams of other roles derive from
+// (SeededStreams), so a whole simulation is reproducible from one seed.
 #pragma once
 
 #include <cassert>
@@ -60,18 +61,15 @@ class SnapshotReader;
 class SnapshotWriter;
 class Tracer;
 
-/// Hook fired immediately before any model-level draw from the
-/// environment RNG (draw_bernoulli / draw_uniform / notify_rng_draw).
-/// A phy::NoisyChannel with a pre-drawn error mask in flight registers
-/// one of these: the hook is its chance to rewind the stream to the
-/// per-bit draw order before the foreign draw lands (see
-/// docs/ARCHITECTURE.md, "Batched error masks").
-class RngGuard {
+/// A module holding random streams derived from the environment seed
+/// (a channel's per-port noise streams). Environment::reseed() hands it
+/// the new seed, so every stream follows the root stream's reseed.
+class SeededStreams {
  public:
-  virtual void rng_external_draw() = 0;
+  virtual void reseed_streams(std::uint64_t seed) = 0;
 
  protected:
-  ~RngGuard() = default;
+  ~SeededStreams() = default;
 };
 
 class Environment {
@@ -153,37 +151,23 @@ class Environment {
   Process& register_process(std::string name, UniqueFunction fn);
 
   // ---- services ----
+
+  /// The root random stream: receiver collision coins, inquiry backoff
+  /// and clock set-up draw from it. Reseed through reseed(), never
+  /// through rng() directly, or the derived streams keep the old seed.
   Rng& rng() { return rng_; }
 
-  /// Model-level RNG draws go through these wrappers instead of rng()
-  /// directly: they fire the registered RngGuard first, so a channel
-  /// holding a pre-drawn error mask can re-order its remaining draws
-  /// back into per-bit order before this draw consumes the stream.
-  bool draw_bernoulli(double p) {
-    notify_rng_draw();
-    return rng_.bernoulli(p);
-  }
-  std::uint64_t draw_uniform(std::uint64_t lo, std::uint64_t hi) {
-    notify_rng_draw();
-    return rng_.uniform(lo, hi);
-  }
+  /// The seed the root stream was last (re)seeded with.
+  std::uint64_t seed() const { return seed_; }
 
-  /// Fires the guard without drawing — used by a channel about to bulk-
-  /// fill its own mask straight from rng() (its fill is a foreign draw
-  /// from every *other* guard's point of view).
-  void notify_rng_draw() {
-    if (rng_guard_ != nullptr) rng_guard_->rng_external_draw();
-  }
+  /// Reseeds the root stream and the registered SeededStreams with
+  /// `seed` -- the one entry point a measure stage reseeds through.
+  void reseed(std::uint64_t seed);
 
-  /// Registers the single RNG guard slot (nullptr clears). At most one
-  /// guard is live at a time: a second masked run cannot start until the
-  /// first one's guard has stood down (the notify_rng_draw() the second
-  /// channel fires before filling its mask forces exactly that).
-  void set_rng_guard(RngGuard* g) {
-    assert(g == nullptr || rng_guard_ == nullptr);
-    rng_guard_ = g;
-  }
-  RngGuard* rng_guard() const { return rng_guard_; }
+  /// Registers the module whose streams reseed() re-derives (nullptr
+  /// clears): the one channel of this environment. Throws
+  /// std::logic_error on a second registration.
+  void set_seeded_streams(SeededStreams* s);
 
   /// Attaches a VCD tracer (nullptr detaches). The environment does not
   /// own the tracer; it must outlive the simulation.
@@ -279,7 +263,8 @@ class Environment {
   std::vector<RearmEntry> rearm_entries_;
   std::vector<std::unique_ptr<Process>> processes_;
   Rng rng_;
-  RngGuard* rng_guard_ = nullptr;
+  std::uint64_t seed_;
+  SeededStreams* seeded_ = nullptr;
   Tracer* tracer_ = nullptr;
   bool dispatching_ = false;
   std::uint64_t delta_count_ = 0;

@@ -1,7 +1,5 @@
 #include "sim/rng.hpp"
 
-#include <cmath>
-
 namespace btsc::sim {
 namespace {
 
@@ -55,37 +53,6 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
-}
-
-void Rng::fill_error_mask(std::uint64_t* words, std::size_t nbits, double p) {
-  const std::size_t nwords = (nbits + 63) / 64;
-  if (p <= 0.0 || p >= 1.0) {
-    // bernoulli() takes its constant shortcut without consuming a draw;
-    // the mask mirrors that: all clear / all set, zero draws.
-    const std::uint64_t fill = p >= 1.0 && nbits > 0 ? ~0ull : 0ull;
-    for (std::size_t w = 0; w < nwords; ++w) words[w] = fill;
-  } else {
-    // bernoulli(p) tests uniform01() < p, i.e. x * 2^-53 < p for the
-    // 53-bit draw x. Both the draw and the power-of-two scalings are
-    // exact, so that is x < p * 2^53, and for an integer x exactly
-    // x < ceil(p * 2^53) (at most 2^53 for p < 1).
-    const auto threshold =
-        static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t base = w * 64;
-      const unsigned n =
-          static_cast<unsigned>(nbits - base < 64 ? nbits - base : 64);
-      std::uint64_t m = 0;
-      for (unsigned j = 0; j < n; ++j) {
-        // Exactly bernoulli(p)'s draw, in per-bit order (bit 0 first).
-        m |= static_cast<std::uint64_t>((next() >> 11) < threshold) << j;
-      }
-      words[w] = m;
-    }
-  }
-  if (nbits % 64 != 0 && nwords > 0) {
-    words[nwords - 1] &= (1ull << (nbits % 64)) - 1;
-  }
 }
 
 std::uint64_t Rng::derive_stream_seed(std::uint64_t base, std::uint64_t stream,

@@ -4,6 +4,15 @@
 // every experiment must be exactly reproducible from a single integer seed
 // across platforms and standard-library versions. xoshiro256** (Blackman &
 // Vigna) is small, fast and has well-understood statistical quality.
+//
+// Independent consumers draw from independent streams, each seeded by
+// derive_stream_seed(seed, role, index) from the environment seed: a
+// stream's draws then never depend on how the event order interleaves
+// them with another consumer's. Channel noise runs one stream per
+// transmitting port (phy::NoiseStream, role phy::kNoiseStreamRole) and
+// draws the gap to its next flipped bit (phy::FlipRate); the receiver's
+// collision coin, the inquiry backoff and clock set-up share the
+// environment's root stream.
 #pragma once
 
 #include <array>
@@ -40,29 +49,6 @@ class Rng {
 
   /// True with probability p (clamped to [0, 1]).
   bool bernoulli(double p);
-
-  /// Fills `words` with an error mask of `nbits` bits: bit i is set with
-  /// probability p, drawn in exactly the order nbits successive
-  /// bernoulli(p) calls would draw it (bit 0 first). The generator
-  /// therefore ends in the same state either way, which is what lets a
-  /// burst run pre-draw a whole packet's noise flips and still be
-  /// byte-identical to the per-bit reference (see phy::NoisyChannel).
-  /// Unused high bits of the last word are cleared; words beyond the
-  /// mask are not touched. `words` must hold ceil(nbits/64) entries.
-  void fill_error_mask(std::uint64_t* words, std::size_t nbits, double p);
-
-  /// Draws a bernoulli(p) sequence consumes per bit: 1 for 0 < p < 1
-  /// (one uniform01 each), 0 otherwise (the p<=0 / p>=1 shortcuts).
-  static unsigned bernoulli_draws_per_bit(double p) {
-    return (p > 0.0 && p < 1.0) ? 1u : 0u;
-  }
-
-  /// Advances the stream by `n` raw draws, discarding the values. Used
-  /// to replay a known draw count after set_state() when re-synchronising
-  /// a pre-drawn error mask with the per-bit draw order.
-  void discard(std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) next();
-  }
 
   /// Derives the seed of an independent stream addressed by a
   /// (stream, index) pair under `base` — e.g. (point index, replication

@@ -46,7 +46,7 @@
 namespace btsc::sim {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x42545343u;    // "BTSC"
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// FNV-1a 64-bit hash of `n` bytes; the snapshot integrity checksum.
 inline std::uint64_t snapshot_checksum(const std::uint8_t* p, std::size_t n) {

@@ -76,13 +76,31 @@ TEST(BenchArgsTest, ParsesThreadsOutAndMaxPoints) {
   EXPECT_EQ(a.base_seed, 42u);
 }
 
+/// btsc-sweep's exit code for `--fig 8 --quick FLAG VALUE`.
+int sweep_exit(const char* flag, const char* value) {
+  std::array<char*, 6> argv = {
+      const_cast<char*>("btsc-sweep"), const_cast<char*>("--fig"),
+      const_cast<char*>("8"),          const_cast<char*>("--quick"),
+      const_cast<char*>(flag),         const_cast<char*>(value)};
+  return runner::run_scenario_main("fig08", 6, argv.data());
+}
+
 TEST(BenchArgsTest, MalformedNumericValuesKeepDefaults) {
+  // The fields keep their defaults (not atoi("1x") == 1 by luck), the
+  // first bad value is recorded, and btsc-sweep refuses to run with it:
+  // exit 2 like every usage error, before any sweep starts.
   const auto a = parse({"--threads", "1x", "--seeds", "abc",
                         "--max-points", "", "--base-seed", "zzz"});
-  EXPECT_EQ(a.threads, 1);  // default, not atoi("1x") == 1 by luck
+  EXPECT_EQ(a.threads, 1);
   EXPECT_EQ(a.seeds, 0);
   EXPECT_EQ(a.max_points, 0);
   EXPECT_EQ(a.base_seed, 0u);
+  EXPECT_EQ(a.invalid, "--threads 1x");
+  EXPECT_EQ(parse({"--quick"}).invalid, "");
+  EXPECT_EQ(sweep_exit("--seeds", "abc"), 2);
+  EXPECT_EQ(sweep_exit("--threads", "1x"), 2);
+  EXPECT_EQ(sweep_exit("--max-points", ""), 2);
+  EXPECT_EQ(sweep_exit("--base-seed", "zzz"), 2);
 }
 
 TEST(BenchArgsTest, OutOfRangeNumericValuesKeepDefaults) {
@@ -93,6 +111,10 @@ TEST(BenchArgsTest, OutOfRangeNumericValuesKeepDefaults) {
   EXPECT_EQ(a.seeds, 0);
   EXPECT_EQ(a.base_seed, 0u);
   EXPECT_EQ(a.max_points, 0);
+  EXPECT_EQ(a.invalid, "--seeds 5000000000");
+  EXPECT_EQ(sweep_exit("--seeds", "5000000000"), 2);
+  EXPECT_EQ(sweep_exit("--base-seed", "-1"), 2);
+  EXPECT_EQ(sweep_exit("--max-points", "99999999999999999999"), 2);
 }
 
 TEST(BenchArgsTest, ReplicationsIsAnAliasForSeeds) {
@@ -129,6 +151,8 @@ TEST(BenchArgsTest, MalformedTimeoutKeepsDefault) {
   const auto a = parse({"--rep-timeout", "fast", "--max-retries", "2x"});
   EXPECT_EQ(a.rep_timeout, 0.0);
   EXPECT_EQ(a.max_retries, 0);
+  EXPECT_EQ(a.invalid, "--rep-timeout fast");
+  EXPECT_EQ(sweep_exit("--rep-timeout", "fast"), 2);
 }
 
 TEST(ScenarioMainTest, NegativeCountsExitWithUsageError) {

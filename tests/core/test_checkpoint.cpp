@@ -167,7 +167,7 @@ TEST(SnapshotFormat, CanonicalImagePinnedToVersion) {
   const std::uint64_t digest =
       sim::snapshot_checksum(image.data(), image.size());
   EXPECT_EQ(std::make_pair(sim::kSnapshotVersion, digest),
-            std::make_pair(std::uint32_t{6}, std::uint64_t{0x03bfb6ad32960f01}))
+            std::make_pair(std::uint32_t{7}, std::uint64_t{0x9463e25716a8c8d5}))
       << std::hex << "digest 0x" << digest;
 }
 

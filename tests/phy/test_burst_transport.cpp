@@ -122,8 +122,8 @@ TEST(BurstTransportTest, SoleTransmitterRunIsAcceptedAndCounted) {
 }
 
 TEST(BurstTransportTest, NoisyPacketsBurstViaErrorMask) {
-  // BER > 0 no longer forces the per-bit path: the run pre-draws its
-  // noise flips as an error mask and still transports in one burst.
+  // BER > 0 does not force the per-bit path: the run draws its flips
+  // from its port's noise stream and still transports in one burst.
   Environment env;
   ChannelConfig cfg;
   cfg.ber = 0.01;
@@ -210,71 +210,70 @@ TEST(BurstTransportTest, ContentionFallsBackToExactPerBit) {
 
 TEST(BurstTransportTest, CrossFrequencyRunsStayBurst) {
   // Two transmitters on different RF channels never interact, so each
-  // keeps its own run; a receiver on each frequency still sees exactly
-  // the per-bit reference stream.
-  std::vector<Logic4> seen[2][2];  // [mode][receiver]
-  for (int mode = 0; mode < 2; ++mode) {
-    Environment env(5);
-    NoisyChannel ch(env, "ch");
-    if (mode == 1) ch.set_burst_transport_enabled(false);
-    Radio a(env, "a", ch), b(env, "b", ch);
-    Radio rx10(env, "rx10", ch), rx40(env, "rx40", ch);
-    QuietSink sink[2];
-    Radio* rx[2] = {&rx10, &rx40};
-    for (int i = 0; i < 2; ++i) {
-      if (mode == 0) {
-        rx[i]->set_burst_rx_sink(&sink[i]);
-      } else {
-        rx[i]->set_rx_sink([&seen, i](Logic4 v) { seen[1][i].push_back(v); });
+  // keeps its own run, noisy or not (each port draws its flips from its
+  // own stream); a receiver on each frequency still sees exactly the
+  // per-bit reference stream.
+  for (double ber : {0.0, 1.0 / 30}) {
+    SCOPED_TRACE("ber " + std::to_string(ber));
+    std::vector<Logic4> seen[2][2];  // [mode][receiver]
+    for (int mode = 0; mode < 2; ++mode) {
+      Environment env(5);
+      ChannelConfig cfg;
+      cfg.ber = ber;
+      NoisyChannel ch(env, "ch", cfg);
+      if (mode == 1) ch.set_burst_transport_enabled(false);
+      Radio a(env, "a", ch), b(env, "b", ch);
+      Radio rx10(env, "rx10", ch), rx40(env, "rx40", ch);
+      QuietSink sink[2];
+      Radio* rx[2] = {&rx10, &rx40};
+      for (int i = 0; i < 2; ++i) {
+        if (mode == 0) {
+          rx[i]->set_burst_rx_sink(&sink[i]);
+        } else {
+          rx[i]->set_rx_sink([&seen, i](Logic4 v) { seen[1][i].push_back(v); });
+        }
       }
+      rx10.enable_rx(10);
+      rx40.enable_rx(40);
+      a.transmit(10, BitVector::from_string(
+                         "10110011100010110100111010001101111000101101001011"));
+      env.run(5_us);
+      b.transmit(40, BitVector::from_string("1100101001"));
+      if (mode == 0) {
+        EXPECT_TRUE(ch.burst_active(a.port()));
+        EXPECT_TRUE(ch.burst_active(b.port()));
+      }
+      env.run(100_us);
+      rx10.disable_rx();
+      rx40.disable_rx();
+      if (mode == 0) {
+        EXPECT_EQ(ch.burst_fallbacks(), 0u);
+        EXPECT_EQ(ch.bits_burst(), 60u);
+        seen[0][0] = sink[0].seen;
+        seen[0][1] = sink[1].seen;
+      }
+      EXPECT_EQ(ch.bits_driven(), 60u);
+      EXPECT_EQ(ch.collision_samples(), 0u);
+      EXPECT_EQ(a.bits_sent(), 50u);
+      EXPECT_EQ(b.bits_sent(), 10u);
     }
-    rx10.enable_rx(10);
-    rx40.enable_rx(40);
-    a.transmit(10, BitVector::from_string(
-                       "10110011100010110100111010001101111000101101001011"));
-    env.run(5_us);
-    b.transmit(40, BitVector::from_string("1100101001"));
-    if (mode == 0) {
-      EXPECT_TRUE(ch.burst_active(a.port()));
-      EXPECT_TRUE(ch.burst_active(b.port()));
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_FALSE(seen[1][i].empty());
+      EXPECT_EQ(seen[0][i], seen[1][i]) << "receiver " << i;
     }
-    env.run(100_us);
-    rx10.disable_rx();
-    rx40.disable_rx();
-    if (mode == 0) {
-      EXPECT_EQ(ch.burst_fallbacks(), 0u);
-      EXPECT_EQ(ch.bits_burst(), 60u);
-      seen[0][0] = sink[0].seen;
-      seen[0][1] = sink[1].seen;
-    }
-    EXPECT_EQ(ch.bits_driven(), 60u);
-    EXPECT_EQ(ch.collision_samples(), 0u);
-    EXPECT_EQ(a.bits_sent(), 50u);
-    EXPECT_EQ(b.bits_sent(), 10u);
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_FALSE(seen[1][i].empty());
-    EXPECT_EQ(seen[0][i], seen[1][i]) << "receiver " << i;
   }
 }
 
 TEST(BurstTransportTest, CrossFrequencyContentionDegradesWhenExclusive) {
-  // Under BER > 0 or with a tracer attached, the channel admits one run
-  // on a silent medium: a second transmitter on another frequency still
-  // degrades it.
+  // With a tracer attached, the channel admits one run on a silent
+  // medium: a second transmitter on another frequency still degrades it.
   const std::string vcd = ::testing::TempDir() + "btsc_burst_exclusive_" +
                           std::to_string(::getpid()) + ".vcd";
-  for (int variant = 0; variant < 2; ++variant) {
-    SCOPED_TRACE(variant == 0 ? "ber > 0" : "tracer attached");
+  {
     Environment env(7);
-    std::unique_ptr<sim::VcdTracer> tracer;
-    if (variant == 1) {
-      tracer = std::make_unique<sim::VcdTracer>(env, vcd);
-      env.set_tracer(tracer.get());
-    }
-    ChannelConfig cfg;
-    if (variant == 0) cfg.ber = 0.01;
-    NoisyChannel ch(env, "ch", cfg);
+    sim::VcdTracer tracer(env, vcd);
+    env.set_tracer(&tracer);
+    NoisyChannel ch(env, "ch");
     Radio a(env, "a", ch), b(env, "b", ch);
     a.transmit(10, BitVector(50, true));
     env.run(5_us);
@@ -287,10 +286,8 @@ TEST(BurstTransportTest, CrossFrequencyContentionDegradesWhenExclusive) {
     EXPECT_EQ(a.bits_sent(), 50u);
     EXPECT_EQ(b.bits_sent(), 10u);
     EXPECT_EQ(ch.bits_driven(), 60u);
-    if (tracer) {
-      tracer->close();
-      env.set_tracer(nullptr);
-    }
+    tracer.close();
+    env.set_tracer(nullptr);
   }
   std::remove(vcd.c_str());
 }
@@ -320,7 +317,7 @@ TEST(BurstTransportTest, SetBerMidRunDegradesWithoutLosingBits) {
   Radio tx(env, "tx", ch);
   tx.transmit(3, BitVector(100, true));
   env.run(10_us);
-  ch.set_ber(0.5);  // remaining bits need per-instant noise draws
+  ch.set_ber(0.5);  // the rest of the packet flips under the new BER
   EXPECT_EQ(ch.burst_fallbacks(), 1u);
   env.run(200_us);
   EXPECT_EQ(tx.bits_sent(), 100u);
@@ -402,7 +399,7 @@ struct RxLog {
 /// records its instant.
 void record_sample(Environment& env, RxLog& log, std::size_t period,
                    Logic4 v) {
-  if (v == Logic4::kX) log.slices.push_back(env.draw_bernoulli(0.5));
+  if (v == Logic4::kX) log.slices.push_back(env.rng().bernoulli(0.5));
   log.values.push_back(v);
   if (log.values.size() % period == 0) {
     log.marks.emplace_back(log.values.size() - 1, env.now());
@@ -576,9 +573,9 @@ ContentionOutcome run_contention_case(const ContentionCase& c,
 
 TEST(BurstTransportTest, SeededContentionMatchesPerBitReference) {
   // 240 seeded cases, each run burst and per-bit: every receiver's
-  // samples and marked instants, the channel counters and the final RNG
-  // state must agree. Clean cases keep one run per frequency; BER 1/50
-  // cases are exclusive (one masked run, any second drive degrades it).
+  // samples and marked instants, the channel counters and the final
+  // root-stream state must agree. Clean and BER 1/50 cases alike keep
+  // one run per frequency.
   ContentionStats stats;
   std::uint64_t collisions = 0;
   for (std::uint64_t k = 0; k < 240; ++k) {

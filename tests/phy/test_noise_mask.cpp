@@ -1,14 +1,15 @@
-// Differential harness for the batched error-mask noise path: the
-// mask-batched transport (Rng::fill_error_mask + NoisyChannel masked
-// runs) must reproduce the per-bit reference exactly -- same sample
-// stream, same flip counts, same final RNG stream position -- for every
-// packet geometry, BER, and mid-run perturbation (fallback, abort,
-// foreign RNG draws, checkpoint/restore). This suite is the gate behind
-// removing the "BER == 0" clause from the burst acceptance test.
+// Differential harness for per-port noise streams: the gap sampler must
+// draw Geometric(BER) gaps, a port's burst copy must flip exactly the
+// bits its per-bit drives would, and the batched transport must
+// reproduce the per-bit reference -- same sample stream, same flip
+// counts, same stream positions -- for every packet geometry, BER, and
+// mid-run perturbation (fallback at any bit, abort, foreign RNG draws,
+// reseed, checkpoint/restore).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "phy/channel.hpp"
+#include "phy/noise.hpp"
 #include "phy/radio.hpp"
 #include "sim/bitvector.hpp"
 #include "sim/environment.hpp"
@@ -40,7 +42,7 @@ using btsc::sim::Rng;
 using btsc::sim::SimTime;
 
 /// Air lengths of representative packets (ID, POLL, DH1, FHS, DH5) plus
-/// word-boundary and tail cases for the mask's 64-bit chunking.
+/// word-boundary and tail cases for the noisy copy's 64-bit words.
 constexpr std::size_t kPacketLengths[] = {68,  126, 366, 494,  2871,
                                           1,   63,  64,  65,   127,
                                           128, 129, 255, 256};
@@ -55,42 +57,117 @@ BitVector random_payload(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// ---- RNG layer: the fill must be draw-for-draw the per-bit order ----
+// ---- gap sampler: Geometric(BER) gaps, burst == per-bit by construction ----
+
+/// Wilson-Hilferty upper quantile of chi-square with `df` degrees of
+/// freedom at standard-normal deviate `z`.
+double chi2_quantile(double df, double z) {
+  const double c = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - c + z * std::sqrt(c), 3.0);
+}
+
+TEST(NoiseMaskTest, GapsFollowGeometricAtEachBer) {
+  // Chi-square goodness of fit of 200k gaps per BER against
+  // Geometric(p), over ~40 bins of equal probability (edges at the
+  // quantiles k with P(G >= k) = q^k), at p-value 1e-4.
+  for (double ber : {1.0 / 30, 1.0 / 100, 1.0 / 1000, 1.0 / 5000}) {
+    const FlipRate rate(ber);
+    const double q = 1.0 - ber;
+    std::vector<std::uint64_t> edges{0};
+    for (int j = 1; j < 40; ++j) {
+      const auto e = static_cast<std::uint64_t>(
+          std::ceil(std::log(1.0 - j / 40.0) / std::log(q)));
+      if (e > edges.back()) edges.push_back(e);
+    }
+    std::vector<double> counts(edges.size(), 0.0);
+    Rng rng(20261018);
+    constexpr int kDraws = 200000;
+    for (int i = 0; i < kDraws; ++i) {
+      const std::uint64_t g = rate.draw_gap(rng);
+      const auto bin = std::upper_bound(edges.begin(), edges.end(), g) -
+                       edges.begin() - 1;
+      counts[static_cast<std::size_t>(bin)] += 1.0;
+    }
+    double chi2 = 0.0;
+    for (std::size_t b = 0; b < edges.size(); ++b) {
+      const double lo = std::pow(q, static_cast<double>(edges[b]));
+      const double hi = b + 1 < edges.size()
+                            ? std::pow(q, static_cast<double>(edges[b + 1]))
+                            : 0.0;
+      const double expect = kDraws * (lo - hi);
+      chi2 += (counts[b] - expect) * (counts[b] - expect) / expect;
+    }
+    const double df = static_cast<double>(edges.size() - 1);
+    EXPECT_LT(chi2, chi2_quantile(df, 3.719)) << "ber " << ber << " df " << df;
+  }
+}
+
+TEST(NoiseMaskTest, MeanFlipRateMatchesBer) {
+  // 10^8 bits per BER through advance(), which costs O(flips): the flip
+  // count stays within 5 standard deviations of n * p.
+  constexpr std::uint64_t kBits = 100000000;
+  for (double ber : {1.0 / 30, 1.0 / 100, 1.0 / 1000, 1.0 / 5000}) {
+    const FlipRate rate(ber);
+    NoiseStream s;
+    s.reseed(77, rate);
+    std::uint64_t flips = 0;
+    for (std::uint64_t done = 0; done < kBits; done += 1000000) {
+      flips += s.advance(1000000, nullptr, rate);
+    }
+    const double mean = kBits * ber;
+    const double sd = std::sqrt(kBits * ber * (1.0 - ber));
+    EXPECT_NEAR(static_cast<double>(flips), mean, 5.0 * sd) << "ber " << ber;
+  }
+}
 
 TEST(NoiseMaskTest, FillMatchesPerBitDrawOrderAndFinalState) {
-  // The grid, the edges of the fill's integer threshold ceil(p * 2^53):
-  // p * 2^53 an exact integer, the largest BERs below 1 and 0.5, and
-  // BERs whose threshold is 1 -- then seeded random BERs, uniform and
-  // log-uniform down to 1e-12.
-  std::vector<double> bers(std::begin(kBerGrid), std::end(kBerGrid));
-  for (double edge : {0.25, std::nextafter(1.0, 0.0),
-                      std::nextafter(0.5, 0.0), 0x1.0p-60, 1e-300}) {
-    bers.push_back(edge);
-  }
-  Rng pick(2019);
-  for (int i = 0; i < 32; ++i) {
-    bers.push_back(i % 2 == 0 ? pick.uniform01()
-                              : std::pow(10.0, -12.0 * pick.uniform01()));
-  }
-  for (double ber : bers) {
-    for (std::size_t n : kPacketLengths) {
-      Rng filled(42), stepped(42);
-      std::vector<std::uint64_t> words((n + 63) / 64, ~0ull);
-      filled.fill_error_mask(words.data(), n, ber);
+  // One port's stream as a burst copy of n bits and as n per-bit flips,
+  // for every n in 1..3000, back to back so each packet starts from the
+  // previous one's leftover gap: same flipped bits, same flip count,
+  // same final stream.
+  for (double ber : {1.0 / 30, 1.0 / 5000, 0.5}) {
+    const FlipRate rate(ber);
+    NoiseStream burst, per_bit;
+    burst.reseed(42, rate);
+    per_bit.reseed(42, rate);
+    std::vector<std::uint64_t> words;
+    for (std::size_t n = 1; n <= 3000; ++n) {
+      words.assign((n + 63) / 64, 0);
+      const std::uint64_t flips = burst.advance(n, words.data(), rate);
+      std::uint64_t stepped = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const bool flip = stepped.bernoulli(ber);
+        const bool flip = per_bit.flip(rate);
+        stepped += flip;
         ASSERT_EQ(((words[i / 64] >> (i % 64)) & 1u) != 0, flip)
             << "ber " << ber << " len " << n << " bit " << i;
       }
-      // Same stream position either way: this is what lets a burst run
-      // pre-draw its noise and stay seed-compatible with per-bit.
-      EXPECT_EQ(filled.state(), stepped.state()) << "ber " << ber << " len "
-                                                 << n;
-      // Tail bits of the last word must be cleared (BitVector invariant).
+      ASSERT_EQ(flips, stepped) << "ber " << ber << " len " << n;
+      ASSERT_TRUE(burst == per_bit) << "ber " << ber << " len " << n;
+      // Nothing lands past the packet's last bit.
       if (n % 64 != 0) {
-        EXPECT_EQ(words.back() >> (n % 64), 0u) << "len " << n;
+        ASSERT_EQ(words.back() >> (n % 64), 0u);
       }
     }
+  }
+}
+
+TEST(NoiseMaskTest, ShortcutBersConsumeNoDraws) {
+  // BER <= 0 never flips and BER >= 1 flips every bit; neither draws.
+  for (double ber : {0.0, -0.25, 1.0, 1.5}) {
+    const FlipRate rate(ber);
+    NoiseStream s;
+    s.reseed(7, rate);
+    const NoiseStream before = s;
+    std::vector<std::uint64_t> words(3, 0);
+    const std::uint64_t flips = s.advance(130, words.data(), rate);
+    const std::uint64_t expect = ber >= 1.0 ? ~0ull : 0ull;
+    EXPECT_EQ(words[0], expect);
+    EXPECT_EQ(words[1], expect);
+    EXPECT_EQ(words[2], expect & 0x3ull);  // 130 % 64 == 2 tail bits
+    EXPECT_EQ(flips, ber >= 1.0 ? 130u : 0u);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(s.flip(rate), ber >= 1.0);
+    s.redraw(rate);
+    EXPECT_TRUE(s == before) << "ber " << ber << " consumed a draw";
   }
 }
 
@@ -110,54 +187,26 @@ Rng rng_drawing(std::uint64_t value) {
   return rng;
 }
 
-TEST(NoiseMaskTest, FillMatchesBernoulliAtThresholdBoundary) {
-  // Random draws almost never land next to the threshold, so draw the
-  // 53-bit values x = t - 1, t, t + 1 around t = ceil(p * 2^53) on
-  // purpose, with the 11 discarded low bits clear and set.
-  for (double ber : {0.25, std::nextafter(1.0, 0.0), std::nextafter(0.5, 0.0),
-                     0x1.0p-60, 1e-300, 1e-5, 0.1, 1.0 / 60}) {
-    const auto t = static_cast<std::uint64_t>(std::ceil(ber * 0x1.0p53));
-    for (std::uint64_t x : {t - 1, t, t + 1}) {
-      if (x >= (1ull << 53)) continue;
-      for (std::uint64_t low : {0x000ull, 0x7FFull}) {
-        const std::uint64_t draw = x << 11 | low;
-        Rng filled = rng_drawing(draw);
-        Rng stepped = rng_drawing(draw);
-        ASSERT_EQ(Rng(filled).next(), draw);
-        std::uint64_t word = 0;
-        filled.fill_error_mask(&word, 1, ber);
-        EXPECT_EQ(word != 0, stepped.bernoulli(ber))
-            << "ber " << ber << " x " << x;
-        EXPECT_EQ(filled.state(), stepped.state());
-      }
-    }
+TEST(NoiseMaskTest, GeometricAtExtremeDraws) {
+  // The largest draw maps to u = 1, a gap of 0; the smallest to
+  // u = 2^-53 and the longest gap g, the largest with u <= q^g -- also
+  // at a BER whose 1 - BER rounds most of it away. A vanishing BER
+  // saturates instead of wrapping.
+  for (double ber : {1.0 / 30, 1.0 / 5000, 0.5, 1e-12}) {
+    const FlipRate rate(ber);
+    Rng top = rng_drawing(~0ull);
+    EXPECT_EQ(rate.draw_gap(top), 0u) << "ber " << ber;
+    Rng bottom = rng_drawing(0);
+    const auto g = static_cast<double>(rate.draw_gap(bottom));
+    auto survival = [&](double k) { return std::exp(k * std::log1p(-ber)); };
+    EXPECT_GE(survival(g), 0x1.0p-53 * (1 - 1e-9)) << "ber " << ber;
+    EXPECT_LT(survival(g + 1), 0x1.0p-53 * (1 + 1e-9)) << "ber " << ber;
   }
+  Rng bottom = rng_drawing(0);
+  EXPECT_EQ(FlipRate(1e-300).draw_gap(bottom), FlipRate::kNever);
 }
 
-TEST(NoiseMaskTest, ShortcutBersConsumeNoDraws) {
-  for (double ber : {0.0, -0.25, 1.0, 1.5}) {
-    Rng rng(7);
-    const auto before = rng.state();
-    std::vector<std::uint64_t> words(3, 0xDEADBEEFDEADBEEFull);
-    rng.fill_error_mask(words.data(), 130, ber);
-    EXPECT_EQ(rng.state(), before) << "ber " << ber;
-    const std::uint64_t expect = ber >= 1.0 ? ~0ull : 0ull;
-    EXPECT_EQ(words[0], expect);
-    EXPECT_EQ(words[1], expect);
-    EXPECT_EQ(words[2], expect & 0x3ull);  // 130 % 64 == 2 tail bits
-    EXPECT_EQ(Rng::bernoulli_draws_per_bit(ber), 0u);
-  }
-  EXPECT_EQ(Rng::bernoulli_draws_per_bit(0.5), 1u);
-}
-
-TEST(NoiseMaskTest, DiscardMatchesDrawnPrefix) {
-  Rng a(99), b(99);
-  for (int i = 0; i < 1000; ++i) (void)a.next();
-  b.discard(1000);
-  EXPECT_EQ(a.state(), b.state());
-}
-
-// ---- channel layer: masked bursts vs the per-bit reference ----
+// ---- channel layer: noisy bursts vs the per-bit reference ----
 
 /// Burst sink that accepts everything as quiet (no per-sample barrier);
 /// expands bulk runs back into a per-sample stream for comparison.
@@ -188,7 +237,8 @@ struct SideResult {
 
 /// Runs `script(env, ch, tx, tx2, rx)` once with burst transport on and
 /// once forced per-bit, and requires identical samples, flip counts and
-/// final RNG state. Returns the burst-side result for extra assertions.
+/// final root-stream state. Returns the burst-side result for extra
+/// assertions.
 template <typename Script>
 SideResult expect_noise_equivalence(ChannelConfig cfg, Script script,
                                     std::uint64_t seed = 11) {
@@ -264,12 +314,12 @@ TEST(NoiseMaskTest, ExtremeBersBurstWithoutDraws) {
   }
 }
 
-TEST(NoiseMaskTest, ForeignDrawMidRunRewindsAndFallsBack) {
-  // An unrelated consumer of the environment RNG fires in the middle of
-  // a masked run: the upfront fill must rewind to the per-bit draw
-  // position (the foreign draw then sees the stream exactly where the
-  // reference path would put it) and the rest of the packet degrades to
-  // per-bit. One fallback, identical samples, identical stream.
+TEST(NoiseMaskTest, ForeignDrawMidRunKeepsTheRunBatched) {
+  // An unrelated consumer of the environment's root stream draws in the
+  // middle of a noisy run. The run's flips come from the port's own
+  // stream, so the draw neither sees nor disturbs them: no fallback, the
+  // whole packet batched, and the draw sees the per-bit reference's
+  // value.
   bool drew_burst = false, drew_ref = false;
   bool* drew = &drew_burst;
   ChannelConfig cfg;
@@ -279,22 +329,20 @@ TEST(NoiseMaskTest, ForeignDrawMidRunRewindsAndFallsBack) {
         rx.enable_rx(7);
         tx.transmit(7, random_payload(400, 77));
         env.schedule(150_us + SimTime::ns(500),
-                     [&env, drew] { *drew = env.draw_bernoulli(0.25); });
+                     [&env, drew] { *drew = env.rng().bernoulli(0.25); });
         env.run(500_us);
         rx.disable_rx();
         drew = &drew_ref;
       });
-  EXPECT_EQ(burst.fallbacks, 1u);
-  EXPECT_LT(burst.bits_burst, 400u);  // only the elapsed prefix was batched
-  EXPECT_GT(burst.bits_burst, 0u);
+  EXPECT_EQ(burst.fallbacks, 0u);
+  EXPECT_EQ(burst.bits_burst, 400u);
   EXPECT_EQ(drew_burst, drew_ref) << "foreign draw saw a diverged stream";
 }
 
 TEST(NoiseMaskTest, ForeignDrawAfterLastBitSyncsWithoutFallback) {
   // The draw lands after the run's last bit instant but before its
-  // finish barrier: the fill already consumed exactly the per-bit draw
-  // count, so the run must stand down in place -- no rewind, no
-  // fallback, still batched end to end.
+  // finish barrier: nothing to reconcile, the run ends batched end to
+  // end with the reference's stream positions.
   ChannelConfig cfg;
   cfg.ber = 0.05;
   const std::size_t n = 200;
@@ -304,7 +352,7 @@ TEST(NoiseMaskTest, ForeignDrawAfterLastBitSyncsWithoutFallback) {
         tx.transmit(7, random_payload(n, 9));
         // Last bit instant: (n-1) us; finish barrier: n us.
         env.schedule(SimTime::us(n - 1) + SimTime::ns(500),
-                     [&env] { (void)env.draw_uniform(0, 1023); });
+                     [&env] { (void)env.rng().uniform(0, 1023); });
         env.run(SimTime::us(n + 20));
         rx.disable_rx();
       });
@@ -312,10 +360,69 @@ TEST(NoiseMaskTest, ForeignDrawAfterLastBitSyncsWithoutFallback) {
   EXPECT_EQ(burst.bits_burst, n);
 }
 
+TEST(NoiseMaskTest, FallbackAtEveryBitContinuesTheSameFlips) {
+  // A 68-bit ID and a 366-bit DH1-sized packet degrade to per-bit after
+  // exactly k bits, for every k: the port's stream rewinds to the run's
+  // base, replays k bits, and the per-bit remainder flips exactly the
+  // bits the reference flips.
+  ChannelConfig cfg;
+  cfg.ber = 1.0 / 30;
+  for (std::size_t n : {std::size_t{68}, std::size_t{366}}) {
+    for (std::size_t k = 1; k <= n; ++k) {
+      SCOPED_TRACE("len " + std::to_string(n) + " k " + std::to_string(k));
+      const SideResult burst = expect_noise_equivalence(
+          cfg,
+          [&](Environment& env, NoisyChannel& ch, Radio& tx, Radio&,
+              Radio& rx) {
+            rx.enable_rx(9);
+            tx.transmit(9, random_payload(n, 500 + n));
+            // k bits are on the air inside dispatch at (k-1) us + 0.5.
+            env.schedule(SimTime::us(k - 1) + SimTime::ns(500),
+                         [&ch] { ch.set_burst_transport_enabled(false); });
+            env.run(SimTime::us(n + 20));
+            rx.disable_rx();
+          });
+      ASSERT_EQ(burst.bits_burst, k);
+      ASSERT_EQ(burst.fallbacks, 1u);
+    }
+  }
+}
+
+TEST(NoiseMaskTest, ReseedRederivesEveryPortStream) {
+  // Two channels built under different environment seeds flip the same
+  // bits once both environments reseed to the same seed; a run in flight
+  // at the reseed degrades, so its remainder draws from the new stream.
+  std::vector<Logic4> seen[2];
+  std::uint64_t flips[2] = {0, 0};
+  for (int side = 0; side < 2; ++side) {
+    Environment env(side == 0 ? 5 : 6);
+    ChannelConfig cfg;
+    cfg.ber = 0.1;
+    NoisyChannel ch(env, "ch", cfg);
+    Radio tx(env, "tx", ch), rx(env, "rx", ch);
+    QuietSink sink;
+    rx.set_burst_rx_sink(&sink);
+    rx.enable_rx(3);
+    env.reseed(99);
+    tx.transmit(3, random_payload(300, 4));
+    env.run(100_us);
+    env.reseed(1234);
+    EXPECT_EQ(ch.burst_fallbacks(), 1u);
+    env.run(300_us);
+    rx.disable_rx();
+    seen[side] = sink.seen;
+    flips[side] = ch.bits_flipped();
+  }
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(flips[0], flips[1]);
+  EXPECT_GT(flips[0], 0u);
+}
+
 TEST(NoiseMaskTest, ContentionMidMaskedRunMatchesPerBit) {
-  // A second transmitter breaks the sole-transmitter premise mid-run:
-  // the masked run rewinds, falls back, and from there both noisy
-  // per-bit streams interleave their draws exactly as the reference.
+  // A second transmitter on the run's frequency breaks the
+  // sole-transmitter premise mid-run: the noisy run rewinds its port's
+  // stream, falls back, and from there both ports flip per bit from
+  // their own streams exactly as the reference.
   ChannelConfig cfg;
   cfg.ber = 0.02;
   const SideResult burst = expect_noise_equivalence(
@@ -357,14 +464,14 @@ TEST(NoiseMaskTest, AbortMidMaskedRunMatchesPerBit) {
         rx.disable_rx();
       });
   // Only the elapsed prefix went out; no fallback (abort settles the
-  // run directly) and the stream rewound to the per-bit position.
+  // run directly) and the port's stream rewound to the per-bit position.
   EXPECT_EQ(burst.fallbacks, 0u);
   EXPECT_LT(burst.bits_driven, 256u);
 }
 
 TEST(NoiseMaskTest, FlippedBitsCounterIsLazyDuringRun) {
-  // Mid-run, bits_flipped() must report only the elapsed prefix of the
-  // mask -- exactly what the per-bit reference would have counted.
+  // Mid-run, bits_flipped() must report only the flips of the elapsed
+  // prefix -- exactly what the per-bit reference would have counted.
   std::uint64_t mid_flips[2] = {0, 0};
   for (int pass = 0; pass < 2; ++pass) {
     Environment env(13);
@@ -545,8 +652,8 @@ TEST(NoiseMaskTest, BurstBarrierTimerKeepsKernelBusyAndSurvivesCheckpoint) {
   const auto snap = save_phy(env, ch, tx, rx);
 
   // Twin: same construction path, restore mid-burst, run both to the
-  // end. The twin's masked run is rebuilt from the saved pre-fill RNG
-  // state, so its remaining samples must equal the original's.
+  // end. The twin's noisy copy is redrawn from the run's saved base
+  // stream, so its remaining samples must equal the original's.
   Environment env2(23);
   NoisyChannel ch2(env2, "ch", cfg);
   Radio tx2(env2, "tx", ch2), rx2(env2, "rx", ch2);

@@ -6,10 +6,15 @@
 
 #include <sys/stat.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include "sim/snapshot.hpp"
 
 namespace btsc::runner {
 namespace {
@@ -191,6 +196,42 @@ TEST(JournalTest, TornHeaderThrows) {
   out.write(bytes.data(), full / 2);
   out.close();
   EXPECT_THROW(SweepJournal(path, sample_config(), true), JournalError);
+  std::remove(path.c_str());
+}
+
+TEST(JournalTest, PreviousSnapshotVersionThrows) {
+  // The header is a snapshot stream, so it carries the snapshot format
+  // version: a journal written before a format bump is refused on
+  // --resume, even when intact and checksummed, instead of merging
+  // samples of another format.
+  const std::string path = temp_path("old-version.journal");
+  { SweepJournal j(path, sample_config(), false); }
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // [u32 len][magic u32][version u32] ... [u64 FNV-1a over the rest]
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data(), 4);
+  ASSERT_GE(len, 16u);
+  const std::uint32_t old_version = sim::kSnapshotVersion - 1;
+  std::memcpy(bytes.data() + 8, &old_version, 4);
+  const std::uint64_t sum = sim::snapshot_checksum(bytes.data() + 4, len - 8);
+  std::memcpy(bytes.data() + 4 + len - 8, &sum, 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    SweepJournal j(path, sample_config(), true);
+    ADD_FAILURE() << "a previous-format journal was resumed";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
