@@ -25,6 +25,7 @@
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "core/traffic.hpp"
+#include "lm/link_manager.hpp"
 #include "sim/snapshot.hpp"
 #include "stats/accumulator.hpp"
 
@@ -123,6 +124,56 @@ TEST(SystemCheckpoint, MidFlightRestoredRunMatchesUninterrupted) {
   a->run(kSlotDuration * 512);
   b->run(kSlotDuration * 512);
   EXPECT_EQ(snapshot_when_legal(*a), snapshot_when_legal(*b));
+}
+
+// A connected piconet under saturating traffic, checkpointed while the
+// master's LMP_sniff_req awaits its LMP_accepted (LinkManager pending
+// map non-empty), the master holds an armed hold-instant LM timer from
+// the slave's LMP_hold_req, and a data packet is on the air: the LC has
+// an unacknowledged in-flight message and the radio a live TX burst
+// whose channel run the restore must rebind.
+TEST(SystemCheckpoint, PendingLmpAndInFlightDataRoundTrip) {
+  const auto type = baseband::PacketType::kDm3;
+  const std::size_t payload = baseband::max_user_bytes(type);
+  auto warm = throughput_warmup(type, 6161);
+  BluetoothSystem& a = *warm.system;
+  const std::uint8_t lt = a.lt_addr_of(0);
+  SaturatingTrafficSource src_a(a.master(), lt, payload);
+  a.run(kSlotDuration * 40);
+
+  bool sniff_accepted = false;
+  lm::LinkManager::Events ev;
+  ev.procedure_complete = [&](lm::LmpOpcode op, std::uint8_t, bool) {
+    if (op == lm::LmpOpcode::kSniffReq) sniff_accepted = true;
+  };
+  a.master_lm().set_events(std::move(ev));
+  const std::uint64_t heard = a.master_lm().pdus_received();
+  a.master_lm().request_sniff(lt, 100, 10, 4);
+  a.slave_lm(0).request_hold(lt, 200);
+
+  // Step half a slot at a time (plus an odd 25 us so the instant is not
+  // slot-aligned) until the hold request has reached the master, while
+  // the sniff request is still unanswered and a packet is on the air.
+  bool found = false;
+  for (int step = 0; step < 64 && !found; ++step) {
+    a.run(SimTime::ns(312500) + SimTime::us(25));
+    const auto& slaves = a.master().lc().piconet().slaves();
+    found = !sniff_accepted && a.master_lm().pdus_received() > heard &&
+            a.master().radio().tx_busy() && !slaves.empty() &&
+            slaves.front().in_flight.has_value();
+  }
+  ASSERT_TRUE(found) << "no instant with the LMP transaction pending and a "
+                        "data packet in flight";
+  const auto snap = snapshot_when_legal(a);
+
+  auto b = throughput_scaffold(type, warm.construction_seed);
+  SaturatingTrafficSource src_b(b->master(), lt, payload);
+  b->restore_snapshot(snap);
+  EXPECT_EQ(b->save_snapshot(), snap);
+
+  a.run(kSlotDuration * 512);
+  b->run(kSlotDuration * 512);
+  EXPECT_EQ(snapshot_when_legal(a), snapshot_when_legal(*b));
 }
 
 TEST(SystemCheckpoint, ConnectedPiconetRoundTrip) {
