@@ -59,6 +59,10 @@ class ActivityStrip {
 
 int main(int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
+  if (args.bad_usage(std::cerr, "fig05_piconet_waveform",
+                     "usage: fig05_piconet_waveform [--csv]\n")) {
+    return 2;
+  }
   core::TextReporter text(std::cout);
   core::CsvReporter csv(std::cout);
   core::Reporter& report = args.csv ? static_cast<core::Reporter&>(csv) : text;

@@ -19,6 +19,10 @@ using namespace btsc::sim::literals;
 
 int main(int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
+  if (args.bad_usage(std::cerr, "fig09_sniff_waveform",
+                     "usage: fig09_sniff_waveform [--csv]\n")) {
+    return 2;
+  }
   core::TextReporter text(std::cout);
   core::CsvReporter csv(std::cout);
   core::Reporter& report = args.csv ? static_cast<core::Reporter&>(csv) : text;

@@ -79,14 +79,10 @@ class Correlator {
 
   friend bool operator==(const Correlator&, const Correlator&) = default;
 
-  // ---- checkpointing (raw register access; see sim/snapshot.hpp) ----
-  std::uint64_t expected_word() const { return expected_; }
-  std::uint64_t window_word() const { return window_; }
-  void restore_registers(std::uint64_t expected, std::uint64_t window,
-                         std::uint64_t bits_seen) {
-    expected_ = expected;
-    window_ = window;
-    bits_seen_ = bits_seen;
+  /// Checkpoint layout of the raw registers (see sim/snapshot.hpp).
+  template <class Self, class Ar>
+  static void io(Self& c, Ar& a) {
+    a.io(c.expected_, c.window_, c.bits_seen_);
   }
 
  private:

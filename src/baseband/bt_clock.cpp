@@ -55,19 +55,14 @@ void NativeClock::reset_phase(std::uint32_t initial,
   }
 }
 
-void NativeClock::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section(sim::snapshot_tag("CLKN"));
-  w.u32(start_);
-  w.time(first_tick_);
-  w.end_section();
+template <class Self, class Ar>
+void NativeClock::io(Self& s, Ar& a) {
+  a.section(sim::snapshot_tag("CLKN"), [&] { a.io(s.start_, s.first_tick_); });
 }
 
-void NativeClock::restore_state(sim::SnapshotReader& r) {
-  r.enter_section(sim::snapshot_tag("CLKN"));
-  start_ = r.u32();
-  first_tick_ = r.time();
-  r.leave_section();
-}
+void NativeClock::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+
+void NativeClock::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 void NativeClock::rearm_timer(std::uint16_t kind, std::uint64_t payload,
                               sim::SimTime when) {

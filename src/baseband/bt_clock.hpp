@@ -104,6 +104,10 @@ class NativeClock final : public sim::Module,
                    sim::SimTime when) override;
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   /// Timer descriptor kinds (see schedule_tagged). The payload of a
   /// kWake timer is the stride; its instant gives the tick.
   enum Kind : std::uint16_t { kWake = 1 };

@@ -61,35 +61,19 @@ class PacketBuffer {
   }
 
   // ---- checkpointing ----
-  void save_state(sim::SnapshotWriter& w) const {
-    w.u64(capacity_);
-    auto lane = [&w](const std::deque<OutboundMessage>& q) {
-      sim::save_seq(w, q.size(), [&](std::size_t i) {
-        w.u8(q[i].llid);
-        w.byte_vec(q[i].data);
-      });
-    };
-    lane(control_);
-    lane(data_);
-    w.u64(dropped_);
-  }
-  void restore_state(sim::SnapshotReader& r) {
-    capacity_ = static_cast<std::size_t>(r.u64());
-    auto lane = [&r](std::deque<OutboundMessage>& q) {
-      q.clear();
-      sim::restore_seq(r, [&](std::size_t) {
-        OutboundMessage m;
-        m.llid = r.u8();
-        m.data = r.byte_vec();
-        q.push_back(std::move(m));
-      });
-    };
-    lane(control_);
-    lane(data_);
-    dropped_ = static_cast<std::size_t>(r.u64());
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    const auto msg = [&a](auto& m) { a.io(m.llid, m.data); };
+    a.io(s.capacity_);
+    a.seq(s.control_, msg);
+    a.seq(s.data_, msg);
+    a.io(s.dropped_);
+  }
+
   std::size_t capacity_;
   std::deque<OutboundMessage> control_;
   std::deque<OutboundMessage> data_;

@@ -1268,227 +1268,76 @@ namespace {
 
 constexpr std::uint32_t kLcTag = sim::snapshot_tag("LC  ");
 
-void save_opt_u8(sim::SnapshotWriter& w, const std::optional<std::uint8_t>& v) {
-  w.b(v.has_value());
-  w.u8(v.value_or(0));
-}
-std::optional<std::uint8_t> load_opt_u8(sim::SnapshotReader& r) {
-  const bool have = r.b();
-  const std::uint8_t v = r.u8();
-  return have ? std::optional<std::uint8_t>(v) : std::nullopt;
-}
-
-void save_opt_bool(sim::SnapshotWriter& w, const std::optional<bool>& v) {
-  w.b(v.has_value());
-  w.b(v.value_or(false));
-}
-std::optional<bool> load_opt_bool(sim::SnapshotReader& r) {
-  const bool have = r.b();
-  const bool v = r.b();
-  return have ? std::optional<bool>(v) : std::nullopt;
-}
-
-void save_opt_msg(sim::SnapshotWriter& w,
-                  const std::optional<OutboundMessage>& v) {
-  w.b(v.has_value());
-  if (v) {
-    w.u8(v->llid);
-    w.byte_vec(v->data);
-  }
-}
-std::optional<OutboundMessage> load_opt_msg(sim::SnapshotReader& r) {
-  if (!r.b()) return std::nullopt;
-  OutboundMessage m;
-  m.llid = r.u8();
-  m.data = r.byte_vec();
-  return m;
+/// A BdAddr travels as its raw 48-bit value.
+template <class A>
+auto raw_addr(A& addr) {
+  return sim::prop(addr, &BdAddr::raw, [](BdAddr& a, std::uint64_t raw) {
+    a = BdAddr::from_raw(raw);
+  });
 }
 
 }  // namespace
 
-void LinkController::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section(kLcTag);
-  // Config (mutable via config(); experiments may tweak it mid-setup).
-  w.u32(config_.inquiry_timeout_slots);
-  w.u32(config_.page_timeout_slots);
-  w.u32(config_.inquiry_backoff_max_slots);
-  w.u32(config_.t_poll_slots);
-  w.u8(static_cast<std::uint8_t>(config_.data_packet_type));
-  w.u64(config_.inquiry_target_responses);
-  // State machine.
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.u64(state_entry_tick_);
-  // Master context: piconet membership and per-link state.
-  sim::save_seq(w, piconet_.slaves().size(), [&](std::size_t i) {
-    const SlaveLink& l = piconet_.slaves()[i];
-    w.u64(l.addr.raw());
-    w.u8(l.lt_addr);
-    w.u8(static_cast<std::uint8_t>(l.mode));
-    w.b(l.seqn_out);
-    w.b(l.arqn_out);
-    save_opt_bool(w, l.last_seqn_in);
-    save_opt_msg(w, l.in_flight);
-    w.b(l.last_tx_was_retx);
-    w.u64(l.retransmissions);
-    l.tx_queue.save_state(w);
-    w.u32(l.last_addressed_clk);
-    w.u32(l.t_poll_slots);
-    w.u32(l.sniff_interval_slots);
-    w.u32(l.sniff_offset_slots);
-    w.u32(static_cast<std::uint32_t>(l.sniff_attempt_slots));
-    w.u32(l.hold_until_clk);
-    w.b(l.needs_resync_poll);
-    w.u8(l.pm_addr);
+template <class Self, class Ar>
+void LinkController::io(Self& s, Ar& a) {
+  using sim::as;
+  const auto msg = [&a](auto& m) { a.io(m.llid, m.data); };
+  a.section(kLcTag, [&] {
+    // Config (mutable via config(); experiments may tweak it mid-setup).
+    auto& c = s.config_;
+    a.io(c.inquiry_timeout_slots, c.page_timeout_slots,
+         c.inquiry_backoff_max_slots, c.t_poll_slots,
+         as<std::uint8_t>(c.data_packet_type), c.inquiry_target_responses);
+    // State machine.
+    a.io(as<std::uint8_t>(s.state_), s.state_entry_tick_);
+    // Master context: piconet membership and per-link state.
+    a.seq(s.piconet_.slaves(), [&](auto& l) {
+      a.io(raw_addr(l.addr), l.lt_addr, as<std::uint8_t>(l.mode), l.seqn_out,
+           l.arqn_out);
+      a.opt_or_zero(l.last_seqn_in);
+      a.opt(l.in_flight, msg);
+      a.io(l.last_tx_was_retx, l.retransmissions, l.tx_queue,
+           l.last_addressed_clk, l.t_poll_slots, l.sniff_interval_slots,
+           l.sniff_offset_slots, as<std::uint32_t>(l.sniff_attempt_slots),
+           l.hold_until_clk, l.needs_resync_poll, l.pm_addr);
+    });
+    a.io(raw_addr(s.master_addr_));
+    a.opt_or_zero(s.pending_first_poll_lt_);
+    a.opt_or_zero(s.awaiting_response_lt_);
+    a.io(s.broadcast_queue_);
+    // Slave context.
+    a.io(s.own_lt_addr_, as<std::uint8_t>(s.my_mode_),
+         s.my_sniff_interval_, s.my_sniff_offset_,
+         as<std::uint32_t>(s.my_sniff_attempt_), s.my_hold_until_clk_,
+         s.resyncing_, s.my_pm_addr_, s.grid_anchor_, s.clk_at_anchor_,
+         s.my_tx_queue_, s.my_seqn_out_, s.my_arqn_out_);
+    a.opt_or_zero(s.my_last_seqn_in_);
+    a.opt(s.my_in_flight_, msg);
+    a.opt_or_zero(s.respond_at_clk_);
+    a.io(s.first_response_sent_);
+    // Inquiry context.
+    a.seq(s.discovered_, [&](auto& d) {
+      a.io(raw_addr(d.addr), d.clkn_offset, d.found_at);
+    });
+    a.io(as<std::uint32_t>(s.last_tx_freq_[0]),
+         as<std::uint32_t>(s.last_tx_freq_[1]),
+         as<std::uint32_t>(s.window_src_freq_), s.backoff_armed_,
+         s.in_backoff_, as<std::uint32_t>(s.scan_freq_),
+         as<std::uint32_t>(s.inquiry_first_hit_freq_));
+    // Page context.
+    a.io(raw_addr(s.page_target_), s.page_clkn_offset_,
+         as<std::uint32_t>(s.page_hit_freq_), as<std::uint32_t>(s.response_n_),
+         as<std::uint32_t>(s.response_retries_), s.fhs_clk_at_tx_);
+    // Counters.
+    auto& st = s.stats_;
+    a.io(st.id_tx, st.id_rx, st.fhs_tx, st.fhs_rx, st.data_tx, st.data_rx_ok,
+         st.poll_tx, st.null_tx, st.retransmissions, st.duplicates_dropped,
+         st.backoffs);
   });
-  w.u64(master_addr_.raw());
-  save_opt_u8(w, pending_first_poll_lt_);
-  save_opt_u8(w, awaiting_response_lt_);
-  broadcast_queue_.save_state(w);
-  // Slave context.
-  w.u8(own_lt_addr_);
-  w.u8(static_cast<std::uint8_t>(my_mode_));
-  w.u32(my_sniff_interval_);
-  w.u32(my_sniff_offset_);
-  w.u32(static_cast<std::uint32_t>(my_sniff_attempt_));
-  w.u32(my_hold_until_clk_);
-  w.b(resyncing_);
-  w.u8(my_pm_addr_);
-  w.time(grid_anchor_);
-  w.u32(clk_at_anchor_);
-  my_tx_queue_.save_state(w);
-  w.b(my_seqn_out_);
-  w.b(my_arqn_out_);
-  save_opt_bool(w, my_last_seqn_in_);
-  save_opt_msg(w, my_in_flight_);
-  w.b(respond_at_clk_.has_value());
-  w.u32(respond_at_clk_.value_or(0));
-  w.b(first_response_sent_);
-  // Inquiry context.
-  sim::save_seq(w, discovered_.size(), [&](std::size_t i) {
-    const DiscoveredDevice& d = discovered_[i];
-    w.u64(d.addr.raw());
-    w.u32(d.clkn_offset);
-    w.time(d.found_at);
-  });
-  w.u32(static_cast<std::uint32_t>(last_tx_freq_[0]));
-  w.u32(static_cast<std::uint32_t>(last_tx_freq_[1]));
-  w.u32(static_cast<std::uint32_t>(window_src_freq_));
-  w.b(backoff_armed_);
-  w.b(in_backoff_);
-  w.u32(static_cast<std::uint32_t>(scan_freq_));
-  w.u32(static_cast<std::uint32_t>(inquiry_first_hit_freq_));
-  // Page context.
-  w.u64(page_target_.raw());
-  w.u32(page_clkn_offset_);
-  w.u32(static_cast<std::uint32_t>(page_hit_freq_));
-  w.u32(static_cast<std::uint32_t>(response_n_));
-  w.u32(static_cast<std::uint32_t>(response_retries_));
-  w.u32(fhs_clk_at_tx_);
-  // Counters.
-  w.u64(stats_.id_tx);
-  w.u64(stats_.id_rx);
-  w.u64(stats_.fhs_tx);
-  w.u64(stats_.fhs_rx);
-  w.u64(stats_.data_tx);
-  w.u64(stats_.data_rx_ok);
-  w.u64(stats_.poll_tx);
-  w.u64(stats_.null_tx);
-  w.u64(stats_.retransmissions);
-  w.u64(stats_.duplicates_dropped);
-  w.u64(stats_.backoffs);
-  w.end_section();
 }
 
-void LinkController::restore_state(sim::SnapshotReader& r) {
-  r.enter_section(kLcTag);
-  config_.inquiry_timeout_slots = r.u32();
-  config_.page_timeout_slots = r.u32();
-  config_.inquiry_backoff_max_slots = r.u32();
-  config_.t_poll_slots = r.u32();
-  config_.data_packet_type = static_cast<PacketType>(r.u8());
-  config_.inquiry_target_responses = static_cast<std::size_t>(r.u64());
-  state_ = static_cast<LcState>(r.u8());
-  state_entry_tick_ = r.u64();
-  piconet_.slaves().clear();
-  sim::restore_seq(r, [&](std::size_t) {
-    SlaveLink l;
-    l.addr = BdAddr::from_raw(r.u64());
-    l.lt_addr = r.u8();
-    l.mode = static_cast<LinkMode>(r.u8());
-    l.seqn_out = r.b();
-    l.arqn_out = r.b();
-    l.last_seqn_in = load_opt_bool(r);
-    l.in_flight = load_opt_msg(r);
-    l.last_tx_was_retx = r.b();
-    l.retransmissions = r.u64();
-    l.tx_queue.restore_state(r);
-    l.last_addressed_clk = r.u32();
-    l.t_poll_slots = r.u32();
-    l.sniff_interval_slots = r.u32();
-    l.sniff_offset_slots = r.u32();
-    l.sniff_attempt_slots = static_cast<int>(r.u32());
-    l.hold_until_clk = r.u32();
-    l.needs_resync_poll = r.b();
-    l.pm_addr = r.u8();
-    piconet_.slaves().push_back(std::move(l));
-  });
-  master_addr_ = BdAddr::from_raw(r.u64());
-  pending_first_poll_lt_ = load_opt_u8(r);
-  awaiting_response_lt_ = load_opt_u8(r);
-  broadcast_queue_.restore_state(r);
-  own_lt_addr_ = r.u8();
-  my_mode_ = static_cast<LinkMode>(r.u8());
-  my_sniff_interval_ = r.u32();
-  my_sniff_offset_ = r.u32();
-  my_sniff_attempt_ = static_cast<int>(r.u32());
-  my_hold_until_clk_ = r.u32();
-  resyncing_ = r.b();
-  my_pm_addr_ = r.u8();
-  grid_anchor_ = r.time();
-  clk_at_anchor_ = r.u32();
-  my_tx_queue_.restore_state(r);
-  my_seqn_out_ = r.b();
-  my_arqn_out_ = r.b();
-  my_last_seqn_in_ = load_opt_bool(r);
-  my_in_flight_ = load_opt_msg(r);
-  const bool have_respond_clk = r.b();
-  const std::uint32_t respond_clk = r.u32();
-  respond_at_clk_ = have_respond_clk ? std::optional<std::uint32_t>(respond_clk)
-                                     : std::nullopt;
-  first_response_sent_ = r.b();
-  discovered_.clear();
-  sim::restore_seq(r, [&](std::size_t) {
-    DiscoveredDevice d;
-    d.addr = BdAddr::from_raw(r.u64());
-    d.clkn_offset = r.u32();
-    d.found_at = r.time();
-    discovered_.push_back(d);
-  });
-  last_tx_freq_[0] = static_cast<int>(r.u32());
-  last_tx_freq_[1] = static_cast<int>(r.u32());
-  window_src_freq_ = static_cast<int>(r.u32());
-  backoff_armed_ = r.b();
-  in_backoff_ = r.b();
-  scan_freq_ = static_cast<int>(r.u32());
-  inquiry_first_hit_freq_ = static_cast<int>(r.u32());
-  page_target_ = BdAddr::from_raw(r.u64());
-  page_clkn_offset_ = r.u32();
-  page_hit_freq_ = static_cast<int>(r.u32());
-  response_n_ = static_cast<int>(r.u32());
-  response_retries_ = static_cast<int>(r.u32());
-  fhs_clk_at_tx_ = r.u32();
-  stats_.id_tx = r.u64();
-  stats_.id_rx = r.u64();
-  stats_.fhs_tx = r.u64();
-  stats_.fhs_rx = r.u64();
-  stats_.data_tx = r.u64();
-  stats_.data_rx_ok = r.u64();
-  stats_.poll_tx = r.u64();
-  stats_.null_tx = r.u64();
-  stats_.retransmissions = r.u64();
-  stats_.duplicates_dropped = r.u64();
-  stats_.backoffs = r.u64();
-  r.leave_section();
-}
+void LinkController::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+
+void LinkController::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 }  // namespace btsc::baseband

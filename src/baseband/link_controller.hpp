@@ -224,6 +224,10 @@ class LinkController final : public sim::Module,
                    sim::SimTime when) override;
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   /// Timer descriptor kinds. Every deferred action of the controller is
   /// one of these; the payload carries its whole capture (beyond `this`),
   /// so a checkpoint can re-create the closure from the descriptor.

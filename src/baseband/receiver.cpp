@@ -521,65 +521,35 @@ constexpr std::uint32_t kRecvTag = sim::snapshot_tag("RECV");
 
 }  // namespace
 
-void Receiver::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section(kRecvTag);
-  w.b(configured_);
-  w.u8(check_init_);
-  w.b(whiten_init_.has_value());
-  w.u8(whiten_init_.value_or(0));
-  w.u8(static_cast<std::uint8_t>(expect_));
-  // Decode machine (scratch_ is a probe buffer, result_ a delivery
-  // buffer: neither carries state across samples).
-  w.u8(static_cast<std::uint8_t>(machine_.phase));
-  w.u64(machine_.correlator.expected_word());
-  w.u64(machine_.correlator.window_word());
-  w.u64(machine_.correlator.bits_seen());
-  sim::save_bitvector(w, machine_.collected);
-  w.u16(machine_.header.pack());
-  w.b(machine_.have_whitener);
-  w.u8(machine_.whitener.state());
-  w.u64(machine_.payload_total_coded_bits);
-  w.u64(machine_.payload_body_bytes);
-  sim::save_bitvector(w, machine_.payload_data_bits);
-  w.b(machine_.payload_fec_failed);
-  w.u64(machine_.fec_failures);
-  w.time(sync_done_time_);
-  w.u64(carrier_samples_);
-  w.u64(syncs_);
-  w.u64(hec_failures_);
-  w.u64(crc_failures_);
-  w.end_section();
+template <class Self, class Ar>
+void Receiver::io(Self& s, Ar& a) {
+  using sim::as;
+  auto& m = s.machine_;
+  a.section(kRecvTag, [&] {
+    a.io(s.configured_, s.check_init_);
+    a.opt_or_zero(s.whiten_init_);
+    a.io(as<std::uint8_t>(s.expect_));
+    // Decode machine (scratch_ is a probe buffer, result_ a delivery
+    // buffer: neither carries state across samples).
+    a.io(as<std::uint8_t>(m.phase));
+    Correlator::io(m.correlator, a);
+    a.io(m.collected,
+         sim::prop(m.header, &PacketHeader::pack,
+                   [](PacketHeader& h, std::uint16_t v) {
+                     h = PacketHeader::unpack(v);
+                   }),
+         m.have_whitener,
+         sim::prop(m.whitener, &Whitener::state,
+                   [](Whitener& wh, std::uint8_t v) { wh = Whitener(v); }),
+         m.payload_total_coded_bits, m.payload_body_bytes,
+         m.payload_data_bits, m.payload_fec_failed, m.fec_failures,
+         s.sync_done_time_, s.carrier_samples_, s.syncs_, s.hec_failures_,
+         s.crc_failures_);
+  });
 }
 
-void Receiver::restore_state(sim::SnapshotReader& r) {
-  r.enter_section(kRecvTag);
-  configured_ = r.b();
-  check_init_ = r.u8();
-  const bool have_whiten_init = r.b();
-  const std::uint8_t whiten_init = r.u8();
-  whiten_init_ = have_whiten_init ? std::optional<std::uint8_t>(whiten_init)
-                                  : std::nullopt;
-  expect_ = static_cast<Expect>(r.u8());
-  machine_.phase = static_cast<Phase>(r.u8());
-  const std::uint64_t expected = r.u64();
-  const std::uint64_t window = r.u64();
-  const std::uint64_t bits_seen = r.u64();
-  machine_.correlator.restore_registers(expected, window, bits_seen);
-  sim::restore_bitvector(r, machine_.collected);
-  machine_.header = PacketHeader::unpack(r.u16());
-  machine_.have_whitener = r.b();
-  machine_.whitener = Whitener(r.u8());
-  machine_.payload_total_coded_bits = static_cast<std::size_t>(r.u64());
-  machine_.payload_body_bytes = static_cast<std::size_t>(r.u64());
-  sim::restore_bitvector(r, machine_.payload_data_bits);
-  machine_.payload_fec_failed = r.b();
-  machine_.fec_failures = r.u64();
-  sync_done_time_ = r.time();
-  carrier_samples_ = r.u64();
-  syncs_ = r.u64();
-  hec_failures_ = r.u64();
-  crc_failures_ = r.u64();
-  r.leave_section();
-}
+void Receiver::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+
+void Receiver::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 }  // namespace btsc::baseband

@@ -136,6 +136,10 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   std::uint64_t fec_failures() const { return machine_.fec_failures; }
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   enum class Phase : std::uint8_t { kSearch, kTrailer, kHeader, kPayload };
 
   /// What executing one more sample would make externally visible.

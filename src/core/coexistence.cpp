@@ -1,6 +1,7 @@
 #include "core/coexistence.hpp"
 
 #include <optional>
+#include <utility>
 
 #include "baseband/bt_clock.hpp"
 #include "sim/snapshot.hpp"
@@ -64,31 +65,26 @@ lm::LinkManager& TwoPiconets::slave_lm(int piconet) {
   return *lms_.at(static_cast<std::size_t>(2 * piconet + 1));
 }
 
+template <class Self, class Ar>
+void TwoPiconets::io(Self& s, Ar& a) {
+  // Module order as in BluetoothSystem::io.
+  a.io(s.channel_);
+  for (auto& dev : s.devices_) {
+    a.io(dev->clock(), dev->radio(), dev->receiver(), dev->lc());
+  }
+  for (auto& lm : s.lms_) a.io(*lm);
+  a.io(s.env_);
+}
+
 std::vector<std::uint8_t> TwoPiconets::save_snapshot() {
   sim::SnapshotWriter w;
-  channel_.save_state(w);
-  for (auto& dev : devices_) {
-    dev->clock().save_state(w);
-    dev->radio().save_state(w);
-    dev->receiver().save_state(w);
-    dev->lc().save_state(w);
-  }
-  for (auto& lm : lms_) lm->save_state(w);
-  env_.save_state(w);
+  io(std::as_const(*this), w);
   return w.take();
 }
 
 void TwoPiconets::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   sim::SnapshotReader r(bytes);
-  channel_.restore_state(r);
-  for (auto& dev : devices_) {
-    dev->clock().restore_state(r);
-    dev->radio().restore_state(r);
-    dev->receiver().restore_state(r);
-    dev->lc().restore_state(r);
-  }
-  for (auto& lm : lms_) lm->restore_state(r);
-  env_.restore_state(r);
+  io(*this, r);
   if (!r.at_end()) {
     throw sim::SnapshotError("coexistence snapshot: trailing bytes");
   }

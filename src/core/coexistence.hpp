@@ -54,6 +54,10 @@ class TwoPiconets {
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);
 
  private:
+  /// The snapshot layout, shared by save_snapshot and restore_snapshot.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   sim::Environment env_;
   phy::NoisyChannel channel_;
   std::vector<std::unique_ptr<baseband::Device>> devices_;  // m0 s0 m1 s1

@@ -137,21 +137,14 @@ void CreationPoint::merge(const CreationPoint& other) {
   page_ok.merge(other.page_ok);
 }
 
-void CreationPoint::save_state(sim::SnapshotWriter& w) const {
-  w.f64(ber);
-  inquiry_slots.save_state(w);
-  page_slots.save_state(w);
-  inquiry_ok.save_state(w);
-  page_ok.save_state(w);
+template <class Self, class Ar>
+void CreationPoint::io(Self& s, Ar& a) {
+  a.io(s.ber, s.inquiry_slots, s.page_slots, s.inquiry_ok, s.page_ok);
 }
 
-void CreationPoint::restore_state(sim::SnapshotReader& r) {
-  ber = r.f64();
-  inquiry_slots.restore_state(r);
-  page_slots.restore_state(r);
-  inquiry_ok.restore_state(r);
-  page_ok.restore_state(r);
-}
+void CreationPoint::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+
+void CreationPoint::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed) {

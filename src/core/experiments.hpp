@@ -82,6 +82,10 @@ struct CreationPoint {
   /// completed replication can be replayed from disk byte-for-byte.
   void save_state(sim::SnapshotWriter& w) const;
   void restore_state(sim::SnapshotReader& r);
+
+ private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
 };
 
 // ---- Ablation: inquiry backoff ceiling ----

@@ -19,6 +19,33 @@
 
 namespace btsc::core {
 
+/// Escapes `s` for use inside a JSON string literal (no surrounding
+/// quotes): quote, backslash and the common control characters get
+/// their short escapes, every other control character a \u escape.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
+          out += buf;
+        } else {
+          out.push_back(ch);
+        }
+    }
+  }
+  return out;
+}
+
 /// Output backend for one titled table of doubles. Call order contract:
 /// begin, meta*, columns, row*, note*, end.
 class Reporter {
@@ -165,25 +192,7 @@ class JsonReporter : public Reporter {
 
  private:
   static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-            out += esc;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-    return out;
+    return '"' + json_escape(s) + '"';
   }
 
   std::ostream& os_;
@@ -247,11 +256,27 @@ struct BenchArgs {
   /// Write the machine-readable quarantine report here
   /// (--quarantine-out); empty = stderr when non-empty quarantine.
   std::string quarantine_out;
-  /// First unrecognised argument; empty = none. btsc-sweep rejects it.
+  /// First unrecognised argument; empty = none.
   std::string unknown;
   /// First malformed or out-of-range numeric value, as "FLAG VALUE";
-  /// empty = none. Its field keeps the default; btsc-sweep rejects it.
+  /// empty = none. Its field keeps the default.
   std::string invalid;
+
+  /// When parsing met an unknown option or a malformed value, prints the
+  /// problem as "prog: ..." followed by `usage` to `err` and returns
+  /// true; the caller then exits with status 2.
+  bool bad_usage(std::ostream& err, const std::string& prog,
+                 const std::string& usage) const {
+    if (!unknown.empty()) {
+      err << prog << ": unknown option " << unknown << "\n" << usage;
+    } else if (!invalid.empty()) {
+      err << prog << ": malformed or out-of-range value: " << invalid << "\n"
+          << usage;
+    } else {
+      return false;
+    }
+    return true;
+  }
 
   static BenchArgs parse(int argc, char** argv) {
     // A malformed value is never atoi-coerced into a silently different

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "sim/snapshot.hpp"
 
@@ -55,7 +56,7 @@ BluetoothSystem::BluetoothSystem(const SystemConfig& config)
   for (auto& dev : devices_) {
     lms_.push_back(std::make_unique<lm::LinkManager>(*dev));
   }
-  connected_.assign(static_cast<std::size_t>(config.num_slaves), false);
+  connected_.assign(static_cast<std::size_t>(config.num_slaves), 0);
 }
 
 BluetoothSystem::~BluetoothSystem() { finish_trace(); }
@@ -131,7 +132,7 @@ PhaseResult BluetoothSystem::run_page(int slave_index) {
   r.success = done.value_or(false);
   r.slots = (done.has_value() ? done_at - start : env_.now() - start) /
             kSlotDuration;
-  if (r.success) connected_[static_cast<std::size_t>(slave_index)] = true;
+  if (r.success) connected_[static_cast<std::size_t>(slave_index)] = 1;
   return r;
 }
 
@@ -145,41 +146,33 @@ constexpr std::uint32_t kSysTag = sim::snapshot_tag("SYS ");
 
 }  // namespace
 
+template <class Self, class Ar>
+void BluetoothSystem::io(Self& s, Ar& a) {
+  a.section(kSysTag, [&] { a.io(s.connected_); });
+  // Channel before radios: Radio::restore_state re-links in-flight burst
+  // run bits into the channel ports. Kernel last: timer descriptors
+  // reference settled modules, and rearm handlers read restored module
+  // state to rebuild callbacks.
+  a.io(s.channel_);
+  for (auto& dev : s.devices_) {
+    a.io(dev->clock(), dev->radio(), dev->receiver(), dev->lc());
+  }
+  for (auto& lm : s.lms_) a.io(*lm);
+  a.io(s.env_);
+}
+
 std::vector<std::uint8_t> BluetoothSystem::save_snapshot() {
   sim::SnapshotWriter w;
-  w.begin_section(kSysTag);
-  sim::save_seq(w, connected_.size(),
-                [&](std::size_t i) { w.b(connected_[i]); });
-  w.end_section();
-  channel_.save_state(w);
-  for (auto& dev : devices_) {
-    dev->clock().save_state(w);
-    dev->radio().save_state(w);
-    dev->receiver().save_state(w);
-    dev->lc().save_state(w);
-  }
-  for (auto& lm : lms_) lm->save_state(w);
-  env_.save_state(w);  // last: timer descriptors reference settled modules
+  io(std::as_const(*this), w);
   return w.take();
 }
 
 void BluetoothSystem::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   sim::SnapshotReader r(bytes);
-  r.enter_section(kSysTag);
-  sim::restore_seq(r, [&](std::size_t i) { connected_.at(i) = r.b(); });
-  r.leave_section();
-  // Channel before radios: Radio::restore_state re-links in-flight burst
-  // run bits into the channel ports. Kernel last: rearm handlers read
-  // restored module state to rebuild callbacks.
-  channel_.restore_state(r);
-  for (auto& dev : devices_) {
-    dev->clock().restore_state(r);
-    dev->radio().restore_state(r);
-    dev->receiver().restore_state(r);
-    dev->lc().restore_state(r);
+  io(*this, r);
+  if (connected_.size() != static_cast<std::size_t>(num_slaves())) {
+    throw sim::SnapshotError("system snapshot: slave count mismatch");
   }
-  for (auto& lm : lms_) lm->restore_state(r);
-  env_.restore_state(r);
   if (!r.at_end()) {
     throw sim::SnapshotError("system snapshot: trailing bytes");
   }

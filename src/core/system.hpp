@@ -102,12 +102,18 @@ class BluetoothSystem {
   void randomize_slave_clocks();
 
  private:
+  /// The snapshot layout, shared by save_snapshot and restore_snapshot.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   sim::Environment env_;
   std::unique_ptr<sim::VcdTracer> tracer_;
   phy::NoisyChannel channel_;
   std::vector<std::unique_ptr<baseband::Device>> devices_;
   std::vector<std::unique_ptr<lm::LinkManager>> lms_;
-  std::vector<bool> connected_;
+  /// 0/1 per slave; a byte vector, so the snapshot stores it as one
+  /// field with the bool-per-entry layout.
+  std::vector<std::uint8_t> connected_;
 };
 
 }  // namespace btsc::core

@@ -46,18 +46,8 @@ class PeriodicTrafficSource : public sim::Snapshotable,
   std::uint64_t messages_sent() const { return sent_; }
 
   // ---- checkpointing ----
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.begin_section(kTag);
-    w.b(running_);
-    w.u64(sent_);
-    w.end_section();
-  }
-  void restore_state(sim::SnapshotReader& r) override {
-    r.enter_section(kTag);
-    running_ = r.b();
-    sent_ = r.u64();
-    r.leave_section();
-  }
+  void save_state(sim::SnapshotWriter& w) const override { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) override { io(*this, r); }
   void rearm_timer(std::uint16_t kind, std::uint64_t /*payload*/,
                    sim::SimTime when) override {
     if (kind != kSend) {
@@ -68,6 +58,11 @@ class PeriodicTrafficSource : public sim::Snapshotable,
   }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.section(kTag, [&] { a.io(s.running_, s.sent_); });
+  }
+
   static constexpr std::uint32_t kTag = sim::snapshot_tag("TRFP");
   enum Kind : std::uint16_t { kSend = 1 };
 
@@ -120,18 +115,8 @@ class SaturatingTrafficSource : public sim::Snapshotable,
   std::uint64_t messages_sent() const { return sent_; }
 
   // ---- checkpointing ----
-  void save_state(sim::SnapshotWriter& w) const override {
-    w.begin_section(kTag);
-    w.b(running_);
-    w.u64(sent_);
-    w.end_section();
-  }
-  void restore_state(sim::SnapshotReader& r) override {
-    r.enter_section(kTag);
-    running_ = r.b();
-    sent_ = r.u64();
-    r.leave_section();
-  }
+  void save_state(sim::SnapshotWriter& w) const override { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) override { io(*this, r); }
   void rearm_timer(std::uint16_t kind, std::uint64_t /*payload*/,
                    sim::SimTime when) override {
     if (kind != kRefill) {
@@ -142,6 +127,11 @@ class SaturatingTrafficSource : public sim::Snapshotable,
   }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.section(kTag, [&] { a.io(s.running_, s.sent_); });
+  }
+
   static constexpr std::uint32_t kTag = sim::snapshot_tag("TRFS");
   enum Kind : std::uint16_t { kRefill = 1 };
 

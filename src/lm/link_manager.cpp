@@ -287,44 +287,29 @@ constexpr std::uint32_t kLmTag = sim::snapshot_tag("LM  ");
 
 }  // namespace
 
-void LinkManager::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section(kLmTag);
-  sim::save_seq(w, pending_.size(), [&, it = pending_.begin()](
-                                        std::size_t) mutable {
-    w.u8(it->first);
-    w.byte_vec(it->second.encode());
-    ++it;
+template <class Self, class Ar>
+void LinkManager::io(Self& s, Ar& a) {
+  // A pending PDU travels in its on-air encoding.
+  const auto encoded = [](auto& pdu) {
+    return sim::prop(pdu, &LmpPdu::encode,
+                     [](LmpPdu& p, const std::vector<std::uint8_t>& bytes) {
+                       const auto decoded = LmpPdu::decode(bytes);
+                       if (!decoded) {
+                         throw sim::SnapshotError(
+                             "link manager: undecodable pending PDU");
+                       }
+                       p = *decoded;
+                     });
+  };
+  a.section(kLmTag, [&] {
+    a.seq(s.pending_, [&](auto& e) { a.io(e.first, encoded(e.second)); });
+    a.seq(s.setup_done_, [&](auto& e) { a.io(e.first, e.second); });
+    a.io(s.pdus_sent_, s.pdus_received_);
   });
-  sim::save_seq(w, setup_done_.size(), [&, it = setup_done_.begin()](
-                                           std::size_t) mutable {
-    w.u8(it->first);
-    w.b(it->second);
-    ++it;
-  });
-  w.u64(pdus_sent_);
-  w.u64(pdus_received_);
-  w.end_section();
 }
 
-void LinkManager::restore_state(sim::SnapshotReader& r) {
-  r.enter_section(kLmTag);
-  pending_.clear();
-  sim::restore_seq(r, [&](std::size_t) {
-    const std::uint8_t lt = r.u8();
-    const auto pdu = LmpPdu::decode(r.byte_vec());
-    if (!pdu) {
-      throw sim::SnapshotError("link manager: undecodable pending PDU");
-    }
-    pending_[lt] = *pdu;
-  });
-  setup_done_.clear();
-  sim::restore_seq(r, [&](std::size_t) {
-    const std::uint8_t lt = r.u8();
-    setup_done_[lt] = r.b();
-  });
-  pdus_sent_ = r.u64();
-  pdus_received_ = r.u64();
-  r.leave_section();
-}
+void LinkManager::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+
+void LinkManager::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 }  // namespace btsc::lm

@@ -82,6 +82,10 @@ class LinkManager : public sim::Snapshotable, public sim::RearmHandler {
                    sim::SimTime when) override;
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   /// Timer descriptor kinds; the payload packs the whole capture.
   enum Kind : std::uint16_t {
     kHoldApply = 1,     // payload: lt | interval << 8

@@ -417,6 +417,36 @@ void NoisyChannel::notify_reevaluate() {
 // Checkpointing
 // ---------------------------------------------------------------------------
 
+template <class Self, class Ar>
+void NoisyChannel::io(Self& s, Ar& a) {
+  using sim::as;
+  a.section(sim::snapshot_tag("CHAN"), [&] {
+    a.io(s.config_.ber, s.config_.burst_transport);
+    a.each(s.ports_, [&](auto& p) {
+      a.io(as<std::uint32_t>(p.freq), as<std::uint8_t>(p.value),
+           as<std::uint32_t>(p.rx_freq), p.noise);
+    });
+    s.io_runs(a);
+    a.io(s.bits_driven_, s.bits_flipped_, s.collision_samples_,
+         s.bits_burst_, s.burst_fallbacks_);
+    // The bus-trace signal exists only in a traced system, so its
+    // presence must match the scenario restored into.
+    bool traced = s.bus_trace_ != nullptr;
+    a.io(traced);
+    if (traced != (s.bus_trace_ != nullptr)) {
+      throw sim::SnapshotError("NoisyChannel: bus-trace presence mismatch");
+    }
+    if (traced) {
+      a.io(sim::prop(
+          *s.bus_trace_,
+          [](const auto& sig) { return static_cast<std::uint8_t>(sig.read()); },
+          [](auto& sig, std::uint8_t v) {
+            sig.restore_value(static_cast<Logic4>(v));
+          }));
+    }
+  });
+}
+
 void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
   if (traced_ >= 0) {
     throw sim::SnapshotError(
@@ -424,41 +454,7 @@ void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
         "the tracer (combine --trace with checkpoints only under "
         "per-bit transport)");
   }
-  w.begin_section(sim::snapshot_tag("CHAN"));
-  w.f64(config_.ber);
-  w.b(config_.burst_transport);
-  sim::save_seq(w, ports_.size(), [&](std::size_t i) {
-    const Port& p = ports_[i];
-    w.u32(static_cast<std::uint32_t>(p.freq));
-    w.u8(static_cast<std::uint8_t>(p.value));
-    w.u32(static_cast<std::uint32_t>(p.rx_freq));
-    p.noise.save_state(w);
-  });
-  // The active runs, in port order.
-  w.u32(static_cast<std::uint32_t>(live_runs_));
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    const Run& run = ports_[i].run;
-    if (!run.active) continue;
-    const auto port = static_cast<PortId>(i);
-    w.u32(static_cast<std::uint32_t>(port));
-    w.u32(static_cast<std::uint32_t>(run.freq));
-    w.time(run.start);
-    w.time(run.period);
-    // A noisy run stores only its base stream: the noisy copy is a
-    // pure function of (base, BER, clean bits) and is rebuilt on rebind.
-    w.b(run.noisy);
-    if (run.noisy) run.base.save_state(w);
-  }
-  w.u64(bits_driven_);
-  w.u64(bits_flipped_);
-  w.u64(collision_samples_);
-  w.u64(bits_burst_);
-  w.u64(burst_fallbacks_);
-  w.b(bus_trace_ != nullptr);
-  if (bus_trace_ != nullptr) {
-    w.u8(static_cast<std::uint8_t>(bus_trace_->read()));
-  }
-  w.end_section();
+  io(*this, w);
 }
 
 void NoisyChannel::restore_state(sim::SnapshotReader& r) {
@@ -468,35 +464,40 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
     traced_ = -1;
   }
-  r.enter_section(sim::snapshot_tag("CHAN"));
-  config_.ber = r.f64();
-  rate_ = FlipRate(config_.ber);
-  config_.burst_transport = r.b();
-  std::size_t idx = 0;
-  defined_ports_ = 0;
+  for (Port& p : ports_) p.run = Run{};
   std::fill(freqs_.begin(), freqs_.end(), Freq{});
-  sim::restore_seq(r, [&](std::size_t) {
-    if (idx >= ports_.size()) {
-      throw sim::SnapshotError("NoisyChannel: port count mismatch");
+  io(*this, r);
+  rate_ = FlipRate(config_.ber);
+  defined_ports_ = 0;
+  for (const Port& p : ports_) {
+    if (!is_defined(p.value)) continue;
+    if (p.freq < 0 || p.freq >= kNumRfChannels) {
+      throw sim::SnapshotError("NoisyChannel: drive frequency out of range");
     }
-    Port& p = ports_[idx++];
-    p.run = Run{};
-    p.freq = static_cast<int>(r.u32());
-    p.value = static_cast<Logic4>(r.u8());
-    p.rx_freq = static_cast<int>(r.u32());
-    p.noise.restore_state(r);
-    if (is_defined(p.value)) {
-      if (p.freq < 0 || p.freq >= kNumRfChannels) {
-        throw sim::SnapshotError("NoisyChannel: drive frequency out of range");
-      }
-      count_defined(p.freq, +1);
-    }
-  });
-  if (idx != ports_.size()) {
-    throw sim::SnapshotError("NoisyChannel: port count mismatch");
+    count_defined(p.freq, +1);
   }
+}
+
+void NoisyChannel::io_runs(sim::SnapshotWriter& w) const {
+  // The active runs, in port order.
+  w.u32(static_cast<std::uint32_t>(live_runs_));
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    const Run& run = ports_[i].run;
+    if (!run.active) continue;
+    w.u32(static_cast<std::uint32_t>(i));
+    w.u32(static_cast<std::uint32_t>(run.freq));
+    w.time(run.start);
+    w.time(run.period);
+    // A noisy run stores only its base stream: the noisy copy is a
+    // pure function of (base, BER, clean bits) and is rebuilt on rebind.
+    w.b(run.noisy);
+    if (run.noisy) run.base.save_state(w);
+  }
+}
+
+void NoisyChannel::io_runs(sim::SnapshotReader& r) {
   live_runs_ = 0;
-  sim::restore_seq(r, [&](std::size_t) {
+  for (std::uint32_t n = r.u32(); n > 0; --n) {
     const auto port = static_cast<PortId>(r.u32());
     const auto freq = static_cast<int>(r.u32());
     if (port < 0 || port >= num_ports() || run_of(port).active) {
@@ -517,18 +518,7 @@ void NoisyChannel::restore_state(sim::SnapshotReader& r) {
     run.noisy = r.b();
     if (run.noisy) run.base.restore_state(r);
     // run.bits/clean stay null until the owning radio rebinds them.
-  });
-  bits_driven_ = r.u64();
-  bits_flipped_ = r.u64();
-  collision_samples_ = r.u64();
-  bits_burst_ = r.u64();
-  burst_fallbacks_ = r.u64();
-  const bool had_trace = r.b();
-  if (had_trace != (bus_trace_ != nullptr)) {
-    throw sim::SnapshotError("NoisyChannel: bus-trace presence mismatch");
   }
-  if (had_trace) bus_trace_->restore_value(static_cast<Logic4>(r.u8()));
-  r.leave_section();
 }
 
 void NoisyChannel::rebind_run_bits(PortId port, const sim::BitVector* bits) {

@@ -310,6 +310,15 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
+  /// The burst-run table stays a hand-written pair: save walks the active
+  /// runs, load range-checks and re-claims each one's port and frequency.
+  void io_runs(sim::SnapshotWriter& w) const;
+  void io_runs(sim::SnapshotReader& r);
+
   struct Port;
 
   /// One port's burst run slot.

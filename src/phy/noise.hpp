@@ -120,18 +120,15 @@ class NoiseStream {
     return gap_ == o.gap_ && rng_.state() == o.rng_.state();
   }
 
-  void save_state(sim::SnapshotWriter& w) const {
-    for (std::uint64_t v : rng_.state()) w.u64(v);
-    w.u64(gap_);
-  }
-  void restore_state(sim::SnapshotReader& r) {
-    std::array<std::uint64_t, 4> s{};
-    for (std::uint64_t& v : s) v = r.u64();
-    rng_.set_state(s);
-    gap_ = r.u64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(sim::prop(s.rng_, &sim::Rng::state, &sim::Rng::set_state), s.gap_);
+  }
+
   sim::Rng rng_;
   std::uint64_t gap_ = FlipRate::kNever;
 };

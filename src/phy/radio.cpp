@@ -428,58 +428,33 @@ void Radio::reset_activity() {
 // Checkpointing
 // ---------------------------------------------------------------------------
 
+template <class Self, class Ar>
+void Radio::io(Self& s, Ar& a) {
+  using sim::as;
+  const auto line = [](auto& sig) {
+    return sim::prop(sig, &sim::Signal<bool>::read,
+                     &sim::Signal<bool>::restore_value);
+  };
+  a.section(sim::snapshot_tag("RADI"), [&] {
+    a.io(s.tx_busy_, s.tx_burst_, as<std::uint32_t>(s.tx_freq_), s.tx_bits_,
+         s.tx_pos_, s.tx_start_, s.rx_on_, as<std::uint32_t>(s.rx_freq_),
+         as<std::uint8_t>(s.rx_mode_), s.rx_anchor_, s.rx_consumed_,
+         s.rx_barrier_index_, line(s.enable_tx_), line(s.enable_rx_),
+         s.tx_accum_, s.rx_accum_, s.tx_since_, s.rx_since_, s.bits_sent_,
+         s.bits_sampled_);
+  });
+}
+
 void Radio::save_state(sim::SnapshotWriter& w) const {
   if (tx_done_) {
     throw sim::SnapshotError(
         name() + ": transmission with a done-callback live at checkpoint");
   }
-  w.begin_section(sim::snapshot_tag("RADI"));
-  w.b(tx_busy_);
-  w.b(tx_burst_);
-  w.u32(static_cast<std::uint32_t>(tx_freq_));
-  sim::save_bitvector(w, tx_bits_);
-  w.u64(tx_pos_);
-  w.time(tx_start_);
-  w.b(rx_on_);
-  w.u32(static_cast<std::uint32_t>(rx_freq_));
-  w.u8(static_cast<std::uint8_t>(rx_mode_));
-  w.time(rx_anchor_);
-  w.u64(rx_consumed_);
-  w.u64(rx_barrier_index_);
-  w.b(enable_tx_.read());
-  w.b(enable_rx_.read());
-  w.time(tx_accum_);
-  w.time(rx_accum_);
-  w.time(tx_since_);
-  w.time(rx_since_);
-  w.u64(bits_sent_);
-  w.u64(bits_sampled_);
-  w.end_section();
+  io(*this, w);
 }
 
 void Radio::restore_state(sim::SnapshotReader& r) {
-  r.enter_section(sim::snapshot_tag("RADI"));
-  tx_busy_ = r.b();
-  tx_burst_ = r.b();
-  tx_freq_ = static_cast<int>(r.u32());
-  sim::restore_bitvector(r, tx_bits_);
-  tx_pos_ = static_cast<std::size_t>(r.u64());
-  tx_start_ = r.time();
-  rx_on_ = r.b();
-  rx_freq_ = static_cast<int>(r.u32());
-  rx_mode_ = static_cast<RxMode>(r.u8());
-  rx_anchor_ = r.time();
-  rx_consumed_ = r.u64();
-  rx_barrier_index_ = r.u64();
-  enable_tx_.restore_value(r.b());
-  enable_rx_.restore_value(r.b());
-  tx_accum_ = r.time();
-  rx_accum_ = r.time();
-  tx_since_ = r.time();
-  rx_since_ = r.time();
-  bits_sent_ = r.u64();
-  bits_sampled_ = r.u64();
-  r.leave_section();
+  io(*this, r);
   tx_done_ = nullptr;
   tx_timer_ = sim::kInvalidTimer;  // re-set by rearm_timer
   rx_timer_ = sim::kInvalidTimer;

@@ -182,6 +182,10 @@ class Radio final : public sim::Module,
                    sim::SimTime when) override;
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+
   /// How the receiver is being fed.
   enum class RxMode : std::uint8_t {
     kOff,     // receiver disabled

@@ -21,34 +21,32 @@ constexpr std::uint32_t kRecordTag = sim::snapshot_tag("JREC");
                      std::strerror(errno));
 }
 
+/// The header's layout, shared by encode_header and decode_header.
+template <class C, class Ar>
+void header_io(C& c, Ar& a) {
+  a.section(kHeaderTag, [&] {
+    a.io(c.scenario, c.base_seed, c.replications, c.points, c.quick,
+         sim::as<std::uint32_t>(c.max_points), c.common_random_numbers,
+         c.staged_warmup);
+  });
+}
+
+/// One record's layout, shared by append and the resume scan.
+template <class U64, class Bytes, class Ar>
+void record_io(U64& point, U64& rep, U64& seed, Bytes& sample, Ar& a) {
+  a.section(kRecordTag, [&] { a.io(point, rep, seed, sample); });
+}
+
 std::vector<std::uint8_t> encode_header(const JournalConfig& c) {
   sim::SnapshotWriter w;
-  w.begin_section(kHeaderTag);
-  w.str(c.scenario);
-  w.u64(c.base_seed);
-  w.u32(c.replications);
-  w.u32(c.points);
-  w.b(c.quick);
-  w.u32(static_cast<std::uint32_t>(c.max_points));
-  w.b(c.common_random_numbers);
-  w.b(c.staged_warmup);
-  w.end_section();
+  header_io(c, w);
   return w.take();
 }
 
 JournalConfig decode_header(const std::vector<std::uint8_t>& bytes) {
   sim::SnapshotReader r(bytes);
   JournalConfig c;
-  r.enter_section(kHeaderTag);
-  c.scenario = r.str();
-  c.base_seed = r.u64();
-  c.replications = r.u32();
-  c.points = r.u32();
-  c.quick = r.b();
-  c.max_points = static_cast<std::int32_t>(r.u32());
-  c.common_random_numbers = r.b();
-  c.staged_warmup = r.b();
-  r.leave_section();
+  header_io(c, r);
   if (!r.at_end()) throw sim::SnapshotError("journal: trailing header bytes");
   return c;
 }
@@ -144,12 +142,7 @@ SweepJournal::SweepJournal(const std::string& path,
       std::uint64_t point, rep;
       try {
         sim::SnapshotReader r(payload);
-        r.enter_section(kRecordTag);
-        point = r.u64();
-        rep = r.u64();
-        rec.seed = r.u64();
-        rec.sample = r.byte_vec();
-        r.leave_section();
+        record_io(point, rep, rec.seed, rec.sample, r);
         if (!r.at_end()) {
           throw sim::SnapshotError("journal: trailing record bytes");
         }
@@ -219,12 +212,7 @@ void SweepJournal::append(std::uint64_t point, std::uint64_t rep,
                           std::uint64_t seed,
                           const std::vector<std::uint8_t>& sample) {
   sim::SnapshotWriter w;
-  w.begin_section(kRecordTag);
-  w.u64(point);
-  w.u64(rep);
-  w.u64(seed);
-  w.byte_vec(sample);
-  w.end_section();
+  record_io(point, rep, seed, sample, w);
   const std::vector<std::uint8_t> payload = w.take();
 
   std::lock_guard<std::mutex> lock(mu_);

@@ -42,16 +42,12 @@ struct ActivitySample {
     messages.merge(o.messages);
   }
 
-  void save_state(sim::SnapshotWriter& w) const {
-    tx.save_state(w);
-    rx.save_state(w);
-    messages.save_state(w);
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.tx, s.rx, s.messages);
   }
-  void restore_state(sim::SnapshotReader& r) {
-    tx.restore_state(r);
-    rx.restore_state(r);
-    messages.restore_state(r);
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 };
 
 /// Per-point aggregate of sweeps whose replications yield one scalar
@@ -61,8 +57,12 @@ struct ScalarSample {
 
   void merge(const ScalarSample& o) { value.merge(o.value); }
 
-  void save_state(sim::SnapshotWriter& w) const { value.save_state(w); }
-  void restore_state(sim::SnapshotReader& r) { value.restore_state(r); }
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.value);
+  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 };
 
 /// Triple of accumulators for the coexistence study.
@@ -77,16 +77,12 @@ struct CoexSample {
     collisions.merge(o.collisions);
   }
 
-  void save_state(sim::SnapshotWriter& w) const {
-    goodput.save_state(w);
-    retx.save_state(w);
-    collisions.save_state(w);
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.goodput, s.retx, s.collisions);
   }
-  void restore_state(sim::SnapshotReader& r) {
-    goodput.restore_state(r);
-    retx.restore_state(r);
-    collisions.restore_state(r);
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 };
 
 /// Backoff-ablation aggregate: completion time over successful runs plus
@@ -100,14 +96,12 @@ struct BackoffPoint {
     ok.merge(o.ok);
   }
 
-  void save_state(sim::SnapshotWriter& w) const {
-    slots.save_state(w);
-    ok.save_state(w);
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.slots, s.ok);
   }
-  void restore_state(sim::SnapshotReader& r) {
-    slots.restore_state(r);
-    ok.restore_state(r);
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 };
 
 // ---- the staged replication ----------------------------------------------
@@ -891,27 +885,18 @@ void write_result(const SweepResult& result, core::Reporter& reporter) {
 }
 
 std::string quarantine_report(const SweepResult& result) {
-  std::string out = "{\"scenario\": \"" + result.id +
+  std::string out = "{\"scenario\": \"" + core::json_escape(result.id) +
                     "\", \"base_seed\": " + std::to_string(result.base_seed) +
                     ", \"quarantined\": [";
   for (std::size_t i = 0; i < result.quarantined.size(); ++i) {
     const QuarantineEntry& q = result.quarantined[i];
-    std::string error;
-    for (char c : q.error) {  // minimal JSON string escaping
-      if (c == '"' || c == '\\') error += '\\';
-      if (static_cast<unsigned char>(c) < 0x20) {
-        error += ' ';
-      } else {
-        error += c;
-      }
-    }
     out += std::string(i ? ", " : "") + "{\"point\": " +
            std::to_string(q.point_index) +
            ", \"replication\": " + std::to_string(q.replication_index) +
            ", \"seed\": " + std::to_string(q.seed) +
            ", \"attempts\": " + std::to_string(q.attempts) +
            ", \"timed_out\": " + (q.timed_out ? "true" : "false") +
-           ", \"error\": \"" + error + "\"}";
+           ", \"error\": \"" + core::json_escape(q.error) + "\"}";
   }
   out += "]}\n";
   return out;
@@ -972,17 +957,7 @@ const char* sweep_usage() {
 
 int run_scenario_main(const std::string& id, int argc, char** argv) {
   const auto args = core::BenchArgs::parse(argc, argv);
-  if (!args.unknown.empty()) {
-    std::cerr << "btsc-sweep: unknown option " << args.unknown << "\n"
-              << sweep_usage();
-    return 2;
-  }
-  if (!args.invalid.empty()) {
-    std::cerr << "btsc-sweep: malformed or out-of-range value: "
-              << args.invalid << "\n"
-              << sweep_usage();
-    return 2;
-  }
+  if (args.bad_usage(std::cerr, "btsc-sweep", sweep_usage())) return 2;
   if (args.threads < 0 || args.seeds < 0 || args.max_points < 0 ||
       args.max_retries < 0) {
     std::cerr << "btsc-sweep: negative counts are invalid (--threads, "

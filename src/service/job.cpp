@@ -219,30 +219,6 @@ JsonObject parse_json_object(const std::string& line) {
   return obj;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  return out;
-}
-
 JobSpec job_from_json(const JsonObject& obj, const std::string& allow_extra) {
   JobSpec spec;
   bool have_id = false, have_scenario = false;

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/report.hpp"
+
 namespace btsc::service {
 
 /// Protocol/spec-layer failure: malformed JSON, unknown key, bad value,
@@ -45,7 +47,7 @@ using JsonObject = std::map<std::string, JsonValue>;
 JsonObject parse_json_object(const std::string& line);
 
 /// JSON string escaping for the tiny emitter side of the protocol.
-std::string json_escape(const std::string& s);
+using core::json_escape;
 
 /// One sweep request. Mirrors the btsc-sweep CLI: the point filter is
 /// `max_points` (first N points of the scenario's list) and the

@@ -34,38 +34,28 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);
 }
 
+/// The file's layout, shared by encode and decode.
+template <class F, class Ar>
+void checkpoint_file_io(F& f, Ar& a) {
+  a.section(kRecipeTag, [&] {
+    a.io(f.scenario, f.point_index, f.warm_seed, f.construction_seed,
+         f.snapshot_version, f.config);
+  });
+  a.section(kImageTag, [&] { a.io(f.snapshot); });
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint_file(const CheckpointFile& file) {
   SnapshotWriter w;
-  w.begin_section(kRecipeTag);
-  w.str(file.scenario);
-  w.u64(file.point_index);
-  w.u64(file.warm_seed);
-  w.u64(file.construction_seed);
-  w.u32(file.snapshot_version);
-  w.byte_vec(file.config);
-  w.end_section();
-  w.begin_section(kImageTag);
-  w.byte_vec(file.snapshot);
-  w.end_section();
+  checkpoint_file_io(file, w);
   return w.take();
 }
 
 CheckpointFile decode_checkpoint_file(const std::vector<std::uint8_t>& bytes) {
   SnapshotReader r(bytes);
   CheckpointFile f;
-  r.enter_section(kRecipeTag);
-  f.scenario = r.str();
-  f.point_index = r.u64();
-  f.warm_seed = r.u64();
-  f.construction_seed = r.u64();
-  f.snapshot_version = r.u32();
-  f.config = r.byte_vec();
-  r.leave_section();
-  r.enter_section(kImageTag);
-  f.snapshot = r.byte_vec();
-  r.leave_section();
+  checkpoint_file_io(f, r);
   if (!r.at_end()) {
     throw SnapshotError("checkpoint: trailing bytes after image section");
   }

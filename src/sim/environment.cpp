@@ -149,8 +149,26 @@ void Environment::unregister_rearm(const void* owner) {
                 [owner](const RearmEntry& e) { return e.owner == owner; });
 }
 
+template <class Self, class Ar>
+void Environment::io(Self& s, Ar& a) {
+  a.section(snapshot_tag("ENV "), [&] {
+    a.io(s.now_, prop(s.rng_, &Rng::state, &Rng::set_state));
+    s.io_timers(a);
+    a.io(prop(s.queue_, &TimerQueue::next_seq, &TimerQueue::set_next_seq));
+  });
+}
+
 void Environment::save_state(SnapshotWriter& w) const {
   require_settled("checkpoint");
+  io(*this, w);
+}
+
+void Environment::restore_state(SnapshotReader& r) {
+  require_settled("restore");
+  io(*this, r);
+}
+
+void Environment::io_timers(SnapshotWriter& w) const {
   struct Desc {
     const std::string* name;
     std::uint16_t kind;
@@ -176,9 +194,6 @@ void Environment::save_state(SnapshotWriter& w) const {
   });
   std::sort(descs.begin(), descs.end(),
             [](const Desc& a, const Desc& b) { return a.seq < b.seq; });
-  w.begin_section(snapshot_tag("ENV "));
-  w.time(now_);
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
   w.u32(static_cast<std::uint32_t>(descs.size()));
   for (const Desc& d : descs) {
     w.str(*d.name);
@@ -187,17 +202,9 @@ void Environment::save_state(SnapshotWriter& w) const {
     w.time(d.when);
     w.u64(d.seq);
   }
-  w.u64(queue_.next_seq());
-  w.end_section();
 }
 
-void Environment::restore_state(SnapshotReader& r) {
-  require_settled("restore");
-  r.enter_section(snapshot_tag("ENV "));
-  now_ = r.time();
-  std::array<std::uint64_t, 4> s;
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.set_state(s);
+void Environment::io_timers(SnapshotReader& r) {
   // Construction-time timers of the fresh scaffold are superseded by the
   // saved descriptors; replaying each at its saved seq reproduces the
   // checkpointed (when, seq) dispatch total order exactly.
@@ -224,8 +231,6 @@ void Environment::restore_state(SnapshotReader& r) {
           std::to_string(kind) + ")");
     }
   }
-  queue_.set_next_seq(r.u64());
-  r.leave_section();
 }
 
 // ---------------------------------------------------------------------------

@@ -242,6 +242,15 @@ class Environment {
   SchedulerStats scheduler_stats() const;
 
  private:
+  /// The checkpoint layout, shared by save_state and restore_state.
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a);
+  /// The timer-descriptor table stays a hand-written pair: save collects
+  /// and orders the live timers, load validates each descriptor and
+  /// replays it through its owner's rearm handler.
+  void io_timers(SnapshotWriter& w) const;
+  void io_timers(SnapshotReader& r);
+
   void run_delta();
   void commit_updates();
   static std::uint64_t heap_depth(std::uint64_t n);

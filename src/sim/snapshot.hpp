@@ -9,6 +9,26 @@
 // by construction; pending timers are saved as re-armable descriptors
 // (see Environment::save_state) rather than as closures.
 //
+// One layout, written once
+// ------------------------
+// A section's layout is stated in exactly one place: a templated body
+// `template <class Self, class Ar> static void io(Self& s, Ar& a)` that
+// names each field once. SnapshotWriter and SnapshotReader share one
+// overload set -- io(), section(), seq(), each(), opt(), opt_or_zero()
+// -- so the same body writes when Ar is the writer (Self const) and
+// reads when it is the reader. save_state() and restore_state() stay the
+// public entry points and call that body; restore_state adds only what a
+// load needs beyond the fields -- range checks, re-linking derived
+// state, resetting timer ids and callbacks -- after it, and save_state
+// only refusals (e.g. an unsnapshotable live callback) before it.
+//
+// Two tables stay hand-written as save/restore pairs, because the two
+// directions do different work: Environment's timer descriptors (save
+// collects and orders them from the live queue, restore validates each
+// and replays it through its owner's rearm handler) and NoisyChannel's
+// burst-run table (save walks the active runs, restore range-checks each
+// port and frequency and re-claims it).
+//
 // Stream format
 // -------------
 //   "BTSC" magic, u32 version, then a sequence of nested sections. Each
@@ -30,14 +50,16 @@
 // not a compatibility scheme.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <map>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/bitvector.hpp"
@@ -71,6 +93,33 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// ---- field wrappers for the shared io() bodies -----------------------------
+
+/// A field stored as wire type W (an `int` as u32, an enum as u8): the
+/// writer stores static_cast<W>(v), the reader casts the wire value back.
+template <class W, class T>
+struct As {
+  T& v;
+};
+template <class W, class T>
+As<W, T> as(T& v) {
+  return {v};
+}
+
+/// A field reached through an accessor pair: the writer stores
+/// get(obj); the reader reads a value of that type and calls
+/// set(obj, value). `set` is never called on the writer's const object.
+template <class T, class Get, class Set>
+struct Prop {
+  T& obj;
+  Get get;
+  Set set;
+};
+template <class T, class Get, class Set>
+Prop<T, Get, Set> prop(T& obj, Get get, Set set) {
+  return {obj, get, set};
+}
+
 /// Serializes state into a tagged byte stream.
 class SnapshotWriter {
  public:
@@ -97,6 +146,78 @@ class SnapshotWriter {
   }
   void byte_vec(const std::vector<std::uint8_t>& v) {
     bytes(v.data(), v.size());
+  }
+
+  // ---- the shared overload set (mirrored by SnapshotReader) ----
+  void io(const bool& v) { b(v); }
+  void io(const std::uint8_t& v) { u8(v); }
+  void io(const std::uint16_t& v) { u16(v); }
+  void io(const std::uint32_t& v) { u32(v); }
+  void io(const std::uint64_t& v) { u64(v); }
+  void io(const double& v) { f64(v); }
+  void io(const SimTime& v) { time(v); }
+  void io(const std::string& v) { str(v); }
+  void io(const std::vector<std::uint8_t>& v) { byte_vec(v); }
+  /// u64 bit count, then the packed words (the tail word zero-padded).
+  void io(const BitVector& v) {
+    u64(v.size());
+    for (std::size_t i = 0; i < v.num_words(); ++i) u64(v.word(i));
+  }
+  template <class T, std::size_t N>
+  void io(const std::array<T, N>& v) {
+    for (const T& e : v) io(e);
+  }
+  template <class W, class T>
+  void io(const As<W, T>& f) {
+    io(static_cast<W>(f.v));
+  }
+  template <class T, class Get, class Set>
+  void io(const Prop<T, Get, Set>& p) {
+    io(std::invoke(p.get, std::as_const(p.obj)));
+  }
+  /// A nested module, through its own save_state.
+  template <class T>
+    requires requires(const T& t, SnapshotWriter& w) { t.save_state(w); }
+  void io(const T& v) {
+    v.save_state(*this);
+  }
+  /// Several fields, in order.
+  template <class... T>
+    requires(sizeof...(T) > 1)
+  void io(const T&... fields) {
+    (io(fields), ...);
+  }
+
+  /// A tagged section around `body()`.
+  template <class F>
+  void section(std::uint32_t tag, F&& body) {
+    begin_section(tag);
+    body();
+    end_section();
+  }
+  /// A counted sequence: u32 count, then item(e) for each element.
+  template <class C, class F>
+  void seq(const C& c, F&& item) {
+    u32(static_cast<std::uint32_t>(c.size()));
+    for (const auto& e : c) item(e);
+  }
+  /// Same layout as seq(); the reader fills a fixed-size container in
+  /// place instead of refilling it.
+  template <class C, class F>
+  void each(const C& c, F&& item) {
+    seq(c, item);
+  }
+  /// Optional, value always present: the flag, then the value or T{}.
+  template <class T>
+  void opt_or_zero(const std::optional<T>& v) {
+    b(v.has_value());
+    io(v.value_or(T{}));
+  }
+  /// Optional, value only if present: the flag, then item(*v).
+  template <class T, class F>
+  void opt(const std::optional<T>& v, F&& item) {
+    b(v.has_value());
+    if (v) item(*v);
   }
 
   /// Opens a tagged section; close with end_section(). Sections nest.
@@ -175,6 +296,97 @@ class SnapshotReader {
     std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
     return v;
+  }
+
+  // ---- the shared overload set (see SnapshotWriter) ----
+  void io(bool& v) { v = b(); }
+  void io(std::uint8_t& v) { v = u8(); }
+  void io(std::uint16_t& v) { v = u16(); }
+  void io(std::uint32_t& v) { v = u32(); }
+  void io(std::uint64_t& v) { v = u64(); }
+  void io(double& v) { v = f64(); }
+  void io(SimTime& v) { v = time(); }
+  void io(std::string& v) { v = str(); }
+  void io(std::vector<std::uint8_t>& v) { v = byte_vec(); }
+  void io(BitVector& v) {
+    const std::uint64_t n = u64();
+    v.clear();
+    v.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t done = 0; done < n; done += 64) {
+      const auto chunk = static_cast<unsigned>(n - done < 64 ? n - done : 64);
+      v.append_uint(u64(), chunk);
+    }
+  }
+  template <class T, std::size_t N>
+  void io(std::array<T, N>& v) {
+    for (T& e : v) io(e);
+  }
+  template <class W, class T>
+  void io(const As<W, T>& f) {
+    W w{};
+    io(w);
+    f.v = static_cast<T>(w);
+  }
+  template <class T, class Get, class Set>
+  void io(const Prop<T, Get, Set>& p) {
+    std::remove_cvref_t<std::invoke_result_t<Get&, const T&>> v{};
+    io(v);
+    std::invoke(p.set, p.obj, std::move(v));
+  }
+  template <class T>
+    requires requires(T& t, SnapshotReader& r) { t.restore_state(r); }
+  void io(T& v) {
+    v.restore_state(*this);
+  }
+  template <class... T>
+    requires(sizeof...(T) > 1)
+  void io(T&&... fields) {
+    (io(std::forward<T>(fields)), ...);
+  }
+
+  template <class F>
+  void section(std::uint32_t tag, F&& body) {
+    enter_section(tag);
+    body();
+    leave_section();
+  }
+  /// Clears `c`, then appends one element per saved item; a map gets
+  /// (key, value) pairs.
+  template <class C, class F>
+  void seq(C& c, F&& item) {
+    c.clear();
+    for (std::uint32_t n = u32(); n > 0; --n) {
+      if constexpr (requires { typename C::mapped_type; }) {
+        std::pair<typename C::key_type, typename C::mapped_type> e;
+        item(e);
+        c.insert_or_assign(std::move(e.first), std::move(e.second));
+      } else {
+        item(c.emplace_back());
+      }
+    }
+  }
+  /// The saved count must equal c.size(); elements are read in place.
+  template <class C, class F>
+  void each(C& c, F&& item) {
+    if (u32() != c.size()) {
+      throw SnapshotError("snapshot: sequence length mismatch");
+    }
+    for (auto& e : c) item(e);
+  }
+  template <class T>
+  void opt_or_zero(std::optional<T>& v) {
+    const bool have = b();
+    T value{};
+    io(value);
+    v = have ? std::optional<T>(value) : std::nullopt;
+  }
+  template <class T, class F>
+  void opt(std::optional<T>& v, F&& item) {
+    if (b()) {
+      item(v.emplace());
+    } else {
+      v.reset();
+    }
   }
 
   /// Enters a section, checking its tag; leave with leave_section(),
@@ -267,42 +479,5 @@ class RearmHandler {
   virtual void rearm_timer(std::uint16_t kind, std::uint64_t payload,
                            SimTime when) = 0;
 };
-
-// ---- container codecs ------------------------------------------------------
-
-template <typename F>
-void save_seq(SnapshotWriter& w, std::size_t n, F&& per_item) {
-  w.u32(static_cast<std::uint32_t>(n));
-  for (std::size_t i = 0; i < n; ++i) per_item(i);
-}
-
-template <typename F>
-void restore_seq(SnapshotReader& r, F&& per_item) {
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) per_item(i);
-}
-
-inline void save_u8_vector(SnapshotWriter& w,
-                           const std::vector<std::uint8_t>& v) {
-  w.byte_vec(v);
-}
-inline void restore_u8_vector(SnapshotReader& r,
-                              std::vector<std::uint8_t>& v) {
-  v = r.byte_vec();
-}
-
-inline void save_bitvector(SnapshotWriter& w, const BitVector& v) {
-  w.u64(v.size());
-  for (std::size_t i = 0; i < v.num_words(); ++i) w.u64(v.word(i));
-}
-inline void restore_bitvector(SnapshotReader& r, BitVector& v) {
-  const std::uint64_t n = r.u64();
-  v.clear();
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t done = 0; done < n; done += 64) {
-    const unsigned chunk = static_cast<unsigned>(n - done < 64 ? n - done : 64);
-    v.append_uint(r.u64(), chunk);
-  }
-}
 
 }  // namespace btsc::sim

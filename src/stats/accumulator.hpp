@@ -39,22 +39,15 @@ class Accumulator {
   void merge(const Accumulator& other);
 
   // ---- checkpointing ----
-  void save_state(sim::SnapshotWriter& w) const {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
-  }
-  void restore_state(sim::SnapshotReader& r) {
-    n_ = static_cast<std::size_t>(r.u64());
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.n_, s.mean_, s.m2_, s.min_, s.max_);
+  }
+
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -87,16 +80,15 @@ class RatioCounter {
   std::pair<double, double> wilson95() const;
 
   // ---- checkpointing ----
-  void save_state(sim::SnapshotWriter& w) const {
-    w.u64(n_);
-    w.u64(k_);
-  }
-  void restore_state(sim::SnapshotReader& r) {
-    n_ = static_cast<std::size_t>(r.u64());
-    k_ = static_cast<std::size_t>(r.u64());
-  }
+  void save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& s, Ar& a) {
+    a.io(s.n_, s.k_);
+  }
+
   std::size_t n_ = 0;
   std::size_t k_ = 0;
 };

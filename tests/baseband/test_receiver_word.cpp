@@ -392,21 +392,34 @@ void set_search_registers(Receiver& rx, std::uint64_t expected,
   w.u64(expected);
   w.u64(window);
   w.u64(bits_seen);
-  sim::save_bitvector(w, BitVector{});  // collected
-  w.u16(0);                             // header
-  w.b(false);                           // have_whitener
-  w.u8(0);                              // whitener register
-  w.u64(0);                             // payload_total_coded_bits
-  w.u64(0);                             // payload_body_bytes
-  sim::save_bitvector(w, BitVector{});  // payload_data_bits
-  w.b(false);                           // payload_fec_failed
-  w.u64(0);                             // fec_failures
-  w.time(sim::SimTime{});               // sync_done_time
+  w.io(BitVector{});        // collected
+  w.u16(0);                 // header
+  w.b(false);               // have_whitener
+  w.u8(0);                  // whitener register
+  w.u64(0);                 // payload_total_coded_bits
+  w.u64(0);                 // payload_body_bytes
+  w.io(BitVector{});        // payload_data_bits
+  w.b(false);               // payload_fec_failed
+  w.u64(0);                 // fec_failures
+  w.time(sim::SimTime{});   // sync_done_time
   for (int i = 0; i < 4; ++i) w.u64(0);  // carrier, syncs, HEC, CRC counts
   w.end_section();
   const std::vector<std::uint8_t> bytes = w.take();
   restore(rx, bytes);
   ASSERT_EQ(snapshot(rx), bytes) << "RECV layout drifted";
+}
+
+/// A correlator holding the given raw registers, loaded through its
+/// checkpoint layout.
+Correlator correlator_with(std::uint64_t expected, std::uint64_t window,
+                           std::uint64_t bits_seen) {
+  sim::SnapshotWriter w;
+  w.io(expected, window, bits_seen);
+  const std::vector<std::uint8_t> bytes = w.take();
+  sim::SnapshotReader r(bytes);
+  Correlator c;
+  Correlator::io(c, r);
+  return c;
 }
 
 /// A random word with exactly `weight` set bits.
@@ -453,8 +466,7 @@ TEST(ReceiverWordTest, SilentProbeMatchesPushReference) {
                                                       : rng.uniform(64, 5000);
     const std::size_t count = rng.uniform(0, 200);
 
-    Correlator ref;
-    ref.restore_registers(expected, window, bits_seen);
+    Correlator ref = correlator_with(expected, window, bits_seen);
     std::size_t want = count;
     for (std::size_t i = 0; i < count; ++i) {
       if (ref.push(false)) {
@@ -469,8 +481,7 @@ TEST(ReceiverWordTest, SilentProbeMatchesPushReference) {
     fired_cases += want < count;
     pushed_quiet += !bounded && want == count;
 
-    Correlator c;
-    c.restore_registers(expected, window, bits_seen);
+    Correlator c = correlator_with(expected, window, bits_seen);
     ASSERT_EQ(c.silent_prefix(count), want) << "trial " << trial;
 
     set_search_registers(rig.rx, expected, window, bits_seen);

@@ -4,6 +4,9 @@
 // clean supervised run with the plain path.
 #include "runner/sweep.hpp"
 
+#include "runner/scenarios.hpp"
+#include "service/job.hpp"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -394,6 +397,30 @@ TEST(SupervisionTest, SupervisedDeterministicAcrossThreadCounts) {
       EXPECT_EQ(runs[t][i].count, runs[0][i].count);
     }
   }
+}
+
+TEST(QuarantineReport, ErrorTextRoundTripsThroughJson) {
+  SweepResult result;
+  result.id = "fig08";
+  result.base_seed = 9;
+  QuarantineEntry q;
+  q.point_index = 2;
+  q.replication_index = 5;
+  q.seed = 77;
+  q.error = "bad \"quote\" and \\ backslash\nsecond line\ttab\x01";
+  result.quarantined.push_back(q);
+
+  // One quarantined entry: the object inside "quarantined": [...] is
+  // flat, so the service's JSON object parser reads it back.
+  const std::string report = quarantine_report(result);
+  const std::size_t open = report.find("[{");
+  const std::size_t close = report.rfind("}]");
+  ASSERT_NE(open, std::string::npos) << report;
+  ASSERT_NE(close, std::string::npos) << report;
+  const service::JsonObject entry =
+      service::parse_json_object(report.substr(open + 1, close - open));
+  EXPECT_EQ(entry.at("error").as_string("error"), q.error);
+  EXPECT_EQ(entry.at("seed").as_u64("seed"), 77u);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ std::vector<std::uint8_t> crafted_stream() {
   w.begin_section(snapshot_tag("INNR"));
   BitVector bits;
   for (int i = 0; i < 130; ++i) bits.push_back((i % 3) == 0);
-  save_bitvector(w, bits);
+  w.io(bits);
   w.end_section();
   w.end_section();
   return w.take();
@@ -108,7 +108,7 @@ TEST(SnapshotFuzzTest, IntactStreamsRoundTrip) {
   EXPECT_EQ(r.str(), "fuzz corpus");
   r.enter_section(snapshot_tag("INNR"));
   BitVector bits;
-  restore_bitvector(r, bits);
+  r.io(bits);
   EXPECT_EQ(bits.size(), 130u);
   r.leave_section();
   r.leave_section();
