@@ -5,8 +5,10 @@
 # the kernel timed-queue/scheduler/UniqueFunction/tracer suites
 # (timer-cancellation churn, set-reference ordering, callback lifetimes),
 # the word-packed framing / burst-transport suites (quiet-prefix
-# receiver catch-up, run fallback, VCD byte-compare, zero-allocation
-# round trip), the integration tests and the threaded sweep-determinism
+# receiver catch-up, run fallback, pinned noisy creation VCD,
+# zero-allocation round trip), the system suite (with stack
+# use-after-return detection), the integration tests and the threaded
+# sweep-determinism
 # test — so memory/UB bugs and data races in the end-to-end paths cannot
 # regress silently — plus a metadata audit of the committed benchmark
 # baseline (Release tree + burst-transport stamp), a fig08/fig10 sweep
@@ -142,13 +144,14 @@ cmake --build build-asan -j "$jobs" --target \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
       baseband_test_bt_clock baseband_test_access_code \
       baseband_test_framing_word baseband_test_receiver_word \
-      phy_test_burst_transport phy_test_noise_mask \
+      phy_test_burst_transport phy_test_noise_stream \
       integration_test_burst_equivalence \
       integration_test_link integration_test_multislave integration_test_noise_stress \
       runner_test_sweep runner_test_determinism \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
-      io_test_fault_plan runner_test_warmup_store service_test_sweepd
+      io_test_fault_plan runner_test_warmup_store service_test_sweepd \
+      core_test_system
 # sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
 # timed queue's dispatch and cancellation paths (heap removal, the
 # seeded std::set reference storm, schedule/cancel churn, slot reuse,
@@ -166,8 +169,9 @@ cmake --build build-asan -j "$jobs" --target \
 # baseband_test_framing_word / phy_test_burst_transport /
 # integration_test_burst_equivalence cover the word-packed framing stack
 # and the burst transport (lazy receiver catch-up, run fallback, the
-# burst-vs-per-bit VCD byte-compare and the zero-allocation round trip)
-# with the debug asserts armed under the sanitizers.
+# pinned digest of a traced noisy creation VCD, which runs per-bit under
+# either transport switch, and the zero-allocation round trip) with the
+# debug asserts armed under the sanitizers.
 # baseband_test_receiver_word is the receiver's word-vs-bit differential
 # suite (every packet type, whitening, noise, all-'Z' sources, every
 # consume split point); with asserts armed consume_quiet() also replays
@@ -187,11 +191,11 @@ cmake --build build-asan -j "$jobs" --target \
 # sim_test_snapshot_fuzz drives the truncation/bit-flip corpus over both
 # crafted and whole-system images: "rejects with SnapshotError, never
 # crashes" is only a real property with ASan+UBSan watching the reader.
-# phy_test_noise_mask is the batched error-mask differential suite
-# (mask fill vs per-bit draw order, masked-run fallback/rewind, traced
-# backfill byte-compares, mid-burst checkpoint) -- the word-granularity
-# mask XOR and the backfill buffer are fresh word-packed code, so they
-# run sanitized from day one.
+# phy_test_noise_stream is the per-port noise-stream differential suite
+# (gap sampler vs per-bit draws, noisy-copy fallback/rewind at every
+# bit, traced channels staying per-bit, mid-burst and traced mid-packet
+# checkpoints) -- the noisy copy's word-packed flips and the stream
+# rewinds index raw words, so they run sanitized.
 # sim_test_checkpoint_store / runner_test_journal drive the durability
 # layer's adversarial corpora (torn files, bit flips, stale recipes,
 # truncated journals) over real file descriptors, and
@@ -210,7 +214,7 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_bt_clock baseband_test_access_code \
          baseband_test_framing_word baseband_test_receiver_word \
-         phy_test_burst_transport phy_test_noise_mask \
+         phy_test_burst_transport phy_test_noise_stream \
          integration_test_burst_equivalence \
          integration_test_link integration_test_multislave integration_test_noise_stress \
          runner_test_sweep runner_test_determinism \
@@ -220,6 +224,11 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          io_test_fault_plan runner_test_warmup_store service_test_sweepd; do
   "./build-asan/tests/$t"
 done
+# core_test_system drives BluetoothSystem's run_inquiry/run_page, whose
+# completion handlers capture the calling frame; with fake stacks on,
+# a handler left installed past its call turns into a
+# stack-use-after-return report instead of a silent stray write.
+ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/core_test_system
 
 echo "=== TSan: threaded sweep + sweep service suites ==="
 # ThreadSanitizer build (build-tsan, the `tsan` CMake preset): the sweep
@@ -286,10 +295,10 @@ echo "=== burst-transport gate: fig06-fig12 + extension studies, batched vs per-
 # Every Monte-Carlo figure (fig06-08, fig10-12; fig09 is a waveform, not
 # a sweep) is compared burst-on vs per-bit; fig08/fig10 additionally
 # cross thread counts (the others are already thread-gated above via the
-# shared sweep engine). fig06-08 are BER sweeps, so with the batched
-# error-mask transport this is a genuine noisy gate: their BER > 0
-# points now run as masked burst runs on the left side and per-bit
-# Bernoulli draws on the right, and must still agree byte for byte.
+# shared sweep engine). fig06-08 are BER sweeps, so this is a genuine
+# noisy gate: their BER > 0 points run as noisy burst runs (flips drawn
+# up front from each port's noise stream) on the left side and per-bit
+# draws on the right, and must still agree byte for byte.
 for fig in 6 7 8 10 11 12; do
   ref="$gate_dir/fig${fig}_1t.json"   # fig08/fig10 exist from above
   if [[ ! -f "$ref" ]]; then
@@ -297,9 +306,9 @@ for fig in 6 7 8 10 11 12; do
         --out "$ref" >/dev/null
   fi
   threads_list="1"
-  # The BER sweeps (fig06-08) cross thread counts too: masked runs share
+  # The BER sweeps (fig06-08) cross thread counts too: noisy runs share
   # no state across worker threads, and this is where a hidden
-  # mask-buffer race would surface. fig10 keeps its crossing from the
+  # noisy-copy race would surface. fig10 keeps its crossing from the
   # swap gate above.
   case "$fig" in 6 | 7 | 8 | 10) threads_list="1 2 8" ;; esac
   for threads in $threads_list; do

@@ -63,9 +63,6 @@ BluetoothSystem::~BluetoothSystem() { finish_trace(); }
 
 void BluetoothSystem::finish_trace() {
   if (tracer_) {
-    // A burst run still in flight has traced bus transitions that only
-    // exist as run geometry; materialise them before the file closes.
-    channel_.flush_trace_backfill();
     tracer_->close();
     env_.set_tracer(nullptr);
     tracer_.reset();
@@ -94,6 +91,8 @@ PhaseResult BluetoothSystem::run_inquiry() {
       (static_cast<std::uint64_t>(master().lc().config().inquiry_timeout_slots) + 64);
   const SimTime deadline = env_.now() + guard;
   while (!done && env_.now() < deadline) env_.run(1_ms);
+  // The handler points into this frame; a later inquiry must not reach it.
+  master_lm().set_events({});
 
   PhaseResult r;
   r.success = done.value_or(false);
@@ -128,6 +127,7 @@ PhaseResult BluetoothSystem::run_page(int slave_index) {
       (static_cast<std::uint64_t>(master().lc().config().page_timeout_slots) + 64);
   const SimTime deadline = env_.now() + guard;
   while (!done && env_.now() < deadline) env_.run(1_ms);
+  master_lm().set_events({});  // as in run_inquiry
 
   r.success = done.value_or(false);
   r.slots = (done.has_value() ? done_at - start : env_.now() - start) /

@@ -1,7 +1,8 @@
 // Deterministic I/O fault injection for the durability layer.
 //
-// Production code in sim/checkpoint_store and runner/journal routes its
-// write/fsync/rename syscalls through the faultable_* wrappers below.
+// Production code in io/durable (for sim/checkpoint_store) and
+// runner/journal routes its write/fsync/rename syscalls through the
+// faultable_* wrappers below.
 // With no plan installed (the default) each wrapper is one relaxed
 // atomic load plus the raw syscall — zero overhead, no locks, nothing
 // to configure. Tests install a FaultPlan: a schedule of rules keyed by

@@ -6,7 +6,6 @@
 
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
-#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 
@@ -99,15 +98,12 @@ void NoisyChannel::drive(PortId port, int freq, Logic4 value) {
   }
   assert(!run_of(port).active &&
          "per-bit drive from the port that owns a burst run");
-  // A second transmitter on the frequency of a run in flight (on any
-  // frequency, when exclusive): the single-transmitter premise broke,
-  // so the run degrades to exact per-bit scheduling before this drive
-  // lands.
+  // A second transmitter on the frequency of a run in flight: the
+  // single-transmitter premise broke, so the run degrades to exact
+  // per-bit scheduling before this drive lands.
   if (live_runs_ > 0 && is_defined(value)) {
-    if (exclusive()) {
-      fallback_all_runs();
-    } else if (const PortId owner = freqs_[static_cast<std::size_t>(freq)].run;
-               owner >= 0) {
+    if (const PortId owner = freqs_[static_cast<std::size_t>(freq)].run;
+        owner >= 0) {
       fallback_run(owner);
     }
   }
@@ -216,21 +212,16 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
     throw std::out_of_range("NoisyChannel::begin_burst: bad frequency");
   }
   // Equivalence gate: a run is accepted only when the batched loop is
-  // provably identical to per-bit drives -- a tracer able to take the
-  // backfilled bus waveform, and nobody else on the air at this
-  // frequency (anywhere, when exclusive). BER > 0 is not refused: the
-  // run draws its flips from the port's own stream into a noisy copy
-  // (draw_noisy_copy), the gaps per-bit drives would consume.
-  sim::Tracer* tracer = env().tracer();
-  if (!config_.burst_transport || bits.empty() ||
-      (tracer != nullptr && !tracer->supports_backfill())) {
+  // provably identical to per-bit drives -- no tracer (a traced system
+  // runs per-bit, so every bus change is committed at its own instant),
+  // and nobody else on the air at this frequency. BER > 0 is not
+  // refused: the run draws its flips from the port's own stream into a
+  // noisy copy (draw_noisy_copy), the gaps per-bit drives would consume.
+  if (!config_.burst_transport || bits.empty() || env().tracer() != nullptr) {
     return false;
   }
   Freq& f = freqs_[static_cast<std::size_t>(freq)];
-  if (exclusive() ? live_runs_ > 0 || defined_ports_ > 0
-                  : f.run >= 0 || f.defined > 0) {
-    return false;
-  }
+  if (f.run >= 0 || f.defined > 0) return false;
   assert(!run_of(port).active);
   notify_sync();
   Run& run = run_of(port);
@@ -247,14 +238,6 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
     run.noisy = true;
     run.base = p.noise;
     draw_noisy_copy(p, p.noise, bits);
-  }
-  if (tracer != nullptr && bus_trace_ != nullptr && bus_trace_->traced()) {
-    // Bus transitions for the run's bits are reconstructed after the
-    // fact (backfill_to); the hold keeps the tracer from streaming out
-    // anything inside the run's window until they have landed.
-    tracer->begin_hold();
-    traced_ = port;
-    backfilled_ = 0;
   }
   ports_[static_cast<std::size_t>(port)].freq = freq;
   notify_reevaluate();
@@ -288,36 +271,6 @@ Logic4 NoisyChannel::run_value_now(const Run& run) const {
   return from_bit((*run.bits)[run_bits_elapsed(run) - 1]);
 }
 
-void NoisyChannel::backfill_to(std::size_t k) {
-  assert(traced_ >= 0 && k >= 1);
-  sim::Tracer* tracer = env().tracer();
-  if (tracer == nullptr) return;  // detached mid-run; nowhere to write
-  const Run& run = run_of(traced_);
-  const sim::BitVector& bits = *run.bits;
-  const sim::TraceId id = bus_trace_->trace_id();
-  // Emit only net transitions at their per-bit instants -- exactly the
-  // changes the Signal commit path would have produced bit by bit
-  // (bus_trace_ still holds the pre-run value while backfilled_ == 0).
-  Logic4 prev = backfilled_ == 0 ? bus_trace_->read()
-                                 : from_bit(bits[backfilled_ - 1]);
-  const std::uint64_t start_ns = run.start.as_ns();
-  const std::uint64_t period_ns = run.period.as_ns();
-  for (std::size_t i = backfilled_; i < k; ++i) {
-    const Logic4 v = from_bit(bits[i]);
-    if (v != prev) {
-      tracer->change_at(id, sim::TraceEncoder<Logic4>::encode(v),
-                        start_ns + period_ns * static_cast<std::uint64_t>(i));
-    }
-    prev = v;
-  }
-  backfilled_ = k;
-}
-
-void NoisyChannel::flush_trace_backfill() {
-  if (traced_ < 0) return;
-  backfill_to(run_bits_elapsed(run_of(traced_)));
-}
-
 std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
                                      Logic4 last) {
   assert(driven >= 1);
@@ -333,15 +286,6 @@ std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
     } else {
       bits_flipped_ += run.flips;
     }
-  }
-  if (port == traced_) {
-    backfill_to(driven);
-    // Leave the bus signal holding the value the per-bit path would
-    // hold after bit driven-1, so the settle-time refresh_trace()
-    // emits (or suppresses) exactly the same change.
-    bus_trace_->restore_value(from_bit((*run.bits)[driven - 1]));
-    if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
-    traced_ = -1;
   }
   bits_driven_ += driven;
   bits_burst_ += driven;
@@ -447,23 +391,9 @@ void NoisyChannel::io(Self& s, Ar& a) {
   });
 }
 
-void NoisyChannel::save_state(sim::SnapshotWriter& w) const {
-  if (traced_ >= 0) {
-    throw sim::SnapshotError(
-        "NoisyChannel: cannot checkpoint while a traced burst run holds "
-        "the tracer (combine --trace with checkpoints only under "
-        "per-bit transport)");
-  }
-  io(*this, w);
-}
+void NoisyChannel::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
 
 void NoisyChannel::restore_state(sim::SnapshotReader& r) {
-  // In-place restore hygiene: close any tracer hold belonging to the
-  // state being overwritten.
-  if (traced_ >= 0) {
-    if (sim::Tracer* tracer = env().tracer()) tracer->end_hold();
-    traced_ = -1;
-  }
   for (Port& p : ports_) p.run = Run{};
   std::fill(freqs_.begin(), freqs_.end(), Freq{});
   io(*this, r);

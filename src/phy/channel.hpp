@@ -31,9 +31,10 @@
 // notifies registered Listeners (the radios) when the medium changes so
 // idle receivers can stop sampling entirely. Each transmitting port has
 // its own run slot. A run is only accepted when it is provably
-// equivalent to the per-bit path -- a tracer that accepts backfill when
-// tracing, and a medium silent at its frequency (no other run, no
-// per-bit defined drive there) -- and it falls back to per-bit
+// equivalent to the per-bit path -- no tracer attached (a traced system
+// runs per-bit, the reference path, so the bus waveform is committed
+// change by change), and a medium silent at its frequency (no other
+// run, no per-bit defined drive there) -- and it falls back to per-bit
 // scheduling the moment a second transmitter drives its frequency, the
 // BER or the seed changes, or the transmitter aborts.
 // Runs on different frequencies never interact, so two piconets
@@ -48,14 +49,8 @@
 // stream to the run's saved base and replays k bits, O(flips); the
 // per-bit remainder then draws what the reference would.
 //
-// The channel is *exclusive* -- a silent medium on every frequency, at
-// most one run, and any second defined drive degrades it -- only while
-// a tracer is attached (the bus trace resolves every port into one wire,
-// and the backfill follows one run); traced runs reconstruct the bus
-// waveform afterwards via the tracer's time-stamped backfill.
 // docs/ARCHITECTURE.md ("Word-packed bit transport & burst delivery" and
-// "Per-port noise streams & traced burst backfill") carries the full
-// equivalence argument.
+// "Per-port noise streams") carries the full equivalence argument.
 #pragma once
 
 #include <array>
@@ -210,9 +205,8 @@ class NoisyChannel final : public sim::Module,
   /// Registers the whole of `bits` as one uncontended run from `port` on
   /// `freq`, one bit per `period` starting now. Returns false -- and
   /// changes nothing -- when the run cannot be batched (burst transport
-  /// off, a tracer without backfill support, or a medium not
-  /// silent at `freq`, or anywhere when exclusive); the caller must then
-  /// drive per-bit. `bits` must stay alive
+  /// off, a tracer attached, or a medium not silent at `freq`); the
+  /// caller must then drive per-bit. `bits` must stay alive
   /// and unchanged until the run ends. On success the first bit is on
   /// the medium immediately (as a per-bit drive would be). A BER > 0 run
   /// draws its flips from the port's stream into its own noisy copy;
@@ -265,10 +259,8 @@ class NoisyChannel final : public sim::Module,
   /// (the restore order guarantees it runs after the channel's). Each
   /// port's noise stream is saved; a noisy run stores only its base
   /// stream, since its copy is a pure function of (base, BER, clean
-  /// bits) and is rebuilt on rebind. Throws sim::SnapshotError while a
-  /// traced run holds the tracer -- the waveform buffer is not
-  /// snapshotable -- and on restore for a run whose port or frequency is
-  /// out of range or taken.
+  /// bits) and is rebuilt on rebind. Restore throws sim::SnapshotError
+  /// for a run whose port or frequency is out of range or taken.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
@@ -276,13 +268,6 @@ class NoisyChannel final : public sim::Module,
   /// bits) after a restore; rebuilds the noisy copy of a noisy run.
   /// Only valid while `port` has a restored run.
   void rebind_run_bits(PortId port, const sim::BitVector* bits);
-
-  // ---- tracing (called by the owning system) ----
-
-  /// Materialises the backfilled bus transitions of a still-active
-  /// traced run up to now(). Must be called before the tracer is closed
-  /// or detached, or the run's waveform tail is lost.
-  void flush_trace_backfill();
 
   // ---- diagnostics ----
   // Both count what the per-bit reference has driven by now: an
@@ -348,10 +333,6 @@ class NoisyChannel final : public sim::Module,
     return ports_[static_cast<std::size_t>(port)].run;
   }
 
-  /// True when the medium admits at most one run and any second defined
-  /// drive degrades it (see the header comment).
-  bool exclusive() const { return env().tracer() != nullptr; }
-
   /// The run visible at `freq`, or nullptr.
   const Run* run_at(int freq) const {
     const PortId p = freqs_[static_cast<std::size_t>(freq)].run;
@@ -364,11 +345,6 @@ class NoisyChannel final : public sim::Module,
   /// the base).
   void draw_noisy_copy(Port& p, NoiseStream& stream,
                        const sim::BitVector& clean);
-
-  /// Emits the net bus transitions of the traced run's bits
-  /// [backfilled_, k) at their per-bit instants (Tracer::change_at under
-  /// the open hold).
-  void backfill_to(std::size_t k);
 
   /// Bits of `run` already on the air, honouring the event tiebreak: a
   /// bit whose drive instant equals now() counts only when the kernel is
@@ -427,10 +403,6 @@ class NoisyChannel final : public sim::Module,
   };
   std::array<Freq, kNumRfChannels> freqs_{};
   int live_runs_ = 0;
-  // Traced-run backfill: traced_ is the port of the run holding the
-  // tracer (-1: no hold open); tracing is exclusive, so there is one.
-  PortId traced_ = -1;
-  std::size_t backfilled_ = 0;  // run bits already backfilled
   int defined_ports_ = 0;  // ports currently driving a defined value
   bool notifying_ = false;
   std::uint64_t bits_driven_ = 0;

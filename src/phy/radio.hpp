@@ -18,11 +18,11 @@
 // one-event-per-bit hot path in both directions:
 //
 //  * TX: an uncontended packet registers as one channel burst run plus a
-//    single end-of-packet timer. Noise is pre-drawn as a word-packed
-//    error mask and tracing is reconstructed by time-stamped backfill,
-//    so neither forces per-bit; the per-bit timer chain only runs as
-//    the fallback (contention, mid-run reconfiguration, or a tracer
-//    without backfill support).
+//    single end-of-packet timer. Noise does not force per-bit: the
+//    channel draws the packet's flips from the port's noise stream into
+//    a noisy copy up front. The per-bit timer chain runs when the
+//    channel refuses the run (a tracer is attached: traced systems run
+//    per-bit) or as the fallback (contention, mid-run reconfiguration).
 //  * RX: a receiver that implements BurstRxSink is driven lazily. While
 //    the medium at its frequency is silent it takes NO sampling events:
 //    pending all-'Z' samples are materialised in bulk when something

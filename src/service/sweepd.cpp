@@ -1,9 +1,7 @@
 #include "service/sweepd.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -17,6 +15,7 @@
 #include <sstream>
 
 #include "core/report.hpp"
+#include "io/durable.hpp"
 #include "runner/scenarios.hpp"
 
 namespace btsc::service {
@@ -28,47 +27,11 @@ namespace {
                            std::strerror(errno));
 }
 
-/// Atomic durable file publication: temp + write + fsync + rename +
-/// parent fsync. Existence of `path` therefore implies complete,
-/// durable content — the property every recovery decision relies on.
-void atomic_write_text(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_io("cannot create", tmp);
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n =
-        ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_io("write failed for", tmp);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw_io("fsync failed for", tmp);
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    throw_io("close failed for", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw_io("rename failed onto", path);
-  }
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? std::string(".")
-                                 : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+/// Durable publication (io/durable.hpp): existence of `path` implies
+/// complete, durable content -- the property every recovery decision
+/// relies on.
+void publish_text(const std::string& path, const std::string& content) {
+  io::publish_file(path, content.data(), content.size());
 }
 
 }  // namespace
@@ -211,7 +174,7 @@ std::string SweepService::submit(const JobSpec& spec) {
   // Durable accept: the .job file is on disk (fsync'd) before the
   // client hears "ok", so an accepted job survives any crash.
   try {
-    atomic_write_text(job_path(spec.id), format_job_line(spec) + "\n");
+    publish_text(job_path(spec.id), format_job_line(spec) + "\n");
   } catch (const std::exception& e) {
     return std::string("cannot persist job: ") + e.what();
   }
@@ -360,7 +323,7 @@ void SweepService::run_job(const std::string& id) {
   } catch (const std::exception& e) {
     std::cerr << "sweepd: job " << id << " failed: " << e.what() << "\n";
     try {
-      atomic_write_text(cfg_.jobs_dir + "/" + id + ".error.json",
+      publish_text(cfg_.jobs_dir + "/" + id + ".error.json",
                         "{\"job\": \"" + json_escape(id) +
                             "\", \"error\": \"" + json_escape(e.what()) +
                             "\"}\n");
@@ -398,10 +361,10 @@ void SweepService::run_job(const std::string& id) {
     core::JsonReporter reporter(artifact);
     runner::write_result(result, reporter);
     if (result.supervised && !result.quarantined.empty()) {
-      atomic_write_text(cfg_.jobs_dir + "/" + id + ".quarantine.json",
+      publish_text(cfg_.jobs_dir + "/" + id + ".quarantine.json",
                         runner::quarantine_report(result));
     }
-    atomic_write_text(artifact_path(id), artifact.str());
+    publish_text(artifact_path(id), artifact.str());
   } catch (const std::exception& e) {
     std::cerr << "sweepd: job " << id
               << ": artifact write failed: " << e.what() << "\n";

@@ -20,13 +20,11 @@
 //   "IMG "  the embedded snapshot image bytes (themselves a complete,
 //           independently-checksummed snapshot stream)
 //
-// Atomic-write protocol: the stream is written to `<path>.tmp.<pid>.<seq>`
-// (seq is a per-process counter, so concurrent writers of the SAME
-// target — sweep workers spilling one shared warm-up — cannot rename
-// each other's temp away), fsync'd, closed, renamed over `path`, and
-// the containing directory is fsync'd. A crash at any instant leaves either the old file, the new
-// file, or a stale temp file that is never read — never a torn
-// checkpoint. load_checkpoint_file throws SnapshotError on truncation,
+// Atomic-write protocol: write_checkpoint_file publishes the stream
+// with io::publish_file (io/durable.hpp: temp file, fsync, rename,
+// directory fsync), through the kCheckpoint* fault sites. A crash at
+// any instant leaves either the old file, the new file, or a stale temp
+// file that is never read — never a torn checkpoint. load_checkpoint_file throws SnapshotError on truncation,
 // corruption, or a stale snapshot_version, and never partially applies:
 // the caller's scaffold is untouched on failure.
 #pragma once

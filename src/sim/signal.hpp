@@ -98,12 +98,6 @@ class Signal : public SignalBase {
 
   const T& read() const { return cur_; }
 
-  /// Whether this signal is wired to the tracer, and under which id.
-  /// The burst transport uses these to backfill the traced bus changes
-  /// of a batched run directly (Tracer::change_at).
-  bool traced() const { return traced_; }
-  TraceId trace_id() const { return trace_id_; }
-
   /// Checkpoint restore: overwrites the committed and pending value in
   /// place, with no delta cycle, change notification, or trace record.
   /// Only valid at a settled instant (no update pending), which the

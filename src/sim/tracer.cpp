@@ -73,12 +73,11 @@ void VcdTracer::write_header() {
 void VcdTracer::flush_before(std::uint64_t limit_ns) {
   if (pending_.empty()) return;
   // Canonical emission order: (time, id), insertion-stable within a
-  // pair. Both the per-bit path and the backfilled burst path produce
-  // the same (time, id, value) changes, so sorting makes the two files
-  // byte-identical regardless of which order the changes arrived in.
-  // The explicit seq tie-break makes the order total so plain sort
-  // suffices; stable_sort's temporary buffer pairs operator new with
-  // free under some allocator interpositions, which ASan rejects.
+  // pair, so the file does not depend on the order in which the
+  // same-instant changes were committed. The explicit seq tie-break
+  // makes the order total so plain sort suffices; stable_sort's
+  // temporary buffer pairs operator new with free under some allocator
+  // interpositions, which ASan rejects.
   std::sort(pending_.begin(), pending_.end(),
             [](const Pending& a, const Pending& b) {
               if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
@@ -92,8 +91,8 @@ void VcdTracer::flush_before(std::uint64_t limit_ns) {
   for (std::size_t i = 0; i < n; ++i) {
     const Pending& p = pending_[i];
     Var& var = vars_.at(p.id);
-    // Duplicate suppression in canonical order, so it matches the
-    // per-bit reference no matter how the changes were submitted.
+    // Duplicate suppression in canonical order, so it does not depend
+    // on the submission order either.
     if (var.last == p.value) continue;
     var.last = p.value;
     if (p.time_ns != last_ts_) {
@@ -114,24 +113,8 @@ void VcdTracer::change(TraceId id, const std::string& value) {
   assert(id < vars_.size() && "VcdTracer: change on undeclared id");
   started_ = true;
   pending_.push_back({env_.now().as_ns(), id, value, pending_seq_++});
-  // Entries strictly before the current instant are final (no hold is
-  // open, so no backfill can still land among them); stream them out.
-  if (holds_ == 0) flush_before(env_.now().as_ns());
-}
-
-void VcdTracer::change_at(TraceId id, const std::string& value,
-                          std::uint64_t time_ns) {
-  assert(id < vars_.size() && "VcdTracer: change_at on undeclared id");
-  assert(time_ns <= env_.now().as_ns() && "VcdTracer: backfill in the future");
-  started_ = true;
-  pending_.push_back({time_ns, id, value, pending_seq_++});
-}
-
-void VcdTracer::begin_hold() { ++holds_; }
-
-void VcdTracer::end_hold() {
-  assert(holds_ > 0 && "VcdTracer: unbalanced end_hold");
-  if (--holds_ == 0) flush_before(env_.now().as_ns());
+  // Entries strictly before the current instant are final.
+  flush_before(env_.now().as_ns());
 }
 
 TraceId RecordingTracer::declare(const std::string& name, unsigned,

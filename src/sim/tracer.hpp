@@ -4,20 +4,15 @@
 // change is recorded with the current simulation time. The output is a
 // standard IEEE 1364 VCD file loadable in GTKWave -- this is how the
 // repository reproduces the waveform figures (Fig. 5 and Fig. 9) of the
-// paper.
+// paper. A traced system runs the per-bit reference transport
+// (phy::NoisyChannel refuses burst runs while a tracer is attached), so
+// every change arrives at its own instant.
 //
-// Backfill
-// --------
-// The burst transport (phy::NoisyChannel) drives a whole packet as one
-// run instead of one event per bit, so the traced bus transitions for
-// the run's bits are generated after the fact, time-stamped from the
-// run's geometry (change_at). To keep the file byte-identical to the
-// per-bit reference, VcdTracer buffers changes and emits them in a
-// canonical order -- sorted by (time, id), stable within a pair -- and
-// a producer with backfill pending opens a *hold* (begin_hold/end_hold)
-// so nothing at or after the run's start flushes before the backfill
-// lands. Per-var duplicate suppression happens at flush time, in the
-// canonical order, so it is insensitive to submission order too.
+// VcdTracer buffers the changes of the current instant and emits them
+// in a canonical order -- sorted by (time, id), stable within a pair --
+// once simulation time has moved past them. Per-var duplicate
+// suppression happens at flush time, in that order, so the file does
+// not depend on the order in which same-instant changes were committed.
 #pragma once
 
 #include <cstdint>
@@ -49,30 +44,6 @@ class Tracer {
   /// scalars it is a single character from {0,1,x,z}.
   virtual void change(TraceId id, const std::string& value) = 0;
 
-  // ---- backfill (burst-run trace reconstruction) ----
-
-  /// True when this tracer accepts time-stamped backfill (change_at under
-  /// a hold window). The burst transport only batches traced packets when
-  /// the attached tracer can take the reconstructed transitions; a sink
-  /// without backfill (e.g. RecordingTracer) keeps the per-bit path.
-  virtual bool supports_backfill() const { return false; }
-
-  /// Records a change at an explicit past instant. Only meaningful while
-  /// a hold opened at or before `time_ns` is in effect; tracers that do
-  /// not support backfill ignore it.
-  virtual void change_at(TraceId id, const std::string& value,
-                         std::uint64_t time_ns) {
-    (void)id;
-    (void)value;
-    (void)time_ns;
-  }
-
-  /// Brackets a window whose past instants may still receive change_at
-  /// backfill. Holds nest (refcounted); a tracer must not emit anything
-  /// time-stamped inside an open hold window until the hold ends.
-  virtual void begin_hold() {}
-  virtual void end_hold() {}
-
  protected:
   ~Tracer() = default;
 };
@@ -82,9 +53,7 @@ class Tracer {
 /// the natural elaboration-then-simulate order.
 ///
 /// Changes are buffered and flushed in canonical (time, id) order once
-/// simulation time has moved past them (and no hold is open), so
-/// burst-run backfill interleaves exactly where the per-bit reference
-/// would have written its changes.
+/// simulation time has moved past them.
 class VcdTracer final : public Tracer {
  public:
   /// `env` provides timestamps; `path` is the output file. Throws
@@ -96,16 +65,8 @@ class VcdTracer final : public Tracer {
                   const std::string& initial = std::string()) override;
   void change(TraceId id, const std::string& value) override;
 
-  bool supports_backfill() const override { return true; }
-  void change_at(TraceId id, const std::string& value,
-                 std::uint64_t time_ns) override;
-  void begin_hold() override;
-  void end_hold() override;
-
-  /// Flushes every buffered change (holds notwithstanding) and closes
-  /// the file (also done by the destructor). Producers with backfill
-  /// pending must materialise it before closing (see
-  /// NoisyChannel::flush_trace_backfill).
+  /// Flushes every buffered change and closes the file (also done by
+  /// the destructor).
   void close();
 
  private:
@@ -132,7 +93,6 @@ class VcdTracer final : public Tracer {
   std::vector<Var> vars_;
   std::vector<Pending> pending_;
   std::uint64_t pending_seq_ = 0;
-  int holds_ = 0;
   bool started_ = false;  // a change has been recorded; declare() closed
   bool header_written_ = false;
   std::uint64_t last_ts_ = ~0ull;

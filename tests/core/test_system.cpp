@@ -85,6 +85,25 @@ TEST(BluetoothSystemTest, PageTimesOutWhenNothingAnswers) {
   }
 }
 
+// run_inquiry's completion handler writes to the function's locals, so
+// it must not stay installed after the call returns: an inquiry started
+// later by hand would complete into a dead frame (ASan reports it with
+// detect_stack_use_after_return=1).
+TEST(BluetoothSystemTest, SecondInquiryAfterRunInquiryCompletes) {
+  BluetoothSystem sys(reliable());
+  ASSERT_TRUE(sys.run_inquiry().success);
+  ASSERT_EQ(sys.slave(0).lc().state(), baseband::LcState::kInquiryScan);
+  sys.master().lc().enable_inquiry();
+  ASSERT_EQ(sys.master().lc().state(), baseband::LcState::kInquiry);
+  for (int ms = 0; ms < 30000 &&
+                   sys.master().lc().state() == baseband::LcState::kInquiry;
+       ++ms) {
+    sys.run(1_ms);
+  }
+  EXPECT_EQ(sys.master().lc().state(), baseband::LcState::kStandby);
+  EXPECT_FALSE(sys.master().lc().discovered().empty());
+}
+
 TEST(BluetoothSystemTest, PageWithoutDiscoveryFails) {
   BluetoothSystem sys(reliable());
   const PhaseResult page = sys.run_page(0);  // no inquiry ran

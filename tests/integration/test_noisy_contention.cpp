@@ -115,8 +115,8 @@ TEST(NoisyContention, BurstMatchesPerBitAndForkMatchesCold) {
     EXPECT_EQ(burst.collision_samples, ref.collision_samples)
         << "seed " << seed;
     EXPECT_EQ(burst.root_stream, ref.root_stream) << "seed " << seed;
-    // Noise no longer makes the channel exclusive: the two noisy
-    // piconets keep batching their packets.
+    // Noise does not refuse runs: the two noisy piconets keep batching
+    // their packets.
     ASSERT_GT(burst.bits_driven, 0u) << "seed " << seed;
     EXPECT_GT(static_cast<double>(burst.bits_burst) /
                   static_cast<double>(burst.bits_driven),

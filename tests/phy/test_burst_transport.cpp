@@ -1,15 +1,12 @@
 // Burst-transport semantics at the phy layer: run acceptance and
-// refusal, one run per frequency and the exclusive cases, per-bit
-// fallback on contention/abort/reconfiguration, lazy receiver
+// refusal, one run per frequency, per-bit fallback on
+// contention/abort/reconfiguration, lazy receiver
 // equivalence (every sample stream must match the per-bit reference
 // radio bit for bit, also over seeded random contention), checkpoints
 // taken between concurrent runs, and the lazy diagnostics counters.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <array>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +17,6 @@
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
-#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -121,7 +117,7 @@ TEST(BurstTransportTest, SoleTransmitterRunIsAcceptedAndCounted) {
   EXPECT_EQ(tx.bits_sent(), 100u);
 }
 
-TEST(BurstTransportTest, NoisyPacketsBurstViaErrorMask) {
+TEST(BurstTransportTest, NoisyPacketsBurstViaNoiseStream) {
   // BER > 0 does not force the per-bit path: the run draws its flips
   // from its port's noise stream and still transports in one burst.
   Environment env;
@@ -262,34 +258,6 @@ TEST(BurstTransportTest, CrossFrequencyRunsStayBurst) {
       EXPECT_EQ(seen[0][i], seen[1][i]) << "receiver " << i;
     }
   }
-}
-
-TEST(BurstTransportTest, CrossFrequencyContentionDegradesWhenExclusive) {
-  // With a tracer attached, the channel admits one run on a silent
-  // medium: a second transmitter on another frequency still degrades it.
-  const std::string vcd = ::testing::TempDir() + "btsc_burst_exclusive_" +
-                          std::to_string(::getpid()) + ".vcd";
-  {
-    Environment env(7);
-    sim::VcdTracer tracer(env, vcd);
-    env.set_tracer(&tracer);
-    NoisyChannel ch(env, "ch");
-    Radio a(env, "a", ch), b(env, "b", ch);
-    a.transmit(10, BitVector(50, true));
-    env.run(5_us);
-    EXPECT_TRUE(ch.burst_active(a.port()));
-    b.transmit(40, BitVector(10, true));  // different RF channel
-    EXPECT_FALSE(ch.burst_active(a.port()));
-    EXPECT_FALSE(ch.burst_active(b.port()));
-    env.run(100_us);
-    EXPECT_EQ(ch.burst_fallbacks(), 1u);
-    EXPECT_EQ(a.bits_sent(), 50u);
-    EXPECT_EQ(b.bits_sent(), 10u);
-    EXPECT_EQ(ch.bits_driven(), 60u);
-    tracer.close();
-    env.set_tracer(nullptr);
-  }
-  std::remove(vcd.c_str());
 }
 
 TEST(BurstTransportTest, AbortMidRunStopsAtTheExactBit) {

@@ -4,7 +4,7 @@
 // reproduce the per-bit reference -- same sample stream, same flip
 // counts, same stream positions -- for every packet geometry, BER, and
 // mid-run perturbation (fallback at any bit, abort, foreign RNG draws,
-// reseed, checkpoint/restore).
+// reseed, checkpoint/restore). A traced channel never batches.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,11 +15,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <initializer_list>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -492,115 +490,43 @@ TEST(NoiseMaskTest, FlippedBitsCounterIsLazyDuringRun) {
   EXPECT_GT(mid_flips[0], 0u);
 }
 
-TEST(NoiseMaskTest, RecordingTracerKeepsPerBitSemantics) {
-  // A tracer without backfill support must force the per-bit path (the
-  // existing unit-test semantics of RecordingTracer stay intact).
-  Environment env(3);
-  sim::RecordingTracer tracer(env);
-  env.set_tracer(&tracer);
-  NoisyChannel ch(env, "ch");
-  Radio tx(env, "tx", ch);
-  tx.transmit(1, random_payload(50, 8));
-  env.run(100_us);
-  EXPECT_EQ(ch.bits_burst(), 0u);
-  EXPECT_EQ(ch.bits_driven(), 50u);
-  env.set_tracer(nullptr);
-}
+// ---- traced channels run per-bit ----
 
-// ---- traced backfill: VCD bytes vs the per-bit reference ----
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Runs `script` against a VCD tracer with burst on/off and returns the
-/// two files' contents for byte comparison.
-template <typename Script>
-std::pair<std::string, std::string> traced_pair(ChannelConfig cfg,
-                                                Script script) {
-  std::string out[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    // Unique per process: ctest runs each traced TEST() as its own
-    // process, in parallel, and they must not clobber each other's VCDs.
-    const std::string path = ::testing::TempDir() + "btsc_noise_mask_" +
-                             std::to_string(::getpid()) + "_" +
-                             std::to_string(pass) + ".vcd";
-    {
-      Environment env(17);
-      sim::VcdTracer tracer(env, path);
-      env.set_tracer(&tracer);
-      NoisyChannel ch(env, "ch", cfg);
-      if (pass == 1) ch.set_burst_transport_enabled(false);
-      Radio tx(env, "tx", ch), rx(env, "rx", ch);
-      script(env, ch, tx, rx, tracer);
-      env.set_tracer(nullptr);
-    }
-    out[pass] = slurp(path);
-    std::remove(path.c_str());
+/// Transmits a 50-bit packet at each BER under a tracer made by
+/// `make(env)`: every bit must take the per-bit path.
+template <class MakeTracer>
+void expect_per_bit_when_traced(MakeTracer make) {
+  for (const double ber : {0.0, 0.05}) {
+    SCOPED_TRACE(ber);
+    Environment env(3);
+    const auto tracer = make(env);
+    env.set_tracer(tracer.get());
+    ChannelConfig cfg;
+    cfg.ber = ber;
+    NoisyChannel ch(env, "ch", cfg);
+    Radio tx(env, "tx", ch);
+    tx.transmit(1, random_payload(50, 8));
+    env.run(100_us);
+    EXPECT_EQ(ch.bits_burst(), 0u);
+    EXPECT_EQ(ch.bits_driven(), 50u);
+    EXPECT_EQ(ch.burst_fallbacks(), 0u);
+    env.set_tracer(nullptr);
   }
-  return {out[0], out[1]};
 }
 
-TEST(NoiseMaskTest, TracedNoisyBurstVcdByteIdenticalToPerBit) {
-  ChannelConfig cfg;
-  cfg.ber = 0.02;
-  auto [burst, ref] = traced_pair(
-      cfg, [&](Environment& env, NoisyChannel& ch, Radio& tx, Radio& rx,
-               sim::VcdTracer& tracer) {
-        rx.enable_rx(7);
-        env.run(5_us);
-        tx.transmit(7, random_payload(300, 71));
-        env.run(400_us);
-        if (ch.burst_transport_enabled()) {
-          EXPECT_EQ(ch.bits_burst(), 300u) << "traced run was not batched";
-        }
-        ch.flush_trace_backfill();
-        tracer.close();
-      });
-  EXPECT_FALSE(burst.empty());
-  EXPECT_EQ(burst, ref);
+TEST(NoiseMaskTest, RecordingTracerKeepsPerBitSemantics) {
+  expect_per_bit_when_traced([](Environment& env) {
+    return std::make_unique<sim::RecordingTracer>(env);
+  });
 }
 
-TEST(NoiseMaskTest, TracerClosedMidRunBackfillsTheElapsedTail) {
-  // finish_trace()-style shutdown while a traced run is still on the
-  // air: the elapsed prefix must be materialised before the file
-  // closes, making it byte-identical to a per-bit run cut at the same
-  // instant.
-  ChannelConfig cfg;
-  cfg.ber = 0.05;
-  auto [burst, ref] = traced_pair(
-      cfg, [&](Environment& env, NoisyChannel& ch, Radio& tx, Radio& rx,
-               sim::VcdTracer& tracer) {
-        rx.enable_rx(4);
-        tx.transmit(4, random_payload(500, 81));
-        env.run(200_us);  // run still active (500-bit packet)
-        ch.flush_trace_backfill();
-        tracer.close();
-      });
-  EXPECT_FALSE(burst.empty());
-  EXPECT_EQ(burst, ref);
-}
-
-TEST(NoiseMaskTest, TracedFallbackVcdByteIdenticalToPerBit) {
-  ChannelConfig cfg;
-  cfg.ber = 0.03;
-  auto [burst, ref] = traced_pair(
-      cfg, [&](Environment& env, NoisyChannel& ch, Radio& tx, Radio& rx,
-               sim::VcdTracer& tracer) {
-        rx.enable_rx(7);
-        tx.transmit(7, random_payload(300, 91));
-        // Degrade the traced run mid-flight (BER change): the backfill
-        // covers the batched prefix, per-bit tracing the rest.
-        env.schedule(100_us + SimTime::ns(500), [&ch] { ch.set_ber(0.2); });
-        env.run(400_us);
-        ch.flush_trace_backfill();
-        tracer.close();
-      });
-  EXPECT_FALSE(burst.empty());
-  EXPECT_EQ(burst, ref);
+TEST(NoiseMaskTest, VcdTracerKeepsPerBitSemantics) {
+  const std::string path = ::testing::TempDir() + "btsc_noise_stream_" +
+                           std::to_string(::getpid()) + ".vcd";
+  expect_per_bit_when_traced([&](Environment& env) {
+    return std::make_unique<sim::VcdTracer>(env, path);
+  });
+  std::remove(path.c_str());
 }
 
 // ---- burst barrier timer vs idle()/stats, checkpoint mid-burst ----
@@ -685,26 +611,47 @@ TEST(NoiseMaskTest, BurstBarrierTimerKeepsKernelBusyAndSurvivesCheckpoint) {
   EXPECT_EQ(save_phy(env3, ch3, tx3, rx3), snap);
 }
 
-TEST(NoiseMaskTest, TracedRunRefusesCheckpoint) {
-  const std::string path = ::testing::TempDir() + "btsc_noise_mask_ckpt.vcd";
+TEST(NoiseMaskTest, TracedChannelCheckpointsMidPacket) {
+  // A traced channel carries its packets per-bit, so it holds no burst
+  // run mid-packet and checkpoints like any other: a traced twin
+  // restores the image, saves the same bytes, and finishes the packet
+  // with the same flips.
+  const std::string base = ::testing::TempDir() + "btsc_noise_stream_ckpt_" +
+                           std::to_string(::getpid());
+  ChannelConfig cfg;
+  cfg.ber = 0.01;
   {
     Environment env(29);
-    sim::VcdTracer tracer(env, path);
+    sim::VcdTracer tracer(env, base + "_a.vcd");
     env.set_tracer(&tracer);
-    ChannelConfig cfg;
-    cfg.ber = 0.01;
     NoisyChannel ch(env, "ch", cfg);
     Radio tx(env, "tx", ch), rx(env, "rx", ch);
+    rx.enable_rx(7);
     tx.transmit(7, random_payload(300, 3));
     env.run(100_us);
-    ASSERT_TRUE(ch.burst_active(tx.port()));
-    sim::SnapshotWriter w;
-    EXPECT_THROW(ch.save_state(w), sim::SnapshotError);
-    ch.flush_trace_backfill();
-    tracer.close();
+    ASSERT_TRUE(ch.busy());
+    ASSERT_FALSE(ch.burst_active(tx.port()));
+    const auto snap = save_phy(env, ch, tx, rx);
+
+    Environment env2(29);
+    sim::VcdTracer tracer2(env2, base + "_b.vcd");
+    env2.set_tracer(&tracer2);
+    NoisyChannel ch2(env2, "ch", cfg);
+    Radio tx2(env2, "tx", ch2), rx2(env2, "rx", ch2);
+    restore_phy(snap, env2, ch2, tx2, rx2);
+    EXPECT_EQ(save_phy(env2, ch2, tx2, rx2), snap);
+
+    env.run(400_us);
+    env2.run(400_us);
+    EXPECT_EQ(ch2.bits_driven(), 300u);
+    EXPECT_EQ(ch2.bits_burst(), 0u);
+    EXPECT_EQ(ch.bits_flipped(), ch2.bits_flipped());
+    EXPECT_EQ(save_phy(env2, ch2, tx2, rx2), save_phy(env, ch, tx, rx));
     env.set_tracer(nullptr);
+    env2.set_tracer(nullptr);
   }
-  std::remove(path.c_str());
+  std::remove((base + "_a.vcd").c_str());
+  std::remove((base + "_b.vcd").c_str());
 }
 
 }  // namespace
