@@ -93,7 +93,8 @@ void TwoPiconets::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
 }
 
 bool TwoPiconets::create(int piconet, int max_attempts) {
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  bool created = false;
+  for (int attempt = 0; attempt < max_attempts && !created; ++attempt) {
     std::optional<bool> inquiry_done;
     lm::LinkManager::Events ev;
     ev.inquiry_complete = [&](bool ok) { inquiry_done = ok; };
@@ -114,9 +115,12 @@ bool TwoPiconets::create(int piconet, int max_attempts) {
     master(piconet).lc().enable_page(found[0].addr, found[0].clkn_offset);
     const SimTime page_deadline = env_.now() + 12_sec;
     while (!page_done && env_.now() < page_deadline) run(5_ms);
-    if (page_done.value_or(false)) return true;
+    created = page_done.value_or(false);
   }
-  return false;
+  // The handlers point into the loop's frame; a later inquiry or page
+  // must not reach them.
+  master_lm(piconet).set_events({});
+  return created;
 }
 
 }  // namespace btsc::core

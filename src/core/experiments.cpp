@@ -328,6 +328,8 @@ ThroughputRow run_throughput_from(BluetoothSystem& sys,
       sys.master().lc().stats().retransmissions - retx_before;
   row.goodput_kbps = static_cast<double>((delivered_bytes - bytes_before) * 8) /
                      window.as_sec() / 1000.0;
+  // The handler points into this frame; later traffic must not reach it.
+  sys.slave_lm(0).set_events({});
   return row;
 }
 
@@ -374,6 +376,8 @@ CoexistenceRow run_coexistence_from(TwoPiconets& net,
   row.retransmissions =
       net.master(0).lc().stats().retransmissions - retx0;
   row.collision_samples = net.channel().collision_samples() - coll0;
+  // The handler points into this frame; later traffic must not reach it.
+  net.slave_lm(0).set_events({});
   return row;
 }
 

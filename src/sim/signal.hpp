@@ -121,7 +121,13 @@ class Signal : public SignalBase {
     if (next_ == cur_) return;
     cur_ = next_;
     if (traced_) {
-      env_->tracer()->change(trace_id_, TraceEncoder<T>::encode(cur_));
+      // A signal built while a tracer was attached stops tracing once the
+      // trace is closed (the environment's tracer reset to null).
+      if (Tracer* tracer = env_->tracer()) {
+        tracer->change(trace_id_, TraceEncoder<T>::encode(cur_));
+      } else {
+        traced_ = false;
+      }
     }
     changed_.notify_delta();
   }

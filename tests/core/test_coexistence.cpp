@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiments.hpp"
 #include "core/metrics.hpp"
 #include "core/traffic.hpp"
 
@@ -21,6 +22,36 @@ TEST(CoexistenceTest, BothPiconetsForm) {
   EXPECT_TRUE(net.master(1).lc().is_master());
   EXPECT_TRUE(net.slave(0).lc().is_connected_slave());
   EXPECT_TRUE(net.slave(1).lc().is_connected_slave());
+}
+
+TEST(CoexistenceTest, SecondPageAfterCreateCompletes) {
+  // create() must not leave its handlers installed: a page started by
+  // hand afterwards completes without reaching create()'s frame.
+  TwoPiconets net(3);
+  ASSERT_TRUE(net.create(0));
+  const baseband::DiscoveredDevice found =
+      net.master(0).lc().discovered().front();
+  net.slave(0).lc().enable_page_scan();
+  net.master(0).lc().enable_page(found.addr, found.clkn_offset);
+  for (int ms = 0; ms < 12000 && !net.slave(0).lc().is_connected_slave();
+       ++ms) {
+    net.run(1_ms);
+  }
+  EXPECT_TRUE(net.master(0).lc().is_master());
+  EXPECT_TRUE(net.slave(0).lc().is_connected_slave());
+}
+
+TEST(CoexistenceTest, TrafficAfterRunCoexistenceFromLeavesNoHandler) {
+  // run_coexistence_from() resets the victim slave's handler before it
+  // returns: traffic started afterwards must not reach its frame.
+  auto net = coexistence_warmup(2030);
+  CoexistenceRunConfig cfg;
+  cfg.measure_slots = 200;
+  run_coexistence_from(*net, 4, cfg);
+  const std::uint64_t sent = net->master(0).lc().stats().data_tx;
+  SaturatingTrafficSource more(net->master(0), 1, cfg.payload_bytes);
+  net->run(200_ms);
+  EXPECT_GT(net->master(0).lc().stats().data_tx, sent);
 }
 
 TEST(CoexistenceTest, BothLinksCarryDataSimultaneously) {

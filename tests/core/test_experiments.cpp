@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "core/traffic.hpp"
 
 namespace btsc::core {
 namespace {
@@ -213,6 +214,21 @@ TEST(ThroughputExperiment, RetransmissionsGrowWithBer) {
   const auto noisy = throughput(baseband::PacketType::kDh1, 1.0 / 100.0, cfg);
   EXPECT_GT(noisy.retransmissions, clean.retransmissions);
   EXPECT_LT(noisy.goodput_kbps, clean.goodput_kbps);
+}
+
+TEST(ThroughputExperiment, TrafficAfterRunThroughputFromLeavesNoHandler) {
+  // run_throughput_from() resets the slave's handler before it returns:
+  // traffic started afterwards must not reach its frame.
+  const auto type = baseband::PacketType::kDm1;
+  auto w = throughput_warmup(type, 5);
+  ThroughputConfig cfg;
+  cfg.measure_slots = 200;
+  run_throughput_from(*w.system, type, 0.0, cfg);
+  const std::uint64_t sent = w.system->master().lc().stats().data_tx;
+  SaturatingTrafficSource more(w.system->master(), w.system->lt_addr_of(0),
+                               baseband::max_user_bytes(type));
+  w.system->run(baseband::kSlotDuration * 200);
+  EXPECT_GT(w.system->master().lc().stats().data_tx, sent);
 }
 
 TEST(MetricsTest, PowerModelWeighsDutyCycles) {

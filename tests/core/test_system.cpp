@@ -137,6 +137,19 @@ TEST(BluetoothSystemTest, VcdTraceWritten) {
   std::remove(path.c_str());
 }
 
+TEST(BluetoothSystemTest, InquiryAfterFinishTraceCompletes) {
+  // finish_trace() detaches the tracer; signals built while it was
+  // attached must stop tracing instead of writing through a null tracer.
+  const std::string path = ::testing::TempDir() + "btsc_finished_trace.vcd";
+  SystemConfig sc = reliable();
+  sc.vcd_path = path;
+  BluetoothSystem sys(sc);
+  sys.run(10_ms);
+  sys.finish_trace();
+  EXPECT_TRUE(sys.run_inquiry().success);
+  std::remove(path.c_str());
+}
+
 TEST(BluetoothSystemTest, DeterministicAcrossRuns) {
   auto run_once = [](std::uint64_t seed) {
     BluetoothSystem sys(reliable(1, seed));
