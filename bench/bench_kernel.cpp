@@ -130,7 +130,8 @@ void BM_PacketDecode(benchmark::State& state) {
 
   std::uint64_t bits_total = 0;
   for (auto _ : state) {
-    sim::BitVector bits = access_code(lap, /*with_trailer=*/true);
+    phy::BitsPacket packet(access_code(lap, /*with_trailer=*/true));
+    sim::BitVector& bits = packet.mutable_bits();
     bits.append(compose_after_access_code(h, body, params));
     rec.configure(sync_bits(lap), uap, params.whiten_init,
                   Receiver::Expect::kFull);
@@ -138,8 +139,9 @@ void BM_PacketDecode(benchmark::State& state) {
     // effect samples through the per-sample entry.
     std::size_t pos = 0;
     while (pos < bits.size()) {
-      const std::size_t q = rec.quiet_prefix(&bits, pos, bits.size() - pos);
-      rec.consume_quiet(&bits, pos, q);
+      const std::size_t q =
+          rec.quiet_prefix(&packet, pos, bits.size() - pos);
+      rec.consume_quiet(&packet, pos, q);
       pos += q;
       if (pos < bits.size()) {
         rec.on_sample(phy::from_bit(bits[pos]));

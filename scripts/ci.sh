@@ -145,13 +145,14 @@ cmake --build build-asan -j "$jobs" --target \
       baseband_test_bt_clock baseband_test_access_code \
       baseband_test_framing_word baseband_test_receiver_word \
       phy_test_burst_transport phy_test_noise_stream \
-      integration_test_burst_equivalence \
+      integration_test_burst_equivalence integration_test_clean_path \
+      integration_test_transport_fuzz \
       integration_test_link integration_test_multislave integration_test_noise_stress \
       runner_test_sweep runner_test_determinism \
       core_test_checkpoint runner_test_checkpoint_sweep \
       sim_test_checkpoint_store runner_test_journal runner_test_supervision \
       io_test_fault_plan runner_test_warmup_store service_test_sweepd \
-      core_test_system
+      core_test_system core_test_coexistence core_test_experiments
 # sim_test_scheduler/sim_test_timer_queue/sim_test_tracer exercise the
 # timed queue's dispatch and cancellation paths (heap removal, the
 # seeded std::set reference storm, schedule/cancel churn, slot reuse,
@@ -172,6 +173,12 @@ cmake --build build-asan -j "$jobs" --target \
 # pinned digest of a traced noisy creation VCD, which runs per-bit under
 # either transport switch, and the zero-allocation round trip) with the
 # debug asserts armed under the sanitizers.
+# integration_test_clean_path drives every way a receiver leaves a taken
+# clean packet (contention, abort, reconfiguration, a rejecting header
+# hook, a checkpoint) against the per-bit reference, and
+# integration_test_transport_fuzz the seeded whole-system burst-vs-per-bit
+# cases: the taken packet's replay indexes the composed bits from a saved
+# position, so both run with the asserts armed.
 # baseband_test_receiver_word is the receiver's word-vs-bit differential
 # suite (every packet type, whitening, noise, all-'Z' sources, every
 # consume split point); with asserts armed consume_quiet() also replays
@@ -215,7 +222,8 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          baseband_test_bt_clock baseband_test_access_code \
          baseband_test_framing_word baseband_test_receiver_word \
          phy_test_burst_transport phy_test_noise_stream \
-         integration_test_burst_equivalence \
+         integration_test_burst_equivalence integration_test_clean_path \
+         integration_test_transport_fuzz \
          integration_test_link integration_test_multislave integration_test_noise_stress \
          runner_test_sweep runner_test_determinism \
          core_test_checkpoint runner_test_checkpoint_sweep \
@@ -227,8 +235,14 @@ done
 # core_test_system drives BluetoothSystem's run_inquiry/run_page, whose
 # completion handlers capture the calling frame; with fake stacks on,
 # a handler left installed past its call turns into a
-# stack-use-after-return report instead of a silent stray write.
+# stack-use-after-return report instead of a silent stray write. The
+# same holds for TwoPiconets::create and run_coexistence_from
+# (core_test_coexistence) and run_throughput_from (the handler case of
+# core_test_experiments; its paper-band cases are release-speed work).
 ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/core_test_system
+ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/core_test_coexistence
+ASAN_OPTIONS=detect_stack_use_after_return=1 ./build-asan/tests/core_test_experiments \
+  --gtest_filter='*LeavesNoHandler*'
 
 echo "=== TSan: threaded sweep + sweep service suites ==="
 # ThreadSanitizer build (build-tsan, the `tsan` CMake preset): the sweep

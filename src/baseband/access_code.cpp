@@ -43,19 +43,34 @@ std::uint64_t sync_bits(std::uint32_t lap) {
   return codeword ^ kPnSequence;
 }
 
-sim::BitVector access_code(std::uint32_t lap, bool with_trailer) {
-  const std::uint64_t sync = sync_bits(lap);
-  sim::BitVector out;
-  out.reserve(4 + kSyncWordBits + (with_trailer ? 4 : 0));
+AccessCode AccessCode::of(std::uint32_t lap) {
+  AccessCode c;
+  c.lap = lap & 0xFFFFFFu;
+  c.sync = sync_bits(c.lap);
   // Preamble 0101/1010 (air order, first bit in the LSB): alternating
   // pattern ending opposite to the first sync bit, so the edge keeps
   // alternating into the sync word.
-  out.append_uint((sync & 1u) ? 0b0101u : 0b1010u, 4);
-  out.append_uint(sync, kSyncWordBits);
-  if (with_trailer) {
-    // Trailer extends the alternation after the last sync bit.
-    out.append_uint((sync >> 63) ? 0b1010u : 0b0101u, 4);
+  const std::uint64_t preamble = (c.sync & 1u) ? 0b0101u : 0b1010u;
+  // Trailer extends the alternation after the last sync bit.
+  const std::uint64_t trailer = (c.sync >> 63) ? 0b1010u : 0b0101u;
+  c.lo = preamble | (c.sync << 4);
+  c.hi = (c.sync >> 60) | (trailer << 4);
+  std::uint64_t window = 0;
+  for (std::size_t i = 0; i < kAccessCodeBits; ++i) {
+    window = (window >> 1) | (c.bits(i, 1) << 63);
+    if (64 - std::popcount(window ^ c.sync) >= kSyncCorrelationThreshold) {
+      c.fire_from_silence = i;
+      break;
+    }
   }
+  return c;
+}
+
+sim::BitVector access_code(std::uint32_t lap, bool with_trailer) {
+  sim::BitVector out;
+  out.reserve(kAccessCodeBits);
+  AccessCode::of(lap).append_to(out,
+                                with_trailer ? kAccessCodeBits : kIdPacketBits);
   return out;
 }
 

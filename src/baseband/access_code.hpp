@@ -19,6 +19,7 @@
 // 64 positions match (spec-like sliding correlator).
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -43,6 +44,65 @@ std::uint64_t sync_bits(std::uint32_t lap);
 /// Full access code: preamble + sync word, plus trailer when
 /// `with_trailer` (packets that carry a header).
 sim::BitVector access_code(std::uint32_t lap, bool with_trailer);
+
+/// One LAP's access code, BCH-encoded once: the sync word and the 72
+/// air bits preamble + sync + trailer, packed LSB-first (bit i = air bit
+/// i) in two words.
+struct AccessCode {
+  std::uint32_t lap = 0;
+  std::uint64_t sync = 0;
+  std::uint64_t lo = 0;  // air bits 0..63
+  std::uint64_t hi = 0;  // air bits 64..71
+  /// Air bit at which a correlator for `sync` whose window holds only
+  /// zeros first matches this access code (kAccessCodeBits: none).
+  std::size_t fire_from_silence = kAccessCodeBits;
+
+  static AccessCode of(std::uint32_t lap);
+
+  /// Air bits [first, first + n), LSB first; n in 1..64, first + n <= 72.
+  std::uint64_t bits(std::size_t first, unsigned n) const {
+    assert(n >= 1 && n <= 64 && first + n <= kAccessCodeBits);
+    std::uint64_t v;
+    if (first >= 64) {
+      v = hi >> (first - 64);
+    } else if (first == 0) {
+      v = lo;
+    } else {
+      v = (lo >> first) | (hi << (64 - first));
+    }
+    return n == 64 ? v : v & ((1ull << n) - 1);
+  }
+
+  /// Appends the first `n` (68 or 72) air bits to `out`.
+  void append_to(sim::BitVector& out, std::size_t n) const {
+    out.append_uint(lo, 64);
+    out.append_uint(hi, static_cast<unsigned>(n - 64));
+  }
+
+  friend bool operator==(const AccessCode&, const AccessCode&) = default;
+};
+
+/// The access codes of the few LAPs one device uses (its own, its
+/// master's, the inquiry access code, a page target), each computed on
+/// first use; a LAP beyond the capacity evicts the oldest entry.
+class AccessCodeCache {
+ public:
+  const AccessCode& get(std::uint32_t lap) {
+    lap &= 0xFFFFFFu;
+    for (std::size_t i = 0; i < used_; ++i) {
+      if (entries_[i].lap == lap) return entries_[i];
+    }
+    const std::size_t slot = used_ < entries_.size() ? used_++ : evict_++;
+    evict_ %= entries_.size();
+    entries_[slot] = AccessCode::of(lap);
+    return entries_[slot];
+  }
+
+ private:
+  std::array<AccessCode, 4> entries_{};
+  std::size_t used_ = 0;
+  std::size_t evict_ = 0;
+};
 
 /// Sliding sync-word correlator. The 64-bit shift register holds the
 /// last 64 received bits (bit i = air bit i of the candidate window), so
@@ -74,6 +134,30 @@ class Correlator {
 
   /// Bits observed since construction or reset.
   std::uint64_t bits_seen() const { return bits_seen_; }
+
+  /// The sync word this correlator searches for.
+  std::uint64_t expected() const { return expected_; }
+
+  /// True while the window holds only zeros (after a reset or silence).
+  bool silent_window() const { return window_ == 0; }
+
+  /// First of the next `count` bits of `code` (from its air bit 0) at
+  /// which a silent window fires, or `count` when none does; exact, from
+  /// the code's cached fire_from_silence. Requires silent_window() and
+  /// expected() == code.sync.
+  std::size_t silent_window_fire(const AccessCode& code,
+                                 std::size_t count) const {
+    assert(silent_window() && expected_ == code.sync);
+    const std::size_t f = code.fire_from_silence;
+    // No earlier bit matches at all; bit f fires once 64 bits are seen.
+    if (f >= count) return count;
+    if (f == kAccessCodeBits) return kUnresolved;  // past the code
+    return bits_seen_ + f + 1 >= kSyncWordBits ? f : kUnresolved;
+  }
+
+  /// silent_window_fire() answer when the fire at the cached bit is
+  /// suppressed (fewer than 64 bits seen): the caller dry-runs instead.
+  static constexpr std::size_t kUnresolved = static_cast<std::size_t>(-1);
 
   void reset();
 

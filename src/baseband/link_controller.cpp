@@ -287,7 +287,7 @@ int LinkController::respmap(int freq, int n) {
 void LinkController::arm_receiver(std::uint32_t lap, std::uint8_t check_init,
                                   std::optional<std::uint8_t> whiten,
                                   Receiver::Expect expect) {
-  receiver_.configure(sync_bits(lap), check_init, whiten, expect);
+  receiver_.configure(access_codes_.get(lap).sync, check_init, whiten, expect);
 }
 
 void LinkController::open_rx_window(int freq, SimTime sense_window) {
@@ -306,7 +306,8 @@ void LinkController::close_rx_if_idle() {
 void LinkController::transmit_id(std::uint32_t lap, int freq) {
   if (radio_.tx_busy()) return;
   ++stats_.id_tx;
-  radio_.transmit(freq, access_code(lap, /*with_trailer=*/false));
+  tx_packet_.set_id(access_codes_.get(lap));
+  radio_.transmit(freq, tx_packet_);
 }
 
 void LinkController::transmit_packet(const PacketHeader& header,
@@ -316,12 +317,11 @@ void LinkController::transmit_packet(const PacketHeader& header,
                                      std::optional<std::uint8_t> whiten,
                                      int freq) {
   if (radio_.tx_busy()) return;
-  sim::BitVector bits = access_code(lap, /*with_trailer=*/true);
   LinkParams params;
   params.check_init = check_init;
   params.whiten_init = whiten;
-  bits.append(compose_after_access_code(header, body, params));
-  radio_.transmit(freq, std::move(bits));
+  tx_packet_.set(access_codes_.get(lap), header, body, params);
+  radio_.transmit(freq, tx_packet_);
 }
 
 std::uint8_t LinkController::connection_whiten(std::uint32_t clk) const {

@@ -51,6 +51,7 @@
 #include "baseband/packet.hpp"
 #include "baseband/piconet.hpp"
 #include "baseband/receiver.hpp"
+#include "baseband/tx_packet.hpp"
 #include "phy/radio.hpp"
 #include "sim/module.hpp"
 #include "sim/snapshot.hpp"
@@ -341,6 +342,11 @@ class LinkController final : public sim::Module,
   NativeClock& clock_;
   phy::Radio& radio_;
   Receiver& receiver_;
+  /// Access codes of the LAPs this controller uses, BCH-encoded once.
+  AccessCodeCache access_codes_;
+  /// The packet on the air, or the last one sent: the radio carries it
+  /// in logical form (composed only if its bits are read).
+  TxPacket tx_packet_;
   LcConfig config_;
   Callbacks callbacks_;
 

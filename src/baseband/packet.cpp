@@ -132,7 +132,6 @@ FhsPayload FhsPayload::from_bytes(const std::vector<std::uint8_t>& bytes) {
 namespace {
 
 constexpr std::size_t kHeaderInfoBits = 18;  // 10 header + 8 HEC
-constexpr std::size_t kHeaderCodedBits = 54;
 
 std::size_t payload_body_bytes(PacketType type, std::size_t user_bytes) {
   if (!has_payload(type)) return 0;
@@ -142,28 +141,25 @@ std::size_t payload_body_bytes(PacketType type, std::size_t user_bytes) {
 
 }  // namespace
 
+std::size_t coded_payload_bits(PacketType type, std::size_t body_bytes) {
+  if (!has_payload(type)) return 0;
+  const std::size_t body_bits = 8 * (body_bytes + (has_crc(type) ? 2 : 0));
+  if (!is_fec23(type)) return body_bits;
+  return (body_bits + kFec23DataBits - 1) / kFec23DataBits * kFec23BlockBits;
+}
+
 std::size_t air_bits(PacketType type, std::size_t user_bytes) {
-  std::size_t bits = 72 + kHeaderCodedBits;  // access code + coded header
-  if (has_payload(type)) {
-    std::size_t body_bits =
-        8 * (payload_body_bytes(type, user_bytes) + (has_crc(type) ? 2 : 0));
-    if (is_fec23(type)) {
-      const std::size_t blocks =
-          (body_bits + kFec23DataBits - 1) / kFec23DataBits;
-      body_bits = blocks * kFec23BlockBits;
-    }
-    bits += body_bits;
-  }
-  return bits;
+  // access code + coded header + coded payload
+  return 72 + kHeaderCodedBits +
+         coded_payload_bits(type, payload_body_bytes(type, user_bytes));
 }
 
 sim::SimTime air_time(PacketType type, std::size_t user_bytes) {
   return sim::SimTime::us(air_bits(type, user_bytes));
 }
 
-sim::BitVector compose_after_access_code(
-    const PacketHeader& header, const std::vector<std::uint8_t>& payload,
-    const LinkParams& params) {
+void check_payload_body(const PacketHeader& header,
+                        const std::vector<std::uint8_t>& payload) {
   if (!has_payload(header.type) && !payload.empty()) {
     throw std::invalid_argument("compose: payload on NULL/POLL packet");
   }
@@ -177,7 +173,12 @@ sim::BitVector compose_after_access_code(
       throw std::invalid_argument("compose: payload body size out of range");
     }
   }
+}
 
+sim::BitVector compose_after_access_code(
+    const PacketHeader& header, const std::vector<std::uint8_t>& payload,
+    const LinkParams& params) {
+  check_payload_body(header, payload);
   Whitener whitener(params.whiten_init.value_or(0));
   const bool whiten = params.whiten_init.has_value();
 

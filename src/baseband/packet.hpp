@@ -93,6 +93,9 @@ std::size_t max_user_bytes(PacketType t);
 /// 18-byte FHS information payload (before CRC).
 inline constexpr std::size_t kFhsBytes = 18;
 
+/// The FEC-1/3 coded header: 18 information bits, each sent three times.
+inline constexpr std::size_t kHeaderCodedBits = 54;
+
 /// Packet header fields (HEC handled by compose/parse).
 struct PacketHeader {
   std::uint8_t lt_addr = 0;  // 3 bits; 0 = broadcast
@@ -140,6 +143,11 @@ struct FhsPayload {
 /// data (ID excluded; use kIdPacketBits).
 std::size_t air_bits(PacketType type, std::size_t user_bytes);
 
+/// Coded payload bits of a packet of `type` whose payload body (payload
+/// header + user data, or the FHS information) is `body_bytes` long: the
+/// body and its CRC, FEC 2/3 coded for DM/FHS. 0 without a payload.
+std::size_t coded_payload_bits(PacketType type, std::size_t body_bytes);
+
 /// On-air duration.
 sim::SimTime air_time(PacketType type, std::size_t user_bytes);
 
@@ -151,6 +159,11 @@ struct LinkParams {
   /// DESIGN.md).
   std::optional<std::uint8_t> whiten_init;
 };
+
+/// Throws std::invalid_argument unless `payload` is a body
+/// compose_after_access_code() accepts for `header`.
+void check_payload_body(const PacketHeader& header,
+                        const std::vector<std::uint8_t>& payload);
 
 /// Composes a full on-air packet (without the access code, which the
 /// caller prepends: it depends on CAC/DAC/IAC context).

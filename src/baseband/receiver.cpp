@@ -16,9 +16,8 @@ namespace {
 /// +0.5 us for odd-half-slot ones -- well inside all window margins).
 constexpr sim::SimTime kSyncEndOffset = sim::SimTime::ns(67'250);
 
-/// Trailer after the sync word, and the FEC-1/3 coded header.
+/// Trailer after the sync word.
 constexpr std::size_t kTrailerBits = 4;
-constexpr std::size_t kHeaderCodedBits = 54;
 
 /// Appends samples [pos, pos+n) of a burst source to `dst`; a null
 /// source is an all-'Z' run, which the demodulator slices as zeros.
@@ -29,6 +28,34 @@ void append_samples(sim::BitVector& dst, const sim::BitVector* bits,
   } else {
     dst.append_zeros(n);
   }
+}
+
+/// The logical packet behind a run, or nullptr (silence, raw or noisy
+/// bits).
+const TxPacket* tx_of(const phy::AirPacket* run) {
+  return dynamic_cast<const TxPacket*>(run);
+}
+
+/// Air bits [first, first + n) of `run` (`tx` its logical packet, if
+/// any); silence reads as zeros. A TxPacket serves its access code
+/// without composing.
+std::uint64_t run_word(const phy::AirPacket* run, const TxPacket* tx,
+                       std::size_t first, unsigned n) {
+  if (tx != nullptr) return tx->word(first, n);
+  return run != nullptr ? run->bits().extract_word(first, n) : 0;
+}
+
+/// Length of the next search read at `first` with `left` samples to go:
+/// at most 64, and never across the end of a TxPacket's access code, so
+/// a sync inside it is found without composing the packet.
+unsigned search_chunk(const TxPacket* tx, std::size_t first,
+                      std::size_t left) {
+  std::size_t n = left < 64 ? left : 64;
+  if (tx != nullptr && first < kAccessCodeBits &&
+      first + n > kAccessCodeBits) {
+    n = kAccessCodeBits - first;
+  }
+  return static_cast<unsigned>(n);
 }
 
 }  // namespace
@@ -42,8 +69,11 @@ void Receiver::configure(std::uint64_t sync_word, std::uint8_t check_init,
   // Materialise any lazily pending samples into the OLD machine first:
   // the per-bit path delivered them at their own instants before this
   // reconfiguration ran, and the fresh correlator below must start cold
-  // (bits_seen 0), not pre-warmed by pre-reconfig bits.
+  // (bits_seen 0), not pre-warmed by pre-reconfig bits. A taken
+  // packet's counted samples reach the old machine too: they advance
+  // its whitener, which the reset below keeps.
   if (catch_up_) catch_up_();
+  if (taken_) replay_taken();
   machine_.correlator = Correlator(sync_word);
   configured_ = true;
   check_init_ = check_init;
@@ -54,6 +84,7 @@ void Receiver::configure(std::uint64_t sync_word, std::uint8_t check_init,
 }
 
 void Receiver::reset_machine() {
+  taken_ = false;
   machine_.phase = Phase::kSearch;
   machine_.correlator.reset();
   machine_.collected.clear();
@@ -199,6 +230,7 @@ void Receiver::execute(Effect e) {
 // ---------------------------------------------------------------------------
 
 void Receiver::on_bit(phy::Logic4 sample) {
+  if (taken_) replay_taken();
   if (!configured_) return;  // not configured yet
   if (sample != phy::Logic4::kZ) ++carrier_samples_;
   bool bit;
@@ -223,24 +255,70 @@ void Receiver::on_bit(phy::Logic4 sample) {
 // Burst-transport sink: probe and bulk consumption
 // ---------------------------------------------------------------------------
 
-std::size_t Receiver::quiet_prefix(const sim::BitVector* bits,
-                                   std::size_t first,
-                                   std::size_t count) const {
+void Receiver::on_sample(phy::Logic4 v) {
+  const bool searching = configured_ && machine_.phase == Phase::kSearch;
+  on_bit(v);
+  if (searching && machine_.phase == Phase::kTrailer) {
+    ++clean_stats_.air_bits;  // a packet synced on the per-bit path
+  }
+}
+
+void Receiver::on_run_sample(const phy::AirPacket* run, std::size_t at) {
+  if (taken_ && !feeds_taken(run, at)) replay_taken();
+  if (taken_) {
+    assert(at == taken_effect_at());
+    ++carrier_samples_;
+    taken_next_ = at + 1;
+    if (machine_.phase == Phase::kPayload) {
+      take_payload();
+    } else {
+      take_header();
+    }
+    return;
+  }
+  const TxPacket* tx = tx_of(run);
+  const bool searching = configured_ && machine_.phase == Phase::kSearch;
+  on_bit(run != nullptr ? phy::from_bit(run_word(run, tx, at, 1) & 1u)
+                        : phy::Logic4::kZ);
+  if (searching && machine_.phase == Phase::kTrailer) try_take(tx, at);
+}
+
+std::size_t Receiver::quiet_prefix(const phy::AirPacket* run,
+                                   std::size_t first, std::size_t count) {
+  if (taken_ && !feeds_taken(run, first)) replay_taken();
   if (!configured_) return count;  // unconfigured: samples are dropped
+  if (taken_) {
+    // The framing alone: the header ends at air bit 125, the payload at
+    // the packet's last bit.
+    const std::size_t at = taken_effect_at() - first;
+    return at < count ? at : count;
+  }
   if (machine_.phase == Phase::kSearch) {
     // Search only touches the correlator. An all-'Z' future is answered
     // from the register's weight; real bits dry-run a register copy.
-    if (bits == nullptr) return machine_.correlator.silent_prefix(count);
+    if (run == nullptr) return machine_.correlator.silent_prefix(count);
+    const TxPacket* tx = tx_of(run);
+    if (tx != nullptr && first == 0 &&
+        machine_.correlator.silent_window() &&
+        machine_.correlator.expected() == tx->code().sync) {
+      // The common case: a receiver listening before its own access
+      // code starts. Where that code fires is cached per LAP.
+      const std::size_t at =
+          machine_.correlator.silent_window_fire(tx->code(), count);
+      if (at != Correlator::kUnresolved) return at;
+    }
     Correlator c = machine_.correlator;
-    for (std::size_t i = 0; i < count; i += 64) {
-      const auto chunk = static_cast<unsigned>(count - i < 64 ? count - i : 64);
-      const std::uint64_t w = bits->extract_word(first + i, chunk);
+    for (std::size_t i = 0; i < count;) {
+      const unsigned chunk = search_chunk(tx, first + i, count - i);
+      const std::uint64_t w = run_word(run, tx, first + i, chunk);
       for (unsigned b = 0; b < chunk; ++b) {
         if (c.push((w >> b) & 1u)) return i + b;
       }
+      i += chunk;
     }
     return count;
   }
+  const sim::BitVector* bits = run != nullptr ? &run->bits() : nullptr;
   // Assembly phases: the framing fixes where trailer, header and a
   // length-resolved payload end, whatever the bits.
   if (const std::size_t at = effect_index(machine_); at != kUnknown) {
@@ -268,19 +346,23 @@ std::size_t Receiver::quiet_prefix(const sim::BitVector* bits,
   return limit;
 }
 
-void Receiver::consume_quiet(const sim::BitVector* bits, std::size_t first,
+void Receiver::consume_quiet(const phy::AirPacket* run, std::size_t first,
                              std::size_t count) {
+  if (taken_ && !feeds_taken(run, first)) replay_taken();
   if (!configured_ || count == 0) return;
-  if (bits != nullptr) carrier_samples_ += count;
+  if (run != nullptr) carrier_samples_ += count;
+  if (taken_) {
+    taken_next_ += count;  // applied to the machine only if replayed
+    return;
+  }
   if (machine_.phase == Phase::kSearch) {
     // Shift up to 64 known-quiet bits into the correlator at once (a
     // prior probe certified no position fires). Leaving the search is
     // always an effect, so the whole span stays here.
+    const TxPacket* tx = tx_of(run);
     for (std::size_t i = 0; i < count;) {
-      const auto chunk =
-          static_cast<unsigned>(count - i < 64 ? count - i : 64);
-      const std::uint64_t w =
-          bits != nullptr ? bits->extract_word(first + i, chunk) : 0;
+      const unsigned chunk = search_chunk(tx, first + i, count - i);
+      const std::uint64_t w = run_word(run, tx, first + i, chunk);
 #ifndef NDEBUG
       {
         Correlator check = machine_.correlator;
@@ -295,6 +377,7 @@ void Receiver::consume_quiet(const sim::BitVector* bits, std::size_t first,
     }
     return;
   }
+  const sim::BitVector* bits = run != nullptr ? &run->bits() : nullptr;
 #ifndef NDEBUG
   // Per-bit oracle: the same span stepped bit by bit on the scratch copy
   // must stay quiet and land on the state the word path reaches.
@@ -305,30 +388,34 @@ void Receiver::consume_quiet(const sim::BitVector* bits, std::size_t first,
     assert(e == Effect::kNone && "consume_quiet crossed a side effect");
   }
 #endif
-  std::size_t i = 0;
-  if (machine_.phase == Phase::kTrailer) {
-    const std::size_t left = kTrailerBits - machine_.collected.size();
-    const std::size_t take = count < left ? count : left;
-    append_samples(machine_.collected, bits, first, take);
-    i = take;
-    if (take == left) {
-      machine_.collected.clear();
-      machine_.phase = Phase::kHeader;
-    }
-  }
-  if (i < count && machine_.phase == Phase::kHeader) {
-    // Quiet: the 54th header bit is an effect, so the span ends short.
-    assert(machine_.collected.size() + (count - i) < kHeaderCodedBits);
-    append_samples(machine_.collected, bits, first + i, count - i);
-    i = count;
-  }
-  if (i < count) consume_payload(bits, first + i, count - i);
+  consume_assembly(machine_, bits, first, count);
   assert(scratch_ == machine_ && "word consume diverged from per-bit step");
 }
 
-void Receiver::consume_payload(const sim::BitVector* bits, std::size_t pos,
-                               std::size_t n) {
-  Machine& m = machine_;
+void Receiver::consume_assembly(Machine& m, const sim::BitVector* bits,
+                                std::size_t first, std::size_t count) {
+  std::size_t i = 0;
+  if (m.phase == Phase::kTrailer) {
+    const std::size_t left = kTrailerBits - m.collected.size();
+    const std::size_t take = count < left ? count : left;
+    append_samples(m.collected, bits, first, take);
+    i = take;
+    if (take == left) {
+      m.collected.clear();
+      m.phase = Phase::kHeader;
+    }
+  }
+  if (i < count && m.phase == Phase::kHeader) {
+    // Quiet: the 54th header bit is an effect, so the span ends short.
+    assert(m.collected.size() + (count - i) < kHeaderCodedBits);
+    append_samples(m.collected, bits, first + i, count - i);
+    i = count;
+  }
+  if (i < count) consume_payload(m, bits, first + i, count - i);
+}
+
+void Receiver::consume_payload(Machine& m, const sim::BitVector* bits,
+                               std::size_t pos, std::size_t n) {
   assert(m.phase == Phase::kPayload);
   if (!is_fec23(m.header.type)) {
     // Unprotected payload: every coded bit is a data bit, de-whitened a
@@ -411,6 +498,10 @@ void Receiver::finish_header() {
   if (machine_.have_whitener) {
     info ^= static_cast<std::uint32_t>(machine_.whitener.keystream(18));
   }
+  accept_header(info);
+}
+
+void Receiver::accept_header(std::uint32_t info) {
   const auto header10 = static_cast<std::uint16_t>(info & 0x3FFu);
   const auto hec = static_cast<std::uint8_t>((info >> 10) & 0xFFu);
   if (hec_compute10(header10, check_init_) != hec) {
@@ -424,6 +515,7 @@ void Receiver::finish_header() {
   machine_.header = PacketHeader::unpack(header10);
   if (header_hook_ && !header_hook_(machine_.header)) {
     // Addressed elsewhere: the link controller told us to stop listening.
+    if (taken_) ++clean_stats_.hook;
     reset_machine();
     return;
   }
@@ -508,7 +600,89 @@ void Receiver::on_payload_complete() {
 }
 
 void Receiver::deliver(const Result& r) {
+  if (!r.is_id) ++(taken_ ? clean_stats_.clean : clean_stats_.air);
   if (handler_) handler_(r);
+}
+
+// ---------------------------------------------------------------------------
+// Taken packets: a clean run delivered from its logical form
+// ---------------------------------------------------------------------------
+
+bool Receiver::feeds_taken(const phy::AirPacket* run,
+                           std::size_t first) const {
+  return run == taken_src_ && taken_src_->serial() == taken_serial_ &&
+         first == taken_next_;
+}
+
+void Receiver::try_take(const TxPacket* tx, std::size_t at) {
+  // The sync just fired and the machine entered its trailer phase, which
+  // only a kFull receiver does.
+  if (tx == nullptr) {
+    ++clean_stats_.air_bits;
+  } else if (at != kIdPacketBits - 1) {
+    ++clean_stats_.offset;
+  } else if (tx->is_id() || !tx->framed() ||
+             tx->code().sync != machine_.correlator.expected() ||
+             tx->params().check_init != check_init_ ||
+             tx->params().whiten_init != whiten_init_) {
+    ++clean_stats_.mismatch;
+  } else {
+    // From here on the air bits would decode to exactly this packet:
+    // same sync word, HEC/CRC init and whitening, and a framing that
+    // ends the payload at the packet's last bit.
+    taken_packet_.copy_from(*tx);
+    taken_src_ = tx;
+    taken_serial_ = tx->serial();
+    taken_next_ = taken_mark_ = kIdPacketBits;
+    taken_ = true;
+  }
+}
+
+void Receiver::replay_taken() {
+  taken_ = false;
+  ++clean_stats_.interrupted;
+  consume_assembly(machine_, &taken_packet_.bits(), taken_mark_,
+                   taken_next_ - taken_mark_);
+}
+
+std::size_t Receiver::taken_effect_at() const {
+  return machine_.phase == Phase::kPayload
+             ? taken_packet_.size() - 1
+             : kAccessCodeBits + kHeaderCodedBits - 1;
+}
+
+void Receiver::take_header() {
+  // finish_header() would majority-decode and de-whiten the composed
+  // header to exactly these 18 bits: the header and its HEC under the
+  // shared check init.
+  if (machine_.have_whitener) machine_.whitener.keystream(18);
+  const std::uint16_t header10 = taken_packet_.header().pack();
+  taken_mark_ = kAccessCodeBits + kHeaderCodedBits;
+  accept_header(header10 | static_cast<std::uint32_t>(
+                               hec_compute10(header10, check_init_))
+                               << 10);
+}
+
+void Receiver::take_payload() {
+  const TxPacket& p = taken_packet_;
+  if (machine_.have_whitener) {
+    // The bit path de-whitens one keystream bit per decoded data bit:
+    // ten per FEC 2/3 block, else one per coded bit.
+    const std::size_t coded = p.size() - kAccessCodeBits - kHeaderCodedBits;
+    std::size_t n = is_fec23(p.header().type)
+                        ? coded / kFec23BlockBits * kFec23DataBits
+                        : coded;
+    for (; n > 64; n -= 64) machine_.whitener.keystream(64);
+    if (n > 0) machine_.whitener.keystream(static_cast<unsigned>(n));
+  }
+  Result& r = fresh_result();
+  r.header = machine_.header;
+  r.header_ok = true;
+  r.payload_ok = true;
+  r.packet_start = sync_done_time_ - kSyncEndOffset;
+  r.payload_body.assign(p.body().begin(), p.body().end());
+  deliver(r);
+  reset_machine();
 }
 
 // ---------------------------------------------------------------------------
@@ -521,10 +695,9 @@ constexpr std::uint32_t kRecvTag = sim::snapshot_tag("RECV");
 
 }  // namespace
 
-template <class Self, class Ar>
-void Receiver::io(Self& s, Ar& a) {
+template <class Self, class M, class Ar>
+void Receiver::io(Self& s, M& m, Ar& a) {
   using sim::as;
-  auto& m = s.machine_;
   a.section(kRecvTag, [&] {
     a.io(s.configured_, s.check_init_);
     a.opt_or_zero(s.whiten_init_);
@@ -548,8 +721,21 @@ void Receiver::io(Self& s, Ar& a) {
   });
 }
 
-void Receiver::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
+void Receiver::save_state(sim::SnapshotWriter& w) const {
+  if (!taken_) {
+    io(*this, machine_, w);
+    return;
+  }
+  // A taken packet is saved as the machine its bits would have built.
+  Machine m = machine_;
+  consume_assembly(m, &taken_packet_.bits(), taken_mark_,
+                   taken_next_ - taken_mark_);
+  io(*this, m, w);
+}
 
-void Receiver::restore_state(sim::SnapshotReader& r) { io(*this, r); }
+void Receiver::restore_state(sim::SnapshotReader& r) {
+  io(*this, machine_, r);
+  taken_ = false;
+}
 
 }  // namespace btsc::baseband

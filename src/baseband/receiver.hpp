@@ -27,6 +27,22 @@
 // DH payloads de-whitened by keystream words, DM/FHS payloads decoded
 // one FEC block at a time -- and on_sample()/on_bit() executes effect
 // samples through the classic path at exactly their own instants.
+//
+// Clean runs: the radio feeds the sink the packet the medium shows. A
+// TxPacket (a clean run) is read from its cached access code while the
+// correlator searches, so a sync costs no composing. When the sync
+// fires at the access code's last bit (air bit 67) and the receiver is
+// configured for the packet's sync word, check init and whitening, the
+// receiver *takes* the packet: it copies the logical packet and from
+// then on answers quiet_prefix() from the framing alone, counts quiet
+// samples, and fills the header and payload results from the packet --
+// no HEC, FEC or CRC work. Everything else reads the packet's bits. The
+// quiet samples of a taken packet are replayed from its composed bits
+// into the machine the moment the receiver is fed anything else (the
+// run fell back or was aborted, the radio moved), and a checkpoint
+// saves the machine those bits would have built, so the snapshot and
+// every result stay those of the per-bit path (docs/ARCHITECTURE.md,
+// "Clean runs carry the packet").
 #pragma once
 
 #include <cstdint>
@@ -37,6 +53,7 @@
 
 #include "baseband/access_code.hpp"
 #include "baseband/packet.hpp"
+#include "baseband/tx_packet.hpp"
 #include "baseband/whitening.hpp"
 #include "phy/logic4.hpp"
 #include "phy/radio.hpp"
@@ -99,11 +116,12 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   void on_bit(phy::Logic4 sample);
 
   // ---- phy::BurstRxSink ----
-  std::size_t quiet_prefix(const sim::BitVector* bits, std::size_t first,
-                           std::size_t count) const override;
-  void consume_quiet(const sim::BitVector* bits, std::size_t first,
+  std::size_t quiet_prefix(const phy::AirPacket* run, std::size_t first,
+                           std::size_t count) override;
+  void consume_quiet(const phy::AirPacket* run, std::size_t first,
                      std::size_t count) override;
-  void on_sample(phy::Logic4 v) override { on_bit(v); }
+  void on_sample(phy::Logic4 v) override;
+  void on_run_sample(const phy::AirPacket* run, std::size_t at) override;
 
   /// True once a sync word has been found and the packet is assembling.
   /// Lazy-safe: search->assembly transitions only happen inside effect
@@ -135,10 +153,28 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   std::uint64_t crc_failures() const { return crc_failures_; }
   std::uint64_t fec_failures() const { return machine_.fec_failures; }
 
+  /// How this receiver's packets (ID packets aside) were decoded. Kept in
+  /// the process only: never checkpointed, never in result bytes.
+  struct CleanPathStats {
+    std::uint64_t clean = 0;  // delivered from a taken logical packet
+    std::uint64_t air = 0;    // delivered from air bits
+    // Why a packet whose sync fired was not taken, or not kept:
+    std::uint64_t air_bits = 0;     // the medium showed bits (a flip
+                                    // inside, raw or restored bits, the
+                                    // per-bit path)
+    std::uint64_t mismatch = 0;     // another sync word, check init,
+                                    // whitening, expectation or framing
+    std::uint64_t offset = 0;       // sync not at air bit 67
+    std::uint64_t hook = 0;         // the header hook rejected it
+    std::uint64_t interrupted = 0;  // replayed into the machine mid-way
+  };
+  const CleanPathStats& clean_path_stats() const { return clean_stats_; }
+
  private:
-  /// The checkpoint layout, shared by save_state and restore_state.
-  template <class Self, class Ar>
-  static void io(Self& s, Ar& a);
+  /// The checkpoint layout, shared by save_state and restore_state;
+  /// `m` is the decode machine to write or read.
+  template <class Self, class M, class Ar>
+  static void io(Self& s, M& m, Ar& a);
 
   enum class Phase : std::uint8_t { kSearch, kTrailer, kHeader, kPayload };
 
@@ -186,18 +222,39 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   /// machine's next effect when the framing alone fixes it; kUnknown
   /// while searching or before a payload length resolves.
   static std::size_t effect_index(const Machine& m);
+  /// Word-level quiet consumption of assembly samples [pos, pos+n) (the
+  /// machine past its search phase; a null source is silence).
+  static void consume_assembly(Machine& m, const sim::BitVector* bits,
+                               std::size_t pos, std::size_t n);
   /// Word-level quiet consumption of payload samples [pos, pos+n).
-  void consume_payload(const sim::BitVector* bits, std::size_t pos,
-                       std::size_t n);
+  static void consume_payload(Machine& m, const sim::BitVector* bits,
+                              std::size_t pos, std::size_t n);
   /// Runs the effectful part of a sample whose step() reported `e`.
   void execute(Effect e);
 
   void on_sync_found();
   void finish_header();
+  /// HEC check, header hook and payload set-up of the 18 de-whitened
+  /// header information bits.
+  void accept_header(std::uint32_t info);
   void deliver_payload_bad();
   void on_payload_complete();
   void reset_machine();
   void deliver(const Result& r);
+
+  // ---- taken packets (clean runs) ----
+  /// True when `run` at sample `first` continues the taken packet.
+  bool feeds_taken(const phy::AirPacket* run, std::size_t first) const;
+  /// Takes `tx` if its sync just fired at air bit `at`, else counts why
+  /// not.
+  void try_take(const TxPacket* tx, std::size_t at);
+  /// Replays the taken packet's pending quiet samples into the machine
+  /// and leaves taken mode.
+  void replay_taken();
+  /// Run index of the taken packet's next effect sample.
+  std::size_t taken_effect_at() const;
+  void take_header();
+  void take_payload();
 
   sim::Environment& env_;
   std::string name_;
@@ -217,7 +274,19 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   Machine machine_;
   /// Probe dry-run state, and the per-bit oracle of consume_quiet()'s
   /// debug cross-check (capacity reused: no steady-state allocation).
-  mutable Machine scratch_;
+  Machine scratch_;
+
+  /// The taken packet: a copy of its logical form (capacity reused), the
+  /// source object and serial it is fed from, the run index of the next
+  /// sample, and the first sample not yet applied to the machine (the
+  /// machine holds the state of the last effect).
+  bool taken_ = false;
+  TxPacket taken_packet_;
+  const TxPacket* taken_src_ = nullptr;
+  std::uint64_t taken_serial_ = 0;
+  std::size_t taken_next_ = 0;
+  std::size_t taken_mark_ = 0;
+  CleanPathStats clean_stats_;
   Result result_;            // reused delivery record
   sim::SimTime sync_done_time_;
 

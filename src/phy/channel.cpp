@@ -191,7 +191,7 @@ NoisyChannel::RxMedium NoisyChannel::rx_medium(int freq) const {
   RxMedium m;
   m.live = live_at(freq);
   if (const Run* run = run_at(freq)) {
-    m.run_bits = run->bits;
+    m.run = run->shown;
     m.run_start = run->start;
     m.run_period = run->period;
   }
@@ -203,7 +203,7 @@ NoisyChannel::RxMedium NoisyChannel::rx_medium(int freq) const {
 // ---------------------------------------------------------------------------
 
 bool NoisyChannel::begin_burst(PortId port, int freq,
-                               const sim::BitVector& bits,
+                               const AirPacket& packet,
                                sim::SimTime period) {
   if (port < 0 || port >= num_ports()) {
     throw std::out_of_range("NoisyChannel::begin_burst: bad port");
@@ -215,41 +215,53 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   // provably identical to per-bit drives -- no tracer (a traced system
   // runs per-bit, so every bus change is committed at its own instant),
   // and nobody else on the air at this frequency. BER > 0 is not
-  // refused: the run draws its flips from the port's own stream into a
-  // noisy copy (draw_noisy_copy), the gaps per-bit drives would consume.
-  if (!config_.burst_transport || bits.empty() || env().tracer() != nullptr) {
+  // refused: the run draws its flips from the port's own stream
+  // (show_run), the gaps per-bit drives would consume.
+  const std::size_t len = packet.size();
+  if (!config_.burst_transport || len == 0 || env().tracer() != nullptr) {
     return false;
   }
   Freq& f = freqs_[static_cast<std::size_t>(freq)];
   if (f.run >= 0 || f.defined > 0) return false;
   assert(!run_of(port).active);
   notify_sync();
-  Run& run = run_of(port);
+  Port& p = ports_[static_cast<std::size_t>(port)];
+  Run& run = p.run;
   run.active = true;
   run.freq = freq;
-  run.bits = &bits;
-  run.clean = &bits;
+  run.len = len;
   run.start = env().now();
   run.period = period;
   f.run = port;
   ++live_runs_;
   if (config_.ber > 0.0) {
-    Port& p = ports_[static_cast<std::size_t>(port)];
     run.noisy = true;
     run.base = p.noise;
-    draw_noisy_copy(p, p.noise, bits);
+    show_run(p, p.noise, packet);
+  } else {
+    run.shown = &packet;
   }
-  ports_[static_cast<std::size_t>(port)].freq = freq;
+  if (run.shown == &packet) ++clean_runs_;
+  p.freq = freq;
   notify_reevaluate();
   return true;
 }
 
-void NoisyChannel::draw_noisy_copy(Port& p, NoiseStream& stream,
-                                   const sim::BitVector& clean) {
-  p.noisy.clear();
-  p.noisy.append(clean);
-  p.run.flips = stream.advance(clean.size(), p.noisy.words_mut(), rate_);
-  p.run.bits = &p.noisy;
+void NoisyChannel::show_run(Port& p, NoiseStream& stream,
+                            const AirPacket& packet) {
+  const std::size_t len = packet.size();
+  if (stream.quiet_for(len)) {
+    // Clean: no flip inside, so the medium shows the packet itself and
+    // its bits stay uncomposed.
+    p.run.flips = stream.advance(len, nullptr, rate_);
+    p.run.shown = &packet;
+    return;
+  }
+  sim::BitVector& copy = p.noisy.mutable_bits();
+  copy.clear();
+  copy.append(packet.bits());
+  p.run.flips = stream.advance(len, copy.words_mut(), rate_);
+  p.run.shown = &p.noisy;
 }
 
 std::size_t NoisyChannel::run_bits_elapsed(const Run& run) const {
@@ -263,12 +275,11 @@ std::size_t NoisyChannel::run_bits_elapsed(const Run& run) const {
   // begin_burst, so at least one bit is always on the air.
   std::uint64_t n = env().dispatching() ? (d + p - 1) / p : d / p + 1;
   if (n == 0) n = 1;
-  const std::size_t len = run.bits->size();
-  return n < len ? static_cast<std::size_t>(n) : len;
+  return n < run.len ? static_cast<std::size_t>(n) : run.len;
 }
 
 Logic4 NoisyChannel::run_value_now(const Run& run) const {
-  return from_bit((*run.bits)[run_bits_elapsed(run) - 1]);
+  return from_bit(run.shown->bits()[run_bits_elapsed(run) - 1]);
 }
 
 std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
@@ -277,7 +288,7 @@ std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
   Port& p = ports_[static_cast<std::size_t>(port)];
   Run& run = p.run;
   if (run.noisy) {
-    if (driven < run.bits->size()) {
+    if (driven < run.len) {
       // Per-bit drives would have consumed only `driven` bits of the
       // port's stream: rewind to the run's base and replay them, so the
       // per-bit remainder draws exactly the reference's flips.
@@ -302,8 +313,7 @@ std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
 std::size_t NoisyChannel::finish_burst(PortId port) {
   assert(burst_active(port));
   notify_sync();
-  const std::size_t driven =
-      settle_run(port, run_of(port).bits->size(), Logic4::kZ);
+  const std::size_t driven = settle_run(port, run_of(port).len, Logic4::kZ);
   notify_reevaluate();
   refresh_trace();
   return driven;
@@ -332,7 +342,7 @@ void NoisyChannel::fallback_run(PortId port) {
   Listener* owner = ports_[static_cast<std::size_t>(port)].listener;
   notify_sync();
   const std::size_t driven = run_bits_elapsed(run);
-  const Logic4 last = from_bit((*run.bits)[driven - 1]);
+  const Logic4 last = from_bit(run.shown->bits()[driven - 1]);
   settle_run(port, driven, last);
   // The owner reschedules the remaining bits as exact per-bit drives
   // before receivers re-pick their modes (they will see a live medium).
@@ -447,22 +457,22 @@ void NoisyChannel::io_runs(sim::SnapshotReader& r) {
     ++live_runs_;
     run.noisy = r.b();
     if (run.noisy) run.base.restore_state(r);
-    // run.bits/clean stay null until the owning radio rebinds them.
+    // run.shown/len stay unset until the owning radio rebinds the run.
   }
 }
 
-void NoisyChannel::rebind_run_bits(PortId port, const sim::BitVector* bits) {
+void NoisyChannel::rebind_run_bits(PortId port, const AirPacket* packet) {
   Port& p = ports_[static_cast<std::size_t>(port)];
   Run& run = p.run;
-  assert(run.active && run.clean == nullptr && run.bits == nullptr);
-  run.clean = bits;
+  assert(run.active && run.shown == nullptr);
+  run.len = packet->size();
   if (run.noisy) {
     // Redraw the copy from a scratch copy of the base: the port's own
     // stream was restored already, past the run's flips.
     NoiseStream replay = run.base;
-    draw_noisy_copy(p, replay, *bits);
+    show_run(p, replay, *packet);
   } else {
-    run.bits = bits;
+    run.shown = packet;
   }
 }
 

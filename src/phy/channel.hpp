@@ -49,6 +49,16 @@
 // stream to the run's saved base and replays k bits, O(flips); the
 // per-bit remainder then draws what the reference would.
 //
+// Clean runs
+// ----------
+// A run carries the transmitter's AirPacket (phy/air_packet.hpp), not
+// its bits. An accepted run is *clean* when BER is 0 or its port's
+// noise gap exceeds the run length (one compare): nothing can corrupt
+// it, so the medium shows the packet itself and receivers may take it
+// in logical form. Only a run with a flip inside reads the packet's
+// bits up front, for its noisy copy; sense(), a fallback and a restore
+// read them lazily.
+//
 // docs/ARCHITECTURE.md ("Word-packed bit transport & burst delivery" and
 // "Per-port noise streams") carries the full equivalence argument.
 #pragma once
@@ -62,6 +72,7 @@
 #include <string>
 #include <vector>
 
+#include "phy/air_packet.hpp"
 #include "phy/logic4.hpp"
 #include "phy/noise.hpp"
 #include "sim/bitvector.hpp"
@@ -202,16 +213,17 @@ class NoisyChannel final : public sim::Module,
 
   // ---- burst runs (called by the owning Radio) ----
 
-  /// Registers the whole of `bits` as one uncontended run from `port` on
-  /// `freq`, one bit per `period` starting now. Returns false -- and
+  /// Registers the whole of `packet` as one uncontended run from `port`
+  /// on `freq`, one bit per `period` starting now. Returns false -- and
   /// changes nothing -- when the run cannot be batched (burst transport
   /// off, a tracer attached, or a medium not silent at `freq`); the
-  /// caller must then drive per-bit. `bits` must stay alive
-  /// and unchanged until the run ends. On success the first bit is on
-  /// the medium immediately (as a per-bit drive would be). A BER > 0 run
-  /// draws its flips from the port's stream into its own noisy copy;
-  /// receivers see that copy through rx_medium()/sense().
-  bool begin_burst(PortId port, int freq, const sim::BitVector& bits,
+  /// caller must then drive per-bit. `packet` must stay alive and
+  /// unchanged until the run ends. On success the first bit is on the
+  /// medium immediately (as a per-bit drive would be). A clean run shows
+  /// `packet` itself; a run with a flip inside draws its flips from the
+  /// port's stream into its own noisy copy, and receivers see that copy
+  /// through rx_medium()/sense().
+  bool begin_burst(PortId port, int freq, const AirPacket& packet,
                    sim::SimTime period);
 
   /// True while `port` has an active burst run.
@@ -242,8 +254,9 @@ class NoisyChannel final : public sim::Module,
     /// through per-bit drives (collisions and noisy transmissions live
     /// here) -- the receiver must sample per bit.
     bool live = false;
-    /// The burst run visible at this frequency (nullptr when none).
-    const sim::BitVector* run_bits = nullptr;
+    /// The burst run visible at this frequency (nullptr when none): the
+    /// transmitter's packet for a clean run, else the run's noisy copy.
+    const AirPacket* run = nullptr;
     sim::SimTime run_start;
     sim::SimTime run_period;
   };
@@ -253,21 +266,21 @@ class NoisyChannel final : public sim::Module,
 
   /// Saves/restores the mutable channel state: BER and burst switch,
   /// per-port drive/listening state, every active run's geometry and the
-  /// noise/collision counters. The runs' packed bits are NOT part of the
-  /// stream -- they live in the transmitting Radios' tx buffers, and each
-  /// radio re-links its run via rebind_run_bits() during its own restore
-  /// (the restore order guarantees it runs after the channel's). Each
-  /// port's noise stream is saved; a noisy run stores only its base
-  /// stream, since its copy is a pure function of (base, BER, clean
-  /// bits) and is rebuilt on rebind. Restore throws sim::SnapshotError
-  /// for a run whose port or frequency is out of range or taken.
+  /// noise/collision counters. The runs' packets are NOT part of the
+  /// stream -- they live in the transmitting Radios, and each radio
+  /// re-links its run via rebind_run_bits() during its own restore (the
+  /// restore order guarantees it runs after the channel's). Each port's
+  /// noise stream is saved; a noisy run stores only its base stream,
+  /// since its copy is a pure function of (base, BER, clean bits) and is
+  /// rebuilt on rebind. Restore throws sim::SnapshotError for a run whose
+  /// port or frequency is out of range or taken.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
-  /// Re-links the bit storage of `port`'s run (the transmitter's clean
-  /// bits) after a restore; rebuilds the noisy copy of a noisy run.
-  /// Only valid while `port` has a restored run.
-  void rebind_run_bits(PortId port, const sim::BitVector* bits);
+  /// Re-links `port`'s run to the transmitter's packet after a restore;
+  /// rebuilds the noisy copy of a run with a flip inside. Only valid
+  /// while `port` has a restored run.
+  void rebind_run_bits(PortId port, const AirPacket* packet);
 
   // ---- diagnostics ----
   // Both count what the per-bit reference has driven by now: an
@@ -293,6 +306,9 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t bits_burst() const { return bits_burst_; }
   /// Runs degraded to per-bit by contention/abort/reconfiguration.
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
+  /// Accepted runs the medium showed as the transmitter's packet (no
+  /// flip inside). Telemetry only: never checkpointed.
+  std::uint64_t clean_runs() const { return clean_runs_; }
 
  private:
   /// The checkpoint layout, shared by save_state and restore_state.
@@ -310,11 +326,11 @@ class NoisyChannel final : public sim::Module,
   struct Run {
     bool active = false;
     int freq = 0;
-    /// What the medium shows (the port's noisy copy for a noisy run).
-    const sim::BitVector* bits = nullptr;
-    /// The transmitter's storage, as passed to begin_burst (equal to
-    /// `bits` for a clean run). Needed for snapshot rebinding.
-    const sim::BitVector* clean = nullptr;
+    /// What the medium shows: the transmitter's packet for a clean run,
+    /// the port's noisy copy for a run with a flip inside.
+    const AirPacket* shown = nullptr;
+    /// Run length in bits.
+    std::size_t len = 0;
     sim::SimTime start;
     sim::SimTime period;
     /// BER > 0: the port's stream before the run's flips were drawn,
@@ -339,12 +355,11 @@ class NoisyChannel final : public sim::Module,
     return p < 0 ? nullptr : &run_of(p);
   }
 
-  /// Draws the flips of `p`'s run from `stream` into the port's noisy
-  /// copy of `clean` and shows that copy on the medium (begin_burst
-  /// advances the port's own stream; rebind_run_bits a scratch copy of
-  /// the base).
-  void draw_noisy_copy(Port& p, NoiseStream& stream,
-                       const sim::BitVector& clean);
+  /// Shows `packet` on the medium for `p`'s run, drawing its flips from
+  /// `stream`: a clean run shows the packet itself, a run with a flip
+  /// inside the port's noisy copy of its bits (begin_burst advances the
+  /// port's own stream; rebind_run_bits a scratch copy of the base).
+  void show_run(Port& p, NoiseStream& stream, const AirPacket& packet);
 
   /// Bits of `run` already on the air, honouring the event tiebreak: a
   /// bit whose drive instant equals now() counts only when the kernel is
@@ -390,7 +405,7 @@ class NoisyChannel final : public sim::Module,
     NoiseStream noise;  // this port's noise stream
     /// Clean bits ^ flips of the port's noisy run; keeps its capacity
     /// across runs, so steady-state noisy bursts allocate nothing.
-    sim::BitVector noisy;
+    BitsPacket noisy;
     Run run;  // this port's burst run slot
   };
   std::vector<Port> ports_;
@@ -410,6 +425,7 @@ class NoisyChannel final : public sim::Module,
   mutable std::uint64_t collision_samples_ = 0;
   std::uint64_t bits_burst_ = 0;
   std::uint64_t burst_fallbacks_ = 0;
+  std::uint64_t clean_runs_ = 0;
   // Traced view of the fully-resolved wire (all frequencies), matching the
   // "channel" net of the paper's figure.
   std::unique_ptr<sim::Signal<Logic4>> bus_trace_;

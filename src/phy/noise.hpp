@@ -96,6 +96,10 @@ class NoiseStream {
     return false;
   }
 
+  /// True when the next `n` defined bits hold no flip: the stream's
+  /// gap exceeds them.
+  bool quiet_for(std::size_t n) const { return gap_ >= n; }
+
   /// Consumes `n` defined bits at once -- exactly n flip() calls -- and
   /// returns how many flip. Each flipped bit i is XORed into `words`
   /// (LSB-first, bit i of word i / 64) unless `words` is null.

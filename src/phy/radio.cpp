@@ -41,20 +41,33 @@ void Radio::transmit(int freq, sim::BitVector bits,
     if (done) done();
     return;
   }
+  tx_own_.mutable_bits() = std::move(bits);
+  transmit(freq, tx_own_, std::move(done));
+}
+
+void Radio::transmit(int freq, const AirPacket& packet,
+                     sim::UniqueFunction done) {
+  if (tx_busy_) {
+    throw std::logic_error(name() + ": transmit while TX busy");
+  }
+  if (packet.size() == 0) {
+    if (done) done();
+    return;
+  }
   tx_busy_ = true;
   tx_freq_ = freq;
-  tx_bits_ = std::move(bits);
+  tx_packet_ = &packet;
   tx_pos_ = 0;
   tx_start_ = env().now();
   tx_done_ = std::move(done);
   enable_tx_.write(true);
   account_tx(true);
-  if (channel_.begin_burst(port_, freq, tx_bits_, kBitPeriod)) {
+  if (channel_.begin_burst(port_, freq, packet, kBitPeriod)) {
     // The whole packet rides as one channel run: a single end-of-packet
     // timer replaces the per-bit chain. The channel calls
     // tx_burst_fallback() if the run degrades mid-flight.
     tx_burst_ = true;
-    tx_timer_ = env().schedule_tagged(kBitPeriod * tx_bits_.size(),
+    tx_timer_ = env().schedule_tagged(kBitPeriod * packet.size(),
                                       kTxFinishBurst, 0,
                                       [this] { tx_finish_burst(); }, this);
     return;
@@ -62,9 +75,14 @@ void Radio::transmit(int freq, sim::BitVector bits,
   tx_next_bit();
 }
 
+const sim::BitVector& Radio::tx_air_bits() const {
+  static const sim::BitVector kNone;
+  return tx_packet_ != nullptr ? tx_packet_->bits() : kNone;
+}
+
 void Radio::tx_next_bit() {
-  if (tx_pos_ < tx_bits_.size()) {
-    channel_.drive(port_, tx_freq_, from_bit(tx_bits_[tx_pos_]));
+  if (tx_pos_ < tx_packet_->size()) {
+    channel_.drive(port_, tx_freq_, from_bit(tx_packet_->bits()[tx_pos_]));
     ++bits_sent_;
     ++tx_pos_;
     tx_timer_ = env().schedule_tagged(kBitPeriod, kTxNextBit, 0,
@@ -224,11 +242,10 @@ void Radio::rx_consume(std::uint64_t n) {
     burst_sink_->consume_quiet(nullptr, 0, static_cast<std::size_t>(n));
   } else {
     const NoisyChannel::RxMedium m = channel_.rx_medium(rx_freq_);
-    assert(m.run_bits != nullptr);
+    assert(m.run != nullptr);
     const std::int64_t idx = run_index_at(rx_consumed_, m);
-    assert(idx >= 0 &&
-           static_cast<std::size_t>(idx) + n <= m.run_bits->size());
-    burst_sink_->consume_quiet(m.run_bits, static_cast<std::size_t>(idx),
+    assert(idx >= 0 && static_cast<std::size_t>(idx) + n <= m.run->size());
+    burst_sink_->consume_quiet(m.run, static_cast<std::size_t>(idx),
                                static_cast<std::size_t>(n));
   }
   rx_consumed_ += n;
@@ -266,7 +283,7 @@ void Radio::rx_evaluate() {
   const NoisyChannel::RxMedium m =
       burst_capable() ? channel_.rx_medium(rx_freq_)
                       : NoisyChannel::RxMedium{};
-  if (!burst_capable() || (m.run_bits == nullptr && m.live)) {
+  if (!burst_capable() || (m.run == nullptr && m.live)) {
     // Classic one-event-per-sample chain: plain sinks always, and burst
     // sinks whenever per-bit transmissions (noise, collisions,
     // fallbacks) are on the air.
@@ -285,18 +302,18 @@ void Radio::rx_evaluate() {
     return;
   }
   cancel_rx_timer();
-  if (m.run_bits != nullptr) {
+  if (m.run != nullptr) {
     // Lazy run consumption: find the earliest sample whose processing
     // has an externally visible effect and wake exactly there. A fully
     // quiet tail needs no timer at all -- the transmitter's end-of-run
     // event re-notifies every listener.
     rx_mode_ = RxMode::kRun;
     const std::int64_t idx = run_index_at(rx_consumed_, m);
-    const std::size_t len = m.run_bits->size();
+    const std::size_t len = m.run->size();
     if (idx >= 0 && static_cast<std::size_t>(idx) < len) {
       const std::size_t avail = len - static_cast<std::size_t>(idx);
       const std::size_t q = burst_sink_->quiet_prefix(
-          m.run_bits, static_cast<std::size_t>(idx), avail);
+          m.run, static_cast<std::size_t>(idx), avail);
       if (q < avail) {
         rx_barrier_index_ = rx_consumed_ + q;
         rx_timer_ = env().schedule_tagged(
@@ -362,18 +379,19 @@ void Radio::rx_barrier() {
     // sample at this instant carries the side effect and goes through
     // the full per-sample path at exactly its own time.
     rx_consume(rx_barrier_index_ - rx_consumed_);
-    Logic4 v = Logic4::kZ;
+    const AirPacket* run = nullptr;
+    std::size_t at = 0;
     if (rx_mode_ == RxMode::kRun) {
       const NoisyChannel::RxMedium m = channel_.rx_medium(rx_freq_);
-      assert(m.run_bits != nullptr);
+      assert(m.run != nullptr);
       const std::int64_t idx = run_index_at(rx_consumed_, m);
-      assert(idx >= 0 &&
-             static_cast<std::size_t>(idx) < m.run_bits->size());
-      v = from_bit((*m.run_bits)[static_cast<std::size_t>(idx)]);
+      assert(idx >= 0 && static_cast<std::size_t>(idx) < m.run->size());
+      run = m.run;
+      at = static_cast<std::size_t>(idx);
     }
     ++bits_sampled_;
     ++rx_consumed_;
-    burst_sink_->on_sample(v);
+    burst_sink_->on_run_sample(run, at);
   }
   if (rx_on_) rx_evaluate();
 }
@@ -436,7 +454,12 @@ void Radio::io(Self& s, Ar& a) {
                      &sim::Signal<bool>::restore_value);
   };
   a.section(sim::snapshot_tag("RADI"), [&] {
-    a.io(s.tx_busy_, s.tx_burst_, as<std::uint32_t>(s.tx_freq_), s.tx_bits_,
+    a.io(s.tx_busy_, s.tx_burst_, as<std::uint32_t>(s.tx_freq_),
+         sim::prop(s, &Radio::tx_air_bits,
+                   [](Radio& r, sim::BitVector bits) {
+                     r.tx_own_.mutable_bits() = std::move(bits);
+                     r.tx_packet_ = &r.tx_own_;
+                   }),
          s.tx_pos_, s.tx_start_, s.rx_on_, as<std::uint32_t>(s.rx_freq_),
          as<std::uint8_t>(s.rx_mode_), s.rx_anchor_, s.rx_consumed_,
          s.rx_barrier_index_, line(s.enable_tx_), line(s.enable_rx_),
@@ -458,9 +481,9 @@ void Radio::restore_state(sim::SnapshotReader& r) {
   tx_done_ = nullptr;
   tx_timer_ = sim::kInvalidTimer;  // re-set by rearm_timer
   rx_timer_ = sim::kInvalidTimer;
-  // An in-flight burst run's packed bits live in this radio; the channel
-  // restored the run's geometry with a null bit pointer.
-  if (tx_burst_) channel_.rebind_run_bits(port_, &tx_bits_);
+  // An in-flight burst run's packet lives in this radio; the channel
+  // restored the run's geometry without it.
+  if (tx_burst_) channel_.rebind_run_bits(port_, tx_packet_);
 }
 
 void Radio::rearm_timer(std::uint16_t kind, std::uint64_t /*payload*/,

@@ -18,16 +18,21 @@
 // one-event-per-bit hot path in both directions:
 //
 //  * TX: an uncontended packet registers as one channel burst run plus a
-//    single end-of-packet timer. Noise does not force per-bit: the
-//    channel draws the packet's flips from the port's noise stream into
-//    a noisy copy up front. The per-bit timer chain runs when the
-//    channel refuses the run (a tracer is attached: traced systems run
-//    per-bit) or as the fallback (contention, mid-run reconfiguration).
+//    single end-of-packet timer. The radio carries the transmitter's
+//    AirPacket, not its bits: a clean run (no flip inside) is never
+//    composed unless a receiver, a fallback or a checkpoint reads it.
+//    Noise does not force per-bit: the channel draws a noisy run's flips
+//    from the port's noise stream into a noisy copy up front. The
+//    per-bit timer chain -- which reads the packet's bits -- runs when
+//    the channel refuses the run (a tracer is attached: traced systems
+//    run per-bit) or as the fallback (contention, mid-run
+//    reconfiguration).
 //  * RX: a receiver that implements BurstRxSink is driven lazily. While
 //    the medium at its frequency is silent it takes NO sampling events:
 //    pending all-'Z' samples are materialised in bulk when something
-//    changes. While a burst run is on the air it consumes the run's
-//    packed bits in bulk. In both cases the radio first *probes* the
+//    changes. While a burst run is on the air it feeds the sink the
+//    run's packet, which the sink may take in logical form (a clean run)
+//    or read as bits. In both cases the radio first *probes* the
 //    sink for the earliest sample whose processing has an externally
 //    visible effect (sync detection, packet delivery, an RNG draw) and
 //    schedules one timer exactly there, so every handler still fires at
@@ -56,9 +61,11 @@ namespace btsc::phy {
 inline constexpr sim::SimTime kBitPeriod = sim::SimTime::us(1);
 
 /// Batched receiver interface (implemented by baseband::Receiver). The
-/// radio feeds it runs of samples: `bits == nullptr` means a run of 'Z'
+/// radio feeds it runs of samples: `run == nullptr` means a run of 'Z'
 /// (silent medium, demodulator slices the noise floor); otherwise the
-/// samples are the defined bits bits[first..first+count).
+/// samples are the defined bits [first..first+count) of the packet the
+/// medium shows. A sink reads those through run->bits() or, for a packet
+/// it recognises, from the packet's logical form.
 class BurstRxSink {
  public:
   /// Some n <= count such that processing samples [first, first+n)
@@ -66,18 +73,24 @@ class BurstRxSink {
   /// invocation and no RNG draw. Returning less than the true quiet
   /// prefix is allowed (the radio then runs the sample at n through the
   /// full per-sample path and asks again); returning count promises the
-  /// whole span is quiet. Pure: must not change observable sink state.
-  virtual std::size_t quiet_prefix(const sim::BitVector* bits,
-                                   std::size_t first,
-                                   std::size_t count) const = 0;
+  /// whole span is quiet. May settle the sink's internal representation
+  /// but must not change its observable state.
+  virtual std::size_t quiet_prefix(const AirPacket* run, std::size_t first,
+                                   std::size_t count) = 0;
 
   /// Processes `n` samples previously certified quiet by quiet_prefix.
-  virtual void consume_quiet(const sim::BitVector* bits, std::size_t first,
+  virtual void consume_quiet(const AirPacket* run, std::size_t first,
                              std::size_t n) = 0;
 
   /// Full per-sample entry; may fire handlers and draw RNG. Must behave
   /// exactly like the per-bit sink path.
   virtual void on_sample(Logic4 v) = 0;
+
+  /// The effect sample `at` of `run` (a 'Z' sample when `run` is null),
+  /// through the full per-sample path.
+  virtual void on_run_sample(const AirPacket* run, std::size_t at) {
+    on_sample(run != nullptr ? from_bit(run->bits()[at]) : Logic4::kZ);
+  }
 
  protected:
   ~BurstRxSink() = default;
@@ -102,6 +115,12 @@ class Radio final : public sim::Module,
   /// after the last bit ends and the medium is released. Requires the
   /// transmitter to be idle.
   void transmit(int freq, sim::BitVector bits,
+                sim::UniqueFunction done = {});
+
+  /// Starts transmitting `packet`, composed only if something reads its
+  /// bits. `packet` must stay alive and unchanged until this radio's
+  /// next transmission: a checkpoint saves the last packet's bits.
+  void transmit(int freq, const AirPacket& packet,
                 sim::UniqueFunction done = {});
 
   /// Aborts an in-progress transmission and releases the medium.
@@ -172,7 +191,9 @@ class Radio final : public sim::Module,
   /// accumulators and the bit counters. A transmission with a `done`
   /// callback in flight is not checkpointable (the closure cannot be
   /// serialized; model code never passes one) -- save_state throws.
-  /// Restore re-links an in-flight burst run's bits into the channel.
+  /// The last packet is saved as its air bits (composing it if need be)
+  /// and restored as those bits; restore re-links an in-flight burst run
+  /// to them.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
@@ -220,6 +241,8 @@ class Radio final : public sim::Module,
   sim::SimTime sample_time(std::uint64_t k) const {
     return rx_anchor_ + kBitPeriod * k;
   }
+  /// The last transmitted packet's air bits (empty before the first).
+  const sim::BitVector& tx_air_bits() const;
   /// Burst-run bit index visible at lazy sample `k` (< 0: before bit 0).
   std::int64_t run_index_at(std::uint64_t k,
                             const NoisyChannel::RxMedium& m) const;
@@ -234,7 +257,10 @@ class Radio final : public sim::Module,
   bool tx_busy_ = false;
   bool tx_burst_ = false;
   int tx_freq_ = 0;
-  sim::BitVector tx_bits_;
+  /// The packet on the air (or the last one sent): the caller's, or
+  /// tx_own_ for raw bits and restored transmissions.
+  const AirPacket* tx_packet_ = nullptr;
+  BitsPacket tx_own_;
   std::size_t tx_pos_ = 0;
   sim::SimTime tx_start_ = sim::SimTime::zero();
   sim::UniqueFunction tx_done_;

@@ -20,6 +20,7 @@
 #include "baseband/hec.hpp"
 #include "baseband/packet.hpp"
 #include "baseband/receiver.hpp"
+#include "phy/air_packet.hpp"
 #include "phy/logic4.hpp"
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
@@ -124,15 +125,17 @@ Reference run_per_bit(Rig& rig, const BitVector* bits, std::size_t n,
 /// against the reference's.
 void run_burst(Rig& rig, const BitVector* bits, std::size_t n,
                std::size_t piece, const Reference& ref) {
+  const phy::BitsPacket packet(bits != nullptr ? *bits : BitVector{});
+  const phy::AirPacket* run = bits != nullptr ? &packet : nullptr;
   std::size_t pos = 0;
   while (pos < n) {
-    const std::size_t q = rig.rx.quiet_prefix(bits, pos, n - pos);
+    const std::size_t q = rig.rx.quiet_prefix(run, pos, n - pos);
     std::size_t next = pos;
     while (next < n && !ref.effect[next]) ++next;
     ASSERT_EQ(q, next - pos) << "probe at sample " << pos;
     for (std::size_t done = 0; done < q;) {
       const std::size_t take = q - done < piece ? q - done : piece;
-      rig.rx.consume_quiet(bits, pos + done, take);
+      rig.rx.consume_quiet(run, pos + done, take);
       done += take;
     }
     pos += q;
@@ -232,12 +235,13 @@ std::vector<Delivery> check_equivalence(const Case& c,
   // on the reference state there -- a consume starting anywhere in a
   // trailer, header, FEC block or keystream word.
   Rig rig(env, c.whiten);
+  const phy::BitsPacket packet(stream);
   std::size_t next = n;
   for (std::size_t k = n; k-- > 0;) {
     if (ref.effect[k]) next = k;
     restore(rig.rx, ref.states[k]);
-    const std::size_t q = rig.rx.quiet_prefix(&stream, k, n - k);
-    rig.rx.consume_quiet(&stream, k, next - k);
+    const std::size_t q = rig.rx.quiet_prefix(&packet, k, n - k);
+    rig.rx.consume_quiet(&packet, k, next - k);
     if (q != next - k || snapshot(rig.rx) != ref.states[next]) {
       ADD_FAILURE() << "split at sample " << k << ": probe " << q
                     << ", next effect " << next - k;

@@ -21,6 +21,7 @@
 #include "baseband/hec.hpp"
 #include "baseband/packet.hpp"
 #include "baseband/receiver.hpp"
+#include "baseband/tx_packet.hpp"
 #include "core/coexistence.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
@@ -345,6 +346,54 @@ TEST(BurstEquivalenceTest, BurstPacketRoundTripPerformsZeroAllocations) {
   }
   EXPECT_EQ(ch.bits_burst(), ch.bits_driven());
   EXPECT_EQ(ch.burst_fallbacks(), 0u);
+}
+
+TEST(BurstEquivalenceTest, CleanPacketRoundTripPerformsZeroAllocations) {
+  // The link controller's path: a TxPacket is set (its body copied into
+  // retained capacity), carried as a clean run and taken by the matching
+  // receiver. Nothing composes its bits, so nothing allocates -- body
+  // building included.
+  using namespace btsc::baseband;
+  sim::Environment env;
+  phy::NoisyChannel ch(env, "ch");
+  phy::Radio tx(env, "tx", ch);
+  phy::Radio rx(env, "rx", ch);
+  Receiver rec(env, "rec");
+  rx.set_burst_rx_sink(&rec);
+  rec.set_transport_hooks([&] { rx.rx_catch_up(); },
+                          [&] { rx.rx_state_changed(); });
+  const std::uint32_t lap = 0x2A613C;
+  const std::uint8_t uap = 0x47;
+  rec.configure(sync_bits(lap), uap, std::uint8_t{0x55},
+                Receiver::Expect::kFull);
+  int delivered = 0;
+  rec.set_handler([&](const Receiver::Result& r) {
+    delivered += r.payload_ok ? 1 : 0;
+  });
+  rx.enable_rx(11);
+
+  const AccessCode code = AccessCode::of(lap);
+  PacketHeader h;
+  h.type = PacketType::kDm5;
+  h.lt_addr = 1;
+  LinkParams params;
+  params.check_init = uap;
+  params.whiten_init = std::uint8_t{0x55};
+  const std::vector<std::uint8_t> body = build_acl_body(
+      PacketType::kDm5, kLlidStart, true, std::vector<std::uint8_t>(200, 7));
+  TxPacket packet;
+  for (int i = 0; i < 7; ++i) {
+    const std::uint64_t before = allocs();
+    packet.set(code, h, body, params);
+    tx.transmit(11, packet);
+    env.run(4_ms);
+    if (i >= 3) {
+      EXPECT_EQ(allocs(), before) << "round " << i;
+    }
+  }
+  EXPECT_EQ(delivered, 7);
+  EXPECT_EQ(rec.clean_path_stats().clean, 7u);
+  EXPECT_EQ(ch.clean_runs(), 7u);
 }
 
 }  // namespace

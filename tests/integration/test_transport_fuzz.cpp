@@ -21,6 +21,7 @@
 #include "core/system.hpp"
 #include "phy/channel.hpp"
 #include "sim/rng.hpp"
+#include "sim/snapshot.hpp"
 
 namespace btsc::core {
 namespace {
@@ -85,15 +86,17 @@ Case generate(std::uint64_t seed) {
   return c;
 }
 
-/// What a measured case leaves behind: the row and every counter a
-/// transport could disturb.
+/// What a measured case leaves behind: the row, every counter a
+/// transport could disturb, and each receiver's checkpoint section.
 struct Outcome {
   std::vector<double> row;
   std::vector<std::uint64_t> counters;
   std::array<std::uint64_t, 4> root_stream{};
+  std::vector<std::uint8_t> receivers;
 };
 
-void add_device(std::vector<std::uint64_t>& out, baseband::Device& d) {
+void add_device(Outcome& o, baseband::Device& d) {
+  std::vector<std::uint64_t>& out = o.counters;
   const baseband::Receiver& rx = d.receiver();
   const baseband::LcStats& st = d.lc().stats();
   // carrier_samples() first: it materialises the radio's pending lazy
@@ -110,6 +113,12 @@ void add_device(std::vector<std::uint64_t>& out, baseband::Device& d) {
         st.backoffs}) {
     out.push_back(v);
   }
+  // Caught up above, the decode machine is the one the per-bit path
+  // holds now, whitener and correlator included.
+  sim::SnapshotWriter w;
+  rx.save_state(w);
+  const std::vector<std::uint8_t> bytes = w.take();
+  o.receivers.insert(o.receivers.end(), bytes.begin(), bytes.end());
 }
 
 void add_channel(std::vector<std::uint64_t>& out, phy::NoisyChannel& ch) {
@@ -129,8 +138,8 @@ Outcome run_one_piconet(const Case& c) {
   out.row = {r.goodput_kbps, static_cast<double>(r.delivered_messages),
              static_cast<double>(r.retransmissions)};
   add_channel(out.counters, sys.channel());
-  add_device(out.counters, sys.master());
-  add_device(out.counters, sys.slave(0));
+  add_device(out, sys.master());
+  add_device(out, sys.slave(0));
   out.counters.push_back(sys.env().now().as_ns());
   out.root_stream = sys.env().rng().state();
   return out;
@@ -154,8 +163,8 @@ Outcome run_two_piconets(const Case& c) {
              static_cast<double>(r.collision_samples)};
   add_channel(out.counters, net.channel());
   for (int p = 0; p < 2; ++p) {
-    add_device(out.counters, net.master(p));
-    add_device(out.counters, net.slave(p));
+    add_device(out, net.master(p));
+    add_device(out, net.slave(p));
   }
   out.counters.push_back(net.env().now().as_ns());
   out.root_stream = net.env().rng().state();
@@ -185,6 +194,8 @@ TEST(TransportFuzz, BurstMatchesPerBitOnGeneratedSystems) {
         << c.describe() << ": counters differ";
     EXPECT_EQ(burst.root_stream, ref.root_stream)
         << c.describe() << ": root stream positions differ";
+    EXPECT_TRUE(burst.receivers == ref.receivers)
+        << c.describe() << ": receiver states differ";
     noisy += c.ber > 0.0;
     two += c.piconets == 2;
   }

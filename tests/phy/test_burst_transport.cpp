@@ -30,15 +30,15 @@ using btsc::sim::SimTime;
 /// stream (expanded from bulk runs) without ever forcing a barrier.
 struct QuietSink final : BurstRxSink {
   std::vector<Logic4> seen;
-  std::size_t quiet_prefix(const sim::BitVector*, std::size_t,
-                           std::size_t count) const override {
+  std::size_t quiet_prefix(const AirPacket*, std::size_t,
+                           std::size_t count) override {
     return count;
   }
-  void consume_quiet(const sim::BitVector* bits, std::size_t first,
+  void consume_quiet(const AirPacket* run, std::size_t first,
                      std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
-      seen.push_back(bits == nullptr ? Logic4::kZ
-                                     : from_bit((*bits)[first + i]));
+      seen.push_back(run == nullptr ? Logic4::kZ
+                                    : from_bit(run->bits()[first + i]));
     }
   }
   void on_sample(Logic4 v) override { seen.push_back(v); }
@@ -50,11 +50,11 @@ struct EagerSink final : BurstRxSink {
   std::vector<Logic4> seen;
   std::vector<SimTime> at;
   Environment* env = nullptr;
-  std::size_t quiet_prefix(const sim::BitVector*, std::size_t,
-                           std::size_t) const override {
+  std::size_t quiet_prefix(const AirPacket*, std::size_t,
+                           std::size_t) override {
     return 0;
   }
-  void consume_quiet(const sim::BitVector*, std::size_t,
+  void consume_quiet(const AirPacket*, std::size_t,
                      std::size_t count) override {
     ASSERT_EQ(count, 0u) << "eager sink must never consume in bulk";
   }
@@ -380,16 +380,16 @@ struct MarkingSink final : BurstRxSink {
   Environment* env = nullptr;
   RxLog* log = nullptr;
   std::size_t period = 1;
-  std::size_t quiet_prefix(const BitVector*, std::size_t,
-                           std::size_t count) const override {
+  std::size_t quiet_prefix(const AirPacket*, std::size_t,
+                           std::size_t count) override {
     const std::size_t to_mark = period - 1 - log->values.size() % period;
     return to_mark < count ? to_mark : count;
   }
-  void consume_quiet(const BitVector* bits, std::size_t first,
+  void consume_quiet(const AirPacket* run, std::size_t first,
                      std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
-      log->values.push_back(bits == nullptr ? Logic4::kZ
-                                            : from_bit((*bits)[first + i]));
+      log->values.push_back(run == nullptr ? Logic4::kZ
+                                           : from_bit(run->bits()[first + i]));
     }
   }
   void on_sample(Logic4 v) override { record_sample(*env, *log, period, v); }

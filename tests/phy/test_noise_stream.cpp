@@ -210,15 +210,15 @@ TEST(NoiseMaskTest, GeometricAtExtremeDraws) {
 /// expands bulk runs back into a per-sample stream for comparison.
 struct QuietSink final : BurstRxSink {
   std::vector<Logic4> seen;
-  std::size_t quiet_prefix(const sim::BitVector*, std::size_t,
-                           std::size_t count) const override {
+  std::size_t quiet_prefix(const AirPacket*, std::size_t,
+                           std::size_t count) override {
     return count;
   }
-  void consume_quiet(const sim::BitVector* bits, std::size_t first,
+  void consume_quiet(const AirPacket* run, std::size_t first,
                      std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
-      seen.push_back(bits == nullptr ? Logic4::kZ
-                                     : from_bit((*bits)[first + i]));
+      seen.push_back(run == nullptr ? Logic4::kZ
+                                    : from_bit(run->bits()[first + i]));
     }
   }
   void on_sample(Logic4 v) override { seen.push_back(v); }
