@@ -498,10 +498,6 @@ void Receiver::finish_header() {
   if (machine_.have_whitener) {
     info ^= static_cast<std::uint32_t>(machine_.whitener.keystream(18));
   }
-  accept_header(info);
-}
-
-void Receiver::accept_header(std::uint32_t info) {
   const auto header10 = static_cast<std::uint16_t>(info & 0x3FFu);
   const auto hec = static_cast<std::uint8_t>((info >> 10) & 0xFFu);
   if (hec_compute10(header10, check_init_) != hec) {
@@ -512,6 +508,10 @@ void Receiver::accept_header(std::uint32_t info) {
     reset_machine();
     return;
   }
+  accept_header(header10);
+}
+
+void Receiver::accept_header(std::uint16_t header10) {
   machine_.header = PacketHeader::unpack(header10);
   if (header_hook_ && !header_hook_(machine_.header)) {
     // Addressed elsewhere: the link controller told us to stop listening.
@@ -653,14 +653,11 @@ std::size_t Receiver::taken_effect_at() const {
 
 void Receiver::take_header() {
   // finish_header() would majority-decode and de-whiten the composed
-  // header to exactly these 18 bits: the header and its HEC under the
-  // shared check init.
+  // header to the packet's header and its HEC under the shared check
+  // init, which passes; the de-whitening steps the register 18 bits.
   if (machine_.have_whitener) machine_.whitener.keystream(18);
-  const std::uint16_t header10 = taken_packet_.header().pack();
   taken_mark_ = kAccessCodeBits + kHeaderCodedBits;
-  accept_header(header10 | static_cast<std::uint32_t>(
-                               hec_compute10(header10, check_init_))
-                               << 10);
+  accept_header(taken_packet_.header().pack());
 }
 
 void Receiver::take_payload() {

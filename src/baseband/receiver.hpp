@@ -234,9 +234,8 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
 
   void on_sync_found();
   void finish_header();
-  /// HEC check, header hook and payload set-up of the 18 de-whitened
-  /// header information bits.
-  void accept_header(std::uint32_t info);
+  /// Header hook and payload set-up of a header that passed its HEC.
+  void accept_header(std::uint16_t header10);
   void deliver_payload_bad();
   void on_payload_complete();
   void reset_machine();
