@@ -34,12 +34,10 @@ Radio::~Radio() { env().unregister_rearm(this); }
 
 void Radio::transmit(int freq, sim::BitVector bits,
                      sim::UniqueFunction done) {
+  // Checked before the radio's own packet is overwritten: it may be the
+  // one on the air.
   if (tx_busy_) {
     throw std::logic_error(name() + ": transmit while TX busy");
-  }
-  if (bits.empty()) {
-    if (done) done();
-    return;
   }
   tx_own_.mutable_bits() = std::move(bits);
   transmit(freq, tx_own_, std::move(done));

@@ -37,6 +37,7 @@ TEST(CoexistenceTest, SecondPageAfterCreateCompletes) {
        ++ms) {
     net.run(1_ms);
   }
+  net.run(100_ms);  // the slave answers the first POLL: page complete
   EXPECT_TRUE(net.master(0).lc().is_master());
   EXPECT_TRUE(net.slave(0).lc().is_connected_slave());
 }
