@@ -78,8 +78,6 @@ struct AccessCode {
     out.append_uint(lo, 64);
     out.append_uint(hi, static_cast<unsigned>(n - 64));
   }
-
-  friend bool operator==(const AccessCode&, const AccessCode&) = default;
 };
 
 /// The access codes of the few LAPs one device uses (its own, its

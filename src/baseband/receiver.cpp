@@ -621,7 +621,7 @@ void Receiver::try_take(const TxPacket* tx, std::size_t at) {
     ++clean_stats_.air_bits;
   } else if (at != kIdPacketBits - 1) {
     ++clean_stats_.offset;
-  } else if (tx->is_id() || !tx->framed() ||
+  } else if (!tx->framed() ||
              tx->code().sync != machine_.correlator.expected() ||
              tx->params().check_init != check_init_ ||
              tx->params().whiten_init != whiten_init_) {
@@ -630,7 +630,7 @@ void Receiver::try_take(const TxPacket* tx, std::size_t at) {
     // From here on the air bits would decode to exactly this packet:
     // same sync word, HEC/CRC init and whitening, and a framing that
     // ends the payload at the packet's last bit.
-    taken_packet_.copy_from(*tx);
+    taken_packet_ = *tx;  // copy-assign: the buffers keep their capacity
     taken_src_ = tx;
     taken_serial_ = tx->serial();
     taken_next_ = taken_mark_ = kIdPacketBits;

@@ -162,8 +162,9 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
     std::uint64_t air_bits = 0;     // the medium showed bits (a flip
                                     // inside, raw or restored bits, the
                                     // per-bit path)
-    std::uint64_t mismatch = 0;     // another sync word, check init,
-                                    // whitening, expectation or framing
+    std::uint64_t mismatch = 0;     // another sync word, check init or
+                                    // whitening, or a packet it cannot
+                                    // frame (ID, bad length field)
     std::uint64_t offset = 0;       // sync not at air bit 67
     std::uint64_t hook = 0;         // the header hook rejected it
     std::uint64_t interrupted = 0;  // replayed into the machine mid-way

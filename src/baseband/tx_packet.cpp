@@ -41,17 +41,6 @@ void TxPacket::set(const AccessCode& code, const PacketHeader& header,
   composed_ = false;
 }
 
-void TxPacket::copy_from(const TxPacket& other) {
-  id_ = other.id_;
-  code_ = other.code_;
-  header_ = other.header_;
-  body_.assign(other.body_.begin(), other.body_.end());
-  params_ = other.params_;
-  size_ = other.size_;
-  framed_ = other.framed_;
-  composed_ = false;
-}
-
 const sim::BitVector& TxPacket::bits() const {
   if (!composed_) {
     bits_.clear();

@@ -33,22 +33,19 @@ class TxPacket final : public phy::AirPacket {
   void set(const AccessCode& code, const PacketHeader& header,
            const std::vector<std::uint8_t>& body, const LinkParams& params);
 
-  /// Copies `other`'s logical form; the bits are composed anew on demand.
-  void copy_from(const TxPacket& other);
-
   // ---- phy::AirPacket ----
   std::size_t size() const override { return size_; }
   const sim::BitVector& bits() const override;
 
-  bool is_id() const { return id_; }
   const AccessCode& code() const { return code_; }
   const PacketHeader& header() const { return header_; }
   const std::vector<std::uint8_t>& body() const { return body_; }
   const LinkParams& params() const { return params_; }
 
-  /// True when a receiver frames the payload exactly as composed: an
-  /// ACL body's length field names its own user bytes, within the
-  /// type's maximum. Then the payload ends at the packet's last bit.
+  /// True when a receiver frames the packet exactly as composed: it has
+  /// a header (not an ID packet), and an ACL body's length field names
+  /// its own user bytes, within the type's maximum. Then the payload
+  /// ends at the packet's last bit.
   bool framed() const { return framed_; }
 
   /// Changes with every set()/set_id(): tells a reused packet object's
