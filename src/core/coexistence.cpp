@@ -24,11 +24,9 @@ const BdAddr kAddrs[4] = {
     BdAddr(0x3A11C5, 0x51, 0xA000), BdAddr(0x7E24D9, 0x62, 0xA001),
     BdAddr(0xB3590E, 0x73, 0xB000), BdAddr(0xC87A63, 0x84, 0xB001)};
 
-DeviceConfig device_config(int i, sim::Environment& env,
-                           baseband::PacketType data_type) {
+DeviceConfig device_config(int i, sim::Environment& env) {
   DeviceConfig dc;
   dc.addr = kAddrs[i];
-  dc.lc.data_packet_type = data_type;
   dc.lc.inquiry_timeout_slots = 32768;
   dc.lc.page_timeout_slots = 16384;
   dc.clkn_init =
@@ -40,12 +38,12 @@ DeviceConfig device_config(int i, sim::Environment& env,
 
 }  // namespace
 
-TwoPiconets::TwoPiconets(std::uint64_t seed, baseband::PacketType data_type)
+TwoPiconets::TwoPiconets(std::uint64_t seed)
     : env_(seed), channel_(env_, "channel") {
   // Clock draws come from the root stream in device order.
   for (int i = 0; i < 4; ++i) {
     devices_.push_back(std::make_unique<Device>(
-        env_, kNames[i], device_config(i, env_, data_type), channel_));
+        env_, kNames[i], device_config(i, env_), channel_));
   }
   for (auto& d : devices_) {
     lms_.push_back(std::make_unique<lm::LinkManager>(*d));

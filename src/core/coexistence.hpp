@@ -22,16 +22,13 @@
 namespace btsc::core {
 
 /// Two master+slave pairs sharing one noiseless NoisyChannel, sending
-/// DM1 packets (or `data_type`). Piconet 0 and 1 are created
-/// sequentially (the second forms while the first is live, so its
-/// creation already experiences interference).
+/// DM1 packets. Piconet 0 and 1 are created sequentially (the second
+/// forms while the first is live, so its creation already experiences
+/// interference).
 class TwoPiconets {
  public:
-  /// `seed` is the root seed of the two-piconet system; `data_type` is
-  /// every device's preferred ACL packet type.
-  explicit TwoPiconets(
-      std::uint64_t seed,
-      baseband::PacketType data_type = baseband::PacketType::kDm1);
+  /// `seed` is the root seed of the two-piconet system.
+  explicit TwoPiconets(std::uint64_t seed);
   ~TwoPiconets();
 
   sim::Environment& env() { return env_; }

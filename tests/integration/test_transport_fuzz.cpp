@@ -146,7 +146,11 @@ Outcome run_one_piconet(const Case& c) {
 }
 
 Outcome run_two_piconets(const Case& c) {
-  TwoPiconets net(c.seed, c.type);
+  TwoPiconets net(c.seed);
+  for (int p = 0; p < 2; ++p) {
+    net.master(p).lc().config().data_packet_type = c.type;
+    net.slave(p).lc().config().data_packet_type = c.type;
+  }
   net.env().settle();
   if (!net.create(0) || !net.create(1)) {
     ADD_FAILURE() << c.describe() << ": piconet creation failed";
