@@ -130,8 +130,9 @@ void BM_PacketDecode(benchmark::State& state) {
 
   std::uint64_t bits_total = 0;
   for (auto _ : state) {
-    phy::BitsPacket packet(access_code(lap, /*with_trailer=*/true));
+    phy::BitsPacket packet;
     sim::BitVector& bits = packet.mutable_bits();
+    AccessCode::of(lap).append_to(bits, kAccessCodeBits);
     bits.append(compose_after_access_code(h, body, params));
     rec.configure(sync_bits(lap), uap, params.whiten_init,
                   Receiver::Expect::kFull);

@@ -55,23 +55,7 @@ AccessCode AccessCode::of(std::uint32_t lap) {
   const std::uint64_t trailer = (c.sync >> 63) ? 0b1010u : 0b0101u;
   c.lo = preamble | (c.sync << 4);
   c.hi = (c.sync >> 60) | (trailer << 4);
-  std::uint64_t window = 0;
-  for (std::size_t i = 0; i < kAccessCodeBits; ++i) {
-    window = (window >> 1) | (c.bits(i, 1) << 63);
-    if (64 - std::popcount(window ^ c.sync) >= kSyncCorrelationThreshold) {
-      c.fire_from_silence = i;
-      break;
-    }
-  }
   return c;
-}
-
-sim::BitVector access_code(std::uint32_t lap, bool with_trailer) {
-  sim::BitVector out;
-  out.reserve(kAccessCodeBits);
-  AccessCode::of(lap).append_to(out,
-                                with_trailer ? kAccessCodeBits : kIdPacketBits);
-  return out;
 }
 
 bool Correlator::push(bool bit) {

@@ -41,10 +41,6 @@ inline constexpr std::size_t kAccessCodeBits = 72;   // + trailer
 /// Bit i of the result is air bit i (bit 0 is the first bit on air).
 std::uint64_t sync_bits(std::uint32_t lap);
 
-/// Full access code: preamble + sync word, plus trailer when
-/// `with_trailer` (packets that carry a header).
-sim::BitVector access_code(std::uint32_t lap, bool with_trailer);
-
 /// One LAP's access code, BCH-encoded once: the sync word and the 72
 /// air bits preamble + sync + trailer, packed LSB-first (bit i = air bit
 /// i) in two words.
@@ -53,9 +49,6 @@ struct AccessCode {
   std::uint64_t sync = 0;
   std::uint64_t lo = 0;  // air bits 0..63
   std::uint64_t hi = 0;  // air bits 64..71
-  /// Air bit at which a correlator for `sync` whose window holds only
-  /// zeros first matches this access code (kAccessCodeBits: none).
-  std::size_t fire_from_silence = kAccessCodeBits;
 
   static AccessCode of(std::uint32_t lap);
 
@@ -135,27 +128,6 @@ class Correlator {
 
   /// The sync word this correlator searches for.
   std::uint64_t expected() const { return expected_; }
-
-  /// True while the window holds only zeros (after a reset or silence).
-  bool silent_window() const { return window_ == 0; }
-
-  /// First of the next `count` bits of `code` (from its air bit 0) at
-  /// which a silent window fires, or `count` when none does; exact, from
-  /// the code's cached fire_from_silence. Requires silent_window() and
-  /// expected() == code.sync.
-  std::size_t silent_window_fire(const AccessCode& code,
-                                 std::size_t count) const {
-    assert(silent_window() && expected_ == code.sync);
-    const std::size_t f = code.fire_from_silence;
-    // No earlier bit matches at all; bit f fires once 64 bits are seen.
-    if (f >= count) return count;
-    if (f == kAccessCodeBits) return kUnresolved;  // past the code
-    return bits_seen_ + f + 1 >= kSyncWordBits ? f : kUnresolved;
-  }
-
-  /// silent_window_fire() answer when the fire at the cached bit is
-  /// suppressed (fewer than 64 bits seen): the caller dry-runs instead.
-  static constexpr std::size_t kUnresolved = static_cast<std::size_t>(-1);
 
   void reset();
 

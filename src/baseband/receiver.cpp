@@ -298,15 +298,6 @@ std::size_t Receiver::quiet_prefix(const phy::AirPacket* run,
     // from the register's weight; real bits dry-run a register copy.
     if (run == nullptr) return machine_.correlator.silent_prefix(count);
     const TxPacket* tx = tx_of(run);
-    if (tx != nullptr && first == 0 &&
-        machine_.correlator.silent_window() &&
-        machine_.correlator.expected() == tx->code().sync) {
-      // The common case: a receiver listening before its own access
-      // code starts. Where that code fires is cached per LAP.
-      const std::size_t at =
-          machine_.correlator.silent_window_fire(tx->code(), count);
-      if (at != Correlator::kUnresolved) return at;
-    }
     Correlator c = machine_.correlator;
     for (std::size_t i = 0; i < count;) {
       const unsigned chunk = search_chunk(tx, first + i, count - i);
@@ -601,6 +592,9 @@ void Receiver::on_payload_complete() {
 
 void Receiver::deliver(const Result& r) {
   if (!r.is_id) ++(taken_ ? clean_stats_.clean : clean_stats_.air);
+  // The packet is done: a handler that reconfigures or feeds samples
+  // finds no taken samples to replay.
+  taken_ = false;
   if (handler_) handler_(r);
 }
 
@@ -641,6 +635,7 @@ void Receiver::try_take(const TxPacket* tx, std::size_t at) {
 void Receiver::replay_taken() {
   taken_ = false;
   ++clean_stats_.interrupted;
+  if (taken_next_ == taken_mark_) return;  // nothing pending: no compose
   consume_assembly(machine_, &taken_packet_.bits(), taken_mark_,
                    taken_next_ - taken_mark_);
 }

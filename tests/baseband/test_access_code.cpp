@@ -120,36 +120,44 @@ TEST(SyncWordTest, BalancedBitCount) {
   EXPECT_LT(ones, 48);
 }
 
+/// The first `n` air bits of `lap`'s access code.
+sim::BitVector air_bits(std::uint32_t lap, std::size_t n) {
+  sim::BitVector out;
+  AccessCode::of(lap).append_to(out, n);
+  return out;
+}
+
 TEST(AccessCodeTest, IdLengthWithoutTrailer) {
-  EXPECT_EQ(access_code(kGiacLap, /*with_trailer=*/false).size(),
-            kIdPacketBits);
+  EXPECT_EQ(air_bits(kGiacLap, kIdPacketBits).size(), kIdPacketBits);
 }
 
 TEST(AccessCodeTest, FullLengthWithTrailer) {
-  EXPECT_EQ(access_code(0x123456, /*with_trailer=*/true).size(),
-            kAccessCodeBits);
+  EXPECT_EQ(air_bits(0x123456, kAccessCodeBits).size(), kAccessCodeBits);
 }
 
 TEST(AccessCodeTest, SyncEmbeddedAfterPreamble) {
-  const auto ac = access_code(0xABCDEF, true);
-  EXPECT_EQ(ac.extract_word(4, 64), sync_bits(0xABCDEF));
+  const AccessCode ac = AccessCode::of(0xABCDEF);
+  EXPECT_EQ(ac.sync, sync_bits(0xABCDEF));
+  EXPECT_EQ(ac.bits(4, 64), sync_bits(0xABCDEF));
+  EXPECT_EQ(air_bits(0xABCDEF, kAccessCodeBits).extract_word(4, 64),
+            sync_bits(0xABCDEF));
 }
 
 TEST(AccessCodeTest, GiacIdAccessCodePinned) {
   // The GIAC ID packet's 68 air bits (preamble + sync), LSB first, and
   // the trailer a header would add.
-  const auto id = access_code(kGiacLap, /*with_trailer=*/false);
+  const auto id = air_bits(kGiacLap, kIdPacketBits);
   ASSERT_EQ(id.size(), kIdPacketBits);
   EXPECT_EQ(id.extract_word(0, 64), 0xA7A2CCF7E6DFC64Aull);
   EXPECT_EQ(id.extract_word(64, 4), 0xCu);
-  const auto full = access_code(kGiacLap, /*with_trailer=*/true);
+  const auto full = air_bits(kGiacLap, kAccessCodeBits);
   EXPECT_EQ(full.slice(0, kIdPacketBits), id);
   EXPECT_EQ(full.extract_word(64, 8), 0xACu);
 }
 
 TEST(AccessCodeTest, PreambleAlternates) {
   for (std::uint32_t lap : {0x000000u, 0x9E8B33u, 0xFFFFFFu, 0x5A5A5Au}) {
-    const auto ac = access_code(lap, false);
+    const auto ac = air_bits(lap, kIdPacketBits);
     // The four preamble bits alternate 0101 or 1010.
     EXPECT_NE(ac[0], ac[1]);
     EXPECT_NE(ac[1], ac[2]);

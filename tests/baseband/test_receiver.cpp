@@ -27,6 +27,14 @@ using btsc::sim::SimTime;
 constexpr std::uint32_t kLap = 0x2C4D5E;
 constexpr std::uint8_t kUap = 0x77;
 
+/// The first `n` air bits of kLap's access code: kIdPacketBits for an
+/// ID packet, kAccessCodeBits when a header follows.
+BitVector lap_access_code(std::size_t n) {
+  BitVector bits;
+  AccessCode::of(kLap).append_to(bits, n);
+  return bits;
+}
+
 struct Loop {
   explicit Loop(double ber = 0.0, std::uint64_t seed = 1)
       : env(seed), ch(env, "ch", make_cfg(ber)), tx(env, "tx", ch),
@@ -44,7 +52,7 @@ struct Loop {
   /// Sends a composed packet and runs until delivery.
   void send(const PacketHeader& h, const std::vector<std::uint8_t>& body,
             const LinkParams& params, int freq = 11) {
-    BitVector bits = access_code(kLap, true);
+    BitVector bits = lap_access_code(kAccessCodeBits);
     bits.append(compose_after_access_code(h, body, params));
     rx_radio.enable_rx(freq);
     tx.transmit(freq, std::move(bits));
@@ -64,7 +72,7 @@ TEST(ReceiverTest, DetectsIdPacket) {
   loop.rx.configure(sync_bits(kLap), kUap, std::nullopt,
                     Receiver::Expect::kIdOnly);
   loop.rx_radio.enable_rx(0);
-  loop.tx.transmit(0, access_code(kLap, false));
+  loop.tx.transmit(0, lap_access_code(kIdPacketBits));
   loop.env.run(1_ms);
   ASSERT_EQ(loop.results.size(), 1u);
   EXPECT_TRUE(loop.results[0].is_id);
@@ -76,7 +84,7 @@ TEST(ReceiverTest, IdPacketStartReconstruction) {
                     Receiver::Expect::kIdOnly);
   loop.rx_radio.enable_rx(0);
   loop.env.run(100_us);  // transmit at t=100us exactly
-  loop.tx.transmit(0, access_code(kLap, false));
+  loop.tx.transmit(0, lap_access_code(kIdPacketBits));
   loop.env.run(1_ms);
   ASSERT_EQ(loop.results.size(), 1u);
   EXPECT_EQ(loop.results[0].packet_start, 100_us);
@@ -264,7 +272,7 @@ TEST(ReceiverTest, CollisionGarblesPacket) {
   h.type = PacketType::kPoll;
   LinkParams params;
   params.check_init = kUap;
-  BitVector bits = access_code(kLap, true);
+  BitVector bits = lap_access_code(kAccessCodeBits);
   bits.append(compose_after_access_code(h, {}, params));
   rxr.enable_rx(0);
   t1.transmit(0, bits);
@@ -282,7 +290,7 @@ TEST(ReceiverTest, ResetAbandonsAssembly) {
   h.type = PacketType::kDh1;
   LinkParams params;
   params.check_init = kUap;
-  BitVector bits = access_code(kLap, true);
+  BitVector bits = lap_access_code(kAccessCodeBits);
   bits.append(compose_after_access_code(
       h, build_acl_body(PacketType::kDh1, kLlidStart, true, {1, 2, 3}),
       params));
@@ -319,7 +327,7 @@ TEST(ReceiverTest, BackToBackPackets) {
                     Receiver::Expect::kFull);
   PacketHeader h;
   h.type = PacketType::kPoll;
-  BitVector bits = access_code(kLap, true);
+  BitVector bits = lap_access_code(kAccessCodeBits);
   bits.append(compose_after_access_code(h, {}, params));
   loop.rx_radio.enable_rx(11);
   loop.tx.transmit(11, bits);

@@ -43,7 +43,8 @@ struct Fuzzer {
     LinkParams params;
     params.check_init = kUap;
     params.whiten_init = 0x5A;
-    sim::BitVector bits = access_code(kLap, true);
+    sim::BitVector bits;
+    AccessCode::of(kLap).append_to(bits, kAccessCodeBits);
     if (has_payload(type)) {
       bits.append(compose_after_access_code(
           h, build_acl_body(type, kLlidStart, true,

@@ -169,7 +169,7 @@ BitVector make_stream(const Case& c) {
   };
   BitVector s;
   random_bits(s, 11);
-  s.append(access_code(kLap, /*with_trailer=*/true));
+  AccessCode::of(kLap).append_to(s, kAccessCodeBits);
   PacketHeader h;
   h.type = c.type;
   h.lt_addr = 3;
@@ -359,7 +359,7 @@ TEST(ReceiverWordTest, LengthAboveMaximumIsBadWhereItResolves) {
       body[0] = static_cast<std::uint8_t>(kLlidStart | (1u << 2) | (31u << 3));
       BitVector s;
       for (int i = 0; i < 11; ++i) s.push_back(i % 3 == 0);
-      s.append(access_code(kLap, /*with_trailer=*/true));
+      AccessCode::of(kLap).append_to(s, kAccessCodeBits);
       s.append(compose_after_access_code(h, body, params));
       s.append_zeros(40);
       const Case c{t, whiten, 0.0, 0};

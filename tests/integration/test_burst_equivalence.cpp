@@ -231,7 +231,9 @@ TEST(BurstEquivalenceTest, MidRunReconfigureMatchesPerBitReference) {
     rec.configure(sync_bits(lap), kDefaultCheckInit, std::nullopt,
                   Receiver::Expect::kIdOnly);
     rx.enable_rx(3);
-    tx.transmit(3, access_code(lap, /*with_trailer=*/false));
+    sim::BitVector id;
+    AccessCode::of(lap).append_to(id, kIdPacketBits);
+    tx.transmit(3, std::move(id));
     env.run(30_us);
     rec.configure(sync_bits(lap), kDefaultCheckInit, std::nullopt,
                   Receiver::Expect::kIdOnly);  // re-arm mid-packet
@@ -262,7 +264,8 @@ TEST(BurstEquivalenceTest, ReservedTypeHeaderKeepsSilenceProbeBounded) {
   h.lt_addr = 1;
   const std::uint16_t header10 = h.pack();
   const std::uint8_t hec = hec_compute10(header10, kDefaultCheckInit);
-  sim::BitVector bits = access_code(lap, /*with_trailer=*/true);
+  sim::BitVector bits;
+  AccessCode::of(lap).append_to(bits, kAccessCodeBits);
   sim::BitVector info;
   info.append_uint(header10, 10);
   info.append_uint(hec, 8);
@@ -317,7 +320,8 @@ TEST(BurstEquivalenceTest, BurstPacketRoundTripPerformsZeroAllocations) {
   const std::vector<std::uint8_t> body =
       build_acl_body(PacketType::kDh5, kLlidStart, true, user);
   auto compose = [&] {
-    sim::BitVector bits = access_code(lap, /*with_trailer=*/true);
+    sim::BitVector bits;
+    AccessCode::of(lap).append_to(bits, kAccessCodeBits);
     bits.append(compose_after_access_code(h, body, params));
     return bits;
   };

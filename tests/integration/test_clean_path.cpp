@@ -274,6 +274,36 @@ TEST(CleanPath, ReconfigureMidRun) {
   }
 }
 
+TEST(CleanPath, ReconfigureFromTheHandlerOrHook) {
+  // The result handler re-arms the receiver when a whitened DM5 it took
+  // is delivered, or the header hook re-arms it and rejects the packet
+  // (as a link controller moving to its next state does). The packet is
+  // over for the machine by then: none of its samples reach the fresh
+  // one, and the whitener the reset keeps stepped once per data bit.
+  for (const bool from_hook : {false, true}) {
+    SCOPED_TRACE(from_hook);
+    const Stats s = check_against_per_bit(0.0, [&](Link& l) {
+      if (from_hook) {
+        l.rx.set_header_hook([&l](const PacketHeader&) {
+          l.configure(kLap, kUap, kWhiten);
+          return false;
+        });
+      } else {
+        l.rx.set_handler([&l](const Receiver::Result& r) {
+          l.log.push_back(std::to_string(l.env.now().as_ns()) + " p" +
+                          std::to_string(r.payload_ok) + " " +
+                          std::to_string(r.payload_body.size()));
+          l.configure(kLap, kUap, kWhiten);
+        });
+      }
+      send(l, PacketType::kDm5, 200);
+      l.env.run(5_ms);
+    });
+    EXPECT_EQ(s.clean, from_hook ? 0u : 1u);
+    EXPECT_EQ(s.air, 0u);
+  }
+}
+
 TEST(CleanPath, ContentionMidRun) {
   const Stats s = check_against_per_bit(0.0, [&](Link& l) {
     send(l, PacketType::kDh5, 300);
