@@ -29,63 +29,10 @@
 # artifacts hold results only.
 #
 #   scripts/ci.sh              # full gate suite
-#   scripts/ci.sh --coverage   # coverage preset: instrumented build +
-#                              # full ctest + per-file gcov line summary
-#                              # artifact (build-cov/coverage-summary.txt)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
-
-if [[ "${1:-}" == "--coverage" ]]; then
-  echo "=== coverage preset: instrumented Debug build + gcov summary ==="
-  # gcovr/lcov are not part of the image; the summary is aggregated from
-  # raw gcov output instead (gcov ships with the toolchain; llvm-cov
-  # gcov is the drop-in spelling if gcc's gcov is ever absent). The
-  # btsc library objects are shared by every test binary, so their
-  # .gcda counters merge across the whole suite automatically.
-  cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
-        -DCMAKE_CXX_FLAGS="--coverage" \
-        -DCMAKE_EXE_LINKER_FLAGS="--coverage" \
-        -DBTSC_BUILD_BENCHES=OFF -DBTSC_BUILD_EXAMPLES=OFF
-  find build-cov -name '*.gcda' -delete
-  cmake --build build-cov -j "$jobs"
-  ctest --test-dir build-cov -j "$jobs" --output-on-failure
-  gcov_tool="gcov"
-  command -v gcov >/dev/null 2>&1 || gcov_tool="llvm-cov gcov"
-  artifact=build-cov/coverage-summary.txt
-  per_file=$(
-    find build-cov -name '*.gcda' -print0 |
-      xargs -0 -n 1 $gcov_tool -n 2>/dev/null |
-      awk '
-        /^File / { f = substr($0, 7); f = substr(f, 2, length(f) - 2) }
-        /^Lines executed:/ {
-          if (f ~ /\/src\/.*\.cpp$/) {
-            split($0, a, ":"); split(a[2], b, "% of ")
-            short = f; sub(/^.*\/src\//, "src/", short)
-            printf "%7.2f %6d  %s\n", b[1], b[2], short
-          }
-          f = ""
-        }' | sort -k3
-  )
-  {
-    echo "# btsc line coverage per translation unit (gcov, Debug tree)"
-    echo "# generated by scripts/ci.sh --coverage; headers are counted"
-    echo "# within their including TUs and not listed separately."
-    echo "#  pct%   lines  file"
-    echo "$per_file"
-    echo "$per_file" | awk '
-      { total += $2; covered += $1 / 100.0 * $2 }
-      END {
-        if (total > 0) {
-          printf "%7.2f %6d  TOTAL\n", covered / total * 100.0, total
-        }
-      }'
-  } > "$artifact"
-  cat "$artifact"
-  echo "coverage summary written to $artifact"
-  exit 0
-fi
 
 echo "=== tier-1: Release build + full test suite ==="
 cmake -B build -S .

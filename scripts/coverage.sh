@@ -24,10 +24,15 @@
 # read 0 calls; the later inliner keeps the counters, and the studies
 # still run near full speed. Runs use one sweep thread (except the pool
 # run) because the counters are shared and two threads bumping them run
-# ~10x slower. Functions defined inline in a header that no translation
-# unit uses are never emitted, so no tool built on gcov can see them;
-# review those by hand. Dead branches inside called functions are not
-# this gate's concern.
+# ~10x slower. -fkeep-inline-functions makes gcc emit every inline
+# function, also one that no translation unit uses, which would
+# otherwise never reach gcov at all; -ffunction-sections with
+# --gc-sections drops the unreferenced ones at link time again, without
+# which btsc-sweep fails to link on a libstdc++ internal that is
+# declared but never defined (std::filesystem::path::_List::type).
+# A constexpr function the compiler folds into a constant still reads 0
+# calls: the allowlist names those with the compile-time role.
+# Dead branches inside called functions are not this gate's concern.
 # Needs gcc, gcov and python3 (no gcovr/lcov).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,8 +42,10 @@ allow=scripts/coverage-allow.txt
 jobs=$(nproc 2>/dev/null || echo 4)
 
 echo "=== caller coverage: instrumented build in $dir ==="
-cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release \
-      -DCMAKE_CXX_FLAGS="--coverage -fno-early-inlining" -DBTSC_BUILD_TESTS=OFF >/dev/null
+flags="--coverage -fno-early-inlining -fkeep-inline-functions"
+flags+=" -ffunction-sections"
+cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS="$flags" \
+      -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" -DBTSC_BUILD_TESTS=OFF >/dev/null
 examples=(quickstart discovery_scan file_transfer power_modes)
 cmake --build "$dir" -j "$jobs" --target btsc-sweep btsc-sweepd \
       fig05_piconet_waveform fig09_sniff_waveform "${examples[@]}"
@@ -131,8 +138,9 @@ python3 - "$root" "$dir" "$run" "$allow" <<'EOF'
 import json, os, sys
 
 root, build, run, allow_path = sys.argv[1:]
-roles = {"oracle", "test-fake", "test-only", "fault-hook", "lmp-procedure",
-         "restore-path", "error-path", "bench-caller", "perfbench-reader"}
+roles = {"compile-time", "oracle", "test-fake", "test-only", "fault-hook",
+         "lmp-procedure", "restore-path", "error-path", "bench-caller",
+         "perfbench-reader"}
 src = os.path.join(root, "src") + os.sep
 
 

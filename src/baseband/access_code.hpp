@@ -123,9 +123,6 @@ class Correlator {
     bits_seen_ += n;
   }
 
-  /// Bits observed since construction or reset.
-  std::uint64_t bits_seen() const { return bits_seen_; }
-
   /// The sync word this correlator searches for.
   std::uint64_t expected() const { return expected_; }
 

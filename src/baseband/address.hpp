@@ -28,7 +28,6 @@ class BdAddr {
 
   constexpr std::uint32_t lap() const { return lap_; }
   constexpr std::uint8_t uap() const { return uap_; }
-  constexpr std::uint16_t nap() const { return nap_; }
 
   constexpr std::uint64_t raw() const {
     return (static_cast<std::uint64_t>(nap_) << 32) |

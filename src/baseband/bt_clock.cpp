@@ -10,7 +10,7 @@ NativeClock::NativeClock(sim::Environment& env, std::string name,
     : Module(env, std::move(name)),
       start_(initial & kClockMask),
       first_tick_(env.now() + first_tick_delay),
-      tick_(env, child_name("tick")) {
+      tick_(env) {
   env.register_rearm(this->name(), this, this);
   schedule_wake(1);
 }

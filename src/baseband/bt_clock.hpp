@@ -65,9 +65,6 @@ class NativeClock final : public sim::Module,
     return (start_ + static_cast<std::uint32_t>(tick)) & kClockMask;
   }
 
-  /// Value of CLKN bit `i`.
-  bool bit(int i) const { return (clkn() >> i) & 1u; }
-
   /// Simulation time of the most recent tick (start of current half
   /// slot); zero before the first tick.
   sim::SimTime last_tick_time() const {

@@ -45,13 +45,6 @@ class PacketBuffer {
   std::size_t size() const { return control_.size() + data_.size(); }
   std::size_t dropped() const { return dropped_; }
 
-  /// Next message to transmit (control lane first).
-  const OutboundMessage& front() const {
-    if (!control_.empty()) return control_.front();
-    if (!data_.empty()) return data_.front();
-    throw std::logic_error("PacketBuffer::front on empty buffer");
-  }
-
   OutboundMessage pop() {
     auto& lane = !control_.empty() ? control_ : data_;
     if (lane.empty()) throw std::logic_error("PacketBuffer::pop on empty");

@@ -40,7 +40,6 @@ class Device final : public sim::Module {
   phy::Radio& radio() { return radio_; }
   Receiver& receiver() { return receiver_; }
   LinkController& lc() { return lc_; }
-  const LinkController& lc() const { return lc_; }
 
  private:
   DeviceConfig config_;

@@ -48,7 +48,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
       receiver_(receiver),
       config_(config),
       master_addr_(addr) {
-  sim::Process& tick = method("tick", [this] { on_tick(); });
+  sim::Process& tick = method([this] { on_tick(); });
   clock_.tick_event().add_sensitive(tick);
   receiver_.set_handler([this](const Receiver::Result& r) {
     switch (state_) {

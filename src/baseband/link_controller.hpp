@@ -196,18 +196,13 @@ class LinkController final : public sim::Module,
   // ---- introspection ----
   LcState state() const { return state_; }
   bool is_master() const { return state_ == LcState::kConnectionMaster; }
-  bool is_connected_slave() const {
-    return state_ == LcState::kConnectionSlave;
-  }
   std::uint8_t own_lt_addr() const { return own_lt_addr_; }
   LinkMode slave_mode() const { return my_mode_; }
-  const BdAddr& address() const { return addr_; }
   Piconet& piconet() { return piconet_; }
   const std::vector<DiscoveredDevice>& discovered() const {
     return discovered_;
   }
   const LcStats& stats() const { return stats_; }
-  const LcConfig& config() const { return config_; }
   LcConfig& config() { return config_; }
   /// Master piconet clock (own CLKN for a master, estimate for a slave).
   std::uint32_t piconet_clock() const;

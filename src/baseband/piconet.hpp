@@ -83,7 +83,6 @@ class Piconet {
   std::vector<SlaveLink>& slaves() { return slaves_; }
   const std::vector<SlaveLink>& slaves() const { return slaves_; }
   bool has_parked() const;
-  bool empty() const { return slaves_.empty(); }
 
  private:
   std::vector<SlaveLink> slaves_;

@@ -151,7 +151,12 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   std::uint64_t syncs_detected() const { return syncs_; }
   std::uint64_t hec_failures() const { return hec_failures_; }
   std::uint64_t crc_failures() const { return crc_failures_; }
-  std::uint64_t fec_failures() const { return machine_.fec_failures; }
+  /// FEC blocks decoded with an uncorrectable error. Materialises pending
+  /// lazy samples first: a payload's blocks decode quietly.
+  std::uint64_t fec_failures() const {
+    if (catch_up_) catch_up_();
+    return machine_.fec_failures;
+  }
 
   /// How this receiver's packets (ID packets aside) were decoded. Kept in
   /// the process only: never checkpointed, never in result bytes.

@@ -63,11 +63,6 @@ struct PowerModel {
     return tx_mw * a.tx_fraction + rx_mw * a.rx_fraction +
            idle_mw * (idle_fraction < 0.0 ? 0.0 : idle_fraction);
   }
-
-  /// Energy over a window, in microjoules.
-  double energy_uj(const RfActivity& a, sim::SimTime window) const {
-    return average_mw(a) * window.as_sec() * 1000.0;
-  }
 };
 
 }  // namespace btsc::core

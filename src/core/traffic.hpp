@@ -42,7 +42,6 @@ class PeriodicTrafficSource : public sim::Snapshotable,
     device_.env().unregister_rearm(this);
   }
 
-  void stop() { running_ = false; }
   std::uint64_t messages_sent() const { return sent_; }
 
   // ---- checkpointing ----
@@ -110,9 +109,6 @@ class SaturatingTrafficSource : public sim::Snapshotable,
     device_.env().cancel_owned(this);
     device_.env().unregister_rearm(this);
   }
-
-  void stop() { running_ = false; }
-  std::uint64_t messages_sent() const { return sent_; }
 
   // ---- checkpointing ----
   void save_state(sim::SnapshotWriter& w) const override { io(*this, w); }

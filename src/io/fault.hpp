@@ -100,26 +100,6 @@ class FaultPlan {
 void set_fault_plan(FaultPlan* plan);
 FaultPlan* fault_plan();
 
-/// RAII installer for tests: installs on construction, restores the
-/// previous plan on destruction.
-class ScopedFaultPlan {
- public:
-  explicit ScopedFaultPlan(std::vector<FaultRule> rules)
-      : plan_(std::move(rules)), previous_(fault_plan()) {
-    set_fault_plan(&plan_);
-  }
-  ~ScopedFaultPlan() { set_fault_plan(previous_); }
-
-  ScopedFaultPlan(const ScopedFaultPlan&) = delete;
-  ScopedFaultPlan& operator=(const ScopedFaultPlan&) = delete;
-
-  FaultPlan& plan() { return plan_; }
-
- private:
-  FaultPlan plan_;
-  FaultPlan* previous_;
-};
-
 /// Syscall wrappers used by the durability layer. Behave exactly like
 /// the raw syscall unless an installed plan schedules a fault for this
 /// invocation.

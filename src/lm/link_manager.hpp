@@ -49,8 +49,6 @@ class LinkManager : public sim::Snapshotable, public sim::RearmHandler {
 
   void set_events(Events ev) { events_ = std::move(ev); }
 
-  baseband::Device& device() { return device_; }
-
   // ---- procedures (either role may initiate; `lt` identifies the link:
   //      the slave's LT_ADDR on the master, the own LT_ADDR on a slave) ----
 

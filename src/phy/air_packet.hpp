@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 
 #include "sim/bitvector.hpp"
 
@@ -32,9 +31,6 @@ class AirPacket {
 /// noisy copy, a transmission restored from a checkpoint.
 class BitsPacket final : public AirPacket {
  public:
-  BitsPacket() = default;
-  explicit BitsPacket(sim::BitVector bits) : bits_(std::move(bits)) {}
-
   std::size_t size() const override { return bits_.size(); }
   const sim::BitVector& bits() const override { return bits_; }
   sim::BitVector& mutable_bits() { return bits_; }

@@ -241,7 +241,6 @@ bool NoisyChannel::begin_burst(PortId port, int freq,
   } else {
     run.shown = &packet;
   }
-  if (run.shown == &packet) ++clean_runs_;
   p.freq = freq;
   notify_reevaluate();
   return true;

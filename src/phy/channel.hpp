@@ -149,8 +149,6 @@ class NoisyChannel final : public sim::Module,
   NoisyChannel(const NoisyChannel&) = delete;
   NoisyChannel& operator=(const NoisyChannel&) = delete;
 
-  const ChannelConfig& config() const { return config_; }
-
   /// Changing the BER mid-run degrades every active burst run to per-bit
   /// first (their noisy copies were drawn under the old BER); then every
   /// port draws a fresh gap under the new one.
@@ -306,9 +304,6 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t bits_burst() const { return bits_burst_; }
   /// Runs degraded to per-bit by contention/abort/reconfiguration.
   std::uint64_t burst_fallbacks() const { return burst_fallbacks_; }
-  /// Accepted runs the medium showed as the transmitter's packet (no
-  /// flip inside). Telemetry only: never checkpointed.
-  std::uint64_t clean_runs() const { return clean_runs_; }
 
  private:
   /// The checkpoint layout, shared by save_state and restore_state.
@@ -425,7 +420,6 @@ class NoisyChannel final : public sim::Module,
   mutable std::uint64_t collision_samples_ = 0;
   std::uint64_t bits_burst_ = 0;
   std::uint64_t burst_fallbacks_ = 0;
-  std::uint64_t clean_runs_ = 0;
   // Traced view of the fully-resolved wire (all frequencies), matching the
   // "channel" net of the paper's figure.
   std::unique_ptr<sim::Signal<Logic4>> bus_trace_;

@@ -26,9 +26,6 @@ constexpr bool is_defined(Logic4 v) {
 
 constexpr Logic4 from_bit(bool b) { return b ? Logic4::kOne : Logic4::kZero; }
 
-/// Value of a defined level; must not be called on Z/X.
-constexpr bool to_bit(Logic4 v) { return v == Logic4::kOne; }
-
 /// Wired resolution of two drivers: Z yields to anything; two equal
 /// defined values agree; any other combination is a conflict (X).
 constexpr Logic4 resolve(Logic4 a, Logic4 b) {

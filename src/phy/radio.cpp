@@ -282,9 +282,9 @@ void Radio::rx_evaluate() {
       burst_capable() ? channel_.rx_medium(rx_freq_)
                       : NoisyChannel::RxMedium{};
   if (!burst_capable() || (m.run == nullptr && m.live)) {
-    // Classic one-event-per-sample chain: plain sinks always, and burst
-    // sinks whenever per-bit transmissions (noise, collisions,
-    // fallbacks) are on the air.
+    // Classic one-event-per-sample chain: always without the burst
+    // transport, and otherwise whenever per-bit transmissions (noise,
+    // collisions, fallbacks) are on the air.
     rx_mode_ = RxMode::kPerBit;
     // A pending timer from an earlier lazy mode points at a barrier,
     // not at the next sample; replace it.
@@ -359,11 +359,7 @@ void Radio::rx_sample() {
   ++rx_consumed_;
   rx_timer_ = sim::kInvalidTimer;
   const Logic4 v = channel_.sense(rx_freq_);
-  if (burst_sink_ != nullptr) {
-    burst_sink_->on_sample(v);
-  } else if (rx_sink_) {
-    rx_sink_(v);
-  }
+  if (burst_sink_ != nullptr) burst_sink_->on_sample(v);
   // The sink may have disabled the receiver.
   if (rx_on_) rx_evaluate();
 }

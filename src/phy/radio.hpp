@@ -37,9 +37,6 @@
 //    visible effect (sync detection, packet delivery, an RNG draw) and
 //    schedules one timer exactly there, so every handler still fires at
 //    precisely the instant the per-bit path would have fired it.
-//
-// A plain per-sample rx sink (set_rx_sink) always gets classic per-bit
-// sampling.
 #pragma once
 
 #include <cstdint>
@@ -101,10 +98,6 @@ class Radio final : public sim::Module,
                     public sim::Snapshotable,
                     public sim::RearmHandler {
  public:
-  /// Per-sample sink; allocation-free storage (finishes the PR 4
-  /// std::function migration for the per-bit fallback path).
-  using RxSink = sim::UniqueCallback<Logic4>;
-
   Radio(sim::Environment& env, std::string name, NoisyChannel& channel);
   ~Radio() override;
 
@@ -130,13 +123,9 @@ class Radio final : public sim::Module,
 
   // ---- receiver ----
 
-  /// Sink invoked once per sampled bit while the receiver is enabled.
-  /// A radio with only this sink always samples per bit.
-  void set_rx_sink(RxSink sink) { rx_sink_ = std::move(sink); }
-
-  /// Wires the batched sink (and enables lazy/batched reception for
-  /// this radio when the channel's burst transport is on). nullptr
-  /// reverts to the per-sample sink.
+  /// Wires the sink that receives every sample while the receiver is
+  /// enabled: lazily, in batches, when the channel's burst transport is
+  /// on, and one on_sample() per bit otherwise.
   void set_burst_rx_sink(BurstRxSink* sink) { burst_sink_ = sink; }
 
   /// Enables the receiver on `freq`. Sampling starts at the next mid-bit
@@ -144,7 +133,6 @@ class Radio final : public sim::Module,
   void enable_rx(int freq);
   void disable_rx();
   bool rx_enabled() const { return rx_on_; }
-  int rx_freq() const { return rx_freq_; }
 
   /// Retunes while enabled (no-op when disabled).
   void retune_rx(int freq);
@@ -270,7 +258,6 @@ class Radio final : public sim::Module,
   bool rx_on_ = false;
   int rx_freq_ = 0;
   RxMode rx_mode_ = RxMode::kOff;
-  RxSink rx_sink_;
   BurstRxSink* burst_sink_ = nullptr;
   sim::TimerId rx_timer_ = sim::kInvalidTimer;
   sim::SimTime rx_anchor_ = sim::SimTime::zero();  // sample index 0

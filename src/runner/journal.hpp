@@ -114,8 +114,6 @@ class SweepJournal {
     observer_ = std::move(fn);
   }
 
-  const std::string& path() const { return path_; }
-
  private:
   std::string path_;
   int fd_ = -1;

@@ -63,8 +63,6 @@ class WarmupStore {
   /// True once a spill failure has disabled further saves.
   bool disabled() const { return disabled_.load(std::memory_order_relaxed); }
 
-  const std::string& dir() const { return dir_; }
-
  private:
   std::string path_for(std::size_t point, std::uint64_t warm_seed) const;
 

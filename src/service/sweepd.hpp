@@ -137,7 +137,6 @@ class SweepService {
   /// number of evicted checkpoint files.
   std::size_t enforce_cache_budget();
 
-  const ServiceConfig& config() const { return cfg_; }
   std::string artifact_path(const std::string& id) const;
   std::string journal_path(const std::string& id) const;
 

@@ -9,23 +9,17 @@
 // -- the layout the whitener, CRC, FEC and sync-correlator word paths
 // rely on.
 //
-// Two accessor families:
-//  * checked (at/set/flip, extract_uint, slice): throw on range errors;
-//    parser entry points and tests use these.
-//  * unchecked (operator[], get_unchecked/set_unchecked/flip_unchecked,
-//    word/extract_word, append_range): assert-guarded in debug builds,
-//    free in Release; the PHY/baseband hot paths use these.
+// The accessors (operator[], get_unchecked, word/extract_word, xor_word,
+// append_range) are unchecked: assert-guarded in debug builds, free in
+// Release.
 //
 // Invariant: the unused high bits of the last storage word are zero, so
-// whole-word equality/Hamming comparisons need no tail masking.
+// whole-word equality needs no tail masking.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace btsc::sim {
@@ -36,23 +30,13 @@ class BitVector {
   static constexpr std::size_t kWordBits = 64;
 
   BitVector() = default;
-  explicit BitVector(std::size_t n, bool value = false) { resize(n, value); }
-
-  /// Builds from a string of '0'/'1' characters (index 0 = first on air).
-  static BitVector from_string(const std::string& s) {
-    BitVector v;
-    v.reserve(s.size());
-    for (char c : s) {
-      if (c != '0' && c != '1') {
-        throw std::invalid_argument("BitVector: bad character in bit string");
-      }
-      v.push_back(c == '1');
-    }
-    return v;
+  explicit BitVector(std::size_t n, bool value = false)
+      : words_(word_count(n), value ? ~0ull : 0ull), size_(n) {
+    const unsigned off = static_cast<unsigned>(n % kWordBits);
+    if (value && off != 0) words_.back() &= (1ull << off) - 1;
   }
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   void reserve(std::size_t n) { words_.reserve(word_count(n)); }
 
   /// Drops all bits but keeps the storage capacity (hot-path reset).
@@ -61,42 +45,11 @@ class BitVector {
     size_ = 0;
   }
 
-  void resize(std::size_t n, bool value = false) {
-    const std::uint64_t fill = value ? ~0ull : 0ull;
-    words_.resize(word_count(n), fill);
-    if (value && n > size_) {
-      // Bits [size_, old word end) were zero; set them.
-      const std::size_t w = size_ / kWordBits;
-      if (w < words_.size()) {
-        words_[w] |= ~0ull << (size_ % kWordBits);
-      }
-    }
-    size_ = n;
-    mask_tail();
-  }
-
-  // ---- unchecked accessors (assert-guarded; the hot path) ----
-
   bool operator[](std::size_t i) const { return get_unchecked(i); }
 
   bool get_unchecked(std::size_t i) const {
     assert(i < size_ && "BitVector: index out of range");
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-  }
-
-  void set_unchecked(std::size_t i, bool v) {
-    assert(i < size_ && "BitVector: index out of range");
-    const std::uint64_t mask = 1ull << (i % kWordBits);
-    if (v) {
-      words_[i / kWordBits] |= mask;
-    } else {
-      words_[i / kWordBits] &= ~mask;
-    }
-  }
-
-  void flip_unchecked(std::size_t i) {
-    assert(i < size_ && "BitVector: index out of range");
-    words_[i / kWordBits] ^= 1ull << (i % kWordBits);
   }
 
   /// i-th storage word; bit b of the result is bit i*64+b of the vector.
@@ -106,7 +59,6 @@ class BitVector {
   }
 
   std::size_t num_words() const { return words_.size(); }
-  const std::uint64_t* words() const { return words_.data(); }
 
   /// Mutable word storage for bulk writers (e.g. NoiseStream::advance).
   /// The caller must keep the unused high bits of the last word zero.
@@ -126,32 +78,6 @@ class BitVector {
     }
     if (nbits < 64) v &= (1ull << nbits) - 1;
     return v;
-  }
-
-  // ---- checked accessors (parser entry points) ----
-
-  bool at(std::size_t i) const {
-    check_index(i);
-    return get_unchecked(i);
-  }
-
-  void set(std::size_t i, bool v) {
-    check_index(i);
-    set_unchecked(i, v);
-  }
-
-  void flip(std::size_t i) {
-    check_index(i);
-    flip_unchecked(i);
-  }
-
-  /// Reads `nbits` starting at `pos`, first bit = LSB. Requires the range
-  /// to be in bounds and nbits <= 64.
-  std::uint64_t extract_uint(std::size_t pos, unsigned nbits) const {
-    if (nbits > 64 || pos + nbits > size_ || pos > size_) {
-      throw std::out_of_range("BitVector::extract_uint");
-    }
-    return extract_word(pos, nbits);
   }
 
   // ---- growth ----
@@ -204,17 +130,6 @@ class BitVector {
     words_.resize(word_count(size_), 0);
   }
 
-  /// Copies `len` bits starting at `pos` into a new vector.
-  BitVector slice(std::size_t pos, std::size_t len) const {
-    if (pos + len > size_ || pos > size_) {
-      throw std::out_of_range("BitVector::slice");
-    }
-    BitVector v;
-    v.reserve(len);
-    v.append_range(*this, pos, len);
-    return v;
-  }
-
   /// XORs `stream` (LSB-first, `nbits` <= 64) onto the bits starting at
   /// `pos` (unchecked; debug assert). The whitener word path.
   void xor_word(std::size_t pos, std::uint64_t stream, unsigned nbits) {
@@ -230,46 +145,12 @@ class BitVector {
     }
   }
 
-  /// Number of positions where the two vectors differ (sizes must match).
-  std::size_t hamming_distance(const BitVector& other) const {
-    if (size_ != other.size_) {
-      throw std::invalid_argument("BitVector::hamming_distance: size");
-    }
-    std::size_t d = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      d += static_cast<std::size_t>(
-          std::popcount(words_[i] ^ other.words_[i]));
-    }
-    return d;
-  }
-
-  std::string to_string() const {
-    std::string s;
-    s.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      s.push_back(get_unchecked(i) ? '1' : '0');
-    }
-    return s;
-  }
-
   /// Whole-word comparison; valid because tail bits are kept zero.
   friend bool operator==(const BitVector&, const BitVector&) = default;
 
  private:
   static std::size_t word_count(std::size_t bits) {
     return (bits + kWordBits - 1) / kWordBits;
-  }
-
-  void check_index(std::size_t i) const {
-    if (i >= size_) throw std::out_of_range("BitVector: index");
-  }
-
-  /// Clears the unused high bits of the last word (class invariant).
-  void mask_tail() {
-    const unsigned off = static_cast<unsigned>(size_ % kWordBits);
-    if (off != 0 && !words_.empty()) {
-      words_.back() &= (1ull << off) - 1;
-    }
   }
 
   std::vector<std::uint64_t> words_;

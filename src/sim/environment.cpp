@@ -37,9 +37,8 @@ void Environment::request_update(SignalBase& s) { update_queue_.push_back(&s); }
 // sim::TimerQueue; its hot path is inline in the headers)
 // ---------------------------------------------------------------------------
 
-Process& Environment::register_process(std::string name, UniqueFunction fn) {
-  processes_.push_back(
-      std::make_unique<Process>(std::move(name), std::move(fn)));
+Process& Environment::register_process(UniqueFunction fn) {
+  processes_.push_back(std::make_unique<Process>(std::move(fn)));
   return *processes_.back();
 }
 

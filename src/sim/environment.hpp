@@ -148,7 +148,7 @@ class Environment {
   /// stores it so sensitivity lists can reference stable addresses. The
   /// behaviour is a move-only UniqueFunction -- process bootstrap never
   /// copies a capture.
-  Process& register_process(std::string name, UniqueFunction fn);
+  Process& register_process(UniqueFunction fn);
 
   // ---- services ----
 

@@ -8,7 +8,6 @@
 // discouraged even in SystemC.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -20,13 +19,10 @@ class Process;
 
 class Event {
  public:
-  explicit Event(Environment& env, std::string name = "event")
-      : env_(&env), name_(std::move(name)) {}
+  explicit Event(Environment& env) : env_(&env) {}
 
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
-
-  const std::string& name() const { return name_; }
 
   /// Statically subscribes a process; it becomes runnable on every notify.
   void add_sensitive(Process& p) { waiters_.push_back(&p); }
@@ -36,7 +32,6 @@ class Event {
 
  private:
   Environment* env_;
-  std::string name_;
   std::vector<Process*> waiters_;
 };
 

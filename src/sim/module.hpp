@@ -1,8 +1,8 @@
 // Module: named container of processes and signals, mirroring sc_module.
 //
-// Modules exist to give processes and signals hierarchical names (visible
-// in traces and diagnostics) and a uniform way to register method
-// processes with static sensitivity.
+// Modules exist to give signals hierarchical names (visible in traces)
+// and a uniform way to register method processes with static
+// sensitivity.
 #pragma once
 
 #include <initializer_list>
@@ -30,7 +30,7 @@ class Module {
   const Environment& env() const { return env_; }
 
  protected:
-  /// Builds "<module>.<leaf>" names for child signals/events.
+  /// Builds "<module>.<leaf>" names for child modules and signals.
   std::string child_name(const std::string& leaf) const {
     return name_ + "." + leaf;
   }
@@ -38,9 +38,9 @@ class Module {
   /// Registers a run-to-completion method process, statically sensitive to
   /// the given events. Additional sensitivity can be added later via
   /// Event::add_sensitive().
-  Process& method(const std::string& leaf, UniqueFunction fn,
+  Process& method(UniqueFunction fn,
                   std::initializer_list<Event*> sensitivity = {}) {
-    Process& p = env_.register_process(child_name(leaf), std::move(fn));
+    Process& p = env_.register_process(std::move(fn));
     for (Event* ev : sensitivity) ev->add_sensitive(p);
     return p;
   }

@@ -5,7 +5,6 @@
 // a SystemC SC_METHOD. Modules register processes through Module::method().
 #pragma once
 
-#include <string>
 #include <utility>
 
 #include "sim/unique_function.hpp"
@@ -19,20 +18,16 @@ class Environment;
 /// copies its capture (and the capture may hold move-only state).
 class Process {
  public:
-  Process(std::string name, UniqueFunction fn)
-      : name_(std::move(name)), fn_(std::move(fn)) {}
+  explicit Process(UniqueFunction fn) : fn_(std::move(fn)) {}
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
-
-  const std::string& name() const { return name_; }
 
   /// Invoked by the scheduler during the evaluate phase.
   void run() { fn_(); }
 
  private:
   friend class Environment;
-  std::string name_;
   UniqueFunction fn_;
   // True while the process sits in a runnable queue; prevents the same
   // process from being queued twice in one delta when several of its

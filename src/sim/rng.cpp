@@ -38,7 +38,7 @@ std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) {
   const std::uint64_t span = hi - lo + 1;
   if (span == 0) return next();  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % span;
+  const std::uint64_t limit = ~0ull - ~0ull % span;
   std::uint64_t v = next();
   while (v >= limit) v = next();
   return lo + v % span;

@@ -26,8 +26,6 @@ namespace btsc::sim {
 /// seed to get independent deterministic streams.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) { reseed(seed); }
 
   /// Re-initialises the state from a 64-bit seed via splitmix64, which
@@ -36,10 +34,6 @@ class Rng {
 
   /// Raw 64 random bits.
   std::uint64_t next();
-
-  static constexpr std::uint64_t min() { return 0; }
-  static constexpr std::uint64_t max() { return ~0ull; }
-  std::uint64_t operator()() { return next(); }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi);

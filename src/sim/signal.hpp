@@ -62,13 +62,11 @@ struct TraceEncoder {
 class SignalBase {
  public:
   SignalBase(Environment& env, std::string name)
-      : env_(&env), name_(std::move(name)), changed_(env, name_ + ".changed") {}
+      : env_(&env), name_(std::move(name)), changed_(env) {}
   virtual ~SignalBase() = default;
 
   SignalBase(const SignalBase&) = delete;
   SignalBase& operator=(const SignalBase&) = delete;
-
-  const std::string& name() const { return name_; }
 
   /// Event notified (next delta) whenever the committed value changes.
   Event& value_changed_event() { return changed_; }

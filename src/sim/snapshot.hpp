@@ -240,7 +240,6 @@ class SnapshotWriter {
     u64(snapshot_checksum(buf_.data(), buf_.size()));
     return std::move(buf_);
   }
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
  private:
   void raw(const void* p, std::size_t n) {

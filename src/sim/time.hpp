@@ -43,8 +43,6 @@ class SimTime {
   static constexpr SimTime zero() { return SimTime{0}; }
 
   constexpr std::uint64_t as_ns() const { return ns_; }
-  constexpr double as_us() const { return static_cast<double>(ns_) / 1e3; }
-  constexpr double as_ms() const { return static_cast<double>(ns_) / 1e6; }
   constexpr double as_sec() const { return static_cast<double>(ns_) / 1e9; }
 
   friend constexpr auto operator<=>(SimTime, SimTime) = default;
@@ -53,10 +51,6 @@ class SimTime {
   constexpr SimTime operator-(SimTime o) const { return SimTime{ns_ - o.ns_}; }
   constexpr SimTime& operator+=(SimTime o) {
     ns_ += o.ns_;
-    return *this;
-  }
-  constexpr SimTime& operator-=(SimTime o) {
-    ns_ -= o.ns_;
     return *this;
   }
   constexpr SimTime operator*(std::uint64_t k) const {

@@ -117,16 +117,4 @@ void VcdTracer::change(TraceId id, const std::string& value) {
   flush_before(env_.now().as_ns());
 }
 
-TraceId RecordingTracer::declare(const std::string& name, unsigned,
-                                 const std::string& initial) {
-  names_.push_back(name);
-  const auto id = static_cast<TraceId>(names_.size() - 1);
-  if (!initial.empty()) records_.push_back({env_.now().as_ns(), name, initial});
-  return id;
-}
-
-void RecordingTracer::change(TraceId id, const std::string& value) {
-  records_.push_back({env_.now().as_ns(), names_.at(id), value});
-}
-
 }  // namespace btsc::sim

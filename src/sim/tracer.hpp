@@ -98,27 +98,4 @@ class VcdTracer final : public Tracer {
   std::uint64_t last_ts_ = ~0ull;
 };
 
-/// In-memory tracer for tests: records (time, name, value) tuples.
-class RecordingTracer final : public Tracer {
- public:
-  struct Record {
-    std::uint64_t time_ns;
-    std::string name;
-    std::string value;
-  };
-
-  explicit RecordingTracer(Environment& env) : env_(env) {}
-
-  TraceId declare(const std::string& name, unsigned width,
-                  const std::string& initial = std::string()) override;
-  void change(TraceId id, const std::string& value) override;
-
-  const std::vector<Record>& records() const { return records_; }
-
- private:
-  Environment& env_;
-  std::vector<std::string> names_;
-  std::vector<Record> records_;
-};
-
 }  // namespace btsc::sim

@@ -9,6 +9,7 @@
 
 #include "baseband/address.hpp"
 #include "sim/rng.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -151,7 +152,7 @@ TEST(AccessCodeTest, GiacIdAccessCodePinned) {
   EXPECT_EQ(id.extract_word(0, 64), 0xA7A2CCF7E6DFC64Aull);
   EXPECT_EQ(id.extract_word(64, 4), 0xCu);
   const auto full = air_bits(kGiacLap, kAccessCodeBits);
-  EXPECT_EQ(full.slice(0, kIdPacketBits), id);
+  EXPECT_EQ(test::slice(full, 0, kIdPacketBits), id);
   EXPECT_EQ(full.extract_word(64, 8), 0xACu);
 }
 
@@ -241,7 +242,7 @@ TEST(CorrelatorTest, ResetClearsHistory) {
   Correlator corr(sw);
   for (int i = 0; i < 40; ++i) corr.push(air_bit(sw, i));
   corr.reset();
-  EXPECT_EQ(corr.bits_seen(), 0u);
+  EXPECT_TRUE(corr == Correlator(sw));
   // Continuing mid-word after reset must not trigger within 63 bits.
   bool hit = false;
   for (int i = 40; i < 64; ++i) hit |= corr.push(air_bit(sw, i));

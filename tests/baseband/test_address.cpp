@@ -9,7 +9,6 @@ TEST(BdAddrTest, FieldsRoundTrip) {
   const BdAddr a(0x123456, 0xAB, 0xCDEF);
   EXPECT_EQ(a.lap(), 0x123456u);
   EXPECT_EQ(a.uap(), 0xABu);
-  EXPECT_EQ(a.nap(), 0xCDEFu);
 }
 
 TEST(BdAddrTest, RawPackingLayout) {

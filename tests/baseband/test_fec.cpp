@@ -4,6 +4,7 @@
 
 #include "sim/bitvector.hpp"
 #include "sim/rng.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -11,8 +12,8 @@ namespace {
 using btsc::sim::BitVector;
 
 TEST(Fec13Test, EncodeTriplesEveryBit) {
-  const auto coded = fec13_encode(BitVector::from_string("101"));
-  EXPECT_EQ(coded.to_string(), "111000111");
+  const auto coded = fec13_encode(test::bits("101"));
+  EXPECT_EQ(test::to_string(coded), "111000111");
 }
 
 TEST(Fec13Test, DecodeIsInverseOfEncode) {
@@ -23,18 +24,20 @@ TEST(Fec13Test, DecodeIsInverseOfEncode) {
 }
 
 TEST(Fec13Test, CorrectsOneErrorPerTriple) {
-  BitVector data = BitVector::from_string("100110");
+  BitVector data = test::bits("100110");
   BitVector coded = fec13_encode(data);
   // Flip one bit in every triple.
-  for (std::size_t t = 0; t < data.size(); ++t) coded.flip(3 * t + t % 3);
+  for (std::size_t t = 0; t < data.size(); ++t) {
+    test::flip_bit(coded, 3 * t + t % 3);
+  }
   EXPECT_EQ(fec13_decode(coded), data);
 }
 
 TEST(Fec13Test, TwoErrorsInTripleDecodeWrong) {
-  BitVector coded = fec13_encode(BitVector::from_string("1"));
-  coded.flip(0);
-  coded.flip(1);
-  EXPECT_EQ(fec13_decode(coded).to_string(), "0");
+  BitVector coded = fec13_encode(test::bits("1"));
+  test::flip_bit(coded, 0);
+  test::flip_bit(coded, 1);
+  EXPECT_EQ(test::to_string(fec13_decode(coded)), "0");
 }
 
 TEST(Fec13Test, RejectsBadLength) {
@@ -76,8 +79,8 @@ TEST(Fec23Test, ZeroPadsPartialBlock) {
   const auto coded = fec23_encode(data);
   EXPECT_EQ(coded.size(), 15u);
   const auto result = fec23_decode(coded);
-  EXPECT_EQ(result.data.extract_uint(0, 3), 0x7u);
-  EXPECT_EQ(result.data.extract_uint(3, 7), 0u);
+  EXPECT_EQ(test::extract_uint(result.data, 0, 3), 0x7u);
+  EXPECT_EQ(test::extract_uint(result.data, 3, 7), 0u);
 }
 
 // Every single-bit error in every position of a block must be corrected.
@@ -90,7 +93,7 @@ TEST_P(Fec23SingleError, CorrectsAnySinglePosition) {
     BitVector data;
     data.append_uint(rng.next(), 10);
     auto coded = fec23_encode(data);
-    coded.flip(static_cast<std::size_t>(err_pos));
+    test::flip_bit(coded, static_cast<std::size_t>(err_pos));
     const auto result = fec23_decode(coded);
     EXPECT_FALSE(result.failed);
     EXPECT_EQ(result.corrected_blocks, 1u);
@@ -107,9 +110,9 @@ TEST(Fec23Test, ErrorsInDistinctBlocksBothCorrected) {
   BitVector data;
   data.append_uint(rng.next(), 30);  // 3 blocks
   auto coded = fec23_encode(data);
-  coded.flip(2);    // block 0
-  coded.flip(20);   // block 1
-  coded.flip(44);   // block 2
+  test::flip_bit(coded, 2);    // block 0
+  test::flip_bit(coded, 20);   // block 1
+  test::flip_bit(coded, 44);   // block 2
   const auto result = fec23_decode(coded);
   EXPECT_FALSE(result.failed);
   EXPECT_EQ(result.corrected_blocks, 3u);
@@ -128,8 +131,8 @@ TEST(Fec23Test, DoubleErrorInBlockIsNotSilentlyAccepted) {
     const auto i = rng.uniform(0, 14);
     auto j = rng.uniform(0, 14);
     while (j == i) j = rng.uniform(0, 14);
-    coded.flip(i);
-    coded.flip(j);
+    test::flip_bit(coded, i);
+    test::flip_bit(coded, j);
     const auto result = fec23_decode(coded);
     if (result.failed) {
       ++failures;

@@ -7,6 +7,7 @@
 #include "baseband/hec.hpp"
 #include "sim/bitvector.hpp"
 #include "sim/rng.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -14,7 +15,7 @@ namespace {
 using btsc::sim::BitVector;
 
 TEST(HecTest, DeterministicAndInitDependent) {
-  const auto bits = BitVector::from_string("1011000110");
+  const auto bits = test::bits("1011000110");
   const auto h1 = hec_compute(bits, 0x47);
   EXPECT_EQ(h1, hec_compute(bits, 0x47));
   EXPECT_NE(h1, hec_compute(bits, 0x48));
@@ -37,7 +38,7 @@ TEST(HecTest, DetectsAllSingleBitErrors) {
     const std::uint8_t good = hec_compute(bits, init);
     for (std::size_t i = 0; i < bits.size(); ++i) {
       BitVector bad = bits;
-      bad.flip(i);
+      test::flip_bit(bad, i);
       EXPECT_NE(hec_compute(bad, init), good)
           << "single-bit error at " << i << " not detected";
     }
@@ -45,7 +46,7 @@ TEST(HecTest, DetectsAllSingleBitErrors) {
 }
 
 TEST(HecTest, CheckAgreesWithCompute) {
-  const auto bits = BitVector::from_string("0101010101");
+  const auto bits = test::bits("0101010101");
   const auto h = hec_compute(bits, 0x11);
   EXPECT_TRUE(hec_check(bits, 0x11, h));
   EXPECT_FALSE(hec_check(bits, 0x11, h ^ 1u));
@@ -75,11 +76,11 @@ TEST(CrcTest, DetectsAllSingleAndDoubleBitErrorsInShortPayload) {
   const std::uint16_t good = crc16_compute(bits, 0x42);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     BitVector bad = bits;
-    bad.flip(i);
+    test::flip_bit(bad, i);
     ASSERT_NE(crc16_compute(bad, 0x42), good) << "single error at " << i;
     for (std::size_t j = i + 1; j < bits.size(); j += 7) {
       BitVector bad2 = bad;
-      bad2.flip(j);
+      test::flip_bit(bad2, j);
       ASSERT_NE(crc16_compute(bad2, 0x42), good)
           << "double error at " << i << "," << j;
     }
@@ -94,7 +95,7 @@ TEST(CrcTest, DetectsBurstErrorsUpTo16Bits) {
   const std::uint16_t good = crc16_compute(bits, 0x00);
   for (std::size_t start = 0; start + 16 <= bits.size(); start += 5) {
     BitVector bad = bits;
-    for (std::size_t i = 0; i < 16; ++i) bad.flip(start + i);
+    for (std::size_t i = 0; i < 16; ++i) test::flip_bit(bad, start + i);
     EXPECT_NE(crc16_compute(bad, 0x00), good)
         << "16-bit burst at " << start;
   }

@@ -7,6 +7,7 @@
 #include "baseband/hec.hpp"
 #include "baseband/whitening.hpp"
 #include "sim/rng.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -146,8 +147,10 @@ TEST(ComposeTest, HeaderSurvivesFecAndHecRoundTrip) {
   params.check_init = 0x9C;
   const auto bits = compose_after_access_code(h, {}, params);
   const auto decoded = fec13_decode(bits);
-  const auto header10 = static_cast<std::uint16_t>(decoded.extract_uint(0, 10));
-  const auto hec = static_cast<std::uint8_t>(decoded.extract_uint(10, 8));
+  const auto header10 =
+      static_cast<std::uint16_t>(test::extract_uint(decoded, 0, 10));
+  const auto hec =
+      static_cast<std::uint8_t>(test::extract_uint(decoded, 10, 8));
   EXPECT_EQ(PacketHeader::unpack(header10), h);
   EXPECT_EQ(hec_compute10(header10, params.check_init), hec);
 }
@@ -175,13 +178,13 @@ TEST(ComposeTest, Dm1PayloadIsFecProtected) {
   // header(54) + FEC23(20 bytes body + CRC = 160 bits -> 240).
   EXPECT_EQ(bits.size(), 54u + 240u);
   // Decode the payload section and verify CRC.
-  const auto payload = bits.slice(54, 240);
+  const auto payload = test::slice(bits, 54, 240);
   const auto decoded = fec23_decode(payload);
   ASSERT_FALSE(decoded.failed);
   std::vector<std::uint8_t> body_and_crc;
   for (std::size_t i = 0; i + 8 <= decoded.data.size(); i += 8) {
     body_and_crc.push_back(
-        static_cast<std::uint8_t>(decoded.data.extract_uint(i, 8)));
+        static_cast<std::uint8_t>(test::extract_uint(decoded.data, i, 8)));
   }
   body_and_crc.resize(20);  // strip FEC padding
   std::vector<std::uint8_t> just_body(body_and_crc.begin(),

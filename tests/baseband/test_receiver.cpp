@@ -39,13 +39,15 @@ struct Loop {
   explicit Loop(double ber = 0.0, std::uint64_t seed = 1)
       : env(seed), ch(env, "ch", make_cfg(ber)), tx(env, "tx", ch),
         rx_radio(env, "rxr", ch), rx(env, "rx") {
-    rx_radio.set_rx_sink([this](phy::Logic4 v) { rx.on_bit(v); });
+    rx_radio.set_burst_rx_sink(&rx);
     rx.set_handler([this](const Receiver::Result& r) { results.push_back(r); });
   }
 
+  /// A per-bit channel: the receiver gets one on_sample() per bit.
   static ChannelConfig make_cfg(double ber) {
     ChannelConfig cfg;
     cfg.ber = ber;
+    cfg.burst_transport = false;
     return cfg;
   }
 
@@ -260,10 +262,10 @@ TEST(ReceiverTest, DhPacketDiesUnderHeavyNoise) {
 
 TEST(ReceiverTest, CollisionGarblesPacket) {
   Environment env(7);
-  NoisyChannel ch(env, "ch");
+  NoisyChannel ch(env, "ch", Loop::make_cfg(0.0));
   Radio t1(env, "t1", ch), t2(env, "t2", ch), rxr(env, "rxr", ch);
   Receiver rx(env, "rx");
-  rxr.set_rx_sink([&](phy::Logic4 v) { rx.on_bit(v); });
+  rxr.set_burst_rx_sink(&rx);
   std::vector<Receiver::Result> results;
   rx.set_handler([&](const Receiver::Result& r) { results.push_back(r); });
   rx.configure(sync_bits(kLap), kUap, std::nullopt, Receiver::Expect::kFull);

@@ -15,6 +15,7 @@
 #include "phy/logic4.hpp"
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -84,7 +85,7 @@ TEST_P(ReceiverCorruption, NeverAcceptsCorruptPayloadSilently) {
     sim::Rng rng(seed * 131 + static_cast<std::uint64_t>(flips));
     auto bits = f.make_packet(PacketType::kDh1, 10);
     for (int k = 0; k < flips; ++k) {
-      bits.flip(rng.uniform(0, bits.size() - 1));
+      test::flip_bit(bits, rng.uniform(0, bits.size() - 1));
     }
     f.feed(bits);
     // Trailing silence flushes any half-assembled state.
@@ -109,7 +110,7 @@ TEST(ReceiverFuzz, TruncatedPacketDoesNotWedge) {
     Fuzzer f(keep);
     auto bits = f.make_packet(PacketType::kDm1, 17);
     ASSERT_GT(bits.size(), keep);
-    f.feed(bits.slice(0, keep));
+    f.feed(test::slice(bits, 0, keep));
     // Medium goes idle ('Z' reads as 0); a full slot of silence must
     // flush the assembly via checksum failure...
     f.feed(sim::BitVector(1500));
@@ -133,7 +134,7 @@ TEST(ReceiverFuzz, LengthFieldCorruptionIsBounded) {
     sim::Rng rng(seed);
     // Payload header sits right after access code (72) + header (54).
     for (int k = 0; k < 3; ++k) {
-      bits.flip(126 + rng.uniform(0, 7));
+      test::flip_bit(bits, 126 + rng.uniform(0, 7));
     }
     f.feed(bits);
     f.feed(sim::BitVector(3000));
@@ -157,14 +158,14 @@ TEST(ReceiverFuzz, CollisionSymbolsDoNotCrash) {
 TEST(ReceiverFuzz, ReconfigureMidPacketResets) {
   Fuzzer f(5);
   auto bits = f.make_packet(PacketType::kDh3, 100);
-  f.feed(bits.slice(0, 400));
+  f.feed(test::slice(bits, 0, 400));
   EXPECT_TRUE(f.rx.assembling());
   f.rx.configure(sync_bits(0x123456), 0x00, std::nullopt,
                  Receiver::Expect::kIdOnly);
   EXPECT_FALSE(f.rx.assembling());
   // The old packet's continuation must not trigger anything.
   f.results.clear();
-  f.feed(bits.slice(400, bits.size() - 400));
+  f.feed(test::slice(bits, 400, bits.size() - 400));
   EXPECT_TRUE(f.results.empty());
 }
 

@@ -25,6 +25,7 @@
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
+#include "support/bits.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -91,7 +92,7 @@ struct Rig {
 };
 
 phy::Logic4 sample(const BitVector* bits, std::size_t i) {
-  return bits != nullptr ? phy::from_bit(bits->at(i)) : phy::Logic4::kZ;
+  return bits != nullptr ? phy::from_bit((*bits)[i]) : phy::Logic4::kZ;
 }
 
 /// The per-bit reference over samples [0, n): marks effect samples and
@@ -125,7 +126,8 @@ Reference run_per_bit(Rig& rig, const BitVector* bits, std::size_t n,
 /// against the reference's.
 void run_burst(Rig& rig, const BitVector* bits, std::size_t n,
                std::size_t piece, const Reference& ref) {
-  const phy::BitsPacket packet(bits != nullptr ? *bits : BitVector{});
+  phy::BitsPacket packet;
+  if (bits != nullptr) packet.mutable_bits() = *bits;
   const phy::AirPacket* run = bits != nullptr ? &packet : nullptr;
   std::size_t pos = 0;
   while (pos < n) {
@@ -201,7 +203,7 @@ BitVector make_stream(const Case& c) {
   random_bits(s, 23);
   if (c.ber > 0.0) {
     for (std::size_t i = 0; i < s.size(); ++i) {
-      if (rng.bernoulli(c.ber)) s.flip(i);
+      if (rng.bernoulli(c.ber)) test::flip_bit(s, i);
     }
   }
   return s;
@@ -235,7 +237,8 @@ std::vector<Delivery> check_equivalence(const Case& c,
   // on the reference state there -- a consume starting anywhere in a
   // trailer, header, FEC block or keystream word.
   Rig rig(env, c.whiten);
-  const phy::BitsPacket packet(stream);
+  phy::BitsPacket packet;
+  packet.mutable_bits() = stream;
   std::size_t next = n;
   for (std::size_t k = n; k-- > 0;) {
     if (ref.effect[k]) next = k;
@@ -327,8 +330,8 @@ TEST(ReceiverWordTest, FecFailureBeforeLengthResolvesIsBadAtSecondBlock) {
     for (bool whiten : {false, true}) {
       const Case c{t, whiten, 0.0, 21};
       BitVector s = make_stream(c);
-      s.flip(kPayloadStart + 2);
-      s.flip(kPayloadStart + 9);
+      test::flip_bit(s, kPayloadStart + 2);
+      test::flip_bit(s, kPayloadStart + 9);
       check_equivalence(c, s);
       sim::Environment env;
       Rig rig(env, whiten);

@@ -20,8 +20,8 @@ TEST(CoexistenceTest, BothPiconetsForm) {
   ASSERT_TRUE(net.create(1));  // forms while piconet 0 is live
   EXPECT_TRUE(net.master(0).lc().is_master());
   EXPECT_TRUE(net.master(1).lc().is_master());
-  EXPECT_TRUE(net.slave(0).lc().is_connected_slave());
-  EXPECT_TRUE(net.slave(1).lc().is_connected_slave());
+  EXPECT_EQ(net.slave(0).lc().state(), baseband::LcState::kConnectionSlave);
+  EXPECT_EQ(net.slave(1).lc().state(), baseband::LcState::kConnectionSlave);
 }
 
 TEST(CoexistenceTest, SecondPageAfterCreateCompletes) {
@@ -33,13 +33,14 @@ TEST(CoexistenceTest, SecondPageAfterCreateCompletes) {
       net.master(0).lc().discovered().front();
   net.slave(0).lc().enable_page_scan();
   net.master(0).lc().enable_page(found.addr, found.clkn_offset);
-  for (int ms = 0; ms < 12000 && !net.slave(0).lc().is_connected_slave();
+  for (int ms = 0; ms < 12000 && net.slave(0).lc().state() !=
+                                    baseband::LcState::kConnectionSlave;
        ++ms) {
     net.run(1_ms);
   }
   net.run(100_ms);  // the slave answers the first POLL: page complete
   EXPECT_TRUE(net.master(0).lc().is_master());
-  EXPECT_TRUE(net.slave(0).lc().is_connected_slave());
+  EXPECT_EQ(net.slave(0).lc().state(), baseband::LcState::kConnectionSlave);
 }
 
 TEST(CoexistenceTest, TrafficAfterRunCoexistenceFromLeavesNoHandler) {

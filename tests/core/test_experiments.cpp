@@ -168,8 +168,7 @@ TEST(HoldExperiment, HeldLinkEventBudget) {
   BluetoothSystem& sys = *w.system;
   sys.run(baseband::kSlotDuration * 64);
   std::uint64_t slave_ticks = 0;
-  auto& watch =
-      sys.env().register_process("slave_tick_watch", [&] { ++slave_ticks; });
+  auto& watch = sys.env().register_process([&] { ++slave_ticks; });
   sys.slave(0).clock().tick_event().add_sensitive(watch);
 
   constexpr std::uint32_t kHoldSlots = 400;
@@ -243,7 +242,6 @@ TEST(MetricsTest, PowerModelWeighsDutyCycles) {
   EXPECT_NEAR(pm.average_mw(txonly), pm.tx_mw, 1e-9);
   EXPECT_NEAR(pm.average_mw(mixed),
               0.1 * pm.tx_mw + 0.2 * pm.rx_mw + 0.7 * pm.idle_mw, 1e-9);
-  EXPECT_GT(pm.energy_uj(mixed, sim::SimTime::sec(1)), 0.0);
 }
 
 }  // namespace

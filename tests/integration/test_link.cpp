@@ -341,7 +341,7 @@ TEST(LinkIntegration, WindowedInquiryScannerSleepsBetweenWindows) {
   Testbed tb;
   tb.slave->lc().enable_inquiry_scan();
   std::uint64_t wakes = 0;
-  auto& watch = tb.env.register_process("watch", [&] { ++wakes; });
+  auto& watch = tb.env.register_process([&] { ++wakes; });
   tb.slave->clock().tick_event().add_sensitive(watch);
   tb.env.run(kSlotDuration * kInquiryScanIntervalSlots);
   EXPECT_GE(wakes, 2 * 2 * kInquiryScanWindowSlots);

@@ -82,7 +82,7 @@ TEST(NoiseStress, LinkSurvivesBerBursts) {
   // After the last burst the link must still deliver fresh traffic.
   EXPECT_GT(delivered, before + 100);
   EXPECT_TRUE(sys->master().lc().is_master());
-  EXPECT_TRUE(sys->slave(0).lc().is_connected_slave());
+  EXPECT_EQ(sys->slave(0).lc().state(), baseband::LcState::kConnectionSlave);
 }
 
 TEST(NoiseStress, SniffedLinkKeepsArqGuarantees) {

@@ -99,8 +99,7 @@ void add_device(Outcome& o, baseband::Device& d) {
   std::vector<std::uint64_t>& out = o.counters;
   const baseband::Receiver& rx = d.receiver();
   const baseband::LcStats& st = d.lc().stats();
-  // carrier_samples() first: it materialises the radio's pending lazy
-  // samples, which fec_failures() alone does not.
+  // carrier_samples() materialises the radio's pending lazy samples.
   const std::uint64_t carrier = rx.carrier_samples();
   for (const std::uint64_t v :
        {carrier, rx.syncs_detected(), rx.hec_failures(), rx.crc_failures(),
@@ -206,6 +205,30 @@ TEST(TransportFuzz, BurstMatchesPerBitOnGeneratedSystems) {
   // The range covers noise and contention.
   EXPECT_GT(noisy, 0);
   EXPECT_GT(two, 0);
+}
+
+TEST(TransportFuzz, FecFailuresReadMidPayloadMatchPerBit) {
+  // Seed 8 ends its measurement while a DM5 payload at BER 1/100 is
+  // still on the air: the burst receivers hold the samples since the
+  // last effect lazily, and fec_failures() must count the FEC blocks
+  // among them, read before anything else catches them up.
+  const Case c = generate(8);
+  ASSERT_EQ(c.piconets, 1);
+  ASSERT_EQ(c.type, PacketType::kDm5);
+  std::array<std::uint64_t, 2> fec[2];
+  for (int burst = 0; burst < 2; ++burst) {
+    BurstDefaultGuard g(burst == 1);
+    ConnectedWarmup warm = throughput_warmup(c.type, c.seed);
+    BluetoothSystem& sys = *warm.system;
+    ThroughputConfig cfg;
+    cfg.seed = c.seed + 1;
+    cfg.measure_slots = c.measure_slots;
+    run_throughput_from(sys, c.type, c.ber, cfg);
+    fec[burst] = {sys.master().receiver().fec_failures(),
+                  sys.slave(0).receiver().fec_failures()};
+  }
+  EXPECT_GT(fec[0][0] + fec[0][1], 0u);
+  EXPECT_EQ(fec[1], fec[0]) << c.describe();
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "runner/journal.hpp"
 #include "sim/checkpoint_store.hpp"
 #include "sim/snapshot.hpp"
+#include "support/scoped_fault_plan.hpp"
 
 namespace btsc::io {
 namespace {

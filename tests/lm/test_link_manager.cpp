@@ -182,7 +182,7 @@ TEST(LinkManagerTest, DetachTearsDownBothSides) {
   tb.env.run(500_ms);
   EXPECT_TRUE(slave_detached);
   EXPECT_EQ(tb.slave_dev->lc().state(), LcState::kStandby);
-  EXPECT_TRUE(tb.master_dev->lc().piconet().empty());
+  EXPECT_TRUE(tb.master_dev->lc().piconet().slaves().empty());
 }
 
 TEST(LinkManagerTest, UserDataBypassesLmp) {

@@ -17,6 +17,8 @@
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
+#include "support/bits.hpp"
+#include "support/quiet_sink.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -25,24 +27,7 @@ using namespace btsc::sim::literals;
 using btsc::sim::BitVector;
 using btsc::sim::Environment;
 using btsc::sim::SimTime;
-
-/// Burst sink that accepts everything as quiet: records the sample
-/// stream (expanded from bulk runs) without ever forcing a barrier.
-struct QuietSink final : BurstRxSink {
-  std::vector<Logic4> seen;
-  std::size_t quiet_prefix(const AirPacket*, std::size_t,
-                           std::size_t count) override {
-    return count;
-  }
-  void consume_quiet(const AirPacket* run, std::size_t first,
-                     std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) {
-      seen.push_back(run == nullptr ? Logic4::kZ
-                                    : from_bit(run->bits()[first + i]));
-    }
-  }
-  void on_sample(Logic4 v) override { seen.push_back(v); }
-};
+using btsc::test::QuietSink;
 
 /// Burst sink that declares EVERY sample a side effect: forces one
 /// barrier per sample, i.e. per-bit timing through the lazy machinery.
@@ -64,15 +49,10 @@ struct EagerSink final : BurstRxSink {
   }
 };
 
-/// Reference: a per-bit lambda radio recording (time, value) pairs.
-struct Reference {
-  std::vector<Logic4> seen;
-  std::vector<SimTime> at;
-};
-
 /// Drives `script(sys)` twice -- once against a lazy QuietSink radio,
-/// once against a plain per-bit radio -- and requires identical sample
-/// streams. The script gets (env, channel, tx radio, rx radio).
+/// once against a QuietSink radio on a per-bit channel -- and requires
+/// identical sample streams. The script gets (env, channel, tx radio,
+/// rx radio).
 template <typename Script>
 void expect_stream_equivalence(Script script) {
   std::vector<Logic4> burst_seen;
@@ -91,8 +71,8 @@ void expect_stream_equivalence(Script script) {
     NoisyChannel ch(env, "ch");
     ch.set_burst_transport_enabled(false);
     Radio tx(env, "tx", ch), rx(env, "rx", ch);
-    Reference ref;
-    rx.set_rx_sink([&](Logic4 v) { ref.seen.push_back(v); });
+    QuietSink ref;
+    rx.set_burst_rx_sink(&ref);
     script(env, ch, tx, rx);
     ref_seen = ref.seen;
   }
@@ -147,7 +127,7 @@ TEST(BurstTransportTest, QuietSinkSeesExactPerBitStream) {
                                Radio& rx) {
     rx.enable_rx(7);
     env.run(5_us);  // a few silent samples first
-    tx.transmit(7, BitVector::from_string("1011001110001011"));
+    tx.transmit(7, test::bits("1011001110001011"));
     env.run(40_us);  // run + trailing silence
     rx.disable_rx();
   });
@@ -177,12 +157,7 @@ TEST(BurstTransportTest, ContentionFallsBackToExactPerBit) {
     if (mode == 1) ch.set_burst_transport_enabled(false);
     Radio a(env, "a", ch), b(env, "b", ch), rx(env, "rx", ch);
     QuietSink sink;
-    Reference ref;
-    if (mode == 0) {
-      rx.set_burst_rx_sink(&sink);
-    } else {
-      rx.set_rx_sink([&](Logic4 v) { ref.seen.push_back(v); });
-    }
+    rx.set_burst_rx_sink(&sink);
     rx.enable_rx(9);
     a.transmit(9, BitVector(60, true));
     env.run(20_us);
@@ -193,7 +168,7 @@ TEST(BurstTransportTest, ContentionFallsBackToExactPerBit) {
       EXPECT_EQ(ch.burst_fallbacks(), 1u);
       burst_seen = sink.seen;
     } else {
-      ref_seen = ref.seen;
+      ref_seen = sink.seen;
     }
   }
   ASSERT_EQ(burst_seen.size(), ref_seen.size());
@@ -222,19 +197,13 @@ TEST(BurstTransportTest, CrossFrequencyRunsStayBurst) {
       Radio rx10(env, "rx10", ch), rx40(env, "rx40", ch);
       QuietSink sink[2];
       Radio* rx[2] = {&rx10, &rx40};
-      for (int i = 0; i < 2; ++i) {
-        if (mode == 0) {
-          rx[i]->set_burst_rx_sink(&sink[i]);
-        } else {
-          rx[i]->set_rx_sink([&seen, i](Logic4 v) { seen[1][i].push_back(v); });
-        }
-      }
+      for (int i = 0; i < 2; ++i) rx[i]->set_burst_rx_sink(&sink[i]);
       rx10.enable_rx(10);
       rx40.enable_rx(40);
-      a.transmit(10, BitVector::from_string(
+      a.transmit(10, test::bits(
                          "10110011100010110100111010001101111000101101001011"));
       env.run(5_us);
-      b.transmit(40, BitVector::from_string("1100101001"));
+      b.transmit(40, test::bits("1100101001"));
       if (mode == 0) {
         EXPECT_TRUE(ch.burst_active(a.port()));
         EXPECT_TRUE(ch.burst_active(b.port()));
@@ -245,9 +214,9 @@ TEST(BurstTransportTest, CrossFrequencyRunsStayBurst) {
       if (mode == 0) {
         EXPECT_EQ(ch.burst_fallbacks(), 0u);
         EXPECT_EQ(ch.bits_burst(), 60u);
-        seen[0][0] = sink[0].seen;
-        seen[0][1] = sink[1].seen;
       }
+      seen[mode][0] = sink[0].seen;
+      seen[mode][1] = sink[1].seen;
       EXPECT_EQ(ch.bits_driven(), 60u);
       EXPECT_EQ(ch.collision_samples(), 0u);
       EXPECT_EQ(a.bits_sent(), 50u);
@@ -301,7 +270,7 @@ TEST(BurstTransportTest, EagerSinkGetsEverySampleAtItsExactInstant) {
   sink.env = &env;
   rx.set_burst_rx_sink(&sink);
   rx.enable_rx(2);
-  tx.transmit(2, BitVector::from_string("110101"));
+  tx.transmit(2, test::bits("110101"));
   env.run(10_us);
   ASSERT_GE(sink.seen.size(), 7u);
   // Samples at 0.25, 1.25, ... us; the first six carry the bits.
@@ -488,17 +457,11 @@ ContentionOutcome run_contention_case(const ContentionCase& c,
     radios.push_back(std::make_unique<Radio>(env, kNames[r], ch));
     RxLog* log = &out.logs[r];
     const std::size_t period = c.mark_period[r];
-    if (burst) {
-      sinks[r] = MarkingSink{};
-      sinks[r].env = &env;
-      sinks[r].log = log;
-      sinks[r].period = period;
-      radios[r]->set_burst_rx_sink(&sinks[r]);
-    } else {
-      radios[r]->set_rx_sink([&env, log, period](Logic4 v) {
-        record_sample(env, *log, period, v);
-      });
-    }
+    sinks[r] = MarkingSink{};
+    sinks[r].env = &env;
+    sinks[r].log = log;
+    sinks[r].period = period;
+    radios[r]->set_burst_rx_sink(&sinks[r]);
   }
   auto count_runs = [&] {
     if (stats == nullptr) return;
@@ -604,10 +567,10 @@ TEST(BurstTransportTest, CheckpointMidConcurrentRunsContinuesIdentically) {
   TwoLinks whole;
   whole.rx_a.enable_rx(12);
   whole.rx_b.enable_rx(70);
-  whole.a.transmit(12, BitVector::from_string(
+  whole.a.transmit(12, test::bits(
                            "1011001110001011010011101000110111100010110100"));
   whole.env.run(3_us);
-  whole.b.transmit(70, BitVector::from_string("110010100111000101101"));
+  whole.b.transmit(70, test::bits("110010100111000101101"));
   whole.env.run(9_us);
   ASSERT_TRUE(whole.ch.burst_active(whole.a.port()));
   ASSERT_TRUE(whole.ch.burst_active(whole.b.port()));

@@ -10,8 +10,6 @@ namespace {
 TEST(Logic4Test, FromToBit) {
   EXPECT_EQ(from_bit(true), Logic4::kOne);
   EXPECT_EQ(from_bit(false), Logic4::kZero);
-  EXPECT_TRUE(to_bit(Logic4::kOne));
-  EXPECT_FALSE(to_bit(Logic4::kZero));
 }
 
 TEST(Logic4Test, IsDefined) {

@@ -29,6 +29,8 @@
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/tracer.hpp"
+#include "support/quiet_sink.hpp"
+#include "support/recording_tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -38,6 +40,7 @@ using btsc::sim::BitVector;
 using btsc::sim::Environment;
 using btsc::sim::Rng;
 using btsc::sim::SimTime;
+using btsc::test::QuietSink;
 
 /// Air lengths of representative packets (ID, POLL, DH1, FHS, DH5) plus
 /// word-boundary and tail cases for the noisy copy's 64-bit words.
@@ -205,24 +208,6 @@ TEST(NoiseMaskTest, GeometricAtExtremeDraws) {
 }
 
 // ---- channel layer: noisy bursts vs the per-bit reference ----
-
-/// Burst sink that accepts everything as quiet (no per-sample barrier);
-/// expands bulk runs back into a per-sample stream for comparison.
-struct QuietSink final : BurstRxSink {
-  std::vector<Logic4> seen;
-  std::size_t quiet_prefix(const AirPacket*, std::size_t,
-                           std::size_t count) override {
-    return count;
-  }
-  void consume_quiet(const AirPacket* run, std::size_t first,
-                     std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) {
-      seen.push_back(run == nullptr ? Logic4::kZ
-                                    : from_bit(run->bits()[first + i]));
-    }
-  }
-  void on_sample(Logic4 v) override { seen.push_back(v); }
-};
 
 struct SideResult {
   std::vector<Logic4> seen;

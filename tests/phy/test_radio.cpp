@@ -6,6 +6,8 @@
 
 #include "phy/channel.hpp"
 #include "sim/environment.hpp"
+#include "support/bits.hpp"
+#include "support/quiet_sink.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -14,8 +16,18 @@ using namespace btsc::sim::literals;
 using btsc::sim::BitVector;
 using btsc::sim::Environment;
 using btsc::sim::SimTime;
+using btsc::test::QuietSink;
+
+/// A per-bit channel: its receivers get one on_sample() per bit.
+ChannelConfig per_bit() {
+  ChannelConfig cfg;
+  cfg.burst_transport = false;
+  return cfg;
+}
 
 struct Rig {
+  Rig() = default;
+  explicit Rig(const ChannelConfig& cfg) : ch(env, "ch", cfg) {}
   Environment env;
   NoisyChannel ch{env, "ch"};
   Radio tx{env, "tx", ch};
@@ -23,11 +35,12 @@ struct Rig {
 };
 
 TEST(RadioTest, TransmitDrivesBitsAtOneMicrosecondEach) {
-  Rig rig;
-  std::vector<Logic4> seen;
-  rig.rx.set_rx_sink([&](Logic4 v) { seen.push_back(v); });
+  Rig rig{per_bit()};
+  QuietSink sink;
+  rig.rx.set_burst_rx_sink(&sink);
+  const std::vector<Logic4>& seen = sink.seen;
   rig.rx.enable_rx(7);
-  rig.tx.transmit(7, BitVector::from_string("1011"));
+  rig.tx.transmit(7, test::bits("1011"));
   rig.env.run(10_us);
   // Samples at 0.5, 1.5, 2.5, 3.5 us hit the four bits; later samples Z.
   ASSERT_GE(seen.size(), 5u);
@@ -78,9 +91,10 @@ TEST(RadioTest, AbortReleasesMedium) {
 }
 
 TEST(RadioTest, RxOnlySeesTunedFrequency) {
-  Rig rig;
-  std::vector<Logic4> seen;
-  rig.rx.set_rx_sink([&](Logic4 v) { seen.push_back(v); });
+  Rig rig{per_bit()};
+  QuietSink sink;
+  rig.rx.set_burst_rx_sink(&sink);
+  const std::vector<Logic4>& seen = sink.seen;
   rig.rx.enable_rx(10);
   rig.tx.transmit(40, BitVector(4, true));  // different RF channel
   rig.env.run(6_us);
@@ -88,9 +102,10 @@ TEST(RadioTest, RxOnlySeesTunedFrequency) {
 }
 
 TEST(RadioTest, RetuneSwitchesFrequency) {
-  Rig rig;
-  std::vector<Logic4> seen;
-  rig.rx.set_rx_sink([&](Logic4 v) { seen.push_back(v); });
+  Rig rig{per_bit()};
+  QuietSink sink;
+  rig.rx.set_burst_rx_sink(&sink);
+  const std::vector<Logic4>& seen = sink.seen;
   rig.rx.enable_rx(10);
   rig.tx.transmit(40, BitVector(20, true));
   rig.env.run(5_us);
@@ -149,10 +164,11 @@ TEST(RadioTest, ResetActivityStartsFreshWindow) {
 
 TEST(RadioTest, CollisionVisibleAsX) {
   Environment env;
-  NoisyChannel ch(env, "ch");
+  NoisyChannel ch(env, "ch", per_bit());
   Radio t1(env, "t1", ch), t2(env, "t2", ch), rx(env, "rx", ch);
-  std::vector<Logic4> seen;
-  rx.set_rx_sink([&](Logic4 v) { seen.push_back(v); });
+  QuietSink sink;
+  rx.set_burst_rx_sink(&sink);
+  const std::vector<Logic4>& seen = sink.seen;
   rx.enable_rx(0);
   t1.transmit(0, BitVector(10, true));
   t2.transmit(0, BitVector(10, false));

@@ -18,6 +18,7 @@
 #include "io/fault.hpp"
 #include "sim/checkpoint_store.hpp"
 #include "sim/snapshot.hpp"
+#include "support/scoped_fault_plan.hpp"
 
 namespace btsc::runner {
 namespace {

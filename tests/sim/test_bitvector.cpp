@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "support/bits.hpp"
+
 namespace btsc::sim {
 namespace {
 
 TEST(BitVectorTest, DefaultEmpty) {
   BitVector v;
-  EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.size(), 0u);
 }
 
@@ -15,76 +16,72 @@ TEST(BitVectorTest, SizedConstruction) {
   BitVector v(5, true);
   EXPECT_EQ(v.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(v[i]);
+  // Whole-word equality: the unused tail bits must be zero.
+  EXPECT_EQ(v, test::bits("11111"));
+  BitVector pushed;
+  for (int i = 0; i < 70; ++i) pushed.push_back(true);
+  EXPECT_EQ(BitVector(70, true), pushed);
 }
 
 TEST(BitVectorTest, FromStringRoundTrip) {
-  const auto v = BitVector::from_string("10110");
+  const auto v = test::bits("10110");
   EXPECT_EQ(v.size(), 5u);
   EXPECT_TRUE(v[0]);
   EXPECT_FALSE(v[1]);
-  EXPECT_EQ(v.to_string(), "10110");
+  EXPECT_EQ(test::to_string(v), "10110");
 }
 
 TEST(BitVectorTest, FromStringRejectsBadChars) {
-  EXPECT_THROW(BitVector::from_string("10x"), std::invalid_argument);
+  EXPECT_THROW(test::bits("10x"), std::invalid_argument);
 }
 
 TEST(BitVectorTest, AppendUintIsLsbFirst) {
   BitVector v;
   v.append_uint(0b1101, 4);  // air order: 1,0,1,1
-  EXPECT_EQ(v.to_string(), "1011");
+  EXPECT_EQ(test::to_string(v), "1011");
 }
 
 TEST(BitVectorTest, ExtractUintInverseOfAppend) {
   BitVector v;
   v.append_uint(0xCAFE, 16);
   v.append_uint(0x5, 3);
-  EXPECT_EQ(v.extract_uint(0, 16), 0xCAFEu);
-  EXPECT_EQ(v.extract_uint(16, 3), 0x5u);
+  EXPECT_EQ(test::extract_uint(v, 0, 16), 0xCAFEu);
+  EXPECT_EQ(test::extract_uint(v, 16, 3), 0x5u);
 }
 
 TEST(BitVectorTest, ExtractOutOfRangeThrows) {
   BitVector v;
   v.append_uint(0xFF, 8);
-  EXPECT_THROW(v.extract_uint(1, 8), std::out_of_range);
-  EXPECT_THROW(v.extract_uint(0, 65), std::out_of_range);
+  EXPECT_THROW(test::extract_uint(v, 1, 8), std::out_of_range);
+  EXPECT_THROW(test::extract_uint(v, 0, 65), std::out_of_range);
 }
 
 TEST(BitVectorTest, SetFlipAt) {
   BitVector v(3);
-  v.set(1, true);
-  EXPECT_FALSE(v.at(0));
-  EXPECT_TRUE(v.at(1));
-  v.flip(1);
-  EXPECT_FALSE(v.at(1));
-  EXPECT_THROW(v.set(3, true), std::out_of_range);
+  test::set_bit(v, 1, true);
+  EXPECT_FALSE(v[0]);
+  EXPECT_TRUE(v[1]);
+  test::flip_bit(v, 1);
+  EXPECT_FALSE(v[1]);
+  EXPECT_THROW(test::set_bit(v, 3, true), std::out_of_range);
 }
 
 TEST(BitVectorTest, AppendVector) {
-  auto a = BitVector::from_string("101");
-  a.append(BitVector::from_string("01"));
-  EXPECT_EQ(a.to_string(), "10101");
+  auto a = test::bits("101");
+  a.append(test::bits("01"));
+  EXPECT_EQ(test::to_string(a), "10101");
 }
 
 TEST(BitVectorTest, Slice) {
-  const auto v = BitVector::from_string("110010");
-  EXPECT_EQ(v.slice(2, 3).to_string(), "001");
-  EXPECT_THROW(v.slice(4, 3), std::out_of_range);
-}
-
-TEST(BitVectorTest, HammingDistance) {
-  const auto a = BitVector::from_string("1010");
-  const auto b = BitVector::from_string("1001");
-  EXPECT_EQ(a.hamming_distance(b), 2u);
-  EXPECT_EQ(a.hamming_distance(a), 0u);
-  EXPECT_THROW(a.hamming_distance(BitVector::from_string("1")),
-               std::invalid_argument);
+  const auto v = test::bits("110010");
+  EXPECT_EQ(test::to_string(test::slice(v, 2, 3)), "001");
+  EXPECT_THROW(test::slice(v, 4, 3), std::out_of_range);
 }
 
 TEST(BitVectorTest, Equality) {
-  EXPECT_EQ(BitVector::from_string("01"), BitVector::from_string("01"));
-  EXPECT_NE(BitVector::from_string("01"), BitVector::from_string("10"));
-  EXPECT_NE(BitVector::from_string("01"), BitVector::from_string("010"));
+  EXPECT_EQ(test::bits("01"), test::bits("01"));
+  EXPECT_NE(test::bits("01"), test::bits("10"));
+  EXPECT_NE(test::bits("01"), test::bits("010"));
 }
 
 // Property sweep: append/extract round-trips for many widths and values.
@@ -100,7 +97,7 @@ TEST_P(BitVectorRoundTrip, AppendExtractIdentity) {
     BitVector v;
     v.append_uint(0x2A, 6);  // preceding noise bits
     v.append_uint(value, nbits);
-    EXPECT_EQ(v.extract_uint(6, nbits), value) << "nbits=" << nbits;
+    EXPECT_EQ(test::extract_uint(v, 6, nbits), value) << "nbits=" << nbits;
   }
 }
 

@@ -126,9 +126,9 @@ TEST(SchedulerTest, IdleReflectsPendingWork) {
 
 TEST(SchedulerTest, DeltaNotifyRunsProcessWithoutTimeAdvance) {
   Environment env;
-  Event ev(env, "ev");
+  Event ev(env);
   SimTime when = SimTime::max();
-  Process& p = env.register_process("p", [&] { when = env.now(); });
+  Process& p = env.register_process([&] { when = env.now(); });
   ev.add_sensitive(p);
   env.schedule(7_us, [&] { ev.notify_delta(); });
   env.run_until(1_ms);
@@ -137,9 +137,9 @@ TEST(SchedulerTest, DeltaNotifyRunsProcessWithoutTimeAdvance) {
 
 TEST(SchedulerTest, ProcessNotQueuedTwicePerDelta) {
   Environment env;
-  Event a(env, "a"), b(env, "b");
+  Event a(env), b(env);
   int runs = 0;
-  Process& p = env.register_process("p", [&] { runs++; });
+  Process& p = env.register_process([&] { runs++; });
   a.add_sensitive(p);
   b.add_sensitive(p);
   env.schedule(1_us, [&] {
@@ -152,8 +152,8 @@ TEST(SchedulerTest, ProcessNotQueuedTwicePerDelta) {
 
 TEST(SchedulerTest, ActivationAndDeltaCountersAdvance) {
   Environment env;
-  Event ev(env, "ev");
-  Process& p = env.register_process("p", [] {});
+  Event ev(env);
+  Process& p = env.register_process([] {});
   ev.add_sensitive(p);
   const auto d0 = env.delta_count();
   const auto a0 = env.process_activations();

@@ -5,6 +5,7 @@
 
 #include "sim/environment.hpp"
 #include "sim/tracer.hpp"
+#include "support/recording_tracer.hpp"
 
 namespace btsc::sim {
 namespace {
@@ -40,7 +41,7 @@ TEST(SignalTest, ChangeEventFiresOnRealChangeOnly) {
   Environment env;
   Signal<int> s(env, "s", 7);
   int changes = 0;
-  Process& p = env.register_process("watch", [&] { changes++; });
+  Process& p = env.register_process([&] { changes++; });
   s.value_changed_event().add_sensitive(p);
   env.schedule(1_us, [&] { s.write(7); });  // same value: no event
   env.schedule(2_us, [&] { s.write(8); });  // change: one event
@@ -53,9 +54,9 @@ TEST(SignalTest, ReaderInSameDeltaSeesOldValue) {
   // pre-write value; after the update phase it sees the new one.
   Environment env;
   Signal<int> s(env, "s", 0);
-  Event go(env, "go");
+  Event go(env);
   int observed_during = -1;
-  Process& p = env.register_process("reader", [&] {
+  Process& p = env.register_process([&] {
     observed_during = s.read();
   });
   go.add_sensitive(p);
@@ -73,8 +74,8 @@ TEST(SignalTest, ReaderInSameDeltaSeesOldValue) {
 TEST(SignalTest, ChainOfDependentProcessesSettles) {
   Environment env;
   Signal<int> a(env, "a", 0), b(env, "b", 0), c(env, "c", 0);
-  Process& pa = env.register_process("a2b", [&] { b.write(a.read() + 1); });
-  Process& pb = env.register_process("b2c", [&] { c.write(b.read() + 1); });
+  Process& pa = env.register_process([&] { b.write(a.read() + 1); });
+  Process& pb = env.register_process([&] { c.write(b.read() + 1); });
   a.value_changed_event().add_sensitive(pa);
   b.value_changed_event().add_sensitive(pb);
   env.schedule(1_us, [&] { a.write(10); });

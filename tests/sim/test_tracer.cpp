@@ -12,6 +12,7 @@
 
 #include "sim/environment.hpp"
 #include "sim/signal.hpp"
+#include "support/recording_tracer.hpp"
 
 namespace btsc::sim {
 namespace {
