@@ -25,27 +25,20 @@ baseband::LcConfig reliable_lc() {
   return lc;
 }
 
-/// Builds a connected 2-device system or throws, settled at the warm-up
-/// boundary. The seed is perturbed until creation succeeds (noiseless
-/// creation with long timeouts practically always succeeds on the first
-/// try), so the result carries the seed whose construction path produced
-/// it: a snapshot scaffold must replay that one, not the first attempt's.
+/// Builds a connected 2-device system or throws. The seed is perturbed
+/// until creation succeeds (noiseless creation with long timeouts
+/// practically always succeeds on the first try), so the result carries
+/// the seed whose construction path produced it: a snapshot scaffold must
+/// replay that one, not the first attempt's.
 ConnectedWarmup connected_warmup(SystemConfig cfg, int max_attempts = 5) {
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     auto sys = std::make_unique<BluetoothSystem>(cfg);
     if (sys->create_piconet()) {
-      sys->env().settle();
       return {std::move(sys), cfg.seed};
     }
     cfg.seed += 7919;
   }
   throw std::runtime_error("connected warm-up: piconet creation failed");
-}
-
-std::unique_ptr<BluetoothSystem> connected_scaffold(SystemConfig cfg) {
-  auto sys = std::make_unique<BluetoothSystem>(cfg);
-  sys->env().settle();  // restore requires a settled kernel
-  return sys;
 }
 
 // ---- per-family system configurations (shared by each warm-up and its
@@ -148,10 +141,8 @@ void CreationPoint::restore_state(sim::SnapshotReader& r) { io(*this, r); }
 
 std::unique_ptr<BluetoothSystem> make_creation_system(
     double ber, std::uint32_t timeout_slots, std::uint64_t seed) {
-  auto sys = std::make_unique<BluetoothSystem>(
+  return std::make_unique<BluetoothSystem>(
       creation_config(ber, timeout_slots, seed));
-  sys->env().settle();  // snapshot boundary: no delta work pending
-  return sys;
 }
 
 CreationSample run_creation_from(BluetoothSystem& sys,
@@ -173,10 +164,8 @@ CreationSample run_creation_from(BluetoothSystem& sys,
 
 std::unique_ptr<BluetoothSystem> make_backoff_system(
     std::uint32_t backoff_max_slots, std::uint64_t seed) {
-  auto sys = std::make_unique<BluetoothSystem>(
+  return std::make_unique<BluetoothSystem>(
       backoff_config(backoff_max_slots, seed));
-  sys->env().settle();
-  return sys;
 }
 
 BackoffSample run_backoff_from(BluetoothSystem& sys,
@@ -193,7 +182,8 @@ ConnectedWarmup master_activity_warmup(std::uint64_t warm_seed) {
 
 std::unique_ptr<BluetoothSystem> master_activity_scaffold(
     std::uint64_t construction_seed) {
-  return connected_scaffold(master_activity_config(construction_seed));
+  return std::make_unique<BluetoothSystem>(
+      master_activity_config(construction_seed));
 }
 
 MasterActivityRow run_master_activity_from(BluetoothSystem& sys, double duty,
@@ -223,7 +213,8 @@ ConnectedWarmup sniff_activity_warmup(std::uint64_t warm_seed) {
 
 std::unique_ptr<BluetoothSystem> sniff_activity_scaffold(
     std::uint64_t construction_seed) {
-  return connected_scaffold(sniff_activity_config(construction_seed));
+  return std::make_unique<BluetoothSystem>(
+      sniff_activity_config(construction_seed));
 }
 
 SlaveActivityRow run_sniff_activity_from(BluetoothSystem& sys,
@@ -253,7 +244,8 @@ ConnectedWarmup hold_activity_warmup(std::uint64_t warm_seed) {
 
 std::unique_ptr<BluetoothSystem> hold_activity_scaffold(
     std::uint64_t construction_seed) {
-  return connected_scaffold(hold_activity_config(construction_seed));
+  return std::make_unique<BluetoothSystem>(
+      hold_activity_config(construction_seed));
 }
 
 SlaveActivityRow run_hold_activity_from(BluetoothSystem& sys,
@@ -293,7 +285,8 @@ ConnectedWarmup throughput_warmup(baseband::PacketType type,
 
 std::unique_ptr<BluetoothSystem> throughput_scaffold(
     baseband::PacketType type, std::uint64_t construction_seed) {
-  return connected_scaffold(throughput_system_config(type, construction_seed));
+  return std::make_unique<BluetoothSystem>(
+      throughput_system_config(type, construction_seed));
 }
 
 ThroughputRow run_throughput_from(BluetoothSystem& sys,
@@ -334,9 +327,7 @@ ThroughputRow run_throughput_from(BluetoothSystem& sys,
 }
 
 std::unique_ptr<TwoPiconets> coexistence_scaffold(std::uint64_t seed) {
-  auto net = std::make_unique<TwoPiconets>(seed);
-  net->env().settle();
-  return net;
+  return std::make_unique<TwoPiconets>(seed);
 }
 
 std::unique_ptr<TwoPiconets> coexistence_warmup(std::uint64_t warm_seed) {

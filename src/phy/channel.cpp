@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/environment.hpp"
 #include "sim/rng.hpp"
@@ -38,8 +39,7 @@ NoisyChannel::NoisyChannel(sim::Environment& env, std::string name,
   config_.burst_transport =
       config_.burst_transport && burst_transport_default();
   if (env.tracer() != nullptr) {
-    bus_trace_ = std::make_unique<sim::Signal<Logic4>>(
-        env, child_name("bus"), Logic4::kZ);
+    bus_trace_.emplace(env, child_name("bus"), to_char(Logic4::kZ));
   }
   env.set_seeded_streams(this);
 }
@@ -382,19 +382,23 @@ void NoisyChannel::io(Self& s, Ar& a) {
     s.io_runs(a);
     a.io(s.bits_driven_, s.bits_flipped_, s.collision_samples_,
          s.bits_burst_, s.burst_fallbacks_);
-    // The bus-trace signal exists only in a traced system, so its
+    // The bus trace line exists only in a traced system, so its
     // presence must match the scenario restored into.
-    bool traced = s.bus_trace_ != nullptr;
+    bool traced = s.bus_trace_.has_value();
     a.io(traced);
-    if (traced != (s.bus_trace_ != nullptr)) {
+    if (traced != s.bus_trace_.has_value()) {
       throw sim::SnapshotError("NoisyChannel: bus-trace presence mismatch");
     }
     if (traced) {
+      // Stored as the Logic4 code, whose to_char() is "01zx"[code].
       a.io(sim::prop(
           *s.bus_trace_,
-          [](const auto& sig) { return static_cast<std::uint8_t>(sig.read()); },
-          [](auto& sig, std::uint8_t v) {
-            sig.restore_value(static_cast<Logic4>(v));
+          [](const sim::TraceLine& line) {
+            return static_cast<std::uint8_t>(
+                std::string_view("01zx").find(line.value()));
+          },
+          [](sim::TraceLine& line, std::uint8_t v) {
+            line.restore(to_char(static_cast<Logic4>(v)));
           }));
     }
   });
@@ -479,7 +483,7 @@ void NoisyChannel::refresh_trace() {
   if (!bus_trace_) return;
   Logic4 acc = Logic4::kZ;
   for (const Port& p : ports_) acc = resolve(acc, p.value);
-  bus_trace_->write(acc);
+  bus_trace_->set(to_char(acc));
 }
 
 }  // namespace btsc::phy

@@ -67,7 +67,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,9 +77,9 @@
 #include "sim/bitvector.hpp"
 #include "sim/environment.hpp"
 #include "sim/module.hpp"
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
+#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 
@@ -422,7 +421,7 @@ class NoisyChannel final : public sim::Module,
   std::uint64_t burst_fallbacks_ = 0;
   // Traced view of the fully-resolved wire (all frequencies), matching the
   // "channel" net of the paper's figure.
-  std::unique_ptr<sim::Signal<Logic4>> bus_trace_;
+  std::optional<sim::TraceLine> bus_trace_;
 };
 
 }  // namespace btsc::phy

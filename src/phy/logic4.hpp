@@ -7,9 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-
-#include "sim/signal.hpp"
 
 namespace btsc::phy {
 
@@ -57,16 +54,3 @@ constexpr Logic4 invert(Logic4 v) {
 }
 
 }  // namespace btsc::phy
-
-namespace btsc::sim {
-
-/// Trace Logic4 as a single VCD scalar using the native 0/1/z/x states.
-template <>
-struct TraceEncoder<btsc::phy::Logic4> {
-  static constexpr unsigned width() { return 1; }
-  static std::string encode(const btsc::phy::Logic4& v) {
-    return std::string(1, btsc::phy::to_char(v));
-  }
-};
-
-}  // namespace btsc::sim

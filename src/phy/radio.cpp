@@ -20,8 +20,8 @@ Radio::Radio(sim::Environment& env, std::string name, NoisyChannel& channel)
     : Module(env, std::move(name)),
       channel_(channel),
       port_(channel.attach(this->name())),
-      enable_tx_(env, child_name("enable_tx_RF")),
-      enable_rx_(env, child_name("enable_rx_RF")) {
+      enable_tx_(env, child_name("enable_tx_RF"), '0'),
+      enable_rx_(env, child_name("enable_rx_RF"), '0') {
   channel_.set_listener(port_, this);
   env.register_rearm(this->name() + ".radio", this, this);
 }
@@ -32,33 +32,26 @@ Radio::~Radio() { env().unregister_rearm(this); }
 // Transmitter
 // ---------------------------------------------------------------------------
 
-void Radio::transmit(int freq, sim::BitVector bits,
-                     sim::UniqueFunction done) {
+void Radio::transmit(int freq, sim::BitVector bits) {
   // Checked before the radio's own packet is overwritten: it may be the
   // one on the air.
   if (tx_busy_) {
     throw std::logic_error(name() + ": transmit while TX busy");
   }
   tx_own_.mutable_bits() = std::move(bits);
-  transmit(freq, tx_own_, std::move(done));
+  transmit(freq, tx_own_);
 }
 
-void Radio::transmit(int freq, const AirPacket& packet,
-                     sim::UniqueFunction done) {
+void Radio::transmit(int freq, const AirPacket& packet) {
   if (tx_busy_) {
     throw std::logic_error(name() + ": transmit while TX busy");
   }
-  if (packet.size() == 0) {
-    if (done) done();
-    return;
-  }
+  if (packet.size() == 0) return;
   tx_busy_ = true;
   tx_freq_ = freq;
   tx_packet_ = &packet;
   tx_pos_ = 0;
   tx_start_ = env().now();
-  tx_done_ = std::move(done);
-  enable_tx_.write(true);
   account_tx(true);
   if (channel_.begin_burst(port_, freq, packet, kBitPeriod)) {
     // The whole packet rides as one channel run: a single end-of-packet
@@ -102,14 +95,7 @@ void Radio::tx_finish_burst() {
 
 void Radio::tx_complete() {
   tx_busy_ = false;
-  enable_tx_.write(false);
   account_tx(false);
-  if (tx_done_) {
-    // Move out first: the callback may start another transmission.
-    auto done = std::move(tx_done_);
-    tx_done_ = nullptr;
-    done();
-  }
 }
 
 void Radio::tx_burst_fallback(std::size_t driven) {
@@ -140,8 +126,6 @@ void Radio::abort_tx() {
   }
   tx_timer_ = sim::kInvalidTimer;
   tx_busy_ = false;
-  tx_done_ = nullptr;
-  enable_tx_.write(false);
   account_tx(false);
 }
 
@@ -165,7 +149,6 @@ void Radio::enable_rx(int freq) {
   }
   rx_freq_ = freq;
   rx_on_ = true;
-  enable_rx_.write(true);
   account_rx(true);
   // First sample at grid + 250 ns: transmissions start on integer or
   // half-microsecond boundaries (even/odd half slots), so a quarter-bit
@@ -188,7 +171,6 @@ void Radio::disable_rx() {
   rx_mode_ = RxMode::kOff;
   cancel_rx_timer();
   channel_.set_listening(port_, -1);
-  enable_rx_.write(false);
   account_rx(false);
 }
 
@@ -402,6 +384,7 @@ std::uint64_t Radio::bits_sampled() const {
 // ---------------------------------------------------------------------------
 
 void Radio::account_tx(bool on) {
+  enable_tx_.set(on ? '1' : '0');
   if (on) {
     tx_since_ = env().now();
   } else {
@@ -410,6 +393,7 @@ void Radio::account_tx(bool on) {
 }
 
 void Radio::account_rx(bool on) {
+  enable_rx_.set(on ? '1' : '0');
   if (on) {
     rx_since_ = env().now();
   } else {
@@ -443,9 +427,16 @@ void Radio::reset_activity() {
 template <class Self, class Ar>
 void Radio::io(Self& s, Ar& a) {
   using sim::as;
-  const auto line = [](auto& sig) {
-    return sim::prop(sig, &sim::Signal<bool>::read,
-                     &sim::Signal<bool>::restore_value);
+  // The enable lines are saved as tx_busy_ / rx_on_, which they mirror;
+  // a restored line must match the state restored before it.
+  const auto line = [](auto& state) {
+    return sim::prop(
+        state, [](bool on) { return on; },
+        [](bool on, bool saved) {
+          if (saved != on) {
+            throw sim::SnapshotError("Radio: enable line disagrees with state");
+          }
+        });
   };
   a.section(sim::snapshot_tag("RADI"), [&] {
     a.io(s.tx_busy_, s.tx_burst_, as<std::uint32_t>(s.tx_freq_),
@@ -456,23 +447,18 @@ void Radio::io(Self& s, Ar& a) {
                    }),
          s.tx_pos_, s.tx_start_, s.rx_on_, as<std::uint32_t>(s.rx_freq_),
          as<std::uint8_t>(s.rx_mode_), s.rx_anchor_, s.rx_consumed_,
-         s.rx_barrier_index_, line(s.enable_tx_), line(s.enable_rx_),
+         s.rx_barrier_index_, line(s.tx_busy_), line(s.rx_on_),
          s.tx_accum_, s.rx_accum_, s.tx_since_, s.rx_since_, s.bits_sent_,
          s.bits_sampled_);
   });
 }
 
-void Radio::save_state(sim::SnapshotWriter& w) const {
-  if (tx_done_) {
-    throw sim::SnapshotError(
-        name() + ": transmission with a done-callback live at checkpoint");
-  }
-  io(*this, w);
-}
+void Radio::save_state(sim::SnapshotWriter& w) const { io(*this, w); }
 
 void Radio::restore_state(sim::SnapshotReader& r) {
   io(*this, r);
-  tx_done_ = nullptr;
+  enable_tx_.restore(tx_busy_ ? '1' : '0');
+  enable_rx_.restore(rx_on_ ? '1' : '0');
   tx_timer_ = sim::kInvalidTimer;  // re-set by rearm_timer
   rx_timer_ = sim::kInvalidTimer;
   // An in-flight burst run's packet lives in this radio; the channel

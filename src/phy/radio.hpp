@@ -47,10 +47,9 @@
 #include "phy/logic4.hpp"
 #include "sim/bitvector.hpp"
 #include "sim/module.hpp"
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
-#include "sim/unique_function.hpp"
+#include "sim/tracer.hpp"
 
 namespace btsc::phy {
 
@@ -104,17 +103,15 @@ class Radio final : public sim::Module,
   // ---- transmitter ----
 
   /// Starts transmitting `bits` on RF channel `freq`, one bit per
-  /// microsecond starting now. `done` (optional, move-only) runs right
-  /// after the last bit ends and the medium is released. Requires the
-  /// transmitter to be idle.
-  void transmit(int freq, sim::BitVector bits,
-                sim::UniqueFunction done = {});
+  /// microsecond starting now; tx_busy() falls when the last bit ends
+  /// and the medium is released. Requires the transmitter to be idle.
+  /// An empty packet sends nothing.
+  void transmit(int freq, sim::BitVector bits);
 
   /// Starts transmitting `packet`, composed only if something reads its
   /// bits. `packet` must stay alive and unchanged until this radio's
   /// next transmission: a checkpoint saves the last packet's bits.
-  void transmit(int freq, const AirPacket& packet,
-                sim::UniqueFunction done = {});
+  void transmit(int freq, const AirPacket& packet);
 
   /// Aborts an in-progress transmission and releases the medium.
   void abort_tx();
@@ -146,10 +143,6 @@ class Radio final : public sim::Module,
   /// mid-window): re-derive the side-effect barrier.
   void rx_state_changed();
 
-  // ---- RF enable lines (traced; the paper's waveform signals) ----
-  sim::Signal<bool>& enable_tx_rf() { return enable_tx_; }
-  sim::Signal<bool>& enable_rx_rf() { return enable_rx_; }
-
   // ---- activity accounting (Figs. 10-12) ----
 
   /// Total time the TX/RX chains were enabled since the last reset,
@@ -176,12 +169,11 @@ class Radio final : public sim::Module,
   // ---- checkpointing ----
 
   /// Saves/restores TX/RX state, the enable lines, the activity
-  /// accumulators and the bit counters. A transmission with a `done`
-  /// callback in flight is not checkpointable (the closure cannot be
-  /// serialized; model code never passes one) -- save_state throws.
-  /// The last packet is saved as its air bits (composing it if need be)
-  /// and restored as those bits; restore re-links an in-flight burst run
-  /// to them.
+  /// accumulators and the bit counters. The enable lines are saved as
+  /// tx_busy()/rx_enabled(), which they equal; a restored mismatch
+  /// throws SnapshotError. The last packet is saved as its air bits
+  /// (composing it if need be) and restored as those bits; restore
+  /// re-links an in-flight burst run to them.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
@@ -235,6 +227,7 @@ class Radio final : public sim::Module,
   std::int64_t run_index_at(std::uint64_t k,
                             const NoisyChannel::RxMedium& m) const;
   bool burst_capable() const;
+  /// Sets the enable line and opens or closes an activity interval.
   void account_tx(bool on);
   void account_rx(bool on);
 
@@ -251,7 +244,6 @@ class Radio final : public sim::Module,
   BitsPacket tx_own_;
   std::size_t tx_pos_ = 0;
   sim::SimTime tx_start_ = sim::SimTime::zero();
-  sim::UniqueFunction tx_done_;
   sim::TimerId tx_timer_ = sim::kInvalidTimer;
 
   // RX state
@@ -267,9 +259,9 @@ class Radio final : public sim::Module,
   /// always goes through the full path inside its own event.
   std::uint64_t rx_barrier_index_ = 0;
 
-  // Enable lines (traced)
-  sim::Signal<bool> enable_tx_;
-  sim::Signal<bool> enable_rx_;
+  // Enable lines (traced): '1' exactly while tx_busy_ / rx_on_
+  sim::TraceLine enable_tx_;
+  sim::TraceLine enable_rx_;
 
   // Activity accounting
   sim::SimTime tx_accum_ = sim::SimTime::zero();

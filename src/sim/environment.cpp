@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/signal.hpp"
 #include "sim/snapshot.hpp"
 
 namespace btsc::sim {
@@ -30,8 +29,6 @@ void Environment::make_runnable(Process& p) {
   next_runnable_.push_back(&p);
 }
 
-void Environment::request_update(SignalBase& s) { update_queue_.push_back(&s); }
-
 // ---------------------------------------------------------------------------
 // Processes, events, delta cycles (the timed queue itself is
 // sim::TimerQueue; its hot path is inline in the headers)
@@ -46,40 +43,28 @@ void Event::notify_delta() {
   for (Process* p : waiters_) env_->make_runnable(*p);
 }
 
-void Environment::run_delta() {
-  ++delta_count_;
-  runnable_.swap(next_runnable_);
-  next_runnable_.clear();
-  // Evaluate phase.
-  dispatching_ = true;
-  for (Process* p : runnable_) {
-    p->queued_ = false;
-    ++activations_;
-    p->run();
+void Environment::run_deltas() {
+  while (!next_runnable_.empty()) {
+    ++delta_count_;
+    runnable_.swap(next_runnable_);
+    next_runnable_.clear();
+    dispatching_ = true;
+    for (Process* p : runnable_) {
+      p->queued_ = false;
+      ++activations_;
+      p->run();
+    }
+    dispatching_ = false;
+    runnable_.clear();
   }
-  dispatching_ = false;
-  runnable_.clear();
-  // Update phase. commit() notifies value-changed events, which enqueue
-  // into next_runnable_ for the following delta.
-  for (SignalBase* s : update_queue_) s->commit();
-  update_queue_.clear();
-}
-
-void Environment::commit_updates() {
-  for (SignalBase* s : update_queue_) s->commit();
-  update_queue_.clear();
-}
-
-void Environment::settle() {
-  while (!next_runnable_.empty() || !update_queue_.empty()) run_delta();
 }
 
 bool Environment::idle() const {
-  return next_runnable_.empty() && update_queue_.empty() && queue_.empty();
+  return next_runnable_.empty() && queue_.empty();
 }
 
 void Environment::run_until(SimTime until) {
-  settle();
+  run_deltas();
   while (!queue_.empty()) {
     const SimTime t = queue_.next_time();
     if (t > until) break;
@@ -98,11 +83,9 @@ void Environment::run_until(SimTime until) {
       dispatching_ = false;
       fn.reset();
     }
-    // The timed callbacks above form the evaluate phase of the first delta
-    // at this instant; commit their signal writes before any process woken
-    // by notify_delta() runs, per the evaluate/update contract.
-    commit_updates();
-    settle();
+    // Processes woken by the timed callbacks above run after all of
+    // them, in the delta cycles of this instant.
+    run_deltas();
   }
   if (now_ < until) now_ = until;
 }
@@ -112,7 +95,7 @@ void Environment::run_until(SimTime until) {
 // ---------------------------------------------------------------------------
 
 void Environment::require_settled(const char* verb) const {
-  if (dispatching_ || !next_runnable_.empty() || !update_queue_.empty()) {
+  if (dispatching_ || !next_runnable_.empty()) {
     throw SnapshotError(std::string("environment: cannot ") + verb +
                         " at an unsettled instant (delta work pending)");
   }

@@ -1,16 +1,15 @@
 // The simulation environment: scheduler, timed queue and kernel services.
 //
-// Scheduling follows the SystemC evaluate/update delta-cycle contract:
+// Scheduling keeps SystemC's delta cycles for the one event the model
+// waits on, the native clock's tick:
 //
-//   1. evaluate : run every runnable process to completion. Processes may
-//                 write signals (queueing update requests), notify events
-//                 and schedule timed callbacks.
-//   2. update   : commit pending signal writes; signals whose value
-//                 actually changed notify their value-changed events.
-//   3. delta    : processes made runnable by step 2 (or by notify_delta in
-//                 step 1) form the next evaluate set at the *same* time.
-//   4. advance  : when no delta work remains, claim the earliest timed
-//                 instant and repeat.
+//   1. timed : claim the earliest timed instant and run every callback
+//              due there, in (when, seq) order. Callbacks may notify
+//              events and schedule more timed callbacks.
+//   2. delta : processes made runnable by notify_delta() run after every
+//              timed callback of the instant, at the *same* time; the
+//              processes they wake run in the delta after, until none
+//              remain. Then time advances.
 //
 // Timed queue
 // -----------
@@ -56,7 +55,6 @@
 namespace btsc::sim {
 
 class RearmHandler;
-class SignalBase;
 class SnapshotReader;
 class SnapshotWriter;
 class Tracer;
@@ -89,17 +87,12 @@ class Environment {
   /// Runs for `duration` from the current time.
   void run(SimTime duration) { run_until(now_ + duration); }
 
-  /// Executes delta cycles at the current time until none remain, without
-  /// advancing time. Used by tests and by models that need settled signals.
-  void settle();
-
   /// True if nothing remains to execute. Canceled timers are physically
   /// removed from the queue, so they never hold this false.
   bool idle() const;
 
-  // ---- process / event plumbing (used by Event, Signal, Module) ----
+  // ---- process / event plumbing (used by Event, Module) ----
   void make_runnable(Process& p);
-  void request_update(SignalBase& s);
 
   /// Schedules a one-shot callback at now()+delay (evaluate phase).
   /// Returns a TimerId that can be passed to cancel(). `owner` is an
@@ -251,8 +244,8 @@ class Environment {
   void io_timers(SnapshotWriter& w) const;
   void io_timers(SnapshotReader& r);
 
-  void run_delta();
-  void commit_updates();
+  /// Runs delta cycles at the current time until no process is runnable.
+  void run_deltas();
   static std::uint64_t heap_depth(std::uint64_t n);
   void require_settled(const char* verb) const;
 
@@ -267,7 +260,6 @@ class Environment {
   SimTime now_ = SimTime::zero();
   std::vector<Process*> runnable_;
   std::vector<Process*> next_runnable_;
-  std::vector<SignalBase*> update_queue_;
   TimerQueue queue_;
   std::vector<RearmEntry> rearm_entries_;
   std::vector<std::unique_ptr<Process>> processes_;

@@ -1,8 +1,8 @@
-// Module: named container of processes and signals, mirroring sc_module.
+// Module: named container of processes, mirroring sc_module.
 //
-// Modules exist to give signals hierarchical names (visible in traces)
-// and a uniform way to register method processes with static
-// sensitivity.
+// Modules exist to give child modules and trace lines hierarchical names
+// (visible in traces) and a uniform way to register method processes
+// with static sensitivity.
 #pragma once
 
 #include <initializer_list>
@@ -30,7 +30,7 @@ class Module {
   const Environment& env() const { return env_; }
 
  protected:
-  /// Builds "<module>.<leaf>" names for child modules and signals.
+  /// Builds "<module>.<leaf>" names for child modules and trace lines.
   std::string child_name(const std::string& leaf) const {
     return name_ + "." + leaf;
   }

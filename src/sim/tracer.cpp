@@ -8,6 +8,22 @@
 
 namespace btsc::sim {
 
+TraceLine::TraceLine(Environment& env, const std::string& name, char initial)
+    : value_(initial) {
+  if (Tracer* t = env.tracer()) {
+    env_ = &env;
+    id_ = t->declare(name, initial);
+  }
+}
+
+void TraceLine::record() {
+  if (Tracer* t = env_->tracer()) {
+    t->change(id_, value_);
+  } else {
+    env_ = nullptr;  // the trace was closed
+  }
+}
+
 VcdTracer::VcdTracer(Environment& env, const std::string& path)
     : env_(env), out_(path) {
   if (!out_) throw std::runtime_error("VcdTracer: cannot open " + path);
@@ -17,7 +33,7 @@ VcdTracer::~VcdTracer() { close(); }
 
 void VcdTracer::close() {
   if (out_.is_open()) {
-    flush_before(~0ull);
+    flush_instant();
     if (!header_written_) write_header();
     out_.flush();
     out_.close();
@@ -34,14 +50,13 @@ std::string VcdTracer::vcd_id(TraceId id) {
   return s;
 }
 
-TraceId VcdTracer::declare(const std::string& name, unsigned width,
-                           const std::string& initial) {
+TraceId VcdTracer::declare(const std::string& name, char initial) {
   if (started_) {
     throw std::logic_error(
         "VcdTracer: declare() after tracing started (construct all modules "
         "before running)");
   }
-  vars_.push_back({name, width, initial});
+  vars_.push_back({name, initial});
   return static_cast<TraceId>(vars_.size() - 1);
 }
 
@@ -52,69 +67,48 @@ void VcdTracer::write_header() {
        << "$scope module top $end\n";
   for (TraceId i = 0; i < vars_.size(); ++i) {
     // Flatten hierarchical names: GTKWave accepts '.' inside identifiers.
-    out_ << "$var wire " << vars_[i].width << ' ' << vcd_id(i) << ' '
-         << vars_[i].name << " $end\n";
+    out_ << "$var wire 1 " << vcd_id(i) << ' ' << vars_[i].name << " $end\n";
   }
   out_ << "$upscope $end\n$enddefinitions $end\n";
-  // Time-zero values for all signals that provided one.
+  // Time-zero values: each variable's declared initial value.
   out_ << "$dumpvars\n";
   for (TraceId i = 0; i < vars_.size(); ++i) {
-    if (vars_[i].last.empty()) continue;
-    if (vars_[i].width == 1) {
-      out_ << vars_[i].last << vcd_id(i) << '\n';
-    } else {
-      out_ << 'b' << vars_[i].last << ' ' << vcd_id(i) << '\n';
-    }
+    out_ << vars_[i].emitted << vcd_id(i) << '\n';
   }
   out_ << "$end\n";
   header_written_ = true;
 }
 
-void VcdTracer::flush_before(std::uint64_t limit_ns) {
-  if (pending_.empty()) return;
-  // Canonical emission order: (time, id), insertion-stable within a
-  // pair, so the file does not depend on the order in which the
-  // same-instant changes were committed. The explicit seq tie-break
-  // makes the order total so plain sort suffices; stable_sort's
-  // temporary buffer pairs operator new with free under some allocator
-  // interpositions, which ASan rejects.
-  std::sort(pending_.begin(), pending_.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-              if (a.id != b.id) return a.id < b.id;
-              return a.seq < b.seq;
-            });
-  std::size_t n = 0;
-  while (n < pending_.size() && pending_[n].time_ns < limit_ns) ++n;
-  if (n == 0) return;
+void VcdTracer::flush_instant() {
+  if (changed_.empty()) return;
   if (!header_written_) write_header();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Pending& p = pending_[i];
-    Var& var = vars_.at(p.id);
-    // Duplicate suppression in canonical order, so it does not depend
-    // on the submission order either.
-    if (var.last == p.value) continue;
-    var.last = p.value;
-    if (p.time_ns != last_ts_) {
-      out_ << '#' << p.time_ns << '\n';
-      last_ts_ = p.time_ns;
+  std::sort(changed_.begin(), changed_.end());
+  bool stamped = false;
+  for (const TraceId id : changed_) {
+    Var& var = vars_[id];
+    const char v = var.pending;
+    var.pending = 0;
+    if (v == var.emitted) continue;
+    var.emitted = v;
+    if (!stamped) {
+      out_ << '#' << instant_ns_ << '\n';
+      stamped = true;
     }
-    if (var.width == 1) {
-      out_ << p.value << vcd_id(p.id) << '\n';
-    } else {
-      out_ << 'b' << p.value << ' ' << vcd_id(p.id) << '\n';
-    }
+    out_ << v << vcd_id(id) << '\n';
   }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(n));
+  changed_.clear();
 }
 
-void VcdTracer::change(TraceId id, const std::string& value) {
+void VcdTracer::change(TraceId id, char value) {
   assert(id < vars_.size() && "VcdTracer: change on undeclared id");
   started_ = true;
-  pending_.push_back({env_.now().as_ns(), id, value, pending_seq_++});
-  // Entries strictly before the current instant are final.
-  flush_before(env_.now().as_ns());
+  const std::uint64_t now = env_.now().as_ns();
+  // An earlier instant is final once time has moved past it.
+  if (now != instant_ns_) flush_instant();
+  instant_ns_ = now;
+  Var& var = vars_[id];
+  if (var.pending == 0) changed_.push_back(id);
+  var.pending = value;
 }
 
 }  // namespace btsc::sim

@@ -1,18 +1,21 @@
 // Waveform tracing (VCD).
 //
-// Signals register themselves with the tracer; every committed value
-// change is recorded with the current simulation time. The output is a
-// standard IEEE 1364 VCD file loadable in GTKWave -- this is how the
-// repository reproduces the waveform figures (Fig. 5 and Fig. 9) of the
-// paper. A traced system runs the per-bit reference transport
-// (phy::NoisyChannel refuses burst runs while a tracer is attached), so
-// every change arrives at its own instant.
+// A TraceLine is one traced wire of the model: a VCD scalar (0/1/x/z)
+// that reports every change of its value to the environment's tracer,
+// stamped with the current simulation time. The model traces each
+// radio's enable_tx_RF and enable_rx_RF and, in a traced system, the
+// channel's bus. The output is a standard IEEE 1364 VCD file loadable
+// in GTKWave -- this is how the repository reproduces the waveform
+// figures (Fig. 5 and Fig. 9) of the paper. A traced system runs the
+// per-bit reference transport (phy::NoisyChannel refuses burst runs
+// while a tracer is attached), so every change arrives at its own
+// instant.
 //
-// VcdTracer buffers the changes of the current instant and emits them
-// in a canonical order -- sorted by (time, id), stable within a pair --
-// once simulation time has moved past them. Per-var duplicate
-// suppression happens at flush time, in that order, so the file does
-// not depend on the order in which same-instant changes were committed.
+// VcdTracer holds the changes of the current instant and emits them
+// once simulation time has moved past it: for each variable only the
+// last value of the instant, and only if it differs from the value last
+// emitted, in id order. The file therefore shows the value each line
+// settles to at an instant, not the order in which the model set it.
 #pragma once
 
 #include <cstdint>
@@ -20,40 +23,60 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace btsc::sim {
 
 class Environment;
 
-/// Identifier assigned to each traced signal.
+/// Identifier assigned to each traced variable.
 using TraceId = std::uint32_t;
 
-/// Abstract trace sink. SignalBase calls declare() once and change() on
-/// every committed value change. Owners hold the concrete tracer, so it
-/// is never destroyed through this interface.
+/// Abstract trace sink. A TraceLine calls declare() once and change() on
+/// every change of its value. Owners hold the concrete tracer, so it is
+/// never destroyed through this interface.
 class Tracer {
  public:
-  /// Declares a signal. `width` is the bit width (1 => VCD scalar);
-  /// `initial` (may be empty) is dumped as the time-zero value.
-  /// Hierarchical names use '.' separators (e.g. "master.enable_rx_RF").
-  virtual TraceId declare(const std::string& name, unsigned width,
-                          const std::string& initial = std::string()) = 0;
+  /// Declares a scalar variable with its time-zero value (one of
+  /// 0/1/x/z). Hierarchical names use '.' separators (e.g.
+  /// "master.enable_rx_RF").
+  virtual TraceId declare(const std::string& name, char initial) = 0;
 
-  /// Records a value change. `value` is the bit string, MSB first; for
-  /// scalars it is a single character from {0,1,x,z}.
-  virtual void change(TraceId id, const std::string& value) = 0;
+  /// Records the variable's new value at the current simulation time.
+  virtual void change(TraceId id, char value) = 0;
 
  protected:
   ~Tracer() = default;
 };
 
+/// One traced scalar. It declares itself only if a tracer is attached
+/// to the environment when it is built, and stops tracing once that
+/// tracer is detached (the environment's tracer reset to null).
+class TraceLine {
+ public:
+  TraceLine(Environment& env, const std::string& name, char initial);
+
+  char value() const { return value_; }
+
+  /// Sets the value; a change is recorded while the line is traced.
+  void set(char v) {
+    if (v == value_) return;
+    value_ = v;
+    if (env_ != nullptr) record();
+  }
+
+  /// Checkpoint restore: overwrites the value without recording it.
+  void restore(char v) { value_ = v; }
+
+ private:
+  void record();
+
+  Environment* env_ = nullptr;  // null while untraced
+  TraceId id_ = 0;
+  char value_;
+};
+
 /// VCD file writer. Declarations must all happen before the first change
 /// (i.e. construct all modules before running the simulation), which is
 /// the natural elaboration-then-simulate order.
-///
-/// Changes are buffered and flushed in canonical (time, id) order once
-/// simulation time has moved past them.
 class VcdTracer final : public Tracer {
  public:
   /// `env` provides timestamps; `path` is the output file. Throws
@@ -61,41 +84,32 @@ class VcdTracer final : public Tracer {
   VcdTracer(Environment& env, const std::string& path);
   ~VcdTracer();
 
-  TraceId declare(const std::string& name, unsigned width,
-                  const std::string& initial = std::string()) override;
-  void change(TraceId id, const std::string& value) override;
+  TraceId declare(const std::string& name, char initial) override;
+  void change(TraceId id, char value) override;
 
-  /// Flushes every buffered change and closes the file (also done by
+  /// Emits the last instant's changes and closes the file (also done by
   /// the destructor).
   void close();
 
  private:
-  struct Pending {
-    std::uint64_t time_ns;
-    TraceId id;
-    std::string value;
-    std::uint64_t seq;  // insertion order; makes the flush order total
+  struct Var {
+    std::string name;
+    char emitted;      // last value written to the file
+    char pending = 0;  // value at instant_ns_, or 0 if unchanged there
   };
 
   void write_header();
-  /// Sorts the buffer and emits every entry with time < `limit_ns`.
-  void flush_before(std::uint64_t limit_ns);
+  /// Emits the changes held for instant_ns_.
+  void flush_instant();
   static std::string vcd_id(TraceId id);
-
-  struct Var {
-    std::string name;
-    unsigned width;
-    std::string last;  // last emitted value, to suppress no-op changes
-  };
 
   Environment& env_;
   std::ofstream out_;
   std::vector<Var> vars_;
-  std::vector<Pending> pending_;
-  std::uint64_t pending_seq_ = 0;
+  std::vector<TraceId> changed_;  // variables with a pending value
+  std::uint64_t instant_ns_ = 0;
   bool started_ = false;  // a change has been recorded; declare() closed
   bool header_written_ = false;
-  std::uint64_t last_ts_ = ~0ull;
 };
 
 }  // namespace btsc::sim

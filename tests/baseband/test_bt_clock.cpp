@@ -269,7 +269,6 @@ TEST(NativeClockDifferential, RestoreMidHalfSlotMatchesTickedReference) {
     std::uint64_t tick_events = 0;
     auto& watch = b.register_process([&] { ++tick_events; });
     clk.tick_event().add_sensitive(watch);
-    b.settle();
     btsc::sim::SnapshotReader r(image);
     clk.restore_state(r);
     b.restore_state(r);

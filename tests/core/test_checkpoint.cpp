@@ -52,29 +52,10 @@ SystemConfig noisy_three_device_config() {
   return sc;
 }
 
-/// Takes a snapshot at (or just after) the current instant. A checkpoint
-/// is only legal when no transmission with a completion callback is in
-/// flight (Radio::save_state throws); if the requested instant lands
-/// inside one, nudge forward in 25 us steps until the stream closes --
-/// deterministic, and never more than one packet airtime away.
-std::vector<std::uint8_t> snapshot_when_legal(BluetoothSystem& sys) {
-  for (int step = 0; step < 64; ++step) {
-    try {
-      return sys.save_snapshot();
-    } catch (const sim::SnapshotError&) {
-      sys.run(SimTime::us(25));
-    }
-  }
-  return sys.save_snapshot();  // let the SnapshotError propagate
-}
-
 /// A structurally identical twin ready to receive a restore: same
-/// construction path (so the same object graph and rearm registrations),
-/// settled so the kernel accepts the overwrite.
+/// construction path (so the same object graph and rearm registrations).
 std::unique_ptr<BluetoothSystem> twin_of(const SystemConfig& sc) {
-  auto sys = std::make_unique<BluetoothSystem>(sc);
-  sys->env().settle();
-  return sys;
+  return std::make_unique<BluetoothSystem>(sc);
 }
 
 // ---- round-trip goldens ----------------------------------------------------
@@ -99,7 +80,7 @@ TEST(SystemCheckpoint, MidInquiryHalfSlotRoundTrip) {
   // half-slot boundary: scan windows, backoff timers and correlator
   // state are all live.
   a->run(kSlotDuration * 250 + SimTime::ns(312500));
-  const auto snap = snapshot_when_legal(*a);
+  const auto snap = a->save_snapshot();
 
   auto b = twin_of(sc);
   b->restore_snapshot(snap);
@@ -113,7 +94,7 @@ TEST(SystemCheckpoint, MidFlightRestoredRunMatchesUninterrupted) {
   a->slave(1).lc().enable_inquiry_scan();
   a->master().lc().enable_inquiry();
   a->run(kSlotDuration * 250 + SimTime::ns(312500));
-  const auto snap = snapshot_when_legal(*a);
+  const auto snap = a->save_snapshot();
 
   auto b = twin_of(sc);
   b->restore_snapshot(snap);
@@ -123,7 +104,7 @@ TEST(SystemCheckpoint, MidFlightRestoredRunMatchesUninterrupted) {
   // checkpoint was transparent -- same timers, same RNG, same signals.
   a->run(kSlotDuration * 512);
   b->run(kSlotDuration * 512);
-  EXPECT_EQ(snapshot_when_legal(*a), snapshot_when_legal(*b));
+  EXPECT_EQ(a->save_snapshot(), b->save_snapshot());
 }
 
 // A connected piconet under saturating traffic, checkpointed while the
@@ -164,7 +145,7 @@ TEST(SystemCheckpoint, PendingLmpAndInFlightDataRoundTrip) {
   }
   ASSERT_TRUE(found) << "no instant with the LMP transaction pending and a "
                         "data packet in flight";
-  const auto snap = snapshot_when_legal(a);
+  const auto snap = a.save_snapshot();
 
   auto b = throughput_scaffold(type, warm.construction_seed);
   SaturatingTrafficSource src_b(b->master(), lt, payload);
@@ -173,7 +154,7 @@ TEST(SystemCheckpoint, PendingLmpAndInFlightDataRoundTrip) {
 
   a.run(kSlotDuration * 512);
   b->run(kSlotDuration * 512);
-  EXPECT_EQ(snapshot_when_legal(a), snapshot_when_legal(*b));
+  EXPECT_EQ(a.save_snapshot(), b->save_snapshot());
 }
 
 TEST(SystemCheckpoint, ConnectedPiconetRoundTrip) {

@@ -150,7 +150,6 @@ Outcome run_two_piconets(const Case& c) {
     net.master(p).lc().config().data_packet_type = c.type;
     net.slave(p).lc().config().data_packet_type = c.type;
   }
-  net.env().settle();
   if (!net.create(0) || !net.create(1)) {
     ADD_FAILURE() << c.describe() << ": piconet creation failed";
     return {};

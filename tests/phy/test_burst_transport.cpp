@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,7 +239,6 @@ TEST(BurstTransportTest, AbortMidRunStopsAtTheExactBit) {
   EXPECT_TRUE(tx.tx_busy());
   tx.abort_tx();
   EXPECT_FALSE(tx.tx_busy());
-  env.settle();
   EXPECT_EQ(ch.sense(3), Logic4::kZ);
   // Outside dispatch, the bit at exactly t=5us has fired: 6 bits on air
   // (matching the per-bit chain under run_until semantics).
@@ -300,19 +300,21 @@ TEST(BurstTransportTest, LazySampleCounterMatchesPerBitCounter) {
 }
 
 TEST(BurstTransportTest, BackToBackBurstsFromDoneCallback) {
+  // The next run starts from a timer at the done instant. Each run's
+  // end timer fires before that same-instant timer (it was scheduled
+  // first), so the transmitter is free again when it fires.
   Environment env;
   NoisyChannel ch(env, "ch");
   Radio tx(env, "tx", ch);
-  int sent_packets = 0;
+  std::vector<SimTime> starts;
   std::function<void()> send_next = [&] {
-    ++sent_packets;
-    if (sent_packets < 3) {
-      tx.transmit(0, BitVector(10, true), send_next);
-    }
+    starts.push_back(env.now());
+    tx.transmit(0, BitVector(10, true));
+    if (starts.size() < 3) env.schedule(10_us, send_next);
   };
-  tx.transmit(0, BitVector(10, true), send_next);
+  send_next();
   env.run(100_us);
-  EXPECT_EQ(sent_packets, 3);
+  EXPECT_EQ(starts, (std::vector<SimTime>{0_us, 10_us, 20_us}));
   EXPECT_EQ(tx.bits_sent(), 30u);
   EXPECT_EQ(ch.bits_burst(), 30u);
 }

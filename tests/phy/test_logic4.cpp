@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+
+#include "phy/channel.hpp"
+#include "sim/environment.hpp"
+#include "support/recording_tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -76,11 +81,24 @@ TEST(Logic4Test, ToChar) {
 }
 
 TEST(Logic4Test, TraceEncoderScalar) {
-  using Enc = btsc::sim::TraceEncoder<Logic4>;
-  EXPECT_EQ(Enc::width(), 1u);
-  EXPECT_EQ(Enc::encode(Logic4::kZ), "z");
-  EXPECT_EQ(Enc::encode(Logic4::kX), "x");
-  EXPECT_EQ(Enc::encode(Logic4::kOne), "1");
+  // A traced channel's bus line shows the wire resolved over every port
+  // as one VCD scalar: z while idle, the driven bit, x on a conflict.
+  sim::Environment env;
+  sim::RecordingTracer tracer(env);
+  env.set_tracer(&tracer);
+  NoisyChannel ch(env, "ch");
+  const PortId a = ch.attach("a");
+  const PortId b = ch.attach("b");
+  ch.drive(a, 5, Logic4::kOne);
+  ch.drive(b, 9, Logic4::kZero);
+  ch.drive(b, 9, Logic4::kZ);
+  ch.drive(a, 5, Logic4::kZ);
+  std::string bus;
+  for (const auto& r : tracer.records()) {
+    if (r.name == "ch.bus") bus.push_back(r.value);
+  }
+  EXPECT_EQ(bus, "z1x1z");
+  env.set_tracer(nullptr);
 }
 
 }  // namespace

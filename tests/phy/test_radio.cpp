@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "phy/channel.hpp"
 #include "sim/environment.hpp"
+#include "sim/snapshot.hpp"
 #include "support/bits.hpp"
 #include "support/quiet_sink.hpp"
+#include "support/recording_tracer.hpp"
 
 namespace btsc::phy {
 namespace {
@@ -52,12 +59,15 @@ TEST(RadioTest, TransmitDrivesBitsAtOneMicrosecondEach) {
 }
 
 TEST(RadioTest, DoneCallbackAfterLastBit) {
+  // The transmission is done, tx_busy() low, exactly when its last bit
+  // ends.
   Rig rig;
-  SimTime done_at = SimTime::max();
-  rig.tx.transmit(0, BitVector(68), [&] { done_at = rig.env.now(); });
-  rig.env.run(100_us);
-  EXPECT_EQ(done_at, 68_us);  // ID packet: 68 bits -> 68 us
+  rig.tx.transmit(0, BitVector(68));
+  rig.env.run_until(68_us - 1_ns);
+  EXPECT_TRUE(rig.tx.tx_busy());
+  rig.env.run_until(100_us);
   EXPECT_FALSE(rig.tx.tx_busy());
+  EXPECT_EQ(rig.tx.tx_on_time(), 68_us);  // ID packet: 68 bits -> 68 us
 }
 
 TEST(RadioTest, TransmitWhileBusyThrows) {
@@ -69,10 +79,10 @@ TEST(RadioTest, TransmitWhileBusyThrows) {
 
 TEST(RadioTest, EmptyTransmitCompletesImmediately) {
   Rig rig;
-  bool done = false;
-  rig.tx.transmit(0, BitVector(), [&] { done = true; });
-  EXPECT_TRUE(done);
+  rig.tx.transmit(0, BitVector());
   EXPECT_FALSE(rig.tx.tx_busy());
+  EXPECT_TRUE(rig.env.idle());
+  EXPECT_EQ(rig.tx.tx_on_time(), SimTime::zero());
 }
 
 TEST(RadioTest, AbortReleasesMedium) {
@@ -82,7 +92,6 @@ TEST(RadioTest, AbortReleasesMedium) {
   EXPECT_TRUE(rig.tx.tx_busy());
   rig.tx.abort_tx();
   EXPECT_FALSE(rig.tx.tx_busy());
-  rig.env.settle();
   EXPECT_EQ(rig.ch.sense(3), Logic4::kZ);
   // No further bits are driven.
   const auto sent = rig.tx.bits_sent();
@@ -116,18 +125,63 @@ TEST(RadioTest, RetuneSwitchesFrequency) {
 }
 
 TEST(RadioTest, EnableLinesFollowTxRx) {
+  Environment env;
+  sim::RecordingTracer tracer(env);
+  env.set_tracer(&tracer);
+  NoisyChannel ch(env, "ch");
+  Radio tx(env, "tx", ch);
+  Radio rx(env, "rx", ch);
+  // The (time, value) records of one traced line, its declaration first.
+  const auto line = [&](const std::string& name) {
+    std::vector<std::pair<SimTime, char>> out;
+    for (const auto& r : tracer.records()) {
+      if (r.name == name) out.emplace_back(SimTime::ns(r.time_ns), r.value);
+    }
+    return out;
+  };
+  const auto follows = [&] {
+    EXPECT_EQ(line("tx.enable_tx_RF").back().second,
+              tx.tx_busy() ? '1' : '0');
+    EXPECT_EQ(line("rx.enable_rx_RF").back().second,
+              rx.rx_enabled() ? '1' : '0');
+  };
+  env.run(1_us);
+  follows();
+  tx.transmit(0, BitVector(10));
+  rx.enable_rx(0);
+  follows();
+  env.run(15_us);
+  follows();
+  rx.disable_rx();
+  follows();
+  using Records = std::vector<std::pair<SimTime, char>>;
+  EXPECT_EQ(line("tx.enable_tx_RF"),
+            (Records{{0_us, '0'}, {1_us, '1'}, {11_us, '0'}}));
+  EXPECT_EQ(line("rx.enable_rx_RF"),
+            (Records{{0_us, '0'}, {1_us, '1'}, {16_us, '0'}}));
+}
+
+TEST(RadioTest, RestoreRefusesEnableLineThatDisagreesWithState) {
   Rig rig;
-  rig.env.run(1_us);
-  rig.tx.transmit(0, BitVector(10));
-  rig.rx.enable_rx(0);
-  rig.env.settle();
-  EXPECT_TRUE(rig.tx.enable_tx_rf().read());
-  EXPECT_TRUE(rig.rx.enable_rx_rf().read());
-  rig.env.run(15_us);
-  EXPECT_FALSE(rig.tx.enable_tx_rf().read());
-  rig.rx.disable_rx();
-  rig.env.settle();
-  EXPECT_FALSE(rig.rx.enable_rx_rf().read());
+  rig.rx.enable_rx(3);
+  sim::SnapshotWriter w;
+  rig.rx.save_state(w);
+  std::vector<std::uint8_t> image = w.take();
+  // The RADI body follows the stream header (magic, version) and the
+  // section tag and length. Its fields, in bytes: tx_busy 1, tx_burst 1,
+  // tx_freq 4, the last packet (a u64 bit count of 0) 8, tx_pos 8,
+  // tx_start 8, rx_on 1, rx_freq 4, rx_mode 1, rx_anchor 8, rx_consumed
+  // 8, rx_barrier_index 8, then the TX and the RX enable line.
+  constexpr std::size_t kBody = 16;
+  ASSERT_EQ(image[kBody + 30], 1);  // rx_on
+  ASSERT_EQ(image[kBody + 61], 1);  // enable_rx_RF
+  image[kBody + 61] = 0;
+  const std::size_t sealed = image.size() - 8;
+  const std::uint64_t sum = sim::snapshot_checksum(image.data(), sealed);
+  std::memcpy(image.data() + sealed, &sum, sizeof sum);
+  Rig twin;
+  sim::SnapshotReader r(image);
+  EXPECT_THROW(twin.rx.restore_state(r), sim::SnapshotError);
 }
 
 TEST(RadioTest, ActivityAccountingMatchesEnabledTime) {
@@ -187,18 +241,21 @@ TEST(RadioTest, BitsSampledCountsWhileEnabled) {
 }
 
 TEST(RadioTest, BackToBackTransmissionsFromDoneCallback) {
+  // The next transmission starts from a timer at the done instant. Each
+  // transmission's end-of-packet timer is scheduled before that
+  // same-instant timer, so the transmitter is free again when it fires.
   Rig rig;
-  int sent_packets = 0;
+  std::vector<SimTime> starts;
   std::function<void()> send_next = [&] {
-    ++sent_packets;
-    if (sent_packets < 3) {
-      rig.tx.transmit(0, BitVector(10, true), send_next);
-    }
+    starts.push_back(rig.env.now());
+    rig.tx.transmit(0, BitVector(10, true));
+    if (starts.size() < 3) rig.env.schedule(10_us, send_next);
   };
-  rig.tx.transmit(0, BitVector(10, true), send_next);
+  send_next();
   rig.env.run(100_us);
-  EXPECT_EQ(sent_packets, 3);
+  EXPECT_EQ(starts, (std::vector<SimTime>{0_us, 10_us, 20_us}));
   EXPECT_EQ(rig.tx.bits_sent(), 30u);
+  EXPECT_EQ(rig.tx.tx_on_time(), 30_us);
 }
 
 }  // namespace

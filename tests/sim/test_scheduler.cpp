@@ -9,7 +9,6 @@
 
 #include "sim/environment.hpp"
 #include "sim/event.hpp"
-#include "sim/signal.hpp"
 #include "sim/time.hpp"
 
 namespace btsc::sim {

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "sim/environment.hpp"
-#include "sim/signal.hpp"
+#include "sim/event.hpp"
 #include "support/recording_tracer.hpp"
 
 namespace btsc::sim {
@@ -40,9 +40,9 @@ TEST_F(VcdTracerTest, WritesWellFormedHeaderAndChanges) {
   {
     VcdTracer tracer(env, path_);
     env.set_tracer(&tracer);
-    Signal<bool> s(env, "dev.enable_rx_RF", false);
-    env.schedule(625_us, [&] { s.write(true); });
-    env.schedule(1250_us, [&] { s.write(false); });
+    TraceLine s(env, "dev.enable_rx_RF", '0');
+    env.schedule(625_us, [&] { s.set('1'); });
+    env.schedule(1250_us, [&] { s.set('0'); });
     env.run_until(2_ms);
     tracer.close();
   }
@@ -50,23 +50,9 @@ TEST_F(VcdTracerTest, WritesWellFormedHeaderAndChanges) {
   EXPECT_NE(vcd.find("$timescale 1ns $end"), std::string::npos);
   EXPECT_NE(vcd.find("$var wire 1 ! dev.enable_rx_RF $end"), std::string::npos);
   EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
+  EXPECT_NE(vcd.find("$dumpvars\n0!\n$end\n"), std::string::npos);
   EXPECT_NE(vcd.find("#625000\n1!"), std::string::npos);
   EXPECT_NE(vcd.find("#1250000\n0!"), std::string::npos);
-}
-
-TEST_F(VcdTracerTest, MultiBitSignalUsesVectorFormat) {
-  Environment env;
-  {
-    VcdTracer tracer(env, path_);
-    env.set_tracer(&tracer);
-    Signal<std::uint8_t> s(env, "dev.freq", 0);
-    env.schedule(1_us, [&] { s.write(0x4E); });
-    env.run_until(10_us);
-    tracer.close();
-  }
-  const std::string vcd = slurp(path_);
-  EXPECT_NE(vcd.find("$var wire 8"), std::string::npos);
-  EXPECT_NE(vcd.find("b01001110 !"), std::string::npos);
 }
 
 TEST_F(VcdTracerTest, DuplicateValueSuppressed) {
@@ -74,25 +60,54 @@ TEST_F(VcdTracerTest, DuplicateValueSuppressed) {
   {
     VcdTracer tracer(env, path_);
     env.set_tracer(&tracer);
-    const TraceId id = tracer.declare("x", 1);
-    tracer.change(id, "1");
-    tracer.change(id, "1");  // suppressed
-    tracer.change(id, "0");
+    const TraceId id = tracer.declare("x", '0');
+    env.schedule(1_us, [&] { tracer.change(id, '1'); });
+    env.schedule(2_us, [&] { tracer.change(id, '1'); });  // suppressed
+    env.schedule(3_us, [&] { tracer.change(id, '0'); });
+    env.run_until(5_us);
     tracer.close();
   }
   const std::string vcd = slurp(path_);
-  // Exactly one "1!" and one "0!" after the header.
-  const auto first = vcd.find("1!");
+  // Exactly one "1!" after the header, and no timestamp for the repeat.
+  const auto first = vcd.find("#1000\n1!");
   ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(vcd.find("1!", first + 1), std::string::npos);
+  EXPECT_EQ(vcd.find("1!", first + 8), std::string::npos);
+  EXPECT_EQ(vcd.find("#2000"), std::string::npos);
+  EXPECT_NE(vcd.find("#3000\n0!"), std::string::npos);
+}
+
+TEST_F(VcdTracerTest, GlitchWithinOneInstantWritesNothing) {
+  // The line rises in a timed callback at 5 us and falls in the process
+  // a later timed callback wakes, `gap` after it. With no gap the fall
+  // runs in the tick delta of the same instant, which then ends where
+  // it began: the file shows no change there. One microsecond apart,
+  // both changes are written.
+  const auto trace = [&](SimTime gap) {
+    Environment env;
+    {
+      VcdTracer tracer(env, path_);
+      env.set_tracer(&tracer);
+      TraceLine line(env, "dev.enable_rx_RF", '0');
+      Event tick(env);
+      tick.add_sensitive(env.register_process([&] { line.set('0'); }));
+      env.schedule(5_us, [&] { line.set('1'); });
+      env.schedule(5_us + gap, [&] { tick.notify_delta(); });
+      env.run_until(10_us);
+      tracer.close();
+    }
+    const std::string vcd = slurp(path_);
+    return vcd.substr(vcd.find("$dumpvars"));
+  };
+  EXPECT_EQ(trace(SimTime::zero()), "$dumpvars\n0!\n$end\n");
+  EXPECT_EQ(trace(1_us), "$dumpvars\n0!\n$end\n#5000\n1!\n#6000\n0!\n");
 }
 
 TEST_F(VcdTracerTest, DeclareAfterStartThrows) {
   Environment env;
   VcdTracer tracer(env, path_);
-  const TraceId id = tracer.declare("x", 1);
-  tracer.change(id, "1");
-  EXPECT_THROW(tracer.declare("y", 1), std::logic_error);
+  const TraceId id = tracer.declare("x", '0');
+  tracer.change(id, '1');
+  EXPECT_THROW(tracer.declare("y", '0'), std::logic_error);
 }
 
 TEST_F(VcdTracerTest, UnopenablePathThrows) {
@@ -110,15 +125,15 @@ TEST_F(VcdTracerTest, CanceledTimersDoNotPerturbWaveform) {
                 bool with_canceled_storm) {
     VcdTracer tracer(env, path);
     env.set_tracer(&tracer);
-    Signal<bool> s(env, "dev.enable_rx_RF", false);
+    TraceLine s(env, "dev.enable_rx_RF", '0');
     std::vector<TimerId> dead;
     if (with_canceled_storm) {
       for (int i = 0; i < 16; ++i) {
         dead.push_back(env.schedule(SimTime::us(100 + 10 * i), [] {}));
       }
     }
-    env.schedule(625_us, [&] { s.write(true); });
-    env.schedule(1250_us, [&] { s.write(false); });
+    env.schedule(625_us, [&] { s.set('1'); });
+    env.schedule(1250_us, [&] { s.set('0'); });
     for (TimerId id : dead) env.cancel(id);
     env.run_until(2_ms);
     tracer.close();
@@ -143,18 +158,19 @@ TEST_F(VcdTracerTest, CanceledTimersDoNotPerturbWaveform) {
 TEST(RecordingTracerTest, KeepsNameAndTime) {
   Environment env;
   RecordingTracer tracer(env);
-  const TraceId a = tracer.declare("sig_a", 1);
-  const TraceId b = tracer.declare("sig_b", 8);
+  const TraceId a = tracer.declare("sig_a", '0');
+  const TraceId b = tracer.declare("sig_b", 'z');
   env.schedule(3_us, [&] {
-    tracer.change(a, "1");
-    tracer.change(b, "00000001");
+    tracer.change(a, '1');
+    tracer.change(b, 'x');
   });
   env.run_until(10_us);
-  ASSERT_EQ(tracer.records().size(), 2u);
-  EXPECT_EQ(tracer.records()[0].name, "sig_a");
-  EXPECT_EQ(tracer.records()[0].time_ns, 3000u);
-  EXPECT_EQ(tracer.records()[1].name, "sig_b");
-  EXPECT_EQ(tracer.records()[1].value, "00000001");
+  ASSERT_EQ(tracer.records().size(), 4u);
+  EXPECT_EQ(tracer.records()[1].value, 'z');
+  EXPECT_EQ(tracer.records()[2].name, "sig_a");
+  EXPECT_EQ(tracer.records()[2].time_ns, 3000u);
+  EXPECT_EQ(tracer.records()[3].name, "sig_b");
+  EXPECT_EQ(tracer.records()[3].value, 'x');
 }
 
 }  // namespace

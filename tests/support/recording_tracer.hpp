@@ -1,4 +1,5 @@
-// In-memory tracer for tests: records (time, name, value) tuples.
+// In-memory tracer for tests: records (time, name, value) tuples, the
+// declared initial value first.
 #pragma once
 
 #include <cstdint>
@@ -15,22 +16,18 @@ class RecordingTracer final : public Tracer {
   struct Record {
     std::uint64_t time_ns;
     std::string name;
-    std::string value;
+    char value;
   };
 
   explicit RecordingTracer(Environment& env) : env_(env) {}
 
-  TraceId declare(const std::string& name, unsigned,
-                  const std::string& initial = std::string()) override {
+  TraceId declare(const std::string& name, char initial) override {
     names_.push_back(name);
-    const auto id = static_cast<TraceId>(names_.size() - 1);
-    if (!initial.empty()) {
-      records_.push_back({env_.now().as_ns(), name, initial});
-    }
-    return id;
+    records_.push_back({env_.now().as_ns(), name, initial});
+    return static_cast<TraceId>(names_.size() - 1);
   }
 
-  void change(TraceId id, const std::string& value) override {
+  void change(TraceId id, char value) override {
     records_.push_back({env_.now().as_ns(), names_.at(id), value});
   }
 
