@@ -133,7 +133,7 @@ void BM_PacketDecode(benchmark::State& state) {
     phy::BitsPacket packet;
     sim::BitVector& bits = packet.mutable_bits();
     AccessCode::of(lap).append_to(bits, kAccessCodeBits);
-    bits.append(compose_after_access_code(h, body, params));
+    compose_after_access_code(h, body, params, bits);
     rec.configure(sync_bits(lap), uap, params.whiten_init,
                   Receiver::Expect::kFull);
     // Deliver the packet the way a burst run does: quiet spans in bulk,

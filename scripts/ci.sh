@@ -39,6 +39,12 @@ cmake -B build -S .
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
+echo "=== transport fuzz: burst vs per-bit, seeds 41-400 ==="
+# Tier-1 runs the generated whole-system cases of seeds 1-40; the
+# longer range (~20 s in a Release build) runs here.
+./build/tests/integration_test_transport_fuzz \
+    --gtest_also_run_disabled_tests --gtest_filter='TransportFuzz.DISABLED_LongRange'
+
 if command -v doxygen >/dev/null 2>&1; then
   echo "=== docs: Doxygen API reference ==="
   cmake --build build --target docs
@@ -91,6 +97,7 @@ cmake --build build-asan -j "$jobs" --target \
       sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
       baseband_test_bt_clock baseband_test_access_code \
       baseband_test_framing_word baseband_test_receiver_word \
+      baseband_test_packet baseband_test_hop \
       phy_test_burst_transport phy_test_noise_stream \
       integration_test_burst_equivalence integration_test_clean_path \
       integration_test_transport_fuzz \
@@ -121,11 +128,18 @@ cmake --build build-asan -j "$jobs" --target \
 # either transport switch, and the zero-allocation round trip) with the
 # debug asserts armed under the sanitizers.
 # integration_test_clean_path drives every way a receiver leaves a taken
-# clean packet (contention, abort, reconfiguration, a rejecting header
-# hook, a checkpoint) against the per-bit reference, and
+# clean or noisy packet (contention, abort, reconfiguration, a rejecting
+# header hook, a checkpoint, flips that break the framing or move the
+# sync) against the per-bit reference, and
 # integration_test_transport_fuzz the seeded whole-system burst-vs-per-bit
-# cases: the taken packet's replay indexes the composed bits from a saved
-# position, so both run with the asserts armed.
+# cases: the taken packet's replay indexes the composed, flipped bits
+# from a saved position and its error pattern indexes the payload bytes,
+# so both run with the asserts armed.
+# baseband_test_packet composes packets straight into the caller's
+# buffer (the header's 54 bits in one word, the payload a word or a FEC
+# block at a time), and baseband_test_hop reads PERM5 from its two
+# tables over every control word: raw word and table indexing, so they
+# run sanitized too.
 # baseband_test_receiver_word is the receiver's word-vs-bit differential
 # suite (every packet type, whitening, noise, all-'Z' sources, every
 # consume split point); with asserts armed consume_quiet() also replays
@@ -146,10 +160,11 @@ cmake --build build-asan -j "$jobs" --target \
 # crafted and whole-system images: "rejects with SnapshotError, never
 # crashes" is only a real property with ASan+UBSan watching the reader.
 # phy_test_noise_stream is the per-port noise-stream differential suite
-# (gap sampler vs per-bit draws, noisy-copy fallback/rewind at every
-# bit, traced channels staying per-bit, mid-burst and traced mid-packet
-# checkpoints) -- the noisy copy's word-packed flips and the stream
-# rewinds index raw words, so they run sanitized.
+# (gap sampler vs per-bit draws and vs the one-phase search, noisy-run
+# fallback/rewind at every bit, traced channels staying per-bit,
+# mid-burst and traced mid-packet checkpoints) -- the flipped view's
+# word reads and the stream rewinds index raw words, so they run
+# sanitized.
 # sim_test_checkpoint_store / runner_test_journal drive the durability
 # layer's adversarial corpora (torn files, bit flips, stale recipes,
 # truncated journals) over real file descriptors, and
@@ -168,6 +183,7 @@ for t in sim_test_scheduler sim_test_timer_queue sim_test_unique_function \
          sim_test_tracer sim_test_snapshot sim_test_snapshot_fuzz \
          baseband_test_bt_clock baseband_test_access_code \
          baseband_test_framing_word baseband_test_receiver_word \
+         baseband_test_packet baseband_test_hop \
          phy_test_burst_transport phy_test_noise_stream \
          integration_test_burst_equivalence integration_test_clean_path \
          integration_test_transport_fuzz \

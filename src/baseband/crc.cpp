@@ -1,6 +1,7 @@
 #include "baseband/crc.hpp"
 
 #include <array>
+#include <cassert>
 
 #include "baseband/bit_reverse.hpp"
 
@@ -34,6 +35,21 @@ constexpr std::array<std::uint16_t, 256> make_table() {
 
 constexpr std::array<std::uint16_t, 256> kTable = make_table();
 
+/// crc16_single_bit() for every tail length: the register after a 1 bit
+/// and then `k` zero bits.
+constexpr std::array<std::uint16_t, kCrc16MaxTailBits> make_single_bit() {
+  std::array<std::uint16_t, kCrc16MaxTailBits> t{};
+  std::uint16_t reg = feed(0, true);
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    t[k] = reg;
+    reg = feed(reg, false);
+  }
+  return t;
+}
+
+constexpr std::array<std::uint16_t, kCrc16MaxTailBits> kSingleBit =
+    make_single_bit();
+
 /// Feeds one data byte (transmitted LSB first) in a single table step.
 inline std::uint16_t feed_byte(std::uint16_t reg, std::uint8_t byte) {
   const std::uint8_t idx =
@@ -65,6 +81,11 @@ std::uint16_t crc16_compute(const std::vector<std::uint8_t>& bytes,
 bool crc16_check(const std::vector<std::uint8_t>& bytes, std::uint8_t uap,
                  std::uint16_t crc) {
   return crc16_compute(bytes, uap) == crc;
+}
+
+std::uint16_t crc16_single_bit(std::size_t bits_after) {
+  assert(bits_after < kCrc16MaxTailBits);
+  return kSingleBit[bits_after];
 }
 
 }  // namespace btsc::baseband

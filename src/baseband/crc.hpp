@@ -5,6 +5,7 @@
 // zero bits). Appended to every payload-bearing packet (DM*, DH*, FHS).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,5 +22,14 @@ std::uint16_t crc16_compute(const std::vector<std::uint8_t>& bytes,
 
 bool crc16_check(const std::vector<std::uint8_t>& bytes, std::uint8_t uap,
                  std::uint16_t crc);
+
+/// Longest tail crc16_single_bit() takes: more than any payload body.
+inline constexpr std::size_t kCrc16MaxTailBits = 4096;
+
+/// The CRC, from a zero register, of a message whose only set bit is
+/// followed by `bits_after` (< kCrc16MaxTailBits) bits: x^(16 +
+/// bits_after) mod g. The CRC is linear, so an error pattern d changes a
+/// message's CRC by the XOR of this over d's set bits.
+std::uint16_t crc16_single_bit(std::size_t bits_after);
 
 }  // namespace btsc::baseband

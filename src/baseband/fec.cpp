@@ -134,6 +134,14 @@ std::uint16_t fec23_encode_block(std::uint16_t data10) {
       kParityTable[data10]);
 }
 
+std::uint16_t fec23_encode_block15(std::uint16_t data10) {
+  // Air order: the 10 information bits first (LSB first), then parity
+  // MSB first.
+  data10 &= 0x3FF;
+  return static_cast<std::uint16_t>(
+      data10 | (kRev5[kParityTable[data10]] << kFec23DataBits));
+}
+
 sim::BitVector fec23_encode(const sim::BitVector& data) {
   sim::BitVector out;
   out.reserve((data.size() + kFec23DataBits - 1) / kFec23DataBits *
@@ -144,12 +152,9 @@ sim::BitVector fec23_encode(const sim::BitVector& data) {
                                            : kFec23DataBits);
     // The last block is zero-padded; callers must know the true payload
     // length (it is carried in the payload header).
-    const auto block =
-        static_cast<std::uint16_t>(data.extract_word(pos, have));
-    // Air order: the 10 information bits first (LSB first), then parity
-    // MSB first.
-    out.append_uint(block, kFec23DataBits);
-    out.append_uint(kRev5[kParityTable[block]], kParityBits);
+    out.append_uint(fec23_encode_block15(static_cast<std::uint16_t>(
+                        data.extract_word(pos, have))),
+                    kFec23BlockBits);
   }
   return out;
 }

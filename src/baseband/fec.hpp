@@ -62,4 +62,8 @@ Fec23Block fec23_decode_block15(std::uint16_t air15);
 /// Encodes exactly one 10-bit block into 15 bits (exposed for tests).
 std::uint16_t fec23_encode_block(std::uint16_t data10);
 
+/// One 10-bit block encoded in air order, the layout
+/// fec23_decode_block15() reads.
+std::uint16_t fec23_encode_block15(std::uint16_t data10);
+
 }  // namespace btsc::baseband

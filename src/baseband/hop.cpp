@@ -37,8 +37,8 @@ constexpr std::uint32_t odd_low_bits(std::uint32_t a) {
   return v;
 }
 
-/// PERM5: fourteen conditional transpositions on a 5-bit word, controlled
-/// by P13..P0 (see header note on pair assignment).
+/// PERM5's fourteen conditional transpositions on a 5-bit word, in the
+/// order P13..P0 applies them (see header note on pair assignment).
 constexpr std::array<std::array<int, 2>, 14> kButterflies = {{
     {1, 2},  // P13
     {0, 3},  // P12
@@ -56,17 +56,28 @@ constexpr std::array<std::array<int, 2>, 14> kButterflies = {{
     {0, 2},  // P0
 }};
 
-int perm5(int z, std::uint32_t control14) {
-  for (int k = 13; k >= 0; --k) {
-    if ((control14 >> k) & 1u) {
-      const auto [i, j] = kButterflies[static_cast<std::size_t>(13 - k)];
-      const int bi = (z >> i) & 1;
-      const int bj = (z >> j) & 1;
-      if (bi != bj) z ^= (1 << i) | (1 << j);
+/// One 7-stage half of PERM5 as a table: entry [c][z] is `z` after the
+/// butterflies `first`..`first + 6` of kButterflies, stage `first + s`
+/// swapping when bit 6 - s of the 7 control bits `c` is set.
+using Perm5Half = std::array<std::array<std::uint8_t, 32>, 128>;
+constexpr Perm5Half make_perm5_half(std::size_t first) {
+  Perm5Half t{};
+  for (unsigned c = 0; c < 128; ++c) {
+    for (unsigned z0 = 0; z0 < 32; ++z0) {
+      unsigned z = z0;
+      for (std::size_t s = 0; s < 7; ++s) {
+        if (((c >> (6 - s)) & 1u) == 0) continue;
+        const auto [i, j] = kButterflies[first + s];
+        if (((z >> i) & 1u) != ((z >> j) & 1u)) z ^= (1u << i) | (1u << j);
+      }
+      t[c][z0] = static_cast<std::uint8_t>(z);
     }
   }
-  return z;
+  return t;
 }
+
+constexpr Perm5Half kPerm5High = make_perm5_half(0);  // P13..P7
+constexpr Perm5Half kPerm5Low = make_perm5_half(7);   // P6..P0
 
 struct KernelInputs {
   int x = 0;
@@ -130,6 +141,12 @@ KernelInputs build_inputs(const HopInput& in) {
 }
 
 }  // namespace
+
+int perm5(int z, std::uint32_t control14) {
+  const auto hi = static_cast<std::size_t>((control14 >> 7) & 0x7Fu);
+  const auto lo = static_cast<std::size_t>(control14 & 0x7Fu);
+  return kPerm5Low[lo][kPerm5High[hi][static_cast<std::size_t>(z & 0x1F)]];
+}
 
 int hop_phase_x(const HopInput& in) { return build_inputs(in).x; }
 

@@ -70,6 +70,11 @@ struct HopInput {
 /// Selected RF channel in [0, 79).
 int hop_frequency(const HopInput& in);
 
+/// PERM5: the fourteen conditional transpositions on the 5-bit word `z`,
+/// controlled by P13..P0 = bits 13..0 of `control14`, read from two
+/// 7-stage tables.
+int perm5(int z, std::uint32_t control14);
+
 /// The 5-bit phase input X for the given mode (exposed for tests: the
 /// page/inquiry train structure lives here).
 int hop_phase_x(const HopInput& in);

@@ -175,31 +175,64 @@ void check_payload_body(const PacketHeader& header,
   }
 }
 
-sim::BitVector compose_after_access_code(
-    const PacketHeader& header, const std::vector<std::uint8_t>& payload,
-    const LinkParams& params) {
+void compose_after_access_code(const PacketHeader& header,
+                               const std::vector<std::uint8_t>& payload,
+                               const LinkParams& params,
+                               sim::BitVector& out) {
   check_payload_body(header, payload);
   Whitener whitener(params.whiten_init.value_or(0));
   const bool whiten = params.whiten_init.has_value();
+  auto keystream = [&](unsigned n) {
+    return whiten ? whitener.keystream(n) : 0;
+  };
 
-  // ---- header: 10 info bits + HEC, whitened, FEC 1/3 ----
-  sim::BitVector header_bits;
-  header_bits.append_uint(header.pack(), 10);
-  header_bits.append_uint(hec_compute10(header.pack(), params.check_init), 8);
-  if (whiten) whitener.apply(header_bits);
-  sim::BitVector out = fec13_encode(header_bits);
-
-  // ---- payload ----
-  if (has_payload(header.type)) {
-    sim::BitVector body_bits;
-    for (std::uint8_t byte : payload) body_bits.append_uint(byte, 8);
-    if (has_crc(header.type)) {
-      body_bits.append_uint(crc16_compute(payload, params.check_init), 16);
-    }
-    if (whiten) whitener.apply(body_bits);
-    out.append(is_fec23(header.type) ? fec23_encode(body_bits) : body_bits);
+  // ---- header: 10 info bits + HEC, whitened, each bit sent 3 times ----
+  const std::uint16_t header10 = header.pack();
+  const std::uint64_t info =
+      (header10 | static_cast<std::uint64_t>(
+                      hec_compute10(header10, params.check_init))
+                      << 10) ^
+      keystream(kHeaderInfoBits);
+  std::uint64_t coded = 0;
+  for (unsigned i = 0; i < kHeaderInfoBits; ++i) {
+    coded |= ((info >> i) & 1u) * 0x7u << (3 * i);
   }
-  return out;
+  out.append_uint(coded, kHeaderCodedBits);
+
+  // ---- payload: body and CRC, whitened, FEC 2/3 coded for DM/FHS ----
+  if (!has_payload(header.type)) return;
+  const bool fec = is_fec23(header.type);
+  std::uint64_t pending = 0;  // whitened data bits not yet appended
+  unsigned held = 0;
+  auto put = [&](std::uint8_t byte) {
+    pending |= ((byte ^ keystream(8)) & 0xFFu) << held;
+    held += 8;
+    if (fec) {
+      for (; held >= kFec23DataBits; held -= kFec23DataBits) {
+        out.append_uint(fec23_encode_block15(
+                            static_cast<std::uint16_t>(pending & 0x3FFu)),
+                        kFec23BlockBits);
+        pending >>= kFec23DataBits;
+      }
+    } else if (held == 64) {
+      out.append_uint(pending, 64);
+      pending = 0;
+      held = 0;
+    }
+  };
+  for (const std::uint8_t byte : payload) put(byte);
+  if (has_crc(header.type)) {
+    const std::uint16_t crc = crc16_compute(payload, params.check_init);
+    put(static_cast<std::uint8_t>(crc & 0xFFu));
+    put(static_cast<std::uint8_t>(crc >> 8));
+  }
+  // The last FEC block is zero-padded.
+  if (held > 0 && fec) {
+    out.append_uint(fec23_encode_block15(static_cast<std::uint16_t>(pending)),
+                    kFec23BlockBits);
+  } else if (held > 0) {
+    out.append_uint(pending, held);
+  }
 }
 
 std::vector<std::uint8_t> build_acl_body(

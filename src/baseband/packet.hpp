@@ -165,14 +165,15 @@ struct LinkParams {
 void check_payload_body(const PacketHeader& header,
                         const std::vector<std::uint8_t>& payload);
 
-/// Composes a full on-air packet (without the access code, which the
-/// caller prepends: it depends on CAC/DAC/IAC context).
+/// Composes a full on-air packet after its access code (which the
+/// caller appends first: it depends on CAC/DAC/IAC context) and appends
+/// it to `out`, with no intermediate buffer.
 /// `payload` is the payload *body* for data packets: payload header byte(s)
 /// + user data, without CRC (appended here). For FHS pass exactly the 18
 /// information bytes. Must be empty for NULL/POLL.
-sim::BitVector compose_after_access_code(const PacketHeader& header,
-                                         const std::vector<std::uint8_t>& payload,
-                                         const LinkParams& params);
+void compose_after_access_code(const PacketHeader& header,
+                               const std::vector<std::uint8_t>& payload,
+                               const LinkParams& params, sim::BitVector& out);
 
 /// Convenience: payload body builder for an ACL packet.
 std::vector<std::uint8_t> build_acl_body(PacketType type,

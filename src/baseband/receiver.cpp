@@ -1,5 +1,6 @@
 #include "baseband/receiver.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -30,19 +31,21 @@ void append_samples(sim::BitVector& dst, const sim::BitVector* bits,
   }
 }
 
-/// The logical packet behind a run, or nullptr (silence, raw or noisy
-/// bits).
+/// First air bit of the payload.
+constexpr std::size_t kPayloadStart = kAccessCodeBits + kHeaderCodedBits;
+
+/// The logical packet behind a run, or nullptr (silence, raw or restored
+/// bits). Only a TxPacket is its own logical form.
 const TxPacket* tx_of(const phy::AirPacket* run) {
-  return dynamic_cast<const TxPacket*>(run);
+  return run != nullptr ? static_cast<const TxPacket*>(run->logical())
+                        : nullptr;
 }
 
-/// Air bits [first, first + n) of `run` (`tx` its logical packet, if
-/// any); silence reads as zeros. A TxPacket serves its access code
-/// without composing.
-std::uint64_t run_word(const phy::AirPacket* run, const TxPacket* tx,
-                       std::size_t first, unsigned n) {
-  if (tx != nullptr) return tx->word(first, n);
-  return run != nullptr ? run->bits().extract_word(first, n) : 0;
+/// Air bits [first, first + n) of `run`; silence reads as zeros. A
+/// TxPacket, flipped or not, serves its access code without composing.
+std::uint64_t run_word(const phy::AirPacket* run, std::size_t first,
+                       unsigned n) {
+  return run != nullptr ? run->word(first, n) : 0;
 }
 
 /// Length of the next search read at `first` with `left` samples to go:
@@ -276,11 +279,10 @@ void Receiver::on_run_sample(const phy::AirPacket* run, std::size_t at) {
     }
     return;
   }
-  const TxPacket* tx = tx_of(run);
   const bool searching = configured_ && machine_.phase == Phase::kSearch;
-  on_bit(run != nullptr ? phy::from_bit(run_word(run, tx, at, 1) & 1u)
+  on_bit(run != nullptr ? phy::from_bit(run->word(at, 1) != 0)
                         : phy::Logic4::kZ);
-  if (searching && machine_.phase == Phase::kTrailer) try_take(tx, at);
+  if (searching && machine_.phase == Phase::kTrailer) try_take(run, at);
 }
 
 std::size_t Receiver::quiet_prefix(const phy::AirPacket* run,
@@ -301,7 +303,7 @@ std::size_t Receiver::quiet_prefix(const phy::AirPacket* run,
     Correlator c = machine_.correlator;
     for (std::size_t i = 0; i < count;) {
       const unsigned chunk = search_chunk(tx, first + i, count - i);
-      const std::uint64_t w = run_word(run, tx, first + i, chunk);
+      const std::uint64_t w = run_word(run, first + i, chunk);
       for (unsigned b = 0; b < chunk; ++b) {
         if (c.push((w >> b) & 1u)) return i + b;
       }
@@ -353,7 +355,7 @@ void Receiver::consume_quiet(const phy::AirPacket* run, std::size_t first,
     const TxPacket* tx = tx_of(run);
     for (std::size_t i = 0; i < count;) {
       const unsigned chunk = search_chunk(tx, first + i, count - i);
-      const std::uint64_t w = run_word(run, tx, first + i, chunk);
+      const std::uint64_t w = run_word(run, first + i, chunk);
 #ifndef NDEBUG
       {
         Correlator check = machine_.correlator;
@@ -592,6 +594,7 @@ void Receiver::on_payload_complete() {
 
 void Receiver::deliver(const Result& r) {
   if (!r.is_id) ++(taken_ ? clean_stats_.clean : clean_stats_.air);
+  if (taken_ && !taken_view_.flips().empty()) ++clean_stats_.noisy;
   // The packet is done: a handler that reconfigures or feeds samples
   // finds no taken samples to replay.
   taken_ = false;
@@ -599,18 +602,19 @@ void Receiver::deliver(const Result& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Taken packets: a clean run delivered from its logical form
+// Taken packets: a run delivered from its logical form and its flips
 // ---------------------------------------------------------------------------
 
 bool Receiver::feeds_taken(const phy::AirPacket* run,
                            std::size_t first) const {
-  return run == taken_src_ && taken_src_->serial() == taken_serial_ &&
-         first == taken_next_;
+  return run == taken_src_ && tx_of(run) == taken_tx_ &&
+         taken_tx_->serial() == taken_serial_ && first == taken_next_;
 }
 
-void Receiver::try_take(const TxPacket* tx, std::size_t at) {
+void Receiver::try_take(const phy::AirPacket* run, std::size_t at) {
   // The sync just fired and the machine entered its trailer phase, which
   // only a kFull receiver does.
+  const TxPacket* tx = tx_of(run);
   if (tx == nullptr) {
     ++clean_stats_.air_bits;
   } else if (at != kIdPacketBits - 1) {
@@ -620,30 +624,102 @@ void Receiver::try_take(const TxPacket* tx, std::size_t at) {
              tx->params().check_init != check_init_ ||
              tx->params().whiten_init != whiten_init_) {
     ++clean_stats_.mismatch;
-  } else {
-    // From here on the air bits would decode to exactly this packet:
-    // same sync word, HEC/CRC init and whitening, and a framing that
-    // ends the payload at the packet's last bit.
+  } else if (read_flips(*tx, run->flips())) {
+    // From here on the air bits would decode to exactly this packet and
+    // its error pattern: same sync word, HEC/CRC init and whitening, a
+    // framing that ends the payload at the packet's last bit, and flips
+    // that leave that framing intact.
     taken_packet_ = *tx;  // copy-assign: the buffers keep their capacity
-    taken_src_ = tx;
+    taken_view_.show(taken_packet_);
+    taken_view_.positions().assign(run->flips().begin(), run->flips().end());
+    taken_src_ = run;
+    taken_tx_ = tx;
     taken_serial_ = tx->serial();
     taken_next_ = taken_mark_ = kIdPacketBits;
     taken_ = true;
   }
 }
 
+bool Receiver::read_flips(const TxPacket& p,
+                          std::span<const std::uint32_t> flips) {
+  taken_fec_ends_.clear();
+  taken_data_errors_.clear();
+  // Flips in the access code only moved the correlator, which fired at
+  // air bit 67 all the same; the trailer is discarded.
+  auto it = std::lower_bound(flips.begin(), flips.end(), kAccessCodeBits);
+  // Header: the majority vote restores a triple with at most one flip,
+  // so the header and its HEC decode as sent.
+  std::size_t last_triple = kUnknown;
+  for (; it != flips.end() && *it < kPayloadStart; ++it) {
+    const std::size_t triple = (*it - kAccessCodeBits) / 3;
+    if (triple == last_triple) {
+      ++clean_stats_.header_flips;
+      return false;
+    }
+    last_triple = triple;
+  }
+  // Payload: every stage of the decode is linear in the errors. A DH
+  // data bit is the air bit; FEC 2/3 is syndrome decoding, so a block
+  // decodes to data(c) ^ decode(e) and fails exactly when its error
+  // pattern e alone does. Whitening cancels out of the difference.
+  const PacketType type = p.header().type;
+  const std::size_t data_bits =
+      8 * (p.body().size() + (has_crc(type) ? 2u : 0u));
+  auto data_error = [&](std::size_t bit) {
+    if (bit < data_bits) {
+      taken_data_errors_.push_back(static_cast<std::uint32_t>(bit));
+    }
+  };
+  if (!is_fec23(type)) {
+    for (; it != flips.end(); ++it) data_error(*it - kPayloadStart);
+  } else {
+    while (it != flips.end()) {
+      const std::size_t block = (*it - kPayloadStart) / kFec23BlockBits;
+      const std::size_t start = kPayloadStart + block * kFec23BlockBits;
+      std::uint16_t e = 0;
+      for (; it != flips.end() && *it < start + kFec23BlockBits; ++it) {
+        e = static_cast<std::uint16_t>(e | 1u << (*it - start));
+      }
+      const Fec23Block d = fec23_decode_block15(e);
+      if (d.failed) taken_fec_ends_.push_back(start + kFec23BlockBits - 1);
+      for (unsigned i = 0; i < kFec23DataBits; ++i) {
+        if ((d.data10 >> i) & 1u) data_error(block * kFec23DataBits + i);
+      }
+    }
+  }
+  // The payload header must frame the payload as sent: no block fails
+  // before its length resolves, and no error reaches the length field
+  // (data bits 3-7, and 8-11 of a two-byte header).
+  if (const std::size_t hdr = payload_header_bytes(type); hdr > 0) {
+    const std::size_t blocks = (8 * hdr + kFec23DataBits - 1) / kFec23DataBits;
+    if (!taken_fec_ends_.empty() &&
+        taken_fec_ends_.front() < kPayloadStart + blocks * kFec23BlockBits) {
+      ++clean_stats_.early_fec;
+      return false;
+    }
+    const std::uint32_t length_end = hdr == 2 ? 12 : 8;
+    for (const std::uint32_t bit : taken_data_errors_) {
+      if (bit >= length_end) break;
+      if (bit >= 3) {
+        ++clean_stats_.length_flips;
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 void Receiver::replay_taken() {
   taken_ = false;
   ++clean_stats_.interrupted;
   if (taken_next_ == taken_mark_) return;  // nothing pending: no compose
-  consume_assembly(machine_, &taken_packet_.bits(), taken_mark_,
+  consume_assembly(machine_, &taken_view_.bits(), taken_mark_,
                    taken_next_ - taken_mark_);
 }
 
 std::size_t Receiver::taken_effect_at() const {
-  return machine_.phase == Phase::kPayload
-             ? taken_packet_.size() - 1
-             : kAccessCodeBits + kHeaderCodedBits - 1;
+  return machine_.phase == Phase::kPayload ? taken_packet_.size() - 1
+                                           : kPayloadStart - 1;
 }
 
 void Receiver::take_header() {
@@ -651,7 +727,7 @@ void Receiver::take_header() {
   // header to the packet's header and its HEC under the shared check
   // init, which passes; the de-whitening steps the register 18 bits.
   if (machine_.have_whitener) machine_.whitener.keystream(18);
-  taken_mark_ = kAccessCodeBits + kHeaderCodedBits;
+  taken_mark_ = kPayloadStart;
   accept_header(taken_packet_.header().pack());
 }
 
@@ -660,19 +736,48 @@ void Receiver::take_payload() {
   if (machine_.have_whitener) {
     // The bit path de-whitens one keystream bit per decoded data bit:
     // ten per FEC 2/3 block, else one per coded bit.
-    const std::size_t coded = p.size() - kAccessCodeBits - kHeaderCodedBits;
+    const std::size_t coded = p.size() - kPayloadStart;
     std::size_t n = is_fec23(p.header().type)
                         ? coded / kFec23BlockBits * kFec23DataBits
                         : coded;
     for (; n > 64; n -= 64) machine_.whitener.keystream(64);
     if (n > 0) machine_.whitener.keystream(static_cast<unsigned>(n));
   }
+  // on_payload_complete() of the decoded bits: a failed block fails the
+  // payload (already counted per block), else the CRC decides.
+  machine_.fec_failures += taken_fec_ends_.size();
   Result& r = fresh_result();
   r.header = machine_.header;
   r.header_ok = true;
-  r.payload_ok = true;
+  r.fec_failed = !taken_fec_ends_.empty();
   r.packet_start = sync_done_time_ - kSyncEndOffset;
-  r.payload_body.assign(p.body().begin(), p.body().end());
+  const std::size_t body_bits = 8 * p.body().size();
+  bool ok = !r.fec_failed;
+  if (ok && !taken_data_errors_.empty() && has_crc(p.header().type)) {
+    // The CRC sent matches the body sent, and the CRC is linear: the
+    // decoded payload passes iff the body errors change the CRC exactly
+    // as the errors in the CRC field do (bit i of the field is data bit
+    // body_bits + i).
+    std::uint16_t syndrome = 0;
+    for (const std::uint32_t bit : taken_data_errors_) {
+      syndrome ^= bit < body_bits
+                      ? crc16_single_bit(body_bits - 1 - bit)
+                      : static_cast<std::uint16_t>(1u << (bit - body_bits));
+    }
+    ok = syndrome == 0;
+    if (!ok) ++crc_failures_;
+  }
+  if (ok) {
+    // Delivered as decoded: the body XOR its errors (an error the CRC
+    // does not detect included).
+    r.payload_body.assign(p.body().begin(), p.body().end());
+    for (const std::uint32_t bit : taken_data_errors_) {
+      if (bit < body_bits) {
+        r.payload_body[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+    }
+  }
+  r.payload_ok = ok;
   deliver(r);
   reset_machine();
 }
@@ -720,7 +825,7 @@ void Receiver::save_state(sim::SnapshotWriter& w) const {
   }
   // A taken packet is saved as the machine its bits would have built.
   Machine m = machine_;
-  consume_assembly(m, &taken_packet_.bits(), taken_mark_,
+  consume_assembly(m, &taken_view_.bits(), taken_mark_,
                    taken_next_ - taken_mark_);
   io(*this, m, w);
 }

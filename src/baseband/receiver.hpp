@@ -28,26 +28,34 @@
 // one FEC block at a time -- and on_sample()/on_bit() executes effect
 // samples through the classic path at exactly their own instants.
 //
-// Clean runs: the radio feeds the sink the packet the medium shows. A
-// TxPacket (a clean run) is read from its cached access code while the
-// correlator searches, so a sync costs no composing. When the sync
-// fires at the access code's last bit (air bit 67) and the receiver is
-// configured for the packet's sync word, check init and whitening, the
-// receiver *takes* the packet: it copies the logical packet and from
-// then on answers quiet_prefix() from the framing alone, counts quiet
-// samples, and fills the header and payload results from the packet --
-// no HEC, FEC or CRC work. Everything else reads the packet's bits. The
-// quiet samples of a taken packet are replayed from its composed bits
-// into the machine the moment the receiver is fed anything else (the
-// run fell back or was aborted, the radio moved), and a checkpoint
-// saves the machine those bits would have built, so the snapshot and
-// every result stay those of the per-bit path (docs/ARCHITECTURE.md,
-// "Clean runs carry the packet").
+// Logical runs: the radio feeds the sink the packet the medium shows --
+// a TxPacket for a clean run, a phy::FlippedPacket (the TxPacket plus
+// its flip positions) for a noisy one. Either is read from its cached
+// access code (XOR the flips) while the correlator searches, so a sync
+// costs no composing. When the sync fires at the access code's last bit
+// (air bit 67), the receiver is configured for the packet's sync word,
+// check init and whitening, and the flips leave the framing intact (no
+// header triple holds two flips, the payload header decodes to the sent
+// length, no FEC block fails before that length resolves), the receiver
+// *takes* the packet: it copies the logical packet and its flips, and
+// from then on answers quiet_prefix() from the framing alone, counts
+// quiet samples, and fills the header and payload results from the
+// packet and its error pattern -- no HEC, no decode of unflipped blocks,
+// and the CRC checked from the flipped data bits alone. Everything else
+// reads the packet's bits. The quiet samples of a taken packet are
+// replayed from its composed (and flipped) bits into the machine the
+// moment the receiver is fed anything else (the run fell back or was
+// aborted, the radio moved), and a checkpoint saves the machine those
+// bits would have built, so the snapshot and every result stay those of
+// the per-bit path (docs/ARCHITECTURE.md, "Clean runs carry the
+// packet").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +63,7 @@
 #include "baseband/packet.hpp"
 #include "baseband/tx_packet.hpp"
 #include "baseband/whitening.hpp"
+#include "phy/air_packet.hpp"
 #include "phy/logic4.hpp"
 #include "phy/radio.hpp"
 #include "sim/bitvector.hpp"
@@ -152,27 +161,38 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   std::uint64_t hec_failures() const { return hec_failures_; }
   std::uint64_t crc_failures() const { return crc_failures_; }
   /// FEC blocks decoded with an uncorrectable error. Materialises pending
-  /// lazy samples first: a payload's blocks decode quietly.
+  /// lazy samples first: a payload's blocks decode quietly, and a taken
+  /// packet's failed blocks count once the samples past them are in.
   std::uint64_t fec_failures() const {
     if (catch_up_) catch_up_();
-    return machine_.fec_failures;
+    if (!taken_) return machine_.fec_failures;
+    // The taken packet's blocks whose last bit has been counted.
+    return machine_.fec_failures +
+           static_cast<std::uint64_t>(
+               std::lower_bound(taken_fec_ends_.begin(),
+                                taken_fec_ends_.end(), taken_next_) -
+               taken_fec_ends_.begin());
   }
 
   /// How this receiver's packets (ID packets aside) were decoded. Kept in
   /// the process only: never checkpointed, never in result bytes.
   struct CleanPathStats {
     std::uint64_t clean = 0;  // delivered from a taken logical packet
+    std::uint64_t noisy = 0;  // of those, taken with flips inside
     std::uint64_t air = 0;    // delivered from air bits
     // Why a packet whose sync fired was not taken, or not kept:
-    std::uint64_t air_bits = 0;     // the medium showed bits (a flip
-                                    // inside, raw or restored bits, the
-                                    // per-bit path)
-    std::uint64_t mismatch = 0;     // another sync word, check init or
-                                    // whitening, or a packet it cannot
-                                    // frame (ID, bad length field)
-    std::uint64_t offset = 0;       // sync not at air bit 67
-    std::uint64_t hook = 0;         // the header hook rejected it
-    std::uint64_t interrupted = 0;  // replayed into the machine mid-way
+    std::uint64_t air_bits = 0;      // the medium showed bits (raw or
+                                     // restored bits, the per-bit path)
+    std::uint64_t mismatch = 0;      // another sync word, check init or
+                                     // whitening, or a packet it cannot
+                                     // frame (ID, bad length field)
+    std::uint64_t offset = 0;        // sync not at air bit 67
+    std::uint64_t header_flips = 0;  // a header triple holds 2+ flips
+    std::uint64_t length_flips = 0;  // flips change the payload length
+    std::uint64_t early_fec = 0;     // a FEC block fails before the
+                                     // payload length resolves
+    std::uint64_t hook = 0;          // the header hook rejected it
+    std::uint64_t interrupted = 0;   // replayed into the machine mid-way
   };
   const CleanPathStats& clean_path_stats() const { return clean_stats_; }
 
@@ -247,12 +267,16 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   void reset_machine();
   void deliver(const Result& r);
 
-  // ---- taken packets (clean runs) ----
+  // ---- taken packets (logical runs) ----
   /// True when `run` at sample `first` continues the taken packet.
   bool feeds_taken(const phy::AirPacket* run, std::size_t first) const;
-  /// Takes `tx` if its sync just fired at air bit `at`, else counts why
-  /// not.
-  void try_take(const TxPacket* tx, std::size_t at);
+  /// Takes `run`'s logical packet if its sync just fired at air bit
+  /// `at`, else counts why not.
+  void try_take(const phy::AirPacket* run, std::size_t at);
+  /// Reads the error pattern `flips` leave in `p` (the payload's data
+  /// errors and failed FEC blocks); false, with the reason counted, when
+  /// they break the header or the payload's framing.
+  bool read_flips(const TxPacket& p, std::span<const std::uint32_t> flips);
   /// Replays the taken packet's pending quiet samples into the machine
   /// and leaves taken mode.
   void replay_taken();
@@ -282,15 +306,23 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   Machine scratch_;
 
   /// The taken packet: a copy of its logical form (capacity reused), the
-  /// source object and serial it is fed from, the run index of the next
-  /// sample, and the first sample not yet applied to the machine (the
-  /// machine holds the state of the last effect).
+  /// run and logical packet it is fed from and the packet's serial, the
+  /// run index of the next sample, and the first sample not yet applied
+  /// to the machine (the machine holds the state of the last effect).
   bool taken_ = false;
   TxPacket taken_packet_;
-  const TxPacket* taken_src_ = nullptr;
+  const phy::AirPacket* taken_src_ = nullptr;
+  const TxPacket* taken_tx_ = nullptr;
   std::uint64_t taken_serial_ = 0;
   std::size_t taken_next_ = 0;
   std::size_t taken_mark_ = 0;
+  /// The copy with its flips (the air bits a replay or a save reads),
+  /// and what the flips do to the payload: the decoded data bits (body,
+  /// then CRC) they leave in error, ascending, and the last air bit of
+  /// each failed FEC block. All keep their capacity across packets.
+  phy::FlippedPacket taken_view_;
+  std::vector<std::uint32_t> taken_data_errors_;
+  std::vector<std::size_t> taken_fec_ends_;
   CleanPathStats clean_stats_;
   Result result_;            // reused delivery record
   sim::SimTime sync_done_time_;

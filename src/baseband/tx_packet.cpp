@@ -44,12 +44,8 @@ void TxPacket::set(const AccessCode& code, const PacketHeader& header,
 const sim::BitVector& TxPacket::bits() const {
   if (!composed_) {
     bits_.clear();
-    if (id_) {
-      code_.append_to(bits_, kIdPacketBits);
-    } else {
-      code_.append_to(bits_, kAccessCodeBits);
-      bits_.append(compose_after_access_code(header_, body_, params_));
-    }
+    code_.append_to(bits_, id_ ? kIdPacketBits : kAccessCodeBits);
+    if (!id_) compose_after_access_code(header_, body_, params_, bits_);
     composed_ = true;
   }
   return bits_;

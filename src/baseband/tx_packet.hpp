@@ -7,8 +7,9 @@
 // header with HEC, whitened and FEC/CRC-protected payload) only when
 // something reads them through phy::AirPacket::bits(). A clean run, one
 // nothing can corrupt, is delivered to a matching receiver from these
-// fields and never composed (docs/ARCHITECTURE.md, "Clean runs carry the
-// packet").
+// fields and never composed; so is a noisy run whose flips leave the
+// framing intact, from these fields and the flips (docs/ARCHITECTURE.md,
+// "Clean runs carry the packet").
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,13 @@ class TxPacket final : public phy::AirPacket {
   // ---- phy::AirPacket ----
   std::size_t size() const override { return size_; }
   const sim::BitVector& bits() const override;
+  /// Air bits [first, first + n) of the packet (n <= 64): read from the
+  /// cached access code while they lie inside it, else from bits().
+  std::uint64_t word(std::size_t first, unsigned n) const override {
+    return first + n <= kAccessCodeBits ? code_.bits(first, n)
+                                        : bits().extract_word(first, n);
+  }
+  const phy::AirPacket* logical() const override { return this; }
 
   const AccessCode& code() const { return code_; }
   const PacketHeader& header() const { return header_; }
@@ -51,13 +59,6 @@ class TxPacket final : public phy::AirPacket {
   /// Changes with every set()/set_id(): tells a reused packet object's
   /// successive packets apart.
   std::uint64_t serial() const { return serial_; }
-
-  /// Air bits [first, first + n) of the packet (n <= 64): read from the
-  /// cached access code while they lie inside it, else from bits().
-  std::uint64_t word(std::size_t first, unsigned n) const {
-    return first + n <= kAccessCodeBits ? code_.bits(first, n)
-                                        : bits().extract_word(first, n);
-  }
 
  private:
   bool id_ = true;

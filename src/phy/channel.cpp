@@ -54,7 +54,7 @@ void NoisyChannel::set_ber(double ber) {
 }
 
 void NoisyChannel::reseed_streams(std::uint64_t seed) {
-  // A run's noisy copy came from the old stream; the rest of its packet
+  // A run's flips came from the old stream; the rest of its packet
   // must draw from the new one, as per-bit drives would.
   fallback_all_runs();
   for (std::size_t i = 0; i < ports_.size(); ++i) {
@@ -256,10 +256,9 @@ void NoisyChannel::show_run(Port& p, NoiseStream& stream,
     p.run.shown = &packet;
     return;
   }
-  sim::BitVector& copy = p.noisy.mutable_bits();
-  copy.clear();
-  copy.append(packet.bits());
-  p.run.flips = stream.advance(len, copy.words_mut(), rate_);
+  // Noisy: the medium shows the packet with its flips, still uncomposed.
+  p.noisy.show(packet);
+  p.run.flips = stream.advance(len, &p.noisy.positions(), rate_);
   p.run.shown = &p.noisy;
 }
 
@@ -278,7 +277,7 @@ std::size_t NoisyChannel::run_bits_elapsed(const Run& run) const {
 }
 
 Logic4 NoisyChannel::run_value_now(const Run& run) const {
-  return from_bit(run.shown->bits()[run_bits_elapsed(run) - 1]);
+  return from_bit(run.shown->word(run_bits_elapsed(run) - 1, 1) != 0);
 }
 
 std::size_t NoisyChannel::settle_run(PortId port, std::size_t driven,
@@ -341,7 +340,7 @@ void NoisyChannel::fallback_run(PortId port) {
   Listener* owner = ports_[static_cast<std::size_t>(port)].listener;
   notify_sync();
   const std::size_t driven = run_bits_elapsed(run);
-  const Logic4 last = from_bit(run.shown->bits()[driven - 1]);
+  const Logic4 last = from_bit(run.shown->word(driven - 1, 1) != 0);
   settle_run(port, driven, last);
   // The owner reschedules the remaining bits as exact per-bit drives
   // before receivers re-pick their modes (they will see a live medium).
@@ -431,8 +430,8 @@ void NoisyChannel::io_runs(sim::SnapshotWriter& w) const {
     w.u32(static_cast<std::uint32_t>(run.freq));
     w.time(run.start);
     w.time(run.period);
-    // A noisy run stores only its base stream: the noisy copy is a
-    // pure function of (base, BER, clean bits) and is rebuilt on rebind.
+    // A noisy run stores only its base stream: its flips are a pure
+    // function of (base, BER, length) and are redrawn on rebind.
     w.b(run.noisy);
     if (run.noisy) run.base.save_state(w);
   }
@@ -470,7 +469,7 @@ void NoisyChannel::rebind_run_bits(PortId port, const AirPacket* packet) {
   assert(run.active && run.shown == nullptr);
   run.len = packet->size();
   if (run.noisy) {
-    // Redraw the copy from a scratch copy of the base: the port's own
+    // Redraw the flips from a scratch copy of the base: the port's own
     // stream was restored already, past the run's flips.
     NoiseStream replay = run.base;
     show_run(p, replay, *packet);

@@ -42,22 +42,26 @@
 // collisions still happen only on the per-bit path.
 //
 // A BER > 0 run draws the whole packet's flips from its port's stream up
-// front into its own noisy copy of the packet, which is what receivers
-// see. Per-bit drives would have consumed the same gaps in the same
-// order, so the copy is exactly what per-bit transport puts on the air.
+// front, and receivers see the packet with those bits flipped. Per-bit
+// drives would have consumed the same gaps in the same order, so that is
+// exactly what per-bit transport puts on the air.
 // A run that ends at bit k < n (fallback or abort) rewinds the port's
 // stream to the run's saved base and replays k bits, O(flips); the
 // per-bit remainder then draws what the reference would.
 //
-// Clean runs
-// ----------
+// Clean and noisy runs
+// --------------------
 // A run carries the transmitter's AirPacket (phy/air_packet.hpp), not
 // its bits. An accepted run is *clean* when BER is 0 or its port's
 // noise gap exceeds the run length (one compare): nothing can corrupt
 // it, so the medium shows the packet itself and receivers may take it
-// in logical form. Only a run with a flip inside reads the packet's
-// bits up front, for its noisy copy; sense(), a fallback and a restore
-// read them lazily.
+// in logical form. A run with a flip inside shows the port's
+// FlippedPacket: the same packet plus its flip positions, kept in a
+// per-port vector that keeps its capacity. Its access-code words are
+// the packet's cached code XOR the flips, and a receiver may take it in
+// logical form too when the flips leave the framing intact. Nothing
+// composes a run's bits up front; sense(), the per-bit path, a receiver
+// that decodes bits and a checkpoint read them lazily.
 //
 // docs/ARCHITECTURE.md ("Word-packed bit transport & burst delivery" and
 // "Per-port noise streams") carries the full equivalence argument.
@@ -149,7 +153,7 @@ class NoisyChannel final : public sim::Module,
   NoisyChannel& operator=(const NoisyChannel&) = delete;
 
   /// Changing the BER mid-run degrades every active burst run to per-bit
-  /// first (their noisy copies were drawn under the old BER); then every
+  /// first (their flips were drawn under the old BER); then every
   /// port draws a fresh gap under the new one.
   void set_ber(double ber);
 
@@ -218,8 +222,8 @@ class NoisyChannel final : public sim::Module,
   /// unchanged until the run ends. On success the first bit is on the
   /// medium immediately (as a per-bit drive would be). A clean run shows
   /// `packet` itself; a run with a flip inside draws its flips from the
-  /// port's stream into its own noisy copy, and receivers see that copy
-  /// through rx_medium()/sense().
+  /// port's stream and shows the port's FlippedPacket of `packet`, which
+  /// receivers see through rx_medium()/sense().
   bool begin_burst(PortId port, int freq, const AirPacket& packet,
                    sim::SimTime period);
 
@@ -252,7 +256,7 @@ class NoisyChannel final : public sim::Module,
     /// here) -- the receiver must sample per bit.
     bool live = false;
     /// The burst run visible at this frequency (nullptr when none): the
-    /// transmitter's packet for a clean run, else the run's noisy copy.
+    /// transmitter's packet for a clean run, else its flipped view.
     const AirPacket* run = nullptr;
     sim::SimTime run_start;
     sim::SimTime run_period;
@@ -268,15 +272,15 @@ class NoisyChannel final : public sim::Module,
   /// re-links its run via rebind_run_bits() during its own restore (the
   /// restore order guarantees it runs after the channel's). Each port's
   /// noise stream is saved; a noisy run stores only its base stream,
-  /// since its copy is a pure function of (base, BER, clean bits) and is
-  /// rebuilt on rebind. Restore throws sim::SnapshotError for a run whose
+  /// since its flips are a pure function of (base, BER, length) and are
+  /// redrawn on rebind. Restore throws sim::SnapshotError for a run whose
   /// port or frequency is out of range or taken.
   void save_state(sim::SnapshotWriter& w) const override;
   void restore_state(sim::SnapshotReader& r) override;
 
   /// Re-links `port`'s run to the transmitter's packet after a restore;
-  /// rebuilds the noisy copy of a run with a flip inside. Only valid
-  /// while `port` has a restored run.
+  /// redraws the flips of a run with a flip inside. Only valid while
+  /// `port` has a restored run.
   void rebind_run_bits(PortId port, const AirPacket* packet);
 
   // ---- diagnostics ----
@@ -321,7 +325,7 @@ class NoisyChannel final : public sim::Module,
     bool active = false;
     int freq = 0;
     /// What the medium shows: the transmitter's packet for a clean run,
-    /// the port's noisy copy for a run with a flip inside.
+    /// the port's flipped view of it for a run with a flip inside.
     const AirPacket* shown = nullptr;
     /// Run length in bits.
     std::size_t len = 0;
@@ -351,7 +355,7 @@ class NoisyChannel final : public sim::Module,
 
   /// Shows `packet` on the medium for `p`'s run, drawing its flips from
   /// `stream`: a clean run shows the packet itself, a run with a flip
-  /// inside the port's noisy copy of its bits (begin_burst advances the
+  /// inside the port's flipped view of it (begin_burst advances the
   /// port's own stream; rebind_run_bits a scratch copy of the base).
   void show_run(Port& p, NoiseStream& stream, const AirPacket& packet);
 
@@ -397,9 +401,8 @@ class NoisyChannel final : public sim::Module,
     Listener* listener = nullptr;
     int rx_freq = -1;  // -1: not listening
     NoiseStream noise;  // this port's noise stream
-    /// Clean bits ^ flips of the port's noisy run; keeps its capacity
-    /// across runs, so steady-state noisy bursts allocate nothing.
-    BitsPacket noisy;
+    /// The port's noisy run: its packet and flip positions.
+    FlippedPacket noisy;
     Run run;  // this port's burst run slot
   };
   std::vector<Port> ports_;

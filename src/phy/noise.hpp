@@ -11,8 +11,11 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
@@ -48,6 +51,13 @@ class FlipRate {
       r *= 2.0 - r;
       q *= q;
     }
+    // gap_at() needs the table decreasing in j; it is strictly so below
+    // 1.0 (a BER so small that 1 - BER rounds to 1 repeats 1.0).
+    for (int j = 1; j < levels_; ++j) {
+      assert(q_pow2_[static_cast<std::size_t>(j)] <
+                 q_pow2_[static_cast<std::size_t>(j - 1)] ||
+             q_pow2_[static_cast<std::size_t>(j)] == 1.0);
+    }
   }
 
   /// Unflipped bits before the next flip (saturating at kNever), one
@@ -56,16 +66,34 @@ class FlipRate {
   std::uint64_t draw_gap(sim::Rng& rng) const {
     if (ber_ >= 1.0) return 0;
     if (levels_ == 0) return kNever;
-    const double u = static_cast<double>((rng.next() >> 11) + 1) * 0x1.0p-53;
-    double survival = 1.0;  // q^g for the bits of g set so far
-    std::uint64_t g = 0;
-    for (int j = levels_ - 1; j >= 0; --j) {
+    return gap_at(static_cast<double>((rng.next() >> 11) + 1) * 0x1.0p-53);
+  }
+
+  /// The gap a draw of `u` in (0, 1] inverts to. Until the first set
+  /// bit the survival q^g is exactly 1.0, so bit j is set there iff
+  /// u <= q^(2^j); the table decreases in j, so the top set bit is the
+  /// number of levels with u <= q^(2^j), minus one. Only the bits below
+  /// it need the multiply chain.
+  std::uint64_t gap_at(double u) const {
+    int top = 0;
+    for (int j = 0; j < levels_; ++j) {
+      top += u <= q_pow2_[static_cast<std::size_t>(j)];
+    }
+    if (top-- == 0) return 0;
+    double survival = q_pow2_[static_cast<std::size_t>(top)];
+    std::uint64_t g = 1ull << top;
+    for (int j = top - 1; j >= 0; --j) {
       const double t = survival * q_pow2_[static_cast<std::size_t>(j)];
       const bool set = u <= t;
       survival = set ? t : survival;
       g |= static_cast<std::uint64_t>(set) << j;
     }
     return g;
+  }
+
+  /// The survival table q^(2^j), j < its size.
+  std::span<const double> survival_table() const {
+    return {q_pow2_.data(), static_cast<std::size_t>(levels_)};
   }
 
  private:
@@ -101,23 +129,23 @@ class NoiseStream {
   bool quiet_for(std::size_t n) const { return gap_ >= n; }
 
   /// Consumes `n` defined bits at once -- exactly n flip() calls -- and
-  /// returns how many flip. Each flipped bit i is XORed into `words`
-  /// (LSB-first, bit i of word i / 64) unless `words` is null.
-  std::uint64_t advance(std::size_t n, std::uint64_t* words,
+  /// returns how many flip. Each flipped bit's index in 0..n-1 is
+  /// appended, ascending, to `flips` unless it is null.
+  std::uint64_t advance(std::size_t n, std::vector<std::uint32_t>* flips,
                         const FlipRate& rate) {
     std::uint64_t left = n;
     std::uint64_t pos = 0;
-    std::uint64_t flips = 0;
+    std::uint64_t count = 0;
     while (gap_ < left) {
       pos += gap_;
-      if (words != nullptr) words[pos >> 6] ^= 1ull << (pos & 63);
+      if (flips != nullptr) flips->push_back(static_cast<std::uint32_t>(pos));
       ++pos;
-      ++flips;
+      ++count;
       left -= gap_ + 1;
       gap_ = rate.draw_gap(rng_);
     }
     gap_ -= left;
-    return flips;
+    return count;
   }
 
   bool operator==(const NoiseStream& o) const {

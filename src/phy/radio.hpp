@@ -19,11 +19,11 @@
 //
 //  * TX: an uncontended packet registers as one channel burst run plus a
 //    single end-of-packet timer. The radio carries the transmitter's
-//    AirPacket, not its bits: a clean run (no flip inside) is never
-//    composed unless a receiver, a fallback or a checkpoint reads it.
-//    Noise does not force per-bit: the channel draws a noisy run's flips
-//    from the port's noise stream into a noisy copy up front. The
-//    per-bit timer chain -- which reads the packet's bits -- runs when
+//    AirPacket, not its bits: a run is never composed unless a
+//    receiver, a fallback or a checkpoint reads its bits. Noise does
+//    not force per-bit: the channel draws a noisy run's flips from the
+//    port's noise stream up front and shows the packet with their
+//    positions (phy::FlippedPacket). The per-bit timer chain -- which reads the packet's bits -- runs when
 //    the channel refuses the run (a tracer is attached: traced systems
 //    run per-bit) or as the fallback (contention, mid-run
 //    reconfiguration).

@@ -60,10 +60,6 @@ class BitVector {
 
   std::size_t num_words() const { return words_.size(); }
 
-  /// Mutable word storage for bulk writers (e.g. NoiseStream::advance).
-  /// The caller must keep the unused high bits of the last word zero.
-  std::uint64_t* words_mut() { return words_.data(); }
-
   /// Unchecked LSB-first read of `nbits` (<= 64) starting at `pos`;
   /// requires the range to be in bounds (debug assert).
   std::uint64_t extract_word(std::size_t pos, unsigned nbits = 64) const {

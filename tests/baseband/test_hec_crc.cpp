@@ -3,6 +3,9 @@
 // published polynomials (g_HEC = D^8+D^7+D^5+D^2+D+1, g_CRC = CCITT).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baseband/crc.hpp"
 #include "baseband/hec.hpp"
 #include "sim/bitvector.hpp"
@@ -98,6 +101,29 @@ TEST(CrcTest, DetectsBurstErrorsUpTo16Bits) {
     for (std::size_t i = 0; i < 16; ++i) test::flip_bit(bad, start + i);
     EXPECT_NE(crc16_compute(bad, 0x00), good)
         << "16-bit burst at " << start;
+  }
+}
+
+TEST(CrcTest, SingleBitTableGivesTheChangeOfSparseErrors) {
+  // crc(m ^ d) = crc(m) ^ XOR over d's set bits of the single-bit CRC of
+  // the bits after it -- the sum a taken noisy packet checks.
+  sim::Rng rng(911);
+  for (int round = 0; round < 300; ++round) {
+    const auto len = static_cast<std::size_t>(rng.uniform(1, 343));
+    std::vector<std::uint8_t> m(len);
+    for (auto& b : m) b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::uint8_t> corrupted = m;
+    std::uint16_t change = 0;
+    const auto errors = rng.uniform(1, 12);
+    for (std::uint64_t e = 0; e < errors; ++e) {
+      const auto bit = static_cast<std::size_t>(rng.uniform(0, 8 * len - 1));
+      corrupted[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      change ^= crc16_single_bit(8 * len - 1 - bit);
+    }
+    const auto uap = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(crc16_compute(corrupted, uap),
+              static_cast<std::uint16_t>(crc16_compute(m, uap) ^ change))
+        << "round " << round;
   }
 }
 

@@ -1,6 +1,7 @@
 // Hop selection kernel properties: range, determinism, coverage of all 79
 // channels in connection mode, 32-frequency trains in page/inquiry mode,
-// scan frequency schedule, and sensitivity to address/clock inputs.
+// scan frequency schedule, sensitivity to address/clock inputs, and the
+// table-driven PERM5 against the bit-serial reference.
 #include "baseband/hop.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "baseband/address.hpp"
 #include "baseband/bt_clock.hpp"
+#include "support/perm5_reference.hpp"
 
 namespace btsc::baseband {
 namespace {
@@ -238,6 +240,17 @@ TEST(HopTest, PhaseXFollowsTrainFormula) {
   // The fast counter (bit 0) moves X between the two half slots.
   in.clock = 1;
   EXPECT_NE(hop_phase_x(in), x0);
+}
+
+TEST(HopTest, Perm5TablesMatchTheButterflyLoop) {
+  // Every control word P13..P0 on every 5-bit input.
+  int mismatches = 0;
+  for (std::uint32_t control = 0; control < (1u << 14); ++control) {
+    for (int z = 0; z < 32; ++z) {
+      mismatches += perm5(z, control) != test::perm5_reference(z, control);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

@@ -12,6 +12,15 @@
 namespace btsc::baseband {
 namespace {
 
+/// compose_after_access_code() into a fresh vector.
+sim::BitVector composed(const PacketHeader& h,
+                        const std::vector<std::uint8_t>& body,
+                        const LinkParams& params) {
+  sim::BitVector bits;
+  compose_after_access_code(h, body, params, bits);
+  return bits;
+}
+
 TEST(PacketTypeTest, GeometryTable) {
   EXPECT_EQ(slots_occupied(PacketType::kDm1), 1);
   EXPECT_EQ(slots_occupied(PacketType::kDh3), 3);
@@ -134,7 +143,7 @@ TEST(AclBodyTest, ParseRejectsTruncatedBody) {
 TEST(ComposeTest, NullPacketIsHeaderOnly) {
   PacketHeader h;
   h.type = PacketType::kNull;
-  const auto bits = compose_after_access_code(h, {}, LinkParams{});
+  const auto bits = composed(h, {}, LinkParams{});
   EXPECT_EQ(bits.size(), 54u);
 }
 
@@ -145,7 +154,7 @@ TEST(ComposeTest, HeaderSurvivesFecAndHecRoundTrip) {
   h.arqn = true;
   LinkParams params;
   params.check_init = 0x9C;
-  const auto bits = compose_after_access_code(h, {}, params);
+  const auto bits = composed(h, {}, params);
   const auto decoded = fec13_decode(bits);
   const auto header10 =
       static_cast<std::uint16_t>(test::extract_uint(decoded, 0, 10));
@@ -163,8 +172,8 @@ TEST(ComposeTest, WhiteningScramblesButPreservesLength) {
   LinkParams plain;
   LinkParams whitened;
   whitened.whiten_init = 0x55;
-  const auto a = compose_after_access_code(h, body, plain);
-  const auto b = compose_after_access_code(h, body, whitened);
+  const auto a = composed(h, body, plain);
+  const auto b = composed(h, body, whitened);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_NE(a, b);
 }
@@ -174,7 +183,7 @@ TEST(ComposeTest, Dm1PayloadIsFecProtected) {
   h.type = PacketType::kDm1;
   const auto body = build_acl_body(PacketType::kDm1, kLlidStart, true,
                                    std::vector<std::uint8_t>(17, 0xA5));
-  const auto bits = compose_after_access_code(h, body, LinkParams{});
+  const auto bits = composed(h, body, LinkParams{});
   // header(54) + FEC23(20 bytes body + CRC = 160 bits -> 240).
   EXPECT_EQ(bits.size(), 54u + 240u);
   // Decode the payload section and verify CRC.
@@ -198,17 +207,17 @@ TEST(ComposeTest, Dm1PayloadIsFecProtected) {
 TEST(ComposeTest, FhsMustBeExactly18Bytes) {
   PacketHeader h;
   h.type = PacketType::kFhs;
-  EXPECT_THROW(compose_after_access_code(h, std::vector<std::uint8_t>(17),
+  EXPECT_THROW(composed(h, std::vector<std::uint8_t>(17),
                                          LinkParams{}),
                std::invalid_argument);
-  EXPECT_NO_THROW(compose_after_access_code(
+  EXPECT_NO_THROW(composed(
       h, std::vector<std::uint8_t>(18), LinkParams{}));
 }
 
 TEST(ComposeTest, PayloadOnPollRejected) {
   PacketHeader h;
   h.type = PacketType::kPoll;
-  EXPECT_THROW(compose_after_access_code(h, {0x01}, LinkParams{}),
+  EXPECT_THROW(composed(h, {0x01}, LinkParams{}),
                std::invalid_argument);
 }
 
@@ -216,7 +225,7 @@ TEST(ComposeTest, OversizedBodyRejected) {
   PacketHeader h;
   h.type = PacketType::kDh1;
   EXPECT_THROW(
-      compose_after_access_code(h, std::vector<std::uint8_t>(31),
+      composed(h, std::vector<std::uint8_t>(31),
                                 LinkParams{}),
       std::invalid_argument);
 }
@@ -231,7 +240,7 @@ TEST_P(ComposeAllTypes, FullPayloadFitsSlotBudget) {
   const auto body =
       build_acl_body(type, kLlidStart, true,
                      std::vector<std::uint8_t>(max_user_bytes(type), 0x3C));
-  const auto bits = compose_after_access_code(h, body, LinkParams{});
+  const auto bits = composed(h, body, LinkParams{});
   const std::size_t total = bits.size() + 72;  // plus access code
   EXPECT_EQ(total, air_bits(type, max_user_bytes(type)));
   // Must leave >= 220 us turnaround within the slot allocation.

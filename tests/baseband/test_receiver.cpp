@@ -55,7 +55,7 @@ struct Loop {
   void send(const PacketHeader& h, const std::vector<std::uint8_t>& body,
             const LinkParams& params, int freq = 11) {
     BitVector bits = lap_access_code(kAccessCodeBits);
-    bits.append(compose_after_access_code(h, body, params));
+    compose_after_access_code(h, body, params, bits);
     rx_radio.enable_rx(freq);
     tx.transmit(freq, std::move(bits));
     env.run(SimTime::ms(4));
@@ -275,7 +275,7 @@ TEST(ReceiverTest, CollisionGarblesPacket) {
   LinkParams params;
   params.check_init = kUap;
   BitVector bits = lap_access_code(kAccessCodeBits);
-  bits.append(compose_after_access_code(h, {}, params));
+  compose_after_access_code(h, {}, params, bits);
   rxr.enable_rx(0);
   t1.transmit(0, bits);
   t2.transmit(0, BitVector(200, true));  // colliding carrier
@@ -293,9 +293,9 @@ TEST(ReceiverTest, ResetAbandonsAssembly) {
   LinkParams params;
   params.check_init = kUap;
   BitVector bits = lap_access_code(kAccessCodeBits);
-  bits.append(compose_after_access_code(
+  compose_after_access_code(
       h, build_acl_body(PacketType::kDh1, kLlidStart, true, {1, 2, 3}),
-      params));
+      params, bits);
   loop.rx_radio.enable_rx(11);
   loop.tx.transmit(11, std::move(bits));
   loop.env.run(100_us);  // mid-packet
@@ -330,7 +330,7 @@ TEST(ReceiverTest, BackToBackPackets) {
   PacketHeader h;
   h.type = PacketType::kPoll;
   BitVector bits = lap_access_code(kAccessCodeBits);
-  bits.append(compose_after_access_code(h, {}, params));
+  compose_after_access_code(h, {}, params, bits);
   loop.rx_radio.enable_rx(11);
   loop.tx.transmit(11, bits);
   loop.env.run(1_ms);

@@ -47,12 +47,12 @@ struct Fuzzer {
     sim::BitVector bits;
     AccessCode::of(kLap).append_to(bits, kAccessCodeBits);
     if (has_payload(type)) {
-      bits.append(compose_after_access_code(
+      compose_after_access_code(
           h, build_acl_body(type, kLlidStart, true,
                             std::vector<std::uint8_t>(user, 0x77)),
-          params));
+          params, bits);
     } else {
-      bits.append(compose_after_access_code(h, {}, params));
+      compose_after_access_code(h, {}, params, bits);
     }
     return bits;
   }

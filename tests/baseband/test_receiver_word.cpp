@@ -198,7 +198,7 @@ BitVector make_stream(const Case& c) {
       for (auto& b : user) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
       body = build_acl_body(c.type, kLlidStart, true, user);
     }
-    s.append(compose_after_access_code(h, body, params));
+    compose_after_access_code(h, body, params, s);
   }
   random_bits(s, 23);
   if (c.ber > 0.0) {
@@ -363,7 +363,7 @@ TEST(ReceiverWordTest, LengthAboveMaximumIsBadWhereItResolves) {
       BitVector s;
       for (int i = 0; i < 11; ++i) s.push_back(i % 3 == 0);
       AccessCode::of(kLap).append_to(s, kAccessCodeBits);
-      s.append(compose_after_access_code(h, body, params));
+      compose_after_access_code(h, body, params, s);
       s.append_zeros(40);
       const Case c{t, whiten, 0.0, 0};
       check_equivalence(c, s);

@@ -322,7 +322,7 @@ TEST(BurstEquivalenceTest, BurstPacketRoundTripPerformsZeroAllocations) {
   auto compose = [&] {
     sim::BitVector bits;
     AccessCode::of(lap).append_to(bits, kAccessCodeBits);
-    bits.append(compose_after_access_code(h, body, params));
+    compose_after_access_code(h, body, params, bits);
     return bits;
   };
 
@@ -397,6 +397,62 @@ TEST(BurstEquivalenceTest, CleanPacketRoundTripPerformsZeroAllocations) {
   }
   EXPECT_EQ(delivered, 7);
   EXPECT_EQ(rec.clean_path_stats().clean, 7u);
+}
+
+TEST(BurstEquivalenceTest, NoisyFallbackRoundTripPerformsZeroAllocations) {
+  // A noisy DM5 the receiver cannot take -- its length field names 100
+  // of the 200 user bytes it carries, so the receiver's framing is not
+  // the packet's -- is read as bits: the channel's flipped view composes
+  // the TxPacket's bits and its own flipped copy, and the receiver
+  // decodes them. After warm-up none of that allocates: compose writes
+  // straight into the packets' retained buffers.
+  using namespace btsc::baseband;
+  sim::Environment env(5);
+  phy::NoisyChannel ch(env, "ch");
+  phy::Radio tx(env, "tx", ch);
+  phy::Radio rx(env, "rx", ch);
+  Receiver rec(env, "rec");
+  rx.set_burst_rx_sink(&rec);
+  rec.set_transport_hooks([&] { rx.rx_catch_up(); },
+                          [&] { rx.rx_state_changed(); });
+  const std::uint32_t lap = 0x2A613C;
+  const std::uint8_t uap = 0x47;
+  rec.configure(sync_bits(lap), uap, std::uint8_t{0x55},
+                Receiver::Expect::kFull);
+  int delivered = 0;
+  rec.set_handler([&](const Receiver::Result&) { ++delivered; });
+  rx.enable_rx(11);
+
+  const AccessCode code = AccessCode::of(lap);
+  PacketHeader h;
+  h.type = PacketType::kDm5;
+  h.lt_addr = 1;
+  LinkParams params;
+  params.check_init = uap;
+  params.whiten_init = std::uint8_t{0x55};
+  std::vector<std::uint8_t> body = build_acl_body(
+      PacketType::kDm5, kLlidStart, true, std::vector<std::uint8_t>(200, 7));
+  body[0] = static_cast<std::uint8_t>((body[0] & 0x07u) | (100u & 0x1Fu) << 3);
+  body[1] = static_cast<std::uint8_t>(100u >> 5);
+  TxPacket packet;
+  for (int i = 0; i < 7; ++i) {
+    // Warm-up at a higher BER: the flip list's capacity then covers
+    // every later packet's flips.
+    if (i == 0 || i == 3) ch.set_ber(i == 0 ? 1.0 / 50 : 1.0 / 200);
+    const std::uint64_t flipped = ch.bits_flipped();
+    const std::uint64_t before = allocs();
+    packet.set(code, h, body, params);
+    tx.transmit(11, packet);
+    env.run(4_ms);
+    if (i >= 3) {
+      EXPECT_EQ(allocs(), before) << "round " << i;
+    }
+    EXPECT_GT(ch.bits_flipped(), flipped) << "round " << i;
+  }
+  EXPECT_GE(delivered, 7);
+  EXPECT_EQ(rec.clean_path_stats().mismatch, 7u);
+  EXPECT_EQ(rec.clean_path_stats().clean, 0u);
+  EXPECT_EQ(ch.burst_fallbacks(), 0u);
 }
 
 }  // namespace

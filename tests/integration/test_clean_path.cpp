@@ -1,14 +1,18 @@
-// Clean runs carry the packet: a run nothing can corrupt is delivered to
-// a matching receiver from its logical form, with no composing and no
-// HEC, FEC or CRC work. These tests guard that the fast path is really
-// taken where it should be (the coexistence and throughput scaffolds at
-// BER 0), that every way of leaving it -- a late enable, a foreign
-// access code, a rejecting header hook, a reconfiguration, contention,
-// an abort, a checkpoint, noise inside the run -- gives exactly the
-// per-bit reference's results and counters, and which reason the
-// receiver's telemetry records for each.
+// Runs carry the packet: a run nothing can corrupt, or one whose flips
+// leave the framing intact, is delivered to a matching receiver from its
+// logical form (and its error pattern), with no composing and no HEC or
+// bit-by-bit FEC and CRC work. These tests guard that the fast path is
+// really taken where it should be (the coexistence and throughput
+// scaffolds at BER 0, noisy packets), that every way of leaving it -- a
+// late enable, a foreign access code, a rejecting header hook, a
+// reconfiguration, contention, an abort, a checkpoint, flips that break
+// a header triple, the payload length or an early FEC block, or that
+// suppress or move the sync -- gives exactly the per-bit reference's
+// results and counters, and which reason the receiver's telemetry
+// records for each.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "baseband/access_code.hpp"
+#include "baseband/crc.hpp"
 #include "baseband/device.hpp"
 #include "baseband/packet.hpp"
 #include "baseband/receiver.hpp"
@@ -25,9 +30,11 @@
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "core/traffic.hpp"
+#include "phy/air_packet.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/environment.hpp"
+#include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
 
 namespace btsc::baseband {
@@ -49,10 +56,14 @@ std::uint64_t receptions(const Stats& s) { return s.clean + s.air; }
 
 Stats add(Stats a, const Stats& b) {
   a.clean += b.clean;
+  a.noisy += b.noisy;
   a.air += b.air;
   a.air_bits += b.air_bits;
   a.mismatch += b.mismatch;
   a.offset += b.offset;
+  a.header_flips += b.header_flips;
+  a.length_flips += b.length_flips;
+  a.early_fec += b.early_fec;
   a.hook += b.hook;
   a.interrupted += b.interrupted;
   return a;
@@ -328,20 +339,23 @@ TEST(CleanPath, AbortMidRun) {
 }
 
 TEST(CleanPath, NoiseInsideOrBeyondTheRun) {
-  // BER 1/100 puts flips inside a DH5 run: the medium shows the noisy
-  // copy and the receiver decodes bits. At 1e-9 the first gap exceeds
-  // the run: clean.
+  // BER 1/100 puts flips inside a DH5 run: the medium shows the packet
+  // with its flips, which leave this one's framing intact, so the
+  // receiver takes it with its error pattern. At 1e-9 the first gap
+  // exceeds the run: clean.
   Stats s = check_against_per_bit(1.0 / 100, [&](Link& l) {
     send(l, PacketType::kDh5, 300);
     l.env.run(5_ms);
   });
-  EXPECT_EQ(s.clean, 0u);
-  EXPECT_EQ(s.air_bits, 1u);
+  EXPECT_EQ(s.clean, 1u);
+  EXPECT_EQ(s.noisy, 1u);
+  EXPECT_EQ(s.air_bits, 0u);
   s = check_against_per_bit(1e-9, [&](Link& l) {
     send(l, PacketType::kDh5, 300);
     l.env.run(5_ms);
   });
   EXPECT_EQ(s.clean, 1u);
+  EXPECT_EQ(s.noisy, 0u);
 }
 
 TEST(CleanPath, CheckpointOfATakenPacketSavesThePerBitMachine) {
@@ -366,6 +380,276 @@ TEST(CleanPath, CheckpointOfATakenPacketSavesThePerBitMachine) {
     }
   }
   EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+TEST(CleanPath, CheckpointOfANoisyTakenPacketSavesThePerBitMachine) {
+  // A DM5 at BER 1/100, taken with its flips: mid-payload the receiver
+  // section is byte-identical to the per-bit reference's (the save
+  // replays the flipped bits into a copy of the machine), and the packet
+  // still completes on the taken path.
+  std::vector<std::uint8_t> bytes[2];
+  std::string outcome[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    Link l(mode == 0, 1.0 / 100);
+    send(l, PacketType::kDm5, 200);
+    l.env.run(SimTime::ns(900'100));
+    l.rx_radio.rx_catch_up();
+    ASSERT_TRUE(l.rx.assembling());
+    sim::SnapshotWriter w;
+    l.rx.save_state(w);
+    bytes[mode] = w.take();
+    l.env.run(5_ms);
+    ASSERT_EQ(l.log.size(), 1u);
+    outcome[mode] = l.outcome();
+    if (mode == 0) {
+      EXPECT_EQ(l.rx.clean_path_stats().noisy, 1u);
+      EXPECT_EQ(l.rx.clean_path_stats().interrupted, 0u);
+    }
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(outcome[0], outcome[1]);
+}
+
+// ---- chosen flips: a receiver fed a flipped packet as a burst run --------
+
+/// A receiver fed samples, logging every delivery.
+struct SinkRig {
+  sim::Environment env{3};
+  Receiver rx{env, "rx"};
+  std::vector<std::string> log;
+
+  SinkRig() {
+    rx.configure(sync_bits(kLap), kUap, kWhiten, Receiver::Expect::kFull);
+    rx.set_handler([this](const Receiver::Result& r) {
+      std::ostringstream os;
+      os << "id" << r.is_id << " h" << r.header_ok << " p" << r.payload_ok
+         << " f" << r.fec_failed << " " << r.header.pack() << " [";
+      for (std::uint8_t b : r.payload_body) os << int{b} << ",";
+      os << "]";
+      log.push_back(os.str());
+    });
+  }
+
+  /// Deliveries, counters and the checkpoint section.
+  std::string outcome() const {
+    std::ostringstream os;
+    for (const auto& l : log) os << l << "\n";
+    os << "syncs " << rx.syncs_detected() << " hec " << rx.hec_failures()
+       << " crc " << rx.crc_failures() << " fec " << rx.fec_failures()
+       << " assembling " << rx.assembling() << " recv";
+    sim::SnapshotWriter w;
+    rx.save_state(w);
+    for (std::uint8_t b : w.take()) os << " " << int{b};
+    return os.str();
+  }
+};
+
+/// `type` with `user` bytes (or the 18 FHS bytes), flipped at `flips`,
+/// fed as a burst run the way the radio feeds one -- probe, consume the
+/// quiet span, run the effect sample through on_run_sample() -- and,
+/// to a second receiver, as its air bits one sample at a time. Both
+/// must agree at sample `stop` (if inside the packet) and at the end;
+/// returns the burst receiver's telemetry, and its deliveries through
+/// `log` if given.
+Stats flipped_against_per_bit(PacketType type, std::size_t user,
+                              std::vector<std::uint32_t> flips,
+                              std::size_t stop = 0,
+                              std::vector<std::string>* log = nullptr) {
+  TxPacket packet;
+  if (type == PacketType::kFhs) {
+    PacketHeader h;
+    h.type = type;
+    LinkParams params;
+    params.check_init = kUap;
+    params.whiten_init = kWhiten;
+    std::vector<std::uint8_t> body(kFhsBytes);
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      body[i] = static_cast<std::uint8_t>(i * 29 + 3);
+    }
+    packet.set(AccessCode::of(kLap), h, body, params);
+  } else {
+    Link::fill(packet, kLap, type, user);
+  }
+  std::sort(flips.begin(), flips.end());
+  flips.erase(std::unique(flips.begin(), flips.end()), flips.end());
+  phy::FlippedPacket view;
+  view.show(packet);
+  view.positions() = flips;
+  const std::size_t n = packet.size();
+  SinkRig burst;
+  SinkRig ref;
+  std::size_t pos = 0;
+  std::size_t bit = 0;
+  for (const std::size_t limit : {std::min(stop, n), n}) {
+    while (pos < limit) {
+      const std::size_t q = burst.rx.quiet_prefix(&view, pos, limit - pos);
+      burst.rx.consume_quiet(&view, pos, q);
+      pos += q;
+      if (pos < limit) burst.rx.on_run_sample(&view, pos++);
+    }
+    const sim::BitVector& bits = view.bits();
+    for (; bit < limit; ++bit) ref.rx.on_sample(phy::from_bit(bits[bit]));
+    EXPECT_EQ(burst.outcome(), ref.outcome()) << "after sample " << limit;
+  }
+  if (log != nullptr) *log = burst.log;
+  return burst.rx.clean_path_stats();
+}
+
+constexpr std::uint32_t kHeader = kAccessCodeBits;  // first header bit
+constexpr std::uint32_t kPayload = kAccessCodeBits + kHeaderCodedBits;
+
+TEST(CleanPath, FlipsThatLeaveTheFramingAreTaken) {
+  // One flip per header triple, access-code flips the correlator
+  // tolerates, a corrected FEC block, a DH payload bit outside the
+  // length field, a failed DM block after the length resolved: each is
+  // taken with its error pattern and matches per-bit, mid-payload too.
+  struct Flips {
+    PacketType type;
+    std::vector<std::uint32_t> at;
+  };
+  const std::vector<Flips> cases = {
+      {PacketType::kPoll, {kHeader, kHeader + 4, kHeader + 53}},
+      {PacketType::kDm5, {5, 20, 40, 66, 69, kHeader + 1, kPayload + 3}},
+      {PacketType::kDh5, {kPayload, kPayload + 2, kPayload + 900}},
+      {PacketType::kDh3, {kPayload + 8 * 50 + 5}},
+      {PacketType::kDm1, {kPayload + 15, kPayload + 16, kPayload + 40}},
+      {PacketType::kDm3, {kPayload + 30, kPayload + 31, kPayload + 32}},
+      {PacketType::kFhs, {kPayload + 1, kPayload + 2}},
+  };
+  for (const Flips& c : cases) {
+    SCOPED_TRACE(to_string(c.type));
+    const std::size_t user = max_user_bytes(c.type) / 2;
+    const Stats s =
+        flipped_against_per_bit(c.type, user, c.at, kPayload + 60);
+    EXPECT_EQ(s.clean, 1u);
+    EXPECT_EQ(s.noisy, 1u);
+    EXPECT_EQ(s.air + s.interrupted, 0u);
+  }
+}
+
+TEST(CleanPath, AnErrorTheCrcCannotSeeIsDeliveredAsDecoded) {
+  // Errors the CRC does not see: body errors forming the generator
+  // g = x^16 + x^12 + x^5 + 1 (body bit i is the coefficient of
+  // x^(L - 1 - i)), and one body error with the CRC field flipped by
+  // exactly the change it makes (bit k of the field follows the body).
+  // The bit path delivers the corrupted body with payload_ok, and so
+  // must the taken packet.
+  const std::uint32_t body_bits = 8 * (2 + 100);  // DH3 header + 100 B
+  std::vector<std::uint32_t> in_body;
+  for (const std::uint32_t degree : {0u, 5u, 12u, 16u}) {
+    in_body.push_back(kPayload + body_bits - 1 - degree);
+  }
+  std::vector<std::uint32_t> with_crc = {kPayload + 400};
+  const std::uint16_t change = crc16_single_bit(body_bits - 1 - 400);
+  for (std::uint32_t k = 0; k < 16; ++k) {
+    if ((change >> k) & 1u) with_crc.push_back(kPayload + body_bits + k);
+  }
+  for (const auto& flips : {in_body, with_crc}) {
+    std::vector<std::string> log;
+    const Stats s =
+        flipped_against_per_bit(PacketType::kDh3, 100, flips, 0, &log);
+    EXPECT_EQ(s.noisy, 1u);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_NE(log[0].find(" p1 "), std::string::npos) << log[0];
+  }
+}
+
+TEST(CleanPath, TwoFlipsInAHeaderTripleFallBack) {
+  const Stats s = flipped_against_per_bit(
+      PacketType::kDm5, 100, {kHeader + 12, kHeader + 14}, kPayload + 30);
+  EXPECT_EQ(s.header_flips, 1u);
+  EXPECT_EQ(s.clean, 0u);
+}
+
+TEST(CleanPath, AFlipInADhLengthFieldFallsBack) {
+  // Data bit 3 is the length field's lowest bit (bits 0-2 are LLID and
+  // FLOW); DH5's second payload header byte carries its upper bits.
+  for (const std::uint32_t at : {kPayload + 3, kPayload + 9}) {
+    SCOPED_TRACE(at);
+    const Stats s =
+        flipped_against_per_bit(PacketType::kDh5, 300, {at}, kPayload + 30);
+    EXPECT_EQ(s.length_flips, 1u);
+    EXPECT_EQ(s.clean, 0u);
+  }
+}
+
+TEST(CleanPath, ADmBlockFailureBeforeTheLengthFallsBack) {
+  // DM5's two-byte payload header resolves after its second block, so a
+  // failure in block 0 or 1 fails the framing; DM1's one-byte header
+  // resolves after block 0.
+  for (const auto& [type, at] :
+       std::vector<std::pair<PacketType, std::uint32_t>>{
+           {PacketType::kDm5, kPayload}, {PacketType::kDm5, kPayload + 15},
+           {PacketType::kDm1, kPayload}}) {
+    SCOPED_TRACE(to_string(type));
+    const Stats s = flipped_against_per_bit(type, 10, {at, at + 7},
+                                            kPayload + 40);
+    EXPECT_EQ(s.early_fec, 1u);
+    EXPECT_EQ(s.clean, 0u);
+  }
+}
+
+TEST(CleanPath, AccessCodeFlipsThatSuppressOrMoveTheSync) {
+  // Eleven flips in the sync word (air bits 4..67) exceed the
+  // correlator's ten tolerated errors: no sync at all.
+  std::vector<std::uint32_t> flips;
+  for (std::uint32_t i = 0; i < 11; ++i) flips.push_back(4 + 5 * i);
+  Stats s = flipped_against_per_bit(PacketType::kDh1, 20, flips, 60);
+  EXPECT_EQ(receptions(s) + s.offset + s.mismatch, 0u);
+  // Flips that write the sync word one bit late (air bits 5..68): the
+  // correlator fires at 68, not 67, and the receiver reads bits.
+  TxPacket packet;
+  Link::fill(packet, kLap, PacketType::kDh1, 20);
+  const std::uint64_t sync = sync_bits(kLap);
+  flips.clear();
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    const bool want = (sync >> i) & 1u;
+    const bool have = (packet.word(5 + i, 1) & 1u) != 0;
+    if (want != have) flips.push_back(5 + i);
+  }
+  s = flipped_against_per_bit(PacketType::kDh1, 20, flips, 100);
+  EXPECT_EQ(s.offset, 1u);
+  EXPECT_EQ(s.clean, 0u);
+}
+
+TEST(CleanPath, RandomFlipsMatchPerBit) {
+  // Seeded flip sets over every packet type at BER 1/30 and 1/100, read
+  // mid-packet and at the end: taken or not, the same results.
+  const PacketType types[] = {PacketType::kNull, PacketType::kDm1,
+                              PacketType::kDh1,  PacketType::kDm3,
+                              PacketType::kDh3,  PacketType::kDm5,
+                              PacketType::kDh5,  PacketType::kFhs};
+  Stats total;
+  sim::Rng rng(2029);
+  for (const PacketType type : types) {
+    for (int round = 0; round < 40; ++round) {
+      const double ber = round % 2 == 0 ? 1.0 / 30 : 1.0 / 100;
+      const std::size_t user =
+          max_user_bytes(type) == 0
+              ? 0
+              : static_cast<std::size_t>(
+                    rng.uniform(1, max_user_bytes(type)));
+      // FHS: 18 bytes and the CRC in 16 FEC blocks.
+      std::size_t n = kAccessCodeBits + kHeaderCodedBits + 240;
+      if (type != PacketType::kFhs) {
+        TxPacket probe;
+        Link::fill(probe, kLap, type, user);
+        n = probe.size();
+      }
+      std::vector<std::uint32_t> flips;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (rng.bernoulli(ber)) flips.push_back(i);
+      }
+      SCOPED_TRACE(std::string(to_string(type)) + " round " +
+                   std::to_string(round));
+      total = add(total, flipped_against_per_bit(
+                             type, user, flips,
+                             static_cast<std::size_t>(rng.uniform(0, n))));
+    }
+  }
+  // Both paths ran.
+  EXPECT_GT(total.noisy, 0u);
+  EXPECT_GT(total.header_flips + total.length_flips + total.early_fec, 0u);
 }
 
 TEST(CleanPath, SystemCheckpointMidPacketRoundTrips) {

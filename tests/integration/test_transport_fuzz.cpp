@@ -3,7 +3,10 @@
 // builds, connects and measures the same system twice, once with the
 // burst transport and once on the per-bit reference path (`--no-burst`),
 // and requires identical rows and identical receiver, radio, link
-// controller and channel counters. A failing case prints its seed and
+// controller and channel counters. The burst side's receivers take
+// noisy packets in logical form where the flips leave the framing
+// intact and fall back to the bits elsewhere; the tier-1 range must
+// reach every one of those paths. A failing case prints its seed and
 // parameters; `Case::describe` is the one-line repro.
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 
 #include "baseband/device.hpp"
 #include "baseband/packet.hpp"
+#include "baseband/receiver.hpp"
 #include "core/coexistence.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
@@ -67,11 +71,11 @@ struct Case {
 };
 
 Case generate(std::uint64_t seed) {
-  static constexpr std::array<double, 4> kBers = {0.0, 1.0 / 5000,
-                                                  1.0 / 1000, 1.0 / 100};
-  static constexpr std::array<PacketType, 4> kTypes = {
-      PacketType::kDm1, PacketType::kDh1, PacketType::kDm5,
-      PacketType::kDh5};
+  static constexpr std::array<double, 6> kBers = {
+      0.0, 1.0 / 5000, 1.0 / 1000, 1.0 / 200, 1.0 / 100, 1.0 / 30};
+  static constexpr std::array<PacketType, 6> kTypes = {
+      PacketType::kDm1, PacketType::kDh1, PacketType::kDm3,
+      PacketType::kDh3, PacketType::kDm5, PacketType::kDh5};
   static constexpr std::array<std::uint32_t, 4> kPeriods = {0, 2, 4, 16};
   sim::Rng rng(seed);
   Case c;
@@ -87,13 +91,24 @@ Case generate(std::uint64_t seed) {
 }
 
 /// What a measured case leaves behind: the row, every counter a
-/// transport could disturb, and each receiver's checkpoint section.
+/// transport could disturb, and each receiver's checkpoint section; and,
+/// compared with nothing, which decode paths the receivers took.
 struct Outcome {
   std::vector<double> row;
   std::vector<std::uint64_t> counters;
   std::array<std::uint64_t, 4> root_stream{};
   std::vector<std::uint8_t> receivers;
+  baseband::Receiver::CleanPathStats paths;
 };
+
+/// Adds the noisy-packet counts of `s` (takes and fallback reasons).
+void add_noisy_paths(baseband::Receiver::CleanPathStats& into,
+                     const baseband::Receiver::CleanPathStats& s) {
+  into.noisy += s.noisy;
+  into.header_flips += s.header_flips;
+  into.length_flips += s.length_flips;
+  into.early_fec += s.early_fec;
+}
 
 void add_device(Outcome& o, baseband::Device& d) {
   std::vector<std::uint64_t>& out = o.counters;
@@ -118,6 +133,7 @@ void add_device(Outcome& o, baseband::Device& d) {
   rx.save_state(w);
   const std::vector<std::uint8_t> bytes = w.take();
   o.receivers.insert(o.receivers.end(), bytes.begin(), bytes.end());
+  add_noisy_paths(o.paths, rx.clean_path_stats());
 }
 
 void add_channel(std::vector<std::uint64_t>& out, phy::NoisyChannel& ch) {
@@ -178,15 +194,14 @@ Outcome run_case(const Case& c, bool burst) {
   return c.piconets == 1 ? run_one_piconet(c) : run_two_piconets(c);
 }
 
-// Tier-1 seed range; each case runs the per-bit reference in full, so
-// the range is kept to a few seconds.
-constexpr std::uint64_t kFirstSeed = 1;
-constexpr std::uint64_t kLastSeed = 40;
-
-TEST(TransportFuzz, BurstMatchesPerBitOnGeneratedSystems) {
+/// Runs seeds [first, last] on both transports and requires identical
+/// outcomes; returns the burst side's decode paths, summed.
+baseband::Receiver::CleanPathStats run_seeds(std::uint64_t first,
+                                             std::uint64_t last) {
+  baseband::Receiver::CleanPathStats paths;
   int noisy = 0;
   int two = 0;
-  for (std::uint64_t seed = kFirstSeed; seed <= kLastSeed; ++seed) {
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
     const Case c = generate(seed);
     SCOPED_TRACE(c.describe());
     const Outcome burst = run_case(c, true);
@@ -198,22 +213,41 @@ TEST(TransportFuzz, BurstMatchesPerBitOnGeneratedSystems) {
         << c.describe() << ": root stream positions differ";
     EXPECT_TRUE(burst.receivers == ref.receivers)
         << c.describe() << ": receiver states differ";
+    add_noisy_paths(paths, burst.paths);
     noisy += c.ber > 0.0;
     two += c.piconets == 2;
   }
   // The range covers noise and contention.
   EXPECT_GT(noisy, 0);
   EXPECT_GT(two, 0);
+  return paths;
 }
 
+// Tier-1 seed range; each case runs the per-bit reference in full, so
+// the range is kept to a few seconds.
+TEST(TransportFuzz, BurstMatchesPerBitOnGeneratedSystems) {
+  const baseband::Receiver::CleanPathStats paths = run_seeds(1, 40);
+  // Noisy packets were taken, and fell back for each reason.
+  EXPECT_GT(paths.noisy, 0u);
+  EXPECT_GT(paths.header_flips, 0u);
+  EXPECT_GT(paths.length_flips, 0u);
+  EXPECT_GT(paths.early_fec, 0u);
+}
+
+// The longer range, run by scripts/ci.sh (--gtest_also_run_disabled_tests).
+TEST(TransportFuzz, DISABLED_LongRange) { run_seeds(41, 400); }
+
 TEST(TransportFuzz, FecFailuresReadMidPayloadMatchPerBit) {
-  // Seed 8 ends its measurement while a DM5 payload at BER 1/100 is
+  // This case ends its measurement while a DM5 payload at BER 1/100 is
   // still on the air: the burst receivers hold the samples since the
   // last effect lazily, and fec_failures() must count the FEC blocks
   // among them, read before anything else catches them up.
-  const Case c = generate(8);
-  ASSERT_EQ(c.piconets, 1);
-  ASSERT_EQ(c.type, PacketType::kDm5);
+  Case c;
+  c.seed = 8;
+  c.ber = 1.0 / 100;
+  c.type = PacketType::kDm5;
+  c.payload = 104;
+  c.measure_slots = 530;
   std::array<std::uint64_t, 2> fec[2];
   for (int burst = 0; burst < 2; ++burst) {
     BurstDefaultGuard g(burst == 1);

@@ -29,6 +29,7 @@
 #include "sim/rng.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/tracer.hpp"
+#include "support/flip_rate_reference.hpp"
 #include "support/quiet_sink.hpp"
 #include "support/recording_tracer.hpp"
 
@@ -43,7 +44,7 @@ using btsc::sim::SimTime;
 using btsc::test::QuietSink;
 
 /// Air lengths of representative packets (ID, POLL, DH1, FHS, DH5) plus
-/// word-boundary and tail cases for the noisy copy's 64-bit words.
+/// word-boundary and tail cases for the flipped view's 64-bit words.
 constexpr std::size_t kPacketLengths[] = {68,  126, 366, 494,  2871,
                                           1,   63,  64,  65,   127,
                                           128, 129, 255, 256};
@@ -131,23 +132,22 @@ TEST(NoiseMaskTest, FillMatchesPerBitDrawOrderAndFinalState) {
     NoiseStream burst, per_bit;
     burst.reseed(42, rate);
     per_bit.reseed(42, rate);
-    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> positions;
     for (std::size_t n = 1; n <= 3000; ++n) {
-      words.assign((n + 63) / 64, 0);
-      const std::uint64_t flips = burst.advance(n, words.data(), rate);
-      std::uint64_t stepped = 0;
+      positions.clear();
+      const std::uint64_t flips = burst.advance(n, &positions, rate);
+      ASSERT_EQ(positions.size(), flips) << "ber " << ber << " len " << n;
+      std::size_t next = 0;  // next recorded flip position
       for (std::size_t i = 0; i < n; ++i) {
         const bool flip = per_bit.flip(rate);
-        stepped += flip;
-        ASSERT_EQ(((words[i / 64] >> (i % 64)) & 1u) != 0, flip)
+        const bool recorded = next < positions.size() && positions[next] == i;
+        next += recorded;
+        ASSERT_EQ(recorded, flip)
             << "ber " << ber << " len " << n << " bit " << i;
       }
-      ASSERT_EQ(flips, stepped) << "ber " << ber << " len " << n;
+      // Every position is inside the packet, ascending, once.
+      ASSERT_EQ(next, positions.size()) << "ber " << ber << " len " << n;
       ASSERT_TRUE(burst == per_bit) << "ber " << ber << " len " << n;
-      // Nothing lands past the packet's last bit.
-      if (n % 64 != 0) {
-        ASSERT_EQ(words.back() >> (n % 64), 0u);
-      }
     }
   }
 }
@@ -159,12 +159,11 @@ TEST(NoiseMaskTest, ShortcutBersConsumeNoDraws) {
     NoiseStream s;
     s.reseed(7, rate);
     const NoiseStream before = s;
-    std::vector<std::uint64_t> words(3, 0);
-    const std::uint64_t flips = s.advance(130, words.data(), rate);
-    const std::uint64_t expect = ber >= 1.0 ? ~0ull : 0ull;
-    EXPECT_EQ(words[0], expect);
-    EXPECT_EQ(words[1], expect);
-    EXPECT_EQ(words[2], expect & 0x3ull);  // 130 % 64 == 2 tail bits
+    std::vector<std::uint32_t> positions;
+    const std::uint64_t flips = s.advance(130, &positions, rate);
+    std::vector<std::uint32_t> expect;
+    for (std::uint32_t i = 0; ber >= 1.0 && i < 130; ++i) expect.push_back(i);
+    EXPECT_EQ(positions, expect);
     EXPECT_EQ(flips, ber >= 1.0 ? 130u : 0u);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(s.flip(rate), ber >= 1.0);
     s.redraw(rate);
@@ -205,6 +204,32 @@ TEST(NoiseMaskTest, GeometricAtExtremeDraws) {
   }
   Rng bottom = rng_drawing(0);
   EXPECT_EQ(FlipRate(1e-300).draw_gap(bottom), FlipRate::kNever);
+}
+
+TEST(NoiseMaskTest, TwoPhaseGapSearchMatchesTheReferenceLoop) {
+  // Counting the levels u passes gives the top set bit; the multiply
+  // chain below it must then set the same bits as the one-phase loop,
+  // gap for gap: at every table entry, its neighbours, the extreme
+  // draws 2^-53 and 1, and random draws.
+  for (double ber : {1.0 / 30, 1.0 / 100, 1.0 / 200, 1.0 / 1000,
+                     1.0 / 5000, 1e-6, 1e-12, 1e-300, 0.25, 0.5, 0.9}) {
+    const FlipRate rate(ber);
+    std::vector<double> us = {0x1.0p-53, 1.0};
+    for (const double q : rate.survival_table()) {
+      for (const double u : {q, std::nextafter(q, 0.0),
+                             std::nextafter(q, 2.0)}) {
+        if (u >= 0x1.0p-53 && u <= 1.0) us.push_back(u);
+      }
+    }
+    Rng rng(ber < 1e-100 ? 1 : static_cast<std::uint64_t>(1.0 / ber));
+    for (int i = 0; i < 20000; ++i) {
+      us.push_back(static_cast<double>((rng.next() >> 11) + 1) * 0x1.0p-53);
+    }
+    for (const double u : us) {
+      ASSERT_EQ(rate.gap_at(u), test::gap_reference(rate, u))
+          << "ber " << ber << " u " << u;
+    }
+  }
 }
 
 // ---- channel layer: noisy bursts vs the per-bit reference ----
@@ -563,7 +588,7 @@ TEST(NoiseMaskTest, BurstBarrierTimerKeepsKernelBusyAndSurvivesCheckpoint) {
   const auto snap = save_phy(env, ch, tx, rx);
 
   // Twin: same construction path, restore mid-burst, run both to the
-  // end. The twin's noisy copy is redrawn from the run's saved base
+  // end. The twin's flips are redrawn from the run's saved base
   // stream, so its remaining samples must equal the original's.
   Environment env2(23);
   NoisyChannel ch2(env2, "ch", cfg);
