@@ -21,6 +21,7 @@
 #include "baseband/bt_clock.hpp"
 #include "baseband/packet.hpp"
 #include "baseband/receiver.hpp"
+#include "baseband/tx_packet.hpp"
 #include "core/experiments.hpp"
 #include "core/system.hpp"
 #include "phy/channel.hpp"
@@ -102,11 +103,13 @@ void BM_NoisyScenario480msPerBit(benchmark::State& state) {
 }
 BENCHMARK(BM_NoisyScenario480msPerBit)->Unit(benchmark::kMillisecond);
 
-/// Full packet codec round trip through the word-packed framing stack:
-/// compose a DH5 (access code, header FEC 1/3 + HEC, whitening, CRC),
-/// then run every air bit through the receiver's batched sink protocol
-/// -- sliding-word sync correlation, bulk assembly, block FEC/whitening
-/// removal, table CRC -- exactly as a burst run delivers it.
+/// Packet round trip the way a burst run carries it: set a DH5 as a
+/// logical TxPacket (access code, header, whitening, CRC parameters),
+/// then deliver it through the receiver's batched sink protocol --
+/// correlator scan over the cached access code, the sync and header
+/// effect samples through on_run_sample(), which take the packet, and
+/// the payload counted from the framing and filled from the packet at
+/// its last bit. No air bit is composed or decoded.
 void BM_PacketDecode(benchmark::State& state) {
   using namespace btsc::baseband;
   const std::uint32_t lap = 0x2A613C;
@@ -120,6 +123,7 @@ void BM_PacketDecode(benchmark::State& state) {
   const std::vector<std::uint8_t> user(300, 0xA5);
   const std::vector<std::uint8_t> body =
       build_acl_body(PacketType::kDh5, kLlidStart, true, user);
+  const AccessCode code = AccessCode::of(lap);
 
   sim::Environment env;
   Receiver rec(env, "rx");
@@ -128,32 +132,29 @@ void BM_PacketDecode(benchmark::State& state) {
     delivered += r.payload_ok ? 1 : 0;
   });
 
+  TxPacket packet;
   std::uint64_t bits_total = 0;
   for (auto _ : state) {
-    phy::BitsPacket packet;
-    sim::BitVector& bits = packet.mutable_bits();
-    AccessCode::of(lap).append_to(bits, kAccessCodeBits);
-    compose_after_access_code(h, body, params, bits);
+    packet.set(code, h, body, params);
     rec.configure(sync_bits(lap), uap, params.whiten_init,
                   Receiver::Expect::kFull);
     // Deliver the packet the way a burst run does: quiet spans in bulk,
-    // effect samples through the per-sample entry.
+    // effect samples through the run-sample entry.
+    const std::size_t n = packet.size();
     std::size_t pos = 0;
-    while (pos < bits.size()) {
-      const std::size_t q =
-          rec.quiet_prefix(&packet, pos, bits.size() - pos);
+    while (pos < n) {
+      const std::size_t q = rec.quiet_prefix(&packet, pos, n - pos);
       rec.consume_quiet(&packet, pos, q);
       pos += q;
-      if (pos < bits.size()) {
-        rec.on_sample(phy::from_bit(bits[pos]));
-        ++pos;
-      }
+      if (pos < n) rec.on_run_sample(&packet, pos++);
     }
-    bits_total += bits.size();
+    bits_total += n;
     benchmark::DoNotOptimize(delivered);
   }
   if (delivered != static_cast<std::uint64_t>(state.iterations())) {
     state.SkipWithError("DH5 round trip failed to decode");
+  } else if (rec.clean_path_stats().clean != delivered) {
+    state.SkipWithError("DH5 round trip was decoded from air bits");
   }
   state.counters["air_bits_per_s"] = benchmark::Counter(
       static_cast<double>(bits_total), benchmark::Counter::kIsRate);

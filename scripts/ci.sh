@@ -140,10 +140,11 @@ cmake --build build-asan -j "$jobs" --target \
 # block at a time), and baseband_test_hop reads PERM5 from its two
 # tables over every control word: raw word and table indexing, so they
 # run sanitized too.
-# baseband_test_receiver_word is the receiver's word-vs-bit differential
-# suite (every packet type, whitening, noise, all-'Z' sources, every
-# consume split point); with asserts armed consume_quiet() also replays
-# each span through the per-bit step and compares machines. Its
+# baseband_test_receiver_word is the receiver's burst-vs-bit differential
+# suite on runs of plain bits (every packet type, whitening, noise,
+# all-'Z' sources, every consume split point); with asserts armed
+# consume_quiet() checks that every per-bit step of an assembling span
+# is quiet, and that no word shift of a searching one fires. Its
 # SilentProbeMatchesPushReference case consumes every span the silent
 # probe (the correlator weight bound) certifies, so consume_quiet's
 # per-bit oracle asserts ("consume_quiet crossed a sync fire") run

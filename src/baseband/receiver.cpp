@@ -20,17 +20,6 @@ constexpr sim::SimTime kSyncEndOffset = sim::SimTime::ns(67'250);
 /// Trailer after the sync word.
 constexpr std::size_t kTrailerBits = 4;
 
-/// Appends samples [pos, pos+n) of a burst source to `dst`; a null
-/// source is an all-'Z' run, which the demodulator slices as zeros.
-void append_samples(sim::BitVector& dst, const sim::BitVector* bits,
-                    std::size_t pos, std::size_t n) {
-  if (bits != nullptr) {
-    dst.append_range(*bits, pos, n);
-  } else {
-    dst.append_zeros(n);
-  }
-}
-
 /// First air bit of the payload.
 constexpr std::size_t kPayloadStart = kAccessCodeBits + kHeaderCodedBits;
 
@@ -370,79 +359,16 @@ void Receiver::consume_quiet(const phy::AirPacket* run, std::size_t first,
     }
     return;
   }
-  const sim::BitVector* bits = run != nullptr ? &run->bits() : nullptr;
-#ifndef NDEBUG
-  // Per-bit oracle: the same span stepped bit by bit on the scratch copy
-  // must stay quiet and land on the state the word path reaches.
-  scratch_ = machine_;
-  for (std::size_t i = 0; i < count; ++i) {
-    [[maybe_unused]] const Effect e =
-        step(scratch_, bits != nullptr && (*bits)[first + i]);
-    assert(e == Effect::kNone && "consume_quiet crossed a side effect");
-  }
-#endif
-  consume_assembly(machine_, bits, first, count);
-  assert(scratch_ == machine_ && "word consume diverged from per-bit step");
+  // An assembling machine the receiver did not take: the reference
+  // steps, one per sample (a null run is silence, sliced as zeros).
+  step_quiet(machine_, run != nullptr ? &run->bits() : nullptr, first, count);
 }
 
-void Receiver::consume_assembly(Machine& m, const sim::BitVector* bits,
-                                std::size_t first, std::size_t count) {
-  std::size_t i = 0;
-  if (m.phase == Phase::kTrailer) {
-    const std::size_t left = kTrailerBits - m.collected.size();
-    const std::size_t take = count < left ? count : left;
-    append_samples(m.collected, bits, first, take);
-    i = take;
-    if (take == left) {
-      m.collected.clear();
-      m.phase = Phase::kHeader;
-    }
-  }
-  if (i < count && m.phase == Phase::kHeader) {
-    // Quiet: the 54th header bit is an effect, so the span ends short.
-    assert(m.collected.size() + (count - i) < kHeaderCodedBits);
-    append_samples(m.collected, bits, first + i, count - i);
-    i = count;
-  }
-  if (i < count) consume_payload(m, bits, first + i, count - i);
-}
-
-void Receiver::consume_payload(Machine& m, const sim::BitVector* bits,
-                               std::size_t pos, std::size_t n) {
-  assert(m.phase == Phase::kPayload);
-  if (!is_fec23(m.header.type)) {
-    // Unprotected payload: every coded bit is a data bit, de-whitened a
-    // keystream word at a time. The length resolves from the first data
-    // bits alone, so one check after the span equals the per-bit ones.
-    const std::size_t start = m.collected.size();
-    append_samples(m.collected, bits, pos, n);
-    for (std::size_t done = 0; done < n;) {
-      const auto chunk = static_cast<unsigned>(n - done < 64 ? n - done : 64);
-      std::uint64_t w = m.collected.extract_word(start + done, chunk);
-      if (m.have_whitener) w ^= m.whitener.keystream(chunk);
-      m.payload_data_bits.append_uint(w, chunk);
-      done += chunk;
-    }
-    [[maybe_unused]] const Effect e = payload_progress(m);
-    assert(e == Effect::kNone && "consume_quiet crossed a payload effect");
-    return;
-  }
-  // FEC 2/3: fill and decode one 15-bit block at a time. The length
-  // check runs after every block, so a block failure before the payload
-  // header resolves is seen exactly where the per-bit path sees it.
-  for (std::size_t done = 0; done < n;) {
-    const std::size_t into = m.collected.size() % kFec23BlockBits;
-    const std::size_t left = kFec23BlockBits - into;
-    const std::size_t take = n - done < left ? n - done : left;
-    append_samples(m.collected, bits, pos + done, take);
-    done += take;
-    if (take == left) {
-      decode_block(m, static_cast<std::uint16_t>(m.collected.extract_word(
-                          m.collected.size() - kFec23BlockBits,
-                          kFec23BlockBits)));
-      [[maybe_unused]] const Effect e = payload_progress(m);
-      assert(e == Effect::kNone && "consume_quiet crossed a payload effect");
-    }
+void Receiver::step_quiet(Machine& m, const sim::BitVector* bits,
+                          std::size_t first, std::size_t count) {
+  for (std::size_t i = first; i < first + count; ++i) {
+    [[maybe_unused]] const Effect e = step(m, bits != nullptr && (*bits)[i]);
+    assert(e == Effect::kNone && "a quiet span crossed a side effect");
   }
 }
 
@@ -713,8 +639,8 @@ void Receiver::replay_taken() {
   taken_ = false;
   ++clean_stats_.interrupted;
   if (taken_next_ == taken_mark_) return;  // nothing pending: no compose
-  consume_assembly(machine_, &taken_view_.bits(), taken_mark_,
-                   taken_next_ - taken_mark_);
+  step_quiet(machine_, &taken_view_.bits(), taken_mark_,
+             taken_next_ - taken_mark_);
 }
 
 std::size_t Receiver::taken_effect_at() const {
@@ -825,8 +751,7 @@ void Receiver::save_state(sim::SnapshotWriter& w) const {
   }
   // A taken packet is saved as the machine its bits would have built.
   Machine m = machine_;
-  consume_assembly(m, &taken_view_.bits(), taken_mark_,
-                   taken_next_ - taken_mark_);
+  step_quiet(m, &taken_view_.bits(), taken_mark_, taken_next_ - taken_mark_);
   io(*this, m, w);
 }
 

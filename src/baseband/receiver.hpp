@@ -16,17 +16,17 @@
 // decode state machine is factored into a small copyable `Machine` whose
 // step() reports, instead of performing, every externally visible effect
 // (handler/hook invocation, RNG draw); step() is the per-bit reference
-// that on_bit() runs. quiet_prefix() locates the next effect: while
-// searching by scanning the correlator over word reads (a silent medium
-// is answered from the correlator's weight), while assembling
-// analytically from the framing (trailer and header lengths, the
-// payload's coded length once its header resolves) -- only the few bits
-// before a payload length resolves are dry-run on a scratch copy.
-// consume_quiet() then advances the real machine a word at a time --
-// correlator shifts, trailer/header/payload bits appended in words,
-// DH payloads de-whitened by keystream words, DM/FHS payloads decoded
-// one FEC block at a time -- and on_sample()/on_bit() executes effect
-// samples through the classic path at exactly their own instants.
+// decoder. quiet_prefix() locates the next effect: while searching by
+// scanning the correlator over word reads (a silent medium is answered
+// from the correlator's weight), while assembling analytically from the
+// framing (trailer and header lengths, the payload's coded length once
+// its header resolves) -- only the few bits before a payload length
+// resolves are dry-run on a scratch copy. consume_quiet() then shifts a
+// searching correlator up to 64 bits at a time; an assembling packet
+// the receiver did not take (below) goes through step() one bit at a
+// time, each step asserted quiet -- such packets carry under 1 % of the
+// assembly bits even on the throughput study. on_sample() runs effect
+// samples through the per-sample path at exactly their own instants.
 //
 // Logical runs: the radio feeds the sink the packet the medium shows --
 // a TxPacket for a clean run, a phy::FlippedPacket (the TxPacket plus
@@ -120,9 +120,6 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
     catch_up_ = std::move(catch_up);
     state_changed_ = std::move(state_changed);
   }
-
-  /// Feed one channel sample (the radio's per-sample entry).
-  void on_bit(phy::Logic4 sample);
 
   // ---- phy::BurstRxSink ----
   std::size_t quiet_prefix(const phy::AirPacket* run, std::size_t first,
@@ -230,8 +227,6 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
     /// Cumulative uncorrectable-block count (lives here so quiet block
     /// decodes can bump it and probes on copies stay side-effect-free).
     std::uint64_t fec_failures = 0;
-
-    friend bool operator==(const Machine&, const Machine&) = default;
   };
 
   /// effect_index() answer when the framing does not fix it yet.
@@ -248,13 +243,12 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   /// machine's next effect when the framing alone fixes it; kUnknown
   /// while searching or before a payload length resolves.
   static std::size_t effect_index(const Machine& m);
-  /// Word-level quiet consumption of assembly samples [pos, pos+n) (the
-  /// machine past its search phase; a null source is silence).
-  static void consume_assembly(Machine& m, const sim::BitVector* bits,
-                               std::size_t pos, std::size_t n);
-  /// Word-level quiet consumption of payload samples [pos, pos+n).
-  static void consume_payload(Machine& m, const sim::BitVector* bits,
-                              std::size_t pos, std::size_t n);
+  /// Steps quiet samples [first, first+count) of `bits` through step()
+  /// (a null source is silence, sliced as zeros).
+  static void step_quiet(Machine& m, const sim::BitVector* bits,
+                         std::size_t first, std::size_t count);
+  /// Feeds one channel sample to the machine (the per-sample path).
+  void on_bit(phy::Logic4 sample);
   /// Runs the effectful part of a sample whose step() reported `e`.
   void execute(Effect e);
 
@@ -301,8 +295,7 @@ class Receiver : public phy::BurstRxSink, public sim::Snapshotable {
   Result& fresh_result();
 
   Machine machine_;
-  /// Probe dry-run state, and the per-bit oracle of consume_quiet()'s
-  /// debug cross-check (capacity reused: no steady-state allocation).
+  /// Probe dry-run state (capacity reused: no steady-state allocation).
   Machine scratch_;
 
   /// The taken packet: a copy of its logical form (capacity reused), the

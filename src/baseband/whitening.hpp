@@ -74,8 +74,6 @@ class Whitener {
 
   std::uint8_t state() const { return reg_; }
 
-  friend bool operator==(const Whitener&, const Whitener&) = default;
-
  private:
   struct Step {
     std::uint64_t stream = 0;  // 64 output bits, LSB first

@@ -120,12 +120,6 @@ class BitVector {
     }
   }
 
-  /// Appends `n` zero bits in O(n/64).
-  void append_zeros(std::size_t n) {
-    size_ += n;
-    words_.resize(word_count(size_), 0);
-  }
-
   /// XORs `stream` (LSB-first, `nbits` <= 64) onto the bits starting at
   /// `pos` (unchecked; debug assert). The whitener word path.
   void xor_word(std::size_t pos, std::uint64_t stream, unsigned nbits) {

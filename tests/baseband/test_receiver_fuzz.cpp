@@ -32,7 +32,7 @@ struct Fuzzer {
   /// Feeds a bit vector, one sample per microsecond of simulated time.
   void feed(const sim::BitVector& bits) {
     for (std::size_t i = 0; i < bits.size(); ++i) {
-      rx.on_bit(phy::from_bit(bits[i]));
+      rx.on_sample(phy::from_bit(bits[i]));
       env.run(sim::SimTime::us(1));
     }
   }
@@ -147,7 +147,7 @@ TEST(ReceiverFuzz, CollisionSymbolsDoNotCrash) {
   sim::Rng rng(4);
   for (int i = 0; i < 50000; ++i) {
     const auto roll = rng.uniform(0, 3);
-    f.rx.on_bit(static_cast<phy::Logic4>(roll));
+    f.rx.on_sample(static_cast<phy::Logic4>(roll));
     f.env.run(sim::SimTime::us(1));
   }
   for (const auto& r : f.results) {

@@ -1,8 +1,11 @@
-// Word-vs-bit differential tests for the receiver's burst sink: the
-// word-level quiet_prefix()/consume_quiet() path must deliver the same
+// Burst-vs-bit differential tests for the receiver's burst sink on runs
+// of plain bits (the packets it does not take): the quiet_prefix()
+// probes -- correlator scans, framing-derived answers, the dry run up to
+// a payload length -- and the consume_quiet() spans -- word shifts while
+// searching, per-bit steps while assembling -- must deliver the same
 // results at the same samples, and leave the same decode machine (the
 // RECV snapshot section, byte for byte), as feeding every sample to the
-// per-bit on_sample() reference -- for every packet type, whitened or
+// per-sample on_sample() reference -- for every packet type, whitened or
 // not, clean or noisy, from real bits or from an all-'Z' source, and
 // wherever a consume is split.
 #include <gtest/gtest.h>
@@ -235,7 +238,7 @@ std::vector<Delivery> check_equivalence(const Case& c,
   // Every split point: from the reference state at sample k, one probe
   // and one consume up to the next effect sample (or the end) must land
   // on the reference state there -- a consume starting anywhere in a
-  // trailer, header, FEC block or keystream word.
+  // trailer, header, FEC block or unprotected payload.
   Rig rig(env, c.whiten);
   phy::BitsPacket packet;
   packet.mutable_bits() = stream;
@@ -364,7 +367,7 @@ TEST(ReceiverWordTest, LengthAboveMaximumIsBadWhereItResolves) {
       for (int i = 0; i < 11; ++i) s.push_back(i % 3 == 0);
       AccessCode::of(kLap).append_to(s, kAccessCodeBits);
       compose_after_access_code(h, body, params, s);
-      s.append_zeros(40);
+      s.append_uint(0, 40);
       const Case c{t, whiten, 0.0, 0};
       check_equivalence(c, s);
       sim::Environment env;
