@@ -9,8 +9,7 @@ NativeClock::NativeClock(sim::Environment& env, std::string name,
                          sim::SimTime first_tick_delay)
     : Module(env, std::move(name)),
       start_(initial & kClockMask),
-      first_tick_(env.now() + first_tick_delay),
-      tick_(env) {
+      first_tick_(env.now() + first_tick_delay) {
   env.register_rearm(this->name(), this, this);
   schedule_wake(1);
 }
@@ -37,8 +36,13 @@ void NativeClock::schedule_wake(std::uint64_t tick) {
   wake_timer_ = env().schedule_tagged(
       tick_time(tick) - env().now(), kWake, stride_,
       [this] {
-        tick_.notify_delta();
+        // Queue the next wake first: the listener's own wake() request
+        // then finds it pending and keeps it.
         schedule_wake(next_wake_ + stride_);
+        if (listener_) {
+          env().count_tick_dispatch();
+          listener_();
+        }
       },
       this);
 }

@@ -14,21 +14,24 @@
 // whatever its place among that instant's timed callbacks, sees the
 // incremented value.
 //
-// tick_event is notified only on the ticks its listener asks for through
-// wake() (by default every tick): one tagged timer per requested tick,
-// whose callback notifies the event for the delta cycle after the
-// instant's timed callbacks. The link controller requests exactly the
-// ticks its current state acts on (see link_controller.hpp).
+// The clock calls its one listener only on the ticks the listener asks
+// for through wake() (by default every tick): one tagged timer per
+// requested tick, whose callback queues the next requested tick and then
+// calls the listener, at the tick instant. Timers already queued for
+// that instant ahead of the wake run before the listener; work the
+// listener schedules there runs after it. The link controller is the
+// listener and requests exactly the ticks its current state acts on
+// (see link_controller.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "sim/event.hpp"
 #include "sim/module.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_queue.hpp"
+#include "sim/unique_function.hpp"
 
 namespace btsc::baseband {
 
@@ -44,7 +47,7 @@ class NativeClock final : public sim::Module,
  public:
   /// The counter starts at `initial`; the first increment happens
   /// `first_tick_delay` after construction (use a random phase to model
-  /// unsynchronised devices). tick_event is notified on every tick until
+  /// unsynchronised devices). The listener is called on every tick until
   /// wake() or sleep() says otherwise.
   NativeClock(sim::Environment& env, std::string name,
               std::uint32_t initial = 0,
@@ -72,17 +75,18 @@ class NativeClock final : public sim::Module,
     return n == 0 ? sim::SimTime::zero() : tick_time(n);
   }
 
-  /// Notified on the requested ticks, in the delta cycle after the tick
-  /// instant's timed callbacks (clkn() already includes the tick).
-  sim::Event& tick_event() { return tick_; }
+  /// Installs the one listener, called on the requested ticks from the
+  /// wake timer at the tick instant (clkn() already includes the tick),
+  /// after the next requested tick is queued.
+  void set_listener(sim::UniqueFunction fn) { listener_ = std::move(fn); }
 
-  /// Notifies tick_event on tick `first` (ticks() numbering; its instant
+  /// Calls the listener on tick `first` (ticks() numbering; its instant
   /// must not lie in the past) and on every `stride`-th tick after it,
   /// replacing the previous request. Re-requesting the pending schedule
   /// keeps its timer, so its place among same-instant timers holds.
   void wake(std::uint64_t first, std::uint32_t stride);
 
-  /// Stops notifying tick_event until the next wake().
+  /// Stops calling the listener until the next wake().
   void sleep();
 
   /// Re-randomisation hook for forked replications: restarts the counter
@@ -117,7 +121,7 @@ class NativeClock final : public sim::Module,
 
   std::uint32_t start_;
   sim::SimTime first_tick_;
-  sim::Event tick_;
+  sim::UniqueFunction listener_;
   /// Pending wake-up: its tick and the stride to the one after it.
   sim::TimerId wake_timer_ = sim::kInvalidTimer;
   std::uint64_t next_wake_ = 0;

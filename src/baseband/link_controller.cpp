@@ -48,8 +48,7 @@ LinkController::LinkController(sim::Environment& env, std::string name,
       receiver_(receiver),
       config_(config),
       master_addr_(addr) {
-  sim::Process& tick = method([this] { on_tick(); });
-  clock_.tick_event().add_sensitive(tick);
+  clock_.set_listener([this] { on_tick(); });
   receiver_.set_handler([this](const Receiver::Result& r) {
     switch (state_) {
       case LcState::kInquiry:
@@ -352,7 +351,7 @@ std::uint32_t LinkController::piconet_clock() const {
 std::uint64_t LinkController::ticks_seen() const {
   const std::uint64_t ticks = clock_.ticks();
   // Inside dispatch, a tick at this very instant still reaches on_tick
-  // (in the delta after the timed callbacks) unless on_tick ran at it.
+  // (from its wake timer, later in the instant) unless on_tick ran at it.
   const SimTime now = env().now();
   if (env().dispatching() && ticks > 0 && clock_.last_tick_time() == now &&
       last_tick_at_ != now) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -302,7 +303,8 @@ struct BenchArgs {
       char* end = nullptr;
       errno = 0;
       const double v = std::strtod(text, &end);
-      if (end == text || *end != '\0' || errno == ERANGE) {
+      if (end == text || *end != '\0' || errno == ERANGE ||
+          !std::isfinite(v)) {
         reject(flag, text);
         return fallback;
       }

@@ -946,8 +946,9 @@ const char* sweep_usage() {
       "  --resume             skip replications already in --journal FILE;\n"
       "                       output is byte-identical to an uninterrupted\n"
       "                       run\n"
-      "  --rep-timeout S      per-replication deadline in seconds; overruns\n"
-      "                       are quarantined, the sweep completes\n"
+      "  --rep-timeout S      per-replication deadline in seconds (finite;\n"
+      "                       <= 0 = none); overruns are quarantined, the\n"
+      "                       sweep completes\n"
       "  --max-retries N      retry a throwing replication N times (with\n"
       "                       backoff) before quarantining it\n"
       "  --keep-going         quarantine failing replications instead of\n"

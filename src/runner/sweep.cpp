@@ -28,6 +28,9 @@ void run_task_grid(std::size_t total, int threads,
                    const std::function<void(std::size_t)>& task,
                    const std::atomic<bool>* stop) {
   if (total == 0) return;
+  // A worker beyond the task count would only start and exit.
+  threads = static_cast<int>(
+      std::min(total, static_cast<std::size_t>(std::max(threads, 1))));
 
   const auto stopping = [stop] {
     return stop != nullptr && stop->load(std::memory_order_relaxed);
@@ -225,7 +228,8 @@ void run_supervised_grid(std::size_t total, const SupervisorConfig& cfg,
   auto sh = std::make_shared<SupShared>(total, cfg);
   sh->task = attempt;
 
-  const int workers = std::max(1, cfg.threads);
+  const int workers = static_cast<int>(
+      std::min(total, static_cast<std::size_t>(std::max(cfg.threads, 1))));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
   try {

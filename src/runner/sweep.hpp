@@ -78,7 +78,8 @@ struct SweepOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency(). With 1
   /// the sweep runs inline on the calling thread (no pool is spawned).
   /// Under supervision the calling thread is the watchdog instead, so
-  /// `threads` workers are spawned even for 1.
+  /// `threads` workers are spawned even for 1. No pool outgrows the
+  /// replications still to run.
   int threads = 1;
   /// Independent replications per parameter point (>= 1).
   int replications = 1;
@@ -160,11 +161,11 @@ int resolve_thread_count(int requested);
 
 namespace detail {
 
-/// Runs `task(i)` for every i in [0, total) on `threads` workers pulling
-/// from a shared atomic counter. Rethrows the first task exception on the
-/// calling thread after all workers have stopped. When `stop` is non-null
-/// and becomes set, workers finish their current task and claim no more.
-/// Defined in sweep.cpp.
+/// Runs `task(i)` for every i in [0, total) on `threads` workers, never
+/// more than `total`, pulling from a shared atomic counter. Rethrows the
+/// first task exception on the calling thread after all workers have
+/// stopped. When `stop` is non-null and becomes set, workers finish their
+/// current task and claim no more. Defined in sweep.cpp.
 void run_task_grid(std::size_t total, int threads,
                    const std::function<void(std::size_t)>& task,
                    const std::atomic<bool>* stop = nullptr);
@@ -212,8 +213,9 @@ struct SupervisorConfig {
 };
 
 /// Supervised grid executor: runs `attempt(i, token)` for every i in
-/// [0, total) on `cfg.threads` spawned workers while the calling thread
-/// watches per-attempt deadlines. Throwing attempts are retried with
+/// [0, total) on `cfg.threads` spawned workers (never more than `total`,
+/// deadline replacements aside) while the calling thread watches
+/// per-attempt deadlines. Throwing attempts are retried with
 /// exponential backoff up to cfg.max_retries, then quarantined;
 /// deadline overruns abandon the worker (detach + replace) and
 /// quarantine immediately. Failures come back sorted by index. Defined

@@ -23,48 +23,7 @@ void Environment::set_seeded_streams(SeededStreams* s) {
   seeded_ = s;
 }
 
-void Environment::make_runnable(Process& p) {
-  if (p.queued_) return;
-  p.queued_ = true;
-  next_runnable_.push_back(&p);
-}
-
-// ---------------------------------------------------------------------------
-// Processes, events, delta cycles (the timed queue itself is
-// sim::TimerQueue; its hot path is inline in the headers)
-// ---------------------------------------------------------------------------
-
-Process& Environment::register_process(UniqueFunction fn) {
-  processes_.push_back(std::make_unique<Process>(std::move(fn)));
-  return *processes_.back();
-}
-
-void Event::notify_delta() {
-  for (Process* p : waiters_) env_->make_runnable(*p);
-}
-
-void Environment::run_deltas() {
-  while (!next_runnable_.empty()) {
-    ++delta_count_;
-    runnable_.swap(next_runnable_);
-    next_runnable_.clear();
-    dispatching_ = true;
-    for (Process* p : runnable_) {
-      p->queued_ = false;
-      ++activations_;
-      p->run();
-    }
-    dispatching_ = false;
-    runnable_.clear();
-  }
-}
-
-bool Environment::idle() const {
-  return next_runnable_.empty() && queue_.empty();
-}
-
 void Environment::run_until(SimTime until) {
-  run_deltas();
   while (!queue_.empty()) {
     const SimTime t = queue_.next_time();
     if (t > until) break;
@@ -83,9 +42,6 @@ void Environment::run_until(SimTime until) {
       dispatching_ = false;
       fn.reset();
     }
-    // Processes woken by the timed callbacks above run after all of
-    // them, in the delta cycles of this instant.
-    run_deltas();
   }
   if (now_ < until) now_ = until;
 }
@@ -95,9 +51,9 @@ void Environment::run_until(SimTime until) {
 // ---------------------------------------------------------------------------
 
 void Environment::require_settled(const char* verb) const {
-  if (dispatching_ || !next_runnable_.empty()) {
+  if (dispatching_) {
     throw SnapshotError(std::string("environment: cannot ") + verb +
-                        " at an unsettled instant (delta work pending)");
+                        " at an unsettled instant (inside a callback)");
   }
 }
 

@@ -1,15 +1,13 @@
 // The simulation environment: scheduler, timed queue and kernel services.
 //
-// Scheduling keeps SystemC's delta cycles for the one event the model
-// waits on, the native clock's tick:
-//
-//   1. timed : claim the earliest timed instant and run every callback
-//              due there, in (when, seq) order. Callbacks may notify
-//              events and schedule more timed callbacks.
-//   2. delta : processes made runnable by notify_delta() run after every
-//              timed callback of the instant, at the *same* time; the
-//              processes they wake run in the delta after, until none
-//              remain. Then time advances.
+// Scheduling is one timed queue and nothing else: run_until() claims the
+// earliest timed instant and runs every callback due there, in
+// (when, seq) order, until the instant is dry; then time advances. A
+// callback may schedule more work at the same instant (it runs after
+// every entry already queued there) and may cancel a same-instant
+// sibling. There is no second phase: the one listener the model waits
+// on, a link controller on its native clock's tick, is called from the
+// clock's wake timer itself (see baseband/bt_clock.hpp).
 //
 // Timed queue
 // -----------
@@ -41,12 +39,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/event.hpp"
-#include "sim/process.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "sim/timer_queue.hpp"
@@ -89,12 +84,9 @@ class Environment {
 
   /// True if nothing remains to execute. Canceled timers are physically
   /// removed from the queue, so they never hold this false.
-  bool idle() const;
+  bool idle() const { return queue_.empty(); }
 
-  // ---- process / event plumbing (used by Event, Module) ----
-  void make_runnable(Process& p);
-
-  /// Schedules a one-shot callback at now()+delay (evaluate phase).
+  /// Schedules a one-shot callback at now()+delay.
   /// Returns a TimerId that can be passed to cancel(). `owner` is an
   /// optional tag for bulk cancellation via cancel_owned(); it is never
   /// dereferenced. The callback becomes a move-only UniqueFunction,
@@ -137,12 +129,6 @@ class Environment {
   /// canceled.
   bool pending(TimerId id) const { return queue_.pending(id); }
 
-  /// Registers a process owned by the caller's module; the environment
-  /// stores it so sensitivity lists can reference stable addresses. The
-  /// behaviour is a move-only UniqueFunction -- process bootstrap never
-  /// copies a capture.
-  Process& register_process(UniqueFunction fn);
-
   // ---- services ----
 
   /// The root random stream: receiver collision coins, inquiry backoff
@@ -167,13 +153,12 @@ class Environment {
   void set_tracer(Tracer* t) { tracer_ = t; }
   Tracer* tracer() const { return tracer_; }
 
-  /// True while the kernel is executing a timed callback or a process
-  /// (i.e. inside event dispatch). Model code uses this to decide
-  /// whether an instant that equals now() has already been claimed by
-  /// the queue: outside dispatch (between run() calls) every entry at
-  /// <= now() has fired; inside dispatch, same-instant entries may still
-  /// be pending. The burst transport's lazy catch-up boundaries depend
-  /// on this distinction.
+  /// True while the kernel is executing a timed callback. Model code
+  /// uses this to decide whether an instant that equals now() has
+  /// already been claimed by the queue: outside dispatch (between run()
+  /// calls) every entry at <= now() has fired; inside dispatch,
+  /// same-instant entries may still be pending. The burst transport's
+  /// lazy catch-up boundaries depend on this distinction.
   bool dispatching() const { return dispatching_; }
 
   // ---- checkpoint / fork ----
@@ -192,7 +177,7 @@ class Environment {
   /// pending timer as a re-armable (owner-name, kind, payload, when,
   /// seq) descriptor, in seq order, plus the seq allocator. Must be
   /// called at a settled instant (between run() calls); throws
-  /// SnapshotError if delta work is pending, or if any live timer is
+  /// SnapshotError from inside a callback, or if any live timer is
   /// untagged (kind 0) or has no registered owner.
   void save_state(SnapshotWriter& w) const;
 
@@ -205,8 +190,14 @@ class Environment {
   void restore_state(SnapshotReader& r);
 
   // ---- diagnostics ----
-  std::uint64_t delta_count() const { return delta_count_; }
-  std::uint64_t process_activations() const { return activations_; }
+
+  /// Counts one tick dispatch: a native clock calling its listener.
+  void count_tick_dispatch() { ++tick_dispatches_; }
+  /// Both read the tick-dispatch count; perfbench still reports them as
+  /// `sim.delta_cycles` and `sim.process_activations`, so they stay
+  /// until the next benchmark change.
+  std::uint64_t delta_count() const { return tick_dispatches_; }
+  std::uint64_t process_activations() const { return tick_dispatches_; }
 
   /// Timed-queue health counters. With true cancellation the queue holds
   /// live entries only, so `live` is the exact amount of pending timed
@@ -244,8 +235,6 @@ class Environment {
   void io_timers(SnapshotWriter& w) const;
   void io_timers(SnapshotReader& r);
 
-  /// Runs delta cycles at the current time until no process is runnable.
-  void run_deltas();
   static std::uint64_t heap_depth(std::uint64_t n);
   void require_settled(const char* verb) const;
 
@@ -258,18 +247,14 @@ class Environment {
   const RearmEntry* find_rearm(const std::string& name) const;
 
   SimTime now_ = SimTime::zero();
-  std::vector<Process*> runnable_;
-  std::vector<Process*> next_runnable_;
   TimerQueue queue_;
   std::vector<RearmEntry> rearm_entries_;
-  std::vector<std::unique_ptr<Process>> processes_;
   Rng rng_;
   std::uint64_t seed_;
   SeededStreams* seeded_ = nullptr;
   Tracer* tracer_ = nullptr;
   bool dispatching_ = false;
-  std::uint64_t delta_count_ = 0;
-  std::uint64_t activations_ = 0;
+  std::uint64_t tick_dispatches_ = 0;
 };
 
 }  // namespace btsc::sim

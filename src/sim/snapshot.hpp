@@ -1,7 +1,7 @@
 // Snapshot: versioned tagged byte streams for checkpointing a simulation.
 //
 // A snapshot is the serialized MUTABLE state of a simulation at a settled
-// instant (between run() calls, no delta work pending). Restoring never
+// instant (between run() calls, no callback running). Restoring never
 // rebuilds the object graph: the caller constructs the scenario through
 // its ordinary deterministic construction path and then overwrites every
 // mutable field from the byte stream. Pointers therefore never enter a

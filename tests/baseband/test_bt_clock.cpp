@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/environment.hpp"
@@ -60,12 +61,34 @@ TEST(NativeClockTest, TickEventFiresAfterIncrement) {
   Environment env;
   NativeClock clk(env, "clkn", 7);
   std::vector<std::uint32_t> seen;
-  auto& p = env.register_process([&] { seen.push_back(clk.clkn()); });
-  clk.tick_event().add_sensitive(p);
+  clk.set_listener([&] { seen.push_back(clk.clkn()); });
   env.run_until(kTickPeriod * 3);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], 8u);
   EXPECT_EQ(seen[2], 10u);
+}
+
+// At a tick instant the listener runs inside the clock's wake timer:
+// after the timers queued for that instant ahead of the wake, before
+// those queued after it, and before the work it schedules itself.
+TEST(NativeClockTest, ListenerRunsInsideWakeTimer) {
+  Environment env;
+  NativeClock clk(env, "clkn");
+  const SimTime tick2 = kTickPeriod * 2;  // its wake is queued at tick 1
+  std::vector<std::string> order;
+  env.schedule(tick2, [&] { order.push_back("earlier"); });
+  // Half a tick after tick 1, once the wake is queued.
+  env.schedule(SimTime::ns(468'750), [&] {
+    env.schedule(tick2 - env.now(), [&] { order.push_back("later"); });
+  });
+  clk.set_listener([&] {
+    if (env.now() != tick2) return;
+    order.push_back("listener");
+    env.schedule(SimTime::zero(), [&] { order.push_back("scheduled"); });
+  });
+  env.run_until(tick2);
+  EXPECT_EQ(order, (std::vector<std::string>{"earlier", "listener", "later",
+                                             "scheduled"}));
 }
 
 TEST(NativeClockTest, LastTickTime) {
@@ -97,8 +120,7 @@ TEST(NativeClockTest, WakeNotifiesRequestedTicksOnly) {
   Environment env;
   NativeClock clk(env, "clkn", 100);
   std::vector<std::uint32_t> seen;
-  auto& p = env.register_process([&] { seen.push_back(clk.clkn()); });
-  clk.tick_event().add_sensitive(p);
+  clk.set_listener([&] { seen.push_back(clk.clkn()); });
   clk.wake(3, 4);
   env.run_until(kTickPeriod * 12);
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{103, 107, 111}));
@@ -217,16 +239,19 @@ TEST(NativeClockDifferential, MatchesTickedReferenceAcrossWrapAndReset) {
     };
     env.schedule(SimTime::ns(rng.uniform(0, 400'000)), random_read);
 
-    // tick_event (every tick by default) fires in the delta after the
-    // tick instant's timed callbacks, on every reference tick.
-    std::uint64_t tick_events = 0;
+    // The listener (every tick by default) runs at the tick instant,
+    // inside the clock's wake timer. That timer is queued ahead of the
+    // reference's increment, so clkn() counts a tick the reference has
+    // yet to count. One call per reference tick.
+    std::uint64_t tick_calls = 0;
     std::uint64_t ref_ticks_before_reset = 0;
-    auto& watch = env.register_process([&] {
-      ASSERT_EQ(ref.last(), env.now());
-      expect_same(clk, ref);
-      ++tick_events;
+    clk.set_listener([&] {
+      ASSERT_EQ(ref.next(), env.now());
+      ASSERT_EQ(clk.clkn(), (ref.value() + 1) & kClockMask);
+      ASSERT_EQ(clk.ticks(), ref.ticks() + 1);
+      ASSERT_EQ(clk.last_tick_time(), env.now());
+      ++tick_calls;
     });
-    clk.tick_event().add_sensitive(watch);
 
     // reset_phase mid-run, as randomize_slave_clocks does it.
     const std::uint32_t start2 = draw_start(rng);
@@ -242,7 +267,7 @@ TEST(NativeClockDifferential, MatchesTickedReferenceAcrossWrapAndReset) {
     env.run_until(SimTime::ms(40));
     expect_same(clk, ref);
     EXPECT_GT(exact_reads, 100u);
-    EXPECT_EQ(tick_events, ref_ticks_before_reset + ref.ticks());
+    EXPECT_EQ(tick_calls, ref_ticks_before_reset + ref.ticks());
   }
 }
 
@@ -266,9 +291,8 @@ TEST(NativeClockDifferential, RestoreMidHalfSlotMatchesTickedReference) {
     // Restore it into a clock constructed with other arguments.
     Environment b;
     NativeClock clk(b, "clkn", 12345, SimTime::us(77));
-    std::uint64_t tick_events = 0;
-    auto& watch = b.register_process([&] { ++tick_events; });
-    clk.tick_event().add_sensitive(watch);
+    std::uint64_t tick_calls = 0;
+    clk.set_listener([&] { ++tick_calls; });
     btsc::sim::SnapshotReader r(image);
     clk.restore_state(r);
     b.restore_state(r);
@@ -288,7 +312,7 @@ TEST(NativeClockDifferential, RestoreMidHalfSlotMatchesTickedReference) {
       c.run_until(t);
       expect_same(clk, ref);
     }
-    EXPECT_EQ(tick_events, ref.ticks() - ref_ticks_at_restore);
+    EXPECT_EQ(tick_calls, ref.ticks() - ref_ticks_at_restore);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "runner/scenarios.hpp"
 
@@ -153,6 +154,21 @@ TEST(BenchArgsTest, MalformedTimeoutKeepsDefault) {
   EXPECT_EQ(a.max_retries, 0);
   EXPECT_EQ(a.invalid, "--rep-timeout fast");
   EXPECT_EQ(sweep_exit("--rep-timeout", "fast"), 2);
+}
+
+TEST(BenchArgsTest, NonFiniteTimeoutIsMalformed) {
+  // strtod reads these as numbers, but no deadline is NaN or infinite: a
+  // NaN would run unsupervised and an infinity supervised without one.
+  for (const char* text : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(text);
+    const auto a = parse({"--rep-timeout", text});
+    EXPECT_EQ(a.rep_timeout, 0.0);
+    EXPECT_EQ(a.invalid, std::string("--rep-timeout ") + text);
+  }
+  EXPECT_EQ(sweep_exit("--rep-timeout", "nan"), 2);
+  EXPECT_EQ(sweep_exit("--rep-timeout", "inf"), 2);
+  // A finite value at or below zero still means no deadline.
+  EXPECT_EQ(parse({"--rep-timeout", "-1"}).invalid, "");
 }
 
 TEST(ScenarioMainTest, NegativeCountsExitWithUsageError) {

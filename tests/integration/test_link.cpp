@@ -334,16 +334,50 @@ TEST(LinkIntegration, CommandAtTickInstantActsOnThatTick) {
   EXPECT_TRUE(tb.slave->radio().rx_enabled());
 }
 
+// The order at a tick instant of a controller that wakes on every tick:
+// a timer queued before the tick's wake runs ahead of the tick work, and
+// a command it issues still acts on that tick; a timer queued after the
+// wake sees the tick work done.
+TEST(LinkIntegration, TickWorkRunsInsideTheWakeTimer) {
+  Testbed tb;
+  tb.slave->lc().enable_page_scan();
+  tb.env.run(5_ms);
+  // A TX half slot (CLKN1 == 0), in which inquiry sends an ID.
+  const NativeClock& clk = tb.slave->clock();
+  std::uint64_t k = clk.ticks() + 2;
+  while ((clk.clkn_at_tick(k) >> 1) & 1u) ++k;
+  const SimTime tick = clk.last_tick_time() + kTickPeriod * (k - clk.ticks());
+
+  std::uint64_t before = 0;
+  bool earlier_ran = false, later_ran = false;
+  tb.env.schedule(tick - tb.env.now(), [&] {
+    before = tb.env.process_activations();
+    EXPECT_FALSE(tb.slave->radio().tx_busy());
+    tb.slave->lc().enable_inquiry();
+    earlier_ran = true;
+  });
+  tb.env.schedule(tick - tb.env.now() - SimTime::ns(156'250), [&] {
+    tb.env.schedule(tick - tb.env.now(), [&] {
+      EXPECT_EQ(tb.env.process_activations(), before + 1);
+      EXPECT_EQ(tb.slave->lc().state(), LcState::kInquiry);
+      EXPECT_TRUE(tb.slave->radio().tx_busy());
+      later_ran = true;
+    });
+  });
+  tb.env.run_until(tick);
+  EXPECT_TRUE(earlier_ran);
+  EXPECT_TRUE(later_ran);
+}
+
 // A windowed inquiry scanner sleeps between its scan windows: over one
 // scan interval its controller wakes on the ticks of its two (interlaced)
 // windows, plus the tick after each that turns the receiver off.
 TEST(LinkIntegration, WindowedInquiryScannerSleepsBetweenWindows) {
   Testbed tb;
   tb.slave->lc().enable_inquiry_scan();
-  std::uint64_t wakes = 0;
-  auto& watch = tb.env.register_process([&] { ++wakes; });
-  tb.slave->clock().tick_event().add_sensitive(watch);
+  const std::uint64_t before = tb.env.process_activations();
   tb.env.run(kSlotDuration * kInquiryScanIntervalSlots);
+  const std::uint64_t wakes = tb.env.process_activations() - before;
   EXPECT_GE(wakes, 2 * 2 * kInquiryScanWindowSlots);
   EXPECT_LE(wakes, 2 * 2 * kInquiryScanWindowSlots + 2);
 }

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -182,6 +186,57 @@ TEST(SweepRunnerTest, NonMergeableSampleRejectsMultipleReplications) {
   EXPECT_THROW(
       runner.run({1}, [](const int&, const Replication&) { return 0.0; }),
       std::logic_error);
+}
+
+/// Threads of this process, from its /proc task directory.
+std::size_t live_threads() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator()));
+}
+
+/// The most threads a task body of a 2-task grid sees alive. Each body
+/// samples until both tasks have started and 10 ms have passed, so a
+/// pool still spawning surplus workers is caught.
+template <class RunGrid>
+std::size_t peak_threads_over_two_tasks(RunGrid run_grid) {
+  std::atomic<int> started{0};
+  std::atomic<std::size_t> peak{0};
+  run_grid([&] {
+    ++started;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+    while (started.load() < 2 || std::chrono::steady_clock::now() < until) {
+      std::size_t seen = peak.load();
+      const std::size_t now = live_threads();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::yield();
+    }
+  });
+  return peak.load();
+}
+
+// A request for more workers than tasks starts one worker per task: 16
+// threads over 2 tasks run the plain grid on the caller and 1 worker,
+// and the supervised grid on 2 workers while the caller watches.
+TEST(SweepRunnerTest, PoolNeverOutgrowsTaskCount) {
+  const std::size_t base = live_threads();
+  EXPECT_EQ(peak_threads_over_two_tasks([](auto body) {
+              detail::run_task_grid(2, 16, [&](std::size_t) { body(); });
+            }),
+            base + 1);
+  EXPECT_EQ(peak_threads_over_two_tasks([](auto body) {
+              detail::SupervisorConfig cfg;
+              cfg.threads = 16;
+              std::vector<detail::TaskFailure> failures;
+              detail::run_supervised_grid(
+                  2, cfg,
+                  [&](std::size_t, detail::CommitToken&) { body(); },
+                  failures);
+              EXPECT_TRUE(failures.empty());
+            }),
+            base + 2);
 }
 
 TEST(ResolveThreadCountTest, PositivePassesThroughZeroMeansHardware) {

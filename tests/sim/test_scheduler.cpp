@@ -1,6 +1,6 @@
-// Kernel scheduler semantics: timed callbacks, delta cycles, cancellation,
-// determinism. These tests pin down the evaluate/update contract that all
-// Bluetooth models rely on.
+// Kernel scheduler semantics: timed callbacks, same-instant order,
+// cancellation, determinism. These tests pin down the one dispatch rule
+// that all Bluetooth models rely on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/environment.hpp"
-#include "sim/event.hpp"
 #include "sim/time.hpp"
 
 namespace btsc::sim {
@@ -121,45 +120,6 @@ TEST(SchedulerTest, IdleReflectsPendingWork) {
   EXPECT_FALSE(env.idle());
   env.run_until(1_ms);
   EXPECT_TRUE(env.idle());
-}
-
-TEST(SchedulerTest, DeltaNotifyRunsProcessWithoutTimeAdvance) {
-  Environment env;
-  Event ev(env);
-  SimTime when = SimTime::max();
-  Process& p = env.register_process([&] { when = env.now(); });
-  ev.add_sensitive(p);
-  env.schedule(7_us, [&] { ev.notify_delta(); });
-  env.run_until(1_ms);
-  EXPECT_EQ(when, 7_us);
-}
-
-TEST(SchedulerTest, ProcessNotQueuedTwicePerDelta) {
-  Environment env;
-  Event a(env), b(env);
-  int runs = 0;
-  Process& p = env.register_process([&] { runs++; });
-  a.add_sensitive(p);
-  b.add_sensitive(p);
-  env.schedule(1_us, [&] {
-    a.notify_delta();
-    b.notify_delta();
-  });
-  env.run_until(1_ms);
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(SchedulerTest, ActivationAndDeltaCountersAdvance) {
-  Environment env;
-  Event ev(env);
-  Process& p = env.register_process([] {});
-  ev.add_sensitive(p);
-  const auto d0 = env.delta_count();
-  const auto a0 = env.process_activations();
-  env.schedule(1_us, [&] { ev.notify_delta(); });
-  env.run_until(1_ms);
-  EXPECT_GT(env.delta_count(), d0);
-  EXPECT_EQ(env.process_activations(), a0 + 1);
 }
 
 // ---- true-cancellation semantics of the intrusive-heap timed queue ----

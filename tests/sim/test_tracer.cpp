@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/environment.hpp"
-#include "sim/event.hpp"
 #include "support/recording_tracer.hpp"
 
 namespace btsc::sim {
@@ -77,21 +76,18 @@ TEST_F(VcdTracerTest, DuplicateValueSuppressed) {
 }
 
 TEST_F(VcdTracerTest, GlitchWithinOneInstantWritesNothing) {
-  // The line rises in a timed callback at 5 us and falls in the process
-  // a later timed callback wakes, `gap` after it. With no gap the fall
-  // runs in the tick delta of the same instant, which then ends where
-  // it began: the file shows no change there. One microsecond apart,
-  // both changes are written.
+  // The line rises in a timed callback at 5 us and falls in a second
+  // one, `gap` after it. With no gap both run at the same instant, which
+  // then ends where it began: the file shows no change there. One
+  // microsecond apart, both changes are written.
   const auto trace = [&](SimTime gap) {
     Environment env;
     {
       VcdTracer tracer(env, path_);
       env.set_tracer(&tracer);
       TraceLine line(env, "dev.enable_rx_RF", '0');
-      Event tick(env);
-      tick.add_sensitive(env.register_process([&] { line.set('0'); }));
       env.schedule(5_us, [&] { line.set('1'); });
-      env.schedule(5_us + gap, [&] { tick.notify_delta(); });
+      env.schedule(5_us + gap, [&] { line.set('0'); });
       env.run_until(10_us);
       tracer.close();
     }
